@@ -11,7 +11,8 @@ Every trainable tensor and every batch-norm running buffer is stored.
 %.17g is enough digits to round-trip float64 exactly. Loading validates
 the full schema (names, ranks, shapes) against the model the caller is
 restoring into, so a checkpoint from a differently-sized model fails
-loudly instead of silently misloading.
+loudly instead of silently misloading. A nan or inf value is rejected
+too: the sampler would otherwise decode it into plausible graphs.
 """
 
 from __future__ import annotations
@@ -103,7 +104,10 @@ def loads(text: str, spec: ModelSpec) -> FlowParams:
                     raise CheckpointError(f"tensor {name}: bad value {tok!r}")
         if len(values) != count:
             raise CheckpointError(f"tensor {name}: expected {count} values, got {len(values)}")
-        targets[name][...] = np.array(values, dtype=np.float64).reshape(want)
+        arr = np.array(values, dtype=np.float64)
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"tensor {name}: non-finite value")
+        targets[name][...] = arr.reshape(want)
     missing = sorted(set(targets) - seen)
     if missing:
         raise CheckpointError(f"checkpoint is missing tensors: {', '.join(missing)}")

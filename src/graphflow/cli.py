@@ -57,7 +57,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--seed", type=int, help="run seed (overrides config)")
         p.add_argument("--output", help="output directory (overrides config)")
-        p.add_argument("--threads", type=int, help="worker pool size; 1 is the reference path")
         return p
 
     p = add("gen-data", "generate a dataset and write it as MOLT")
@@ -95,7 +94,6 @@ def _build_parser() -> _Parser:
 _GLOBAL_OVERRIDES = {
     "seed": "seed",
     "output": "output_dir",
-    "threads": "threads",
     "count": None,  # handled per command
     "epochs": "epochs",
     "temperature": "temperature",
@@ -226,7 +224,6 @@ def cmd_sample(args) -> int:
         _sampler_config(cfg),
         cfg.sample_count,
         stream_seed(cfg.seed, "sampler"),
-        threads=cfg.threads,
     )
     outputs = [_write(out, "samples.molt", molt.write_molt(graphs, vocab, bonds))]
     if args.trace:

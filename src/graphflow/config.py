@@ -73,7 +73,6 @@ class RunConfig:
     temperature: float = 1.0
     max_resample: int = 100
     sample_count: int = 100
-    threads: int = 1
     rl_gamma: float = 0.97
     rl_shaping: str = "linear"
     rl_t1: float = 4.0
@@ -102,7 +101,6 @@ _POSITIVE_INT = (
     "epochs",
     "batch_size",
     "sample_count",
-    "threads",
     "rl_iterations",
     "rl_updates",
     "rl_batch",

@@ -226,17 +226,39 @@ class LogLik:
         return len(self.node_terms) + len(self.edge_terms)
 
 
-def _edge_step_state(g: MolecularGraph, i: int, j: int) -> MolecularGraph:
-    """The partial graph seen at edge step (i, j): nodes 0..i, full bonds
-    among the first i nodes, and node i's row decided only below column j.
-    Encode it with undecided_row=(i, j) so the open slots stay invisible."""
-    cats = g.categories[: i + 1, : i + 1].copy()
-    cats[i, :] = g.no_edge
-    cats[:, i] = g.no_edge
-    decided = g.categories[i, :j]
-    cats[i, :j] = decided
-    cats[:j, i] = decided
-    return MolecularGraph(g.node_types[: i + 1], cats, g.no_edge)
+def step_embedding(params: FlowParams, g: MolecularGraph, step):
+    """Evaluation-mode encoder inputs for one generation step of g.
+
+    A ("node", i) step sees g's first i nodes and gives (h,), a zero row
+    when i == 0. An ("edge", i, j) step sees nodes 0..i with node i's
+    slots at column j and beyond still undecided, and gives (h, h_i,
+    h_j). Nothing of g past the step is read, so g may be a graph that
+    is still being filled in.
+    """
+    k = params.rgcn.width
+    kind, i = step[0], step[1]
+    if kind == "node":
+        if i == 0:
+            return (Tensor(np.zeros((1, k))),)
+        sub = MolecularGraph(g.node_types[:i], g.categories[:i, :i], g.no_edge)
+        return (rgcn.encode(sub, params.rgcn, training=False).graph_embedding.reshape(1, k),)
+    if kind == "edge":
+        j = step[2]
+        sub = MolecularGraph(g.node_types[: i + 1], g.categories[: i + 1, : i + 1], g.no_edge)
+        emb = rgcn.encode(sub, params.rgcn, training=False, undecided_row=(i, j))
+        return (
+            emb.graph_embedding.reshape(1, k),
+            Tensor(emb.H.data[i : i + 1]),
+            Tensor(emb.H.data[j : j + 1]),
+        )
+    raise ValueError(f"unknown step kind {kind!r}")
+
+
+def step_conditional(params: FlowParams, g: MolecularGraph, step):
+    """Evaluation-mode (mu, alpha) arrays for one generation step of g."""
+    head = node_conditional if step[0] == "node" else edge_conditional
+    mu, alpha = head(params, *step_embedding(params, g, step))
+    return mu.data[0], alpha.data[0]
 
 
 def _conditionals_for_graph(
@@ -332,34 +354,17 @@ def log_likelihood_sequential(
     would span a whole stacked pass and cannot be reproduced one step at
     a time."""
     validate_ordered(g, spec.window)
-    plan = build_plan(g.n, spec.window)
-    k = params.rgcn.width
     node_terms = np.zeros(g.n)
     edge_terms = []
-    for step in plan.steps:
+    for step in build_plan(g.n, spec.window).steps:
+        mu, alpha = step_conditional(params, g, step)
         if step[0] == "node":
             i = step[1]
-            if i == 0:
-                h = Tensor(np.zeros((1, k)))
-            else:
-                sub = MolecularGraph(
-                    g.node_types[:i], g.categories[:i, :i], g.no_edge
-                )
-                emb = rgcn.encode(sub, params.rgcn, training=False)
-                h = emb.graph_embedding.reshape(1, k)
-            mu, alpha = node_conditional(params, h)
-            val = ad.gaussian_logpdf(Tensor(z.zx[i : i + 1]), mu, alpha)
-            node_terms[i] = val.data.sum()
+            node_terms[i] = ad.gaussian_logpdf(z.zx[i], mu, alpha).data.sum()
         else:
             _, i, j = step
-            sub = _edge_step_state(g, i, j)
-            emb = rgcn.encode(sub, params.rgcn, training=False, undecided_row=(i, j))
-            h = emb.graph_embedding.reshape(1, k)
-            hi = ad.take(emb.H, (np.array([i]),))
-            hj = ad.take(emb.H, (np.array([j]),))
-            mu, alpha = edge_conditional(params, h, hi, hj)
-            val = ad.gaussian_logpdf(Tensor(z.za[(i, j)][None, :]), mu, alpha)
-            edge_terms.append((i, j, float(val.data.sum())))
+            val = ad.gaussian_logpdf(z.za[(i, j)], mu, alpha).data.sum()
+            edge_terms.append((i, j, float(val)))
     total = float(node_terms.sum() + sum(v for _, _, v in edge_terms))
     return LogLik(total=total, node_terms=node_terms, edge_terms=edge_terms)
 
@@ -395,28 +400,14 @@ def graph_to_latent(
         z = dequantize(g, spec.vocab, spec.bonds, rng, window=spec.window)
     plan = build_plan(g.n, spec.window)
     if sequential:
-        k = params.rgcn.width
         eps_x = np.zeros_like(z.zx)
         eps_a = {}
         for step in plan.steps:
+            mu, alpha = step_conditional(params, g, step)
             if step[0] == "node":
-                i = step[1]
-                if i == 0:
-                    h = Tensor(np.zeros((1, k)))
-                else:
-                    sub = MolecularGraph(g.node_types[:i], g.categories[:i, :i], g.no_edge)
-                    h = rgcn.encode(sub, params.rgcn, training=False).graph_embedding.reshape(1, k)
-                mu, alpha = node_conditional(params, h)
-                eps_x[i] = inverse_transform(z.zx[i], mu.data[0], alpha.data[0])
+                eps_x[step[1]] = inverse_transform(z.zx[step[1]], mu, alpha)
             else:
-                _, i, j = step
-                sub = _edge_step_state(g, i, j)
-                emb = rgcn.encode(sub, params.rgcn, training=False, undecided_row=(i, j))
-                h = emb.graph_embedding.reshape(1, k)
-                hi = ad.take(emb.H, (np.array([i]),))
-                hj = ad.take(emb.H, (np.array([j]),))
-                mu, alpha = edge_conditional(params, h, hi, hj)
-                eps_a[(i, j)] = inverse_transform(z.za[(i, j)], mu.data[0], alpha.data[0])
+                eps_a[step[1:]] = inverse_transform(z.za[step[1:]], mu, alpha)
         return LatentSeq(eps_x=eps_x, eps_a=eps_a)
     mu_x, alpha_x, mu_a, alpha_a = _conditionals_for_graph(g, params, plan, training=False)
     eps_x = inverse_transform(z.zx, mu_x.data, alpha_x.data)
@@ -440,32 +431,21 @@ def latent_to_graph(
     termination: every step re-encodes the partial graph decoded so far.
     """
     n = latent.eps_x.shape[0]
-    k = params.rgcn.width
     no_edge = spec.bonds.no_edge
     types = np.zeros(n, dtype=np.int64)
     cats = empty_categories(n, no_edge)
-    for i in range(n):
-        if i == 0:
-            h = Tensor(np.zeros((1, k)))
+    g = MolecularGraph(types, cats, no_edge)  # filled in place, step by step
+    for step in build_plan(n, spec.window).steps:
+        mu, alpha = step_conditional(params, g, step)
+        if step[0] == "node":
+            i = step[1]
+            types[i] = np.argmax(forward_transform(latent.eps_x[i], mu, alpha))
         else:
-            sub = MolecularGraph(types[:i], cats[:i, :i], no_edge)
-            h = rgcn.encode(sub, params.rgcn, training=False).graph_embedding.reshape(1, k)
-        mu, alpha = node_conditional(params, h)
-        z_row = forward_transform(latent.eps_x[i], mu.data[0], alpha.data[0])
-        types[i] = int(np.argmax(z_row))
-        for j in range(max(0, i - spec.window), i):
-            sub = MolecularGraph(types[: i + 1], cats[: i + 1, : i + 1], no_edge)
-            emb = rgcn.encode(sub, params.rgcn, training=False, undecided_row=(i, j))
-            h = emb.graph_embedding.reshape(1, k)
-            hi = ad.take(emb.H, (np.array([i]),))
-            hj = ad.take(emb.H, (np.array([j]),))
-            mu, alpha = edge_conditional(params, h, hi, hj)
-            z_row = forward_transform(latent.eps_a[(i, j)], mu.data[0], alpha.data[0])
-            c = int(np.argmax(z_row))
+            _, i, j = step
+            c = np.argmax(forward_transform(latent.eps_a[(i, j)], mu, alpha))
             if c != no_edge:
-                cats[i, j] = c
-                cats[j, i] = c
-    return MolecularGraph(types, cats, no_edge)
+                cats[i, j] = cats[j, i] = c
+    return g
 
 
 @dataclass

@@ -350,16 +350,6 @@ def valency_ok(g: MolecularGraph, vocab: AtomVocab, bonds: BondVocab) -> bool:
     return not valency_violations(g, vocab, bonds)
 
 
-def implicit_hydrogens(g: MolecularGraph, vocab: AtomVocab, bonds: BondVocab) -> np.ndarray:
-    """Hydrogens needed to fill each atom to its valence; audits validity first."""
-    bad = valency_violations(g, vocab, bonds)
-    if bad:
-        raise GraphError(f"valency exceeded at nodes {bad}")
-    sums = bond_order_sums(g, bonds)
-    caps = np.array([vocab.valences[t] for t in g.node_types])
-    return caps - sums
-
-
 def is_connected(g: MolecularGraph) -> bool:
     seen = np.zeros(g.n, dtype=bool)
     stack = [0]

@@ -307,22 +307,3 @@ def encode_step_batch(
         node_mask=node_mask,
     )
 
-
-def encode_prefix_batch(
-    g: MolecularGraph,
-    prefix_sizes,
-    params: RgcnParams,
-    training: bool = False,
-) -> list:
-    """Batched encodes of the first-m-node subgraphs, one per requested size."""
-    for m in prefix_sizes:
-        if not 1 <= m <= g.n:
-            raise GraphError(f"prefix size {m} out of range 1..{g.n}")
-    stacked = encode_step_batch(
-        g, [("node", int(m)) for m in prefix_sizes], params, training=training
-    )
-    out = []
-    for s, m in enumerate(prefix_sizes):
-        h = ad.take(stacked.H, (np.full(int(m), s), np.arange(int(m))))
-        out.append(NodeEmbeddings(H=h, graph_embedding=h.sum(axis=0)))
-    return out

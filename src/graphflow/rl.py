@@ -30,17 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import rgcn
+from . import flow
 from .autodiff import AdamState, Tape, Tensor, adam_step
 from .flow import (
     FlowParams,
     ModelSpec,
     _conditionals_for_graph,
-    _edge_step_state,
     _reorder_for_window,
     build_plan,
-    edge_conditional,
-    node_conditional,
 )
 from .graph import GraphError, MolecularGraph, bfs_reorder, empty_categories
 from .molt import write_molt
@@ -145,54 +142,11 @@ def action_logprobs(
     mu = np.asarray(mu, dtype=np.float64).reshape(-1)
     alpha = np.asarray(alpha, dtype=np.float64).reshape(-1) * temperature
     d = mu.shape[0]
-    raw = np.empty(d)
-    for c in range(d):
-        u, logw = argmax_region_grid(mu, alpha, c, fine=True)
-        term = logw - 0.5 * u * u - 0.5 * LOG_TWO_PI
-        for k in range(d):
-            if k != c:
-                term = term + _log_ndtr_np((mu[c] - mu[k] + alpha[c] * u) / alpha[k])
-        raw[c] = _logsumexp_np(term)
-    return raw - _logsumexp_np(raw)
-
-
-def _log_ndtr_np(x: np.ndarray) -> np.ndarray:
-    from scipy.special import log_ndtr
-
-    return log_ndtr(x)
-
-
-def _logsumexp_np(a: np.ndarray) -> float:
-    m = float(np.max(a))
-    if not np.isfinite(m):
-        return -745.0  # every node underflowed; report "essentially impossible"
-    return m + math.log(float(np.sum(np.exp(a - m))))
-
-
-def step_conditional(
-    params: FlowParams, spec: ModelSpec, g: MolecularGraph, kind: str, i: int, j: int = -1
-):
-    """Evaluation-mode (mu, alpha) rows for one generation step of g."""
-    k = params.rgcn.width
-    if kind == "node":
-        if i == 0:
-            h = Tensor(np.zeros((1, k)))
-        else:
-            sub = MolecularGraph(g.node_types[:i], g.categories[:i, :i], g.no_edge)
-            h = rgcn.encode(sub, params.rgcn, training=False).graph_embedding.reshape(1, k)
-        mu, alpha = node_conditional(params, h)
-    elif kind == "edge":
-        sub = _edge_step_state(g, i, j)
-        emb = rgcn.encode(sub, params.rgcn, training=False, undecided_row=(i, j))
-        mu, alpha = edge_conditional(
-            params,
-            emb.graph_embedding.reshape(1, k),
-            Tensor(emb.H.data[i : i + 1]),
-            Tensor(emb.H.data[j : j + 1]),
-        )
-    else:
-        raise ValueError(f"unknown step kind {kind!r}")
-    return mu.data[0].copy(), alpha.data[0].copy()
+    u, logw = _pad_grids([argmax_region_grid(mu, alpha, c, fine=True) for c in range(d)])
+    raw = _stacked_action_logprobs(
+        Tensor(np.tile(mu, (d, 1))), Tensor(np.tile(alpha, (d, 1))), u, logw, np.arange(d)
+    )
+    return raw.data - ad.logsumexp(raw, axis=0).data
 
 
 def compute_action_logprob(
@@ -207,7 +161,7 @@ def compute_action_logprob(
 ) -> float:
     """Log-probability that the sampler picks `action` at the given step
     when the generated prefix matches g."""
-    mu, alpha = step_conditional(params, spec, g, kind, i, j)
+    mu, alpha = flow.step_conditional(params, g, (kind, i, j))
     return float(action_logprobs(mu, alpha, temperature)[action])
 
 
@@ -292,13 +246,14 @@ def _fill_returns(steps: list, final_reward: float, gamma: float) -> None:
         steps[idx].ret = g
 
 
-def _pad_grids(steps: list):
-    q = max(s.grid_u.shape[0] for s in steps)
-    u = np.zeros((len(steps), q))
-    logw = np.full((len(steps), q), -np.inf)
-    for row, s in enumerate(steps):
-        u[row, : s.grid_u.shape[0]] = s.grid_u
-        logw[row, : s.grid_logw.shape[0]] = s.grid_logw
+def _pad_grids(grids: list):
+    """Stack (u, logw) grids into (S, Q) arrays; padded slots get -inf log-weight."""
+    q = max(gu.shape[0] for gu, _ in grids)
+    u = np.zeros((len(grids), q))
+    logw = np.full((len(grids), q), -np.inf)
+    for row, (gu, gw) in enumerate(grids):
+        u[row, : gu.shape[0]] = gu
+        logw[row, : gw.shape[0]] = gw
     return u, logw
 
 
@@ -500,7 +455,7 @@ def _new_policy_logprobs(
         alpha = ad.take(alpha_all, (rows,))
         if temperature != 1.0:
             alpha = alpha * Tensor(np.array(temperature))
-        u, logw = _pad_grids([s for _, s in group])
+        u, logw = _pad_grids([(s.grid_u, s.grid_logw) for _, s in group])
         actions = np.array([s.action for _, s in group], dtype=np.int64)
         parts.append(_stacked_action_logprobs(mu, alpha, u, logw, actions))
         order.extend(t for t, _ in group)

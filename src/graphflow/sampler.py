@@ -16,13 +16,10 @@ code needs to compute acting log-probabilities without re-encoding.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rgcn
-from .autodiff import Tensor
 from .flow import (
     FlowParams,
     ModelSpec,
@@ -31,6 +28,7 @@ from .flow import (
     graph_to_latent,
     latent_to_graph,
     node_conditional,
+    step_embedding,
     validate_ordered,
 )
 from .graph import (
@@ -85,7 +83,6 @@ def sample_molecule(
     seed_graph, when given, is taken as the already-generated prefix (it
     must be in generation order) and sampling continues from there.
     """
-    k = params.rgcn.width
     d = spec.node_dim
     c_dim = spec.edge_dim
     no_edge = spec.bonds.no_edge
@@ -103,16 +100,12 @@ def sample_molecule(
         cats[:start, :start] = seed_graph.categories
     else:
         start = 0
+    g = MolecularGraph(types, cats, no_edge)  # filled in place, step by step
     trace = SampleTrace()
     size = start
     termination = "max-size"
     for i in range(start, max_size):
-        if i == 0:
-            h = Tensor(np.zeros((1, k)))
-        else:
-            sub = MolecularGraph(types[:i], cats[:i, :i], no_edge)
-            h = rgcn.encode(sub, params.rgcn, training=False).graph_embedding.reshape(1, k)
-        mu, alpha = node_conditional(params, h)
+        mu, alpha = node_conditional(params, *step_embedding(params, g, ("node", i)))
         eps = rng.standard_normal(d) * cfg.temperature
         z = forward_transform(eps, mu.data[0], alpha.data[0])
         t = int(np.argmax(z))
@@ -122,12 +115,7 @@ def sample_molecule(
         )
         got_bond = False
         for j in range(max(0, i - spec.window), i):
-            sub = MolecularGraph(types[: i + 1], cats[: i + 1, : i + 1], no_edge)
-            emb = rgcn.encode(sub, params.rgcn, training=False, undecided_row=(i, j))
-            h = emb.graph_embedding.reshape(1, k)
-            hi = Tensor(emb.H.data[i : i + 1])
-            hj = Tensor(emb.H.data[j : j + 1])
-            mu, alpha = edge_conditional(params, h, hi, hj)
+            mu, alpha = edge_conditional(params, *step_embedding(params, g, ("edge", i, j)))
             rejections = 0
             while True:
                 eps = rng.standard_normal(c_dim) * cfg.temperature
@@ -136,7 +124,7 @@ def sample_molecule(
                 if (
                     cfg.valency_check
                     and cat != no_edge
-                    and not check_valency(sub, spec.vocab, spec.bonds, i, j, cat)
+                    and not check_valency(g, spec.vocab, spec.bonds, i, j, cat)
                 ):
                     rejections += 1
                     if rejections >= cfg.max_resample:
@@ -161,8 +149,7 @@ def sample_molecule(
     if size == 0:
         raise GraphError("cannot sample into a zero-size graph (seed required?)")
     trace.termination = termination
-    g = MolecularGraph(types[:size], cats[:size, :size], no_edge)
-    return g, trace
+    return MolecularGraph(types[:size], cats[:size, :size], no_edge), trace
 
 
 def sample_batch(
@@ -171,23 +158,12 @@ def sample_batch(
     cfg: SamplerConfig,
     count: int,
     seed: int,
-    threads: int = 1,
 ):
-    """Generate count molecules with per-sample independent seed streams.
-
-    Results are indexed by sample number, so the output is identical for
-    any thread count.
-    """
+    """Generate count molecules with per-sample independent seed streams."""
     children = np.random.SeedSequence(seed).spawn(count)
-
-    def one(idx: int):
-        return sample_molecule(params, spec, cfg, np.random.default_rng(children[idx]))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(count)))
-    else:
-        results = [one(i) for i in range(count)]
+    results = [
+        sample_molecule(params, spec, cfg, np.random.default_rng(child)) for child in children
+    ]
     graphs = [g for g, _ in results]
     traces = [t for _, t in results]
     return graphs, traces

@@ -398,7 +398,7 @@ def test_criterion_13_action_probabilities():
             )
             worst_gap = max(worst_gap, abs(float(p.sum()) - 1.0))
 
-            mu, alpha = rl.step_conditional(params, spec, g, kind, i, j)
+            mu, alpha = flow.step_conditional(params, g, (kind, i, j))
             eps = np.random.default_rng(900 + k).standard_normal((draws, d))
             z = np.asarray(mu).reshape(1, d) + np.asarray(alpha).reshape(1, d) * eps
             freq = np.bincount(z.argmax(axis=1), minlength=d) / draws

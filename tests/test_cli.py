@@ -180,30 +180,6 @@ def test_reruns_are_byte_identical(workspace):
     assert (other / "data.molt").read_bytes() != first
 
 
-def test_thread_count_does_not_change_samples(workspace):
-    root = workspace["root"]
-    cfg = str(workspace["cfg"])
-    outs = []
-    for threads, name in ((1, "t1"), (3, "t3")):
-        out = root / name
-        rc = cli.main(
-            [
-                "sample",
-                "--config",
-                cfg,
-                "--checkpoint",
-                str(workspace["checkpoint"]),
-                "--output",
-                str(out),
-                "--threads",
-                str(threads),
-            ]
-        )
-        assert rc == 0
-        outs.append((out / "samples.molt").read_bytes())
-    assert outs[0] == outs[1]
-
-
 def test_usage_errors_exit_1(tmp_path, capsys):
     assert cli.main([]) == 1
     assert cli.main(["no-such-command"]) == 1
@@ -240,8 +216,9 @@ def test_data_errors_exit_2(workspace, tmp_path, capsys):
 
 
 def test_numeric_failure_exits_3(workspace, tmp_path, capsys):
-    # corrupt a valid checkpoint with NaN weights: the surrogate loss is
-    # non-finite on the first fine-tune iteration
+    # corrupt a valid checkpoint with huge but finite weights: every
+    # node-step mu overflows to inf, so the surrogate loss is non-finite
+    # on the first fine-tune iteration
     cfg_obj = load_run_config(workspace["cfg"])
     vocab, bonds = vocab_from_config(cfg_obj)
     spec = flow.ModelSpec(
@@ -249,7 +226,8 @@ def test_numeric_failure_exits_3(workspace, tmp_path, capsys):
         window=cfg_obj.window, max_size=cfg_obj.max_size,
     )
     params = ckpt.load_checkpoint(workspace["checkpoint"], spec)
-    params.node_mu.b2.data[:] = np.nan
+    params.node_mu.b1.data[:] = 1e308  # saturates tanh at exactly 1
+    params.node_mu.w2.data[:] = 1e308  # a sum of 1e308 terms overflows
     poisoned = tmp_path / "poisoned.ckpt"
     ckpt.save_checkpoint(params, poisoned)
     rc = cli.main(
@@ -265,6 +243,34 @@ def test_numeric_failure_exits_3(workspace, tmp_path, capsys):
     )
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_non_finite_checkpoint_is_a_data_error(workspace, tmp_path, capsys):
+    # a nan weight must not load: argmax of nan is 0, so sampling from it
+    # would quietly emit graphs
+    lines = workspace["checkpoint"].read_text().splitlines()
+    first = next(i for i, l in enumerate(lines) if l.startswith("tensor "))
+    toks = lines[first + 1].split()
+    toks[0] = "nan"
+    lines[first + 1] = " ".join(toks)
+    poisoned = tmp_path / "nan.ckpt"
+    poisoned.write_text("\n".join(lines) + "\n")
+    cfg_obj = load_run_config(workspace["cfg"])
+    vocab, bonds = vocab_from_config(cfg_obj)
+    spec = flow.ModelSpec(
+        vocab=vocab, bonds=bonds, width=cfg_obj.width, layers=cfg_obj.layers,
+        window=cfg_obj.window, max_size=cfg_obj.max_size,
+    )
+    with pytest.raises(ckpt.CheckpointError, match="non-finite"):
+        ckpt.load_checkpoint(poisoned, spec)
+    out = tmp_path / "out"
+    rc = cli.main(
+        ["sample", "--config", str(workspace["cfg"]), "--checkpoint", str(poisoned),
+         "--output", str(out)]
+    )
+    assert rc == 2
+    assert "data error" in capsys.readouterr().err
+    assert not (out / "samples.molt").exists()
 
 
 def test_selfcheck_passes(capsys):

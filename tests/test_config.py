@@ -95,7 +95,6 @@ def test_conversion_errors_name_the_key(tmp_path):
         ("atoms", "C:four", "atoms"),
         ("atoms", "", "atoms"),
         ("bond_orders", "1,two", "bond_orders"),
-        ("threads", "0", "threads"),
     ],
 )
 def test_validation_rejections(key, value, hint):

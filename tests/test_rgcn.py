@@ -185,11 +185,13 @@ def test_prefix_batch_matches_single_encodes():
     params = make_params()
     g = molecule(8, max_atoms=7)[0]
     sizes = list(range(1, g.n + 1))
-    batch = rgcn.encode_prefix_batch(g, sizes, params, training=False)
-    for m, emb in zip(sizes, batch):
+    batch = rgcn.encode_step_batch(g, [("node", m) for m in sizes], params, training=False)
+    for s, m in enumerate(sizes):
         sub = MolecularGraph(g.node_types[:m], g.categories[:m, :m], NO_EDGE)
         single = rgcn.encode(sub, params, training=False)
-        assert np.allclose(emb.graph_embedding.data, single.graph_embedding.data, atol=1e-11)
+        assert np.allclose(
+            batch.graph_embedding.data[s], single.graph_embedding.data, atol=1e-11
+        )
 
 
 def test_degree_normalization_row_sums():

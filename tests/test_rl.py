@@ -3,6 +3,9 @@ two-category closed form and Monte Carlo, return/baseline arithmetic,
 ratio-objective identities at the acting parameters, clipping, gradient
 checks, scorers, and constrained generation."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,7 +130,7 @@ def test_compute_action_logprob_end_to_end():
     )
     assert abs(total - 1.0) < 1e-9
     with pytest.raises(ValueError):
-        rl.step_conditional(params, spec, g, "ring", 1)
+        flow.step_conditional(params, g, ("ring", 1))
 
 
 # ------------------------------------------------- returns and baselines
@@ -403,6 +406,15 @@ def test_toy_scorers():
         rl.make_scorer("toy:atom-fraction:X", VOCAB, BONDS)
     with pytest.raises(ValueError):
         rl.make_scorer("random:thing", VOCAB, BONDS)
+
+
+def test_readme_scorer_names_build():
+    # every toy scorer the README offers must be one make_scorer accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    names = sorted(set(re.findall(r"toy:[\w<>:-]+", readme)))
+    assert len(names) >= 3
+    for name in names:
+        rl.make_scorer(name.replace("<symbol>", VOCAB.symbols[0]), VOCAB, BONDS)
 
 
 def test_exec_scorer_round_trip(tmp_path):
