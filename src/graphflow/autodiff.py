@@ -462,35 +462,26 @@ def batch_norm(
     momentum: float = 0.9,
     eps: float = 1e-5,
 ) -> Tensor:
-    """Normalize features over all row positions.
+    """Normalize features over the unmasked rows of a stack.
 
-    For a (n, k) input the statistics run over the n rows. For a stacked
-    (S, n, k) input a (S, n, 1) mask with per-slice row counts (S, 1, 1)
-    restricts the statistics to unmasked rows; one shared mean/var pair
-    covers every unmasked row of the whole stack, so normalization stays
-    an affine map and the column sums over a slice keep carrying graph
-    structure. Masked output rows are garbage and the caller is expected
-    to mask them out again. Training mode uses batch statistics and folds
-    them into the running buffers once per call; evaluation mode reads
-    the running buffers.
+    In training mode a stacked (S, n, k) input comes with a (S, n, 1)
+    mask and per-slice row counts (S, 1, 1) that restrict the statistics
+    to unmasked rows; one shared mean/var pair covers every unmasked row
+    of the whole stack, so normalization stays an affine map and the
+    column sums over a slice keep carrying graph structure. Masked output
+    rows are garbage and the caller is expected to mask them out again.
+    Training mode folds the batch statistics into the running buffers
+    once per call; evaluation mode reads the running buffers, needs no
+    mask, and takes input of any leading shape.
     """
     if training:
-        if mask is None:
-            n = x.data.shape[-2]
-            mean = tensor_sum(x, axis=-2, keepdims=True) * (1.0 / n)
-            centered = x - mean
-            var = tensor_sum(centered * centered, axis=-2, keepdims=True) * (1.0 / n)
-            state.update(
-                np.squeeze(mean.data, -2), np.squeeze(var.data, -2), momentum
-            )
-        else:
-            inv_total = 1.0 / counts.sum()
-            mean = tensor_sum(x * mask, axis=(0, 1), keepdims=True) * inv_total
-            centered = x - mean
-            var = tensor_sum(centered * centered * mask, axis=(0, 1), keepdims=True) * inv_total
-            state.update(
-                mean.data.reshape(-1), var.data.reshape(-1), momentum
-            )
+        inv_total = 1.0 / counts.sum()
+        mean = tensor_sum(x * mask, axis=(0, 1), keepdims=True) * inv_total
+        centered = x - mean
+        var = tensor_sum(centered * centered * mask, axis=(0, 1), keepdims=True) * inv_total
+        state.update(
+            mean.data.reshape(-1), var.data.reshape(-1), momentum
+        )
         scale = gamma / sqrt(var + eps)
         return centered * scale + beta
     normalized = (x - state.running_mean) / np.sqrt(state.running_var + eps)

@@ -60,7 +60,6 @@ class ModelSpec:
     layers: int = 3
     window: int = 12
     max_size: int = 16
-    include_no_edge: bool = True
 
     def __post_init__(self):
         if self.max_size < 1:
@@ -143,11 +142,8 @@ def init_flow_params(spec: ModelSpec, rng, zero_init_heads: bool = True) -> Flow
     k = spec.width
     d = spec.node_dim
     c = spec.edge_dim
-    enc = rgcn.init_rgcn_params(
-        d, k, spec.layers, c, rng, include_no_edge=spec.include_no_edge
-    )
     return FlowParams(
-        rgcn=enc,
+        rgcn=rgcn.init_rgcn_params(d, k, spec.layers, c, rng),
         node_mu=_init_mlp(k, k, d, rng, "head.node_mu", zero_init_heads),
         node_scale=_init_mlp(k, k, d, rng, "head.node_scale", zero_init_heads),
         edge_mu=_init_mlp(3 * k, k, c, rng, "head.edge_mu", zero_init_heads),
@@ -178,6 +174,15 @@ def forward_transform(eps: np.ndarray, mu: np.ndarray, alpha: np.ndarray) -> np.
 def inverse_transform(z: np.ndarray, mu: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Data to latent: eps = (z - mu) / alpha."""
     return (z - mu) / alpha
+
+
+def decode_category(eps: np.ndarray, mu: np.ndarray, alpha: np.ndarray) -> int:
+    """argmax of z = eps * alpha + mu. A non-finite z raises FloatingPointError:
+    its argmax would be a plausible-looking but meaningless category."""
+    z = forward_transform(eps, mu, alpha)
+    if not np.isfinite(z).all():
+        raise FloatingPointError("non-finite step output: the model overflowed")
+    return int(np.argmax(z))
 
 
 @dataclass
@@ -241,11 +246,11 @@ def step_embedding(params: FlowParams, g: MolecularGraph, step):
         if i == 0:
             return (Tensor(np.zeros((1, k))),)
         sub = MolecularGraph(g.node_types[:i], g.categories[:i, :i], g.no_edge)
-        return (rgcn.encode(sub, params.rgcn, training=False).graph_embedding.reshape(1, k),)
+        return (rgcn.encode(sub, params.rgcn).graph_embedding.reshape(1, k),)
     if kind == "edge":
         j = step[2]
         sub = MolecularGraph(g.node_types[: i + 1], g.categories[: i + 1, : i + 1], g.no_edge)
-        emb = rgcn.encode(sub, params.rgcn, training=False, undecided_row=(i, j))
+        emb = rgcn.encode(sub, params.rgcn, undecided_row=(i, j))
         return (
             emb.graph_embedding.reshape(1, k),
             Tensor(emb.H.data[i : i + 1]),
@@ -439,10 +444,10 @@ def latent_to_graph(
         mu, alpha = step_conditional(params, g, step)
         if step[0] == "node":
             i = step[1]
-            types[i] = np.argmax(forward_transform(latent.eps_x[i], mu, alpha))
+            types[i] = decode_category(latent.eps_x[i], mu, alpha)
         else:
             _, i, j = step
-            c = np.argmax(forward_transform(latent.eps_a[(i, j)], mu, alpha))
+            c = decode_category(latent.eps_a[(i, j)], mu, alpha)
             if c != no_edge:
                 cats[i, j] = cats[j, i] = c
     return g
@@ -484,9 +489,15 @@ def train(
     Each epoch reshuffles the dataset, re-draws a BFS order per graph and
     fresh dequantization noise, accumulates per-example gradients over a
     batch in a fixed order and applies one Adam step per batch. Returns
-    the per-epoch mean NLL trace. Raises FloatingPointError on a
-    non-finite loss.
+    the per-epoch mean NLL trace. Raises GraphError, before any update,
+    if a graph is larger than spec.max_size (the sampler could never
+    produce it), and FloatingPointError on a non-finite loss.
     """
+    for g in dataset:
+        if g.n > spec.max_size:
+            raise GraphError(
+                f"training graph has {g.n} nodes but max_size is {spec.max_size}"
+            )
     named = params.named_tensors()
     state = ad.AdamState()
     trace = []

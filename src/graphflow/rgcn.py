@@ -1,20 +1,21 @@
 """Relational graph convolution encoder over bond categories.
 
-Each bond category (optionally including the no-edge category as its own
-relation) gets per-layer weights. One layer computes, per relation c,
+Each bond category, no-edge last, is a relation with its own per-layer
+weights. One layer computes, per relation r,
 
-    msg_c = D_c^{-1/2} (E_c + I) D_c^{-1/2} H W_c
+    msg_r = D_r^{-1/2} (E_r + I) D_r^{-1/2} H W_r
 
-and the new node state is the mean over relations of ReLU(msg_c). Node
+and the new node state is the mean over relations of ReLU(msg_r). Node
 features enter through a learned embedding of the one-hot type row, a
 batch normalization over nodes runs after the last layer, and the graph
 embedding is the column sum of the normalized node states.
 
-Two evaluation paths exist: encode() for a single (sub)graph, and
+One core, _propagate(), runs this on one state or a stack of masked
+states, behind two front ends: encode() for a single (sub)graph, and
 encode_step_batch() which stacks many masked copies of one graph so a
 whole generation history is encoded in a handful of batched matmuls.
 Both compute the same function; the stacked path may differ from the
-sequential one by reduction order only (empirically below 1e-12).
+single one by reduction order only (empirically below 1e-12).
 """
 
 from __future__ import annotations
@@ -33,11 +34,10 @@ BN_EPS = 1e-5
 
 @dataclass
 class RgcnParams:
-    """Weights for the encoder.
+    """Weights for the encoder, read by the one forward core.
 
-    layers[l][r] is the (k, k) weight of relation slot r at layer l; slot
-    order follows bond categories, with the no-edge relation last when
-    include_no_edge is set.
+    layers[l][r] is the (k, k) weight of relation r at layer l: relation r
+    is bond category r, and the no-edge relation is the last one.
     """
 
     embed: Tensor
@@ -45,7 +45,6 @@ class RgcnParams:
     bn_gamma: Tensor
     bn_beta: Tensor
     bn_state: BatchNormState
-    include_no_edge: bool = True
 
     @property
     def width(self) -> int:
@@ -54,10 +53,6 @@ class RgcnParams:
     @property
     def feature_dim(self) -> int:
         return self.embed.data.shape[0]
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.layers)
 
     @property
     def num_relations(self) -> int:
@@ -85,11 +80,9 @@ def init_rgcn_params(
     num_layers: int,
     categories: int,
     rng,
-    include_no_edge: bool = True,
 ) -> RgcnParams:
     if num_layers < 1 or width < 1:
         raise ValueError("need at least one layer and width >= 1")
-    relations = categories if include_no_edge else categories - 1
     embed = Tensor(
         rng.normal(0.0, 1.0 / np.sqrt(feature_dim), size=(feature_dim, width)),
         requires_grad=True,
@@ -98,7 +91,7 @@ def init_rgcn_params(
     layers = []
     for l in range(num_layers):
         row = []
-        for r in range(relations):
+        for r in range(categories):
             row.append(
                 Tensor(
                     rng.normal(0.0, 1.0 / np.sqrt(width), size=(width, width)),
@@ -113,33 +106,30 @@ def init_rgcn_params(
         bn_gamma=Tensor(np.ones(width), requires_grad=True, name="rgcn.bn.gamma"),
         bn_beta=Tensor(np.zeros(width), requires_grad=True, name="rgcn.bn.beta"),
         bn_state=BatchNormState.fresh(width),
-        include_no_edge=include_no_edge,
     )
 
 
 @dataclass
 class NodeEmbeddings:
-    """Per-node states after batch norm, plus their column sum."""
+    """Node states after batch norm, (n, k) for one state or (S, n, k) for a
+    stack with masked rows zeroed, their column sums, and a stack's mask."""
 
     H: Tensor
     graph_embedding: Tensor
+    node_mask: np.ndarray | None = None
 
 
-def _one_hot_adjacency(
-    g: MolecularGraph, categories: int, undecided_row=None
-) -> np.ndarray:
-    """(categories, n, n) one-hot slices of the off-diagonal category matrix.
+def _one_hot_adjacency(g: MolecularGraph, undecided_row=None) -> np.ndarray:
+    """(R, n, n) one-hot slices of the off-diagonal categories, R = no_edge + 1.
 
     undecided_row = (i, lim) drops slots (i, j) for j >= lim from every
     slice: those pairs are not yet decided during generation, which is
     different from having been decided as no-edge. Self loops are added
     later and are not affected.
     """
-    n = g.n
-    a = np.zeros((categories, n, n))
-    off = ~np.eye(n, dtype=bool)
-    for c in range(categories):
-        a[c][(g.categories == c) & off] = 1.0
+    off = ~np.eye(g.n, dtype=bool)
+    hit = g.categories[None, :, :] == np.arange(g.no_edge + 1)[:, None, None]
+    a = (hit & off).astype(np.float64)
     if undecided_row is not None:
         i, lim = undecided_row
         a[:, i, lim:] = 0.0
@@ -156,42 +146,37 @@ def _normalized_adjacency(slices: np.ndarray) -> np.ndarray:
     return tilde * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
 
 
-def _relation_slices(params: RgcnParams, categories: int):
-    if params.include_no_edge:
-        return list(range(categories))
-    return list(range(categories - 1))
-
-
-def encode(
-    g_prefix: MolecularGraph,
+def _propagate(
+    g: MolecularGraph,
+    adj: np.ndarray,
     params: RgcnParams,
     training: bool = False,
-    undecided_row=None,
+    mask: np.ndarray | None = None,
+    counts: np.ndarray | None = None,
 ) -> NodeEmbeddings:
-    """Encode one (sub)graph; the prefix must be non-empty.
+    """Embeddings of g under normalized relation slices adj.
 
-    undecided_row = (i, lim) marks row i's slots at column lim and beyond
-    as not yet generated, excluding them from every relation.
+    adj is (R, n, n) for one state or (S, R, n, n) for a stack. A stack
+    carries its (S, n, 1) node mask and (S, 1, 1) row counts: masked rows
+    enter as zero features, leave as zero states, and are left out of the
+    training-mode statistics.
     """
-    n = g_prefix.n
-    categories = g_prefix.no_edge + 1
-    slots = _relation_slices(params, categories)
-    if len(slots) != params.num_relations:
+    relations = g.no_edge + 1
+    if relations != params.num_relations:
         raise GraphError(
-            f"graph has {categories} categories but encoder holds "
+            f"graph has {relations} categories but encoder holds "
             f"{params.num_relations} relations"
         )
-    adj = _normalized_adjacency(
-        _one_hot_adjacency(g_prefix, categories, undecided_row=undecided_row)
-    )
-    x = np.zeros((n, params.feature_dim))
-    x[np.arange(n), g_prefix.node_types] = 1.0
+    x = np.zeros((g.n, params.feature_dim))
+    x[np.arange(g.n), g.node_types] = 1.0
+    if mask is not None:
+        x = x * mask
     h = Tensor(x) @ params.embed
-    scale = 1.0 / len(slots)
+    scale = 1.0 / relations
     for layer in params.layers:
         acc = None
-        for r, c in enumerate(slots):
-            msg = ad.relu(Tensor(adj[c]) @ h @ layer[r])
+        for r, w in enumerate(layer):
+            msg = ad.relu(Tensor(adj[..., r, :, :]) @ h @ w)
             acc = msg if acc is None else acc + msg
         h = acc * scale
     h = ad.batch_norm(
@@ -200,23 +185,26 @@ def encode(
         params.bn_beta,
         params.bn_state,
         training=training,
+        mask=mask,
+        counts=counts,
         momentum=BN_MOMENTUM,
         eps=BN_EPS,
     )
-    return NodeEmbeddings(H=h, graph_embedding=h.sum(axis=0))
+    if mask is not None:
+        h = h * Tensor(mask)
+    return NodeEmbeddings(H=h, graph_embedding=h.sum(axis=-2), node_mask=mask)
 
 
-@dataclass
-class StackedEmbeddings:
-    """Embeddings for S masked copies of one graph.
+def encode(
+    g_prefix: MolecularGraph, params: RgcnParams, undecided_row=None
+) -> NodeEmbeddings:
+    """Encode one (sub)graph in evaluation mode; the prefix must be non-empty.
 
-    H: (S, n, k) normalized node states with masked rows zeroed.
-    graph_embedding: (S, k) column sums over unmasked rows.
+    undecided_row = (i, lim) marks row i's slots at column lim and beyond
+    as not yet generated, excluding them from every relation.
     """
-
-    H: Tensor
-    graph_embedding: Tensor
-    node_mask: np.ndarray
+    one_hot = _one_hot_adjacency(g_prefix, undecided_row=undecided_row)
+    return _propagate(g_prefix, _normalized_adjacency(one_hot), params)
 
 
 def build_step_masks(g: MolecularGraph, steps) -> tuple:
@@ -226,10 +214,9 @@ def build_step_masks(g: MolecularGraph, steps) -> tuple:
     node i's type, or ("edge", i, j) for the state that already includes
     node i and its decided bond slots (i, j') for j' < j. Returns
     (norm_adj, node_mask, counts) as plain numpy arrays, where norm_adj
-    is (S, C, n, n), node_mask is (S, n, 1) and counts is (S, 1, 1).
+    is (S, R, n, n), node_mask is (S, n, 1) and counts is (S, 1, 1).
     """
     n = g.n
-    categories = g.no_edge + 1
     s_count = len(steps)
     prefix = np.empty(s_count, dtype=np.int64)  # nodes fully inside the prefix
     row = np.full(s_count, -1, dtype=np.int64)  # partially decided node, if any
@@ -255,7 +242,7 @@ def build_step_masks(g: MolecularGraph, steps) -> tuple:
     below = idx[None, :] < lim[:, None]
     keep |= row_hit[:, :, None] & below[:, None, :]
     keep |= row_hit[:, None, :] & below[:, :, None]
-    one_hot = _one_hot_adjacency(g, categories)  # (C, n, n)
+    one_hot = _one_hot_adjacency(g)  # (R, n, n)
     masked = one_hot[None, :, :, :] * keep[:, None, :, :]
     norm_adj = _normalized_adjacency(masked)
     node_mask = (idx[None, :] < total[:, None]).astype(np.float64)
@@ -267,43 +254,7 @@ def encode_step_batch(
     steps,
     params: RgcnParams,
     training: bool = False,
-) -> StackedEmbeddings:
+) -> NodeEmbeddings:
     """Encode every step state of one graph in a single stacked pass."""
-    categories = g.no_edge + 1
-    slots = _relation_slices(params, categories)
-    if len(slots) != params.num_relations:
-        raise GraphError(
-            f"graph has {categories} categories but encoder holds "
-            f"{params.num_relations} relations"
-        )
     norm_adj, node_mask, counts = build_step_masks(g, steps)
-    n = g.n
-    x = np.zeros((n, params.feature_dim))
-    x[np.arange(n), g.node_types] = 1.0
-    x_stack = x[None, :, :] * node_mask  # (S, n, d)
-    h = Tensor(x_stack) @ params.embed
-    scale = 1.0 / len(slots)
-    for layer in params.layers:
-        acc = None
-        for r, c in enumerate(slots):
-            msg = ad.relu(Tensor(norm_adj[:, c]) @ h @ layer[r])
-            acc = msg if acc is None else acc + msg
-        h = acc * scale
-    h = ad.batch_norm(
-        h,
-        params.bn_gamma,
-        params.bn_beta,
-        params.bn_state,
-        training=training,
-        mask=node_mask,
-        counts=counts,
-        momentum=BN_MOMENTUM,
-        eps=BN_EPS,
-    )
-    h = h * Tensor(node_mask)
-    return StackedEmbeddings(
-        H=h,
-        graph_embedding=h.sum(axis=1),
-        node_mask=node_mask,
-    )
-
+    return _propagate(g, norm_adj, params, training, node_mask, counts)

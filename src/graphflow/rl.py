@@ -44,6 +44,7 @@ from .molt import write_molt
 from .sampler import SamplerConfig, sample_molecule
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
+PPO_CHUNK = 16  # trajectories per tape during gradient accumulation
 
 _GL_CACHE: dict = {}
 
@@ -269,7 +270,6 @@ def build_trajectory(
     reward_cfg: RewardConfig,
     score: float,
     temperature: float = 1.0,
-    grid_points: int = 8,
     seed_size: int = 0,
 ) -> Trajectory:
     """Assemble a trajectory from a sampling trace and a property score.
@@ -288,7 +288,7 @@ def build_trajectory(
     steps = []
     for s in trace.steps:
         alpha_eff = s.alpha * temperature
-        u, logw = argmax_region_grid(s.mu, alpha_eff, s.action, points=grid_points)
+        u, logw = argmax_region_grid(s.mu, alpha_eff, s.action)
         steps.append(
             TrajStep(
                 kind=s.kind,
@@ -327,7 +327,6 @@ def collect_trajectories(
     count: int,
     rng,
     seeds=None,
-    grid_points: int = 8,
 ):
     """Run `count` episodes; returns (trajectories, scorer_failures).
 
@@ -358,7 +357,6 @@ def collect_trajectories(
                 reward_cfg,
                 score,
                 temperature=sampler_cfg.temperature,
-                grid_points=grid_points,
                 seed_size=seed_graph.n if seed_graph is not None else 0,
             )
         )
@@ -411,9 +409,6 @@ class PpoConfig:
     batch_size: int = 64
     lr: float = 1e-3
     warmup: int = 0  # iterations of linear learning-rate ramp
-    baseline_decay: float = 0.9
-    grid_points: int = 8
-    chunk: int = 16  # trajectories per tape during accumulation
 
     def __post_init__(self):
         if self.clip_ratio <= 0.0:
@@ -482,6 +477,15 @@ def _trajectory_objective(
     return ad.minimum(unclipped, clipped).mean()
 
 
+def _objective_sum(params, spec, trajectories, advantages, cfg, temperature):
+    """Sum of the per-trajectory objectives in order; None if there are none."""
+    total = None
+    for traj, adv in zip(trajectories, advantages):
+        obj = _trajectory_objective(params, spec, traj, adv, cfg, temperature)
+        total = obj if total is None else total + obj
+    return total
+
+
 def ppo_loss(
     params: FlowParams,
     spec: ModelSpec,
@@ -493,12 +497,8 @@ def ppo_loss(
     """Scalar surrogate loss over a batch, differentiable on the active
     tape: the negative mean over trajectories of the per-trajectory mean
     clipped-ratio objective. Baselines are read, never written."""
-    total = None
-    for traj in trajectories:
-        obj = _trajectory_objective(
-            params, spec, traj, baselines.advantages(traj), cfg, temperature
-        )
-        total = obj if total is None else total + obj
+    advantages = [baselines.advantages(traj) for traj in trajectories]
+    total = _objective_sum(params, spec, trajectories, advantages, cfg, temperature)
     if total is None:
         raise ValueError("ppo_loss needs at least one trajectory")
     return total * Tensor(np.array(-1.0 / len(trajectories)))
@@ -518,16 +518,13 @@ def _accumulate_ppo_grads(
     grads = {name: np.zeros_like(t.data) for name, t in named.items()}
     scale = -1.0 / len(trajectories)
     loss_value = 0.0
-    for lo in range(0, len(trajectories), cfg.chunk):
-        chunk = trajectories[lo : lo + cfg.chunk]
+    for lo in range(0, len(trajectories), PPO_CHUNK):
+        chunk = slice(lo, lo + PPO_CHUNK)
         ad.zero_grads(named)
         with Tape() as tape:
-            total = None
-            for offset, traj in enumerate(chunk):
-                obj = _trajectory_objective(
-                    params, spec, traj, advantages[lo + offset], cfg, temperature
-                )
-                total = obj if total is None else total + obj
+            total = _objective_sum(
+                params, spec, trajectories[chunk], advantages[chunk], cfg, temperature
+            )
             loss = total * Tensor(np.array(scale))
             tape.backward(loss)
         loss_value += float(loss.data)
@@ -557,7 +554,7 @@ def finetune(
     first `warmup` iterations. A non-finite loss aborts.
     """
     adam = AdamState()
-    baselines = StepBaselines(decay=ppo_cfg.baseline_decay)
+    baselines = StepBaselines()
     named = params.named_tensors()
     trace = []
     for it in range(iterations):
@@ -569,7 +566,6 @@ def finetune(
             scorer,
             ppo_cfg.batch_size,
             rng,
-            grid_points=ppo_cfg.grid_points,
         )
         if not trajs:
             raise GraphError("every episode in the batch failed scoring")

@@ -23,8 +23,8 @@ import numpy as np
 from .flow import (
     FlowParams,
     ModelSpec,
+    decode_category,
     edge_conditional,
-    forward_transform,
     graph_to_latent,
     latent_to_graph,
     node_conditional,
@@ -107,8 +107,7 @@ def sample_molecule(
     for i in range(start, max_size):
         mu, alpha = node_conditional(params, *step_embedding(params, g, ("node", i)))
         eps = rng.standard_normal(d) * cfg.temperature
-        z = forward_transform(eps, mu.data[0], alpha.data[0])
-        t = int(np.argmax(z))
+        t = decode_category(eps, mu.data[0], alpha.data[0])
         types[i] = t
         trace.steps.append(
             TraceStep("node", i, -1, t, 0, mu.data[0].copy(), alpha.data[0].copy())
@@ -119,8 +118,7 @@ def sample_molecule(
             rejections = 0
             while True:
                 eps = rng.standard_normal(c_dim) * cfg.temperature
-                z = forward_transform(eps, mu.data[0], alpha.data[0])
-                cat = int(np.argmax(z))
+                cat = decode_category(eps, mu.data[0], alpha.data[0])
                 if (
                     cfg.valency_check
                     and cat != no_edge

@@ -210,9 +210,12 @@ def test_batch_norm_train_normalizes_rows(n, k):
     rng = np.random.default_rng(n * 31 + k)
     x = Tensor(rng.normal(size=(n, k)) * 3 + 1)
     state = BatchNormState.fresh(k)
-    out = ad.batch_norm(
-        x, Tensor(np.ones(k)), Tensor(np.zeros(k)), state, training=True
+    # the (n, k) rows as a one-slice stack with every row unmasked
+    stacked = ad.batch_norm(
+        x.reshape(1, n, k), Tensor(np.ones(k)), Tensor(np.zeros(k)), state,
+        training=True, mask=np.ones((1, n, 1)), counts=np.array([[[n]]]),
     )
+    out = stacked.reshape(n, k)
     assert np.allclose(out.data.mean(axis=0), 0.0, atol=1e-12)
     if n > 1:
         var = out.data.var(axis=0)
@@ -270,8 +273,9 @@ def test_batch_norm_train_gradients():
     def f():
         state = BatchNormState.fresh(3)
         out = ad.batch_norm(
-            params["x"], params["gamma"], params["beta"], state, training=True
-        )
+            params["x"].reshape(1, 5, 3), params["gamma"], params["beta"], state,
+            training=True, mask=np.ones((1, 5, 1)), counts=np.array([[[5]]]),
+        ).reshape(5, 3)
         diff = out - target
         return (diff * diff).sum()
 

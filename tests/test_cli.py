@@ -245,6 +245,44 @@ def test_numeric_failure_exits_3(workspace, tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_sample_overflow_exits_3(workspace, tmp_path, capsys):
+    # finite weights whose node-step mu overflows to inf: the decoded
+    # category would be argmax of an inf row, so sampling must fail
+    # numerically instead of writing plausible-looking molecules
+    cfg_obj = load_run_config(workspace["cfg"])
+    vocab, bonds = vocab_from_config(cfg_obj)
+    spec = flow.ModelSpec(
+        vocab=vocab, bonds=bonds, width=cfg_obj.width, layers=cfg_obj.layers,
+        window=cfg_obj.window, max_size=cfg_obj.max_size,
+    )
+    params = ckpt.load_checkpoint(workspace["checkpoint"], spec)
+    params.node_mu.b1.data[:] = 1e308
+    params.node_mu.w2.data[:] = 1e308
+    poisoned = tmp_path / "poisoned.ckpt"
+    ckpt.save_checkpoint(params, poisoned)
+    out = tmp_path / "out"
+    rc = cli.main(
+        ["sample", "--config", str(workspace["cfg"]), "--checkpoint", str(poisoned),
+         "--output", str(out)]
+    )
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (out / "samples.molt").exists()
+
+
+def test_train_on_graphs_past_max_size_exits_2(workspace, tmp_path, capsys):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(TINY_CFG.replace("max_size = 8", "max_size = 4"))
+    out = tmp_path / "out"
+    rc = cli.main(
+        ["train", "--config", str(cfg), "--data", str(workspace["data"]),
+         "--output", str(out)]
+    )
+    assert rc == 2
+    assert "max_size" in capsys.readouterr().err
+    assert not (out / "checkpoint.ckpt").exists()
+
+
 def test_non_finite_checkpoint_is_a_data_error(workspace, tmp_path, capsys):
     # a nan weight must not load: argmax of nan is 0, so sampling from it
     # would quietly emit graphs

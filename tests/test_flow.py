@@ -388,3 +388,21 @@ def test_train_rejects_nonfinite_loss():
     params.node_mu.b2.data[:] = np.nan
     with pytest.raises(FloatingPointError):
         flow.train(data, params, spec, flow.TrainConfig(epochs=1, batch_size=4), np.random.default_rng(35))
+
+
+def test_train_rejects_graphs_larger_than_max_size():
+    # the sampler can never emit a graph past max_size, so training on one
+    # is a data error, raised before any update touches the parameters
+    spec = small_spec(max_size=4)
+    small = [m for m in molecules(36, 40, max_atoms=8) if m.n <= 4][:2]
+    big = [m for m in molecules(37, 40, max_atoms=8) if m.n == 7][:2]
+    assert len(small) == 2 and len(big) == 2
+    params = flow.init_flow_params(spec, np.random.default_rng(38))
+    before = {name: t.data.copy() for name, t in params.named_tensors().items()}
+    with pytest.raises(GraphError, match="max_size"):
+        flow.train(
+            small + big, params, spec, flow.TrainConfig(epochs=1, batch_size=1),
+            np.random.default_rng(39),
+        )
+    for name, t in params.named_tensors().items():
+        assert np.array_equal(t.data, before[name])

@@ -50,7 +50,7 @@ def test_stacked_matches_sequential_eval_mode():
                     g.categories[: step[1], : step[1]],
                     NO_EDGE,
                 )
-                single = rgcn.encode(sub, params, training=False)
+                single = rgcn.encode(sub, params)
             else:
                 _, i, j = step
                 cats = g.categories[: i + 1, : i + 1].copy()
@@ -59,7 +59,7 @@ def test_stacked_matches_sequential_eval_mode():
                 cats[i, :j] = g.categories[i, :j]
                 cats[:j, i] = g.categories[i, :j]
                 sub = MolecularGraph(g.node_types[: i + 1], cats, NO_EDGE)
-                single = rgcn.encode(sub, params, training=False, undecided_row=(i, j))
+                single = rgcn.encode(sub, params, undecided_row=(i, j))
             got = stacked.graph_embedding.data[s]
             assert np.allclose(got, single.graph_embedding.data, atol=1e-11)
 
@@ -81,7 +81,7 @@ def test_future_nodes_cannot_influence_prefix_embedding():
     full = rgcn.encode_step_batch(g, [("node", m)], params, training=False)
     # chop the graph to the prefix and encode that directly
     sub = MolecularGraph(g.node_types[:m], g.categories[:m, :m], NO_EDGE)
-    alone = rgcn.encode(sub, params, training=False)
+    alone = rgcn.encode(sub, params)
     assert np.allclose(full.graph_embedding.data[0], alone.graph_embedding.data, atol=1e-11)
     # changing a future node's type must not move the prefix embedding
     mutated = g.copy()
@@ -99,19 +99,17 @@ def test_undecided_slots_absent_from_every_relation():
     cats[0, 1] = cats[1, 0] = 0
     cats[0, 2] = cats[2, 0] = 1
     g = MolecularGraph(np.array([0, 1, 2]), cats, NO_EDGE)
-    masked = rgcn._one_hot_adjacency(g, BONDS.categories, undecided_row=(2, 0))
+    masked = rgcn._one_hot_adjacency(g, undecided_row=(2, 0))
     assert np.array_equal(masked[:, 2, :], np.zeros((BONDS.categories, 3)))
     assert np.array_equal(masked[:, :, 2], np.zeros((BONDS.categories, 3)))
-    undecided = rgcn.encode(g, params, training=False, undecided_row=(2, 0))
+    undecided = rgcn.encode(g, params, undecided_row=(2, 0))
     cleared = empty_categories(3, NO_EDGE)
     cleared[0, 1] = cleared[1, 0] = 0
-    decided = rgcn.encode(
-        MolecularGraph(g.node_types, cleared, NO_EDGE), params, training=False
-    )
+    decided = rgcn.encode(MolecularGraph(g.node_types, cleared, NO_EDGE), params)
     gap = np.abs(undecided.graph_embedding.data - decided.graph_embedding.data).max()
     assert gap > 1e-8
     # once slot (2, 0) is inside the decided range the states must differ
-    after = rgcn.encode(g, params, training=False, undecided_row=(2, 1))
+    after = rgcn.encode(g, params, undecided_row=(2, 1))
     gap = np.abs(after.graph_embedding.data - undecided.graph_embedding.data).max()
     assert gap > 1e-8
 
@@ -160,9 +158,9 @@ def test_running_buffers_update_in_train_and_freeze_in_eval():
     params = make_params()
     g = molecule(6)[0]
     before_mean = params.bn_state.running_mean.copy()
-    rgcn.encode(g, params, training=False)
+    rgcn.encode(g, params)
     assert np.array_equal(params.bn_state.running_mean, before_mean)
-    rgcn.encode(g, params, training=True)
+    rgcn.encode_step_batch(g, [("node", g.n)], params, training=True)
     assert not np.array_equal(params.bn_state.running_mean, before_mean)
 
 
@@ -188,7 +186,7 @@ def test_prefix_batch_matches_single_encodes():
     batch = rgcn.encode_step_batch(g, [("node", m) for m in sizes], params, training=False)
     for s, m in enumerate(sizes):
         sub = MolecularGraph(g.node_types[:m], g.categories[:m, :m], NO_EDGE)
-        single = rgcn.encode(sub, params, training=False)
+        single = rgcn.encode(sub, params)
         assert np.allclose(
             batch.graph_embedding.data[s], single.graph_embedding.data, atol=1e-11
         )
@@ -199,7 +197,7 @@ def test_degree_normalization_row_sums():
     cats = empty_categories(3, NO_EDGE)
     cats[0, 1] = cats[1, 0] = 0
     g = MolecularGraph(np.array([0, 0, 0]), cats, NO_EDGE)
-    one_hot = rgcn._one_hot_adjacency(g, BONDS.categories)
+    one_hot = rgcn._one_hot_adjacency(g)
     norm = rgcn._normalized_adjacency(one_hot)
     a = norm[0]
     # nodes 0 and 1 have degree 2 after the self loop, node 2 degree 1
@@ -207,3 +205,12 @@ def test_degree_normalization_row_sums():
     assert np.isclose(a[0, 1], 0.5)
     assert np.isclose(a[2, 2], 1.0)
     assert a[0, 2] == 0.0
+
+
+def test_one_hot_adjacency_matches_per_category_loop():
+    # reference: one boolean slice per category, diagonal left empty
+    g = molecule(9, max_atoms=8)[0]
+    expect = np.zeros((NO_EDGE + 1, g.n, g.n))
+    for c in range(NO_EDGE + 1):
+        expect[c][(g.categories == c) & ~np.eye(g.n, dtype=bool)] = 1.0
+    assert np.array_equal(rgcn._one_hot_adjacency(g), expect)

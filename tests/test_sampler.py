@@ -187,35 +187,42 @@ def test_seed_graph_rejections():
 def test_trace_matches_graph_and_conditionals():
     # with the valency check off every recorded action is exactly what was
     # written into the graph, and the recorded mu/alpha rows equal a fresh
-    # encoding of the corresponding step state
+    # encoding of the corresponding step state; several seeds, so node
+    # steps past the first and bond steps are compared, not only node 0
     spec = small_spec(max_size=6)
     params = flow.init_flow_params(spec, np.random.default_rng(17), zero_init_heads=False)
     cfg = sampler.SamplerConfig(valency_check=False)
-    g, trace = sampler.sample_molecule(params, spec, cfg, np.random.default_rng(18))
     k = params.rgcn.width
-    for s in trace.steps:
-        if s.i >= g.n:
-            continue  # steps for a dropped trailing node
-        if s.kind == "node":
-            assert s.action == g.node_types[s.i]
-            if s.i == 0:
-                h = Tensor(np.zeros((1, k)))
+    node_checked = edge_checked = 0
+    for seed in (18, 22, 25):
+        g, trace = sampler.sample_molecule(params, spec, cfg, np.random.default_rng(seed))
+        for s in trace.steps:
+            if s.i >= g.n:
+                continue  # steps for a dropped trailing node
+            if s.kind == "node":
+                assert s.action == g.node_types[s.i]
+                if s.i == 0:
+                    h = Tensor(np.zeros((1, k)))
+                else:
+                    sub = MolecularGraph(g.node_types[: s.i], g.categories[: s.i, : s.i], NO_EDGE)
+                    h = rgcn.encode(sub, params.rgcn).graph_embedding.reshape(1, k)
+                    node_checked += 1
+                mu, alpha = flow.node_conditional(params, h)
             else:
-                sub = MolecularGraph(g.node_types[: s.i], g.categories[: s.i, : s.i], NO_EDGE)
-                h = rgcn.encode(sub, params.rgcn, training=False).graph_embedding.reshape(1, k)
-            mu, alpha = flow.node_conditional(params, h)
-        else:
-            assert s.action == g.categories[s.i, s.j]
-            sub = MolecularGraph(
-                g.node_types[: s.i + 1], g.categories[: s.i + 1, : s.i + 1], NO_EDGE
-            )
-            emb = rgcn.encode(sub, params.rgcn, training=False, undecided_row=(s.i, s.j))
-            h = emb.graph_embedding.reshape(1, k)
-            hi = Tensor(emb.H.data[s.i : s.i + 1])
-            hj = Tensor(emb.H.data[s.j : s.j + 1])
-            mu, alpha = flow.edge_conditional(params, h, hi, hj)
-        assert np.array_equal(s.mu, mu.data[0])
-        assert np.array_equal(s.alpha, alpha.data[0])
+                assert s.action == g.categories[s.i, s.j]
+                sub = MolecularGraph(
+                    g.node_types[: s.i + 1], g.categories[: s.i + 1, : s.i + 1], NO_EDGE
+                )
+                emb = rgcn.encode(sub, params.rgcn, undecided_row=(s.i, s.j))
+                h = emb.graph_embedding.reshape(1, k)
+                hi = Tensor(emb.H.data[s.i : s.i + 1])
+                hj = Tensor(emb.H.data[s.j : s.j + 1])
+                mu, alpha = flow.edge_conditional(params, h, hi, hj)
+                edge_checked += 1
+            assert np.array_equal(s.mu, mu.data[0])
+            assert np.array_equal(s.alpha, alpha.data[0])
+    assert node_checked >= 3
+    assert edge_checked >= 10
 
 
 def test_reconstruct_is_exact():
