@@ -245,9 +245,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(data, _needs_grad(a, b))
 
     def back(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return (_unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape))
+        # constant operands (adjacency, one-hot rows) get no gradient product
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+        return (ga, gb)
 
     _record(out, (a, b), back)
     return out
@@ -377,6 +381,21 @@ def concat(tensors, axis: int = -1) -> Tensor:
 
     def back(g):
         return tuple(np.split(g, offsets, axis=axis))
+
+    _record(out, tuple(tensors), back)
+    return out
+
+
+def stack(tensors, axis: int = 0) -> Tensor:
+    """np.stack of equally shaped tensors along a new axis."""
+    tensors = [_wrap(t) for t in tensors]
+    out = Tensor(
+        np.stack([t.data for t in tensors], axis=axis),
+        any(t.requires_grad for t in tensors),
+    )
+
+    def back(g):
+        return tuple(np.moveaxis(g, axis, 0))
 
     _record(out, tuple(tensors), back)
     return out

@@ -245,12 +245,10 @@ def step_embedding(params: FlowParams, g: MolecularGraph, step):
     if kind == "node":
         if i == 0:
             return (Tensor(np.zeros((1, k))),)
-        sub = MolecularGraph(g.node_types[:i], g.categories[:i, :i], g.no_edge)
-        return (rgcn.encode(sub, params.rgcn).graph_embedding.reshape(1, k),)
+        return (rgcn.encode(g.prefix(i), params.rgcn).graph_embedding.reshape(1, k),)
     if kind == "edge":
         j = step[2]
-        sub = MolecularGraph(g.node_types[: i + 1], g.categories[: i + 1, : i + 1], g.no_edge)
-        emb = rgcn.encode(sub, params.rgcn, undecided_row=(i, j))
+        emb = rgcn.encode(g.prefix(i + 1), params.rgcn, undecided_row=(i, j))
         return (
             emb.graph_embedding.reshape(1, k),
             Tensor(emb.H.data[i : i + 1]),
@@ -266,37 +264,45 @@ def step_conditional(params: FlowParams, g: MolecularGraph, step):
     return mu.data[0], alpha.data[0]
 
 
-def _conditionals_for_graph(
-    g: MolecularGraph, params: FlowParams, plan: StepPlan, training: bool
-):
-    """Batched (mu, alpha) for every step of one graph.
+def _stacked_conditionals(graphs, steps, params: FlowParams, training: bool = False):
+    """Batched (mu, alpha) for generation steps of one graph or of many.
 
-    Returns (mu_x, alpha_x) of shape (n, d) and (mu_a, alpha_a) of shape
-    (E, C) with E rows following plan.edge_steps order.
+    graphs is the MolecularGraph every step belongs to, or a sequence
+    holding each step's own graph (see rgcn.encode_step_batch). Returns
+    (mu_x, alpha_x) with one row per node step and (mu_a, alpha_a) with
+    one row per edge step, each in the order the steps are given; a kind
+    with no steps gets None. All states go through one encoder call and
+    each kind through one head call.
     """
     k = params.rgcn.width
-    stack_steps = [s for s in plan.steps if s != ("node", 0)]
-    edge_steps = plan.edge_steps
-    if stack_steps:
-        stacked = rgcn.encode_step_batch(g, stack_steps, params.rgcn, training=training)
-        pos = {step: s for s, step in enumerate(stack_steps)}
-        node_rows = np.array([pos[("node", i)] for i in range(1, plan.n)], dtype=np.int64)
-        h_node_rest = ad.take(stacked.graph_embedding, (node_rows,))
-        h_node = ad.concat([Tensor(np.zeros((1, k))), h_node_rest], axis=0)
-    else:
-        stacked = None
-        h_node = Tensor(np.zeros((1, k)))
-    mu_x, alpha_x = node_conditional(params, h_node)
-    if edge_steps:
-        e_rows = np.array([pos[s] for s in edge_steps], dtype=np.int64)
-        i_idx = np.array([s[1] for s in edge_steps], dtype=np.int64)
-        j_idx = np.array([s[2] for s in edge_steps], dtype=np.int64)
+    single = isinstance(graphs, MolecularGraph)
+    encoded = [s for s, step in enumerate(steps) if step != ("node", 0)]
+    row = np.full(len(steps), -1, dtype=np.int64)  # encoder row per step
+    row[encoded] = np.arange(len(encoded))
+    if encoded:
+        stacked = rgcn.encode_step_batch(
+            graphs if single else [graphs[s] for s in encoded],
+            [steps[s] for s in encoded],
+            params.rgcn,
+            training=training,
+        )
+    node = [s for s, step in enumerate(steps) if step[0] == "node"]
+    edge = [s for s, step in enumerate(steps) if step[0] == "edge"]
+    mu_x = alpha_x = mu_a = alpha_a = None
+    if node:
+        # row 0 of the table is the empty prefix's zero embedding
+        table = Tensor(np.zeros((1, k)))
+        if encoded:
+            table = ad.concat([table, stacked.graph_embedding], axis=0)
+        mu_x, alpha_x = node_conditional(params, ad.take(table, (row[node] + 1,)))
+    if edge:
+        e_rows = row[edge]
+        i_idx = np.array([steps[s][1] for s in edge], dtype=np.int64)
+        j_idx = np.array([steps[s][2] for s in edge], dtype=np.int64)
         h_edge = ad.take(stacked.graph_embedding, (e_rows,))
         h_i = ad.take(stacked.H, (e_rows, i_idx))
         h_j = ad.take(stacked.H, (e_rows, j_idx))
         mu_a, alpha_a = edge_conditional(params, h_edge, h_i, h_j)
-    else:
-        mu_a = alpha_a = None
     return mu_x, alpha_x, mu_a, alpha_a
 
 
@@ -329,7 +335,7 @@ def log_likelihood_parallel(
             raise ValueError("need either z or an rng")
         z = dequantize(g, spec.vocab, spec.bonds, rng, window=spec.window)
     plan = build_plan(g.n, spec.window)
-    mu_x, alpha_x, mu_a, alpha_a = _conditionals_for_graph(g, params, plan, training)
+    mu_x, alpha_x, mu_a, alpha_a = _stacked_conditionals(g, plan.steps, params, training)
     ll_x = ad.gaussian_logpdf(Tensor(z.zx), mu_x, alpha_x)
     total = ll_x.sum()
     node_terms = ll_x.data.sum(axis=1)
@@ -414,7 +420,7 @@ def graph_to_latent(
             else:
                 eps_a[step[1:]] = inverse_transform(z.za[step[1:]], mu, alpha)
         return LatentSeq(eps_x=eps_x, eps_a=eps_a)
-    mu_x, alpha_x, mu_a, alpha_a = _conditionals_for_graph(g, params, plan, training=False)
+    mu_x, alpha_x, mu_a, alpha_a = _stacked_conditionals(g, plan.steps, params)
     eps_x = inverse_transform(z.zx, mu_x.data, alpha_x.data)
     eps_a = {}
     if mu_a is not None:

@@ -127,6 +127,18 @@ class MolecularGraph:
     def n(self) -> int:
         return self.node_types.shape[0]
 
+    def prefix(self, m: int) -> "MolecularGraph":
+        """The first m nodes as views into this graph, not checked again:
+        every prefix of a valid graph is valid, so generation code can
+        take one per step without re-scanning what it already holds."""
+        if not 1 <= m <= self.n:
+            raise GraphError(f"prefix of {m} nodes from a {self.n}-node graph")
+        sub = MolecularGraph.__new__(MolecularGraph)
+        sub.node_types = self.node_types[:m]
+        sub.categories = self.categories[:m, :m]
+        sub.no_edge = self.no_edge
+        return sub
+
     def copy(self) -> "MolecularGraph":
         return MolecularGraph(self.node_types.copy(), self.categories.copy(), self.no_edge)
 

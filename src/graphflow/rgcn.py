@@ -10,12 +10,15 @@ features enter through a learned embedding of the one-hot type row, a
 batch normalization over nodes runs after the last layer, and the graph
 embedding is the column sum of the normalized node states.
 
-One core, _propagate(), runs this on one state or a stack of masked
-states, behind two front ends: encode() for a single (sub)graph, and
-encode_step_batch() which stacks many masked copies of one graph so a
-whole generation history is encoded in a handful of batched matmuls.
-Both compute the same function; the stacked path may differ from the
-single one by reduction order only (empirically below 1e-12).
+One core, _propagate(), runs this on one state or a stack of states,
+all relations of a layer in one batched product, behind two front
+ends: encode() for a single (sub)graph, and encode_step_batch(), the
+one entry point for generation-step states of one graph or of many.
+In evaluation mode it encodes each state in its own node-count block,
+one stacked pass per distinct node count; in training mode it runs one
+graph's states as one masked stack that shares batch statistics. Both
+compute the same function; the stacked path may differ from the single
+one by reduction order only (empirically below 1e-12).
 """
 
 from __future__ import annotations
@@ -146,21 +149,9 @@ def _normalized_adjacency(slices: np.ndarray) -> np.ndarray:
     return tilde * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
 
 
-def _propagate(
-    g: MolecularGraph,
-    adj: np.ndarray,
-    params: RgcnParams,
-    training: bool = False,
-    mask: np.ndarray | None = None,
-    counts: np.ndarray | None = None,
-) -> NodeEmbeddings:
-    """Embeddings of g under normalized relation slices adj.
-
-    adj is (R, n, n) for one state or (S, R, n, n) for a stack. A stack
-    carries its (S, n, 1) node mask and (S, 1, 1) row counts: masked rows
-    enter as zero features, leave as zero states, and are left out of the
-    training-mode statistics.
-    """
+def _features(g: MolecularGraph, params: RgcnParams) -> np.ndarray:
+    """(n, F) one-hot type rows of g, after checking that g's bond
+    categories match the encoder's relations."""
     relations = g.no_edge + 1
     if relations != params.num_relations:
         raise GraphError(
@@ -169,16 +160,35 @@ def _propagate(
         )
     x = np.zeros((g.n, params.feature_dim))
     x[np.arange(g.n), g.node_types] = 1.0
+    return x
+
+
+def _propagate(
+    x: np.ndarray,
+    adj: np.ndarray,
+    params: RgcnParams,
+    training: bool = False,
+    mask: np.ndarray | None = None,
+    counts: np.ndarray | None = None,
+) -> NodeEmbeddings:
+    """Embeddings of one-hot rows x under normalized relation slices adj.
+
+    x is (n, F) and adj (R, n, n) for one state, or (S, n, F) (or one
+    (n, F) shared by every slice) and (S, R, n, n) for a stack. A masked
+    stack carries its (S, n, 1) node mask and (S, 1, 1) row counts:
+    masked rows enter as zero features, leave as zero states, and are
+    left out of the training-mode statistics. Each layer runs every
+    relation at once: the relation axis is summed in relation order
+    after the ReLU.
+    """
     if mask is not None:
         x = x * mask
     h = Tensor(x) @ params.embed
-    scale = 1.0 / relations
+    a = Tensor(adj)
+    scale = 1.0 / params.num_relations
     for layer in params.layers:
-        acc = None
-        for r, w in enumerate(layer):
-            msg = ad.relu(Tensor(adj[..., r, :, :]) @ h @ w)
-            acc = msg if acc is None else acc + msg
-        h = acc * scale
+        per_relation = h.reshape(h.shape[:-2] + (1,) + h.shape[-2:])
+        h = ad.relu(a @ per_relation @ ad.stack(layer)).sum(axis=-3) * scale
     h = ad.batch_norm(
         h,
         params.bn_gamma,
@@ -204,7 +214,7 @@ def encode(
     as not yet generated, excluding them from every relation.
     """
     one_hot = _one_hot_adjacency(g_prefix, undecided_row=undecided_row)
-    return _propagate(g_prefix, _normalized_adjacency(one_hot), params)
+    return _propagate(_features(g_prefix, params), _normalized_adjacency(one_hot), params)
 
 
 def build_step_masks(g: MolecularGraph, steps) -> tuple:
@@ -250,11 +260,77 @@ def build_step_masks(g: MolecularGraph, steps) -> tuple:
 
 
 def encode_step_batch(
-    g: MolecularGraph,
+    g,
     steps,
     params: RgcnParams,
     training: bool = False,
 ) -> NodeEmbeddings:
-    """Encode every step state of one graph in a single stacked pass."""
-    norm_adj, node_mask, counts = build_step_masks(g, steps)
-    return _propagate(g, norm_adj, params, training, node_mask, counts)
+    """Encode generation-step states in stacked passes.
+
+    g is the MolecularGraph every step belongs to, or a sequence holding
+    each step's own graph, so one call can take the states of many
+    graphs. Row s of the result is steps[s]'s state: H is (S, n, k),
+    with rows past a state's own nodes zeroed, and graph_embedding is
+    (S, k).
+
+    Evaluation mode groups states by their own node count m (i for
+    ("node", i), i + 1 for ("edge", i, j)) and encodes each state in the
+    [:m, :m] block of its graph's step masks, one pass per distinct m
+    and no padding. Training mode normalizes with one pair of batch
+    statistics over the whole stack, so it takes the states of one
+    graph only and runs them as one masked stack.
+    """
+    if isinstance(g, MolecularGraph):
+        graphs = [g] * len(steps)
+    else:
+        graphs = list(g)
+        if len(graphs) != len(steps):
+            raise ValueError(f"{len(graphs)} graphs for {len(steps)} steps")
+    if training:
+        if any(other is not graphs[0] for other in graphs):
+            raise ValueError("training mode encodes the states of one graph only")
+        g = graphs[0]
+        norm_adj, node_mask, counts = build_step_masks(g, steps)
+        return _propagate(_features(g, params), norm_adj, params, True, node_mask, counts)
+    return _encode_grouped(graphs, steps, params)
+
+
+def _encode_grouped(graphs, steps, params: RgcnParams) -> NodeEmbeddings:
+    """Evaluation-mode encode_step_batch: one _propagate per state size."""
+    sizes = np.array([step[1] + (step[0] == "edge") for step in steps], dtype=np.int64)
+    owned: dict = {}  # id(graph) -> (graph, indices of its states)
+    for s, owner in enumerate(graphs):
+        owned.setdefault(id(owner), (owner, []))[1].append(s)
+    groups: dict = {}  # m -> [(state indices, (s, R, m, m) blocks, (m, F) rows)]
+    for owner, idx in owned.values():
+        x = _features(owner, params)
+        norm_adj, _, _ = build_step_masks(owner, [steps[s] for s in idx])
+        idx = np.array(idx, dtype=np.int64)
+        for m in np.unique(sizes[idx]):
+            sel = np.flatnonzero(sizes[idx] == m)
+            groups.setdefault(int(m), []).append(
+                (idx[sel], norm_adj[sel, :, :m, :m], x[:m])
+            )
+    n = max(groups)
+    k = params.width
+    order, h_parts, emb_parts = [], [], []
+    for m, parts in groups.items():
+        adj = np.concatenate([blocks for _, blocks, _ in parts])
+        x = np.concatenate(
+            [np.broadcast_to(rows, (len(sel),) + rows.shape) for sel, _, rows in parts]
+        )
+        out = _propagate(x, adj, params)
+        h = out.H
+        if m < n:
+            h = ad.concat([h, Tensor(np.zeros((len(x), n - m, k)))], axis=1)
+        order.extend(sel for sel, _, _ in parts)
+        h_parts.append(h)
+        emb_parts.append(out.graph_embedding)
+    inverse = np.empty(len(steps), dtype=np.int64)
+    inverse[np.concatenate(order)] = np.arange(len(steps))
+    node_mask = (np.arange(n)[None, :] < sizes[:, None]).astype(np.float64)
+    return NodeEmbeddings(
+        H=ad.take(ad.concat(h_parts, axis=0), (inverse,)),
+        graph_embedding=ad.take(ad.concat(emb_parts, axis=0), (inverse,)),
+        node_mask=node_mask[:, :, None],
+    )

@@ -13,17 +13,23 @@ with panels refined around each category crossover point.
 
 For the ratio objective, every step's integration grid is built once
 from the acting-policy parameters and then frozen, which makes the
-surrogate a smooth function of the weights: re-evaluating at the acting
-weights reproduces the stored log-probabilities bit for bit, so ratios
-start at exactly one and finite differences agree with the tape
-gradient.
+surrogate a smooth function of the weights. Trajectories are evaluated
+in packed chunks of PPO_CHUNK: all states of a chunk go through one
+encoder pass, one head call and one quadrature per step kind. The
+acting log-probabilities come from that same chunk pass at the end of
+collection, so re-evaluating at the acting weights reproduces them bit
+for bit, ratios start at exactly one, and finite differences agree with
+the tape gradient.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import select
 import shlex
 import subprocess
+import time
 from collections import Counter
 from dataclasses import dataclass
 
@@ -32,19 +38,13 @@ import numpy as np
 from . import autodiff as ad
 from . import flow
 from .autodiff import AdamState, Tape, Tensor, adam_step
-from .flow import (
-    FlowParams,
-    ModelSpec,
-    _conditionals_for_graph,
-    _reorder_for_window,
-    build_plan,
-)
+from .flow import FlowParams, ModelSpec, _reorder_for_window, _stacked_conditionals
 from .graph import GraphError, MolecularGraph, bfs_reorder, empty_categories
 from .molt import write_molt
 from .sampler import SamplerConfig, sample_molecule
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
-PPO_CHUNK = 16  # trajectories per tape during gradient accumulation
+PPO_CHUNK = 16  # trajectories per packed pass: one tape, one encoder call
 
 _GL_CACHE: dict = {}
 
@@ -263,7 +263,6 @@ class ScorerError(Exception):
 
 
 def build_trajectory(
-    params: FlowParams,
     g: MolecularGraph,
     trace,
     spec: ModelSpec,
@@ -274,8 +273,10 @@ def build_trajectory(
 ) -> Trajectory:
     """Assemble a trajectory from a sampling trace and a property score.
 
-    Acting log-probs are evaluated through the identical batched path the
-    ratio objective uses, so re-evaluating under unchanged parameters
+    Every step's quadrature grid is frozen here from the acting (mu,
+    alpha). The acting log-probs are left as NaN: collect_trajectories
+    fills them per chunk through the same packed pass the ratio
+    objective runs, so re-evaluating under unchanged parameters
     reproduces them exactly."""
     if trace.termination == "no-bonds":
         last_node = [s for s in trace.steps if s.kind == "node"][-1]
@@ -297,7 +298,7 @@ def build_trajectory(
                 action=s.action,
                 mu_old=s.mu,
                 alpha_old=s.alpha,
-                logp_old=0.0,
+                logp_old=math.nan,
                 grid_u=u,
                 grid_logw=logw,
                 penalty=reward_cfg.validity_penalty * s.rejections,
@@ -305,17 +306,13 @@ def build_trajectory(
         )
     final_reward = reward_cfg.shape(score)
     _fill_returns(steps, final_reward, reward_cfg.gamma)
-    traj = Trajectory(
+    return Trajectory(
         gen_graph=gen_graph,
         final_graph=g,
         steps=steps,
         final_reward=final_reward,
         seed_size=seed_size,
     )
-    lp, order = _new_policy_logprobs(params, spec, traj, temperature)
-    for row, t in enumerate(order):
-        steps[t].logp_old = float(lp.data[row])
-    return traj
 
 
 def collect_trajectories(
@@ -350,7 +347,6 @@ def collect_trajectories(
             continue
         out.append(
             build_trajectory(
-                params,
                 g,
                 trace,
                 spec,
@@ -360,6 +356,12 @@ def collect_trajectories(
                 seed_size=seed_graph.n if seed_graph is not None else 0,
             )
         )
+    for lo in range(0, len(out), PPO_CHUNK):
+        chunk = out[lo : lo + PPO_CHUNK]
+        lp, order = _chunk_logprobs(params, chunk, sampler_cfg.temperature)
+        steps = [s for traj in chunk for s in traj.steps]
+        for value, f in zip(lp.data, order):
+            steps[f].logp_old = float(value)
     return out, failures
 
 
@@ -415,75 +417,52 @@ class PpoConfig:
             raise ValueError("clip_ratio must be positive")
 
 
-def _new_policy_logprobs(
-    params: FlowParams, spec: ModelSpec, traj: Trajectory, temperature: float = 1.0
-):
-    """Current-policy log-probs of every step's action, over the frozen
-    grids. Returns (lp tensor of shape (S,), step-index order) with node
-    steps first."""
-    plan = build_plan(traj.gen_graph.n, spec.window)
-    mu_x, alpha_x, mu_a, alpha_a = _conditionals_for_graph(
-        traj.gen_graph, params, plan, training=False
-    )
-    node_steps = [(t, s) for t, s in enumerate(traj.steps) if s.kind == "node"]
-    edge_steps = [(t, s) for t, s in enumerate(traj.steps) if s.kind == "edge"]
-    edge_row = {(i, j): r for r, (_, i, j) in enumerate(plan.edge_steps)}
+def _chunk_logprobs(params: FlowParams, trajectories, temperature: float = 1.0):
+    """Current-policy log-probs of every step of a chunk of trajectories,
+    over the frozen grids, in one packed pass: one encoder call, one head
+    call and one quadrature per step kind. Returns (lp tensor of shape
+    (S,), order): row r belongs to step order[r] of the chunk's steps
+    laid end to end in trajectory order; node steps come first.
+
+    Rows of a batched product can depend on the batch they sit in at the
+    last bit, so acting and re-evaluated log-probs must come from the
+    same chunks for the ratios to start at exactly one.
+    """
+    graphs = [traj.gen_graph for traj in trajectories for _ in traj.steps]
+    steps = [s for traj in trajectories for s in traj.steps]
+    states = [("node", s.i) if s.kind == "node" else ("edge", s.i, s.j) for s in steps]
+    mu_x, alpha_x, mu_a, alpha_a = _stacked_conditionals(graphs, states, params)
     parts = []
     order = []
-    for group, mu_all, alpha_all, rows in (
-        (
-            node_steps,
-            mu_x,
-            alpha_x,
-            np.array([s.i for _, s in node_steps], dtype=np.int64),
-        ),
-        (
-            edge_steps,
-            mu_a,
-            alpha_a,
-            np.array([edge_row[(s.i, s.j)] for _, s in edge_steps], dtype=np.int64),
-        ),
-    ):
-        if not group:
+    for kind, mu, alpha in (("node", mu_x, alpha_x), ("edge", mu_a, alpha_a)):
+        rows = [f for f, s in enumerate(steps) if s.kind == kind]
+        if not rows:
             continue
-        mu = ad.take(mu_all, (rows,))
-        alpha = ad.take(alpha_all, (rows,))
         if temperature != 1.0:
             alpha = alpha * Tensor(np.array(temperature))
-        u, logw = _pad_grids([(s.grid_u, s.grid_logw) for _, s in group])
-        actions = np.array([s.action for _, s in group], dtype=np.int64)
+        u, logw = _pad_grids([(steps[f].grid_u, steps[f].grid_logw) for f in rows])
+        actions = np.array([steps[f].action for f in rows], dtype=np.int64)
         parts.append(_stacked_action_logprobs(mu, alpha, u, logw, actions))
-        order.extend(t for t, _ in group)
+        order.extend(rows)
     lp = ad.concat(parts, axis=0) if len(parts) > 1 else parts[0]
-    return lp, order
+    return lp, np.array(order, dtype=np.int64)
 
 
-def _trajectory_objective(
-    params: FlowParams,
-    spec: ModelSpec,
-    traj: Trajectory,
-    advantages: np.ndarray,
-    cfg: PpoConfig,
-    temperature: float = 1.0,
-):
-    """Mean over the trajectory's steps of min(ratio * A, clip(ratio) * A)
-    under the current parameters, as a scalar tensor."""
-    lp_new, order = _new_policy_logprobs(params, spec, traj, temperature)
-    lp_old = np.array([traj.steps[t].logp_old for t in order])
-    adv = advantages[np.array(order, dtype=np.int64)]
+def _chunk_objective(params, trajectories, advantages, cfg, temperature):
+    """Sum over a chunk's trajectories of each one's mean clipped-ratio
+    objective min(ratio * A, clip(ratio) * A), as a scalar tensor: one
+    vectorised pass with every step weighted by 1 / its trajectory's
+    length."""
+    lp_new, order = _chunk_logprobs(params, trajectories, temperature)
+    lp_old = np.array([s.logp_old for traj in trajectories for s in traj.steps])[order]
+    adv = np.concatenate(advantages)[order]
+    weight = np.concatenate(
+        [np.full(traj.num_steps, 1.0 / traj.num_steps) for traj in trajectories]
+    )[order]
     ratios = ad.exp(lp_new - Tensor(lp_old))
     unclipped = ratios * Tensor(adv)
     clipped = ad.clip(ratios, 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio) * Tensor(adv)
-    return ad.minimum(unclipped, clipped).mean()
-
-
-def _objective_sum(params, spec, trajectories, advantages, cfg, temperature):
-    """Sum of the per-trajectory objectives in order; None if there are none."""
-    total = None
-    for traj, adv in zip(trajectories, advantages):
-        obj = _trajectory_objective(params, spec, traj, adv, cfg, temperature)
-        total = obj if total is None else total + obj
-    return total
+    return (ad.minimum(unclipped, clipped) * Tensor(weight)).sum()
 
 
 def ppo_loss(
@@ -496,17 +475,21 @@ def ppo_loss(
 ):
     """Scalar surrogate loss over a batch, differentiable on the active
     tape: the negative mean over trajectories of the per-trajectory mean
-    clipped-ratio objective. Baselines are read, never written."""
-    advantages = [baselines.advantages(traj) for traj in trajectories]
-    total = _objective_sum(params, spec, trajectories, advantages, cfg, temperature)
-    if total is None:
+    clipped-ratio objective, evaluated in the same PPO_CHUNK packed
+    chunks as the update. Baselines are read, never written."""
+    if not trajectories:
         raise ValueError("ppo_loss needs at least one trajectory")
+    advantages = [baselines.advantages(traj) for traj in trajectories]
+    total = None
+    for lo in range(0, len(trajectories), PPO_CHUNK):
+        chunk = slice(lo, lo + PPO_CHUNK)
+        obj = _chunk_objective(params, trajectories[chunk], advantages[chunk], cfg, temperature)
+        total = obj if total is None else total + obj
     return total * Tensor(np.array(-1.0 / len(trajectories)))
 
 
 def _accumulate_ppo_grads(
     params: FlowParams,
-    spec: ModelSpec,
     trajectories,
     advantages,
     cfg: PpoConfig,
@@ -522,8 +505,8 @@ def _accumulate_ppo_grads(
         chunk = slice(lo, lo + PPO_CHUNK)
         ad.zero_grads(named)
         with Tape() as tape:
-            total = _objective_sum(
-                params, spec, trajectories[chunk], advantages[chunk], cfg, temperature
+            total = _chunk_objective(
+                params, trajectories[chunk], advantages[chunk], cfg, temperature
             )
             loss = total * Tensor(np.array(scale))
             tape.backward(loss)
@@ -578,7 +561,7 @@ def finetune(
         loss_value = math.nan
         for _ in range(ppo_cfg.updates):
             grads, loss_value = _accumulate_ppo_grads(
-                params, spec, trajs, advantages, ppo_cfg, sampler_cfg.temperature
+                params, trajs, advantages, ppo_cfg, sampler_cfg.temperature
             )
             if not math.isfinite(loss_value):
                 raise FloatingPointError(
@@ -609,11 +592,15 @@ class ToyScorer:
         pass
 
 
+SCORER_TIMEOUT = 30.0  # seconds an exec: scorer gets per reply, and to exit
+
+
 class ExecScorer:
     """External scorer child process speaking the one-record protocol:
     we write a molecule record followed by an #END line, it answers with
     exactly one decimal number per line. Anything non-numeric is a
-    scorer failure."""
+    scorer failure, and so is a reply that does not arrive within
+    SCORER_TIMEOUT: the child is then killed."""
 
     def __init__(self, command: str, vocab, bonds):
         self.vocab = vocab
@@ -622,18 +609,17 @@ class ExecScorer:
             shlex.split(command),
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
         )
+        self._unread = b""  # bytes received past the last reply line
 
     def score(self, g: MolecularGraph) -> float:
         if self._proc.poll() is not None:
             raise ScorerError("scorer process exited")
         record = write_molt([g], self.vocab, self.bonds)
         try:
-            self._proc.stdin.write(record.rstrip("\n") + "\n#END\n")
+            self._proc.stdin.write((record.rstrip("\n") + "\n#END\n").encode())
             self._proc.stdin.flush()
-            reply = self._proc.stdout.readline()
+            reply = self._read_line()
         except (BrokenPipeError, OSError) as exc:
             raise ScorerError(f"scorer pipe failed: {exc}")
         if not reply:
@@ -643,10 +629,39 @@ class ExecScorer:
         except ValueError:
             raise ScorerError(f"scorer replied with non-numeric {reply.strip()!r}")
 
+    def _read_line(self) -> str:
+        """One reply line, '' at end of output; kills a child that stays
+        silent past the deadline."""
+        deadline = time.monotonic() + SCORER_TIMEOUT
+        fd = self._proc.stdout.fileno()
+        while b"\n" not in self._unread:
+            left = deadline - time.monotonic()
+            if left <= 0.0 or not select.select([fd], [], [], left)[0]:
+                self._kill()
+                raise ScorerError(f"scorer gave no reply within {SCORER_TIMEOUT} s")
+            data = os.read(fd, 4096)
+            if not data:
+                break
+            self._unread += data
+        line, newline, self._unread = self._unread.partition(b"\n")
+        return (line + newline).decode(errors="replace")
+
+    def _kill(self) -> None:
+        self._proc.kill()
+        self._proc.wait()
+
     def close(self):
-        if self._proc.poll() is None:
+        """Close the child's input and wait for it to exit; one that is
+        still running after SCORER_TIMEOUT is killed."""
+        try:
             self._proc.stdin.close()
-            self._proc.wait(timeout=10)
+        except OSError:
+            pass  # a child that already exited leaves a broken pipe
+        try:
+            self._proc.wait(timeout=SCORER_TIMEOUT)
+        except subprocess.TimeoutExpired:
+            self._kill()
+        self._proc.stdout.close()
 
 
 def _ring_count(g: MolecularGraph) -> int:

@@ -198,7 +198,7 @@ def test_criterion_05_triangular_jacobian():
     off = float(np.triu(np.abs(jac), k=1).max())
 
     plan = flow.build_plan(g.n, spec.window)
-    mu_x, alpha_x, mu_a, alpha_a = flow._conditionals_for_graph(g, params, plan, training=False)
+    mu_x, alpha_x, mu_a, alpha_a = flow._stacked_conditionals(g, plan.steps, params)
     expected = float(-np.log(alpha_x.data).sum() - np.log(alpha_a.data[0]).sum())
     sign, logdet = np.linalg.slogdet(jac)
     rel = abs(logdet - expected) / max(1.0, abs(expected))

@@ -112,6 +112,33 @@ def test_concat_splits_gradient():
     assert np.array_equal(b.grad, [[2.0, 3.0, 4.0], [2.0, 3.0, 4.0]])
 
 
+def test_stack_gradient_matches_finite_differences():
+    # the fused encoder layer multiplies by a stack of per-relation weights
+    rng = np.random.default_rng(7)
+    params = {f"w{r}": leaf(rng.normal(size=(3, 3))) for r in range(3)}
+    x = rng.normal(size=(2, 1, 4, 3))
+    weight = rng.normal(size=(2, 4, 3))
+    for axis in (0, 1, -1):
+        stacked = ad.stack([params[f"w{r}"] for r in range(3)], axis=axis)
+        assert np.array_equal(
+            stacked.data, np.stack([params[f"w{r}"].data for r in range(3)], axis=axis)
+        )
+
+    def f():
+        w = ad.stack([params[f"w{r}"] for r in range(3)])  # (3, 3, 3)
+        out = ad.relu(Tensor(x) @ w).sum(axis=-3)  # (2, 4, 3)
+        return (out * weight).sum()
+
+    assert ad.grad_check(f, params, h=1e-6) < 1e-7
+
+    def g():
+        w = ad.stack([params[f"w{r}"] for r in range(3)], axis=1)
+        return (w * rng_weight).sum()
+
+    rng_weight = rng.normal(size=(3, 3, 3))
+    assert ad.grad_check(g, params, h=1e-6) < 1e-8
+
+
 def test_logsumexp_matches_scipy_and_gradient():
     rng = np.random.default_rng(2)
     data = rng.normal(size=(4, 6)) * 3

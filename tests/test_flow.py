@@ -153,9 +153,7 @@ def test_identity_init_conditionals_are_unit():
     params = flow.init_flow_params(spec, np.random.default_rng(0))
     g = molecules(2, 1, window=spec.window)[0]
     plan = flow.build_plan(g.n, spec.window)
-    mu_x, alpha_x, mu_a, alpha_a = flow._conditionals_for_graph(
-        g, params, plan, training=False
-    )
+    mu_x, alpha_x, mu_a, alpha_a = flow._stacked_conditionals(g, plan.steps, params)
     assert np.array_equal(mu_x.data, np.zeros_like(mu_x.data))
     assert np.array_equal(alpha_x.data, np.ones_like(alpha_x.data))
     if mu_a is not None:
@@ -191,7 +189,7 @@ def test_scale_head_output_is_clipped():
     params.node_scale.b2.data += 1e3
     g = molecules(7, 1, window=spec.window)[0]
     plan = flow.build_plan(g.n, spec.window)
-    _, alpha_x, _, _ = flow._conditionals_for_graph(g, params, plan, training=False)
+    _, alpha_x, _, _ = flow._stacked_conditionals(g, plan.steps, params)
     assert np.all(np.isfinite(alpha_x.data))
     assert np.all(alpha_x.data <= np.exp(7.0) + 1e-9)
     assert np.all(alpha_x.data >= np.exp(-7.0) - 1e-12)
@@ -319,9 +317,7 @@ def test_data_to_latent_jacobian_is_triangular():
 
     # per-coordinate scaling means the Jacobian is diagonal with 1/alpha
     plan = flow.build_plan(g.n, spec.window)
-    mu_x, alpha_x, mu_a, alpha_a = flow._conditionals_for_graph(
-        g, params, plan, training=False
-    )
+    mu_x, alpha_x, mu_a, alpha_a = flow._stacked_conditionals(g, plan.steps, params)
     inv_alpha = np.concatenate([1.0 / alpha_x.data.reshape(-1), 1.0 / alpha_a.data[0]])
     assert np.abs(jac - np.diag(inv_alpha)).max() < 1e-6
 

@@ -105,6 +105,19 @@ def test_equality_and_copy_are_value_based():
 # ---------------------------------------------------------------- ordering
 
 
+def test_prefix_is_an_unchecked_view_of_the_first_nodes():
+    g = chain([0, 1, 2, 0], [(0, 1, 0), (1, 2, 1), (2, 3, 0)])
+    for m in range(1, g.n + 1):
+        sub = g.prefix(m)
+        assert sub == MolecularGraph(g.node_types[:m], g.categories[:m, :m], NO_EDGE)
+        assert np.shares_memory(sub.categories, g.categories)
+    g.categories[1, 2] = g.categories[2, 1] = 2  # later in-place edits show through
+    assert g.prefix(3).categories[1, 2] == 2
+    for m in (0, g.n + 1):
+        with pytest.raises(GraphError):
+            g.prefix(m)
+
+
 @given(connected_graphs())
 @settings(max_examples=60, deadline=None)
 def test_bfs_reorder_produces_valid_generation_order(g):

@@ -7,6 +7,7 @@ import pytest
 from graphflow import autodiff as ad
 from graphflow import graph as G
 from graphflow import rgcn
+from graphflow.autodiff import BatchNormState
 from graphflow.graph import GraphError, MolecularGraph, empty_categories
 
 VOCAB = G.default_atom_vocab()
@@ -214,3 +215,91 @@ def test_one_hot_adjacency_matches_per_category_loop():
     for c in range(NO_EDGE + 1):
         expect[c][(g.categories == c) & ~np.eye(g.n, dtype=bool)] = 1.0
     assert np.array_equal(rgcn._one_hot_adjacency(g), expect)
+
+
+def _all_steps(g, window=11):
+    steps = []
+    for i in range(1, g.n):
+        steps.append(("node", i))
+        for j in range(max(0, i - window), i):
+            steps.append(("edge", i, j))
+    steps.append(("node", g.n))
+    return steps
+
+
+def test_multi_graph_rows_match_single_graph_rows():
+    # states of several graphs, interleaved, in one evaluation-mode call
+    params = make_params(width=8, layers=3, seed=4)
+    graphs = [g for g in molecule(11, count=6, max_atoms=9) if g.n >= 2]
+    assert len(graphs) >= 3
+    owners, steps = [], []
+    for g in graphs:
+        for step in _all_steps(g):
+            owners.append(g)
+            steps.append(step)
+    shuffle = np.random.default_rng(0).permutation(len(steps))
+    owners = [owners[s] for s in shuffle]
+    steps = [steps[s] for s in shuffle]
+    packed = rgcn.encode_step_batch(owners, steps, params)
+    n = max(g.n for g in graphs)
+    assert packed.H.shape == (len(steps), n, params.width)
+    assert packed.graph_embedding.shape == (len(steps), params.width)
+    for g in graphs:
+        rows = [s for s, owner in enumerate(owners) if owner is g]
+        single = rgcn.encode_step_batch(g, [steps[s] for s in rows], params)
+        for r, s in enumerate(rows):
+            assert np.abs(packed.graph_embedding.data[s] - single.graph_embedding.data[r]).max() < 1e-12
+            assert np.abs(packed.H.data[s, : g.n] - single.H.data[r]).max() < 1e-12
+            assert not packed.H.data[s, g.n :].any()
+    with pytest.raises(ValueError):
+        rgcn.encode_step_batch(owners[:-1], steps, params)
+
+
+def _reference_training_stack(g, steps, params):
+    # the per-relation layer loop and masked batch statistics, written
+    # out in numpy in the order the encoder evaluates them
+    norm_adj, mask, counts = rgcn.build_step_masks(g, steps)
+    x = np.zeros((g.n, params.feature_dim))
+    x[np.arange(g.n), g.node_types] = 1.0
+    h = (x * mask) @ params.embed.data
+    for layer in params.layers:
+        acc = None
+        for r, w in enumerate(layer):
+            msg = np.maximum((norm_adj[:, r] @ h) @ w.data, 0.0)
+            acc = msg if acc is None else acc + msg
+        h = acc * (1.0 / params.num_relations)
+    inv_total = 1.0 / counts.sum()
+    mean = (h * mask).sum(axis=(0, 1), keepdims=True) * inv_total
+    centered = h - mean
+    var = (centered * centered * mask).sum(axis=(0, 1), keepdims=True) * inv_total
+    scale = params.bn_gamma.data / np.sqrt(var + rgcn.BN_EPS)
+    out = (centered * scale + params.bn_beta.data) * mask
+    return out, mean.reshape(-1), var.reshape(-1)
+
+
+def test_one_graph_training_stack_is_unchanged():
+    g = molecule(12, max_atoms=8)[0]
+    steps = _all_steps(g)
+    ref_params = make_params(width=8, layers=2, seed=5)
+    expected, mean, var = _reference_training_stack(g, steps, ref_params)
+    for owners in (g, [g] * len(steps)):
+        params = make_params(width=8, layers=2, seed=5)
+        out = rgcn.encode_step_batch(owners, steps, params, training=True)
+        assert np.array_equal(out.H.data, expected)
+        assert np.array_equal(out.graph_embedding.data, expected.sum(axis=-2))
+        fresh = BatchNormState.fresh(params.width)
+        fresh.update(mean, var, rgcn.BN_MOMENTUM)
+        assert np.array_equal(params.bn_state.running_mean, fresh.running_mean)
+        assert np.array_equal(params.bn_state.running_var, fresh.running_var)
+
+
+def test_training_mode_rejects_states_of_several_graphs():
+    params = make_params()
+    a, b = molecule(13, count=2, max_atoms=6)
+    before = params.bn_state.running_mean.copy()
+    with pytest.raises(ValueError):
+        rgcn.encode_step_batch([a, b], [("node", a.n), ("node", b.n)], params, training=True)
+    # an equal copy is still another graph
+    with pytest.raises(ValueError):
+        rgcn.encode_step_batch([a, a.copy()], [("node", 1), ("node", a.n)], params, training=True)
+    assert np.array_equal(params.bn_state.running_mean, before)

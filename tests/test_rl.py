@@ -237,10 +237,88 @@ def test_collected_logprobs_reproduce_bitwise():
     trajs, failures = collect_small(params, spec)
     assert failures == 0
     assert len(trajs) == 3
-    for traj in trajs:
-        lp, order = rl._new_policy_logprobs(params, spec, traj)
-        stored = np.array([traj.steps[t].logp_old for t in order])
+    lp, order = rl._chunk_logprobs(params, trajs)
+    stored = np.array([s.logp_old for traj in trajs for s in traj.steps])[order]
+    assert np.array_equal(lp.data, stored)
+
+
+def _reference_logprobs(params, traj, temperature):
+    # one trajectory, one step at a time: the step's own encoder call and
+    # a one-row quadrature over its frozen grid
+    out = []
+    for s in traj.steps:
+        step = ("node", s.i) if s.kind == "node" else ("edge", s.i, s.j)
+        mu, alpha = flow.step_conditional(params, traj.gen_graph, step)
+        lp = rl._stacked_action_logprobs(
+            Tensor(mu[None, :]), Tensor(alpha[None, :] * temperature),
+            s.grid_u[None, :], s.grid_logw[None, :], np.array([s.action]),
+        )
+        out.append(float(lp.data[0]))
+    return np.array(out)
+
+
+def _assert_chunk_matches_reference(params, trajs, temperature):
+    lp, order = rl._chunk_logprobs(params, trajs, temperature)
+    ref = np.concatenate([_reference_logprobs(params, t, temperature) for t in trajs])
+    assert sorted(order) == list(range(len(ref)))
+    assert np.abs(lp.data - ref[order]).max() < 1e-12
+    stored = np.array([s.logp_old for t in trajs for s in t.steps])[order]
+    assert np.abs(lp.data - stored).max() < 1e-12
+
+
+def test_chunk_logprobs_match_per_step_reference():
+    spec = small_spec()
+    params = random_params(3)
+    cats = empty_categories(2, NO_EDGE)
+    cats[0, 1] = cats[1, 0] = 0
+    seed_graph = MolecularGraph(np.array([0, 0]), cats, NO_EDGE)
+    scorer = rl.make_scorer("toy:atom-count", spec.vocab, spec.bonds)
+    scfg = SamplerConfig(temperature=0.8)
+    seeded, _ = rl.collect_trajectories(
+        params, spec, scfg, rl.RewardConfig(), scorer, 3,
+        np.random.default_rng(7), seeds=[seed_graph],
+    )
+    plain, _ = rl.collect_trajectories(
+        params, spec, scfg, rl.RewardConfig(), scorer, 3, np.random.default_rng(8)
+    )
+    assert len(seeded) == 3 and len(plain) == 3
+    assert all(t.seed_size == 2 for t in seeded)
+    _assert_chunk_matches_reference(params, seeded + plain, 0.8)
+
+    # a no-bonds episode: the dropped node's steps are scored on gen_graph
+    nb_spec = small_spec(max_size=3)
+    nb_params = flow.init_flow_params(nb_spec, np.random.default_rng(0))
+    nb_params.node_mu.b2.data[VOCAB.index("O")] = 50.0
+    nb_params.edge_mu.b2.data[BONDS.category_of(3)] = 50.0
+    trajs, _ = rl.collect_trajectories(
+        nb_params, nb_spec, SamplerConfig(valency_check=True, max_resample=7),
+        rl.RewardConfig(), scorer, 2, np.random.default_rng(1),
+    )
+    assert trajs and all(t.gen_graph.n == t.final_graph.n + 1 for t in trajs)
+    _assert_chunk_matches_reference(nb_params, trajs, 1.0)
+
+
+def test_acting_logprobs_reproduce_bitwise_across_chunks():
+    # more trajectories than one chunk: every chunk re-evaluated at the
+    # acting parameters gives back its stored values exactly
+    spec = small_spec()
+    params = random_params(4)
+    trajs, _ = collect_small(params, spec, count=rl.PPO_CHUNK + 4, seed=10,
+                             sampler_cfg=SamplerConfig(temperature=1.3))
+    assert len(trajs) > rl.PPO_CHUNK
+    for lo in range(0, len(trajs), rl.PPO_CHUNK):
+        chunk = trajs[lo : lo + rl.PPO_CHUNK]
+        lp, order = rl._chunk_logprobs(params, chunk, 1.3)
+        stored = np.array([s.logp_old for t in chunk for s in t.steps])[order]
         assert np.array_equal(lp.data, stored)
+
+
+def test_build_trajectory_leaves_acting_logprobs_unset():
+    spec = small_spec()
+    params = random_params(2)
+    g, trace = sample_molecule(params, spec, SamplerConfig(), np.random.default_rng(2))
+    traj = rl.build_trajectory(g, trace, spec, rl.RewardConfig(), score=1.0)
+    assert all(np.isnan(s.logp_old) for s in traj.steps)
 
 
 def test_ppo_loss_at_acting_params_is_mean_advantage():
@@ -305,7 +383,7 @@ def test_no_bond_termination_keeps_dropped_node_in_gen_graph():
     g, trace = sample_molecule(params, spec, scfg, np.random.default_rng(1))
     assert trace.termination == "no-bonds"
     rcfg = rl.RewardConfig(gamma=0.5, shaping="linear", t1=1.0, validity_penalty=-1.0)
-    traj = rl.build_trajectory(params, g, trace, spec, rcfg, score=float(g.n))
+    traj = rl.build_trajectory(g, trace, spec, rcfg, score=float(g.n))
     assert traj.final_graph == g
     assert traj.gen_graph.n == g.n + 1
     assert traj.gen_graph.node_types[-1] == VOCAB.index("O")
@@ -464,6 +542,54 @@ def test_exec_scorer_failures(tmp_path):
             scorer.score(g)  # first call may race the exit; second must fail
     finally:
         scorer.close()
+
+
+def _two_atom_graph():
+    cats = empty_categories(2, NO_EDGE)
+    cats[0, 1] = cats[1, 0] = 0
+    return MolecularGraph(np.array([0, 1]), cats, NO_EDGE)
+
+
+def test_exec_scorer_silent_child_times_out(tmp_path, monkeypatch):
+    # a child that reads the whole record and never answers must not hang
+    # the caller: past the deadline it is killed and the call fails
+    monkeypatch.setattr(rl, "SCORER_TIMEOUT", 0.5)
+    silent = tmp_path / "silent.py"
+    silent.write_text(
+        "import sys, time\n"
+        "for line in sys.stdin:\n"
+        "    if line.strip() == '#END':\n"
+        "        time.sleep(600)\n"
+    )
+    scorer = rl.ExecScorer(f"python3 {silent}", VOCAB, BONDS)
+    try:
+        with pytest.raises(rl.ScorerError, match="no reply"):
+            scorer.score(_two_atom_graph())
+        assert scorer._proc.poll() is not None
+        with pytest.raises(rl.ScorerError):
+            scorer.score(_two_atom_graph())
+    finally:
+        scorer.close()
+
+
+def test_exec_scorer_close_kills_child_ignoring_eof(tmp_path, monkeypatch):
+    # a child that answers but keeps running after its input closes is
+    # killed by close(), which does not raise
+    monkeypatch.setattr(rl, "SCORER_TIMEOUT", 0.5)
+    stubborn = tmp_path / "stubborn.py"
+    stubborn.write_text(
+        "import sys, time\n"
+        "for line in sys.stdin:\n"
+        "    if line.strip() == '#END':\n"
+        "        print('1.5', flush=True)\n"
+        "time.sleep(600)\n"
+    )
+    scorer = rl.ExecScorer(f"python3 {stubborn}", VOCAB, BONDS)
+    try:
+        assert scorer.score(_two_atom_graph()) == 1.5
+    finally:
+        scorer.close()
+    assert scorer._proc.poll() is not None
 
 
 # ------------------------------------------------ constrained generation
