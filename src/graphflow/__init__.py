@@ -54,7 +54,6 @@ from .rl import (
     finetune,
     make_scorer,
     optimize_constrained,
-    ppo_loss,
 )
 from .sampler import SamplerConfig, reconstruct, sample_batch, sample_molecule
 
@@ -102,7 +101,6 @@ __all__ = [
     "mmd_squared",
     "optimize_constrained",
     "parse_molt",
-    "ppo_loss",
     "reconstruct",
     "sample_batch",
     "sample_molecule",

@@ -53,9 +53,6 @@ class Tensor:
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tensor_sum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
-
     def reshape(self, *shape) -> "Tensor":
         return reshape(self, shape if len(shape) != 1 else shape[0])
 
@@ -103,7 +100,8 @@ class Tape:
 
     Single-writer: at most one tape is active at a time, and one tape
     should cover one training example. Gradients from successive tapes
-    accumulate into the leaves' .grad slots in call order.
+    accumulate into the leaves' .grad slots in call order; training code
+    does not open tapes itself but goes through accumulate_grads.
     """
 
     def __init__(self):
@@ -352,14 +350,6 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return out
 
 
-def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = a.data.size
-    else:
-        count = a.data.shape[axis]
-    return tensor_sum(a, axis=axis, keepdims=keepdims) * (1.0 / count)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape), a.requires_grad)
 
@@ -557,6 +547,31 @@ def zero_grads(params) -> None:
         p.grad = None
 
 
+def accumulate_grads(params: dict, losses):
+    """Sum the gradients of several scalar losses, one tape per loss.
+
+    losses is an iterable of zero-argument callables, each building one
+    scalar Tensor; they are called in order, each on its own tape, and
+    their gradients add up in the leaves in that order. Returns (grads,
+    values): grads maps every name in params to its summed gradient
+    (zeros where no loss reached it), values lists the loss values in
+    call order. Every leaf's .grad is None again afterwards.
+    """
+    zero_grads(params)
+    values = []
+    for build in losses:
+        with Tape() as tape:
+            loss = build()
+            tape.backward(loss)
+        values.append(float(loss.data))
+    grads = {
+        name: np.zeros_like(p.data) if p.grad is None else p.grad
+        for name, p in params.items()
+    }
+    zero_grads(params)
+    return grads, values
+
+
 def grad_check(f, params: dict, h: float = 1e-5) -> float:
     """Compare tape gradients of f() against central finite differences.
 
@@ -565,16 +580,7 @@ def grad_check(f, params: dict, h: float = 1e-5) -> float:
     relative error |a - n| / max(1e-8, |a| + |n|) over all parameter
     entries.
     """
-    zero_grads(params)
-    with Tape() as tape:
-        loss = f()
-        tape.backward(loss)
-    analytic = {}
-    for name, p in params.items():
-        analytic[name] = (
-            np.zeros_like(p.data) if p.grad is None else np.array(p.grad, copy=True)
-        )
-    zero_grads(params)
+    analytic, _ = accumulate_grads(params, [f])
 
     worst = 0.0
     for name, p in params.items():

@@ -26,6 +26,7 @@ so that every bond lands inside the window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -510,28 +511,21 @@ def train(
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(dataset))
         epoch_nll = []
+
+        def graph_loss(g, scale):
+            g = _reorder_for_window(g, spec.window, rng)
+            sink = []
+            ll = log_likelihood_parallel(g, params, spec, rng=rng, training=True, _loss_sink=sink)
+            nll = -ll.total
+            if not np.isfinite(nll):
+                raise FloatingPointError(f"training diverged: non-finite loss at epoch {epoch}")
+            epoch_nll.append(nll)
+            return sink[0] * scale
+
         for lo in range(0, len(order), cfg.batch_size):
             batch = order[lo : lo + cfg.batch_size]
-            ad.zero_grads(named)
-            inv = 1.0 / len(batch)
-            for gi in batch:
-                g = _reorder_for_window(dataset[gi], spec.window, rng)
-                sink = []
-                with ad.Tape() as tape:
-                    ll = log_likelihood_parallel(
-                        g, params, spec, rng=rng, training=True, _loss_sink=sink
-                    )
-                    tape.backward(sink[0] * inv)
-                nll = -ll.total
-                if not np.isfinite(nll):
-                    raise FloatingPointError(
-                        f"training diverged: non-finite loss at epoch {epoch}"
-                    )
-                epoch_nll.append(nll)
-            grads = {
-                name: (np.zeros_like(p.data) if p.grad is None else p.grad)
-                for name, p in named.items()
-            }
+            losses = [partial(graph_loss, dataset[gi], 1.0 / len(batch)) for gi in batch]
+            grads, _ = ad.accumulate_grads(named, losses)
             ad.adam_step(named, grads, state, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
         trace.append(float(np.mean(epoch_nll)))
     return trace

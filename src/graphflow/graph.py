@@ -178,8 +178,6 @@ class BfsOrder:
 def relabel(g: MolecularGraph, permutation: np.ndarray) -> MolecularGraph:
     """Rebuild g so that new node i is old node permutation[i]."""
     perm = np.asarray(permutation)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
     node_types = g.node_types[perm]
     categories = g.categories[np.ix_(perm, perm)]
     return MolecularGraph(node_types, categories, g.no_edge)
@@ -224,14 +222,11 @@ def bfs_reorder(g: MolecularGraph, start: int = 0, rng=None):
     return relabel(g, perm), BfsOrder(permutation=perm, depths=np.array(depths, dtype=np.int64))
 
 
-def max_dependency_distance(g: MolecularGraph, order: BfsOrder | None = None) -> int:
-    """Largest index gap i - j over bonds (i, j), i > j, after relabeling by order.
-
-    With order=None the graph is taken to be already in generation order.
-    """
-    h = relabel(g, order.permutation) if order is not None else g
+def max_dependency_distance(g: MolecularGraph) -> int:
+    """Largest index gap i - j over bonds (i, j), i > j, in g's own node
+    order (the generation order)."""
     best = 0
-    for i, j, _ in h.bonds():
+    for i, j, _ in g.bonds():
         gap = abs(i - j)
         if gap > best:
             best = gap

@@ -1,5 +1,5 @@
-"""Sample-quality metrics: validity, uniqueness, novelty, reconstruction,
-and distribution distances between graph sets.
+"""Sample-quality metrics: validity, uniqueness, novelty, and
+distribution distances between graph sets.
 
 Duplicate detection runs in two stages. A Weisfeiler-Lehman color
 refinement produces a fast canonical digest; digest collisions are then
@@ -213,7 +213,11 @@ def degree_histograms(graphs, max_degree: int | None = None) -> np.ndarray:
     seqs = [degree_sequence(g) for g in graphs]
     if max_degree is None:
         max_degree = max(int(s.max()) for s in seqs)
-    out = np.zeros((len(graphs), max_degree + 1))
+    return _degree_rows(seqs, max_degree)
+
+
+def _degree_rows(seqs, max_degree: int) -> np.ndarray:
+    out = np.zeros((len(seqs), max_degree + 1))
     for row, s in enumerate(seqs):
         for d in s:
             out[row, min(int(d), max_degree)] += 1.0
@@ -229,7 +233,8 @@ def clustering_histograms(graphs, bins: int = 100) -> np.ndarray:
 
 def _tv_kernel_matrix(x: np.ndarray, y: np.ndarray, sigma: float) -> np.ndarray:
     # total variation distance between normalized histograms, then Gaussian
-    tv = 0.5 * np.abs(x[:, None, :] - y[None, :, :]).sum(axis=2)
+    # one row of x at a time, so memory stays O(n * bins), not O(m * n * bins)
+    tv = np.stack([0.5 * np.abs(row - y).sum(axis=1) for row in x])
     return np.exp(-(tv * tv) / (2.0 * sigma * sigma))
 
 
@@ -250,13 +255,10 @@ def mmd_squared(x: np.ndarray, y: np.ndarray, sigma: float = 1.0) -> float:
 
 
 def mmd_degree(samples, reference, sigma: float = 1.0) -> float:
-    cap = max(
-        max(int(degree_sequence(g).max()) for g in samples),
-        max(int(degree_sequence(g).max()) for g in reference),
-    )
-    return mmd_squared(
-        degree_histograms(samples, cap), degree_histograms(reference, cap), sigma
-    )
+    xs = [degree_sequence(g) for g in samples]
+    ys = [degree_sequence(g) for g in reference]
+    cap = max(int(s.max()) for s in xs + ys)
+    return mmd_squared(_degree_rows(xs, cap), _degree_rows(ys, cap), sigma)
 
 
 def mmd_clustering(samples, reference, sigma: float = 1.0, bins: int = 100) -> float:
@@ -270,7 +272,6 @@ class GenerationReport:
     """Everything the evaluate command prints, in one place."""
 
     quality: SampleQuality
-    reconstruction: float | None = None
     mmd: dict = field(default_factory=dict)
 
     def as_kv(self) -> list:
@@ -281,8 +282,6 @@ class GenerationReport:
             ("uniqueness", f"{self.quality.uniqueness:.6f}"),
             ("novelty", f"{self.quality.novelty:.6f}"),
         ]
-        if self.reconstruction is not None:
-            rows.append(("reconstruction", f"{self.reconstruction:.6f}"))
         for name, value in sorted(self.mmd.items()):
             rows.append((f"mmd_{name}", f"{value:.6g}"))
         return rows

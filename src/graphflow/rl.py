@@ -19,7 +19,10 @@ encoder pass, one head call and one quadrature per step kind. The
 acting log-probabilities come from that same chunk pass at the end of
 collection, so re-evaluating at the acting weights reproduces them bit
 for bit, ratios start at exactly one, and finite differences agree with
-the tape gradient.
+the tape gradient. Each chunk's share of the batch loss is one callable
+from _ppo_losses; the update sums their gradients with
+autodiff.accumulate_grads, the same loop maximum-likelihood training
+runs, one tape per chunk.
 """
 
 from __future__ import annotations
@@ -32,12 +35,13 @@ import subprocess
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import autodiff as ad
 from . import flow
-from .autodiff import AdamState, Tape, Tensor, adam_step
+from .autodiff import AdamState, Tensor, adam_step
 from .flow import FlowParams, ModelSpec, _reorder_for_window, _stacked_conditionals
 from .graph import GraphError, MolecularGraph, bfs_reorder, empty_categories
 from .molt import write_molt
@@ -46,30 +50,20 @@ from .sampler import SamplerConfig, sample_molecule
 LOG_TWO_PI = math.log(2.0 * math.pi)
 PPO_CHUNK = 16  # trajectories per packed pass: one tape, one encoder call
 
-_GL_CACHE: dict = {}
-
-
-def _leggauss(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
-
+VALIDITY_PENALTY = -1.0  # reward per valency rejection, at its own step
 
 GRID_SPAN = 9.0  # +-9 standard deviations; truncated tail mass ~ 2e-19
+# Gauss-Legendre nodes and weights per panel: coarse grids (the ratio
+# objective) and fine grids (normalized action probabilities)
+_GL_COARSE = np.polynomial.legendre.leggauss(8)
+_GL_FINE = np.polynomial.legendre.leggauss(16)
 
 # fractions of the crossover halfwidth where extra panel edges go
 _REFINE_FRACTIONS = np.array([-1.0, -0.25, 0.0, 0.25, 1.0])
 _REFINE_FRACTIONS_FINE = np.array([-1.0, -0.5, -0.125, 0.0, 0.125, 0.5, 1.0])
 
 
-def argmax_region_grid(
-    mu: np.ndarray,
-    alpha: np.ndarray,
-    action: int,
-    points: int = 8,
-    fine: bool = False,
-    span: float = GRID_SPAN,
-):
+def argmax_region_grid(mu: np.ndarray, alpha: np.ndarray, action: int, fine: bool = False):
     """Quadrature nodes and log-weights for one argmax-region integral.
 
     The integrand is phi(u) * prod_k Phi((mu_c + alpha_c u - mu_k) /
@@ -81,7 +75,7 @@ def argmax_region_grid(
     mu = np.asarray(mu, dtype=np.float64)
     alpha = np.asarray(alpha, dtype=np.float64)
     c = int(action)
-    base = np.linspace(-span, span, 19 if fine else 13)
+    base = np.linspace(-GRID_SPAN, GRID_SPAN, 19 if fine else 13)
     fractions = _REFINE_FRACTIONS_FINE if fine else _REFINE_FRACTIONS
     extra = []
     for k in range(mu.shape[0]):
@@ -89,10 +83,10 @@ def argmax_region_grid(
             continue
         center = (mu[k] - mu[c]) / alpha[c]
         halfwidth = 6.0 * max(alpha[k] / alpha[c], 1e-8)
-        extra.append(np.clip(center + halfwidth * fractions, -span, span))
+        extra.append(np.clip(center + halfwidth * fractions, -GRID_SPAN, GRID_SPAN))
     edges = np.unique(np.concatenate([base] + extra))
     edges = edges[np.concatenate([[True], np.diff(edges) > 1e-12])]
-    nodes, weights = _leggauss(16 if fine else points)
+    nodes, weights = _GL_FINE if fine else _GL_COARSE
     half = 0.5 * (edges[1:] - edges[:-1])  # (P,)
     mid = 0.5 * (edges[1:] + edges[:-1])
     u = (mid[:, None] + half[:, None] * nodes[None, :]).reshape(-1)
@@ -152,7 +146,6 @@ def action_logprobs(
 
 def compute_action_logprob(
     params: FlowParams,
-    spec: ModelSpec,
     g: MolecularGraph,
     kind: str,
     i: int,
@@ -176,8 +169,6 @@ class TrajStep:
     i: int
     j: int
     action: int
-    mu_old: np.ndarray
-    alpha_old: np.ndarray
     logp_old: float
     grid_u: np.ndarray
     grid_logw: np.ndarray
@@ -221,7 +212,6 @@ class RewardConfig:
     shaping: str = "linear"  # "linear": t1 * score; "exp": exp(score / t2)
     t1: float = 1.0
     t2: float = 1.0
-    validity_penalty: float = -1.0
 
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
@@ -265,7 +255,6 @@ class ScorerError(Exception):
 def build_trajectory(
     g: MolecularGraph,
     trace,
-    spec: ModelSpec,
     reward_cfg: RewardConfig,
     score: float,
     temperature: float = 1.0,
@@ -296,12 +285,10 @@ def build_trajectory(
                 i=s.i,
                 j=s.j,
                 action=s.action,
-                mu_old=s.mu,
-                alpha_old=s.alpha,
                 logp_old=math.nan,
                 grid_u=u,
                 grid_logw=logw,
-                penalty=reward_cfg.validity_penalty * s.rejections,
+                penalty=VALIDITY_PENALTY * s.rejections,
             )
         )
     final_reward = reward_cfg.shape(score)
@@ -349,7 +336,6 @@ def collect_trajectories(
             build_trajectory(
                 g,
                 trace,
-                spec,
                 reward_cfg,
                 score,
                 temperature=sampler_cfg.temperature,
@@ -374,13 +360,12 @@ class StepBaselines:
 
     A position's first batch mean initializes its value outright, so on
     constant-reward batches the very next advantage is exactly zero;
-    afterwards the mean folds in with the decay rate.
+    afterwards the mean folds in with the decay rate DECAY.
     """
 
-    def __init__(self, decay: float = 0.9):
-        if not 0.0 < decay < 1.0:
-            raise ValueError("decay must lie in (0, 1)")
-        self.decay = decay
+    DECAY = 0.9
+
+    def __init__(self):
         self.values: dict = {}
 
     def get(self, position: int) -> float:
@@ -399,7 +384,7 @@ class StepBaselines:
         for t, total in sums.items():
             mean = total / counts[t]
             if t in self.values:
-                self.values[t] = self.decay * self.values[t] + (1.0 - self.decay) * mean
+                self.values[t] = self.DECAY * self.values[t] + (1.0 - self.DECAY) * mean
             else:
                 self.values[t] = mean
 
@@ -465,57 +450,23 @@ def _chunk_objective(params, trajectories, advantages, cfg, temperature):
     return (ad.minimum(unclipped, clipped) * Tensor(weight)).sum()
 
 
-def ppo_loss(
-    params: FlowParams,
-    spec: ModelSpec,
-    trajectories,
-    baselines: StepBaselines,
-    cfg: PpoConfig,
-    temperature: float = 1.0,
-):
-    """Scalar surrogate loss over a batch, differentiable on the active
-    tape: the negative mean over trajectories of the per-trajectory mean
-    clipped-ratio objective, evaluated in the same PPO_CHUNK packed
-    chunks as the update. Baselines are read, never written."""
+def _ppo_losses(params: FlowParams, trajectories, advantages, cfg: PpoConfig, temperature):
+    """The batch surrogate loss (the negative mean over trajectories of
+    each one's mean clipped-ratio objective) as one zero-argument
+    callable per PPO_CHUNK of trajectories, for accumulate_grads: no
+    single tape holds the whole batch, and the chunk losses sum to the
+    batch loss. Advantages are fixed per trajectory by the caller."""
     if not trajectories:
-        raise ValueError("ppo_loss needs at least one trajectory")
-    advantages = [baselines.advantages(traj) for traj in trajectories]
-    total = None
-    for lo in range(0, len(trajectories), PPO_CHUNK):
-        chunk = slice(lo, lo + PPO_CHUNK)
-        obj = _chunk_objective(params, trajectories[chunk], advantages[chunk], cfg, temperature)
-        total = obj if total is None else total + obj
-    return total * Tensor(np.array(-1.0 / len(trajectories)))
+        raise ValueError("the PPO loss needs at least one trajectory")
+    scale = Tensor(np.array(-1.0 / len(trajectories)))
 
-
-def _accumulate_ppo_grads(
-    params: FlowParams,
-    trajectories,
-    advantages,
-    cfg: PpoConfig,
-    temperature: float,
-):
-    """Gradient of the batch loss, built chunk by chunk so no single tape
-    holds the whole batch. Returns (grads dict, loss value)."""
-    named = params.named_tensors()
-    grads = {name: np.zeros_like(t.data) for name, t in named.items()}
-    scale = -1.0 / len(trajectories)
-    loss_value = 0.0
-    for lo in range(0, len(trajectories), PPO_CHUNK):
+    def chunk_loss(lo):
         chunk = slice(lo, lo + PPO_CHUNK)
-        ad.zero_grads(named)
-        with Tape() as tape:
-            total = _chunk_objective(
-                params, trajectories[chunk], advantages[chunk], cfg, temperature
-            )
-            loss = total * Tensor(np.array(scale))
-            tape.backward(loss)
-        loss_value += float(loss.data)
-        for name, t in named.items():
-            if t.grad is not None:
-                grads[name] += t.grad
-    ad.zero_grads(named)
-    return grads, loss_value
+        return _chunk_objective(
+            params, trajectories[chunk], advantages[chunk], cfg, temperature
+        ) * scale
+
+    return [partial(chunk_loss, lo) for lo in range(0, len(trajectories), PPO_CHUNK)]
 
 
 def finetune(
@@ -560,9 +511,11 @@ def finetune(
         advantages = [baselines.advantages(t) for t in trajs]
         loss_value = math.nan
         for _ in range(ppo_cfg.updates):
-            grads, loss_value = _accumulate_ppo_grads(
-                params, trajs, advantages, ppo_cfg, sampler_cfg.temperature
+            grads, values = ad.accumulate_grads(
+                named,
+                _ppo_losses(params, trajs, advantages, ppo_cfg, sampler_cfg.temperature),
             )
+            loss_value = sum(values)
             if not math.isfinite(loss_value):
                 raise FloatingPointError(
                     f"surrogate loss became non-finite at iteration {it}"

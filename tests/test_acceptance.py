@@ -293,9 +293,10 @@ def test_criterion_10_ppo_improves_reward(molecules500):
     )
     cfg = rl.PpoConfig()
     base = rl.StepBaselines()
+    advantages = [base.advantages(t) for t in trajs]
 
     def loss():
-        return rl.ppo_loss(sparams, small, trajs, base, cfg)
+        return sum(f() for f in rl._ppo_losses(sparams, trajs, advantages, cfg, 1.0))
 
     rel = ad.grad_check(loss, sparams.named_tensors(), h=1e-5)
 
@@ -394,7 +395,7 @@ def test_criterion_13_action_probabilities():
         for kind, i, j in steps:
             d = spec.node_dim if kind == "node" else spec.edge_dim
             p = np.exp(
-                [rl.compute_action_logprob(params, spec, g, kind, i, j, a) for a in range(d)]
+                [rl.compute_action_logprob(params, g, kind, i, j, a) for a in range(d)]
             )
             worst_gap = max(worst_gap, abs(float(p.sum()) - 1.0))
 

@@ -223,6 +223,22 @@ def test_grads_accumulate_across_tapes():
     assert abs(x.grad - 12.0) < 1e-12  # 3 tapes, d(x^2)/dx = 4 each
 
 
+def test_accumulate_grads_sums_losses_in_order_and_clears_slots():
+    x = leaf([1.0, 2.0])
+    y = leaf([[3.0]])
+    untouched = leaf(np.ones((2, 3)))
+    params = {"x": x, "y": y, "untouched": untouched}
+    x.grad = np.full(2, 7.0)  # a stale gradient does not leak in
+    grads, values = ad.accumulate_grads(
+        params, [lambda: (x * x).sum(), lambda: (x * y).sum() * 2.0]
+    )
+    assert values == [5.0, 18.0]
+    assert np.array_equal(grads["x"], [8.0, 10.0])  # 2x + 2y
+    assert np.array_equal(grads["y"], [[6.0]])  # 2 * sum(x)
+    assert np.array_equal(grads["untouched"], np.zeros((2, 3)))
+    assert all(p.grad is None for p in params.values())
+
+
 def test_zero_grads_clears_slots():
     x = leaf(1.0)
     with Tape() as tape:

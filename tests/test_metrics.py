@@ -3,6 +3,7 @@ search, counting rules for validity/uniqueness/novelty, hand-computed
 graph statistics, and distribution-distance properties."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,9 +256,24 @@ def test_mmd_needs_two_samples_per_side():
 # -------------------------------------------------------------- reports
 
 
+def test_mmd_clustering_memory_stays_per_row():
+    # the kernel matrix is built one sample row at a time, never as a
+    # (samples, reference, bins) difference array (16 MB here)
+    samples = G.gen_synthetic_molecules(100, 9, VOCAB, BONDS, np.random.default_rng(0))
+    reference = G.gen_synthetic_molecules(200, 9, VOCAB, BONDS, np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        value = metrics.mmd_clustering(samples, reference)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value)
+    assert peak < 8 * 2**20
+
+
 def test_report_formats():
     q = metrics.SampleQuality(num_samples=4, num_valid=3, num_unique=2, num_novel=1)
-    rep = metrics.GenerationReport(quality=q, reconstruction=1.0, mmd={"degree": 0.25})
+    rep = metrics.GenerationReport(quality=q, mmd={"degree": 0.25})
     text = rep.as_text()
     assert text.endswith("\n")
     assert "validity = 0.750000" in text
