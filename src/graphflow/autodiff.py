@@ -154,6 +154,18 @@ def _needs_grad(*tensors) -> bool:
     return any(t.requires_grad for t in tensors)
 
 
+def custom_op(data, parents, back) -> Tensor:
+    """Wrap an array computed from the parents' values as one tape node.
+
+    For fused operations with a hand-written gradient: back(g) returns
+    one gradient array (or None) per parent, like the built-in ops.
+    """
+    parents = tuple(parents)
+    out = Tensor(data, _needs_grad(*parents))
+    _record(out, parents, back)
+    return out
+
+
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     """Sum a gradient over the axes numpy broadcasting added or stretched."""
     if grad.shape == shape:

@@ -9,17 +9,22 @@ probability of a discrete action is the exact probability that the
 step's Gaussian, pushed through the affine transform, lands in that
 category's argmax region. That integral has no closed form beyond two
 categories, so it is evaluated by composite Gauss-Legendre quadrature
-with panels refined around each category crossover point.
+with panels refined around each category crossover point. A stack of
+such integrals is one fused tape node: its forward pass evaluates the
+normal CDF only on each row's competing categories, and its backward
+pass is the closed-form gradient (softmax weight of each quadrature
+node times the hazard phi / Phi times dy / d(mu, alpha)).
 
 For the ratio objective, every step's integration grid is built once
 from the acting-policy parameters and then frozen, which makes the
-surrogate a smooth function of the weights. Trajectories are evaluated
-in packed chunks of PPO_CHUNK: all states of a chunk go through one
-encoder pass, one head call and one quadrature per step kind. The
-acting log-probabilities come from that same chunk pass at the end of
-collection, so re-evaluating at the acting weights reproduces them bit
-for bit, ratios start at exactly one, and finite differences agree with
-the tape gradient. Each chunk's share of the batch loss is one callable
+surrogate a smooth function of the weights; the grids of one episode
+are built in one vectorised call per step kind. Trajectories are
+evaluated in packed chunks of PPO_CHUNK: all states of a chunk go
+through one encoder pass, one head call and one quadrature per step
+kind. The acting log-probabilities come from that same chunk pass at the
+end of collection, so re-evaluating at the acting weights reproduces
+them bit for bit, ratios start at exactly one, and finite differences
+agree with the tape gradient. Each chunk's share of the batch loss is one callable
 from _ppo_losses; the update sums their gradients with
 autodiff.accumulate_grads, the same loop maximum-likelihood training
 runs, one tape per chunk.
@@ -34,10 +39,11 @@ import shlex
 import subprocess
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+from scipy.special import log_ndtr
 
 from . import autodiff as ad
 from . import flow
@@ -63,67 +69,109 @@ _REFINE_FRACTIONS = np.array([-1.0, -0.25, 0.0, 0.25, 1.0])
 _REFINE_FRACTIONS_FINE = np.array([-1.0, -0.5, -0.125, 0.0, 0.125, 0.5, 1.0])
 
 
-def argmax_region_grid(mu: np.ndarray, alpha: np.ndarray, action: int, fine: bool = False):
-    """Quadrature nodes and log-weights for one argmax-region integral.
+def _competitors(actions: np.ndarray, d: int) -> np.ndarray:
+    """(S, D-1) indices of every category except each row's action, ascending."""
+    others = np.arange(d - 1)[None, :]
+    return others + (others >= actions[:, None])
 
-    The integrand is phi(u) * prod_k Phi((mu_c + alpha_c u - mu_k) /
-    alpha_k). Each k != c contributes a sigmoid-like factor switching at
-    u = (mu_k - mu_c) / alpha_c over a width set by alpha_k / alpha_c;
-    panel edges are packed around those switch points so sharp factors
-    (tiny alpha ratios) stay resolved.
+
+def argmax_region_grid(mu, alpha, actions, fine: bool = False):
+    """Quadrature nodes and log-weights for a stack of argmax-region
+    integrals, one per row of the (S, D) arrays mu and alpha.
+
+    Row s integrates phi(u) * prod_k Phi((mu_c + alpha_c u - mu_k) /
+    alpha_k) with c = actions[s]. Each k != c contributes a sigmoid-like
+    factor switching at u = (mu_k - mu_c) / alpha_c over a width set by
+    alpha_k / alpha_c; panel edges are packed around those switch points
+    so sharp factors (tiny alpha ratios) stay resolved. Each row's edges
+    are sorted, and an edge within 1e-12 of the one before it is dropped.
+    Returns (u, logw), both (S, Q): rows shorter than the longest are
+    padded with u = 0 and logw = -inf.
     """
     mu = np.asarray(mu, dtype=np.float64)
     alpha = np.asarray(alpha, dtype=np.float64)
-    c = int(action)
-    base = np.linspace(-GRID_SPAN, GRID_SPAN, 19 if fine else 13)
+    actions = np.asarray(actions, dtype=np.int64)
+    s_count, d = mu.shape
+    rows = np.arange(s_count)
+    others = _competitors(actions, d)
+    mu_c = mu[rows, actions][:, None]
+    alpha_c = alpha[rows, actions][:, None]
+    center = (np.take_along_axis(mu, others, 1) - mu_c) / alpha_c  # (S, D-1)
+    halfwidth = 6.0 * np.maximum(np.take_along_axis(alpha, others, 1) / alpha_c, 1e-8)
     fractions = _REFINE_FRACTIONS_FINE if fine else _REFINE_FRACTIONS
-    extra = []
-    for k in range(mu.shape[0]):
-        if k == c:
-            continue
-        center = (mu[k] - mu[c]) / alpha[c]
-        halfwidth = 6.0 * max(alpha[k] / alpha[c], 1e-8)
-        extra.append(np.clip(center + halfwidth * fractions, -GRID_SPAN, GRID_SPAN))
-    edges = np.unique(np.concatenate([base] + extra))
-    edges = edges[np.concatenate([[True], np.diff(edges) > 1e-12])]
+    extra = np.clip(
+        center[:, :, None] + halfwidth[:, :, None] * fractions, -GRID_SPAN, GRID_SPAN
+    ).reshape(s_count, -1)
+    base = np.linspace(-GRID_SPAN, GRID_SPAN, 19 if fine else 13)
+    edges = np.sort(np.concatenate([np.tile(base, (s_count, 1)), extra], axis=1), axis=1)
+    keep = np.ones(edges.shape, dtype=bool)
+    keep[:, 1:] = np.diff(edges, axis=1) > 1e-12
+    # kept edges move to the front of their row in order; panel p of row s
+    # runs from its kept edge p to kept edge p + 1
+    packed = np.take_along_axis(edges, np.argsort(~keep, axis=1, kind="stable"), 1)
+    panels = keep.sum(axis=1) - 1
+    p_max = int(panels.max())
+    live = np.arange(p_max) < panels[:, None]  # (S, P)
+    left = packed[:, :p_max][live]
+    right = packed[:, 1 : p_max + 1][live]
+    half = 0.5 * (right - left)
+    mid = 0.5 * (right + left)
     nodes, weights = _GL_FINE if fine else _GL_COARSE
-    half = 0.5 * (edges[1:] - edges[:-1])  # (P,)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    u = (mid[:, None] + half[:, None] * nodes[None, :]).reshape(-1)
-    logw = (np.log(half[:, None]) + np.log(weights[None, :])).reshape(-1)
-    return u, logw
+    u = np.zeros((s_count, p_max, nodes.size))
+    logw = np.full((s_count, p_max, nodes.size), -np.inf)
+    u[live] = mid[:, None] + half[:, None] * nodes[None, :]
+    logw[live] = np.log(half[:, None]) + np.log(weights[None, :])
+    return u.reshape(s_count, -1), logw.reshape(s_count, -1)
 
 
 def _stacked_action_logprobs(
-    mu,
-    alpha,
+    mu: Tensor,
+    alpha: Tensor,
     grid_u: np.ndarray,
     grid_logw: np.ndarray,
     actions: np.ndarray,
-):
+) -> Tensor:
     """Log-probability of each row's action under its frozen grid.
 
     mu and alpha are (S, D) tensors (or constants wrapped as tensors);
     grid_u and grid_logw are (S, Q) with unused slots padded by -inf
-    log-weight. Returns an (S,) tensor. All rows share one fused chain
-    of array ops, so the tape stays small no matter how many steps.
+    log-weight. Returns an (S,) tensor recorded as one tape node.
+
+    Row s with action c is logsumexp_q(logw_q + log phi(u_q) + sum_{k != c}
+    log Phi(y_qk)), y_qk = (mu_c + alpha_c u_q - mu_k) / alpha_k, so the
+    gradient is closed-form: the softmax weight of each node times the
+    hazard phi(y) / Phi(y), times dy / d(mu, alpha).
     """
     s_count, d = mu.data.shape
-    q = grid_u.shape[1]
     rows = np.arange(s_count)
-    mu_c = ad.take(mu, (rows, actions)).reshape(s_count, 1)
-    alpha_c = ad.take(alpha, (rows, actions)).reshape(s_count, 1)
-    z_top = mu_c + alpha_c * Tensor(grid_u)  # (S, Q)
-    y = (z_top.reshape(s_count, q, 1) - mu.reshape(s_count, 1, d)) / alpha.reshape(
-        s_count, 1, d
-    )
-    log_cdf = ad.log_ndtr(y)  # (S, Q, D)
-    keep = np.ones((s_count, 1, d))
-    keep[rows, 0, actions] = 0.0  # own category contributes the phi factor instead
-    tail = (log_cdf * Tensor(keep)).sum(axis=2)  # (S, Q)
+    others = _competitors(actions, d)
+    mu_k = np.take_along_axis(mu.data, others, 1)[:, None, :]  # (S, 1, D-1)
+    alpha_k = np.take_along_axis(alpha.data, others, 1)[:, None, :]
+    z_top = mu.data[rows, actions][:, None] + alpha.data[rows, actions][:, None] * grid_u
+    y = (z_top[:, :, None] - mu_k) / alpha_k  # (S, Q, D-1)
+    # the own category is left out rather than masked: its masked term was
+    # -0.0 in a short sequential sum, so the values keep every bit
+    log_cdf = log_ndtr(y)
     # padded slots carry -inf log-weight and drop out of the logsumexp
-    const = grid_logw + (-0.5 * grid_u * grid_u - 0.5 * LOG_TWO_PI)
-    return ad.logsumexp(tail + Tensor(const), axis=1)
+    terms = log_cdf.sum(axis=2) + (grid_logw + (-0.5 * grid_u * grid_u - 0.5 * LOG_TWO_PI))
+    top = terms.max(axis=1, keepdims=True)
+    shifted = np.exp(terms - top)
+    total = shifted.sum(axis=1, keepdims=True)
+
+    def back(g):
+        hazard = np.exp(-0.5 * y * y - 0.5 * LOG_TWO_PI - log_cdf)
+        # d lp / d y_qk times d y_qk / d mu_c; padded slots have weight zero
+        dy = (g[:, None] * (shifted / total))[:, :, None] * hazard / alpha_k
+        dy_k = dy.sum(axis=1)  # (S, D-1)
+        grad_mu = np.zeros((s_count, d))
+        grad_alpha = np.zeros((s_count, d))
+        np.put_along_axis(grad_mu, others, -dy_k, 1)
+        np.put_along_axis(grad_alpha, others, -(dy * y).sum(axis=1), 1)
+        grad_mu[rows, actions] = dy_k.sum(axis=1)
+        grad_alpha[rows, actions] = (dy.sum(axis=2) * grid_u).sum(axis=1)
+        return grad_mu, grad_alpha
+
+    return ad.custom_op(np.squeeze(top + np.log(total), axis=1), (mu, alpha), back)
 
 
 def action_logprobs(
@@ -137,10 +185,9 @@ def action_logprobs(
     mu = np.asarray(mu, dtype=np.float64).reshape(-1)
     alpha = np.asarray(alpha, dtype=np.float64).reshape(-1) * temperature
     d = mu.shape[0]
-    u, logw = _pad_grids([argmax_region_grid(mu, alpha, c, fine=True) for c in range(d)])
-    raw = _stacked_action_logprobs(
-        Tensor(np.tile(mu, (d, 1))), Tensor(np.tile(alpha, (d, 1))), u, logw, np.arange(d)
-    )
+    mu, alpha, actions = np.tile(mu, (d, 1)), np.tile(alpha, (d, 1)), np.arange(d)
+    u, logw = argmax_region_grid(mu, alpha, actions, fine=True)
+    raw = _stacked_action_logprobs(Tensor(mu), Tensor(alpha), u, logw, actions)
     return raw.data - ad.logsumexp(raw, axis=0).data
 
 
@@ -165,6 +212,9 @@ def compute_action_logprob(
 
 @dataclass
 class TrajStep:
+    """One decision; grid_u and grid_logw are views of this step's row of
+    its trajectory's grid block for the step's kind, without padding."""
+
     kind: str
     i: int
     j: int
@@ -181,13 +231,17 @@ class Trajectory:
     """One complete generation episode with everything a ratio-objective
     update needs: the generated decision sequence (gen_graph includes a
     trailing node that termination discarded, so states can be rebuilt),
-    acting-policy log-probs, per-step penalties and discounted returns."""
+    acting-policy log-probs, per-step penalties and discounted returns.
+    grids maps a step kind to its frozen (u, logw) block as
+    argmax_region_grid returns it: one padded row per step of that kind,
+    in step order."""
 
     gen_graph: MolecularGraph
     final_graph: MolecularGraph
     steps: list
     final_reward: float
     seed_size: int = 0
+    grids: dict = field(default_factory=dict)
 
     @property
     def num_steps(self) -> int:
@@ -237,14 +291,17 @@ def _fill_returns(steps: list, final_reward: float, gamma: float) -> None:
         steps[idx].ret = g
 
 
-def _pad_grids(grids: list):
-    """Stack (u, logw) grids into (S, Q) arrays; padded slots get -inf log-weight."""
-    q = max(gu.shape[0] for gu, _ in grids)
-    u = np.zeros((len(grids), q))
-    logw = np.full((len(grids), q), -np.inf)
-    for row, (gu, gw) in enumerate(grids):
-        u[row, : gu.shape[0]] = gu
-        logw[row, : gw.shape[0]] = gw
+def _pad_grids(blocks: list):
+    """Stack padded (u, logw) grid blocks row-wise into (S, Q) arrays, Q
+    the widest block; the extra slots get u = 0 and -inf log-weight."""
+    q = max(bu.shape[1] for bu, _ in blocks)
+    u = np.zeros((sum(bu.shape[0] for bu, _ in blocks), q))
+    logw = np.full(u.shape, -np.inf)
+    lo = 0
+    for bu, bw in blocks:
+        u[lo : lo + bu.shape[0], : bu.shape[1]] = bu
+        logw[lo : lo + bw.shape[0], : bw.shape[1]] = bw
+        lo += bu.shape[0]
     return u, logw
 
 
@@ -263,10 +320,10 @@ def build_trajectory(
     """Assemble a trajectory from a sampling trace and a property score.
 
     Every step's quadrature grid is frozen here from the acting (mu,
-    alpha). The acting log-probs are left as NaN: collect_trajectories
-    fills them per chunk through the same packed pass the ratio
-    objective runs, so re-evaluating under unchanged parameters
-    reproduces them exactly."""
+    alpha), in one argmax_region_grid call per step kind. The acting
+    log-probs are left as NaN: collect_trajectories fills them per chunk
+    through the same packed pass the ratio objective runs, so
+    re-evaluating under unchanged parameters reproduces them exactly."""
     if trace.termination == "no-bonds":
         last_node = [s for s in trace.steps if s.kind == "node"][-1]
         types = np.concatenate([g.node_types, [last_node.action]])
@@ -275,10 +332,23 @@ def build_trajectory(
         gen_graph = MolecularGraph(types, cats, g.no_edge)
     else:
         gen_graph = g
+    grids = {}
+    for kind in ("node", "edge"):
+        picked = [s for s in trace.steps if s.kind == kind]
+        if picked:
+            grids[kind] = argmax_region_grid(
+                np.stack([s.mu for s in picked]),
+                np.stack([s.alpha for s in picked]) * temperature,
+                np.array([s.action for s in picked]),
+            )
+    lengths = {k: np.count_nonzero(logw > -np.inf, axis=1) for k, (_, logw) in grids.items()}
+    seen = Counter()
     steps = []
     for s in trace.steps:
-        alpha_eff = s.alpha * temperature
-        u, logw = argmax_region_grid(s.mu, alpha_eff, s.action)
+        u, logw = grids[s.kind]
+        r = seen[s.kind]
+        seen[s.kind] += 1
+        q = lengths[s.kind][r]
         steps.append(
             TrajStep(
                 kind=s.kind,
@@ -286,8 +356,8 @@ def build_trajectory(
                 j=s.j,
                 action=s.action,
                 logp_old=math.nan,
-                grid_u=u,
-                grid_logw=logw,
+                grid_u=u[r, :q],
+                grid_logw=logw[r, :q],
                 penalty=VALIDITY_PENALTY * s.rejections,
             )
         )
@@ -299,6 +369,7 @@ def build_trajectory(
         steps=steps,
         final_reward=final_reward,
         seed_size=seed_size,
+        grids=grids,
     )
 
 
@@ -398,8 +469,16 @@ class PpoConfig:
     warmup: int = 0  # iterations of linear learning-rate ramp
 
     def __post_init__(self):
-        if self.clip_ratio <= 0.0:
-            raise ValueError("clip_ratio must be positive")
+        if not 0.0 < self.clip_ratio < 1.0:
+            raise ValueError("clip_ratio must lie in (0, 1)")
+        if self.updates < 1:
+            raise ValueError("updates must be at least 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
+        if not self.lr > 0.0:
+            raise ValueError("lr must be positive")
+        if self.warmup < 0:
+            raise ValueError("warmup must be non-negative")
 
 
 def _chunk_logprobs(params: FlowParams, trajectories, temperature: float = 1.0):
@@ -425,7 +504,7 @@ def _chunk_logprobs(params: FlowParams, trajectories, temperature: float = 1.0):
             continue
         if temperature != 1.0:
             alpha = alpha * Tensor(np.array(temperature))
-        u, logw = _pad_grids([(steps[f].grid_u, steps[f].grid_logw) for f in rows])
+        u, logw = _pad_grids([traj.grids[kind] for traj in trajectories if kind in traj.grids])
         actions = np.array([steps[f].action for f in rows], dtype=np.int64)
         parts.append(_stacked_action_logprobs(mu, alpha, u, logw, actions))
         order.extend(rows)

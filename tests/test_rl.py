@@ -68,10 +68,9 @@ def test_stacked_logprobs_match_closed_form():
         true_lp = norm.logcdf((mu[c] - mu[k]) / np.hypot(alpha[c], alpha[k]))
         if true_lp <= -30.0:
             continue
-        u, logw = rl.argmax_region_grid(mu, alpha, c)
+        u, logw = rl.argmax_region_grid(mu[None, :], alpha[None, :], [c])
         got = rl._stacked_action_logprobs(
-            Tensor(mu[None, :]), Tensor(alpha[None, :]), u[None, :], logw[None, :],
-            np.array([c]),
+            Tensor(mu[None, :]), Tensor(alpha[None, :]), u, logw, np.array([c]),
         )
         assert abs(float(got.data[0]) - true_lp) < 1e-6
 
@@ -130,6 +129,201 @@ def test_compute_action_logprob_end_to_end():
     assert abs(total - 1.0) < 1e-9
     with pytest.raises(ValueError):
         flow.step_conditional(params, g, ("ring", 1))
+
+
+# ------------------------------- fused quadrature against its oracles
+
+
+def _composed_logprobs(mu, alpha, grid_u, grid_logw, actions):
+    # the quadrature as a chain of elementwise tape ops over all D
+    # columns, the own category masked to zero: the oracle for the
+    # fused node's values and gradients
+    s_count, d = mu.data.shape
+    q = grid_u.shape[1]
+    rows = np.arange(s_count)
+    mu_c = ad.take(mu, (rows, actions)).reshape(s_count, 1)
+    alpha_c = ad.take(alpha, (rows, actions)).reshape(s_count, 1)
+    z_top = mu_c + alpha_c * Tensor(grid_u)
+    y = (z_top.reshape(s_count, q, 1) - mu.reshape(s_count, 1, d)) / alpha.reshape(
+        s_count, 1, d
+    )
+    log_cdf = ad.log_ndtr(y)
+    keep = np.ones((s_count, 1, d))
+    keep[rows, 0, actions] = 0.0
+    tail = (log_cdf * Tensor(keep)).sum(axis=2)
+    const = grid_logw + (-0.5 * grid_u * grid_u - 0.5 * rl.LOG_TWO_PI)
+    return ad.logsumexp(tail + Tensor(const), axis=1)
+
+
+def _hard_stack(rng, s_count, d, temperature=1.0):
+    # rows with ties, an alpha ratio of 1e-3, and rows whose action is
+    # far behind a competitor (log-probs near -250 at this temperature)
+    mu = rng.normal(0.0, 1.0, size=(s_count, d))
+    alpha = np.exp(rng.uniform(-0.7, 0.7, size=(s_count, d)))
+    actions = rng.integers(0, d, size=s_count)
+    other = (actions + 1) % d
+    mu[0, other[0]] = mu[0, actions[0]]  # tie mu_k == mu_c
+    alpha[1, other[1]] = 1e-3 * alpha[1, actions[1]]
+    mu[1, other[1]] = mu[1, actions[1]] + 0.5 * alpha[1, actions[1]]
+    for r, gap in ((2, 20.0), (3, 21.0)):
+        alpha[r] = 1.0
+        mu[r, other[r]] = mu[r, actions[r]] + gap * np.sqrt(2.0) * temperature
+    return mu, alpha, actions
+
+
+def _logprobs_and_grads(fn, mu, alpha, temperature, u, logw, actions, weights):
+    mu_t = Tensor(mu, requires_grad=True)
+    alpha_t = Tensor(alpha, requires_grad=True)
+    with ad.Tape() as tape:
+        scaled = alpha_t * Tensor(np.array(temperature)) if temperature != 1.0 else alpha_t
+        lp = fn(mu_t, scaled, u, logw, actions)
+        tape.backward((lp * Tensor(weights)).sum())
+    return lp.data, mu_t.grad, alpha_t.grad
+
+
+def test_fused_logprobs_match_composed_oracle():
+    rng = np.random.default_rng(21)
+    deepest = 0.0
+    for d in (2, 3, 4, 5):
+        for temperature in (1.0, 0.7, 1.3):
+            mu, alpha, actions = _hard_stack(rng, 9, d, temperature)
+            u, logw = rl.argmax_region_grid(mu, alpha * temperature, actions)
+            assert np.any(np.isinf(logw))  # rows of unequal length: padded stack
+            weights = rng.normal(size=len(actions))
+            args = (mu, alpha, temperature, u, logw, actions, weights)
+            lp, g_mu, g_alpha = _logprobs_and_grads(rl._stacked_action_logprobs, *args)
+            ref, r_mu, r_alpha = _logprobs_and_grads(_composed_logprobs, *args)
+            assert np.array_equal(lp, ref)
+            deepest = min(deepest, lp.min())
+            for got, want in ((g_mu, r_mu), (g_alpha, r_alpha)):
+                assert np.all(np.isfinite(got))
+                big = np.abs(want) > 1e-8
+                assert big.any()
+                assert np.all(np.abs(got - want)[big] <= 1e-10 * np.abs(want)[big])
+                assert np.all(np.abs(got[~big]) <= 2e-8)
+    assert -300.0 < deepest < -200.0
+
+
+def test_fused_logprobs_record_one_tape_node():
+    rng = np.random.default_rng(22)
+    mu, alpha, actions = _hard_stack(rng, 6, 4)
+    u, logw = rl.argmax_region_grid(mu, alpha, actions)
+    mu_t = Tensor(mu, requires_grad=True)
+    alpha_t = Tensor(alpha, requires_grad=True)
+    with ad.Tape() as tape:
+        rl._stacked_action_logprobs(mu_t, alpha_t, u, logw, actions)
+    assert len(tape.nodes) == 1
+    assert tape.nodes[0][1] == (mu_t, alpha_t)
+
+
+def test_fused_padded_slots_contribute_nothing():
+    # whatever sits under a -inf log-weight changes no bit of the values
+    # or gradients; each row agrees with its own unpadded one-row call
+    rng = np.random.default_rng(23)
+    mu, alpha, actions = _hard_stack(rng, 8, 5)
+    u, logw = rl.argmax_region_grid(mu, alpha, actions)
+    pad = np.isinf(logw)
+    assert pad.any()
+    moved = u.copy()
+    moved[pad] = 7.0
+    weights = rng.normal(size=len(actions))
+    fused = rl._stacked_action_logprobs
+    base = _logprobs_and_grads(fused, mu, alpha, 1.0, u, logw, actions, weights)
+    other = _logprobs_and_grads(fused, mu, alpha, 1.0, moved, logw, actions, weights)
+    for a, b in zip(base, other):
+        assert np.all(np.isfinite(a))
+        assert np.array_equal(a, b)
+    lp, g_mu, g_alpha = base
+    for r in range(len(actions)):
+        q = np.count_nonzero(~pad[r])
+        one = _logprobs_and_grads(
+            fused, mu[r : r + 1], alpha[r : r + 1], 1.0,
+            u[r : r + 1, :q], logw[r : r + 1, :q], actions[r : r + 1], weights[r : r + 1],
+        )
+        assert abs(one[0][0] - lp[r]) <= 1e-12 * abs(lp[r])
+        for got, want in ((g_mu[r], one[1][0]), (g_alpha[r], one[2][0])):
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max() + 1e-300)
+
+
+def test_fused_gradient_matches_finite_differences():
+    rng = np.random.default_rng(24)
+    for d in (3, 4):
+        mu = rng.normal(0.0, 1.0, size=(5, d))
+        alpha = np.exp(rng.uniform(-0.5, 0.5, size=(5, d)))
+        actions = rng.integers(0, d, size=5)
+        u, logw = rl.argmax_region_grid(mu, alpha, actions)
+        weights = Tensor(rng.normal(size=5))
+        named = {"mu": Tensor(mu, requires_grad=True), "alpha": Tensor(alpha, requires_grad=True)}
+
+        def loss():
+            lp = rl._stacked_action_logprobs(named["mu"], named["alpha"], u, logw, actions)
+            return (lp * weights).sum()
+
+        assert ad.grad_check(loss, named, h=1e-5) < 1e-5
+
+
+def _one_row_unique_grid(mu, alpha, c, fine):
+    # per-row grid construction by np.unique plus the 1e-12 filter
+    base = np.linspace(-rl.GRID_SPAN, rl.GRID_SPAN, 19 if fine else 13)
+    fractions = rl._REFINE_FRACTIONS_FINE if fine else rl._REFINE_FRACTIONS
+    extra = []
+    for k in range(mu.shape[0]):
+        if k != c:
+            center = (mu[k] - mu[c]) / alpha[c]
+            halfwidth = 6.0 * max(alpha[k] / alpha[c], 1e-8)
+            extra.append(np.clip(center + halfwidth * fractions, -rl.GRID_SPAN, rl.GRID_SPAN))
+    edges = np.unique(np.concatenate([base] + extra))
+    edges = edges[np.concatenate([[True], np.diff(edges) > 1e-12])]
+    nodes, weights = rl._GL_FINE if fine else rl._GL_COARSE
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    u = (mid[:, None] + half[:, None] * nodes[None, :]).reshape(-1)
+    logw = (np.log(half[:, None]) + np.log(weights[None, :])).reshape(-1)
+    return u, logw
+
+
+def test_stacked_grids_match_one_row_calls_bitwise():
+    rng = np.random.default_rng(25)
+    for trial in range(60):
+        d = int(rng.integers(2, 6))
+        mu = rng.normal(0.0, 3.0, size=(7, d))
+        alpha = np.exp(rng.uniform(-4.0, 3.0, size=(7, d)))
+        mu[0, 1] = mu[0, 0]  # tie
+        mu[1, -1] = mu[1, 0] + 300.0  # centres clipped at +GRID_SPAN
+        mu[2, -1] = mu[2, 0] - 300.0  # and at -GRID_SPAN
+        alpha[3, 0] = 1e-3 * alpha[3, 1]
+        actions = rng.integers(0, d, size=7)
+        # a crossover 5e-11 and one 3e-13 past the base edge at u = 3:
+        # the first edge stays, the second is dropped
+        actions[5:] = 0
+        mu[5, 1] = mu[5, 0] + (3.0 + 5e-11) * alpha[5, 0]
+        mu[6, 1] = mu[6, 0] + (3.0 + 3e-13) * alpha[6, 0]
+        mu[4] = mu[5]  # duplicate rows with different actions
+        alpha[4] = alpha[5]
+        for fine in (False, True):
+            u, logw = rl.argmax_region_grid(mu, alpha, actions, fine=fine)
+            lengths = np.count_nonzero(logw > -np.inf, axis=1)
+            assert u.shape[1] == lengths.max()
+            for r in range(7):
+                q = lengths[r]
+                assert np.all(u[r, q:] == 0.0) and np.all(logw[r, q:] == -np.inf)
+                one_u, one_w = rl.argmax_region_grid(
+                    mu[r : r + 1], alpha[r : r + 1], actions[r : r + 1], fine=fine
+                )
+                assert np.array_equal(one_u[0], u[r, :q]) and np.array_equal(one_w[0], logw[r, :q])
+                ref_u, ref_w = _one_row_unique_grid(mu[r], alpha[r], actions[r], fine)
+                assert np.array_equal(ref_u, u[r, :q]) and np.array_equal(ref_w, logw[r, :q])
+
+
+def _pad_rows(grids):
+    # one row at a time: each step's grid into a row of zeros / -inf
+    q = max(gu.shape[0] for gu, _ in grids)
+    u = np.zeros((len(grids), q))
+    logw = np.full((len(grids), q), -np.inf)
+    for row, (gu, gw) in enumerate(grids):
+        u[row, : gu.shape[0]] = gu
+        logw[row, : gw.shape[0]] = gw
+    return u, logw
 
 
 # ------------------------------------------------- returns and baselines
@@ -211,6 +405,30 @@ def test_reward_config_shaping_and_validation():
         rl.RewardConfig(gamma=0.9, t2=0.0)
     with pytest.raises(ValueError):
         rl.PpoConfig(clip_ratio=0.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("updates", 0),
+        ("batch_size", 0),
+        ("lr", -1.0),
+        ("lr", 0.0),
+        ("lr", float("nan")),
+        ("warmup", -3),
+        ("clip_ratio", 1.5),
+        ("clip_ratio", 1.0),
+    ],
+)
+def test_ppo_config_rejects_out_of_range_values(field, value):
+    # the ranges config.validate_config enforces for the rl_* keys
+    with pytest.raises(ValueError, match=field):
+        rl.PpoConfig(**{field: value})
+
+
+def test_ppo_config_accepts_boundary_values():
+    cfg = rl.PpoConfig(clip_ratio=0.99, updates=1, batch_size=1, lr=1e-12, warmup=0)
+    assert (cfg.updates, cfg.batch_size, cfg.warmup) == (1, 1, 0)
 
 
 # -------------------------------------------- trajectories and objective
@@ -310,6 +528,28 @@ def test_acting_logprobs_reproduce_bitwise_across_chunks():
         assert np.array_equal(lp.data, stored)
 
 
+def test_chunk_grids_pad_like_one_row_at_a_time():
+    # a chunk's stacked grids equal its steps' grids padded row by row,
+    # and each step's grid is its unpadded row of the trajectory's block
+    spec = small_spec()
+    params = random_params(4)
+    trajs, _ = collect_small(params, spec, count=rl.PPO_CHUNK + 4, seed=12,
+                             sampler_cfg=SamplerConfig(temperature=0.8))
+    for traj in trajs:
+        for kind, (u, logw) in traj.grids.items():
+            mine = [s for s in traj.steps if s.kind == kind]
+            assert u.shape[0] == len(mine)
+            ref_u, ref_w = _pad_rows([(s.grid_u, s.grid_logw) for s in mine])
+            assert np.array_equal(ref_u, u) and np.array_equal(ref_w, logw)
+    for lo in range(0, len(trajs), rl.PPO_CHUNK):
+        chunk = trajs[lo : lo + rl.PPO_CHUNK]
+        for kind in ("node", "edge"):
+            u, logw = rl._pad_grids([t.grids[kind] for t in chunk if kind in t.grids])
+            rows = [s for t in chunk for s in t.steps if s.kind == kind]
+            ref_u, ref_w = _pad_rows([(s.grid_u, s.grid_logw) for s in rows])
+            assert np.array_equal(u, ref_u) and np.array_equal(logw, ref_w)
+
+
 def test_build_trajectory_leaves_acting_logprobs_unset():
     spec = small_spec()
     params = random_params(2)
@@ -371,6 +611,27 @@ def test_ppo_loss_gradients_match_finite_differences():
 
     def loss():
         return batch_loss(params, trajs, baselines, cfg)
+
+    assert ad.grad_check(loss, named, h=1e-5) < 1e-4
+
+
+def test_chunked_ppo_gradient_matches_finite_differences_at_temperature():
+    # the production update's gradient, through the fused quadrature
+    # backward, over two chunks at a temperature other than one
+    spec = small_spec()
+    params = random_params(6)
+    trajs, _ = collect_small(params, spec, count=rl.PPO_CHUNK + 4, seed=13,
+                             sampler_cfg=SamplerConfig(temperature=1.3))
+    assert len(trajs) > rl.PPO_CHUNK
+    baselines = rl.StepBaselines()
+    baselines.update_from_batch(trajs[:6])
+    advantages = [baselines.advantages(t) for t in trajs]
+    losses = rl._ppo_losses(params, trajs, advantages, rl.PpoConfig(), 1.3)
+    assert len(losses) == 2
+    named = params.named_tensors()
+
+    def loss():
+        return sum(f() for f in losses)
 
     assert ad.grad_check(loss, named, h=1e-5) < 1e-4
 
