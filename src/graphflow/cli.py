@@ -244,9 +244,14 @@ def cmd_evaluate(args) -> int:
     train_set = None
     if args.train_data:
         train_set = molt.parse_molt(Path(args.train_data).read_text(), vocab, bonds)
+        if len(samples) < 2 or len(train_set) < 2:
+            raise GraphError(
+                f"MMD needs at least two molecules on each side, got {len(samples)} "
+                f"samples and {len(train_set)} reference molecules"
+            )
     quality = metrics.evaluate_set(samples, vocab, bonds, train_graphs=train_set)
     mmd = {}
-    if train_set:
+    if train_set is not None:
         mmd["degree"] = metrics.mmd_degree(samples, train_set)
         mmd["clustering"] = metrics.mmd_clustering(samples, train_set)
     report = metrics.GenerationReport(quality=quality, mmd=mmd)
@@ -387,9 +392,7 @@ def _selfcheck(cfg: RunConfig) -> int:
     named = params.named_tensors()
 
     def loss():
-        sink = []
-        flow.log_likelihood_parallel(g3, params, spec, z=z3, training=True, _loss_sink=sink)
-        return sink[0]
+        return flow.log_likelihood_parallel(g3, params, spec, z=z3, training=True).nll
 
     from . import autodiff as ad
 

@@ -221,11 +221,14 @@ def validate_ordered(g: MolecularGraph, window: int) -> None:
 
 @dataclass
 class LogLik:
-    """Total log-likelihood plus the per-step breakdown."""
+    """Total log-likelihood plus the per-step breakdown. nll is the
+    negative total as a tensor a surrounding tape can differentiate; only
+    the parallel path records one."""
 
     total: float
     node_terms: np.ndarray  # (n,)
     edge_terms: list  # [(i, j, value)] in generation order
+    nll: Tensor | None = None
 
     @property
     def num_steps(self) -> int:
@@ -318,17 +321,16 @@ def log_likelihood_parallel(
     rng=None,
     z: DequantizedGraph | None = None,
     training: bool = False,
-    _loss_sink: list | None = None,
 ) -> LogLik:
     """Exact log-likelihood of a dequantized graph, all steps batched.
 
     Either pass z (shared noise) or an rng to draw fresh dequantization
-    noise. When _loss_sink is given, the scalar negative log-likelihood
-    tensor is appended to it so a surrounding tape can differentiate.
-    With training=True the encoder normalizes with this stack's batch
-    statistics (the function optimized by train()); the default reads
-    the frozen running buffers, which makes the value a per-graph
-    density independent of how calls are batched.
+    noise. The result's nll is the scalar negative log-likelihood tensor,
+    recorded on the active tape if there is one. With training=True the
+    encoder normalizes with this stack's batch statistics (the function
+    optimized by train()); the default reads the frozen running buffers,
+    which makes the value a per-graph density independent of how calls
+    are batched.
     """
     validate_ordered(g, spec.window)
     if z is None:
@@ -349,9 +351,9 @@ def log_likelihood_parallel(
         edge_terms = [
             (i, j, float(v)) for (_, i, j), v in zip(plan.edge_steps, rows)
         ]
-    if _loss_sink is not None:
-        _loss_sink.append(-1.0 * total)
-    return LogLik(total=float(total.data), node_terms=node_terms, edge_terms=edge_terms)
+    return LogLik(
+        total=float(total.data), node_terms=node_terms, edge_terms=edge_terms, nll=-1.0 * total
+    )
 
 
 def log_likelihood_sequential(
@@ -514,13 +516,12 @@ def train(
 
         def graph_loss(g, scale):
             g = _reorder_for_window(g, spec.window, rng)
-            sink = []
-            ll = log_likelihood_parallel(g, params, spec, rng=rng, training=True, _loss_sink=sink)
+            ll = log_likelihood_parallel(g, params, spec, rng=rng, training=True)
             nll = -ll.total
             if not np.isfinite(nll):
                 raise FloatingPointError(f"training diverged: non-finite loss at epoch {epoch}")
             epoch_nll.append(nll)
-            return sink[0] * scale
+            return ll.nll * scale
 
         for lo in range(0, len(order), cfg.batch_size):
             batch = order[lo : lo + cfg.batch_size]

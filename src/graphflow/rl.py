@@ -15,19 +15,20 @@ normal CDF only on each row's competing categories, and its backward
 pass is the closed-form gradient (softmax weight of each quadrature
 node times the hazard phi / Phi times dy / d(mu, alpha)).
 
-For the ratio objective, every step's integration grid is built once
-from the acting-policy parameters and then frozen, which makes the
-surrogate a smooth function of the weights; the grids of one episode
-are built in one vectorised call per step kind. Trajectories are
-evaluated in packed chunks of PPO_CHUNK: all states of a chunk go
-through one encoder pass, one head call and one quadrature per step
-kind. The acting log-probabilities come from that same chunk pass at the
-end of collection, so re-evaluating at the acting weights reproduces
-them bit for bit, ratios start at exactly one, and finite differences
-agree with the tape gradient. Each chunk's share of the batch loss is one callable
-from _ppo_losses; the update sums their gradients with
-autodiff.accumulate_grads, the same loop maximum-likelihood training
-runs, one tape per chunk.
+An episode is kept as the sampler's trace, which records every decision
+with the acting (mu, alpha) behind it. For the ratio objective each
+step's integration grid comes from that acting (mu, alpha) alone, so it
+stays frozen while the weights move, and the surrogate is a smooth
+function of the weights. Trajectories are evaluated in packed chunks of
+PPO_CHUNK: all states of a chunk go through one encoder pass and one
+head call, and each step kind gets one grid build from the stacked trace
+and one quadrature. The acting log-probabilities come from that same
+chunk pass at the end of collection, so re-evaluating at the acting
+weights reproduces them bit for bit, ratios start at exactly one, and
+finite differences agree with the tape gradient. Each chunk's share of
+the batch loss is one callable from _ppo_losses; the update sums their
+gradients with autodiff.accumulate_grads, the same loop
+maximum-likelihood training runs, one tape per chunk.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import shlex
 import subprocess
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -51,7 +52,7 @@ from .autodiff import AdamState, Tensor, adam_step
 from .flow import FlowParams, ModelSpec, _reorder_for_window, _stacked_conditionals
 from .graph import GraphError, MolecularGraph, bfs_reorder, empty_categories
 from .molt import write_molt
-from .sampler import SamplerConfig, sample_molecule
+from .sampler import SampleTrace, SamplerConfig, sample_molecule
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 PPO_CHUNK = 16  # trajectories per packed pass: one tape, one encoder call
@@ -211,49 +212,29 @@ def compute_action_logprob(
 
 
 @dataclass
-class TrajStep:
-    """One decision; grid_u and grid_logw are views of this step's row of
-    its trajectory's grid block for the step's kind, without padding."""
-
-    kind: str
-    i: int
-    j: int
-    action: int
-    logp_old: float
-    grid_u: np.ndarray
-    grid_logw: np.ndarray
-    penalty: float
-    ret: float = 0.0
-
-
-@dataclass
 class Trajectory:
     """One complete generation episode with everything a ratio-objective
-    update needs: the generated decision sequence (gen_graph includes a
-    trailing node that termination discarded, so states can be rebuilt),
-    acting-policy log-probs, per-step penalties and discounted returns.
-    grids maps a step kind to its frozen (u, logw) block as
-    argmax_region_grid returns it: one padded row per step of that kind,
-    in step order."""
+    update needs: the sampler's trace (each decision with its acting mu
+    and alpha and its valency rejections), the generated graph (gen_graph
+    includes a trailing node that termination discarded, so states can
+    be rebuilt), and per-step discounted returns and acting log-probs in
+    trace order."""
 
     gen_graph: MolecularGraph
     final_graph: MolecularGraph
-    steps: list
+    trace: SampleTrace
     final_reward: float
-    seed_size: int = 0
-    grids: dict = field(default_factory=dict)
+    returns: np.ndarray
+    logp_old: np.ndarray
 
     @property
     def num_steps(self) -> int:
-        return len(self.steps)
-
-    def returns(self) -> np.ndarray:
-        return np.array([s.ret for s in self.steps])
+        return self.trace.num_steps
 
     def rewards(self) -> np.ndarray:
         """Per-step rewards: penalties at their own step, property reward
         at the last step."""
-        r = np.array([s.penalty for s in self.steps])
+        r = np.array([VALIDITY_PENALTY * s.rejections for s in self.trace.steps])
         r[-1] += self.final_reward
         return r
 
@@ -281,46 +262,19 @@ class RewardConfig:
         return math.exp(score / self.t2)
 
 
-def _fill_returns(steps: list, final_reward: float, gamma: float) -> None:
-    # G_t = r_t + gamma * G_{t+1}; r_t is the step's own penalty, with the
-    # shaped property reward added at the last step
-    g = 0.0
-    for idx in range(len(steps) - 1, -1, -1):
-        r = steps[idx].penalty + (final_reward if idx == len(steps) - 1 else 0.0)
-        g = r + gamma * g
-        steps[idx].ret = g
-
-
-def _pad_grids(blocks: list):
-    """Stack padded (u, logw) grid blocks row-wise into (S, Q) arrays, Q
-    the widest block; the extra slots get u = 0 and -inf log-weight."""
-    q = max(bu.shape[1] for bu, _ in blocks)
-    u = np.zeros((sum(bu.shape[0] for bu, _ in blocks), q))
-    logw = np.full(u.shape, -np.inf)
-    lo = 0
-    for bu, bw in blocks:
-        u[lo : lo + bu.shape[0], : bu.shape[1]] = bu
-        logw[lo : lo + bw.shape[0], : bw.shape[1]] = bw
-        lo += bu.shape[0]
-    return u, logw
-
-
 class ScorerError(Exception):
     pass
 
 
 def build_trajectory(
     g: MolecularGraph,
-    trace,
+    trace: SampleTrace,
     reward_cfg: RewardConfig,
     score: float,
-    temperature: float = 1.0,
-    seed_size: int = 0,
 ) -> Trajectory:
     """Assemble a trajectory from a sampling trace and a property score.
 
-    Every step's quadrature grid is frozen here from the acting (mu,
-    alpha), in one argmax_region_grid call per step kind. The acting
+    Returns are discounted backward over the per-step rewards. The acting
     log-probs are left as NaN: collect_trajectories fills them per chunk
     through the same packed pass the ratio objective runs, so
     re-evaluating under unchanged parameters reproduces them exactly."""
@@ -332,45 +286,20 @@ def build_trajectory(
         gen_graph = MolecularGraph(types, cats, g.no_edge)
     else:
         gen_graph = g
-    grids = {}
-    for kind in ("node", "edge"):
-        picked = [s for s in trace.steps if s.kind == kind]
-        if picked:
-            grids[kind] = argmax_region_grid(
-                np.stack([s.mu for s in picked]),
-                np.stack([s.alpha for s in picked]) * temperature,
-                np.array([s.action for s in picked]),
-            )
-    lengths = {k: np.count_nonzero(logw > -np.inf, axis=1) for k, (_, logw) in grids.items()}
-    seen = Counter()
-    steps = []
-    for s in trace.steps:
-        u, logw = grids[s.kind]
-        r = seen[s.kind]
-        seen[s.kind] += 1
-        q = lengths[s.kind][r]
-        steps.append(
-            TrajStep(
-                kind=s.kind,
-                i=s.i,
-                j=s.j,
-                action=s.action,
-                logp_old=math.nan,
-                grid_u=u[r, :q],
-                grid_logw=logw[r, :q],
-                penalty=VALIDITY_PENALTY * s.rejections,
-            )
-        )
-    final_reward = reward_cfg.shape(score)
-    _fill_returns(steps, final_reward, reward_cfg.gamma)
-    return Trajectory(
+    traj = Trajectory(
         gen_graph=gen_graph,
         final_graph=g,
-        steps=steps,
-        final_reward=final_reward,
-        seed_size=seed_size,
-        grids=grids,
+        trace=trace,
+        final_reward=reward_cfg.shape(score),
+        returns=np.zeros(trace.num_steps),
+        logp_old=np.full(trace.num_steps, math.nan),
     )
+    rewards = traj.rewards()
+    ret = 0.0
+    for t in range(len(rewards) - 1, -1, -1):
+        ret = rewards[t] + reward_cfg.gamma * ret  # G_t = r_t + gamma * G_{t+1}
+        traj.returns[t] = ret
+    return traj
 
 
 def collect_trajectories(
@@ -403,22 +332,15 @@ def collect_trajectories(
         except ScorerError:
             failures += 1
             continue
-        out.append(
-            build_trajectory(
-                g,
-                trace,
-                reward_cfg,
-                score,
-                temperature=sampler_cfg.temperature,
-                seed_size=seed_graph.n if seed_graph is not None else 0,
-            )
-        )
+        out.append(build_trajectory(g, trace, reward_cfg, score))
     for lo in range(0, len(out), PPO_CHUNK):
         chunk = out[lo : lo + PPO_CHUNK]
         lp, order = _chunk_logprobs(params, chunk, sampler_cfg.temperature)
-        steps = [s for traj in chunk for s in traj.steps]
-        for value, f in zip(lp.data, order):
-            steps[f].logp_old = float(value)
+        flat = np.empty(lp.data.shape)
+        flat[order] = lp.data
+        ends = np.cumsum([traj.num_steps for traj in chunk])
+        for traj, logp in zip(chunk, np.split(flat, ends[:-1])):
+            traj.logp_old = logp
     return out, failures
 
 
@@ -443,14 +365,14 @@ class StepBaselines:
         return self.values.get(position, 0.0)
 
     def advantages(self, traj: Trajectory) -> np.ndarray:
-        return np.array([s.ret - self.get(t) for t, s in enumerate(traj.steps)])
+        return traj.returns - np.array([self.get(t) for t in range(traj.num_steps)])
 
     def update_from_batch(self, trajectories) -> None:
         sums: dict = {}
         counts: dict = {}
         for traj in trajectories:
-            for t, s in enumerate(traj.steps):
-                sums[t] = sums.get(t, 0.0) + s.ret
+            for t, ret in enumerate(traj.returns.tolist()):
+                sums[t] = sums.get(t, 0.0) + ret
                 counts[t] = counts.get(t, 0) + 1
         for t, total in sums.items():
             mean = total / counts[t]
@@ -484,16 +406,19 @@ class PpoConfig:
 def _chunk_logprobs(params: FlowParams, trajectories, temperature: float = 1.0):
     """Current-policy log-probs of every step of a chunk of trajectories,
     over the frozen grids, in one packed pass: one encoder call, one head
-    call and one quadrature per step kind. Returns (lp tensor of shape
-    (S,), order): row r belongs to step order[r] of the chunk's steps
-    laid end to end in trajectory order; node steps come first.
+    call, one grid build and one quadrature per step kind. Returns (lp
+    tensor of shape (S,), order): row r belongs to step order[r] of the
+    chunk's trace steps laid end to end in trajectory order; node steps
+    come first.
 
-    Rows of a batched product can depend on the batch they sit in at the
-    last bit, so acting and re-evaluated log-probs must come from the
-    same chunks for the ratios to start at exactly one.
+    Each grid is built from the trace's acting mu and alpha, never from
+    the current weights. Rows of a batched product can depend on the
+    batch they sit in at the last bit, so acting and re-evaluated
+    log-probs must come from the same chunks for the ratios to start at
+    exactly one.
     """
-    graphs = [traj.gen_graph for traj in trajectories for _ in traj.steps]
-    steps = [s for traj in trajectories for s in traj.steps]
+    graphs = [traj.gen_graph for traj in trajectories for _ in traj.trace.steps]
+    steps = [s for traj in trajectories for s in traj.trace.steps]
     states = [("node", s.i) if s.kind == "node" else ("edge", s.i, s.j) for s in steps]
     mu_x, alpha_x, mu_a, alpha_a = _stacked_conditionals(graphs, states, params)
     parts = []
@@ -504,8 +429,12 @@ def _chunk_logprobs(params: FlowParams, trajectories, temperature: float = 1.0):
             continue
         if temperature != 1.0:
             alpha = alpha * Tensor(np.array(temperature))
-        u, logw = _pad_grids([traj.grids[kind] for traj in trajectories if kind in traj.grids])
         actions = np.array([steps[f].action for f in rows], dtype=np.int64)
+        u, logw = argmax_region_grid(
+            np.stack([steps[f].mu for f in rows]),
+            np.stack([steps[f].alpha for f in rows]) * temperature,
+            actions,
+        )
         parts.append(_stacked_action_logprobs(mu, alpha, u, logw, actions))
         order.extend(rows)
     lp = ad.concat(parts, axis=0) if len(parts) > 1 else parts[0]
@@ -518,7 +447,7 @@ def _chunk_objective(params, trajectories, advantages, cfg, temperature):
     vectorised pass with every step weighted by 1 / its trajectory's
     length."""
     lp_new, order = _chunk_logprobs(params, trajectories, temperature)
-    lp_old = np.array([s.logp_old for traj in trajectories for s in traj.steps])[order]
+    lp_old = np.concatenate([traj.logp_old for traj in trajectories])[order]
     adv = np.concatenate(advantages)[order]
     weight = np.concatenate(
         [np.full(traj.num_steps, 1.0 / traj.num_steps) for traj in trajectories]

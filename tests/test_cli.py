@@ -13,7 +13,7 @@ import pytest
 
 import graphflow
 from graphflow import checkpoint as ckpt
-from graphflow import cli, flow
+from graphflow import cli, flow, molt
 from graphflow.config import load_run_config, vocab_from_config
 
 TINY_CFG = """\
@@ -215,6 +215,32 @@ def test_data_errors_exit_2(workspace, tmp_path, capsys):
     assert capsys.readouterr().err.count("data error") == 3
 
 
+def test_evaluate_mmd_with_too_few_molecules_exits_2(workspace, tmp_path, capsys):
+    # MMD needs two molecules on each side: fewer is a data error, reported
+    # with both counts before any report is written
+    cfg = str(workspace["cfg"])
+    vocab, bonds = vocab_from_config(load_run_config(workspace["cfg"]))
+    data = workspace["data"]
+    mols = molt.parse_molt(data.read_text(), vocab, bonds)
+    one = tmp_path / "one.molt"
+    one.write_text(molt.write_molt(mols[:1], vocab, bonds))
+    empty = tmp_path / "empty.molt"
+    empty.write_text("")
+    for samples, train, counts in [
+        (one, data, f"got 1 samples and {len(mols)} reference"),
+        (empty, data, f"got 0 samples and {len(mols)} reference"),
+        (data, one, f"got {len(mols)} samples and 1 reference"),
+    ]:
+        out = tmp_path / f"out_{samples.stem}_{train.stem}"
+        rc = cli.main(["evaluate", "--config", cfg, "--samples", str(samples),
+                       "--train-data", str(train), "--output", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and counts in err
+        assert not (out / "report.txt").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_numeric_failure_exits_3(workspace, tmp_path, capsys):
     # corrupt a valid checkpoint with huge but finite weights: every
     # node-step mu overflows to inf, so the surrogate loss is non-finite
@@ -245,6 +271,7 @@ def test_numeric_failure_exits_3(workspace, tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_sample_overflow_exits_3(workspace, tmp_path, capsys):
     # finite weights whose node-step mu overflows to inf: the decoded
     # category would be argmax of an inf row, so sampling must fail

@@ -3,6 +3,7 @@ two-category closed form and Monte Carlo, return/baseline arithmetic,
 ratio-objective identities at the acting parameters, clipping, gradient
 checks, scorers, and constrained generation."""
 
+import copy
 import re
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from graphflow import graph as G
 from graphflow import rl
 from graphflow.autodiff import Tensor
 from graphflow.graph import MolecularGraph, empty_categories
-from graphflow.sampler import SamplerConfig, sample_molecule
+from graphflow.sampler import SampleTrace, SamplerConfig, TraceStep, sample_molecule
 
 VOCAB = G.default_atom_vocab()
 BONDS = G.default_bond_vocab()
@@ -315,51 +316,39 @@ def test_stacked_grids_match_one_row_calls_bitwise():
                 assert np.array_equal(ref_u, u[r, :q]) and np.array_equal(ref_w, logw[r, :q])
 
 
-def _pad_rows(grids):
-    # one row at a time: each step's grid into a row of zeros / -inf
-    q = max(gu.shape[0] for gu, _ in grids)
-    u = np.zeros((len(grids), q))
-    logw = np.full((len(grids), q), -np.inf)
-    for row, (gu, gw) in enumerate(grids):
-        u[row, : gu.shape[0]] = gu
-        logw[row, : gw.shape[0]] = gw
-    return u, logw
-
-
 # ------------------------------------------------- returns and baselines
 
 
-def _fake_steps(penalties):
-    return [
-        rl.TrajStep(
-            kind="node", i=t, j=-1, action=0,
-            logp_old=0.0,
-            grid_u=np.zeros(1), grid_logw=np.zeros(1), penalty=p,
-        )
-        for t, p in enumerate(penalties)
-    ]
+def _fake_trace(rejections):
+    return SampleTrace(steps=[
+        TraceStep("node", t, -1, 0, r, np.zeros(2), np.ones(2))
+        for t, r in enumerate(rejections)
+    ])
+
+
+def _returns(rejections, final_reward, gamma):
+    # linear shaping with t1 = 1: the shaped reward is the score itself
+    rcfg = rl.RewardConfig(gamma=gamma, shaping="linear", t1=1.0)
+    return rl.build_trajectory(None, _fake_trace(rejections), rcfg, final_reward).returns
 
 
 def test_returns_recursion_hand_case():
-    steps = _fake_steps([-1.0, 0.0, -2.0])
-    rl._fill_returns(steps, final_reward=5.0, gamma=0.5)
     g2 = -2.0 + 5.0
     g1 = 0.0 + 0.5 * g2
     g0 = -1.0 + 0.5 * g1
-    assert [s.ret for s in steps] == [g0, g1, g2]
+    assert _returns([1, 0, 2], final_reward=5.0, gamma=0.5).tolist() == [g0, g1, g2]
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    pens=st.lists(st.floats(-5, 5), min_size=1, max_size=6),
+    rejections=st.lists(st.integers(0, 7), min_size=1, max_size=6),
     reward=st.floats(-5, 5),
     gamma=st.floats(0.1, 1.0),
 )
-def test_returns_satisfy_recursion(pens, reward, gamma):
-    steps = _fake_steps(pens)
-    rl._fill_returns(steps, reward, gamma)
-    rets = [s.ret for s in steps]
-    last = len(steps) - 1
+def test_returns_satisfy_recursion(rejections, reward, gamma):
+    rets = _returns(rejections, reward, gamma)
+    pens = [rl.VALIDITY_PENALTY * r for r in rejections]
+    last = len(rets) - 1
     assert rets[last] == pytest.approx(pens[last] + reward, abs=1e-9)
     for t in range(last):
         assert rets[t] == pytest.approx(pens[t] + gamma * rets[t + 1], abs=1e-9)
@@ -370,11 +359,9 @@ def test_baseline_updates():
     assert b.get(0) == 0.0
 
     def traj_with_returns(rets):
-        steps = _fake_steps([0.0] * len(rets))
-        for s, r in zip(steps, rets):
-            s.ret = r
         return rl.Trajectory(
-            gen_graph=None, final_graph=None, steps=steps, final_reward=0.0
+            gen_graph=None, final_graph=None, trace=_fake_trace([0] * len(rets)),
+            final_reward=0.0, returns=np.array(rets), logp_old=np.zeros(len(rets)),
         )
 
     batch = [traj_with_returns([2.0, 4.0]), traj_with_returns([6.0])]
@@ -453,32 +440,37 @@ def test_collected_logprobs_reproduce_bitwise():
     assert failures == 0
     assert len(trajs) == 3
     lp, order = rl._chunk_logprobs(params, trajs)
-    stored = np.array([s.logp_old for traj in trajs for s in traj.steps])[order]
+    stored = np.concatenate([traj.logp_old for traj in trajs])[order]
     assert np.array_equal(lp.data, stored)
 
 
 def _reference_logprobs(params, traj, temperature):
     # one trajectory, one step at a time: the step's own encoder call and
-    # a one-row quadrature over its frozen grid
+    # a one-row quadrature over a one-row grid from the acting mu and alpha
     out = []
-    for s in traj.steps:
+    for s in traj.trace.steps:
         step = ("node", s.i) if s.kind == "node" else ("edge", s.i, s.j)
         mu, alpha = flow.step_conditional(params, traj.gen_graph, step)
+        u, logw = rl.argmax_region_grid(s.mu[None], s.alpha[None] * temperature, [s.action])
         lp = rl._stacked_action_logprobs(
             Tensor(mu[None, :]), Tensor(alpha[None, :] * temperature),
-            s.grid_u[None, :], s.grid_logw[None, :], np.array([s.action]),
+            u, logw, np.array([s.action]),
         )
         out.append(float(lp.data[0]))
     return np.array(out)
 
 
-def _assert_chunk_matches_reference(params, trajs, temperature):
+def _assert_chunk_matches_reference(params, trajs, temperature, acting=True):
+    # acting: params are the weights the trajectories were collected with
     lp, order = rl._chunk_logprobs(params, trajs, temperature)
     ref = np.concatenate([_reference_logprobs(params, t, temperature) for t in trajs])
     assert sorted(order) == list(range(len(ref)))
     assert np.abs(lp.data - ref[order]).max() < 1e-12
-    stored = np.array([s.logp_old for t in trajs for s in t.steps])[order]
-    assert np.abs(lp.data - stored).max() < 1e-12
+    stored = np.concatenate([t.logp_old for t in trajs])[order]
+    if acting:
+        assert np.abs(lp.data - stored).max() < 1e-12
+    else:
+        assert np.abs(lp.data - stored).max() > 1e-6
 
 
 def test_chunk_logprobs_match_per_step_reference():
@@ -497,8 +489,16 @@ def test_chunk_logprobs_match_per_step_reference():
         params, spec, scfg, rl.RewardConfig(), scorer, 3, np.random.default_rng(8)
     )
     assert len(seeded) == 3 and len(plain) == 3
-    assert all(t.seed_size == 2 for t in seeded)
     _assert_chunk_matches_reference(params, seeded + plain, 0.8)
+
+    # weights moved after collection: the grids still come from the
+    # acting mu and alpha in the trace, not from the current heads
+    moved = copy.deepcopy(params)
+    moved.node_mu.b2.data += np.linspace(-0.5, 0.5, moved.node_mu.b2.data.size)
+    moved.edge_mu.b2.data += np.linspace(0.4, -0.4, moved.edge_mu.b2.data.size)
+    moved.node_scale.b2.data += 0.3
+    moved.edge_scale.b2.data -= 0.2
+    _assert_chunk_matches_reference(moved, seeded + plain, 0.8, acting=False)
 
     # a no-bonds episode: the dropped node's steps are scored on gen_graph
     nb_spec = small_spec(max_size=3)
@@ -524,30 +524,8 @@ def test_acting_logprobs_reproduce_bitwise_across_chunks():
     for lo in range(0, len(trajs), rl.PPO_CHUNK):
         chunk = trajs[lo : lo + rl.PPO_CHUNK]
         lp, order = rl._chunk_logprobs(params, chunk, 1.3)
-        stored = np.array([s.logp_old for t in chunk for s in t.steps])[order]
+        stored = np.concatenate([t.logp_old for t in chunk])[order]
         assert np.array_equal(lp.data, stored)
-
-
-def test_chunk_grids_pad_like_one_row_at_a_time():
-    # a chunk's stacked grids equal its steps' grids padded row by row,
-    # and each step's grid is its unpadded row of the trajectory's block
-    spec = small_spec()
-    params = random_params(4)
-    trajs, _ = collect_small(params, spec, count=rl.PPO_CHUNK + 4, seed=12,
-                             sampler_cfg=SamplerConfig(temperature=0.8))
-    for traj in trajs:
-        for kind, (u, logw) in traj.grids.items():
-            mine = [s for s in traj.steps if s.kind == kind]
-            assert u.shape[0] == len(mine)
-            ref_u, ref_w = _pad_rows([(s.grid_u, s.grid_logw) for s in mine])
-            assert np.array_equal(ref_u, u) and np.array_equal(ref_w, logw)
-    for lo in range(0, len(trajs), rl.PPO_CHUNK):
-        chunk = trajs[lo : lo + rl.PPO_CHUNK]
-        for kind in ("node", "edge"):
-            u, logw = rl._pad_grids([t.grids[kind] for t in chunk if kind in t.grids])
-            rows = [s for t in chunk for s in t.steps if s.kind == kind]
-            ref_u, ref_w = _pad_rows([(s.grid_u, s.grid_logw) for s in rows])
-            assert np.array_equal(u, ref_u) and np.array_equal(logw, ref_w)
 
 
 def test_build_trajectory_leaves_acting_logprobs_unset():
@@ -555,7 +533,8 @@ def test_build_trajectory_leaves_acting_logprobs_unset():
     params = random_params(2)
     g, trace = sample_molecule(params, spec, SamplerConfig(), np.random.default_rng(2))
     traj = rl.build_trajectory(g, trace, rl.RewardConfig(), score=1.0)
-    assert all(np.isnan(s.logp_old) for s in traj.steps)
+    assert traj.logp_old.shape == (trace.num_steps,)
+    assert np.all(np.isnan(traj.logp_old))
 
 
 def batch_loss(params, trajs, baselines, cfg):
@@ -589,11 +568,10 @@ def test_clipping_hand_case():
     cfg = rl.PpoConfig(clip_ratio=0.2)
     baselines = rl.StepBaselines()  # empty: advantages equal raw returns
     for traj in trajs:
-        for s in traj.steps:
-            s.logp_old -= np.log(2.0)
+        traj.logp_old -= np.log(2.0)
     expected_terms = []
     for traj in trajs:
-        adv = traj.returns()
+        adv = traj.returns
         terms = np.where(adv > 0, 1.2 * adv, 2.0 * adv)
         expected_terms.append(terms.mean())
     expected = -np.mean(expected_terms)
@@ -647,8 +625,7 @@ def test_chunked_update_gradient_matches_one_tape_gradient():
     baselines = rl.StepBaselines()
     baselines.update_from_batch(trajs[:5])
     for traj in trajs:  # ratios away from one, so some steps clip
-        for t, s in enumerate(traj.steps):
-            s.logp_old += 0.4 if t % 2 else -0.4
+        traj.logp_old += np.where(np.arange(traj.num_steps) % 2, 0.4, -0.4)
     advantages = [baselines.advantages(t) for t in trajs]
     cfg = rl.PpoConfig()
     losses = rl._ppo_losses(params, trajs, advantages, cfg, 1.3)
@@ -690,11 +667,13 @@ def test_no_bond_termination_keeps_dropped_node_in_gen_graph():
     assert traj.gen_graph.node_types[-1] == VOCAB.index("O")
     assert len(traj.gen_graph.bonds()) == len(g.bonds())
     # rejection penalties land on the edge step that caused them
-    edge = [s for s in traj.steps if s.kind == "edge"][0]
-    assert edge.penalty == -7.0
+    # (here the last step, the only edge step)
+    assert [s.kind for s in trace.steps] == ["node", "node", "edge"]
+    assert trace.steps[-1].rejections == 7
     rewards = traj.rewards()
+    assert rewards[0] == rewards[1] == 0.0
     assert rewards[-1] == pytest.approx(-7.0 + 1.0)  # penalty plus shaped score
-    assert traj.returns()[-1] == pytest.approx(rewards[-1])
+    assert traj.returns[-1] == pytest.approx(rewards[-1])
 
 
 def test_collect_counts_scorer_failures():
@@ -730,8 +709,7 @@ def test_collect_with_seed_graphs():
         np.random.default_rng(4), seeds=[seed_graph],
     )
     for traj in trajs:
-        assert traj.seed_size == 2
-        assert all(s.i >= 2 for s in traj.steps)
+        assert all(s.i >= 2 for s in traj.trace.steps)
         assert np.array_equal(traj.final_graph.node_types[:2], seed_graph.node_types)
 
 
