@@ -8,8 +8,14 @@ creates a fresh output tensor. Leaf gradients accumulate into
 Tensor.grad, so several tapes run in sequence implement gradient
 accumulation over a batch.
 
-With no active tape the same functions run as plain numpy plus a thin
-wrapper, which is the inference fast path.
+The no-record fast path: every op computes its output array, wraps it
+in a Tensor whose requires_grad is the OR of its inputs' flags, and
+returns right there unless a tape is active and that flag is set. Only
+a recording op builds its backward closure, precomputes what the
+closure reads, and appends its node. So inference (sampling, acting
+log-probs) pays for the numpy call plus one Tensor and one branch per
+op, and an expression evaluated under a tape records exactly the nodes
+it did before.
 
 Elementwise ops follow numpy broadcasting; the backward pass sums
 gradients over broadcast axes, so a weight shared across a stacked
@@ -146,12 +152,7 @@ class Tape:
 
 
 def _record(out: Tensor, parents, back) -> None:
-    if _ACTIVE_TAPE is not None and out.requires_grad:
-        _ACTIVE_TAPE.nodes.append((out, parents, back))
-
-
-def _needs_grad(*tensors) -> bool:
-    return any(t.requires_grad for t in tensors)
+    _ACTIVE_TAPE.nodes.append((out, parents, back))
 
 
 def custom_op(data, parents, back) -> Tensor:
@@ -161,8 +162,9 @@ def custom_op(data, parents, back) -> Tensor:
     one gradient array (or None) per parent, like the built-in ops.
     """
     parents = tuple(parents)
-    out = Tensor(data, _needs_grad(*parents))
-    _record(out, parents, back)
+    out = Tensor(data, any(p.requires_grad for p in parents))
+    if _ACTIVE_TAPE is not None and out.requires_grad:
+        _record(out, parents, back)
     return out
 
 
@@ -193,7 +195,9 @@ _NEG_ONE = None  # placeholder, assigned after Tensor exists
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(_broadcast_op(a, b, np.add, "add"), _needs_grad(a, b))
+    out = Tensor(_broadcast_op(a, b, np.add, "add"), a.requires_grad or b.requires_grad)
+    if _ACTIVE_TAPE is None or not out.requires_grad:
+        return out
 
     def back(g):
         return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
@@ -203,7 +207,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(_broadcast_op(a, b, np.subtract, "sub"), _needs_grad(a, b))
+    out = Tensor(_broadcast_op(a, b, np.subtract, "sub"), a.requires_grad or b.requires_grad)
+    if _ACTIVE_TAPE is None or not out.requires_grad:
+        return out
 
     def back(g):
         return (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape))
@@ -213,7 +219,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(_broadcast_op(a, b, np.multiply, "mul"), _needs_grad(a, b))
+    out = Tensor(_broadcast_op(a, b, np.multiply, "mul"), a.requires_grad or b.requires_grad)
+    if _ACTIVE_TAPE is None or not out.requires_grad:
+        return out
 
     def back(g):
         return (
@@ -226,9 +234,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    if np.any(b.data == 0.0):
+    if not b.data.all():  # some entry is zero (nan is not)
         raise ValueError("div: denominator contains zero")
-    out = Tensor(_broadcast_op(a, b, np.divide, "div"), _needs_grad(a, b))
+    out = Tensor(_broadcast_op(a, b, np.divide, "div"), a.requires_grad or b.requires_grad)
+    if _ACTIVE_TAPE is None or not out.requires_grad:
+        return out
     inv = 1.0 / b.data
 
     def back(g):
@@ -252,7 +262,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(
             f"matmul: shapes {a.data.shape} and {b.data.shape} are incompatible"
         ) from None
-    out = Tensor(data, _needs_grad(a, b))
+    out = Tensor(data, a.requires_grad or b.requires_grad)
+    if _ACTIVE_TAPE is None or not out.requires_grad:
+        return out
 
     def back(g):
         # constant operands (adjacency, one-hot rows) get no gradient product
@@ -269,6 +281,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def exp(a: Tensor) -> Tensor:
     out = Tensor(np.exp(a.data), a.requires_grad)
+    if _ACTIVE_TAPE is None or not out.requires_grad:
+        return out
 
     def back(g):
         return (g * out.data,)
@@ -278,9 +292,11 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
+    if (a.data <= 0.0).any():
         raise ValueError("log: input must be strictly positive")
     out = Tensor(np.log(a.data), a.requires_grad)
+    if _ACTIVE_TAPE is None or not out.requires_grad:
+        return out
 
     def back(g):
         return (g / a.data,)
@@ -290,9 +306,11 @@ def log(a: Tensor) -> Tensor:
 
 
 def sqrt(a: Tensor) -> Tensor:
-    if np.any(a.data < 0.0):
+    if (a.data < 0.0).any():
         raise ValueError("sqrt: input must be non-negative")
     out = Tensor(np.sqrt(a.data), a.requires_grad)
+    if _ACTIVE_TAPE is None or not out.requires_grad:
+        return out
 
     def back(g):
         return (g * (0.5 / out.data),)
@@ -303,6 +321,8 @@ def sqrt(a: Tensor) -> Tensor:
 
 def tanh(a: Tensor) -> Tensor:
     out = Tensor(np.tanh(a.data), a.requires_grad)
+    if _ACTIVE_TAPE is None or not out.requires_grad:
+        return out
 
     def back(g):
         return (g * (1.0 - out.data * out.data),)
@@ -313,6 +333,8 @@ def tanh(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0), a.requires_grad)
+    if _ACTIVE_TAPE is None or not out.requires_grad:
+        return out
 
     def back(g):
         return (g * (a.data > 0.0),)
@@ -324,6 +346,8 @@ def relu(a: Tensor) -> Tensor:
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values to [lo, hi]; gradient is zero where clamping engaged."""
     out = Tensor(np.clip(a.data, lo, hi), a.requires_grad)
+    if _ACTIVE_TAPE is None or not out.requires_grad:
+        return out
     inside = (a.data > lo) & (a.data < hi)
 
     def back(g):
@@ -335,7 +359,11 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise min; ties route the gradient to the first argument."""
-    out = Tensor(_broadcast_op(a, b, np.minimum, "minimum"), _needs_grad(a, b))
+    out = Tensor(
+        _broadcast_op(a, b, np.minimum, "minimum"), a.requires_grad or b.requires_grad
+    )
+    if _ACTIVE_TAPE is None or not out.requires_grad:
+        return out
     take_a = a.data <= b.data
 
     def back(g):
@@ -350,6 +378,8 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), a.requires_grad)
+    if _ACTIVE_TAPE is None or not out.requires_grad:
+        return out
 
     def back(g):
         if axis is None:
@@ -364,6 +394,8 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape), a.requires_grad)
+    if _ACTIVE_TAPE is None or not out.requires_grad:
+        return out
 
     def back(g):
         return (g.reshape(a.data.shape),)
@@ -378,8 +410,9 @@ def concat(tensors, axis: int = -1) -> Tensor:
         np.concatenate([t.data for t in tensors], axis=axis),
         any(t.requires_grad for t in tensors),
     )
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
+    if _ACTIVE_TAPE is None or not out.requires_grad:
+        return out
+    offsets = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
     def back(g):
         return tuple(np.split(g, offsets, axis=axis))
@@ -388,24 +421,11 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return out
 
 
-def stack(tensors, axis: int = 0) -> Tensor:
-    """np.stack of equally shaped tensors along a new axis."""
-    tensors = [_wrap(t) for t in tensors]
-    out = Tensor(
-        np.stack([t.data for t in tensors], axis=axis),
-        any(t.requires_grad for t in tensors),
-    )
-
-    def back(g):
-        return tuple(np.moveaxis(g, axis, 0))
-
-    _record(out, tuple(tensors), back)
-    return out
-
-
 def take(a: Tensor, indices) -> Tensor:
     """Advanced integer indexing a[indices]; indices is a tuple of int arrays."""
     out = Tensor(a.data[indices], a.requires_grad)
+    if _ACTIVE_TAPE is None or not out.requires_grad:
+        return out
 
     def back(g):
         ga = np.zeros_like(a.data)
@@ -421,8 +441,9 @@ def logsumexp(a: Tensor, axis: int) -> Tensor:
     m = a.data.max(axis=axis, keepdims=True)
     shifted = np.exp(a.data - m)
     total = shifted.sum(axis=axis, keepdims=True)
-    out_data = np.squeeze(m + np.log(total), axis=axis)
-    out = Tensor(out_data, a.requires_grad)
+    out = Tensor(np.squeeze(m + np.log(total), axis=axis), a.requires_grad)
+    if _ACTIVE_TAPE is None or not out.requires_grad:
+        return out
     softmax = shifted / total
 
     def back(g):
@@ -435,6 +456,8 @@ def logsumexp(a: Tensor, axis: int) -> Tensor:
 def log_ndtr(a: Tensor) -> Tensor:
     """Log of the standard normal CDF; gradient is the hazard exp(logpdf - logcdf)."""
     out = Tensor(_scipy_log_ndtr(a.data), a.requires_grad)
+    if _ACTIVE_TAPE is None or not out.requires_grad:
+        return out
 
     def back(g):
         log_pdf = -0.5 * a.data * a.data - 0.5 * LOG_TWO_PI

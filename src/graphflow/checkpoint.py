@@ -31,9 +31,14 @@ class CheckpointError(Exception):
 
 
 def _all_named(params: FlowParams) -> dict:
-    out = {name: t.data for name, t in params.named_tensors().items()}
-    for name, buf in params.named_buffers().items():
-        out[name] = buf
+    """Every stored array under its file name, in file order. The arrays
+    are the model's own (or views of them), so loading writes in place."""
+    out = params.rgcn.checkpoint_arrays()
+    encoder = params.rgcn.named_tensors()
+    for name, t in params.named_tensors().items():
+        if name not in encoder:
+            out[name] = t.data
+    out.update(params.named_buffers())
     return out
 
 

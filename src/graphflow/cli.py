@@ -249,6 +249,11 @@ def cmd_evaluate(args) -> int:
                 f"MMD needs at least two molecules on each side, got {len(samples)} "
                 f"samples and {len(train_set)} reference molecules"
             )
+    if not samples:
+        raise GraphError(
+            f"{args.samples} holds no molecules: validity, uniqueness and novelty "
+            "would be rates over none"
+        )
     quality = metrics.evaluate_set(samples, vocab, bonds, train_graphs=train_set)
     mmd = {}
     if train_set is not None:

@@ -24,6 +24,7 @@ one by reduction order only (empirically below 1e-12).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,8 +40,13 @@ BN_EPS = 1e-5
 class RgcnParams:
     """Weights for the encoder, read by the one forward core.
 
-    layers[l][r] is the (k, k) weight of relation r at layer l: relation r
-    is bond category r, and the no-edge relation is the last one.
+    layers[l] is layer l's (R, k, k) leaf tensor: slice r is the weight
+    of relation r, which is bond category r, and the no-edge relation is
+    the last slice. The forward pass multiplies by the whole stack at
+    once, and the optimizer and gradient checks see one parameter per
+    layer, rgcn.layer{l}. Checkpoint files keep one (k, k) tensor per
+    relation, rgcn.layer{l}.rel{r}; checkpoint_arrays() hands them out
+    as views of the stacked array, so writing a view writes the layer.
     """
 
     embed: Tensor
@@ -59,15 +65,25 @@ class RgcnParams:
 
     @property
     def num_relations(self) -> int:
-        return len(self.layers[0])
+        return self.layers[0].data.shape[0]
 
     def named_tensors(self) -> dict:
         out = {"rgcn.embed": self.embed}
-        for l, row in enumerate(self.layers):
-            for r, w in enumerate(row):
-                out[f"rgcn.layer{l}.rel{r}"] = w
+        for l, w in enumerate(self.layers):
+            out[f"rgcn.layer{l}"] = w
         out["rgcn.bn.gamma"] = self.bn_gamma
         out["rgcn.bn.beta"] = self.bn_beta
+        return out
+
+    def checkpoint_arrays(self) -> dict:
+        """The weights as checkpoint files name and shape them, in file
+        order: each layer as one (k, k) view per relation."""
+        out = {"rgcn.embed": self.embed.data}
+        for l, w in enumerate(self.layers):
+            for r, rel in enumerate(w.data):
+                out[f"rgcn.layer{l}.rel{r}"] = rel
+        out["rgcn.bn.gamma"] = self.bn_gamma.data
+        out["rgcn.bn.beta"] = self.bn_beta.data
         return out
 
     def named_buffers(self) -> dict:
@@ -91,18 +107,14 @@ def init_rgcn_params(
         requires_grad=True,
         name="rgcn.embed",
     )
-    layers = []
-    for l in range(num_layers):
-        row = []
-        for r in range(categories):
-            row.append(
-                Tensor(
-                    rng.normal(0.0, 1.0 / np.sqrt(width), size=(width, width)),
-                    requires_grad=True,
-                    name=f"rgcn.layer{l}.rel{r}",
-                )
-            )
-        layers.append(row)
+    layers = [
+        Tensor(
+            rng.normal(0.0, 1.0 / np.sqrt(width), size=(categories, width, width)),
+            requires_grad=True,
+            name=f"rgcn.layer{l}",
+        )
+        for l in range(num_layers)
+    ]
     return RgcnParams(
         embed=embed,
         layers=layers,
@@ -122,6 +134,20 @@ class NodeEmbeddings:
     node_mask: np.ndarray | None = None
 
 
+@lru_cache(maxsize=64)
+def _identity(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+@lru_cache(maxsize=64)
+def _off_diagonal(n: int) -> np.ndarray:
+    off = ~np.eye(n, dtype=bool)
+    off.flags.writeable = False
+    return off
+
+
 def _one_hot_adjacency(g: MolecularGraph, undecided_row=None) -> np.ndarray:
     """(R, n, n) one-hot slices of the off-diagonal categories, R = no_edge + 1.
 
@@ -130,9 +156,8 @@ def _one_hot_adjacency(g: MolecularGraph, undecided_row=None) -> np.ndarray:
     different from having been decided as no-edge. Self loops are added
     later and are not affected.
     """
-    off = ~np.eye(g.n, dtype=bool)
     hit = g.categories[None, :, :] == np.arange(g.no_edge + 1)[:, None, None]
-    a = (hit & off).astype(np.float64)
+    a = (hit & _off_diagonal(g.n)).astype(np.float64)
     if undecided_row is not None:
         i, lim = undecided_row
         a[:, i, lim:] = 0.0
@@ -142,8 +167,7 @@ def _one_hot_adjacency(g: MolecularGraph, undecided_row=None) -> np.ndarray:
 
 def _normalized_adjacency(slices: np.ndarray) -> np.ndarray:
     """Symmetric degree normalization of each slice after adding self loops."""
-    eye = np.eye(slices.shape[-1])
-    tilde = slices + eye
+    tilde = slices + _identity(slices.shape[-1])
     deg = tilde.sum(axis=-1)
     inv_sqrt = 1.0 / np.sqrt(deg)
     return tilde * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
@@ -158,9 +182,7 @@ def _features(g: MolecularGraph, params: RgcnParams) -> np.ndarray:
             f"graph has {relations} categories but encoder holds "
             f"{params.num_relations} relations"
         )
-    x = np.zeros((g.n, params.feature_dim))
-    x[np.arange(g.n), g.node_types] = 1.0
-    return x
+    return _identity(params.feature_dim)[g.node_types]
 
 
 def _propagate(
@@ -186,9 +208,9 @@ def _propagate(
     h = Tensor(x) @ params.embed
     a = Tensor(adj)
     scale = 1.0 / params.num_relations
-    for layer in params.layers:
+    for w in params.layers:
         per_relation = h.reshape(h.shape[:-2] + (1,) + h.shape[-2:])
-        h = ad.relu(a @ per_relation @ ad.stack(layer)).sum(axis=-3) * scale
+        h = ad.relu(a @ per_relation @ w).sum(axis=-3) * scale
     h = ad.batch_norm(
         h,
         params.bn_gamma,

@@ -26,8 +26,10 @@ and one quadrature. The acting log-probabilities come from that same
 chunk pass at the end of collection, so re-evaluating at the acting
 weights reproduces them bit for bit, ratios start at exactly one, and
 finite differences agree with the tape gradient. Each chunk's share of
-the batch loss is one callable from _ppo_losses; the update sums their
-gradients with autodiff.accumulate_grads, the same loop
+the batch loss is one callable from _ppo_losses, built once per batch
+together with everything it reads that the weights do not change (the
+packed states and grids, acting log-probs, advantages); every update
+pass sums their gradients with autodiff.accumulate_grads, the same loop
 maximum-likelihood training runs, one tape per chunk.
 """
 
@@ -334,12 +336,12 @@ def collect_trajectories(
             continue
         out.append(build_trajectory(g, trace, reward_cfg, score))
     for lo in range(0, len(out), PPO_CHUNK):
-        chunk = out[lo : lo + PPO_CHUNK]
-        lp, order = _chunk_logprobs(params, chunk, sampler_cfg.temperature)
-        flat = np.empty(lp.data.shape)
-        flat[order] = lp.data
-        ends = np.cumsum([traj.num_steps for traj in chunk])
-        for traj, logp in zip(chunk, np.split(flat, ends[:-1])):
+        trajs = out[lo : lo + PPO_CHUNK]
+        chunk = _pack_chunk(trajs, sampler_cfg.temperature)
+        flat = np.empty(len(chunk.order))
+        flat[chunk.order] = _chunk_logprobs(params, chunk).data
+        ends = np.cumsum([traj.num_steps for traj in trajs])
+        for traj, logp in zip(trajs, np.split(flat, ends[:-1])):
             traj.logp_old = logp
     return out, failures
 
@@ -403,13 +405,13 @@ class PpoConfig:
             raise ValueError("warmup must be non-negative")
 
 
-def _chunk_logprobs(params: FlowParams, trajectories, temperature: float = 1.0):
-    """Current-policy log-probs of every step of a chunk of trajectories,
-    over the frozen grids, in one packed pass: one encoder call, one head
-    call, one grid build and one quadrature per step kind. Returns (lp
-    tensor of shape (S,), order): row r belongs to step order[r] of the
-    chunk's trace steps laid end to end in trajectory order; node steps
-    come first.
+@dataclass
+class _PackedChunk:
+    """What a chunk's packed pass needs that the weights do not change,
+    built once per chunk: every step's graph and encoder state, and per
+    step kind the actions and the frozen grids. Row r of the pass is step
+    order[r] of the chunk's trace steps laid end to end in trajectory
+    order; node steps come first.
 
     Each grid is built from the trace's acting mu and alpha, never from
     the current weights. Rows of a batched product can depend on the
@@ -417,45 +419,64 @@ def _chunk_logprobs(params: FlowParams, trajectories, temperature: float = 1.0):
     log-probs must come from the same chunks for the ratios to start at
     exactly one.
     """
-    graphs = [traj.gen_graph for traj in trajectories for _ in traj.trace.steps]
+
+    graphs: list
+    states: list
+    kinds: list  # (kind, actions, grid u, grid log-weights), node before edge
+    order: np.ndarray
+    temperature: float
+
+
+def _pack_chunk(trajectories, temperature: float = 1.0) -> _PackedChunk:
+    """One grid build per step kind over the chunk's stacked trace."""
     steps = [s for traj in trajectories for s in traj.trace.steps]
-    states = [("node", s.i) if s.kind == "node" else ("edge", s.i, s.j) for s in steps]
-    mu_x, alpha_x, mu_a, alpha_a = _stacked_conditionals(graphs, states, params)
-    parts = []
+    kinds = []
     order = []
-    for kind, mu, alpha in (("node", mu_x, alpha_x), ("edge", mu_a, alpha_a)):
+    for kind in ("node", "edge"):
         rows = [f for f, s in enumerate(steps) if s.kind == kind]
         if not rows:
             continue
-        if temperature != 1.0:
-            alpha = alpha * Tensor(np.array(temperature))
         actions = np.array([steps[f].action for f in rows], dtype=np.int64)
         u, logw = argmax_region_grid(
             np.stack([steps[f].mu for f in rows]),
             np.stack([steps[f].alpha for f in rows]) * temperature,
             actions,
         )
-        parts.append(_stacked_action_logprobs(mu, alpha, u, logw, actions))
+        kinds.append((kind, actions, u, logw))
         order.extend(rows)
-    lp = ad.concat(parts, axis=0) if len(parts) > 1 else parts[0]
-    return lp, np.array(order, dtype=np.int64)
+    return _PackedChunk(
+        graphs=[traj.gen_graph for traj in trajectories for _ in traj.trace.steps],
+        states=[("node", s.i) if s.kind == "node" else ("edge", s.i, s.j) for s in steps],
+        kinds=kinds,
+        order=np.array(order, dtype=np.int64),
+        temperature=temperature,
+    )
 
 
-def _chunk_objective(params, trajectories, advantages, cfg, temperature):
-    """Sum over a chunk's trajectories of each one's mean clipped-ratio
-    objective min(ratio * A, clip(ratio) * A), as a scalar tensor: one
+def _chunk_logprobs(params: FlowParams, chunk: _PackedChunk) -> Tensor:
+    """Current-policy log-probs of every step of a packed chunk over its
+    frozen grids, as an (S,) tensor in chunk.order: one encoder call,
+    one head call and one quadrature per step kind."""
+    mu_x, alpha_x, mu_a, alpha_a = _stacked_conditionals(chunk.graphs, chunk.states, params)
+    heads = {"node": (mu_x, alpha_x), "edge": (mu_a, alpha_a)}
+    parts = []
+    for kind, actions, u, logw in chunk.kinds:
+        mu, alpha = heads[kind]
+        if chunk.temperature != 1.0:
+            alpha = alpha * Tensor(np.array(chunk.temperature))
+        parts.append(_stacked_action_logprobs(mu, alpha, u, logw, actions))
+    return ad.concat(parts, axis=0) if len(parts) > 1 else parts[0]
+
+
+def _chunk_loss(params, chunk: _PackedChunk, lp_old, adv, weight, clip_ratio, scale):
+    """scale times the sum over a chunk's trajectories of each one's mean
+    clipped-ratio objective min(ratio * A, clip(ratio) * A): one
     vectorised pass with every step weighted by 1 / its trajectory's
-    length."""
-    lp_new, order = _chunk_logprobs(params, trajectories, temperature)
-    lp_old = np.concatenate([traj.logp_old for traj in trajectories])[order]
-    adv = np.concatenate(advantages)[order]
-    weight = np.concatenate(
-        [np.full(traj.num_steps, 1.0 / traj.num_steps) for traj in trajectories]
-    )[order]
-    ratios = ad.exp(lp_new - Tensor(lp_old))
-    unclipped = ratios * Tensor(adv)
-    clipped = ad.clip(ratios, 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio) * Tensor(adv)
-    return (ad.minimum(unclipped, clipped) * Tensor(weight)).sum()
+    length. lp_old, adv and weight are constant tensors in chunk.order."""
+    ratios = ad.exp(_chunk_logprobs(params, chunk) - lp_old)
+    unclipped = ratios * adv
+    clipped = ad.clip(ratios, 1.0 - clip_ratio, 1.0 + clip_ratio) * adv
+    return (ad.minimum(unclipped, clipped) * weight).sum() * scale
 
 
 def _ppo_losses(params: FlowParams, trajectories, advantages, cfg: PpoConfig, temperature):
@@ -463,18 +484,32 @@ def _ppo_losses(params: FlowParams, trajectories, advantages, cfg: PpoConfig, te
     each one's mean clipped-ratio objective) as one zero-argument
     callable per PPO_CHUNK of trajectories, for accumulate_grads: no
     single tape holds the whole batch, and the chunk losses sum to the
-    batch loss. Advantages are fixed per trajectory by the caller."""
+    batch loss. Advantages are fixed per trajectory by the caller.
+
+    Everything a chunk's loss reads besides the weights (its packed
+    states and grids, acting log-probs, advantages and 1 / len weights)
+    is built here, once, so the callables can serve every update pass
+    over the batch."""
     if not trajectories:
         raise ValueError("the PPO loss needs at least one trajectory")
     scale = Tensor(np.array(-1.0 / len(trajectories)))
-
-    def chunk_loss(lo):
-        chunk = slice(lo, lo + PPO_CHUNK)
-        return _chunk_objective(
-            params, trajectories[chunk], advantages[chunk], cfg, temperature
-        ) * scale
-
-    return [partial(chunk_loss, lo) for lo in range(0, len(trajectories), PPO_CHUNK)]
+    losses = []
+    for lo in range(0, len(trajectories), PPO_CHUNK):
+        trajs = trajectories[lo : lo + PPO_CHUNK]
+        chunk = _pack_chunk(trajs, temperature)
+        order = chunk.order
+        lp_old = np.concatenate([traj.logp_old for traj in trajs])[order]
+        adv = np.concatenate(advantages[lo : lo + PPO_CHUNK])[order]
+        weight = np.concatenate(
+            [np.full(traj.num_steps, 1.0 / traj.num_steps) for traj in trajs]
+        )[order]
+        losses.append(
+            partial(
+                _chunk_loss, params, chunk, Tensor(lp_old), Tensor(adv), Tensor(weight),
+                cfg.clip_ratio, scale,
+            )
+        )
+    return losses
 
 
 def finetune(
@@ -517,12 +552,10 @@ def finetune(
         if ppo_cfg.warmup > 0:
             lr *= min(1.0, (it + 1) / ppo_cfg.warmup)
         advantages = [baselines.advantages(t) for t in trajs]
+        losses = _ppo_losses(params, trajs, advantages, ppo_cfg, sampler_cfg.temperature)
         loss_value = math.nan
         for _ in range(ppo_cfg.updates):
-            grads, values = ad.accumulate_grads(
-                named,
-                _ppo_losses(params, trajs, advantages, ppo_cfg, sampler_cfg.temperature),
-            )
+            grads, values = ad.accumulate_grads(named, losses)
             loss_value = sum(values)
             if not math.isfinite(loss_value):
                 raise FloatingPointError(

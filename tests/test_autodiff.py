@@ -25,6 +25,39 @@ def test_scalar_chain_matches_hand_derivative():
     assert abs(x.grad - expected) < 1e-12
 
 
+def _every_op(x):
+    # one output per op, each reading x; the other operands are constants
+    k = Tensor(np.full((2, 3), 3.5))
+    m = Tensor(np.eye(3))
+    return [
+        ad.add(x, k), ad.sub(x, k), ad.mul(x, k), ad.div(x, k), ad.matmul(x, m),
+        ad.exp(x), ad.log(x), ad.sqrt(x), ad.tanh(x), ad.relu(x), ad.clip(x, 3.2, 3.8),
+        ad.minimum(x, k), ad.tensor_sum(x, axis=0), ad.reshape(x, (3, 2)),
+        ad.concat([x, k], axis=0), ad.take(x, (np.array([1, 0]),)),
+        ad.logsumexp(x, axis=1), ad.log_ndtr(x),
+        ad.custom_op(2.0 * x.data, (x,), lambda g: (2.0 * g,)),
+    ]
+
+
+def test_ops_record_only_under_a_tape(monkeypatch):
+    recorded = []
+    record = ad._record
+    monkeypatch.setattr(ad, "_record", lambda *node: (recorded.append(node), record(*node)))
+    data = np.random.default_rng(4).uniform(3.0, 4.0, size=(2, 3))
+    outside = _every_op(leaf(data))
+    assert recorded == []
+    assert all(out.requires_grad for out in outside)
+    assert not any(out.requires_grad for out in _every_op(Tensor(data)))
+    with Tape() as tape:
+        inside = _every_op(leaf(data))
+        constant = _every_op(Tensor(data))
+    assert len(tape.nodes) == len(recorded) == len(inside)
+    assert [node[0] for node in tape.nodes] == inside
+    assert not any(out.requires_grad for out in constant)
+    for a, b in zip(outside, inside):
+        assert np.array_equal(a.data, b.data)
+
+
 def test_grad_check_composite_expression():
     rng = np.random.default_rng(0)
     params = {
@@ -110,33 +143,6 @@ def test_concat_splits_gradient():
         tape.backward(out.sum())
     assert np.array_equal(a.grad, [[0.0, 1.0], [0.0, 1.0]])
     assert np.array_equal(b.grad, [[2.0, 3.0, 4.0], [2.0, 3.0, 4.0]])
-
-
-def test_stack_gradient_matches_finite_differences():
-    # the fused encoder layer multiplies by a stack of per-relation weights
-    rng = np.random.default_rng(7)
-    params = {f"w{r}": leaf(rng.normal(size=(3, 3))) for r in range(3)}
-    x = rng.normal(size=(2, 1, 4, 3))
-    weight = rng.normal(size=(2, 4, 3))
-    for axis in (0, 1, -1):
-        stacked = ad.stack([params[f"w{r}"] for r in range(3)], axis=axis)
-        assert np.array_equal(
-            stacked.data, np.stack([params[f"w{r}"].data for r in range(3)], axis=axis)
-        )
-
-    def f():
-        w = ad.stack([params[f"w{r}"] for r in range(3)])  # (3, 3, 3)
-        out = ad.relu(Tensor(x) @ w).sum(axis=-3)  # (2, 4, 3)
-        return (out * weight).sum()
-
-    assert ad.grad_check(f, params, h=1e-6) < 1e-7
-
-    def g():
-        w = ad.stack([params[f"w{r}"] for r in range(3)], axis=1)
-        return (w * rng_weight).sum()
-
-    rng_weight = rng.normal(size=(3, 3, 3))
-    assert ad.grad_check(g, params, h=1e-6) < 1e-8
 
 
 def test_logsumexp_matches_scipy_and_gradient():

@@ -1,5 +1,7 @@
 """Checkpoint serialization: exact round trips and strict schema checks."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,24 @@ def test_round_trip_is_bitwise_exact():
     back_b = restored.named_buffers()
     for name in orig_b:
         assert np.array_equal(orig_b[name], back_b[name]), name
+
+
+BENCH_CHECKPOINTS = Path(__file__).resolve().parents[1] / "bench" / "checkpoints"
+
+
+@pytest.mark.parametrize(
+    "name, width, layers", [("generate_w32_l3.ckpt", 32, 3), ("finetune_w16_l2.ckpt", 16, 2)]
+)
+def test_checked_in_files_round_trip_byte_for_byte(name, width, layers):
+    # files keep one tensor per relation while the model keeps one stacked
+    # parameter per layer: loading and dumping again changes no byte
+    text = (BENCH_CHECKPOINTS / name).read_text(encoding="utf-8")
+    spec = flow.ModelSpec(width=width, layers=layers, window=12, max_size=12)
+    params = ckpt.loads(text, spec)
+    assert ckpt.dumps(params) == text
+    layer = params.rgcn.layers[0]
+    assert layer.data.shape == (spec.edge_dim, width, width)
+    assert np.shares_memory(ckpt._all_named(params)["rgcn.layer0.rel1"], layer.data)
 
 
 def test_file_round_trip(tmp_path):

@@ -240,6 +240,20 @@ def test_evaluate_mmd_with_too_few_molecules_exits_2(workspace, tmp_path, capsys
         assert not (out / "report.txt").exists()
 
 
+def test_evaluate_empty_samples_exits_2(workspace, tmp_path, capsys):
+    # without --train-data there is no MMD, but rates over zero molecules
+    # would still read as measured zeros
+    empty = tmp_path / "empty.molt"
+    empty.write_text("")
+    out = tmp_path / "out"
+    rc = cli.main(["evaluate", "--config", str(workspace["cfg"]), "--samples", str(empty),
+                   "--output", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "no molecules" in err
+    assert not (out / "report.txt").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_numeric_failure_exits_3(workspace, tmp_path, capsys):
     # corrupt a valid checkpoint with huge but finite weights: every

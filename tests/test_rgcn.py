@@ -165,6 +165,68 @@ def test_running_buffers_update_in_train_and_freeze_in_eval():
     assert not np.array_equal(params.bn_state.running_mean, before_mean)
 
 
+def _reference_eval_encode(g, params, undecided_row=None):
+    # one state in evaluation mode, relation by relation: the adjacency
+    # slices built entry by entry, then each layer's per-relation products
+    # summed in relation order
+    n, k = g.n, params.width
+    adj = np.zeros((params.num_relations, n, n))
+    for r in range(params.num_relations):
+        for i in range(n):
+            for j in range(n):
+                adj[r, i, j] = float(i != j and g.categories[i, j] == r)
+    if undecided_row is not None:
+        i, lim = undecided_row
+        adj[:, i, lim:] = 0.0
+        adj[:, lim:, i] = 0.0
+    tilde = adj + np.eye(n)
+    inv_sqrt = 1.0 / np.sqrt(tilde.sum(axis=-1))
+    norm_adj = tilde * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
+    x = np.zeros((n, params.feature_dim))
+    x[np.arange(n), g.node_types] = 1.0
+    h = x @ params.embed.data
+    for layer in params.layers:
+        assert layer.data.shape == (params.num_relations, k, k)
+        acc = None
+        for r in range(params.num_relations):
+            msg = np.maximum((norm_adj[r] @ h) @ layer.data[r], 0.0)
+            acc = msg if acc is None else acc + msg
+        h = acc * (1.0 / params.num_relations)
+    state = params.bn_state
+    out = (h - state.running_mean) / np.sqrt(state.running_var + rgcn.BN_EPS)
+    return out * params.bn_gamma.data + params.bn_beta.data
+
+
+def test_eval_encode_matches_per_relation_loop_bitwise():
+    params = make_params(width=8, layers=3, seed=6)
+    rng = np.random.default_rng(1)
+    params.bn_state.running_mean = rng.normal(size=8)
+    params.bn_state.running_var = rng.uniform(0.5, 2.0, size=8)
+    params.bn_gamma.data = rng.normal(size=8)
+    params.bn_beta.data = rng.normal(size=8)
+    for g in molecule(9, count=4, max_atoms=8):
+        for undecided in (None, (g.n - 1, g.n // 2)):
+            out = rgcn.encode(g, params, undecided_row=undecided)
+            expected = _reference_eval_encode(g, params, undecided)
+            assert np.array_equal(out.H.data, expected)
+            assert np.array_equal(out.graph_embedding.data, expected.sum(axis=-2))
+
+
+def test_each_layer_records_one_node_per_op():
+    # a layer's relation weights are one leaf: under a tape a layer adds
+    # reshape, two products, relu, the relation sum and the 1 / R scale,
+    # and nothing to assemble its weights
+    g = molecule(4, max_atoms=6)[0]
+    steps = [("node", i) for i in range(1, g.n + 1)]
+    nodes = []
+    for layers in (1, 2, 3):
+        params = make_params(layers=layers)
+        with ad.Tape() as tape:
+            rgcn.encode_step_batch(g, steps, params, training=True)
+        nodes.append(len(tape.nodes))
+    assert np.diff(nodes).tolist() == [6, 6]
+
+
 def test_gradient_through_stacked_encoder():
     params = make_params(width=6, layers=2, seed=3)
     g = molecule(7, max_atoms=5)[0]
@@ -264,8 +326,8 @@ def _reference_training_stack(g, steps, params):
     h = (x * mask) @ params.embed.data
     for layer in params.layers:
         acc = None
-        for r, w in enumerate(layer):
-            msg = np.maximum((norm_adj[:, r] @ h) @ w.data, 0.0)
+        for r, w in enumerate(layer.data):
+            msg = np.maximum((norm_adj[:, r] @ h) @ w, 0.0)
             acc = msg if acc is None else acc + msg
         h = acc * (1.0 / params.num_relations)
     inv_total = 1.0 / counts.sum()

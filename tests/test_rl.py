@@ -430,6 +430,12 @@ def collect_small(params, spec, count=3, seed=9, reward_cfg=None, sampler_cfg=No
     )
 
 
+def chunk_logprobs(params, trajs, temperature=1.0):
+    """(lp, order) of one packed chunk pass over trajs."""
+    chunk = rl._pack_chunk(trajs, temperature)
+    return rl._chunk_logprobs(params, chunk), chunk.order
+
+
 def test_collected_logprobs_reproduce_bitwise():
     # the ratio objective re-evaluates acting log-probs over the frozen
     # grids; at unchanged parameters the values must match exactly, which
@@ -439,7 +445,7 @@ def test_collected_logprobs_reproduce_bitwise():
     trajs, failures = collect_small(params, spec)
     assert failures == 0
     assert len(trajs) == 3
-    lp, order = rl._chunk_logprobs(params, trajs)
+    lp, order = chunk_logprobs(params, trajs)
     stored = np.concatenate([traj.logp_old for traj in trajs])[order]
     assert np.array_equal(lp.data, stored)
 
@@ -462,7 +468,7 @@ def _reference_logprobs(params, traj, temperature):
 
 def _assert_chunk_matches_reference(params, trajs, temperature, acting=True):
     # acting: params are the weights the trajectories were collected with
-    lp, order = rl._chunk_logprobs(params, trajs, temperature)
+    lp, order = chunk_logprobs(params, trajs, temperature)
     ref = np.concatenate([_reference_logprobs(params, t, temperature) for t in trajs])
     assert sorted(order) == list(range(len(ref)))
     assert np.abs(lp.data - ref[order]).max() < 1e-12
@@ -523,7 +529,7 @@ def test_acting_logprobs_reproduce_bitwise_across_chunks():
     assert len(trajs) > rl.PPO_CHUNK
     for lo in range(0, len(trajs), rl.PPO_CHUNK):
         chunk = trajs[lo : lo + rl.PPO_CHUNK]
-        lp, order = rl._chunk_logprobs(params, chunk, 1.3)
+        lp, order = chunk_logprobs(params, chunk, 1.3)
         stored = np.concatenate([t.logp_old for t in chunk])[order]
         assert np.array_equal(lp.data, stored)
 
@@ -638,10 +644,10 @@ def test_chunked_update_gradient_matches_one_tape_gradient():
     assert abs(sum(values) - float(total.data)) < 1e-12
     # every trajectory counted once: the mean of one-trajectory objectives
     alone = [
-        float(rl._chunk_objective(params, [t], [a], cfg, 1.3).data)
+        float(rl._ppo_losses(params, [t], [a], cfg, 1.3)[0]().data)
         for t, a in zip(trajs, advantages)
     ]
-    assert abs(sum(values) + np.mean(alone)) < 1e-12
+    assert abs(sum(values) - np.mean(alone)) < 1e-12
     assert any(np.any(g != 0.0) for g in grads.values())
     for name, p in named.items():
         ref = np.zeros_like(p.data) if p.grad is None else p.grad
@@ -738,6 +744,34 @@ def test_finetune_runs_and_is_deterministic():
     assert [it for it, _, _ in log1] == [0, 1]
     for name, tensor in p1.named_tensors().items():
         assert np.array_equal(tensor.data, p2.named_tensors()[name].data)
+
+
+def test_finetune_builds_grids_once_per_batch(monkeypatch):
+    # the grids are frozen per batch: one build per chunk and step kind at
+    # collection and one when the losses are built, however many update
+    # passes run over the batch
+    spec = small_spec()
+    scorer = rl.make_scorer("toy:atom-count", spec.vocab, spec.bonds)
+    build = rl.argmax_region_grid
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(rl, "argmax_region_grid", counting)
+    counts = []
+    for updates in (1, 4):
+        calls.clear()
+        rl.finetune(
+            random_params(5), spec, scorer, rl.RewardConfig(),
+            rl.PpoConfig(updates=updates, batch_size=rl.PPO_CHUNK + 4),
+            SamplerConfig(), iterations=1, rng=np.random.default_rng(6),
+        )
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    # two chunks, at most two step kinds each, built twice
+    assert 4 <= counts[1] <= 8
 
 
 # ---------------------------------------------------------------- scorers
