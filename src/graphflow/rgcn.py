@@ -19,6 +19,14 @@ one stacked pass per distinct node count; in training mode it runs one
 graph's states as one masked stack that shares batch statistics. Both
 compute the same function; the stacked path may differ from the single
 one by reduction order only (empirically below 1e-12).
+
+Evaluation mode runs in two halves. pack_step_batch() does everything
+that reads no weights (step masks, node-count groups with their
+adjacency blocks and feature rows, the inverse permutation, the node
+mask) into a StepPack; the passes over a pack are the weight-dependent
+rest. encode_step_batch() packs its own steps unless it is handed a
+pack built for the same steps, so a caller that encodes one set of
+states under moving weights (the PPO update) packs them once.
 """
 
 from __future__ import annotations
@@ -281,11 +289,74 @@ def build_step_masks(g: MolecularGraph, steps) -> tuple:
     return norm_adj, node_mask[:, :, None], total.astype(np.float64).reshape(-1, 1, 1)
 
 
+def _owners(g, steps) -> list:
+    """The graph of each step: g repeated, or the given sequence checked
+    against steps."""
+    if len(steps) == 0:
+        raise ValueError("encode_step_batch: no steps given")
+    if isinstance(g, MolecularGraph):
+        return [g] * len(steps)
+    graphs = list(g)
+    if len(graphs) != len(steps):
+        raise ValueError(f"{len(graphs)} graphs for {len(steps)} steps")
+    return graphs
+
+
+@dataclass
+class StepPack:
+    """What an evaluation-mode encode_step_batch reads besides the
+    weights, for one list of steps: per distinct state size m, the
+    (s, m, F) one-hot rows and (s, R, m, m) normalized adjacency blocks
+    of its s states, in pass order; the permutation that puts the
+    concatenated pass outputs back in step order; and the (S, n, 1)
+    node mask. Built by pack_step_batch, reusable by every pass over the
+    same steps while the weights move."""
+
+    steps: list
+    groups: list  # [(x, adj)], one per distinct state size
+    inverse: np.ndarray
+    node_mask: np.ndarray
+
+
+def pack_step_batch(g, steps, params: RgcnParams) -> StepPack:
+    """Group generation-step states by their own node count m (i for
+    ("node", i), i + 1 for ("edge", i, j)) and cut each state's [:m, :m]
+    block out of its graph's step masks. g is as in encode_step_batch.
+    Of params only the dimensions are read, never the weights."""
+    graphs = _owners(g, steps)
+    steps = list(steps)
+    sizes = np.array([step[1] + (step[0] == "edge") for step in steps], dtype=np.int64)
+    owned: dict = {}  # id(graph) -> (graph, indices of its states)
+    for s, owner in enumerate(graphs):
+        owned.setdefault(id(owner), (owner, []))[1].append(s)
+    parts: dict = {}  # m -> [(state indices, (s, R, m, m) blocks, (m, F) rows)]
+    for owner, idx in owned.values():
+        x = _features(owner, params)
+        norm_adj, _, _ = build_step_masks(owner, [steps[s] for s in idx])
+        idx = np.array(idx, dtype=np.int64)
+        for m in np.unique(sizes[idx]):
+            sel = np.flatnonzero(sizes[idx] == m)
+            parts.setdefault(int(m), []).append((idx[sel], norm_adj[sel, :, :m, :m], x[:m]))
+    groups, order = [], []
+    for group in parts.values():
+        adj = np.concatenate([blocks for _, blocks, _ in group])
+        x = np.concatenate(
+            [np.broadcast_to(rows, (len(sel),) + rows.shape) for sel, _, rows in group]
+        )
+        groups.append((x, adj))
+        order.extend(sel for sel, _, _ in group)
+    inverse = np.empty(len(steps), dtype=np.int64)
+    inverse[np.concatenate(order)] = np.arange(len(steps))
+    node_mask = (np.arange(max(parts))[None, :] < sizes[:, None]).astype(np.float64)
+    return StepPack(steps=steps, groups=groups, inverse=inverse, node_mask=node_mask[:, :, None])
+
+
 def encode_step_batch(
     g,
     steps,
     params: RgcnParams,
     training: bool = False,
+    pack: StepPack | None = None,
 ) -> NodeEmbeddings:
     """Encode generation-step states in stacked passes.
 
@@ -293,66 +364,48 @@ def encode_step_batch(
     each step's own graph, so one call can take the states of many
     graphs. Row s of the result is steps[s]'s state: H is (S, n, k),
     with rows past a state's own nodes zeroed, and graph_embedding is
-    (S, k).
+    (S, k). An empty steps list is a ValueError.
 
-    Evaluation mode groups states by their own node count m (i for
-    ("node", i), i + 1 for ("edge", i, j)) and encodes each state in the
-    [:m, :m] block of its graph's step masks, one pass per distinct m
-    and no padding. Training mode normalizes with one pair of batch
-    statistics over the whole stack, so it takes the states of one
-    graph only and runs them as one masked stack.
+    Evaluation mode encodes each state in its own node-count block, one
+    pass per distinct node count and no padding, over the pack that
+    pack_step_batch builds; a pack built beforehand for the same steps
+    may be passed in, so repeated passes skip the weight-independent
+    work. Training mode normalizes with one pair of batch statistics
+    over the whole stack, so it takes the states of one graph only and
+    runs them as one masked stack; it takes no pack.
     """
-    if isinstance(g, MolecularGraph):
-        graphs = [g] * len(steps)
-    else:
-        graphs = list(g)
-        if len(graphs) != len(steps):
-            raise ValueError(f"{len(graphs)} graphs for {len(steps)} steps")
     if training:
+        if pack is not None:
+            raise ValueError("a step pack serves evaluation mode only")
+        graphs = _owners(g, steps)
         if any(other is not graphs[0] for other in graphs):
             raise ValueError("training mode encodes the states of one graph only")
         g = graphs[0]
         norm_adj, node_mask, counts = build_step_masks(g, steps)
         return _propagate(_features(g, params), norm_adj, params, True, node_mask, counts)
-    return _encode_grouped(graphs, steps, params)
+    if pack is None:
+        pack = pack_step_batch(g, steps, params)
+    elif list(steps) != pack.steps:
+        raise ValueError("the step pack was built for other steps")
+    return _encode_packed(pack, params)
 
 
-def _encode_grouped(graphs, steps, params: RgcnParams) -> NodeEmbeddings:
-    """Evaluation-mode encode_step_batch: one _propagate per state size."""
-    sizes = np.array([step[1] + (step[0] == "edge") for step in steps], dtype=np.int64)
-    owned: dict = {}  # id(graph) -> (graph, indices of its states)
-    for s, owner in enumerate(graphs):
-        owned.setdefault(id(owner), (owner, []))[1].append(s)
-    groups: dict = {}  # m -> [(state indices, (s, R, m, m) blocks, (m, F) rows)]
-    for owner, idx in owned.values():
-        x = _features(owner, params)
-        norm_adj, _, _ = build_step_masks(owner, [steps[s] for s in idx])
-        idx = np.array(idx, dtype=np.int64)
-        for m in np.unique(sizes[idx]):
-            sel = np.flatnonzero(sizes[idx] == m)
-            groups.setdefault(int(m), []).append(
-                (idx[sel], norm_adj[sel, :, :m, :m], x[:m])
-            )
-    n = max(groups)
+def _encode_packed(pack: StepPack, params: RgcnParams) -> NodeEmbeddings:
+    """Evaluation-mode encode_step_batch over a pack: one _propagate per
+    state size."""
+    n = pack.node_mask.shape[1]
     k = params.width
-    order, h_parts, emb_parts = [], [], []
-    for m, parts in groups.items():
-        adj = np.concatenate([blocks for _, blocks, _ in parts])
-        x = np.concatenate(
-            [np.broadcast_to(rows, (len(sel),) + rows.shape) for sel, _, rows in parts]
-        )
+    h_parts, emb_parts = [], []
+    for x, adj in pack.groups:
         out = _propagate(x, adj, params)
         h = out.H
+        m = x.shape[1]
         if m < n:
             h = ad.concat([h, Tensor(np.zeros((len(x), n - m, k)))], axis=1)
-        order.extend(sel for sel, _, _ in parts)
         h_parts.append(h)
         emb_parts.append(out.graph_embedding)
-    inverse = np.empty(len(steps), dtype=np.int64)
-    inverse[np.concatenate(order)] = np.arange(len(steps))
-    node_mask = (np.arange(n)[None, :] < sizes[:, None]).astype(np.float64)
     return NodeEmbeddings(
-        H=ad.take(ad.concat(h_parts, axis=0), (inverse,)),
-        graph_embedding=ad.take(ad.concat(emb_parts, axis=0), (inverse,)),
-        node_mask=node_mask[:, :, None],
+        H=ad.take(ad.concat(h_parts, axis=0), (pack.inverse,)),
+        graph_embedding=ad.take(ad.concat(emb_parts, axis=0), (pack.inverse,)),
+        node_mask=pack.node_mask,
     )

@@ -13,7 +13,11 @@ with panels refined around each category crossover point. A stack of
 such integrals is one fused tape node: its forward pass evaluates the
 normal CDF only on each row's competing categories, and its backward
 pass is the closed-form gradient (softmax weight of each quadrature
-node times the hazard phi / Phi times dy / d(mu, alpha)).
+node times the hazard phi / Phi times dy / d(mu, alpha)). Its arrays
+are laid out competitor-major, (D-1, S, Q), so each elementwise loop
+runs over a whole (S, Q) slab rather than a trailing axis of two or
+three competitors, and the competitors' log-CDFs are summed in
+ascending order one add at a time.
 
 An episode is kept as the sampler's trace, which records every decision
 with the acting (mu, alpha) behind it. For the ratio objective each
@@ -28,9 +32,11 @@ weights reproduces them bit for bit, ratios start at exactly one, and
 finite differences agree with the tape gradient. Each chunk's share of
 the batch loss is one callable from _ppo_losses, built once per batch
 together with everything it reads that the weights do not change (the
-packed states and grids, acting log-probs, advantages); every update
-pass sums their gradients with autodiff.accumulate_grads, the same loop
-maximum-likelihood training runs, one tape per chunk.
+frozen grids, the encoder's pack of grouped step masks and the head
+index arrays, acting log-probs, advantages), so an update pass does
+only weight-dependent work; every update pass sums their gradients
+with autodiff.accumulate_grads, the same loop maximum-likelihood
+training runs, one tape per chunk.
 """
 
 from __future__ import annotations
@@ -148,30 +154,36 @@ def _stacked_action_logprobs(
     s_count, d = mu.data.shape
     rows = np.arange(s_count)
     others = _competitors(actions, d)
-    mu_k = np.take_along_axis(mu.data, others, 1)[:, None, :]  # (S, 1, D-1)
-    alpha_k = np.take_along_axis(alpha.data, others, 1)[:, None, :]
+    # competitor-major: axis 0 runs over the D-1 competitors, so every
+    # elementwise loop below runs over a whole (S, Q) slab
+    mu_k = np.take_along_axis(mu.data, others, 1).T[:, :, None]  # (D-1, S, 1)
+    alpha_k = np.take_along_axis(alpha.data, others, 1).T[:, :, None]
     z_top = mu.data[rows, actions][:, None] + alpha.data[rows, actions][:, None] * grid_u
-    y = (z_top[:, :, None] - mu_k) / alpha_k  # (S, Q, D-1)
-    # the own category is left out rather than masked: its masked term was
-    # -0.0 in a short sequential sum, so the values keep every bit
+    y = (z_top - mu_k) / alpha_k  # (D-1, S, Q)
     log_cdf = log_ndtr(y)
+    # competitors summed in ascending order, one add at a time; the own
+    # category is left out rather than masked, as its masked term would
+    # be -0.0 and add nothing
+    tail = log_cdf[0]
+    for part in log_cdf[1:]:
+        tail = tail + part
     # padded slots carry -inf log-weight and drop out of the logsumexp
-    terms = log_cdf.sum(axis=2) + (grid_logw + (-0.5 * grid_u * grid_u - 0.5 * LOG_TWO_PI))
+    terms = tail + (grid_logw + (-0.5 * grid_u * grid_u - 0.5 * LOG_TWO_PI))
     top = terms.max(axis=1, keepdims=True)
     shifted = np.exp(terms - top)
     total = shifted.sum(axis=1, keepdims=True)
 
     def back(g):
         hazard = np.exp(-0.5 * y * y - 0.5 * LOG_TWO_PI - log_cdf)
-        # d lp / d y_qk times d y_qk / d mu_c; padded slots have weight zero
-        dy = (g[:, None] * (shifted / total))[:, :, None] * hazard / alpha_k
-        dy_k = dy.sum(axis=1)  # (S, D-1)
+        # d lp / d y_kq times d y_kq / d mu_c; padded slots have weight zero
+        dy = (g[:, None] * (shifted / total)) * hazard / alpha_k  # (D-1, S, Q)
+        dy_k = dy.sum(axis=2)  # (D-1, S)
         grad_mu = np.zeros((s_count, d))
         grad_alpha = np.zeros((s_count, d))
-        np.put_along_axis(grad_mu, others, -dy_k, 1)
-        np.put_along_axis(grad_alpha, others, -(dy * y).sum(axis=1), 1)
-        grad_mu[rows, actions] = dy_k.sum(axis=1)
-        grad_alpha[rows, actions] = (dy.sum(axis=2) * grid_u).sum(axis=1)
+        np.put_along_axis(grad_mu, others, -dy_k.T, 1)
+        np.put_along_axis(grad_alpha, others, -(dy * y).sum(axis=2).T, 1)
+        grad_mu[rows, actions] = dy_k.sum(axis=0)
+        grad_alpha[rows, actions] = (dy.sum(axis=0) * grid_u).sum(axis=1)
         return grad_mu, grad_alpha
 
     return ad.custom_op(np.squeeze(top + np.log(total), axis=1), (mu, alpha), back)
@@ -337,7 +349,7 @@ def collect_trajectories(
         out.append(build_trajectory(g, trace, reward_cfg, score))
     for lo in range(0, len(out), PPO_CHUNK):
         trajs = out[lo : lo + PPO_CHUNK]
-        chunk = _pack_chunk(trajs, sampler_cfg.temperature)
+        chunk = _pack_chunk(params, trajs, sampler_cfg.temperature)
         flat = np.empty(len(chunk.order))
         flat[chunk.order] = _chunk_logprobs(params, chunk).data
         ends = np.cumsum([traj.num_steps for traj in trajs])
@@ -408,10 +420,11 @@ class PpoConfig:
 @dataclass
 class _PackedChunk:
     """What a chunk's packed pass needs that the weights do not change,
-    built once per chunk: every step's graph and encoder state, and per
-    step kind the actions and the frozen grids. Row r of the pass is step
-    order[r] of the chunk's trace steps laid end to end in trajectory
-    order; node steps come first.
+    built once per chunk: every step's graph and encoder state, their
+    flow._ConditionalPack (the encoder's grouped step masks and the head
+    index arrays), and per step kind the actions and the frozen grids.
+    Row r of the pass is step order[r] of the chunk's trace steps laid
+    end to end in trajectory order; node steps come first.
 
     Each grid is built from the trace's acting mu and alpha, never from
     the current weights. Rows of a batched product can depend on the
@@ -422,13 +435,16 @@ class _PackedChunk:
 
     graphs: list
     states: list
+    pack: flow._ConditionalPack
     kinds: list  # (kind, actions, grid u, grid log-weights), node before edge
     order: np.ndarray
     temperature: float
 
 
-def _pack_chunk(trajectories, temperature: float = 1.0) -> _PackedChunk:
-    """One grid build per step kind over the chunk's stacked trace."""
+def _pack_chunk(params: FlowParams, trajectories, temperature: float = 1.0) -> _PackedChunk:
+    """One grid build per step kind over the chunk's stacked trace, and
+    one conditional pack over its states; of params only the dimensions
+    are read."""
     steps = [s for traj in trajectories for s in traj.trace.steps]
     kinds = []
     order = []
@@ -444,9 +460,12 @@ def _pack_chunk(trajectories, temperature: float = 1.0) -> _PackedChunk:
         )
         kinds.append((kind, actions, u, logw))
         order.extend(rows)
+    graphs = [traj.gen_graph for traj in trajectories for _ in traj.trace.steps]
+    states = [("node", s.i) if s.kind == "node" else ("edge", s.i, s.j) for s in steps]
     return _PackedChunk(
-        graphs=[traj.gen_graph for traj in trajectories for _ in traj.trace.steps],
-        states=[("node", s.i) if s.kind == "node" else ("edge", s.i, s.j) for s in steps],
+        graphs=graphs,
+        states=states,
+        pack=flow._pack_conditionals(graphs, states, params),
         kinds=kinds,
         order=np.array(order, dtype=np.int64),
         temperature=temperature,
@@ -457,7 +476,9 @@ def _chunk_logprobs(params: FlowParams, chunk: _PackedChunk) -> Tensor:
     """Current-policy log-probs of every step of a packed chunk over its
     frozen grids, as an (S,) tensor in chunk.order: one encoder call,
     one head call and one quadrature per step kind."""
-    mu_x, alpha_x, mu_a, alpha_a = _stacked_conditionals(chunk.graphs, chunk.states, params)
+    mu_x, alpha_x, mu_a, alpha_a = _stacked_conditionals(
+        chunk.graphs, chunk.states, params, pack=chunk.pack
+    )
     heads = {"node": (mu_x, alpha_x), "edge": (mu_a, alpha_a)}
     parts = []
     for kind, actions, u, logw in chunk.kinds:
@@ -496,7 +517,7 @@ def _ppo_losses(params: FlowParams, trajectories, advantages, cfg: PpoConfig, te
     losses = []
     for lo in range(0, len(trajectories), PPO_CHUNK):
         trajs = trajectories[lo : lo + PPO_CHUNK]
-        chunk = _pack_chunk(trajs, temperature)
+        chunk = _pack_chunk(params, trajs, temperature)
         order = chunk.order
         lp_old = np.concatenate([traj.logp_old for traj in trajs])[order]
         adv = np.concatenate(advantages[lo : lo + PPO_CHUNK])[order]

@@ -365,3 +365,47 @@ def test_training_mode_rejects_states_of_several_graphs():
     with pytest.raises(ValueError):
         rgcn.encode_step_batch([a, a.copy()], [("node", 1), ("node", a.n)], params, training=True)
     assert np.array_equal(params.bn_state.running_mean, before)
+
+
+def test_encode_step_batch_rejects_empty_steps():
+    params = make_params()
+    g = molecule(14)[0]
+    for training in (False, True):
+        for owners in (g, []):
+            with pytest.raises(ValueError, match="no steps given"):
+                rgcn.encode_step_batch(owners, [], params, training=training)
+    with pytest.raises(ValueError, match="no steps given"):
+        rgcn.pack_step_batch(g, [], params)
+
+
+def test_stored_pack_matches_fresh_pass_bitwise():
+    # mixed-size states of several graphs: a pass over a pack built
+    # before the weights moved equals a pass that packs afresh
+    params = make_params(width=8, layers=3, seed=6)
+    graphs = [g for g in molecule(15, count=5, max_atoms=9) if g.n >= 2]
+    assert len(graphs) >= 3
+    owners, steps = [], []
+    for g in graphs:
+        for step in _all_steps(g, window=3):
+            owners.append(g)
+            steps.append(step)
+    shuffle = np.random.default_rng(1).permutation(len(steps))
+    owners = [owners[s] for s in shuffle]
+    steps = [steps[s] for s in shuffle]
+    pack = rgcn.pack_step_batch(owners, steps, params)
+    assert len(pack.groups) > 1
+    for shift in (0.0, 0.3):
+        for w in params.layers:
+            w.data += shift
+        params.embed.data *= 1.0 + shift
+        stored = rgcn.encode_step_batch(owners, steps, params, pack=pack)
+        fresh = rgcn.encode_step_batch(owners, steps, params)
+        assert np.array_equal(stored.H.data, fresh.H.data)
+        assert np.array_equal(stored.graph_embedding.data, fresh.graph_embedding.data)
+        assert np.array_equal(stored.node_mask, fresh.node_mask)
+    with pytest.raises(ValueError):
+        rgcn.encode_step_batch(owners[:-1], steps[:-1], params, pack=pack)
+    with pytest.raises(ValueError):
+        rgcn.encode_step_batch(owners, steps[::-1], params, pack=pack)
+    with pytest.raises(ValueError):
+        rgcn.encode_step_batch(graphs[0], _all_steps(graphs[0]), params, training=True, pack=pack)

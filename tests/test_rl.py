@@ -17,6 +17,7 @@ from graphflow import autodiff as ad
 from graphflow import checkpoint as ckpt
 from graphflow import flow
 from graphflow import graph as G
+from graphflow import rgcn
 from graphflow import rl
 from graphflow.autodiff import Tensor
 from graphflow.graph import MolecularGraph, empty_categories
@@ -138,20 +139,23 @@ def test_compute_action_logprob_end_to_end():
 def _composed_logprobs(mu, alpha, grid_u, grid_logw, actions):
     # the quadrature as a chain of elementwise tape ops over all D
     # columns, the own category masked to zero: the oracle for the
-    # fused node's values and gradients
+    # fused node's values and gradients. The categories lie on the
+    # leading axis, which numpy sums one term at a time in category
+    # order; over a trailing axis it sums 8 or more terms pairwise.
     s_count, d = mu.data.shape
     q = grid_u.shape[1]
     rows = np.arange(s_count)
     mu_c = ad.take(mu, (rows, actions)).reshape(s_count, 1)
     alpha_c = ad.take(alpha, (rows, actions)).reshape(s_count, 1)
     z_top = mu_c + alpha_c * Tensor(grid_u)
-    y = (z_top.reshape(s_count, q, 1) - mu.reshape(s_count, 1, d)) / alpha.reshape(
-        s_count, 1, d
-    )
+    by_category = (rows[None, :], np.arange(d)[:, None])  # (D, S) transpose
+    mu_t = ad.take(mu, by_category).reshape(d, s_count, 1)
+    alpha_t = ad.take(alpha, by_category).reshape(d, s_count, 1)
+    y = (z_top.reshape(1, s_count, q) - mu_t) / alpha_t
     log_cdf = ad.log_ndtr(y)
-    keep = np.ones((s_count, 1, d))
-    keep[rows, 0, actions] = 0.0
-    tail = (log_cdf * Tensor(keep)).sum(axis=2)
+    keep = np.ones((d, s_count, 1))
+    keep[actions, rows, 0] = 0.0
+    tail = (log_cdf * Tensor(keep)).sum(axis=0)
     const = grid_logw + (-0.5 * grid_u * grid_u - 0.5 * rl.LOG_TWO_PI)
     return ad.logsumexp(tail + Tensor(const), axis=1)
 
@@ -185,7 +189,7 @@ def _logprobs_and_grads(fn, mu, alpha, temperature, u, logw, actions, weights):
 def test_fused_logprobs_match_composed_oracle():
     rng = np.random.default_rng(21)
     deepest = 0.0
-    for d in (2, 3, 4, 5):
+    for d in range(2, 10):
         for temperature in (1.0, 0.7, 1.3):
             mu, alpha, actions = _hard_stack(rng, 9, d, temperature)
             u, logw = rl.argmax_region_grid(mu, alpha * temperature, actions)
@@ -432,7 +436,7 @@ def collect_small(params, spec, count=3, seed=9, reward_cfg=None, sampler_cfg=No
 
 def chunk_logprobs(params, trajs, temperature=1.0):
     """(lp, order) of one packed chunk pass over trajs."""
-    chunk = rl._pack_chunk(trajs, temperature)
+    chunk = rl._pack_chunk(params, trajs, temperature)
     return rl._chunk_logprobs(params, chunk), chunk.order
 
 
@@ -532,6 +536,28 @@ def test_acting_logprobs_reproduce_bitwise_across_chunks():
         lp, order = chunk_logprobs(params, chunk, 1.3)
         stored = np.concatenate([t.logp_old for t in chunk])[order]
         assert np.array_equal(lp.data, stored)
+
+
+def test_chunk_pack_matches_fresh_encoder_pass_bitwise():
+    # a chunk's stored encoder pack (mixed-size states of several
+    # graphs) gives the pass an unpacked call gives, after the weights
+    # moved too; a pack is checked against the steps it is handed with
+    spec = small_spec()
+    params = random_params(6)
+    trajs, _ = collect_small(params, spec, count=6, seed=11)
+    chunk = rl._pack_chunk(params, trajs)
+    pack = chunk.pack
+    assert len({id(g) for g in pack.graphs}) == len(trajs)
+    assert len(pack.encoder.groups) > 1
+    for shift in (0.0, 0.2):
+        params.rgcn.layers[0].data += shift
+        stored = rgcn.encode_step_batch(pack.graphs, pack.encoded, params.rgcn, pack=pack.encoder)
+        fresh = rgcn.encode_step_batch(pack.graphs, pack.encoded, params.rgcn)
+        assert np.array_equal(stored.H.data, fresh.H.data)
+        assert np.array_equal(stored.graph_embedding.data, fresh.graph_embedding.data)
+        assert np.array_equal(stored.node_mask, fresh.node_mask)
+    with pytest.raises(ValueError):
+        flow._stacked_conditionals(chunk.graphs[1:], chunk.states[1:], params, pack=pack)
 
 
 def test_build_trajectory_leaves_acting_logprobs_unset():
@@ -772,6 +798,35 @@ def test_finetune_builds_grids_once_per_batch(monkeypatch):
     assert counts[0] == counts[1]
     # two chunks, at most two step kinds each, built twice
     assert 4 <= counts[1] <= 8
+
+
+def test_finetune_builds_step_masks_once_per_pack(monkeypatch):
+    # the encoder's step masks are packed with the grids: one build per
+    # graph of a chunk at collection and one when the losses are built,
+    # however many update passes reuse them
+    spec = small_spec()
+    scorer = rl.make_scorer("toy:atom-count", spec.vocab, spec.bonds)
+    build = rgcn.build_step_masks
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(rgcn, "build_step_masks", counting)
+    batch = rl.PPO_CHUNK + 4
+    counts = []
+    for updates in (1, 4):
+        calls.clear()
+        rl.finetune(
+            random_params(5), spec, scorer, rl.RewardConfig(),
+            rl.PpoConfig(updates=updates, batch_size=batch),
+            SamplerConfig(), iterations=1, rng=np.random.default_rng(6),
+        )
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    # every episode's graph, once at collection and once for the update
+    assert 0 < counts[1] <= 2 * batch
 
 
 # ---------------------------------------------------------------- scorers
