@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import log_ndtr as _scipy_log_ndtr
 
 LOG_TWO_PI = float(np.log(2.0 * np.pi))
 
@@ -448,20 +447,6 @@ def logsumexp(a: Tensor, axis: int) -> Tensor:
 
     def back(g):
         return (np.expand_dims(g, axis) * softmax,)
-
-    _record(out, (a,), back)
-    return out
-
-
-def log_ndtr(a: Tensor) -> Tensor:
-    """Log of the standard normal CDF; gradient is the hazard exp(logpdf - logcdf)."""
-    out = Tensor(_scipy_log_ndtr(a.data), a.requires_grad)
-    if _ACTIVE_TAPE is None or not out.requires_grad:
-        return out
-
-    def back(g):
-        log_pdf = -0.5 * a.data * a.data - 0.5 * LOG_TWO_PI
-        return (g * np.exp(log_pdf - out.data),)
 
     _record(out, (a,), back)
     return out

@@ -164,6 +164,14 @@ def _sampler_config(cfg: RunConfig) -> sampler.SamplerConfig:
     )
 
 
+def _scorer(cfg: RunConfig, vocab, bonds):
+    """The configured scorer; a spec rl.make_scorer rejects is a config error."""
+    try:
+        return rl.make_scorer(cfg.scorer, vocab, bonds)
+    except ValueError as exc:
+        raise ConfigError(f"key 'scorer': {exc}") from None
+
+
 def _write(out: Path, name: str, text: str) -> str:
     (out / name).write_text(text)
     return name
@@ -274,7 +282,7 @@ def cmd_finetune(args) -> int:
     vocab, bonds = vocab_from_config(cfg)
     spec = _model_spec(cfg, vocab, bonds)
     params = load_checkpoint(args.checkpoint, spec)
-    scorer = rl.make_scorer(cfg.scorer, vocab, bonds)
+    scorer = _scorer(cfg, vocab, bonds)
     try:
         reward_cfg = rl.RewardConfig(
             gamma=cfg.rl_gamma, shaping=cfg.rl_shaping, t1=cfg.rl_t1, t2=cfg.rl_t2
@@ -320,7 +328,7 @@ def cmd_optimize_constrained(args) -> int:
     spec = _model_spec(cfg, vocab, bonds)
     params = load_checkpoint(args.checkpoint, spec)
     molecules = molt.parse_molt(Path(args.molecules).read_text(), vocab, bonds)
-    scorer = rl.make_scorer(cfg.scorer, vocab, bonds)
+    scorer = _scorer(cfg, vocab, bonds)
     try:
         results = rl.optimize_constrained(
             params,

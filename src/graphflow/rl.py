@@ -23,20 +23,21 @@ An episode is kept as the sampler's trace, which records every decision
 with the acting (mu, alpha) behind it. For the ratio objective each
 step's integration grid comes from that acting (mu, alpha) alone, so it
 stays frozen while the weights move, and the surrogate is a smooth
-function of the weights. Trajectories are evaluated in packed chunks of
-PPO_CHUNK: all states of a chunk go through one encoder pass and one
-head call, and each step kind gets one grid build from the stacked trace
-and one quadrature. The acting log-probabilities come from that same
-chunk pass at the end of collection, so re-evaluating at the acting
-weights reproduces them bit for bit, ratios start at exactly one, and
-finite differences agree with the tape gradient. Each chunk's share of
-the batch loss is one callable from _ppo_losses, built once per batch
-together with everything it reads that the weights do not change (the
-frozen grids, the encoder's pack of grouped step masks and the head
-index arrays, acting log-probs, advantages), so an update pass does
-only weight-dependent work; every update pass sums their gradients
-with autodiff.accumulate_grads, the same loop maximum-likelihood
-training runs, one tape per chunk.
+function of the weights. Collection only samples, scores and builds
+returns; _ppo_losses is the one place that splits a batch into packed
+chunks of PPO_CHUNK trajectories. All states of a chunk go through one
+encoder pass and one head call, and each step kind gets one grid build
+from the stacked trace and one quadrature. Each chunk is packed once per
+batch, and its acting log-probabilities come from one pass over that
+pack at the acting weights, before any update pass runs, so the first
+re-evaluation reproduces them bit for bit, ratios start at exactly one,
+and finite differences agree with the tape gradient. Each chunk's share
+of the batch loss is one callable holding everything it reads that the
+weights do not change (the frozen grids, the encoder's pack of grouped
+step masks and the head index arrays, acting log-probs, advantages), so
+an update pass does only weight-dependent work; every update pass sums
+their gradients with autodiff.accumulate_grads, the same loop
+maximum-likelihood training runs, one tape per chunk.
 """
 
 from __future__ import annotations
@@ -231,15 +232,14 @@ class Trajectory:
     update needs: the sampler's trace (each decision with its acting mu
     and alpha and its valency rejections), the generated graph (gen_graph
     includes a trailing node that termination discarded, so states can
-    be rebuilt), and per-step discounted returns and acting log-probs in
-    trace order."""
+    be rebuilt), and per-step discounted returns in trace order. Acting
+    log-probs are not stored here: _ppo_losses computes them per chunk."""
 
     gen_graph: MolecularGraph
     final_graph: MolecularGraph
     trace: SampleTrace
     final_reward: float
     returns: np.ndarray
-    logp_old: np.ndarray
 
     @property
     def num_steps(self) -> int:
@@ -288,10 +288,7 @@ def build_trajectory(
 ) -> Trajectory:
     """Assemble a trajectory from a sampling trace and a property score.
 
-    Returns are discounted backward over the per-step rewards. The acting
-    log-probs are left as NaN: collect_trajectories fills them per chunk
-    through the same packed pass the ratio objective runs, so
-    re-evaluating under unchanged parameters reproduces them exactly."""
+    Returns are discounted backward over the per-step rewards."""
     if trace.termination == "no-bonds":
         last_node = [s for s in trace.steps if s.kind == "node"][-1]
         types = np.concatenate([g.node_types, [last_node.action]])
@@ -306,7 +303,6 @@ def build_trajectory(
         trace=trace,
         final_reward=reward_cfg.shape(score),
         returns=np.zeros(trace.num_steps),
-        logp_old=np.full(trace.num_steps, math.nan),
     )
     rewards = traj.rewards()
     ret = 0.0
@@ -329,7 +325,8 @@ def collect_trajectories(
     """Run `count` episodes; returns (trajectories, scorer_failures).
 
     Episodes use independent spawned random streams. A scorer failure
-    drops that episode and bumps the failure counter.
+    drops that episode and bumps the failure counter. Nothing here packs
+    states or builds grids: _ppo_losses does, once per batch.
     """
     streams = rng.spawn(count)
     out = []
@@ -347,14 +344,6 @@ def collect_trajectories(
             failures += 1
             continue
         out.append(build_trajectory(g, trace, reward_cfg, score))
-    for lo in range(0, len(out), PPO_CHUNK):
-        trajs = out[lo : lo + PPO_CHUNK]
-        chunk = _pack_chunk(params, trajs, sampler_cfg.temperature)
-        flat = np.empty(len(chunk.order))
-        flat[chunk.order] = _chunk_logprobs(params, chunk).data
-        ends = np.cumsum([traj.num_steps for traj in trajs])
-        for traj, logp in zip(trajs, np.split(flat, ends[:-1])):
-            traj.logp_old = logp
     return out, failures
 
 
@@ -429,8 +418,8 @@ class _PackedChunk:
     Each grid is built from the trace's acting mu and alpha, never from
     the current weights. Rows of a batched product can depend on the
     batch they sit in at the last bit, so acting and re-evaluated
-    log-probs must come from the same chunks for the ratios to start at
-    exactly one.
+    log-probs must come from the same chunk: _ppo_losses builds one
+    _PackedChunk per chunk and runs both through it.
     """
 
     graphs: list
@@ -507,10 +496,12 @@ def _ppo_losses(params: FlowParams, trajectories, advantages, cfg: PpoConfig, te
     single tape holds the whole batch, and the chunk losses sum to the
     batch loss. Advantages are fixed per trajectory by the caller.
 
-    Everything a chunk's loss reads besides the weights (its packed
-    states and grids, acting log-probs, advantages and 1 / len weights)
-    is built here, once, so the callables can serve every update pass
-    over the batch."""
+    This is the only code that chunks a batch. Each chunk is packed once,
+    and its acting log-probs are one pass over that pack at params, which
+    must be the weights the trajectories were collected with. Everything
+    a chunk's loss reads besides the weights (pack, acting log-probs,
+    advantages, 1 / len weights) is built here, once, so the callables
+    serve every update pass over the batch."""
     if not trajectories:
         raise ValueError("the PPO loss needs at least one trajectory")
     scale = Tensor(np.array(-1.0 / len(trajectories)))
@@ -519,7 +510,7 @@ def _ppo_losses(params: FlowParams, trajectories, advantages, cfg: PpoConfig, te
         trajs = trajectories[lo : lo + PPO_CHUNK]
         chunk = _pack_chunk(params, trajs, temperature)
         order = chunk.order
-        lp_old = np.concatenate([traj.logp_old for traj in trajs])[order]
+        lp_old = _chunk_logprobs(params, chunk).data
         adv = np.concatenate(advantages[lo : lo + PPO_CHUNK])[order]
         weight = np.concatenate(
             [np.full(traj.num_steps, 1.0 / traj.num_steps) for traj in trajs]
@@ -692,7 +683,10 @@ def make_scorer(text: str, vocab, bonds):
     | exec:<command>
     """
     if text.startswith("exec:"):
-        return ExecScorer(text[len("exec:") :], vocab, bonds)
+        command = text[len("exec:") :]
+        if not command.strip():
+            raise ValueError("exec: scorer needs a command")
+        return ExecScorer(command, vocab, bonds)
     if not text.startswith("toy:"):
         raise ValueError(f"unknown scorer spec {text!r}")
     body = text[len("toy:") :]

@@ -292,9 +292,12 @@ def test_criterion_10_ppo_improves_reward(molecules500):
     cfg = rl.PpoConfig()
     base = rl.StepBaselines()
     advantages = [base.advantages(t) for t in trajs]
+    # built once, as the update does: the acting log-probs stay at the
+    # collection parameters while grad_check moves the weights
+    losses = rl._ppo_losses(sparams, trajs, advantages, cfg, 1.0)
 
     def loss():
-        return sum(f() for f in rl._ppo_losses(sparams, trajs, advantages, cfg, 1.0))
+        return sum(f() for f in losses)
 
     rel = ad.grad_check(loss, sparams.named_tensors(), h=1e-5)
 

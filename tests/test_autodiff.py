@@ -34,7 +34,7 @@ def _every_op(x):
         ad.exp(x), ad.log(x), ad.sqrt(x), ad.tanh(x), ad.relu(x), ad.clip(x, 3.2, 3.8),
         ad.minimum(x, k), ad.tensor_sum(x, axis=0), ad.reshape(x, (3, 2)),
         ad.concat([x, k], axis=0), ad.take(x, (np.array([1, 0]),)),
-        ad.logsumexp(x, axis=1), ad.log_ndtr(x),
+        ad.logsumexp(x, axis=1),
         ad.custom_op(2.0 * x.data, (x,), lambda g: (2.0 * g,)),
     ]
 
@@ -165,21 +165,6 @@ def test_logsumexp_extreme_values_stay_finite():
         tape.backward(out.sum())
     assert np.all(np.isfinite(out.data))
     assert np.all(np.isfinite(x.grad))
-
-
-def test_log_ndtr_matches_scipy_over_wide_range():
-    data = np.linspace(-30.0, 8.0, 200)
-    out = ad.log_ndtr(Tensor(data))
-    assert np.allclose(out.data, special.log_ndtr(data), rtol=1e-12, atol=1e-300)
-
-
-def test_log_ndtr_gradient_is_exp_ratio():
-    params = {"x": leaf([-8.0, -2.0, 0.0, 1.5])}
-
-    def f():
-        return ad.log_ndtr(params["x"]).sum()
-
-    assert ad.grad_check(f, params, h=1e-6) < 1e-7
 
 
 def test_gaussian_logpdf_matches_scipy():

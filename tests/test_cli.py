@@ -194,6 +194,24 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert "config error" in err
 
 
+def test_unknown_scorer_is_a_config_error(workspace, tmp_path, capsys):
+    # a scorer spec with a valid prefix that rl.make_scorer still rejects
+    # (no such toy scorer, an atom symbol outside the vocabulary, an exec
+    # scorer without a command) is a usage problem, reported on the
+    # scorer key before any output
+    common = ["--config", str(workspace["cfg"]), "--checkpoint", str(workspace["checkpoint"])]
+    commands = [["finetune"], ["optimize-constrained", "--molecules", str(workspace["data"])]]
+    for command in commands:
+        for k, spec in enumerate(("toy:bogus", "toy:atom-fraction:Xe", "exec:", "exec:  ")):
+            out = tmp_path / f"{command[0]}_{k}"
+            rc = cli.main(command + common + ["--scorer", spec, "--output", str(out)])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: key 'scorer': "), err
+            assert "Traceback" not in err
+            assert not (out / "manifest.txt").exists()
+
+
 def test_data_errors_exit_2(workspace, tmp_path, capsys):
     cfg = str(workspace["cfg"])
     out = str(tmp_path / "out")

@@ -5,12 +5,14 @@ checks, scorers, and constrained generation."""
 
 import copy
 import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import log_ndtr
 from scipy.stats import norm
 
 from graphflow import autodiff as ad
@@ -136,6 +138,33 @@ def test_compute_action_logprob_end_to_end():
 # ------------------------------- fused quadrature against its oracles
 
 
+def _log_ndtr(a):
+    # log of the standard normal CDF as one tape node of the composed
+    # oracle; its gradient is the hazard exp(log pdf - log cdf)
+    out = log_ndtr(a.data)
+
+    def back(g):
+        log_pdf = -0.5 * a.data * a.data - 0.5 * rl.LOG_TWO_PI
+        return (g * np.exp(log_pdf - out),)
+
+    return ad.custom_op(out, (a,), back)
+
+
+def test_log_ndtr_matches_scipy_over_wide_range():
+    data = np.linspace(-30.0, 8.0, 200)
+    out = _log_ndtr(Tensor(data))
+    assert np.allclose(out.data, log_ndtr(data), rtol=1e-12, atol=1e-300)
+
+
+def test_log_ndtr_gradient_is_exp_ratio():
+    params = {"x": Tensor(np.array([-8.0, -2.0, 0.0, 1.5]), requires_grad=True)}
+
+    def f():
+        return _log_ndtr(params["x"]).sum()
+
+    assert ad.grad_check(f, params, h=1e-6) < 1e-7
+
+
 def _composed_logprobs(mu, alpha, grid_u, grid_logw, actions):
     # the quadrature as a chain of elementwise tape ops over all D
     # columns, the own category masked to zero: the oracle for the
@@ -152,7 +181,7 @@ def _composed_logprobs(mu, alpha, grid_u, grid_logw, actions):
     mu_t = ad.take(mu, by_category).reshape(d, s_count, 1)
     alpha_t = ad.take(alpha, by_category).reshape(d, s_count, 1)
     y = (z_top.reshape(1, s_count, q) - mu_t) / alpha_t
-    log_cdf = ad.log_ndtr(y)
+    log_cdf = _log_ndtr(y)
     keep = np.ones((d, s_count, 1))
     keep[actions, rows, 0] = 0.0
     tail = (log_cdf * Tensor(keep)).sum(axis=0)
@@ -365,7 +394,7 @@ def test_baseline_updates():
     def traj_with_returns(rets):
         return rl.Trajectory(
             gen_graph=None, final_graph=None, trace=_fake_trace([0] * len(rets)),
-            final_reward=0.0, returns=np.array(rets), logp_old=np.zeros(len(rets)),
+            final_reward=0.0, returns=np.array(rets),
         )
 
     batch = [traj_with_returns([2.0, 4.0]), traj_with_returns([6.0])]
@@ -440,6 +469,22 @@ def chunk_logprobs(params, trajs, temperature=1.0):
     return rl._chunk_logprobs(params, chunk), chunk.order
 
 
+def held_acting(params, trajs, temperature=1.0):
+    """(chunk, acting log-probs in chunk.order) for each chunk loss that
+    _ppo_losses builds over trajs at params."""
+    advantages = [t.returns for t in trajs]
+    losses = rl._ppo_losses(params, trajs, advantages, rl.PpoConfig(), temperature)
+    return [(f.args[1], f.args[2].data) for f in losses]
+
+
+def with_acting(loss, trajs, shift):
+    """A chunk loss of _ppo_losses over trajs with its acting log-probs
+    moved by shift(traj), an array in trace order."""
+    params, chunk, lp_old, *rest = loss.args
+    moved = lp_old.data + np.concatenate([shift(t) for t in trajs])[chunk.order]
+    return partial(rl._chunk_loss, params, chunk, Tensor(moved), *rest)
+
+
 def test_collected_logprobs_reproduce_bitwise():
     # the ratio objective re-evaluates acting log-probs over the frozen
     # grids; at unchanged parameters the values must match exactly, which
@@ -450,7 +495,8 @@ def test_collected_logprobs_reproduce_bitwise():
     assert failures == 0
     assert len(trajs) == 3
     lp, order = chunk_logprobs(params, trajs)
-    stored = np.concatenate([traj.logp_old for traj in trajs])[order]
+    [(chunk, stored)] = held_acting(params, trajs)
+    assert np.array_equal(chunk.order, order)
     assert np.array_equal(lp.data, stored)
 
 
@@ -470,14 +516,16 @@ def _reference_logprobs(params, traj, temperature):
     return np.array(out)
 
 
-def _assert_chunk_matches_reference(params, trajs, temperature, acting=True):
-    # acting: params are the weights the trajectories were collected with
+def _assert_chunk_matches_reference(params, trajs, temperature, acting_params=None):
+    # acting_params: the weights the trajectories were collected with,
+    # when params are not those weights
     lp, order = chunk_logprobs(params, trajs, temperature)
     ref = np.concatenate([_reference_logprobs(params, t, temperature) for t in trajs])
     assert sorted(order) == list(range(len(ref)))
     assert np.abs(lp.data - ref[order]).max() < 1e-12
-    stored = np.concatenate([t.logp_old for t in trajs])[order]
-    if acting:
+    [(chunk, stored)] = held_acting(acting_params or params, trajs, temperature)
+    assert np.array_equal(chunk.order, order)
+    if acting_params is None:
         assert np.abs(lp.data - stored).max() < 1e-12
     else:
         assert np.abs(lp.data - stored).max() > 1e-6
@@ -508,7 +556,7 @@ def test_chunk_logprobs_match_per_step_reference():
     moved.edge_mu.b2.data += np.linspace(0.4, -0.4, moved.edge_mu.b2.data.size)
     moved.node_scale.b2.data += 0.3
     moved.edge_scale.b2.data -= 0.2
-    _assert_chunk_matches_reference(moved, seeded + plain, 0.8, acting=False)
+    _assert_chunk_matches_reference(moved, seeded + plain, 0.8, acting_params=params)
 
     # a no-bonds episode: the dropped node's steps are scored on gen_graph
     nb_spec = small_spec(max_size=3)
@@ -525,16 +573,18 @@ def test_chunk_logprobs_match_per_step_reference():
 
 def test_acting_logprobs_reproduce_bitwise_across_chunks():
     # more trajectories than one chunk: every chunk re-evaluated at the
-    # acting parameters gives back its stored values exactly
+    # acting parameters gives back the acting values the loss holds exactly
     spec = small_spec()
     params = random_params(4)
     trajs, _ = collect_small(params, spec, count=rl.PPO_CHUNK + 4, seed=10,
                              sampler_cfg=SamplerConfig(temperature=1.3))
     assert len(trajs) > rl.PPO_CHUNK
-    for lo in range(0, len(trajs), rl.PPO_CHUNK):
-        chunk = trajs[lo : lo + rl.PPO_CHUNK]
-        lp, order = chunk_logprobs(params, chunk, 1.3)
-        stored = np.concatenate([t.logp_old for t in chunk])[order]
+    held = held_acting(params, trajs, 1.3)
+    starts = range(0, len(trajs), rl.PPO_CHUNK)
+    assert len(held) == len(starts) == 2
+    for lo, (chunk, stored) in zip(starts, held):
+        lp, order = chunk_logprobs(params, trajs[lo : lo + rl.PPO_CHUNK], 1.3)
+        assert np.array_equal(chunk.order, order)
         assert np.array_equal(lp.data, stored)
 
 
@@ -560,20 +610,13 @@ def test_chunk_pack_matches_fresh_encoder_pass_bitwise():
         flow._stacked_conditionals(chunk.graphs[1:], chunk.states[1:], params, pack=pack)
 
 
-def test_build_trajectory_leaves_acting_logprobs_unset():
-    spec = small_spec()
-    params = random_params(2)
-    g, trace = sample_molecule(params, spec, SamplerConfig(), np.random.default_rng(2))
-    traj = rl.build_trajectory(g, trace, rl.RewardConfig(), score=1.0)
-    assert traj.logp_old.shape == (trace.num_steps,)
-    assert np.all(np.isnan(traj.logp_old))
-
-
 def batch_loss(params, trajs, baselines, cfg):
-    """The batch surrogate loss as one tensor: the sum of the update's
-    chunk losses, built on whatever tape is active."""
+    """The batch surrogate loss as a zero-argument callable: the sum of
+    the update's chunk losses, with acting log-probs read at params now,
+    built on whatever tape is active when it is called."""
     advantages = [baselines.advantages(t) for t in trajs]
-    return sum(f() for f in rl._ppo_losses(params, trajs, advantages, cfg, 1.0))
+    losses = rl._ppo_losses(params, trajs, advantages, cfg, 1.0)
+    return lambda: sum(f() for f in losses)
 
 
 def test_ppo_loss_at_acting_params_is_mean_advantage():
@@ -583,7 +626,7 @@ def test_ppo_loss_at_acting_params_is_mean_advantage():
     baselines = rl.StepBaselines()
     baselines.update_from_batch(trajs)
     cfg = rl.PpoConfig()
-    loss = batch_loss(params, trajs, baselines, cfg)
+    loss = batch_loss(params, trajs, baselines, cfg)()
     expected = -np.mean([baselines.advantages(t).mean() for t in trajs])
     assert abs(float(loss.data) - expected) < 1e-12
     with pytest.raises(ValueError):
@@ -591,7 +634,7 @@ def test_ppo_loss_at_acting_params_is_mean_advantage():
 
 
 def test_clipping_hand_case():
-    # shifting every stored log-prob by -log 2 makes each ratio exactly 2:
+    # shifting every acting log-prob by -log 2 makes each ratio exactly 2:
     # positive advantages clip at 1 + eps, negative ones keep the full
     # ratio through the min
     spec = small_spec()
@@ -599,16 +642,16 @@ def test_clipping_hand_case():
     trajs, _ = collect_small(params, spec)
     cfg = rl.PpoConfig(clip_ratio=0.2)
     baselines = rl.StepBaselines()  # empty: advantages equal raw returns
-    for traj in trajs:
-        traj.logp_old -= np.log(2.0)
+    advantages = [baselines.advantages(t) for t in trajs]
+    [loss] = rl._ppo_losses(params, trajs, advantages, cfg, 1.0)
+    halved = with_acting(loss, trajs, lambda t: np.full(t.num_steps, -np.log(2.0)))
     expected_terms = []
     for traj in trajs:
         adv = traj.returns
         terms = np.where(adv > 0, 1.2 * adv, 2.0 * adv)
         expected_terms.append(terms.mean())
     expected = -np.mean(expected_terms)
-    loss = batch_loss(params, trajs, baselines, cfg)
-    assert abs(float(loss.data) - expected) < 1e-9
+    assert abs(float(halved().data) - expected) < 1e-9
 
 
 def test_ppo_loss_gradients_match_finite_differences():
@@ -618,11 +661,7 @@ def test_ppo_loss_gradients_match_finite_differences():
     baselines = rl.StepBaselines()
     cfg = rl.PpoConfig()
     named = params.named_tensors()
-
-    def loss():
-        return batch_loss(params, trajs, baselines, cfg)
-
-    assert ad.grad_check(loss, named, h=1e-5) < 1e-4
+    assert ad.grad_check(batch_loss(params, trajs, baselines, cfg), named, h=1e-5) < 1e-4
 
 
 def test_chunked_ppo_gradient_matches_finite_differences_at_temperature():
@@ -656,11 +695,17 @@ def test_chunked_update_gradient_matches_one_tape_gradient():
     assert len(trajs) >= 20
     baselines = rl.StepBaselines()
     baselines.update_from_batch(trajs[:5])
-    for traj in trajs:  # ratios away from one, so some steps clip
-        traj.logp_old += np.where(np.arange(traj.num_steps) % 2, 0.4, -0.4)
     advantages = [baselines.advantages(t) for t in trajs]
     cfg = rl.PpoConfig()
-    losses = rl._ppo_losses(params, trajs, advantages, cfg, 1.3)
+
+    def shift(traj):  # ratios away from one, so some steps clip
+        return np.where(np.arange(traj.num_steps) % 2, 0.4, -0.4)
+
+    losses = [
+        with_acting(f, trajs[lo : lo + rl.PPO_CHUNK], shift)
+        for lo, f in zip(range(0, len(trajs), rl.PPO_CHUNK),
+                         rl._ppo_losses(params, trajs, advantages, cfg, 1.3))
+    ]
     assert len(losses) >= 2
     named = params.named_tensors()
     grads, values = ad.accumulate_grads(named, losses)
@@ -670,7 +715,7 @@ def test_chunked_update_gradient_matches_one_tape_gradient():
     assert abs(sum(values) - float(total.data)) < 1e-12
     # every trajectory counted once: the mean of one-trajectory objectives
     alone = [
-        float(rl._ppo_losses(params, [t], [a], cfg, 1.3)[0]().data)
+        float(with_acting(rl._ppo_losses(params, [t], [a], cfg, 1.3)[0], [t], shift)().data)
         for t, a in zip(trajs, advantages)
     ]
     assert abs(sum(values) - np.mean(alone)) < 1e-12
@@ -773,8 +818,8 @@ def test_finetune_runs_and_is_deterministic():
 
 
 def test_finetune_builds_grids_once_per_batch(monkeypatch):
-    # the grids are frozen per batch: one build per chunk and step kind at
-    # collection and one when the losses are built, however many update
+    # the grids are frozen per batch: one build per chunk and step kind
+    # when the losses are built, none at collection, however many update
     # passes run over the batch
     spec = small_spec()
     scorer = rl.make_scorer("toy:atom-count", spec.vocab, spec.bonds)
@@ -796,14 +841,14 @@ def test_finetune_builds_grids_once_per_batch(monkeypatch):
         )
         counts.append(len(calls))
     assert counts[0] == counts[1]
-    # two chunks, at most two step kinds each, built twice
-    assert 4 <= counts[1] <= 8
+    # two chunks, at most two step kinds each, built once
+    assert 2 <= counts[1] <= 4
 
 
 def test_finetune_builds_step_masks_once_per_pack(monkeypatch):
     # the encoder's step masks are packed with the grids: one build per
-    # graph of a chunk at collection and one when the losses are built,
-    # however many update passes reuse them
+    # graph of a chunk when the losses are built, however many update
+    # passes reuse them; collection alone runs no stacked encoder pass
     spec = small_spec()
     scorer = rl.make_scorer("toy:atom-count", spec.vocab, spec.bonds)
     build = rgcn.build_step_masks
@@ -825,8 +870,21 @@ def test_finetune_builds_step_masks_once_per_pack(monkeypatch):
         )
         counts.append(len(calls))
     assert counts[0] == counts[1]
-    # every episode's graph, once at collection and once for the update
-    assert 0 < counts[1] <= 2 * batch
+    # every episode's graph, once for the update
+    assert 0 < counts[1] <= batch
+
+    encode = rgcn.encode_step_batch
+    encodes = []
+
+    def counting_encode(*args, **kwargs):
+        encodes.append(args)
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(rgcn, "encode_step_batch", counting_encode)
+    calls.clear()
+    trajs, _ = collect_small(random_params(5), spec, count=batch, seed=6)
+    assert len(trajs) == batch
+    assert encodes == [] and calls == []
 
 
 # ---------------------------------------------------------------- scorers
