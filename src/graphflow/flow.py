@@ -42,7 +42,6 @@ from .graph import (
     default_atom_vocab,
     default_bond_vocab,
     dequantize,
-    empty_categories,
     is_bfs_ordered,
     max_dependency_distance,
 )
@@ -188,10 +187,8 @@ def decode_category(eps: np.ndarray, mu: np.ndarray, alpha: np.ndarray) -> int:
 
 @dataclass
 class StepPlan:
-    """Ordered generation steps for a graph of n nodes under a window."""
+    """Ordered generation steps for a graph under a window."""
 
-    n: int
-    window: int
     steps: list  # ("node", i) or ("edge", i, j), in generation order
 
     @property
@@ -205,7 +202,7 @@ def build_plan(n: int, window: int) -> StepPlan:
         steps.append(("node", i))
         for j in range(max(0, i - window), i):
             steps.append(("edge", i, j))
-    return StepPlan(n=n, window=window, steps=steps)
+    return StepPlan(steps)
 
 
 def validate_ordered(g: MolecularGraph, window: int) -> None:
@@ -222,13 +219,13 @@ def validate_ordered(g: MolecularGraph, window: int) -> None:
 @dataclass
 class LogLik:
     """Total log-likelihood plus the per-step breakdown. nll is the
-    negative total as a tensor a surrounding tape can differentiate; only
-    the parallel path records one."""
+    negative total as a tensor; a surrounding tape can differentiate it
+    only on the parallel path, whose tables are built on that tape."""
 
     total: float
     node_terms: np.ndarray  # (n,)
     edge_terms: list  # [(i, j, value)] in generation order
-    nll: Tensor | None = None
+    nll: Tensor
 
     @property
     def num_steps(self) -> int:
@@ -352,6 +349,46 @@ def _stack_za(z: DequantizedGraph, edge_steps) -> np.ndarray:
     return np.stack([z.za[(i, j)] for _, i, j in edge_steps])
 
 
+def _sequential_conditionals(g: MolecularGraph, params: FlowParams, plan: StepPlan):
+    """_stacked_conditionals' four tables, laid out the same way, from
+    one step_conditional call per step: each step's encoder pass sees
+    only the prefix of g that step conditions on."""
+    node, edge = [], []
+    for step in plan.steps:
+        (node if step[0] == "node" else edge).append(step_conditional(params, g, step))
+    tables = []
+    for rows in (node, edge):
+        tables += [Tensor(np.stack(col)) for col in zip(*rows)] if rows else [None, None]
+    return tuple(tables)
+
+
+def _ordered_noise(g: MolecularGraph, spec: ModelSpec, z, rng) -> DequantizedGraph:
+    """Check g's step order, then return z, or fresh dequantization
+    noise drawn from rng when z is None."""
+    validate_ordered(g, spec.window)
+    if z is None:
+        if rng is None:
+            raise ValueError("need either z or an rng")
+        z = dequantize(g, spec.vocab, spec.bonds, rng, window=spec.window)
+    return z
+
+
+def _log_likelihood(z: DequantizedGraph, plan: StepPlan, conditionals) -> LogLik:
+    """Gaussian log-density of z under the (mu, alpha) tables of every
+    step of plan, as _stacked_conditionals lays them out."""
+    mu_x, alpha_x, mu_a, alpha_a = conditionals
+    ll_x = ad.gaussian_logpdf(Tensor(z.zx), mu_x, alpha_x)
+    total = ll_x.sum()
+    node_terms = ll_x.data.sum(axis=1)
+    edge_terms = []
+    if mu_a is not None:
+        ll_a = ad.gaussian_logpdf(Tensor(_stack_za(z, plan.edge_steps)), mu_a, alpha_a)
+        total = total + ll_a.sum()
+        rows = ll_a.data.sum(axis=1)
+        edge_terms = [(i, j, float(v)) for (_, i, j), v in zip(plan.edge_steps, rows)]
+    return LogLik(float(total.data), node_terms, edge_terms, nll=-1.0 * total)
+
+
 def log_likelihood_parallel(
     g: MolecularGraph,
     params: FlowParams,
@@ -370,28 +407,9 @@ def log_likelihood_parallel(
     which makes the value a per-graph density independent of how calls
     are batched.
     """
-    validate_ordered(g, spec.window)
-    if z is None:
-        if rng is None:
-            raise ValueError("need either z or an rng")
-        z = dequantize(g, spec.vocab, spec.bonds, rng, window=spec.window)
+    z = _ordered_noise(g, spec, z, rng)
     plan = build_plan(g.n, spec.window)
-    mu_x, alpha_x, mu_a, alpha_a = _stacked_conditionals(g, plan.steps, params, training)
-    ll_x = ad.gaussian_logpdf(Tensor(z.zx), mu_x, alpha_x)
-    total = ll_x.sum()
-    node_terms = ll_x.data.sum(axis=1)
-    edge_terms = []
-    if mu_a is not None:
-        za = _stack_za(z, plan.edge_steps)
-        ll_a = ad.gaussian_logpdf(Tensor(za), mu_a, alpha_a)
-        total = total + ll_a.sum()
-        rows = ll_a.data.sum(axis=1)
-        edge_terms = [
-            (i, j, float(v)) for (_, i, j), v in zip(plan.edge_steps, rows)
-        ]
-    return LogLik(
-        total=float(total.data), node_terms=node_terms, edge_terms=edge_terms, nll=-1.0 * total
-    )
+    return _log_likelihood(z, plan, _stacked_conditionals(g, plan.steps, params, training))
 
 
 def log_likelihood_sequential(
@@ -400,25 +418,15 @@ def log_likelihood_sequential(
     spec: ModelSpec,
     z: DequantizedGraph,
 ) -> LogLik:
-    """Reference implementation: one encoder call per generation step.
+    """Reference for log_likelihood_parallel: each step's (mu, alpha)
+    come from one encoder call on that step's prefix of g.
 
     Always runs the encoder against the running buffers; batch statistics
     would span a whole stacked pass and cannot be reproduced one step at
     a time."""
-    validate_ordered(g, spec.window)
-    node_terms = np.zeros(g.n)
-    edge_terms = []
-    for step in build_plan(g.n, spec.window).steps:
-        mu, alpha = step_conditional(params, g, step)
-        if step[0] == "node":
-            i = step[1]
-            node_terms[i] = ad.gaussian_logpdf(z.zx[i], mu, alpha).data.sum()
-        else:
-            _, i, j = step
-            val = ad.gaussian_logpdf(z.za[(i, j)], mu, alpha).data.sum()
-            edge_terms.append((i, j, float(val)))
-    total = float(node_terms.sum() + sum(v for _, _, v in edge_terms))
-    return LogLik(total=total, node_terms=node_terms, edge_terms=edge_terms)
+    z = _ordered_noise(g, spec, z, None)
+    plan = build_plan(g.n, spec.window)
+    return _log_likelihood(z, plan, _sequential_conditionals(g, params, plan))
 
 
 @dataclass
@@ -435,69 +443,24 @@ def graph_to_latent(
     spec: ModelSpec,
     z: DequantizedGraph | None = None,
     rng=None,
-    sequential: bool = True,
 ) -> LatentSeq:
-    """Invert the flow on a dequantized graph.
+    """Invert the flow on a dequantized graph: eps = (z - mu) / alpha at
+    every step, with all steps' (mu, alpha) from one stacked pass.
 
-    The sequential path literally never touches data later in the order,
-    so earlier latents are bit-for-bit invariant to later perturbations.
-    The batched path computes the same values via masked stacks (equal to
-    roundoff) and is the faster choice when that guarantee is not needed.
-    Uses evaluation-mode batch norm, so no state is mutated.
+    Each step's conditional reads only the prefix of g decided before
+    it, so editing later nodes or bond slots leaves earlier latents
+    unchanged. Uses evaluation-mode batch norm, so no state is mutated.
+    sampler.latent_to_graph runs the map the other way.
     """
-    validate_ordered(g, spec.window)
-    if z is None:
-        if rng is None:
-            raise ValueError("need either z or an rng")
-        z = dequantize(g, spec.vocab, spec.bonds, rng, window=spec.window)
+    z = _ordered_noise(g, spec, z, rng)
     plan = build_plan(g.n, spec.window)
-    if sequential:
-        eps_x = np.zeros_like(z.zx)
-        eps_a = {}
-        for step in plan.steps:
-            mu, alpha = step_conditional(params, g, step)
-            if step[0] == "node":
-                eps_x[step[1]] = inverse_transform(z.zx[step[1]], mu, alpha)
-            else:
-                eps_a[step[1:]] = inverse_transform(z.za[step[1:]], mu, alpha)
-        return LatentSeq(eps_x=eps_x, eps_a=eps_a)
     mu_x, alpha_x, mu_a, alpha_a = _stacked_conditionals(g, plan.steps, params)
     eps_x = inverse_transform(z.zx, mu_x.data, alpha_x.data)
     eps_a = {}
     if mu_a is not None:
-        za = _stack_za(z, plan.edge_steps)
-        all_eps = inverse_transform(za, mu_a.data, alpha_a.data)
-        for row, (_, i, j) in zip(all_eps, plan.edge_steps):
-            eps_a[(i, j)] = row
+        rows = inverse_transform(_stack_za(z, plan.edge_steps), mu_a.data, alpha_a.data)
+        eps_a = {step[1:]: row for step, row in zip(plan.edge_steps, rows)}
     return LatentSeq(eps_x=eps_x, eps_a=eps_a)
-
-
-def latent_to_graph(
-    latent: LatentSeq,
-    params: FlowParams,
-    spec: ModelSpec,
-) -> MolecularGraph:
-    """Deterministically decode a latent sequence back to a discrete graph.
-
-    This is the generation map run without sampling, valency checks or
-    termination: every step re-encodes the partial graph decoded so far.
-    """
-    n = latent.eps_x.shape[0]
-    no_edge = spec.bonds.no_edge
-    types = np.zeros(n, dtype=np.int64)
-    cats = empty_categories(n, no_edge)
-    g = MolecularGraph(types, cats, no_edge)  # filled in place, step by step
-    for step in build_plan(n, spec.window).steps:
-        mu, alpha = step_conditional(params, g, step)
-        if step[0] == "node":
-            i = step[1]
-            types[i] = decode_category(latent.eps_x[i], mu, alpha)
-        else:
-            _, i, j = step
-            c = decode_category(latent.eps_a[(i, j)], mu, alpha)
-            if c != no_edge:
-                cats[i, j] = cats[j, i] = c
-    return g
 
 
 @dataclass

@@ -271,9 +271,15 @@ class RewardConfig:
             raise ValueError(f"unknown shaping {self.shaping!r}")
 
     def shape(self, score: float) -> float:
-        if self.shaping == "linear":
-            return self.t1 * score
-        return math.exp(score / self.t2)
+        """The shaped reward; FloatingPointError if it is not finite."""
+        try:
+            shaped = self.t1 * score if self.shaping == "linear" else math.exp(score / self.t2)
+        except OverflowError:
+            shaped = math.inf
+        if not math.isfinite(shaped):
+            raise FloatingPointError(f"{self.shaping} shaping of score {score!r} "
+                                     f"(t1 {self.t1!r}, t2 {self.t2!r}) is not finite")
+        return shaped
 
 
 class ScorerError(Exception):
@@ -542,6 +548,8 @@ def finetune(
     batch means afterwards. The learning rate ramps linearly over the
     first `warmup` iterations. A non-finite loss aborts.
     """
+    if not sampler_cfg.temperature > 0.0:  # a greedy policy has no log-probs
+        raise ValueError("policy-gradient fine-tuning needs a positive temperature")
     adam = AdamState()
     baselines = StepBaselines()
     named = params.named_tensors()
@@ -604,9 +612,9 @@ SCORER_TIMEOUT = 30.0  # seconds an exec: scorer gets per reply, and to exit
 class ExecScorer:
     """External scorer child process speaking the one-record protocol:
     we write a molecule record followed by an #END line, it answers with
-    exactly one decimal number per line. Anything non-numeric is a
-    scorer failure, and so is a reply that does not arrive within
-    SCORER_TIMEOUT: the child is then killed."""
+    exactly one decimal number per line. Anything non-numeric or not
+    finite (inf, nan) is a scorer failure, and so is a reply that does
+    not arrive within SCORER_TIMEOUT: the child is then killed."""
 
     def __init__(self, command: str, vocab, bonds):
         self.vocab = vocab
@@ -631,9 +639,12 @@ class ExecScorer:
         if not reply:
             raise ScorerError("scorer closed its output")
         try:
-            return float(reply.strip())
+            score = float(reply.strip())
         except ValueError:
             raise ScorerError(f"scorer replied with non-numeric {reply.strip()!r}")
+        if not math.isfinite(score):
+            raise ScorerError(f"scorer replied with non-finite {reply.strip()!r}")
+        return score
 
     def _read_line(self) -> str:
         """One reply line, '' at end of output; kills a child that stays

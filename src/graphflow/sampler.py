@@ -1,10 +1,12 @@
 """Molecule generation by running the flow forward step by step.
 
-Each step draws a base normal sample, pushes it through the current
-step's affine transform and decodes the category by argmax. Bond
-proposals that would push either endpoint past its valence are rejected
-and the slot is resampled with fresh noise, up to a cap, after which the
-slot deterministically falls back to no-edge. A rejected proposal never
+Each step takes a base normal value, pushes it through the current
+step's affine transform and decodes the category by argmax. One walker,
+_walk, runs the steps: sample_molecule draws the values from an RNG,
+and latent_to_graph takes them from a latent sequence. Bond proposals
+that would push either endpoint past its valence are rejected and the
+slot is resampled with fresh noise, up to a cap, after which the slot
+deterministically falls back to no-edge. A rejected proposal never
 mutates the graph. Generation stops at the size limit, or as soon as a
 newly added node (other than the first) picks up no bond at all, in
 which case that node is discarded.
@@ -22,11 +24,12 @@ import numpy as np
 
 from .flow import (
     FlowParams,
+    LatentSeq,
     ModelSpec,
+    build_plan,
     decode_category,
     edge_conditional,
     graph_to_latent,
-    latent_to_graph,
     node_conditional,
     step_embedding,
     validate_ordered,
@@ -44,7 +47,13 @@ from .graph import (
 class SamplerConfig:
     valency_check: bool = True
     max_resample: int = 100
-    temperature: float = 1.0
+    temperature: float = 1.0  # 0 decodes greedily: every draw is zero
+
+    def __post_init__(self):
+        if not (np.isfinite(self.temperature) and self.temperature >= 0.0):
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
+        if self.max_resample < 0:
+            raise ValueError(f"max_resample must be >= 0, got {self.max_resample}")
 
 
 @dataclass
@@ -71,43 +80,15 @@ class SampleTrace:
         return len(self.steps)
 
 
-def sample_molecule(
-    params: FlowParams,
-    spec: ModelSpec,
-    cfg: SamplerConfig,
-    rng,
-    seed_graph: MolecularGraph | None = None,
-):
-    """Generate one molecule; returns (graph, trace).
-
-    seed_graph, when given, is taken as the already-generated prefix (it
-    must be in generation order) and sampling continues from there.
-    """
-    d = spec.node_dim
-    c_dim = spec.edge_dim
-    no_edge = spec.bonds.no_edge
-    max_size = spec.max_size
-    types = np.zeros(max_size, dtype=np.int64)
-    cats = empty_categories(max_size, no_edge)
-    if seed_graph is not None:
-        if seed_graph.n > max_size:
-            raise GraphError("seed graph larger than max_size")
-        if seed_graph.no_edge != no_edge:
-            raise GraphError("seed graph uses a different bond vocabulary")
-        validate_ordered(seed_graph, spec.window)
-        start = seed_graph.n
-        types[:start] = seed_graph.node_types
-        cats[:start, :start] = seed_graph.categories
-    else:
-        start = 0
-    g = MolecularGraph(types, cats, no_edge)  # filled in place, step by step
-    trace = SampleTrace()
-    size = start
-    termination = "max-size"
-    for i in range(start, max_size):
+def _walk(params: FlowParams, spec: ModelSpec, cfg: SamplerConfig, g: MolecularGraph, start, draw):
+    """Fill g, whose nodes before start are decided, in place from node
+    start on; draw(dim) gives each proposal's base normal value. Returns
+    (the kept prefix of g, trace)."""
+    types, cats, no_edge = g.node_types, g.categories, g.no_edge
+    trace = SampleTrace(termination="max-size")
+    for i in range(start, g.n):
         mu, alpha = node_conditional(params, *step_embedding(params, g, ("node", i)))
-        eps = rng.standard_normal(d) * cfg.temperature
-        t = decode_category(eps, mu.data[0], alpha.data[0])
+        t = decode_category(draw(spec.node_dim), mu.data[0], alpha.data[0])
         types[i] = t
         trace.steps.append(
             TraceStep("node", i, -1, t, 0, mu.data[0].copy(), alpha.data[0].copy())
@@ -117,8 +98,7 @@ def sample_molecule(
             mu, alpha = edge_conditional(params, *step_embedding(params, g, ("edge", i, j)))
             rejections = 0
             while True:
-                eps = rng.standard_normal(c_dim) * cfg.temperature
-                cat = decode_category(eps, mu.data[0], alpha.data[0])
+                cat = decode_category(draw(spec.edge_dim), mu.data[0], alpha.data[0])
                 if (
                     cfg.valency_check
                     and cat != no_edge
@@ -140,14 +120,41 @@ def sample_molecule(
             )
         if i > 0 and not got_bond:
             # the new node would be disconnected: drop it and stop
-            types[i] = 0
-            termination = "no-bonds"
-            break
-        size = i + 1
-    if size == 0:
-        raise GraphError("cannot sample into a zero-size graph (seed required?)")
-    trace.termination = termination
-    return MolecularGraph(types[:size], cats[:size, :size], no_edge), trace
+            trace.termination = "no-bonds"
+            return g.prefix(i), trace
+    return g, trace
+
+
+def sample_molecule(
+    params: FlowParams,
+    spec: ModelSpec,
+    cfg: SamplerConfig,
+    rng,
+    seed_graph: MolecularGraph | None = None,
+):
+    """Generate one molecule; returns (graph, trace).
+
+    seed_graph, when given, is taken as the already-generated prefix (it
+    must be in generation order) and sampling continues from there.
+    """
+    no_edge = spec.bonds.no_edge
+    max_size = spec.max_size
+    types = np.zeros(max_size, dtype=np.int64)
+    cats = empty_categories(max_size, no_edge)
+    start = 0
+    if seed_graph is not None:
+        if seed_graph.n > max_size:
+            raise GraphError("seed graph larger than max_size")
+        if seed_graph.no_edge != no_edge:
+            raise GraphError("seed graph uses a different bond vocabulary")
+        validate_ordered(seed_graph, spec.window)
+        start = seed_graph.n
+        types[:start] = seed_graph.node_types
+        cats[:start, :start] = seed_graph.categories
+    return _walk(
+        params, spec, cfg, MolecularGraph(types, cats, no_edge), start,
+        lambda dim: rng.standard_normal(dim) * cfg.temperature,
+    )
 
 
 def sample_batch(
@@ -167,6 +174,22 @@ def sample_batch(
     return graphs, traces
 
 
+def latent_to_graph(
+    latent: LatentSeq,
+    params: FlowParams,
+    spec: ModelSpec,
+) -> MolecularGraph:
+    """Deterministically decode a latent sequence back to a discrete graph:
+    generation with the latents as its draws and no valency check. Like
+    a sample, it ends at a node after the first that decodes no bond,
+    which latents of a BFS-ordered graph never hold."""
+    n, no_edge = latent.eps_x.shape[0], spec.bonds.no_edge
+    steps = build_plan(n, spec.window).steps
+    eps = iter(latent.eps_x[s[1]] if s[0] == "node" else latent.eps_a[s[1:]] for s in steps)
+    g = MolecularGraph(np.zeros(n, dtype=np.int64), empty_categories(n, no_edge), no_edge)
+    return _walk(params, spec, SamplerConfig(valency_check=False), g, 0, lambda _: next(eps))[0]
+
+
 def reconstruct(
     g: MolecularGraph,
     params: FlowParams,
@@ -177,5 +200,5 @@ def reconstruct(
     invert to the latent sequence, run generation forward from those
     latents, and decode. For any parameters this reproduces the input."""
     z = dequantize(g, spec.vocab, spec.bonds, rng, window=spec.window)
-    latent = graph_to_latent(g, params, spec, z=z, sequential=False)
+    latent = graph_to_latent(g, params, spec, z=z)
     return latent_to_graph(latent, params, spec)

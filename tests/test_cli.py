@@ -303,6 +303,20 @@ def test_numeric_failure_exits_3(workspace, tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_exp_reward_overflow_exits_3(workspace, tmp_path, capsys):
+    # toy:atom-count scores of several atoms over t2 = 0.001 overflow
+    # exp(score / t2): a numerical failure, not a crash
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(TINY_CFG + "rl_shaping = exp\nrl_t2 = 0.001\n")
+    out = tmp_path / "out"
+    rc = cli.main(["finetune", "--config", str(cfg), "--checkpoint",
+                   str(workspace["checkpoint"]), "--output", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "t2 0.001" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_sample_overflow_exits_3(workspace, tmp_path, capsys):
     # finite weights whose node-step mu overflows to inf: the decoded

@@ -11,6 +11,7 @@ from scipy import stats
 from graphflow import autodiff as ad
 from graphflow import flow
 from graphflow import graph as G
+from graphflow import sampler
 from graphflow.autodiff import Tensor
 from graphflow.graph import GraphError, MolecularGraph, empty_categories
 
@@ -240,16 +241,23 @@ def test_prefix_latents_ignore_later_graph_content():
 
 
 def test_batched_latents_match_sequential():
+    # the stacked pass against one step_conditional call per step
     spec = small_spec()
     params = flow.init_flow_params(spec, np.random.default_rng(11), zero_init_heads=False)
     for g in molecules(12, 4, window=spec.window):
         z = G.dequantize(g, VOCAB, BONDS, np.random.default_rng(13), window=spec.window)
-        seq = flow.graph_to_latent(g, params, spec, z=z, sequential=True)
-        bat = flow.graph_to_latent(g, params, spec, z=z, sequential=False)
-        assert np.allclose(seq.eps_x, bat.eps_x, atol=1e-10)
-        assert set(seq.eps_a) == set(bat.eps_a)
-        for key in seq.eps_a:
-            assert np.allclose(seq.eps_a[key], bat.eps_a[key], atol=1e-10)
+        bat = flow.graph_to_latent(g, params, spec, z=z)
+        steps = flow.build_plan(g.n, spec.window).steps
+        assert set(bat.eps_a) == {step[1:] for step in steps if step[0] == "edge"}
+        for step in steps:
+            mu, alpha = flow.step_conditional(params, g, step)
+            if step[0] == "node":
+                ref = flow.inverse_transform(z.zx[step[1]], mu, alpha)
+                got = bat.eps_x[step[1]]
+            else:
+                ref = flow.inverse_transform(z.za[step[1:]], mu, alpha)
+                got = bat.eps_a[step[1:]]
+            assert np.allclose(ref, got, atol=1e-10)
 
 
 def test_latent_round_trip_recovers_graph():
@@ -258,12 +266,29 @@ def test_latent_round_trip_recovers_graph():
     rng = np.random.default_rng(15)
     count = 0
     for g in molecules(16, 12, window=spec.window):
-        for sequential in (True, False):
-            lat = flow.graph_to_latent(g, params, spec, rng=rng, sequential=sequential)
-            back = flow.latent_to_graph(lat, params, spec)
-            assert back == g
+        lat = flow.graph_to_latent(g, params, spec, rng=rng)
+        back = sampler.latent_to_graph(lat, params, spec)
+        assert back == g
         count += 1
     assert count >= 8
+
+
+def test_latent_node_without_bond_ends_decoding():
+    # decoding drops a node after the first that gets no bond and stops,
+    # as sampling does, even when the latent holds more nodes
+    spec = small_spec(window=2)
+    params = flow.init_flow_params(spec, np.random.default_rng(17))  # mu 0, alpha 1
+    d, c = spec.node_dim, spec.edge_dim
+    bond, none = np.full(c, -5.0), np.full(c, -5.0)
+    bond[0] = 5.0
+    none[NO_EDGE] = 5.0
+    eps_x = np.full((4, d), -5.0)
+    eps_x[:, 1] = 5.0  # every node decodes type 1
+    eps_a = {(1, 0): bond, (2, 0): none, (2, 1): none, (3, 1): bond, (3, 2): bond}
+    back = sampler.latent_to_graph(flow.LatentSeq(eps_x, eps_a), params, spec)
+    cats = empty_categories(2, NO_EDGE)
+    cats[0, 1] = cats[1, 0] = 0
+    assert back == MolecularGraph(np.array([1, 1]), cats, NO_EDGE)
 
 
 # ------------------------------------------------- triangular structure

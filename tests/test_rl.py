@@ -427,6 +427,15 @@ def test_reward_config_shaping_and_validation():
         rl.PpoConfig(clip_ratio=0.0)
 
 
+def test_reward_shaping_overflow_is_a_numerical_failure():
+    # exp(5 / 0.001) overflows a float: the shaped reward must fail with
+    # both numbers named instead of escaping as a math range error
+    ex = rl.RewardConfig(gamma=0.9, shaping="exp", t2=0.001)
+    with pytest.raises(FloatingPointError, match=r"score 5\.0 .*t2 0\.001"):
+        ex.shape(5.0)
+    assert ex.shape(0.5) == pytest.approx(np.exp(500.0))
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -817,6 +826,18 @@ def test_finetune_runs_and_is_deterministic():
         assert np.array_equal(tensor.data, p2.named_tensors()[name].data)
 
 
+def test_finetune_rejects_zero_temperature():
+    # at temperature 0 the sampler is greedy and the acting log-probs
+    # would divide by a zero scale; the run fails before any episode
+    spec = small_spec()
+    scorer = rl.make_scorer("toy:atom-count", spec.vocab, spec.bonds)
+    with pytest.raises(ValueError, match="temperature"):
+        rl.finetune(
+            random_params(5), spec, scorer, rl.RewardConfig(), rl.PpoConfig(batch_size=2),
+            SamplerConfig(temperature=0.0), iterations=1, rng=np.random.default_rng(6),
+        )
+
+
 def test_finetune_builds_grids_once_per_batch(monkeypatch):
     # the grids are frozen per batch: one build per chunk and step kind
     # when the losses are built, none at collection, however many update
@@ -966,6 +987,28 @@ def test_exec_scorer_failures(tmp_path):
         with pytest.raises(rl.ScorerError):
             scorer.score(g)
             scorer.score(g)  # first call may race the exit; second must fail
+    finally:
+        scorer.close()
+
+
+def test_exec_scorer_non_finite_replies_fail(tmp_path):
+    # float() parses inf and nan, but neither is a score: a reply of
+    # either is a scorer failure like a non-numeric one
+    script = tmp_path / "inf_scorer.py"
+    script.write_text(
+        "import sys\n"
+        "replies = iter(['inf', 'nan', '2.5'])\n"
+        "for line in sys.stdin:\n"
+        "    if line.strip() == '#END':\n"
+        "        print(next(replies), flush=True)\n"
+    )
+    scorer = rl.ExecScorer(f"python3 {script}", VOCAB, BONDS)
+    try:
+        with pytest.raises(rl.ScorerError, match="non-finite 'inf'"):
+            scorer.score(_two_atom_graph())
+        with pytest.raises(rl.ScorerError, match="non-finite 'nan'"):
+            scorer.score(_two_atom_graph())
+        assert scorer.score(_two_atom_graph()) == 2.5
     finally:
         scorer.close()
 

@@ -131,6 +131,26 @@ def test_zero_temperature_is_greedy():
     assert a == b
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("temperature", -1.0),
+        ("temperature", float("nan")),
+        ("temperature", float("inf")),
+        ("max_resample", -1),
+    ],
+)
+def test_sampler_config_rejects_out_of_range_values(field, value):
+    # a negative temperature flips every proposal's noise and makes the
+    # acting log-probs use a negative scale
+    with pytest.raises(ValueError, match=field):
+        sampler.SamplerConfig(**{field: value})
+
+
+def test_sampler_config_accepts_boundary_values():
+    sampler.SamplerConfig(temperature=0.0, max_resample=0)
+
+
 def test_seed_graph_continuation_preserves_prefix():
     spec = small_spec()
     params = flow.init_flow_params(spec, np.random.default_rng(8), zero_init_heads=False)
