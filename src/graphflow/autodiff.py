@@ -19,7 +19,17 @@ it did before.
 
 Elementwise ops follow numpy broadcasting; the backward pass sums
 gradients over broadcast axes, so a weight shared across a stacked
-batch dimension accumulates contributions from every slice.
+batch dimension accumulates contributions from every slice. A backward
+closure returns None for a parent that needs no gradient (a mask, a
+constant such as -0.5), so no work goes into a gradient the tape would
+drop.
+
+Fused nodes: custom_op records a composite expression as one node with
+a hand-written backward. The encoder layer (rgcn), the head MLP (flow)
+and evaluation-mode batch_norm are built this way; each runs the numpy
+calls of its op-by-op expression in the same order, forward and
+backward, so values and gradients stay bitwise equal to it while the
+tape holds one node and one output Tensor instead of four to six.
 """
 
 from __future__ import annotations
@@ -158,16 +168,22 @@ def custom_op(data, parents, back) -> Tensor:
     """Wrap an array computed from the parents' values as one tape node.
 
     For fused operations with a hand-written gradient: back(g) returns
-    one gradient array (or None) per parent, like the built-in ops.
+    one gradient array (or None) per parent, like the built-in ops, and
+    unbroadcast sums a gradient back to a broadcast parent's shape.
     """
     parents = tuple(parents)
-    out = Tensor(data, any(p.requires_grad for p in parents))
-    if _ACTIVE_TAPE is not None and out.requires_grad:
+    requires_grad = False
+    for p in parents:  # a plain loop: any() over a generator costs more per call
+        if p.requires_grad:
+            requires_grad = True
+            break
+    out = Tensor(data, requires_grad)
+    if _ACTIVE_TAPE is not None and requires_grad:
         _record(out, parents, back)
     return out
 
 
-def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
+def unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     """Sum a gradient over the axes numpy broadcasting added or stretched."""
     if grad.shape == shape:
         return grad
@@ -199,7 +215,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return out
 
     def back(g):
-        return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
+        return (
+            unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        )
 
     _record(out, (a, b), back)
     return out
@@ -211,7 +230,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         return out
 
     def back(g):
-        return (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape))
+        return (
+            unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            unbroadcast(-g, b.data.shape) if b.requires_grad else None,
+        )
 
     _record(out, (a, b), back)
     return out
@@ -224,8 +246,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def back(g):
         return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
+            unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
         )
 
     _record(out, (a, b), back)
@@ -242,8 +264,8 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
     def back(g):
         return (
-            _unbroadcast(g * inv, a.data.shape),
-            _unbroadcast(-g * out.data * inv, b.data.shape),
+            unbroadcast(g * inv, a.data.shape) if a.requires_grad else None,
+            unbroadcast(-g * out.data * inv, b.data.shape) if b.requires_grad else None,
         )
 
     _record(out, (a, b), back)
@@ -269,9 +291,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         # constant operands (adjacency, one-hot rows) get no gradient product
         ga = gb = None
         if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
+            ga = unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
         if b.requires_grad:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+            gb = unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
         return (ga, gb)
 
     _record(out, (a, b), back)
@@ -318,30 +340,6 @@ def sqrt(a: Tensor) -> Tensor:
     return out
 
 
-def tanh(a: Tensor) -> Tensor:
-    out = Tensor(np.tanh(a.data), a.requires_grad)
-    if _ACTIVE_TAPE is None or not out.requires_grad:
-        return out
-
-    def back(g):
-        return (g * (1.0 - out.data * out.data),)
-
-    _record(out, (a,), back)
-    return out
-
-
-def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0), a.requires_grad)
-    if _ACTIVE_TAPE is None or not out.requires_grad:
-        return out
-
-    def back(g):
-        return (g * (a.data > 0.0),)
-
-    _record(out, (a,), back)
-    return out
-
-
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values to [lo, hi]; gradient is zero where clamping engaged."""
     out = Tensor(np.clip(a.data, lo, hi), a.requires_grad)
@@ -367,8 +365,8 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
 
     def back(g):
         return (
-            _unbroadcast(g * take_a, a.data.shape),
-            _unbroadcast(g * ~take_a, b.data.shape),
+            unbroadcast(g * take_a, a.data.shape),
+            unbroadcast(g * ~take_a, b.data.shape),
         )
 
     _record(out, (a, b), back)
@@ -501,7 +499,10 @@ def batch_norm(
     rows are garbage and the caller is expected to mask them out again.
     Training mode folds the batch statistics into the running buffers
     once per call; evaluation mode reads the running buffers, needs no
-    mask, and takes input of any leading shape.
+    mask, and takes input of any leading shape. Evaluation mode is one
+    tape node: ((x - mean) / sd) * gamma + beta, whose backward replays
+    the add, mul, div and sub steps of that expression, so its x
+    gradient is (g * gamma) * (1 / sd).
     """
     if training:
         inv_total = 1.0 / counts.sum()
@@ -513,8 +514,20 @@ def batch_norm(
         )
         scale = gamma / sqrt(var + eps)
         return centered * scale + beta
-    normalized = (x - state.running_mean) / np.sqrt(state.running_var + eps)
-    return normalized * gamma + beta
+    sd = np.sqrt(state.running_var + eps)
+    normalized = (x.data - state.running_mean) / sd
+
+    def back(g):
+        gx = ggamma = gbeta = None
+        if beta.requires_grad:
+            gbeta = unbroadcast(g, beta.data.shape)
+        if gamma.requires_grad:
+            ggamma = unbroadcast(g * normalized, gamma.data.shape)
+        if x.requires_grad:
+            gx = unbroadcast((g * gamma.data) * (1.0 / sd), x.data.shape)
+        return (gx, ggamma, gbeta)
+
+    return custom_op(normalized * gamma.data + beta.data, (x, gamma, beta), back)
 
 
 @dataclass

@@ -95,7 +95,29 @@ class MlpParams:
 
 
 def mlp_apply(p: MlpParams, x: Tensor) -> Tensor:
-    return ad.tanh(x @ p.w1 + p.b1) @ p.w2 + p.b2
+    """tanh(x @ w1 + b1) @ w2 + b2 as one tape node. The backward
+    replays the composite's add, matmul, tanh, add and matmul steps in
+    order, so values and gradients are bitwise those of the op-by-op
+    expression."""
+    w1, b1, w2, b2 = p.w1, p.b1, p.w2, p.b2
+    t = np.tanh(np.matmul(x.data, w1.data) + b1.data)
+
+    def back(g):
+        gu = np.matmul(g, np.swapaxes(w2.data, -1, -2)) * (1.0 - t * t)
+        gx = gw1 = gb1 = gw2 = gb2 = None
+        if x.requires_grad:
+            gx = ad.unbroadcast(np.matmul(gu, np.swapaxes(w1.data, -1, -2)), x.data.shape)
+        if w1.requires_grad:
+            gw1 = ad.unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), gu), w1.data.shape)
+        if b1.requires_grad:
+            gb1 = ad.unbroadcast(gu, b1.data.shape)
+        if w2.requires_grad:
+            gw2 = ad.unbroadcast(np.matmul(np.swapaxes(t, -1, -2), g), w2.data.shape)
+        if b2.requires_grad:
+            gb2 = ad.unbroadcast(g, b2.data.shape)
+        return (gx, gw1, gb1, gw2, gb2)
+
+    return ad.custom_op(np.matmul(t, w2.data) + b2.data, (x, w1, b1, w2, b2), back)
 
 
 def _init_mlp(dim_in: int, hidden: int, dim_out: int, rng, prefix: str, zero_last: bool) -> MlpParams:
@@ -471,6 +493,17 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
+        if not (np.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+
 
 def _reorder_for_window(g: MolecularGraph, window: int, rng):
     """BFS-reorder with a random start; retry starts until bonds fit the window."""
@@ -499,10 +532,13 @@ def train(
     Each epoch reshuffles the dataset, re-draws a BFS order per graph and
     fresh dequantization noise, accumulates per-example gradients over a
     batch in a fixed order and applies one Adam step per batch. Returns
-    the per-epoch mean NLL trace. Raises GraphError, before any update,
-    if a graph is larger than spec.max_size (the sampler could never
-    produce it), and FloatingPointError on a non-finite loss.
+    the per-epoch mean NLL trace. Raises ValueError on an empty dataset
+    and GraphError, before any update, if a graph is larger than
+    spec.max_size (the sampler could never produce it), and
+    FloatingPointError on a non-finite loss.
     """
+    if not dataset:
+        raise ValueError("training needs at least one graph")
     for g in dataset:
         if g.n > spec.max_size:
             raise GraphError(

@@ -10,6 +10,12 @@ features enter through a learned embedding of the one-hot type row, a
 batch normalization over nodes runs after the last layer, and the graph
 embedding is the column sum of the normalized node states.
 
+Each layer is one tape node (_relation_layer, built on
+autodiff.custom_op): both products, the ReLU, the relation sum and the
+1/R scale, with a backward that replays the op-by-op expression's
+gradient steps in order, so values and gradients are bitwise those of
+the composite while a layer costs one Tensor and one tape node.
+
 One core, _propagate(), runs this on one state or a stack of states,
 all relations of a layer in one batched product, behind two front
 ends: encode() for a single (sub)graph, and encode_step_batch(), the
@@ -193,6 +199,36 @@ def _features(g: MolecularGraph, params: RgcnParams) -> np.ndarray:
     return _identity(params.feature_dim)[g.node_types]
 
 
+def _relation_layer(adj: np.ndarray, h: Tensor, w: Tensor, scale: float) -> Tensor:
+    """One encoder layer as one tape node: with P = adj @ h per relation
+    and Q = P @ w, the output is relu(Q) summed over the relation axis,
+    times scale.
+
+    adj is (..., R, n, n), h (..., n, k) and w (R, k, k). The backward
+    replays the composite's steps (the scale, the broadcast over
+    relations, the Q > 0 mask; then P^T @ g summed over the leading axes
+    for w, and adj^T @ (g @ w^T) summed over relations for h), so values
+    and gradients are bitwise those of the op-by-op expression. Only P
+    and Q are kept for the backward.
+    """
+    stacked = h.data.shape[:-2] + (1,) + h.data.shape[-2:]
+    p = np.matmul(adj, h.data.reshape(stacked))
+    q = np.matmul(p, w.data)
+
+    def back(g):
+        gq = np.expand_dims(g * scale, -3) * (q > 0.0)
+        gh = gw = None
+        if w.requires_grad:
+            gw = ad.unbroadcast(np.matmul(np.swapaxes(p, -1, -2), gq), w.data.shape)
+        if h.requires_grad:
+            gp = np.matmul(gq, np.swapaxes(w.data, -1, -2))
+            gh = ad.unbroadcast(np.matmul(np.swapaxes(adj, -1, -2), gp), stacked)
+            gh = gh.reshape(h.data.shape)
+        return (gh, gw)
+
+    return ad.custom_op(np.maximum(q, 0.0).sum(axis=-3) * scale, (h, w), back)
+
+
 def _propagate(
     x: np.ndarray,
     adj: np.ndarray,
@@ -214,11 +250,9 @@ def _propagate(
     if mask is not None:
         x = x * mask
     h = Tensor(x) @ params.embed
-    a = Tensor(adj)
     scale = 1.0 / params.num_relations
     for w in params.layers:
-        per_relation = h.reshape(h.shape[:-2] + (1,) + h.shape[-2:])
-        h = ad.relu(a @ per_relation @ w).sum(axis=-3) * scale
+        h = _relation_layer(adj, h, w, scale)
     h = ad.batch_norm(
         h,
         params.bn_gamma,

@@ -265,8 +265,10 @@ class RewardConfig:
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
-        if self.t2 <= 0.0:
-            raise ValueError("t2 must be positive")
+        if not math.isfinite(self.t1):
+            raise ValueError(f"t1 must be finite, got {self.t1}")
+        if not (math.isfinite(self.t2) and self.t2 > 0.0):
+            raise ValueError(f"t2 must be positive and finite, got {self.t2}")
         if self.shaping not in ("linear", "exp"):
             raise ValueError(f"unknown shaping {self.shaping!r}")
 

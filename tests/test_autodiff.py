@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from graphflow import autodiff as ad
+from graphflow import flow, rgcn
 from graphflow.autodiff import AdamState, BatchNormState, Tape, Tensor
 
 
@@ -15,10 +16,21 @@ def leaf(data, name=""):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True, name=name)
 
 
+def _tanh(a):
+    # the oracle's own elementwise ops, one tape node each; the program
+    # has them only inside its fused encoder-layer and head-MLP nodes
+    out = np.tanh(a.data)
+    return ad.custom_op(out, (a,), lambda g: (g * (1.0 - out * out),))
+
+
+def _relu(a):
+    return ad.custom_op(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0.0),))
+
+
 def test_scalar_chain_matches_hand_derivative():
     x = leaf(0.7)
     with Tape() as tape:
-        y = ad.exp(x) * ad.tanh(x) + x * x
+        y = ad.exp(x) * _tanh(x) + x * x
         tape.backward(y)
     v = 0.7
     expected = np.exp(v) * np.tanh(v) + np.exp(v) / np.cosh(v) ** 2 + 2 * v
@@ -31,7 +43,7 @@ def _every_op(x):
     m = Tensor(np.eye(3))
     return [
         ad.add(x, k), ad.sub(x, k), ad.mul(x, k), ad.div(x, k), ad.matmul(x, m),
-        ad.exp(x), ad.log(x), ad.sqrt(x), ad.tanh(x), ad.relu(x), ad.clip(x, 3.2, 3.8),
+        ad.exp(x), ad.log(x), ad.sqrt(x), ad.clip(x, 3.2, 3.8),
         ad.minimum(x, k), ad.tensor_sum(x, axis=0), ad.reshape(x, (3, 2)),
         ad.concat([x, k], axis=0), ad.take(x, (np.array([1, 0]),)),
         ad.logsumexp(x, axis=1),
@@ -67,7 +79,7 @@ def test_grad_check_composite_expression():
     }
 
     def f():
-        h = ad.tanh(params["a"] @ params["b"]) + params["c"]
+        h = _tanh(params["a"] @ params["b"]) + params["c"]
         return (ad.exp(h * 0.3) + h * h).sum()
 
     assert ad.grad_check(f, params, h=1e-6) < 1e-7
@@ -106,7 +118,7 @@ def test_matmul_three_dim_batch():
 def test_relu_gradient_zero_below_kink():
     x = leaf([-1.0, 2.0])
     with Tape() as tape:
-        tape.backward(ad.relu(x).sum())
+        tape.backward(_relu(x).sum())
     assert np.array_equal(x.grad, [0.0, 1.0])
 
 
@@ -314,6 +326,101 @@ def test_batch_norm_train_gradients():
         return (diff * diff).sum()
 
     assert ad.grad_check(f, params, h=1e-6) < 1e-6
+
+
+# --------------------------- fused nodes against their composites
+
+
+def _value_and_grads(build, leaves, target):
+    # output, tape length and every leaf's gradient of sum(build() * target)
+    with Tape() as tape:
+        out = build()
+        tape.backward((out * Tensor(target)).sum())
+    grads = [p.grad for p in leaves]
+    ad.zero_grads(leaves)
+    return out.data, len(tape.nodes), grads
+
+
+def _check_fused(fused, composite, leaves, seed):
+    # one node, bitwise equal to the op-by-op expression in value and in
+    # every parent's gradient, and right by finite differences
+    target = np.random.default_rng(seed).normal(size=fused().shape)
+    value, nodes, grads = _value_and_grads(fused, leaves, target)
+    ref_value, ref_nodes, ref_grads = _value_and_grads(composite, leaves, target)
+    assert nodes == 3  # the fused node plus the loss's mul and sum
+    assert ref_nodes > nodes
+    assert np.array_equal(value, ref_value)
+    for g, ref in zip(grads, ref_grads):
+        assert g is not None and np.array_equal(g, ref)
+    def loss():
+        return (fused() * Tensor(target)).sum()
+
+    params = {str(i): p for i, p in enumerate(leaves)}
+    assert ad.grad_check(loss, params, h=1e-6) < 1e-7
+
+
+@pytest.mark.parametrize(
+    "h_shape, adj_shape",
+    [((4, 3), (2, 4, 4)), ((3, 4, 3), (3, 2, 4, 4)), ((4, 3), (3, 2, 4, 4))],
+    ids=["single", "stacked", "broadcast"],
+)
+def test_relation_layer_matches_composite(h_shape, adj_shape):
+    rng = np.random.default_rng(len(h_shape) + len(adj_shape))
+    adj = rng.uniform(0.0, 1.0, size=adj_shape)
+    h = leaf(rng.normal(size=h_shape))
+    w = leaf(rng.normal(size=(adj_shape[-3], 3, 3)))
+    scale = 1.0 / adj_shape[-3]
+
+    def composite():
+        per_relation = h.reshape(h.shape[:-2] + (1,) + h.shape[-2:])
+        return _relu(Tensor(adj) @ per_relation @ w).sum(axis=-3) * scale
+
+    _check_fused(lambda: rgcn._relation_layer(adj, h, w, scale), composite, [h, w], 1)
+
+
+@pytest.mark.parametrize("x_shape", [(5, 4), (3, 1, 4)], ids=["rows", "stacked"])
+def test_mlp_matches_composite(x_shape):
+    rng = np.random.default_rng(len(x_shape))
+    x = leaf(rng.normal(size=x_shape))
+    p = flow.MlpParams(
+        leaf(rng.normal(size=(4, 3))), leaf(rng.normal(size=3)),
+        leaf(rng.normal(size=(3, 2))), leaf(rng.normal(size=2)),
+    )
+
+    def composite():
+        return _tanh(x @ p.w1 + p.b1) @ p.w2 + p.b2
+
+    leaves = [x, p.w1, p.b1, p.w2, p.b2]
+    _check_fused(lambda: flow.mlp_apply(p, x), composite, leaves, 2)
+
+
+@pytest.mark.parametrize("x_shape", [(5, 3), (2, 4, 3)], ids=["rows", "stacked"])
+def test_batch_norm_eval_matches_composite(x_shape):
+    rng = np.random.default_rng(len(x_shape))
+    state = BatchNormState(rng.normal(size=3), rng.uniform(0.5, 2.0, size=3))
+    x = leaf(rng.normal(size=x_shape))
+    gamma, beta = leaf(rng.normal(size=3)), leaf(rng.normal(size=3))
+
+    def fused():
+        return ad.batch_norm(x, gamma, beta, state, training=False, eps=1e-5)
+
+    def composite():
+        normalized = (x - state.running_mean) / np.sqrt(state.running_var + 1e-5)
+        return normalized * gamma + beta
+
+    _check_fused(fused, composite, [x, gamma, beta], 3)
+
+
+def test_elementwise_backward_skips_constant_operands():
+    x = leaf([[1.0, 2.0], [3.0, 4.0]])
+    c = Tensor([0.5, 2.0])
+    for op in (ad.add, ad.sub, ad.mul, ad.div):
+        for a, b in ((x, c), (c, x)):
+            with Tape() as tape:
+                out = op(a, b)
+            _, parents, back = tape.nodes[-1]
+            grads = back(np.ones_like(out.data))
+            assert [g is None for g in grads] == [p is c for p in parents]
 
 
 def test_adam_first_step_matches_hand_computation():

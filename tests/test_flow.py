@@ -407,6 +407,37 @@ def test_train_rejects_nonfinite_loss():
         flow.train(data, params, spec, flow.TrainConfig(epochs=1, batch_size=4), np.random.default_rng(35))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("epochs", 0),
+        ("batch_size", 0),
+        ("lr", 0.0),
+        ("lr", -1e-3),
+        ("lr", float("nan")),
+        ("lr", float("inf")),
+        ("beta1", 1.0),
+        ("beta1", float("nan")),
+        ("beta2", -0.1),
+    ],
+)
+def test_train_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        flow.TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_boundary_values():
+    cfg = flow.TrainConfig(epochs=1, batch_size=1, lr=1e-12, beta1=0.0, beta2=0.0)
+    assert (cfg.epochs, cfg.batch_size) == (1, 1)
+
+
+def test_train_rejects_empty_dataset():
+    spec = small_spec()
+    params = flow.init_flow_params(spec, np.random.default_rng(40))
+    with pytest.raises(ValueError, match="at least one graph"):
+        flow.train([], params, spec, flow.TrainConfig(epochs=1), np.random.default_rng(41))
+
+
 def test_train_rejects_graphs_larger_than_max_size():
     # the sampler can never emit a graph past max_size, so training on one
     # is a data error, raised before any update touches the parameters

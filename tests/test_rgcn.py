@@ -213,9 +213,9 @@ def test_eval_encode_matches_per_relation_loop_bitwise():
 
 
 def test_each_layer_records_one_node_per_op():
-    # a layer's relation weights are one leaf: under a tape a layer adds
-    # reshape, two products, relu, the relation sum and the 1 / R scale,
-    # and nothing to assemble its weights
+    # a layer's relation weights are one leaf and the layer is one fused
+    # node: under a tape each layer adds exactly one node, and nothing to
+    # assemble its weights
     g = molecule(4, max_atoms=6)[0]
     steps = [("node", i) for i in range(1, g.n + 1)]
     nodes = []
@@ -224,7 +224,7 @@ def test_each_layer_records_one_node_per_op():
         with ad.Tape() as tape:
             rgcn.encode_step_batch(g, steps, params, training=True)
         nodes.append(len(tape.nodes))
-    assert np.diff(nodes).tolist() == [6, 6]
+    assert np.diff(nodes).tolist() == [1, 1]
 
 
 def test_gradient_through_stacked_encoder():

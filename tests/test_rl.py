@@ -455,6 +455,22 @@ def test_ppo_config_rejects_out_of_range_values(field, value):
         rl.PpoConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("t1", float("nan")),
+        ("t1", float("inf")),
+        ("t2", float("nan")),
+        ("t2", float("inf")),
+        ("t2", -1.0),
+    ],
+)
+def test_reward_config_rejects_non_finite_temperatures(field, value):
+    # NaN fails every comparison, so a range check alone lets it through
+    with pytest.raises(ValueError, match=field):
+        rl.RewardConfig(shaping="exp", **{field: value})
+
+
 def test_ppo_config_accepts_boundary_values():
     cfg = rl.PpoConfig(clip_ratio=0.99, updates=1, batch_size=1, lr=1e-12, warmup=0)
     assert (cfg.updates, cfg.batch_size, cfg.warmup) == (1, 1, 0)
