@@ -485,14 +485,13 @@ def batch_norm(
     state: BatchNormState,
     training: bool,
     mask: np.ndarray | None = None,
-    counts: np.ndarray | None = None,
     momentum: float = 0.9,
     eps: float = 1e-5,
 ) -> Tensor:
     """Normalize features over the unmasked rows of a stack.
 
     In training mode a stacked (S, n, k) input comes with a (S, n, 1)
-    mask and per-slice row counts (S, 1, 1) that restrict the statistics
+    0/1 mask that restricts the statistics
     to unmasked rows; one shared mean/var pair covers every unmasked row
     of the whole stack, so normalization stays an affine map and the
     column sums over a slice keep carrying graph structure. Masked output
@@ -505,7 +504,7 @@ def batch_norm(
     gradient is (g * gamma) * (1 / sd).
     """
     if training:
-        inv_total = 1.0 / counts.sum()
+        inv_total = 1.0 / mask.sum()
         mean = tensor_sum(x * mask, axis=(0, 1), keepdims=True) * inv_total
         centered = x - mean
         var = tensor_sum(centered * centered * mask, axis=(0, 1), keepdims=True) * inv_total

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import (
     ConfigError,
     RunConfig,
+    library_config,
     load_run_config,
     stream_seed,
     substream,
@@ -56,11 +58,13 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--seed", type=int, help="run seed (overrides config)")
-        p.add_argument("--output", help="output directory (overrides config)")
+        p.add_argument("--output", dest="output_dir", metavar="OUTPUT",
+                       help="output directory (overrides config)")
         return p
 
     p = add("gen-data", "generate a dataset and write it as MOLT")
-    p.add_argument("--count", type=int, help="number of graphs")
+    p.add_argument("--count", type=int, dest="dataset_count", metavar="COUNT",
+                   help="number of graphs")
 
     p = add("train", "fit the flow to a dataset, write a checkpoint")
     p.add_argument("--epochs", type=int, help="training epochs")
@@ -68,7 +72,8 @@ def _build_parser() -> _Parser:
 
     p = add("sample", "draw molecules from a checkpoint")
     p.add_argument("--checkpoint", required=True, help="checkpoint to sample from")
-    p.add_argument("--count", type=int, help="number of samples")
+    p.add_argument("--count", type=int, dest="sample_count", metavar="COUNT",
+                   help="number of samples")
     p.add_argument("--temperature", type=float, help="latent noise scale")
     p.add_argument("--trace", action="store_true", help="also write per-step traces")
 
@@ -80,7 +85,8 @@ def _build_parser() -> _Parser:
     p = add("finetune", "policy-gradient fine-tuning against a scorer")
     p.add_argument("--checkpoint", required=True, help="starting checkpoint")
     p.add_argument("--scorer", help="scorer spec, e.g. toy:atom-count or exec:CMD")
-    p.add_argument("--iterations", type=int, help="fine-tune iterations")
+    p.add_argument("--iterations", type=int, dest="rl_iterations", metavar="ITERATIONS",
+                   help="fine-tune iterations")
 
     p = add("optimize-constrained", "improve seed molecules under a similarity floor")
     p.add_argument("--checkpoint", required=True, help="checkpoint to sample from")
@@ -91,28 +97,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_GLOBAL_OVERRIDES = {
-    "seed": "seed",
-    "output": "output_dir",
-    "count": None,  # handled per command
-    "epochs": "epochs",
-    "temperature": "temperature",
-    "scorer": "scorer",
-    "iterations": "rl_iterations",
-}
-
-
 def _config_from_args(args) -> RunConfig:
-    overrides = {}
-    for attr, key in _GLOBAL_OVERRIDES.items():
-        value = getattr(args, attr, None)
-        if value is None or key is None:
-            continue
-        overrides[key] = str(value)
-    count = getattr(args, "count", None)
-    if count is not None:
-        key = "dataset_count" if args.command == "gen-data" else "sample_count"
-        overrides[key] = str(count)
+    """The config file plus every given flag whose dest is a config key."""
+    keys = {f.name for f in dataclasses.fields(RunConfig)}
+    overrides = {k: str(v) for k, v in vars(args).items() if v is not None and k in keys}
     return load_run_config(args.config, overrides)
 
 
@@ -156,14 +144,6 @@ def _model_spec(cfg: RunConfig, vocab, bonds) -> flow.ModelSpec:
     )
 
 
-def _sampler_config(cfg: RunConfig) -> sampler.SamplerConfig:
-    return sampler.SamplerConfig(
-        valency_check=cfg.valency_check,
-        max_resample=cfg.max_resample,
-        temperature=cfg.temperature,
-    )
-
-
 def _scorer(cfg: RunConfig, vocab, bonds):
     """The configured scorer; a spec rl.make_scorer rejects is a config error."""
     try:
@@ -193,13 +173,7 @@ def cmd_train(args) -> int:
     dataset, vocab, bonds = _load_dataset(cfg, getattr(args, "data", None))
     spec = _model_spec(cfg, vocab, bonds)
     params = flow.init_flow_params(spec, substream(cfg.seed, "init"))
-    tcfg = flow.TrainConfig(
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        lr=cfg.lr,
-        beta1=cfg.beta1,
-        beta2=cfg.beta2,
-    )
+    tcfg = library_config(cfg, flow.TrainConfig)
     nll = flow.train(dataset, params, spec, tcfg, substream(cfg.seed, "noise"))
     save_checkpoint(params, out / "checkpoint.ckpt")
     csv = "epoch,nll\n" + "".join(f"{e},{v:.10g}\n" for e, v in enumerate(nll))
@@ -229,7 +203,7 @@ def cmd_sample(args) -> int:
     graphs, traces = sampler.sample_batch(
         params,
         spec,
-        _sampler_config(cfg),
+        library_config(cfg, sampler.SamplerConfig),
         cfg.sample_count,
         stream_seed(cfg.seed, "sampler"),
     )
@@ -284,24 +258,14 @@ def cmd_finetune(args) -> int:
     params = load_checkpoint(args.checkpoint, spec)
     scorer = _scorer(cfg, vocab, bonds)
     try:
-        reward_cfg = rl.RewardConfig(
-            gamma=cfg.rl_gamma, shaping=cfg.rl_shaping, t1=cfg.rl_t1, t2=cfg.rl_t2
-        )
-        ppo_cfg = rl.PpoConfig(
-            clip_ratio=cfg.rl_clip_ratio,
-            updates=cfg.rl_updates,
-            batch_size=cfg.rl_batch,
-            lr=cfg.rl_lr,
-            warmup=cfg.rl_warmup,
-        )
         rewards = []
         rl.finetune(
             params,
             spec,
             scorer,
-            reward_cfg,
-            ppo_cfg,
-            _sampler_config(cfg),
+            library_config(cfg, rl.RewardConfig),
+            library_config(cfg, rl.PpoConfig),
+            library_config(cfg, sampler.SamplerConfig),
             cfg.rl_iterations,
             substream(cfg.seed, "rl"),
             log=lambda it, r, loss: rewards.append(r),
@@ -337,7 +301,7 @@ def cmd_optimize_constrained(args) -> int:
             scorer,
             cfg.constrained_delta,
             cfg.constrained_rounds,
-            _sampler_config(cfg),
+            library_config(cfg, sampler.SamplerConfig),
             substream(cfg.seed, "rl"),
         )
     finally:

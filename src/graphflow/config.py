@@ -6,6 +6,10 @@ the #. Keys are fixed: unknown or duplicate keys are rejected with the
 offending name, and every value is validated on load. Command-line
 overrides go through the same validation.
 
+Each setting's range has one owner: a key in LIBRARY_KEYS is checked
+by the library config it feeds alone, and library_config builds those
+configs from the same table; this module checks every other key.
+
 All randomness in a run flows from the single `seed` through named
 sub-streams (data, noise, sampler, rl), so any stage can be re-run in
 isolation and still see the stream it saw inside the full pipeline.
@@ -19,7 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .flow import TrainConfig
 from .graph import AtomVocab, BondVocab, community_vocab
+from .rl import PpoConfig, RewardConfig
+from .sampler import SamplerConfig
 
 
 class ConfigError(ValueError):
@@ -98,15 +105,38 @@ _POSITIVE_INT = (
     "width",
     "max_size",
     "window",
-    "epochs",
-    "batch_size",
     "sample_count",
     "rl_iterations",
-    "rl_updates",
-    "rl_batch",
+    "constrained_rounds",
 )
-_POSITIVE_FLOAT = ("lr", "temperature", "rl_t1", "rl_t2", "rl_lr")
+# Stricter than the library: SamplerConfig allows temperature 0 (greedy
+# decoding), but finetune has no greedy policy, and RewardConfig allows
+# any finite t1, where t1 <= 0 flattens or inverts the linear reward.
+_POSITIVE_FLOAT = ("temperature", "rl_t1")
 _UNIT_INTERVAL = ("dataset_p_intra", "dataset_p_inter", "constrained_delta")
+
+# Run key -> (library config class, field); the class owns the key's range.
+# Its other fields have valid defaults and no class checks fields against
+# each other, so building it with one field checks that key completely.
+LIBRARY_KEYS = {
+    "epochs": (TrainConfig, "epochs"),
+    "batch_size": (TrainConfig, "batch_size"),
+    "lr": (TrainConfig, "lr"),
+    "beta1": (TrainConfig, "beta1"),
+    "beta2": (TrainConfig, "beta2"),
+    "valency_check": (SamplerConfig, "valency_check"),
+    "temperature": (SamplerConfig, "temperature"),
+    "max_resample": (SamplerConfig, "max_resample"),
+    "rl_gamma": (RewardConfig, "gamma"),
+    "rl_shaping": (RewardConfig, "shaping"),
+    "rl_t1": (RewardConfig, "t1"),
+    "rl_t2": (RewardConfig, "t2"),
+    "rl_clip_ratio": (PpoConfig, "clip_ratio"),
+    "rl_updates": (PpoConfig, "updates"),
+    "rl_batch": (PpoConfig, "batch_size"),
+    "rl_lr": (PpoConfig, "lr"),
+    "rl_warmup": (PpoConfig, "warmup"),
+}
 
 
 def _convert(key: str, raw: str):
@@ -138,19 +168,11 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f"key {key!r}: must be within [0, 1]")
     if cfg.seed < 0:
         raise ConfigError("key 'seed': must be non-negative")
-    if cfg.max_resample < 0:
-        raise ConfigError("key 'max_resample': must be non-negative")
-    if cfg.rl_warmup < 0:
-        raise ConfigError("key 'rl_warmup': must be non-negative")
-    for key in ("beta1", "beta2"):
-        if not 0.0 <= getattr(cfg, key) < 1.0:
-            raise ConfigError(f"key {key!r}: must be within [0, 1)")
-    if not 0.0 < cfg.rl_gamma <= 1.0:
-        raise ConfigError("key 'rl_gamma': must be within (0, 1]")
-    if not 0.0 < cfg.rl_clip_ratio < 1.0:
-        raise ConfigError("key 'rl_clip_ratio': must be within (0, 1)")
-    if cfg.rl_shaping not in ("linear", "exp"):
-        raise ConfigError("key 'rl_shaping': must be linear or exp")
+    for key, (cls, field) in LIBRARY_KEYS.items():
+        try:
+            cls(**{field: getattr(cfg, key)})
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r}: {exc}") from None
     if cfg.dataset not in ("molecules", "community") and not cfg.dataset.endswith(
         ".molt"
     ):
@@ -177,6 +199,11 @@ def validate_config(cfg: RunConfig) -> None:
         raise
     except Exception as exc:
         raise ConfigError(f"key 'atoms'/'bond_orders': {exc}") from None
+
+
+def library_config(cfg: RunConfig, cls):
+    """The cls instance built from the LIBRARY_KEYS entries of cfg."""
+    return cls(**{f: getattr(cfg, k) for k, (owner, f) in LIBRARY_KEYS.items() if owner is cls})
 
 
 def parse_config_text(text: str) -> dict:

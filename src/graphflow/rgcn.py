@@ -235,13 +235,12 @@ def _propagate(
     params: RgcnParams,
     training: bool = False,
     mask: np.ndarray | None = None,
-    counts: np.ndarray | None = None,
 ) -> NodeEmbeddings:
     """Embeddings of one-hot rows x under normalized relation slices adj.
 
     x is (n, F) and adj (R, n, n) for one state, or (S, n, F) (or one
     (n, F) shared by every slice) and (S, R, n, n) for a stack. A masked
-    stack carries its (S, n, 1) node mask and (S, 1, 1) row counts:
+    stack carries its (S, n, 1) node mask:
     masked rows enter as zero features, leave as zero states, and are
     left out of the training-mode statistics. Each layer runs every
     relation at once: the relation axis is summed in relation order
@@ -260,7 +259,6 @@ def _propagate(
         params.bn_state,
         training=training,
         mask=mask,
-        counts=counts,
         momentum=BN_MOMENTUM,
         eps=BN_EPS,
     )
@@ -287,8 +285,8 @@ def build_step_masks(g: MolecularGraph, steps) -> tuple:
     Steps are ("node", i) for the prefix of i nodes seen before choosing
     node i's type, or ("edge", i, j) for the state that already includes
     node i and its decided bond slots (i, j') for j' < j. Returns
-    (norm_adj, node_mask, counts) as plain numpy arrays, where norm_adj
-    is (S, R, n, n), node_mask is (S, n, 1) and counts is (S, 1, 1).
+    (norm_adj, node_mask) as plain numpy arrays, where norm_adj is
+    (S, R, n, n) and node_mask is (S, n, 1).
     """
     n = g.n
     s_count = len(steps)
@@ -320,7 +318,7 @@ def build_step_masks(g: MolecularGraph, steps) -> tuple:
     masked = one_hot[None, :, :, :] * keep[:, None, :, :]
     norm_adj = _normalized_adjacency(masked)
     node_mask = (idx[None, :] < total[:, None]).astype(np.float64)
-    return norm_adj, node_mask[:, :, None], total.astype(np.float64).reshape(-1, 1, 1)
+    return norm_adj, node_mask[:, :, None]
 
 
 def _owners(g, steps) -> list:
@@ -366,7 +364,7 @@ def pack_step_batch(g, steps, params: RgcnParams) -> StepPack:
     parts: dict = {}  # m -> [(state indices, (s, R, m, m) blocks, (m, F) rows)]
     for owner, idx in owned.values():
         x = _features(owner, params)
-        norm_adj, _, _ = build_step_masks(owner, [steps[s] for s in idx])
+        norm_adj, _ = build_step_masks(owner, [steps[s] for s in idx])
         idx = np.array(idx, dtype=np.int64)
         for m in np.unique(sizes[idx]):
             sel = np.flatnonzero(sizes[idx] == m)
@@ -415,8 +413,8 @@ def encode_step_batch(
         if any(other is not graphs[0] for other in graphs):
             raise ValueError("training mode encodes the states of one graph only")
         g = graphs[0]
-        norm_adj, node_mask, counts = build_step_masks(g, steps)
-        return _propagate(_features(g, params), norm_adj, params, True, node_mask, counts)
+        norm_adj, node_mask = build_step_masks(g, steps)
+        return _propagate(_features(g, params), norm_adj, params, True, node_mask)
     if pack is None:
         pack = pack_step_batch(g, steps, params)
     elif list(steps) != pack.steps:

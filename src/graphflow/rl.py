@@ -408,8 +408,8 @@ class PpoConfig:
             raise ValueError("updates must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if not self.lr > 0.0:
-            raise ValueError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.warmup < 0:
             raise ValueError("warmup must be non-negative")
 
@@ -778,7 +778,11 @@ def optimize_constrained(
     sub-graph seeds; among outputs with similarity >= delta, the best
     score improvement is reported, success meaning some qualifying
     output strictly improved. No qualifying output reports (0, 0, False).
+    Fewer than one round is a ValueError: a result from zero attempts
+    would read as a measured failure.
     """
+    if rounds < 1:
+        raise ValueError(f"rounds must be at least 1, got {rounds}")
     results = []
     for mol in molecules:
         base = scorer.score(mol)

@@ -259,7 +259,7 @@ def test_batch_norm_train_normalizes_rows(n, k):
     # the (n, k) rows as a one-slice stack with every row unmasked
     stacked = ad.batch_norm(
         x.reshape(1, n, k), Tensor(np.ones(k)), Tensor(np.zeros(k)), state,
-        training=True, mask=np.ones((1, n, 1)), counts=np.array([[[n]]]),
+        training=True, mask=np.ones((1, n, 1)),
     )
     out = stacked.reshape(n, k)
     assert np.allclose(out.data.mean(axis=0), 0.0, atol=1e-12)
@@ -275,13 +275,12 @@ def test_batch_norm_masked_stats_match_hand_loop():
     x_data = rng.normal(size=(3, 4, 2))
     mask = np.array([[1, 1, 0, 0], [1, 1, 1, 0], [1, 1, 1, 1]], dtype=np.float64)
     mask = mask[:, :, None]
-    counts = mask.sum(axis=1, keepdims=True)
     x_data = x_data * mask
     gamma, beta = np.array([1.3, 0.8]), np.array([0.2, -0.5])
     state = BatchNormState.fresh(2)
     out = ad.batch_norm(
         Tensor(x_data), Tensor(gamma), Tensor(beta), state,
-        training=True, mask=mask, counts=counts,
+        training=True, mask=mask,
     )
     rows = x_data[mask[:, :, 0] > 0]  # every unmasked row across the stack
     mean = rows.mean(axis=0)
@@ -320,7 +319,7 @@ def test_batch_norm_train_gradients():
         state = BatchNormState.fresh(3)
         out = ad.batch_norm(
             params["x"].reshape(1, 5, 3), params["gamma"], params["beta"], state,
-            training=True, mask=np.ones((1, 5, 1)), counts=np.array([[[5]]]),
+            training=True, mask=np.ones((1, 5, 1)),
         ).reshape(5, 3)
         diff = out - target
         return (diff * diff).sum()

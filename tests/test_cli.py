@@ -212,6 +212,28 @@ def test_unknown_scorer_is_a_config_error(workspace, tmp_path, capsys):
             assert not (out / "manifest.txt").exists()
 
 
+def test_non_finite_setting_is_a_config_error(workspace, tmp_path, capsys):
+    # an infinite value the flag or file check once let through to the
+    # library is reported on its key before any output
+    ckpt_args = ["--checkpoint", str(workspace["checkpoint"])]
+    cases = [
+        (["train", "--data", str(workspace["data"])], "lr"),
+        (["sample"] + ckpt_args, "temperature"),
+        (["finetune"] + ckpt_args, "rl_t2"),
+    ]
+    for command, key in cases:
+        cfg = tmp_path / f"{key}.cfg"
+        kept = [line for line in TINY_CFG.splitlines() if not line.startswith(f"{key} =")]
+        cfg.write_text("\n".join(kept + [f"{key} = inf"]) + "\n")
+        out = tmp_path / command[0]
+        rc = cli.main(command + ["--config", str(cfg), "--output", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: key '{key}'"), err
+        assert "Traceback" not in err
+        assert not (out / "manifest.txt").exists()
+
+
 def test_data_errors_exit_2(workspace, tmp_path, capsys):
     cfg = str(workspace["cfg"])
     out = str(tmp_path / "out")

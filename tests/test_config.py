@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from graphflow import config as C
+from graphflow.flow import TrainConfig
+from graphflow.rl import PpoConfig, RewardConfig
+from graphflow.sampler import SamplerConfig
 
 
 def test_defaults_are_valid():
@@ -78,6 +81,13 @@ def test_conversion_errors_name_the_key(tmp_path):
     "key,value,hint",
     [
         ("lr", "0", "lr"),
+        ("lr", "inf", "lr"),
+        ("temperature", "inf", "temperature"),
+        ("rl_t1", "inf", "rl_t1"),
+        ("rl_t2", "inf", "rl_t2"),
+        ("rl_lr", "inf", "rl_lr"),
+        ("constrained_rounds", "0", "constrained_rounds"),
+        ("constrained_rounds", "-1", "constrained_rounds"),
         ("epochs", "0", "epochs"),
         ("beta1", "1.0", "beta1"),
         ("beta2", "-0.1", "beta2"),
@@ -100,6 +110,28 @@ def test_conversion_errors_name_the_key(tmp_path):
 def test_validation_rejections(key, value, hint):
     with pytest.raises(C.ConfigError, match=hint):
         C.load_run_config(None, overrides={key: value})
+
+
+def test_library_keys_feed_every_library_field_once():
+    # a library config field with no run key would silently keep its
+    # library default and bypass the run's validation
+    fed = list(C.LIBRARY_KEYS.values())
+    assert len(fed) == len(set(fed))
+    want = {
+        (cls, f.name)
+        for cls in (TrainConfig, SamplerConfig, RewardConfig, PpoConfig)
+        for f in dataclasses.fields(cls)
+    }
+    assert set(fed) == want
+    assert set(C.LIBRARY_KEYS) <= {f.name for f in dataclasses.fields(C.RunConfig)}
+
+
+def test_library_config_from_defaults():
+    cfg = C.RunConfig()
+    assert C.library_config(cfg, TrainConfig) == TrainConfig(10, 32, 1e-3, 0.9, 0.999)
+    assert C.library_config(cfg, SamplerConfig) == SamplerConfig(True, 100, 1.0)
+    assert C.library_config(cfg, RewardConfig) == RewardConfig(0.97, "linear", 4.0, 1.0)
+    assert C.library_config(cfg, PpoConfig) == PpoConfig(0.2, 4, 64, 2e-3, 5)
 
 
 def test_community_needs_room():

@@ -444,13 +444,14 @@ def test_reward_shaping_overflow_is_a_numerical_failure():
         ("lr", -1.0),
         ("lr", 0.0),
         ("lr", float("nan")),
+        ("lr", float("inf")),
         ("warmup", -3),
         ("clip_ratio", 1.5),
         ("clip_ratio", 1.0),
     ],
 )
 def test_ppo_config_rejects_out_of_range_values(field, value):
-    # the ranges config.validate_config enforces for the rl_* keys
+    # PpoConfig owns the ranges of the rl_* keys it is built from
     with pytest.raises(ValueError, match=field):
         rl.PpoConfig(**{field: value})
 
@@ -1155,3 +1156,17 @@ def test_optimize_constrained_consistency():
     )
     for r in results:
         assert (r.improvement, r.similarity, r.success) == (0.0, 0.0, False)
+
+
+@pytest.mark.parametrize("rounds", [0, -1])
+def test_optimize_constrained_rejects_fewer_than_one_round(rounds):
+    # zero attempts would report (0, 0, False) per molecule: a measured
+    # failure from nothing measured
+    spec = small_spec(max_size=6, window=4)
+    params = flow.init_flow_params(spec, np.random.default_rng(11))
+    mol = G.bfs_reorder(G.gen_synthetic_molecules(1, 5, VOCAB, BONDS,
+                                                  np.random.default_rng(12))[0], 0)[0]
+    scorer = rl.make_scorer("toy:atom-count", VOCAB, BONDS)
+    with pytest.raises(ValueError, match="rounds"):
+        rl.optimize_constrained(params, spec, [mol], scorer, delta=0.0, rounds=rounds,
+                                sampler_cfg=SamplerConfig(), rng=np.random.default_rng(13))
