@@ -50,7 +50,6 @@ from .rl import (
     RewardConfig,
     ScorerError,
     collect_trajectories,
-    compute_action_logprob,
     finetune,
     make_scorer,
     optimize_constrained,
@@ -80,7 +79,6 @@ __all__ = [
     "bfs_reorder",
     "check_valency",
     "collect_trajectories",
-    "compute_action_logprob",
     "default_atom_vocab",
     "default_bond_vocab",
     "evaluate_set",

@@ -104,10 +104,6 @@ def _config_from_args(args) -> RunConfig:
     return load_run_config(args.config, overrides)
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    path = Path(cfg.output_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _load_dataset(cfg: RunConfig, path_override=None):
@@ -152,14 +148,22 @@ def _scorer(cfg: RunConfig, vocab, bonds):
         raise ConfigError(f"key 'scorer': {exc}") from None
 
 
+def _output(out: Path, name: str) -> Path:
+    """out / name, creating out first: a command makes its output
+    directory only once its first output is ready, so a run that fails
+    on its inputs leaves nothing behind."""
+    out.mkdir(parents=True, exist_ok=True)
+    return out / name
+
+
 def _write(out: Path, name: str, text: str) -> str:
-    (out / name).write_text(text)
+    _output(out, name).write_text(text)
     return name
 
 
 def cmd_gen_data(args) -> int:
     cfg = _config_from_args(args)
-    out = _outdir(cfg)
+    out = Path(cfg.output_dir)
     graphs, vocab, bonds = _load_dataset(cfg)
     outputs = [_write(out, "data.molt", molt.write_molt(graphs, vocab, bonds))]
     write_manifest(out, cfg, outputs)
@@ -169,13 +173,13 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
-    out = _outdir(cfg)
+    out = Path(cfg.output_dir)
     dataset, vocab, bonds = _load_dataset(cfg, getattr(args, "data", None))
     spec = _model_spec(cfg, vocab, bonds)
     params = flow.init_flow_params(spec, substream(cfg.seed, "init"))
     tcfg = library_config(cfg, flow.TrainConfig)
     nll = flow.train(dataset, params, spec, tcfg, substream(cfg.seed, "noise"))
-    save_checkpoint(params, out / "checkpoint.ckpt")
+    save_checkpoint(params, _output(out, "checkpoint.ckpt"))
     csv = "epoch,nll\n" + "".join(f"{e},{v:.10g}\n" for e, v in enumerate(nll))
     outputs = ["checkpoint.ckpt", _write(out, "nll.csv", csv)]
     write_manifest(out, cfg, outputs)
@@ -196,7 +200,7 @@ def _trace_text(traces) -> str:
 
 def cmd_sample(args) -> int:
     cfg = _config_from_args(args)
-    out = _outdir(cfg)
+    out = Path(cfg.output_dir)
     vocab, bonds = vocab_from_config(cfg)
     spec = _model_spec(cfg, vocab, bonds)
     params = load_checkpoint(args.checkpoint, spec)
@@ -218,7 +222,7 @@ def cmd_sample(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
-    out = _outdir(cfg)
+    out = Path(cfg.output_dir)
     vocab, bonds = vocab_from_config(cfg)
     samples = molt.parse_molt(
         Path(args.samples).read_text(), vocab, bonds, allow_invalid=True
@@ -252,7 +256,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_finetune(args) -> int:
     cfg = _config_from_args(args)
-    out = _outdir(cfg)
+    out = Path(cfg.output_dir)
     vocab, bonds = vocab_from_config(cfg)
     spec = _model_spec(cfg, vocab, bonds)
     params = load_checkpoint(args.checkpoint, spec)
@@ -272,7 +276,7 @@ def cmd_finetune(args) -> int:
         )
     finally:
         scorer.close()
-    save_checkpoint(params, out / "finetuned.ckpt")
+    save_checkpoint(params, _output(out, "finetuned.ckpt"))
     csv = "iteration,mean_reward\n" + "".join(
         f"{i},{r:.10g}\n" for i, r in enumerate(rewards)
     )
@@ -287,7 +291,7 @@ def cmd_finetune(args) -> int:
 
 def cmd_optimize_constrained(args) -> int:
     cfg = _config_from_args(args)
-    out = _outdir(cfg)
+    out = Path(cfg.output_dir)
     vocab, bonds = vocab_from_config(cfg)
     spec = _model_spec(cfg, vocab, bonds)
     params = load_checkpoint(args.checkpoint, spec)

@@ -287,78 +287,22 @@ def step_conditional(params: FlowParams, g: MolecularGraph, step):
     return mu.data[0], alpha.data[0]
 
 
-@dataclass
-class _ConditionalPack:
-    """What _stacked_conditionals reads besides the weights, for one list
-    of steps: the encoder's graphs and steps (every step but the empty
-    prefix ("node", 0)), the head index arrays, and in evaluation mode
-    the encoder's rgcn.StepPack. Built by _pack_conditionals."""
+def _stacked_conditionals(pack: rgcn.StepPack, params: FlowParams):
+    """Batched (mu, alpha) for the generation steps of a pack, of one
+    graph or of many, in the pack's mode.
 
-    size: int  # number of steps the pack was built for
-    graphs: object  # as rgcn.encode_step_batch takes them
-    encoded: list  # steps that go through the encoder
-    node_rows: np.ndarray  # per node step: row in [zero row; encoder rows]
-    edge_rows: np.ndarray  # per edge step: encoder row
-    edge_i: np.ndarray
-    edge_j: np.ndarray
-    encoder: rgcn.StepPack | None
-
-
-def _pack_conditionals(graphs, steps, params: FlowParams, training: bool = False):
-    """The weight-independent half of _stacked_conditionals; graphs and
-    steps as it takes them. Only evaluation mode packs the encoder."""
-    single = isinstance(graphs, MolecularGraph)
-    encoded = [s for s, step in enumerate(steps) if step != ("node", 0)]
-    row = np.full(len(steps), -1, dtype=np.int64)  # encoder row per step
-    row[encoded] = np.arange(len(encoded))
-    enc_graphs = graphs if single else [graphs[s] for s in encoded]
-    enc_steps = [steps[s] for s in encoded]
-    node = [s for s, step in enumerate(steps) if step[0] == "node"]
-    edge = [s for s, step in enumerate(steps) if step[0] == "edge"]
-    encoder = None
-    if enc_steps and not training:
-        encoder = rgcn.pack_step_batch(enc_graphs, enc_steps, params.rgcn)
-    return _ConditionalPack(
-        size=len(steps),
-        graphs=enc_graphs,
-        encoded=enc_steps,
-        node_rows=row[node] + 1,
-        edge_rows=row[edge],
-        edge_i=np.array([steps[s][1] for s in edge], dtype=np.int64),
-        edge_j=np.array([steps[s][2] for s in edge], dtype=np.int64),
-        encoder=encoder,
-    )
-
-
-def _stacked_conditionals(
-    graphs, steps, params: FlowParams, training: bool = False, pack=None
-):
-    """Batched (mu, alpha) for generation steps of one graph or of many.
-
-    graphs is the MolecularGraph every step belongs to, or a sequence
-    holding each step's own graph (see rgcn.encode_step_batch). Returns
-    (mu_x, alpha_x) with one row per node step and (mu_a, alpha_a) with
-    one row per edge step, each in the order the steps are given; a kind
-    with no steps gets None. All states go through one encoder call and
-    each kind through one head call. pack, from _pack_conditionals on the
-    same graphs and steps, skips the weight-independent work.
+    Returns (mu_x, alpha_x) with one row per node step and (mu_a,
+    alpha_a) with one row per edge step, each in the order the pack's
+    steps are given; a kind with no steps gets None. All states go
+    through one encoder call and each kind through one head call.
     """
-    if pack is None:
-        pack = _pack_conditionals(graphs, steps, params, training)
-    elif pack.size != len(steps):
-        raise ValueError(f"conditional pack holds {pack.size} steps, not {len(steps)}")
-    k = params.rgcn.width
-    if pack.encoded:
-        stacked = rgcn.encode_step_batch(
-            pack.graphs, pack.encoded, params.rgcn, training=training, pack=pack.encoder
-        )
+    stacked = rgcn.encode_step_batch(
+        pack.graphs, pack.steps, params.rgcn, training=pack.training, pack=pack
+    )
     mu_x = alpha_x = mu_a = alpha_a = None
     if len(pack.node_rows):
-        # row 0 of the table is the empty prefix's zero embedding
-        table = Tensor(np.zeros((1, k)))
-        if pack.encoded:
-            table = ad.concat([table, stacked.graph_embedding], axis=0)
-        mu_x, alpha_x = node_conditional(params, ad.take(table, (pack.node_rows,)))
+        h_node = ad.take(stacked.graph_embedding, (pack.node_rows,))
+        mu_x, alpha_x = node_conditional(params, h_node)
     if len(pack.edge_rows):
         h_edge = ad.take(stacked.graph_embedding, (pack.edge_rows,))
         h_i = ad.take(stacked.H, (pack.edge_rows, pack.edge_i))
@@ -431,7 +375,8 @@ def log_likelihood_parallel(
     """
     z = _ordered_noise(g, spec, z, rng)
     plan = build_plan(g.n, spec.window)
-    return _log_likelihood(z, plan, _stacked_conditionals(g, plan.steps, params, training))
+    pack = rgcn.pack_step_batch(g, plan.steps, params.rgcn, training)
+    return _log_likelihood(z, plan, _stacked_conditionals(pack, params))
 
 
 def log_likelihood_sequential(
@@ -476,7 +421,8 @@ def graph_to_latent(
     """
     z = _ordered_noise(g, spec, z, rng)
     plan = build_plan(g.n, spec.window)
-    mu_x, alpha_x, mu_a, alpha_a = _stacked_conditionals(g, plan.steps, params)
+    pack = rgcn.pack_step_batch(g, plan.steps, params.rgcn)
+    mu_x, alpha_x, mu_a, alpha_a = _stacked_conditionals(pack, params)
     eps_x = inverse_transform(z.zx, mu_x.data, alpha_x.data)
     eps_a = {}
     if mu_a is not None:

@@ -17,22 +17,23 @@ gradient steps in order, so values and gradients are bitwise those of
 the composite while a layer costs one Tensor and one tape node.
 
 One core, _propagate(), runs this on one state or a stack of states,
-all relations of a layer in one batched product, behind two front
-ends: encode() for a single (sub)graph, and encode_step_batch(), the
-one entry point for generation-step states of one graph or of many.
-In evaluation mode it encodes each state in its own node-count block,
-one stacked pass per distinct node count; in training mode it runs one
-graph's states as one masked stack that shares batch statistics. Both
-compute the same function; the stacked path may differ from the single
-one by reduction order only (empirically below 1e-12).
-
-Evaluation mode runs in two halves. pack_step_batch() does everything
-that reads no weights (step masks, node-count groups with their
-adjacency blocks and feature rows, the inverse permutation, the node
-mask) into a StepPack; the passes over a pack are the weight-dependent
-rest. encode_step_batch() packs its own steps unless it is handed a
-pack built for the same steps, so a caller that encodes one set of
-states under moving weights (the PPO update) packs them once.
+all relations of a layer in one batched product. encode() runs it on
+a single (sub)graph, one generation step at a time. encode_step_batch()
+is the one entry point for a set of generation-step states, of one
+graph or of many, in either mode, and it runs in two halves.
+pack_step_batch() does everything that reads no weight into a
+StepPack: the step masks, the groups of states that share a pass with
+their adjacency blocks and feature rows, the inverse permutation, the
+node mask, and the rows the flow's heads read. The passes over a pack,
+one _propagate per group, are the weight-dependent rest, so a caller
+that encodes one set of states under moving weights (the PPO update)
+packs them once. In evaluation mode each group is one node-count
+block, and the empty prefix ("node", 0) is a size-0 block whose
+embedding is exactly zero. In training mode the one group is one
+graph's masked stack sharing batch statistics, and the empty prefix is
+an all-masked slice. Both modes compute the same function; the stacked
+path may differ from the single one by reduction order only
+(empirically below 1e-12).
 """
 
 from __future__ import annotations
@@ -233,18 +234,18 @@ def _propagate(
     x: np.ndarray,
     adj: np.ndarray,
     params: RgcnParams,
-    training: bool = False,
     mask: np.ndarray | None = None,
 ) -> NodeEmbeddings:
     """Embeddings of one-hot rows x under normalized relation slices adj.
 
     x is (n, F) and adj (R, n, n) for one state, or (S, n, F) (or one
-    (n, F) shared by every slice) and (S, R, n, n) for a stack. A masked
-    stack carries its (S, n, 1) node mask:
-    masked rows enter as zero features, leave as zero states, and are
-    left out of the training-mode statistics. Each layer runs every
-    relation at once: the relation axis is summed in relation order
-    after the ReLU.
+    (n, F) shared by every slice) and (S, R, n, n) for a stack. Without
+    a mask, batch norm reads the running buffers (evaluation mode). A
+    masked stack, with its (S, n, 1) node mask, is a training-mode
+    stack: masked rows enter as zero features and leave as zero states,
+    and one pair of batch statistics over the unmasked rows normalizes
+    it and moves the running buffers. Each layer runs every relation at
+    once: the relation axis is summed in relation order after the ReLU.
     """
     if mask is not None:
         x = x * mask
@@ -257,7 +258,7 @@ def _propagate(
         params.bn_gamma,
         params.bn_beta,
         params.bn_state,
-        training=training,
+        training=mask is not None,
         mask=mask,
         momentum=BN_MOMENTUM,
         eps=BN_EPS,
@@ -270,7 +271,7 @@ def _propagate(
 def encode(
     g_prefix: MolecularGraph, params: RgcnParams, undecided_row=None
 ) -> NodeEmbeddings:
-    """Encode one (sub)graph in evaluation mode; the prefix must be non-empty.
+    """Encode one non-empty (sub)graph in evaluation mode.
 
     undecided_row = (i, lim) marks row i's slots at column lim and beyond
     as not yet generated, excluding them from every relation.
@@ -284,7 +285,8 @@ def build_step_masks(g: MolecularGraph, steps) -> tuple:
 
     Steps are ("node", i) for the prefix of i nodes seen before choosing
     node i's type, or ("edge", i, j) for the state that already includes
-    node i and its decided bond slots (i, j') for j' < j. Returns
+    node i and its decided bond slots (i, j') for j' < j; ("node", 0),
+    the empty prefix, is an all-masked slice. Returns
     (norm_adj, node_mask) as plain numpy arrays, where norm_adj is
     (S, R, n, n) and node_mask is (S, n, 1).
     """
@@ -296,11 +298,7 @@ def build_step_masks(g: MolecularGraph, steps) -> tuple:
     total = np.empty(s_count, dtype=np.int64)
     for s, step in enumerate(steps):
         if step[0] == "node":
-            i = step[1]
-            if i < 1:
-                raise GraphError("empty prefix cannot be encoded")
-            prefix[s] = i
-            total[s] = i
+            prefix[s] = total[s] = step[1]
         else:
             _, i, j = step
             prefix[s] = i
@@ -321,66 +319,98 @@ def build_step_masks(g: MolecularGraph, steps) -> tuple:
     return norm_adj, node_mask[:, :, None]
 
 
-def _owners(g, steps) -> list:
-    """The graph of each step: g repeated, or the given sequence checked
-    against steps."""
-    if len(steps) == 0:
-        raise ValueError("encode_step_batch: no steps given")
-    if isinstance(g, MolecularGraph):
-        return [g] * len(steps)
-    graphs = list(g)
-    if len(graphs) != len(steps):
-        raise ValueError(f"{len(graphs)} graphs for {len(steps)} steps")
-    return graphs
-
-
 @dataclass
 class StepPack:
-    """What an evaluation-mode encode_step_batch reads besides the
-    weights, for one list of steps: per distinct state size m, the
-    (s, m, F) one-hot rows and (s, R, m, m) normalized adjacency blocks
-    of its s states, in pass order; the permutation that puts the
-    concatenated pass outputs back in step order; and the (S, n, 1)
-    node mask. Built by pack_step_batch, reusable by every pass over the
-    same steps while the weights move."""
+    """Everything a stacked pass over one list of generation steps reads
+    besides the weights, from the encoder's blocks to the heads' rows.
+    Built by pack_step_batch; every pass over the same steps in the same
+    mode may reuse it while the weights move.
 
+    groups holds one (x, adj, mask) per _propagate call. In evaluation
+    mode each distinct state size m has one unmasked group: the (s, m, F)
+    one-hot rows and (s, R, m, m) normalized adjacency blocks of its s
+    states, and inverse puts the concatenated group outputs back in step
+    order. In training mode the one group is the graph's masked stack,
+    already in step order: its (n, F) rows, (S, R, n, n) blocks and (S,
+    n, 1) node mask, and inverse is None. Row r of a pass is steps[r]'s
+    state; node_rows holds the rows of the node steps, and edge_rows,
+    edge_i and edge_j the rows and endpoints of the edge steps.
+    """
+
+    graphs: list  # each step's graph
     steps: list
-    groups: list  # [(x, adj)], one per distinct state size
-    inverse: np.ndarray
-    node_mask: np.ndarray
+    training: bool
+    groups: list  # [(x, adj, mask)]
+    inverse: np.ndarray | None
+    node_mask: np.ndarray  # (S, n, 1)
+    node_rows: np.ndarray
+    edge_rows: np.ndarray
+    edge_i: np.ndarray
+    edge_j: np.ndarray
 
 
-def pack_step_batch(g, steps, params: RgcnParams) -> StepPack:
-    """Group generation-step states by their own node count m (i for
-    ("node", i), i + 1 for ("edge", i, j)) and cut each state's [:m, :m]
-    block out of its graph's step masks. g is as in encode_step_batch.
-    Of params only the dimensions are read, never the weights."""
-    graphs = _owners(g, steps)
+def pack_step_batch(g, steps, params: RgcnParams, training: bool = False) -> StepPack:
+    """The weight-free half of encode_step_batch, which takes g, steps
+    and training the same way. Of params only the dimensions are read.
+
+    A state's own node count m is i for ("node", i) and i + 1 for
+    ("edge", i, j). Evaluation mode groups the states by m and cuts each
+    state's [:m, :m] block out of its graph's step masks, so the empty
+    prefix ("node", 0) lands in a size-0 group. Training mode keeps the
+    states of one graph as one masked stack, with the empty prefix as an
+    all-masked slice; a stack of empty prefixes alone has no row to take
+    batch statistics over, and is grouped as in evaluation mode.
+    """
     steps = list(steps)
+    if not steps:
+        raise ValueError("encode_step_batch: no steps given")
+    graphs = [g] * len(steps) if isinstance(g, MolecularGraph) else list(g)
+    if len(graphs) != len(steps):
+        raise ValueError(f"{len(graphs)} graphs for {len(steps)} steps")
+    if training and any(other is not graphs[0] for other in graphs):
+        raise ValueError("training mode encodes the states of one graph only")
     sizes = np.array([step[1] + (step[0] == "edge") for step in steps], dtype=np.int64)
-    owned: dict = {}  # id(graph) -> (graph, indices of its states)
-    for s, owner in enumerate(graphs):
-        owned.setdefault(id(owner), (owner, []))[1].append(s)
-    parts: dict = {}  # m -> [(state indices, (s, R, m, m) blocks, (m, F) rows)]
-    for owner, idx in owned.values():
-        x = _features(owner, params)
-        norm_adj, _ = build_step_masks(owner, [steps[s] for s in idx])
-        idx = np.array(idx, dtype=np.int64)
-        for m in np.unique(sizes[idx]):
-            sel = np.flatnonzero(sizes[idx] == m)
-            parts.setdefault(int(m), []).append((idx[sel], norm_adj[sel, :, :m, :m], x[:m]))
-    groups, order = [], []
-    for group in parts.values():
-        adj = np.concatenate([blocks for _, blocks, _ in group])
-        x = np.concatenate(
-            [np.broadcast_to(rows, (len(sel),) + rows.shape) for sel, _, rows in group]
-        )
-        groups.append((x, adj))
-        order.extend(sel for sel, _, _ in group)
-    inverse = np.empty(len(steps), dtype=np.int64)
-    inverse[np.concatenate(order)] = np.arange(len(steps))
-    node_mask = (np.arange(max(parts))[None, :] < sizes[:, None]).astype(np.float64)
-    return StepPack(steps=steps, groups=groups, inverse=inverse, node_mask=node_mask[:, :, None])
+    if training and sizes.any():
+        norm_adj, node_mask = build_step_masks(graphs[0], steps)
+        groups, inverse = [(_features(graphs[0], params), norm_adj, node_mask)], None
+    else:
+        owned: dict = {}  # id(graph) -> (graph, indices of its states)
+        for s, owner in enumerate(graphs):
+            owned.setdefault(id(owner), (owner, []))[1].append(s)
+        parts: dict = {}  # m -> [(state indices, (s, R, m, m) blocks, (m, F) rows)]
+        for owner, idx in owned.values():
+            x = _features(owner, params)
+            norm_adj, _ = build_step_masks(owner, [steps[s] for s in idx])
+            idx = np.array(idx, dtype=np.int64)
+            for m in np.unique(sizes[idx]):
+                sel = np.flatnonzero(sizes[idx] == m)
+                parts.setdefault(int(m), []).append((idx[sel], norm_adj[sel, :, :m, :m], x[:m]))
+        groups, order = [], []
+        for group in parts.values():
+            adj = np.concatenate([blocks for _, blocks, _ in group])
+            x = np.concatenate(
+                [np.broadcast_to(rows, (len(sel),) + rows.shape) for sel, _, rows in group]
+            )
+            groups.append((x, adj, None))
+            order.extend(sel for sel, _, _ in group)
+        inverse = np.empty(len(steps), dtype=np.int64)
+        inverse[np.concatenate(order)] = np.arange(len(steps))
+        node_mask = (np.arange(max(parts))[None, :] < sizes[:, None]).astype(np.float64)
+        node_mask = node_mask[:, :, None]
+    node = [s for s, step in enumerate(steps) if step[0] == "node"]
+    edge = [s for s, step in enumerate(steps) if step[0] == "edge"]
+    return StepPack(
+        graphs=graphs,
+        steps=steps,
+        training=training,
+        groups=groups,
+        inverse=inverse,
+        node_mask=node_mask,
+        node_rows=np.array(node, dtype=np.int64),
+        edge_rows=np.array(edge, dtype=np.int64),
+        edge_i=np.array([steps[s][1] for s in edge], dtype=np.int64),
+        edge_j=np.array([steps[s][2] for s in edge], dtype=np.int64),
+    )
 
 
 def encode_step_batch(
@@ -396,48 +426,34 @@ def encode_step_batch(
     each step's own graph, so one call can take the states of many
     graphs. Row s of the result is steps[s]'s state: H is (S, n, k),
     with rows past a state's own nodes zeroed, and graph_embedding is
-    (S, k). An empty steps list is a ValueError.
+    (S, k); the empty prefix ("node", 0) gives zero rows. An empty steps
+    list is a ValueError. steps stays the second positional parameter,
+    because the benchmark's tracer (bench/tracing.py) counts states as
+    len(args[1]).
 
-    Evaluation mode encodes each state in its own node-count block, one
-    pass per distinct node count and no padding, over the pack that
-    pack_step_batch builds; a pack built beforehand for the same steps
-    may be passed in, so repeated passes skip the weight-independent
-    work. Training mode normalizes with one pair of batch statistics
-    over the whole stack, so it takes the states of one graph only and
-    runs them as one masked stack; it takes no pack.
+    Both modes run one _propagate per group of the StepPack that
+    pack_step_batch builds: evaluation mode one unpadded pass per
+    distinct node count, training mode one masked stack of one graph's
+    states that shares one pair of batch statistics. A pack built
+    beforehand for the same steps in the same mode may be passed in, so
+    repeated passes skip the weight-independent work.
     """
-    if training:
-        if pack is not None:
-            raise ValueError("a step pack serves evaluation mode only")
-        graphs = _owners(g, steps)
-        if any(other is not graphs[0] for other in graphs):
-            raise ValueError("training mode encodes the states of one graph only")
-        g = graphs[0]
-        norm_adj, node_mask = build_step_masks(g, steps)
-        return _propagate(_features(g, params), norm_adj, params, True, node_mask)
     if pack is None:
-        pack = pack_step_batch(g, steps, params)
-    elif list(steps) != pack.steps:
-        raise ValueError("the step pack was built for other steps")
-    return _encode_packed(pack, params)
-
-
-def _encode_packed(pack: StepPack, params: RgcnParams) -> NodeEmbeddings:
-    """Evaluation-mode encode_step_batch over a pack: one _propagate per
-    state size."""
+        pack = pack_step_batch(g, steps, params, training)
+    elif pack.training != training or list(steps) != pack.steps:
+        raise ValueError("the step pack was built for other steps or the other mode")
     n = pack.node_mask.shape[1]
-    k = params.width
     h_parts, emb_parts = [], []
-    for x, adj in pack.groups:
-        out = _propagate(x, adj, params)
-        h = out.H
-        m = x.shape[1]
+    for x, adj, mask in pack.groups:
+        out = _propagate(x, adj, params, mask)
+        h, m = out.H, x.shape[-2]
         if m < n:
-            h = ad.concat([h, Tensor(np.zeros((len(x), n - m, k)))], axis=1)
+            h = ad.concat([h, Tensor(np.zeros((len(adj), n - m, params.width)))], axis=1)
         h_parts.append(h)
         emb_parts.append(out.graph_embedding)
-    return NodeEmbeddings(
-        H=ad.take(ad.concat(h_parts, axis=0), (pack.inverse,)),
-        graph_embedding=ad.take(ad.concat(emb_parts, axis=0), (pack.inverse,)),
-        node_mask=pack.node_mask,
-    )
+    if pack.inverse is None:  # the one group is already in step order
+        (h,), (emb,) = h_parts, emb_parts
+    else:
+        h = ad.take(ad.concat(h_parts, axis=0), (pack.inverse,))
+        emb = ad.take(ad.concat(emb_parts, axis=0), (pack.inverse,))
+    return NodeEmbeddings(H=h, graph_embedding=emb, node_mask=pack.node_mask)

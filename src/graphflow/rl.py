@@ -25,17 +25,19 @@ step's integration grid comes from that acting (mu, alpha) alone, so it
 stays frozen while the weights move, and the surrogate is a smooth
 function of the weights. Collection only samples, scores and builds
 returns; _ppo_losses is the one place that splits a batch into packed
-chunks of PPO_CHUNK trajectories. All states of a chunk go through one
-encoder pass and one head call, and each step kind gets one grid build
-from the stacked trace and one quadrature. Each chunk is packed once per
-batch, and its acting log-probabilities come from one pass over that
-pack at the acting weights, before any update pass runs, so the first
-re-evaluation reproduces them bit for bit, ratios start at exactly one,
-and finite differences agree with the tape gradient. Each chunk's share
-of the batch loss is one callable holding everything it reads that the
-weights do not change (the frozen grids, the encoder's pack of grouped
-step masks and the head index arrays, acting log-probs, advantages), so
-an update pass does only weight-dependent work; every update pass sums
+chunks of PPO_CHUNK trajectories. All states of a chunk, the empty
+prefix included, go through one encoder pass and one head call per
+step kind, and each step kind gets one grid build from the stacked trace
+and one quadrature. Each chunk is packed once per batch: its grids, and
+one rgcn.StepPack of its states (the encoder's grouped step masks and
+the head index arrays). Its acting log-probabilities come from one pass
+over that pack at the acting weights, before any update pass runs, so
+the first re-evaluation reproduces them bit for bit, ratios start at
+exactly one, and finite differences agree with the tape gradient. Each
+chunk's share of the batch loss is one callable holding everything it
+reads that the weights do not change (the frozen grids, the step pack,
+acting log-probs, advantages), so an update pass does only
+weight-dependent work; every update pass sums
 their gradients with autodiff.accumulate_grads, the same loop
 maximum-likelihood training runs, one tape per chunk.
 """
@@ -56,7 +58,7 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from . import autodiff as ad
-from . import flow
+from . import rgcn
 from .autodiff import AdamState, Tensor, adam_step
 from .flow import FlowParams, ModelSpec, _reorder_for_window, _stacked_conditionals
 from .graph import GraphError, MolecularGraph, bfs_reorder, empty_categories
@@ -205,21 +207,6 @@ def action_logprobs(
     u, logw = argmax_region_grid(mu, alpha, actions, fine=True)
     raw = _stacked_action_logprobs(Tensor(mu), Tensor(alpha), u, logw, actions)
     return raw.data - ad.logsumexp(raw, axis=0).data
-
-
-def compute_action_logprob(
-    params: FlowParams,
-    g: MolecularGraph,
-    kind: str,
-    i: int,
-    j: int,
-    action: int,
-    temperature: float = 1.0,
-) -> float:
-    """Log-probability that the sampler picks `action` at the given step
-    when the generated prefix matches g."""
-    mu, alpha = flow.step_conditional(params, g, (kind, i, j))
-    return float(action_logprobs(mu, alpha, temperature)[action])
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +404,11 @@ class PpoConfig:
 @dataclass
 class _PackedChunk:
     """What a chunk's packed pass needs that the weights do not change,
-    built once per chunk: every step's graph and encoder state, their
-    flow._ConditionalPack (the encoder's grouped step masks and the head
-    index arrays), and per step kind the actions and the frozen grids.
-    Row r of the pass is step order[r] of the chunk's trace steps laid
-    end to end in trajectory order; node steps come first.
+    built once per chunk: the rgcn.StepPack of every step's graph and
+    state (the encoder's grouped step masks and the head index arrays),
+    and per step kind the actions and the frozen grids. Row r of the
+    pass is step order[r] of the chunk's trace steps laid end to end in
+    trajectory order; node steps come first.
 
     Each grid is built from the trace's acting mu and alpha, never from
     the current weights. Rows of a batched product can depend on the
@@ -430,9 +417,7 @@ class _PackedChunk:
     _PackedChunk per chunk and runs both through it.
     """
 
-    graphs: list
-    states: list
-    pack: flow._ConditionalPack
+    pack: rgcn.StepPack
     kinds: list  # (kind, actions, grid u, grid log-weights), node before edge
     order: np.ndarray
     temperature: float
@@ -440,8 +425,8 @@ class _PackedChunk:
 
 def _pack_chunk(params: FlowParams, trajectories, temperature: float = 1.0) -> _PackedChunk:
     """One grid build per step kind over the chunk's stacked trace, and
-    one conditional pack over its states; of params only the dimensions
-    are read."""
+    one step pack over its states; of params only the dimensions are
+    read."""
     steps = [s for traj in trajectories for s in traj.trace.steps]
     kinds = []
     order = []
@@ -460,9 +445,7 @@ def _pack_chunk(params: FlowParams, trajectories, temperature: float = 1.0) -> _
     graphs = [traj.gen_graph for traj in trajectories for _ in traj.trace.steps]
     states = [("node", s.i) if s.kind == "node" else ("edge", s.i, s.j) for s in steps]
     return _PackedChunk(
-        graphs=graphs,
-        states=states,
-        pack=flow._pack_conditionals(graphs, states, params),
+        pack=rgcn.pack_step_batch(graphs, states, params.rgcn),
         kinds=kinds,
         order=np.array(order, dtype=np.int64),
         temperature=temperature,
@@ -473,9 +456,7 @@ def _chunk_logprobs(params: FlowParams, chunk: _PackedChunk) -> Tensor:
     """Current-policy log-probs of every step of a packed chunk over its
     frozen grids, as an (S,) tensor in chunk.order: one encoder call,
     one head call and one quadrature per step kind."""
-    mu_x, alpha_x, mu_a, alpha_a = _stacked_conditionals(
-        chunk.graphs, chunk.states, params, pack=chunk.pack
-    )
+    mu_x, alpha_x, mu_a, alpha_a = _stacked_conditionals(chunk.pack, params)
     heads = {"node": (mu_x, alpha_x), "edge": (mu_a, alpha_a)}
     parts = []
     for kind, actions, u, logw in chunk.kinds:

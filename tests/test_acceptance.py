@@ -21,7 +21,7 @@ import pytest
 from graphflow import autodiff as ad
 from graphflow import flow
 from graphflow import graph as G
-from graphflow import metrics, rl, sampler
+from graphflow import metrics, rgcn, rl, sampler
 
 VOCAB = G.default_atom_vocab()
 BONDS = G.default_bond_vocab()
@@ -198,7 +198,8 @@ def test_criterion_05_triangular_jacobian():
     off = float(np.triu(np.abs(jac), k=1).max())
 
     plan = flow.build_plan(g.n, spec.window)
-    mu_x, alpha_x, mu_a, alpha_a = flow._stacked_conditionals(g, plan.steps, params)
+    pack = rgcn.pack_step_batch(g, plan.steps, params.rgcn)
+    mu_x, alpha_x, mu_a, alpha_a = flow._stacked_conditionals(pack, params)
     expected = float(-np.log(alpha_x.data).sum() - np.log(alpha_a.data[0]).sum())
     sign, logdet = np.linalg.slogdet(jac)
     rel = abs(logdet - expected) / max(1.0, abs(expected))
@@ -395,12 +396,10 @@ def test_criterion_13_action_probabilities():
             steps.append(("edge", ei, ej))
         for kind, i, j in steps:
             d = spec.node_dim if kind == "node" else spec.edge_dim
-            p = np.exp(
-                [rl.compute_action_logprob(params, g, kind, i, j, a) for a in range(d)]
-            )
+            mu, alpha = flow.step_conditional(params, g, (kind, i, j))
+            p = np.exp(rl.action_logprobs(mu, alpha))
             worst_gap = max(worst_gap, abs(float(p.sum()) - 1.0))
 
-            mu, alpha = flow.step_conditional(params, g, (kind, i, j))
             eps = np.random.default_rng(900 + k).standard_normal((draws, d))
             z = np.asarray(mu).reshape(1, d) + np.asarray(alpha).reshape(1, d) * eps
             freq = np.bincount(z.argmax(axis=1), minlength=d) / draws

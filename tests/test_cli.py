@@ -292,6 +292,29 @@ def test_evaluate_empty_samples_exits_2(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and "no molecules" in err
     assert not (out / "report.txt").exists()
+    assert not out.exists()
+
+
+def test_sample_missing_checkpoint_leaves_no_output_directory(workspace, tmp_path, capsys):
+    # the output directory is made only once the first output is ready,
+    # so a data error found while loading the inputs leaves none behind
+    out = tmp_path / "sample"
+    rc = cli.main(["sample", "--config", str(workspace["cfg"]), "--checkpoint",
+                   str(tmp_path / "missing.ckpt"), "--output", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("data error: ")
+    assert not out.exists()
+
+
+def test_finetune_bad_scorer_leaves_no_output_directory(workspace, tmp_path, capsys):
+    # a scorer spec rejected after the checkpoint loaded is a config error
+    # that leaves no output directory either
+    out = tmp_path / "finetune"
+    rc = cli.main(["finetune", "--config", str(workspace["cfg"]), "--checkpoint",
+                   str(workspace["checkpoint"]), "--scorer", "toy:bogus", "--output", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("config error: key 'scorer': ")
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

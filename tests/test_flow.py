@@ -11,7 +11,7 @@ from scipy import stats
 from graphflow import autodiff as ad
 from graphflow import flow
 from graphflow import graph as G
-from graphflow import sampler
+from graphflow import rgcn, sampler
 from graphflow.autodiff import Tensor
 from graphflow.graph import GraphError, MolecularGraph, empty_categories
 
@@ -149,12 +149,17 @@ def test_identity_init_likelihood_is_standard_normal():
         assert abs(got_seq.total - oracle) < 1e-9
 
 
+def stacked_conditionals(g, steps, params):
+    """flow's batched (mu, alpha) tables over an evaluation-mode pack."""
+    return flow._stacked_conditionals(rgcn.pack_step_batch(g, steps, params.rgcn), params)
+
+
 def test_identity_init_conditionals_are_unit():
     spec = small_spec()
     params = flow.init_flow_params(spec, np.random.default_rng(0))
     g = molecules(2, 1, window=spec.window)[0]
     plan = flow.build_plan(g.n, spec.window)
-    mu_x, alpha_x, mu_a, alpha_a = flow._stacked_conditionals(g, plan.steps, params)
+    mu_x, alpha_x, mu_a, alpha_a = stacked_conditionals(g, plan.steps, params)
     assert np.array_equal(mu_x.data, np.zeros_like(mu_x.data))
     assert np.array_equal(alpha_x.data, np.ones_like(alpha_x.data))
     if mu_a is not None:
@@ -190,7 +195,7 @@ def test_scale_head_output_is_clipped():
     params.node_scale.b2.data += 1e3
     g = molecules(7, 1, window=spec.window)[0]
     plan = flow.build_plan(g.n, spec.window)
-    _, alpha_x, _, _ = flow._stacked_conditionals(g, plan.steps, params)
+    _, alpha_x, _, _ = stacked_conditionals(g, plan.steps, params)
     assert np.all(np.isfinite(alpha_x.data))
     assert np.all(alpha_x.data <= np.exp(7.0) + 1e-9)
     assert np.all(alpha_x.data >= np.exp(-7.0) - 1e-12)
@@ -342,7 +347,7 @@ def test_data_to_latent_jacobian_is_triangular():
 
     # per-coordinate scaling means the Jacobian is diagonal with 1/alpha
     plan = flow.build_plan(g.n, spec.window)
-    mu_x, alpha_x, mu_a, alpha_a = flow._stacked_conditionals(g, plan.steps, params)
+    mu_x, alpha_x, mu_a, alpha_a = stacked_conditionals(g, plan.steps, params)
     inv_alpha = np.concatenate([1.0 / alpha_x.data.reshape(-1), 1.0 / alpha_a.data[0]])
     assert np.abs(jac - np.diag(inv_alpha)).max() < 1e-6
 

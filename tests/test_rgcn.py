@@ -409,3 +409,58 @@ def test_stored_pack_matches_fresh_pass_bitwise():
         rgcn.encode_step_batch(owners, steps[::-1], params, pack=pack)
     with pytest.raises(ValueError):
         rgcn.encode_step_batch(graphs[0], _all_steps(graphs[0]), params, training=True, pack=pack)
+    # a pack handed in the other mode, for the very steps it was built for
+    with pytest.raises(ValueError, match="other mode"):
+        rgcn.encode_step_batch(owners, steps, params, training=True, pack=pack)
+    g = graphs[0]
+    train_pack = rgcn.pack_step_batch(g, _all_steps(g), params, training=True)
+    with pytest.raises(ValueError, match="other mode"):
+        rgcn.encode_step_batch(g, _all_steps(g), params, pack=train_pack)
+
+
+def test_empty_prefix_is_a_zero_state_in_both_modes():
+    # ("node", 0) first and in the middle of a shuffled list: its rows are
+    # zero, and the other states' rows (in training mode also the batch
+    # statistics) are bitwise those of the same list without it
+    graphs = [g for g in molecule(16, count=4, max_atoms=8) if g.n >= 2]
+    assert len(graphs) >= 3
+    owners, steps = [], []
+    for g in graphs:
+        for step in _all_steps(g, window=4):
+            owners.append(g)
+            steps.append(step)
+    shuffle = np.random.default_rng(2).permutation(len(steps))
+    cases = [([owners[s] for s in shuffle], [steps[s] for s in shuffle], False)]
+    g = graphs[0]
+    one = _all_steps(g, window=4)
+    one = [one[s] for s in np.random.default_rng(3).permutation(len(one))]
+    cases.append(([g] * len(one), one, True))
+    for owners, steps, training in cases:
+        mid = len(steps) // 2
+        with_empty = (
+            [owners[0]] + owners[:mid] + [owners[-1]] + owners[mid:],
+            [("node", 0)] + steps[:mid] + [("node", 0)] + steps[mid:],
+        )
+        kept = [s for s, step in enumerate(with_empty[1]) if step != ("node", 0)]
+        params = make_params(width=8, layers=2, seed=7)
+        out = rgcn.encode_step_batch(*with_empty, params, training=training)
+        stats = params.bn_state.running_mean.copy(), params.bn_state.running_var.copy()
+        params = make_params(width=8, layers=2, seed=7)
+        ref = rgcn.encode_step_batch(owners, steps, params, training=training)
+        for s in (0, mid + 1):
+            assert np.array_equal(out.graph_embedding.data[s], np.zeros(params.width))
+            assert not out.H.data[s].any()
+            assert not out.node_mask[s].any()
+        assert np.array_equal(out.graph_embedding.data[kept], ref.graph_embedding.data)
+        assert np.array_equal(out.H.data[kept], ref.H.data)
+        assert np.array_equal(stats[0], params.bn_state.running_mean)
+        assert np.array_equal(stats[1], params.bn_state.running_var)
+    # a single-atom graph's training stack holds the empty prefix alone: it
+    # has no row to take batch statistics over, so none move
+    params = make_params(width=8, layers=2, seed=7)
+    before = params.bn_state.running_mean.copy(), params.bn_state.running_var.copy()
+    out = rgcn.encode_step_batch(g, [("node", 0)], params, training=True)
+    assert np.array_equal(out.graph_embedding.data, np.zeros((1, params.width)))
+    assert not out.H.data.any()
+    assert np.array_equal(before[0], params.bn_state.running_mean)
+    assert np.array_equal(before[1], params.bn_state.running_var)
