@@ -26,10 +26,14 @@ drop.
 
 Fused nodes: custom_op records a composite expression as one node with
 a hand-written backward. The encoder layer (rgcn), the head MLP (flow)
-and evaluation-mode batch_norm are built this way; each runs the numpy
-calls of its op-by-op expression in the same order, forward and
-backward, so values and gradients stay bitwise equal to it while the
-tape holds one node and one output Tensor instead of four to six.
+and batch_norm in both modes are built this way; each runs the numpy
+calls of its op-by-op expression in the same order, so values stay
+bitwise equal to it while the tape holds one node and one output
+Tensor instead of four to fourteen. The encoder layer, the head MLP and
+evaluation-mode batch norm replay the expression's backward steps too,
+so their gradients are bitwise those of the composite; training-mode
+batch norm has a closed-form backward instead, which sums in another
+order.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 LOG_TWO_PI = float(np.log(2.0 * np.pi))
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
 
 _ACTIVE_TAPE = None
 
@@ -326,20 +332,6 @@ def log(a: Tensor) -> Tensor:
     return out
 
 
-def sqrt(a: Tensor) -> Tensor:
-    if (a.data < 0.0).any():
-        raise ValueError("sqrt: input must be non-negative")
-    out = Tensor(np.sqrt(a.data), a.requires_grad)
-    if _ACTIVE_TAPE is None or not out.requires_grad:
-        return out
-
-    def back(g):
-        return (g * (0.5 / out.data),)
-
-    _record(out, (a,), back)
-    return out
-
-
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values to [lo, hi]; gradient is zero where clamping engaged."""
     out = Tensor(np.clip(a.data, lo, hi), a.requires_grad)
@@ -473,9 +465,9 @@ class BatchNormState:
             running_var=np.ones(width, dtype=np.float64),
         )
 
-    def update(self, mean: np.ndarray, var: np.ndarray, momentum: float) -> None:
-        self.running_mean = momentum * self.running_mean + (1.0 - momentum) * mean
-        self.running_var = momentum * self.running_var + (1.0 - momentum) * var
+    def update(self, mean: np.ndarray, var: np.ndarray) -> None:
+        self.running_mean = BN_MOMENTUM * self.running_mean + (1.0 - BN_MOMENTUM) * mean
+        self.running_var = BN_MOMENTUM * self.running_var + (1.0 - BN_MOMENTUM) * var
 
 
 def batch_norm(
@@ -483,50 +475,58 @@ def batch_norm(
     gamma: Tensor,
     beta: Tensor,
     state: BatchNormState,
-    training: bool,
     mask: np.ndarray | None = None,
-    momentum: float = 0.9,
-    eps: float = 1e-5,
 ) -> Tensor:
-    """Normalize features over the unmasked rows of a stack.
+    """Normalize features, as one tape node; the mask decides the mode.
 
-    In training mode a stacked (S, n, k) input comes with a (S, n, 1)
-    0/1 mask that restricts the statistics
-    to unmasked rows; one shared mean/var pair covers every unmasked row
-    of the whole stack, so normalization stays an affine map and the
-    column sums over a slice keep carrying graph structure. Masked output
-    rows are garbage and the caller is expected to mask them out again.
-    Training mode folds the batch statistics into the running buffers
-    once per call; evaluation mode reads the running buffers, needs no
-    mask, and takes input of any leading shape. Evaluation mode is one
-    tape node: ((x - mean) / sd) * gamma + beta, whose backward replays
-    the add, mul, div and sub steps of that expression, so its x
-    gradient is (g * gamma) * (1 / sd).
+    Without a mask (evaluation mode) the running buffers normalize input
+    of any leading shape: ((x - mean) / sd) * gamma + beta, whose
+    backward replays the add, mul, div and sub steps of that expression,
+    so its x gradient is (g * gamma) * (1 / sd).
+
+    A stacked (S, n, k) input with a (S, n, 1) 0/1 mask is training
+    mode: one mean/var pair over every unmasked row U of the whole stack
+    normalizes it, so normalization stays an affine map and the column
+    sums over a slice keep carrying graph structure; the output is
+    multiplied by the mask, so masked rows leave as zeros, and the batch
+    statistics fold into the running buffers once per call. The forward
+    runs the numpy calls of the op-by-op expression in its order. The
+    backward is the closed-form gradient: with g' = g * mask and xhat =
+    (x - mean) / sd, the x gradient is (gamma / sd) * (g' - (mean_U(g')
+    + xhat * mean_U(g' * xhat)) * mask).
     """
-    if training:
+    if mask is None:
+        sd = np.sqrt(state.running_var + BN_EPS)
+        xhat = (x.data - state.running_mean) / sd
+        out = xhat * gamma.data + beta.data
+    else:
         inv_total = 1.0 / mask.sum()
-        mean = tensor_sum(x * mask, axis=(0, 1), keepdims=True) * inv_total
-        centered = x - mean
-        var = tensor_sum(centered * centered * mask, axis=(0, 1), keepdims=True) * inv_total
-        state.update(
-            mean.data.reshape(-1), var.data.reshape(-1), momentum
-        )
-        scale = gamma / sqrt(var + eps)
-        return centered * scale + beta
-    sd = np.sqrt(state.running_var + eps)
-    normalized = (x.data - state.running_mean) / sd
+        mean = (x.data * mask).sum(axis=(0, 1), keepdims=True) * inv_total
+        centered = x.data - mean
+        var = (centered * centered * mask).sum(axis=(0, 1), keepdims=True) * inv_total
+        state.update(mean.reshape(-1), var.reshape(-1))
+        sd = np.sqrt(var + BN_EPS)
+        scale = gamma.data / sd
+        out = (centered * scale + beta.data) * mask
+        xhat = centered / sd
 
     def back(g):
+        if mask is not None:
+            g = g * mask
         gx = ggamma = gbeta = None
         if beta.requires_grad:
             gbeta = unbroadcast(g, beta.data.shape)
         if gamma.requires_grad:
-            ggamma = unbroadcast(g * normalized, gamma.data.shape)
-        if x.requires_grad:
+            ggamma = unbroadcast(g * xhat, gamma.data.shape)
+        if x.requires_grad and mask is None:
             gx = unbroadcast((g * gamma.data) * (1.0 / sd), x.data.shape)
+        elif x.requires_grad:
+            mean_g = g.sum(axis=(0, 1), keepdims=True) * inv_total
+            mean_gxhat = (g * xhat).sum(axis=(0, 1), keepdims=True) * inv_total
+            gx = scale * (g - (mean_g + xhat * mean_gxhat) * mask)
         return (gx, ggamma, gbeta)
 
-    return custom_op(normalized * gamma.data + beta.data, (x, gamma, beta), back)
+    return custom_op(out, (x, gamma, beta), back)
 
 
 @dataclass

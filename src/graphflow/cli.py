@@ -421,7 +421,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (MoltError, CheckpointError, FileNotFoundError, GraphError, rl.ScorerError) as exc:
+    except (
+        MoltError, CheckpointError, GraphError, rl.ScorerError, OSError, UnicodeDecodeError
+    ) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except FloatingPointError as exc:

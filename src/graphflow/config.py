@@ -241,8 +241,6 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
         for key, raw in parse_config_text(text).items():
             setattr(cfg, key, _convert(key, raw))
     for key, raw in (overrides or {}).items():
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"unknown config key {key!r}")
         setattr(cfg, key, _convert(key, str(raw)))
     validate_config(cfg)
     return cfg

@@ -23,17 +23,16 @@ is the one entry point for a set of generation-step states, of one
 graph or of many, in either mode, and it runs in two halves.
 pack_step_batch() does everything that reads no weight into a
 StepPack: the step masks, the groups of states that share a pass with
-their adjacency blocks and feature rows, the inverse permutation, the
-node mask, and the rows the flow's heads read. The passes over a pack,
-one _propagate per group, are the weight-dependent rest, so a caller
-that encodes one set of states under moving weights (the PPO update)
-packs them once. In evaluation mode each group is one node-count
-block, and the empty prefix ("node", 0) is a size-0 block whose
-embedding is exactly zero. In training mode the one group is one
-graph's masked stack sharing batch statistics, and the empty prefix is
-an all-masked slice. Both modes compute the same function; the stacked
-path may differ from the single one by reduction order only
-(empirically below 1e-12).
+their adjacency blocks and feature rows, the inverse permutation, and
+the rows the flow's heads read. The passes over a pack, one _propagate
+per group, are the weight-dependent rest, so a caller that encodes one
+set of states under moving weights (the PPO update) packs them once.
+In evaluation mode each group is one node-count block, and the empty
+prefix ("node", 0) is a size-0 block whose embedding is exactly zero.
+In training mode the one group is one graph's masked stack sharing
+batch statistics, and the empty prefix is an all-masked slice. Both
+modes compute the same function; the stacked path may differ from the
+single one by reduction order only (empirically below 1e-12).
 """
 
 from __future__ import annotations
@@ -46,9 +45,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import BatchNormState, Tensor
 from .graph import GraphError, MolecularGraph
-
-BN_MOMENTUM = 0.9
-BN_EPS = 1e-5
 
 
 @dataclass
@@ -142,11 +138,11 @@ def init_rgcn_params(
 @dataclass
 class NodeEmbeddings:
     """Node states after batch norm, (n, k) for one state or (S, n, k) for a
-    stack with masked rows zeroed, their column sums, and a stack's mask."""
+    stack with rows past each state's own nodes zeroed, and their column
+    sums."""
 
     H: Tensor
     graph_embedding: Tensor
-    node_mask: np.ndarray | None = None
 
 
 @lru_cache(maxsize=64)
@@ -253,19 +249,8 @@ def _propagate(
     scale = 1.0 / params.num_relations
     for w in params.layers:
         h = _relation_layer(adj, h, w, scale)
-    h = ad.batch_norm(
-        h,
-        params.bn_gamma,
-        params.bn_beta,
-        params.bn_state,
-        training=mask is not None,
-        mask=mask,
-        momentum=BN_MOMENTUM,
-        eps=BN_EPS,
-    )
-    if mask is not None:
-        h = h * Tensor(mask)
-    return NodeEmbeddings(H=h, graph_embedding=h.sum(axis=-2), node_mask=mask)
+    h = ad.batch_norm(h, params.bn_gamma, params.bn_beta, params.bn_state, mask)
+    return NodeEmbeddings(H=h, graph_embedding=h.sum(axis=-2))
 
 
 def encode(
@@ -332,9 +317,11 @@ class StepPack:
     states, and inverse puts the concatenated group outputs back in step
     order. In training mode the one group is the graph's masked stack,
     already in step order: its (n, F) rows, (S, R, n, n) blocks and (S,
-    n, 1) node mask, and inverse is None. Row r of a pass is steps[r]'s
-    state; node_rows holds the rows of the node steps, and edge_rows,
-    edge_i and edge_j the rows and endpoints of the edge steps.
+    n, 1) node mask, which only batch norm reads, and inverse is None.
+    Row r of a pass is steps[r]'s state, padded with zero rows to the
+    largest group's node count; node_rows holds the rows of the node
+    steps, and edge_rows, edge_i and edge_j the rows and endpoints of
+    the edge steps.
     """
 
     graphs: list  # each step's graph
@@ -342,7 +329,6 @@ class StepPack:
     training: bool
     groups: list  # [(x, adj, mask)]
     inverse: np.ndarray | None
-    node_mask: np.ndarray  # (S, n, 1)
     node_rows: np.ndarray
     edge_rows: np.ndarray
     edge_i: np.ndarray
@@ -395,8 +381,6 @@ def pack_step_batch(g, steps, params: RgcnParams, training: bool = False) -> Ste
             order.extend(sel for sel, _, _ in group)
         inverse = np.empty(len(steps), dtype=np.int64)
         inverse[np.concatenate(order)] = np.arange(len(steps))
-        node_mask = (np.arange(max(parts))[None, :] < sizes[:, None]).astype(np.float64)
-        node_mask = node_mask[:, :, None]
     node = [s for s, step in enumerate(steps) if step[0] == "node"]
     edge = [s for s, step in enumerate(steps) if step[0] == "edge"]
     return StepPack(
@@ -405,7 +389,6 @@ def pack_step_batch(g, steps, params: RgcnParams, training: bool = False) -> Ste
         training=training,
         groups=groups,
         inverse=inverse,
-        node_mask=node_mask,
         node_rows=np.array(node, dtype=np.int64),
         edge_rows=np.array(edge, dtype=np.int64),
         edge_i=np.array([steps[s][1] for s in edge], dtype=np.int64),
@@ -442,7 +425,7 @@ def encode_step_batch(
         pack = pack_step_batch(g, steps, params, training)
     elif pack.training != training or list(steps) != pack.steps:
         raise ValueError("the step pack was built for other steps or the other mode")
-    n = pack.node_mask.shape[1]
+    n = max(x.shape[-2] for x, _, _ in pack.groups)
     h_parts, emb_parts = [], []
     for x, adj, mask in pack.groups:
         out = _propagate(x, adj, params, mask)
@@ -456,4 +439,4 @@ def encode_step_batch(
     else:
         h = ad.take(ad.concat(h_parts, axis=0), (pack.inverse,))
         emb = ad.take(ad.concat(emb_parts, axis=0), (pack.inverse,))
-    return NodeEmbeddings(H=h, graph_embedding=emb, node_mask=pack.node_mask)
+    return NodeEmbeddings(H=h, graph_embedding=emb)

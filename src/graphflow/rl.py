@@ -419,20 +419,24 @@ class _PackedChunk:
 
     pack: rgcn.StepPack
     kinds: list  # (kind, actions, grid u, grid log-weights), node before edge
-    order: np.ndarray
     temperature: float
+
+    @property
+    def order(self) -> np.ndarray:
+        return np.concatenate([self.pack.node_rows, self.pack.edge_rows])
 
 
 def _pack_chunk(params: FlowParams, trajectories, temperature: float = 1.0) -> _PackedChunk:
-    """One grid build per step kind over the chunk's stacked trace, and
-    one step pack over its states; of params only the dimensions are
-    read."""
+    """One step pack over the chunk's states, then one grid build per
+    step kind over the pack's rows of that kind; of params only the
+    dimensions are read."""
     steps = [s for traj in trajectories for s in traj.trace.steps]
+    graphs = [traj.gen_graph for traj in trajectories for _ in traj.trace.steps]
+    states = [("node", s.i) if s.kind == "node" else ("edge", s.i, s.j) for s in steps]
+    pack = rgcn.pack_step_batch(graphs, states, params.rgcn)
     kinds = []
-    order = []
-    for kind in ("node", "edge"):
-        rows = [f for f, s in enumerate(steps) if s.kind == kind]
-        if not rows:
+    for kind, rows in (("node", pack.node_rows), ("edge", pack.edge_rows)):
+        if not len(rows):
             continue
         actions = np.array([steps[f].action for f in rows], dtype=np.int64)
         u, logw = argmax_region_grid(
@@ -441,15 +445,7 @@ def _pack_chunk(params: FlowParams, trajectories, temperature: float = 1.0) -> _
             actions,
         )
         kinds.append((kind, actions, u, logw))
-        order.extend(rows)
-    graphs = [traj.gen_graph for traj in trajectories for _ in traj.trace.steps]
-    states = [("node", s.i) if s.kind == "node" else ("edge", s.i, s.j) for s in steps]
-    return _PackedChunk(
-        pack=rgcn.pack_step_batch(graphs, states, params.rgcn),
-        kinds=kinds,
-        order=np.array(order, dtype=np.int64),
-        temperature=temperature,
-    )
+    return _PackedChunk(pack=pack, kinds=kinds, temperature=temperature)
 
 
 def _chunk_logprobs(params: FlowParams, chunk: _PackedChunk) -> Tensor:

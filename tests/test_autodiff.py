@@ -27,6 +27,11 @@ def _relu(a):
     return ad.custom_op(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0.0),))
 
 
+def _sqrt(a):
+    out = np.sqrt(a.data)
+    return ad.custom_op(out, (a,), lambda g: (g * (0.5 / out),))
+
+
 def test_scalar_chain_matches_hand_derivative():
     x = leaf(0.7)
     with Tape() as tape:
@@ -43,7 +48,7 @@ def _every_op(x):
     m = Tensor(np.eye(3))
     return [
         ad.add(x, k), ad.sub(x, k), ad.mul(x, k), ad.div(x, k), ad.matmul(x, m),
-        ad.exp(x), ad.log(x), ad.sqrt(x), ad.clip(x, 3.2, 3.8),
+        ad.exp(x), ad.log(x), ad.clip(x, 3.2, 3.8),
         ad.minimum(x, k), ad.tensor_sum(x, axis=0), ad.reshape(x, (3, 2)),
         ad.concat([x, k], axis=0), ad.take(x, (np.array([1, 0]),)),
         ad.logsumexp(x, axis=1),
@@ -100,7 +105,7 @@ def test_div_and_sqrt_gradients():
     params = {"x": leaf([0.5, 1.5, 2.5]), "y": leaf([2.0, 3.0, 0.7])}
 
     def f():
-        return (params["x"] / ad.sqrt(params["y"])).sum()
+        return (params["x"] / _sqrt(params["y"])).sum()
 
     assert ad.grad_check(f, params, h=1e-6) < 1e-8
 
@@ -258,8 +263,7 @@ def test_batch_norm_train_normalizes_rows(n, k):
     state = BatchNormState.fresh(k)
     # the (n, k) rows as a one-slice stack with every row unmasked
     stacked = ad.batch_norm(
-        x.reshape(1, n, k), Tensor(np.ones(k)), Tensor(np.zeros(k)), state,
-        training=True, mask=np.ones((1, n, 1)),
+        x.reshape(1, n, k), Tensor(np.ones(k)), Tensor(np.zeros(k)), state, np.ones((1, n, 1))
     )
     out = stacked.reshape(n, k)
     assert np.allclose(out.data.mean(axis=0), 0.0, atol=1e-12)
@@ -278,17 +282,14 @@ def test_batch_norm_masked_stats_match_hand_loop():
     x_data = x_data * mask
     gamma, beta = np.array([1.3, 0.8]), np.array([0.2, -0.5])
     state = BatchNormState.fresh(2)
-    out = ad.batch_norm(
-        Tensor(x_data), Tensor(gamma), Tensor(beta), state,
-        training=True, mask=mask,
-    )
+    out = ad.batch_norm(Tensor(x_data), Tensor(gamma), Tensor(beta), state, mask)
     rows = x_data[mask[:, :, 0] > 0]  # every unmasked row across the stack
     mean = rows.mean(axis=0)
     var = rows.var(axis=0)
     expect = (x_data - mean) / np.sqrt(var + 1e-5) * gamma + beta
     keep = mask[:, :, 0] > 0
     assert np.allclose(out.data[keep], expect[keep], atol=1e-12)
-    # running buffers folded once with the default momentum
+    # running buffers folded once with momentum 0.9
     assert np.allclose(state.running_mean, 0.1 * mean, atol=1e-12)
     assert np.allclose(state.running_var, 0.9 + 0.1 * var, atol=1e-12)
 
@@ -298,9 +299,7 @@ def test_batch_norm_eval_uses_buffers_only():
     state.running_mean[...] = [1.0, -1.0]
     state.running_var[...] = [4.0, 0.25]
     x = Tensor(np.array([[3.0, 0.0]]))
-    out = ad.batch_norm(
-        x, Tensor(np.ones(2)), Tensor(np.zeros(2)), state, training=False
-    )
+    out = ad.batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), state)
     expect = (x.data - state.running_mean) / np.sqrt(state.running_var + 1e-5)
     assert np.allclose(out.data, expect, atol=1e-12)
     assert np.array_equal(state.running_mean, [1.0, -1.0])  # untouched
@@ -319,12 +318,22 @@ def test_batch_norm_train_gradients():
         state = BatchNormState.fresh(3)
         out = ad.batch_norm(
             params["x"].reshape(1, 5, 3), params["gamma"], params["beta"], state,
-            training=True, mask=np.ones((1, 5, 1)),
+            np.ones((1, 5, 1)),
         ).reshape(5, 3)
         diff = out - target
         return (diff * diff).sum()
 
     assert ad.grad_check(f, params, h=1e-6) < 1e-6
+    # a stack with an all-masked slice
+    x, gamma, beta, _, mask = _masked_stack(3)
+    assert not mask[0].any()
+    weights = np.random.default_rng(9).normal(size=x.shape)
+
+    def g():
+        out = ad.batch_norm(x, gamma, beta, BatchNormState.fresh(x.shape[-1]), mask)
+        return (out * Tensor(weights)).sum()
+
+    assert ad.grad_check(g, {"x": x, "gamma": gamma, "beta": beta}, h=1e-6) < 1e-6
 
 
 # --------------------------- fused nodes against their composites
@@ -401,13 +410,64 @@ def test_batch_norm_eval_matches_composite(x_shape):
     gamma, beta = leaf(rng.normal(size=3)), leaf(rng.normal(size=3))
 
     def fused():
-        return ad.batch_norm(x, gamma, beta, state, training=False, eps=1e-5)
+        return ad.batch_norm(x, gamma, beta, state)
 
     def composite():
         normalized = (x - state.running_mean) / np.sqrt(state.running_var + 1e-5)
         return normalized * gamma + beta
 
     _check_fused(fused, composite, [x, gamma, beta], 3)
+
+
+
+def _batch_norm_composite(x, gamma, beta, state, mask):
+    # training-mode batch norm op by op, then the mask multiply that zeroes
+    # masked rows: the oracle of the fused training-mode node
+    inv_total = 1.0 / mask.sum()
+    mean = (x * mask).sum(axis=(0, 1), keepdims=True) * inv_total
+    centered = x - mean
+    var = (centered * centered * mask).sum(axis=(0, 1), keepdims=True) * inv_total
+    state.update(mean.data.reshape(-1), var.data.reshape(-1))
+    scale = gamma / _sqrt(var + 1e-5)
+    return (centered * scale + beta) * Tensor(mask)
+
+
+def _masked_stack(seed):
+    # a random (S, n, k) stack and 0/1 row mask; odd seeds hold an
+    # all-masked slice, and every stack keeps at least one row
+    rng = np.random.default_rng(seed)
+    s, n, k = int(rng.integers(2, 5)), int(rng.integers(1, 6)), int(rng.integers(1, 4))
+    mask = (rng.uniform(size=(s, n, 1)) < 0.6).astype(np.float64)
+    if seed % 2:
+        mask[0] = 0.0
+    mask[-1, 0] = 1.0
+    x = leaf(rng.normal(size=(s, n, k)) * 2.0 + 0.5)
+    gamma, beta = leaf(1.0 + 0.3 * rng.normal(size=k)), leaf(0.3 * rng.normal(size=k))
+    state = BatchNormState(rng.normal(size=k), rng.uniform(0.5, 2.0, size=k))
+    return x, gamma, beta, state, mask
+
+
+def test_batch_norm_train_matches_composite():
+    # forward values and running buffers bitwise, gradients to 1e-10 of
+    # their largest entry: the closed form sums in another order
+    for seed in range(50):
+        x, gamma, beta, state, mask = _masked_stack(seed)
+        ref_state = BatchNormState(state.running_mean.copy(), state.running_var.copy())
+        target = np.random.default_rng(seed + 100).normal(size=x.shape)
+        leaves = [x, gamma, beta]
+        value, nodes, grads = _value_and_grads(
+            lambda: ad.batch_norm(x, gamma, beta, state, mask), leaves, target
+        )
+        ref_value, _, ref_grads = _value_and_grads(
+            lambda: _batch_norm_composite(x, gamma, beta, ref_state, mask), leaves, target
+        )
+        assert nodes == 3  # the fused node plus the loss's mul and sum
+        assert np.array_equal(value, ref_value)
+        assert not value[mask[..., 0] == 0.0].any()
+        assert np.array_equal(state.running_mean, ref_state.running_mean)
+        assert np.array_equal(state.running_var, ref_state.running_var)
+        for g, ref in zip(grads, ref_grads):
+            assert np.abs(g - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_elementwise_backward_skips_constant_operands():

@@ -253,6 +253,25 @@ def test_data_errors_exit_2(workspace, tmp_path, capsys):
     rc = cli.main(["sample", "--config", cfg, "--checkpoint", str(wrong), "--output", out])
     assert rc == 2
     assert capsys.readouterr().err.count("data error") == 3
+    # unreadable inputs: a directory where a file belongs, binary bytes
+    # where text belongs
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    binary = tmp_path / "binary.bin"
+    binary.write_bytes(bytes(range(256)))
+    for case, argv in enumerate([
+        ["sample", "--config", cfg, "--checkpoint", str(folder)],
+        ["sample", "--config", cfg, "--checkpoint", str(binary)],
+        ["train", "--config", cfg, "--data", str(folder)],
+        ["gen-data", "--config", str(folder)],
+        ["evaluate", "--config", cfg, "--samples", str(binary)],
+    ]):
+        unread = tmp_path / f"unread{case}"
+        rc = cli.main(argv + ["--output", str(unread)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("data error: "), err
+        assert "Traceback" not in err
+        assert not unread.exists()
 
 
 def test_evaluate_mmd_with_too_few_molecules_exits_2(workspace, tmp_path, capsys):

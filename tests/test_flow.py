@@ -380,6 +380,19 @@ def test_nll_gradients_match_finite_differences():
     assert ad.grad_check(loss_eval, named, h=1e-5) < 1e-4
 
 
+def test_training_graph_tape_length():
+    # one 10-atom graph at the benchmark's training shape (width 16, two
+    # layers, window 12): five encoder nodes (embedding product, two
+    # layers, batch norm, column sum), the rest in the heads' inputs and
+    # the likelihood tail
+    spec = small_spec(width=16, layers=2, window=12, max_size=12)
+    params = flow.init_flow_params(spec, np.random.default_rng(0))
+    g = next(m for m in molecules(3, 64, max_atoms=10) if m.n == 10)
+    with ad.Tape() as tape:
+        flow.log_likelihood_parallel(g, params, spec, rng=np.random.default_rng(4), training=True)
+    assert len(tape.nodes) == 38
+
+
 # -------------------------------------------------------------- training
 
 

@@ -144,7 +144,7 @@ def test_train_mode_stack_shares_one_statistics_pair():
         pytest.skip("drew a tiny molecule")
     steps = [("node", i) for i in range(1, g.n + 1)]
     out = rgcn.encode_step_batch(g, steps, params, training=True)
-    mask = out.node_mask[:, :, 0] > 0
+    mask = rgcn.build_step_masks(g, steps)[1][:, :, 0] > 0
     rows = out.H.data[mask]
     state = params.rgcn_state if hasattr(params, "rgcn_state") else params.bn_state
     # un-normalize: rows = (x - m)/s * gamma + beta over one shared (m, s)
@@ -193,7 +193,7 @@ def _reference_eval_encode(g, params, undecided_row=None):
             acc = msg if acc is None else acc + msg
         h = acc * (1.0 / params.num_relations)
     state = params.bn_state
-    out = (h - state.running_mean) / np.sqrt(state.running_var + rgcn.BN_EPS)
+    out = (h - state.running_mean) / np.sqrt(state.running_var + ad.BN_EPS)
     return out * params.bn_gamma.data + params.bn_beta.data
 
 
@@ -215,7 +215,8 @@ def test_eval_encode_matches_per_relation_loop_bitwise():
 def test_each_layer_records_one_node_per_op():
     # a layer's relation weights are one leaf and the layer is one fused
     # node: under a tape each layer adds exactly one node, and nothing to
-    # assemble its weights
+    # assemble its weights; training-mode batch norm, which also zeroes
+    # the masked rows, is one node, and the column sum follows it
     g = molecule(4, max_atoms=6)[0]
     steps = [("node", i) for i in range(1, g.n + 1)]
     nodes = []
@@ -224,6 +225,8 @@ def test_each_layer_records_one_node_per_op():
         with ad.Tape() as tape:
             rgcn.encode_step_batch(g, steps, params, training=True)
         nodes.append(len(tape.nodes))
+        ops = [back.__qualname__.split(".")[0] for _, _, back in tape.nodes]
+        assert ops == ["matmul"] + ["_relation_layer"] * layers + ["batch_norm", "tensor_sum"]
     assert np.diff(nodes).tolist() == [1, 1]
 
 
@@ -334,7 +337,7 @@ def _reference_training_stack(g, steps, params):
     mean = (h * mask).sum(axis=(0, 1), keepdims=True) * inv_total
     centered = h - mean
     var = (centered * centered * mask).sum(axis=(0, 1), keepdims=True) * inv_total
-    scale = params.bn_gamma.data / np.sqrt(var + rgcn.BN_EPS)
+    scale = params.bn_gamma.data / np.sqrt(var + ad.BN_EPS)
     out = (centered * scale + params.bn_beta.data) * mask
     return out, mean.reshape(-1), var.reshape(-1)
 
@@ -350,7 +353,7 @@ def test_one_graph_training_stack_is_unchanged():
         assert np.array_equal(out.H.data, expected)
         assert np.array_equal(out.graph_embedding.data, expected.sum(axis=-2))
         fresh = BatchNormState.fresh(params.width)
-        fresh.update(mean, var, rgcn.BN_MOMENTUM)
+        fresh.update(mean, var)
         assert np.array_equal(params.bn_state.running_mean, fresh.running_mean)
         assert np.array_equal(params.bn_state.running_var, fresh.running_var)
 
@@ -402,7 +405,6 @@ def test_stored_pack_matches_fresh_pass_bitwise():
         fresh = rgcn.encode_step_batch(owners, steps, params)
         assert np.array_equal(stored.H.data, fresh.H.data)
         assert np.array_equal(stored.graph_embedding.data, fresh.graph_embedding.data)
-        assert np.array_equal(stored.node_mask, fresh.node_mask)
     with pytest.raises(ValueError):
         rgcn.encode_step_batch(owners[:-1], steps[:-1], params, pack=pack)
     with pytest.raises(ValueError):
@@ -450,7 +452,6 @@ def test_empty_prefix_is_a_zero_state_in_both_modes():
         for s in (0, mid + 1):
             assert np.array_equal(out.graph_embedding.data[s], np.zeros(params.width))
             assert not out.H.data[s].any()
-            assert not out.node_mask[s].any()
         assert np.array_equal(out.graph_embedding.data[kept], ref.graph_embedding.data)
         assert np.array_equal(out.H.data[kept], ref.H.data)
         assert np.array_equal(stats[0], params.bn_state.running_mean)
