@@ -119,8 +119,8 @@ def _wrap(x) -> Tensor:
 class Tape:
     """Operation record for one backward pass.
 
-    Single-writer: at most one tape is active at a time, and one tape
-    should cover one training example. Gradients from successive tapes
+    Single-writer: at most one tape is active at a time; one tape covers
+    one chunk of training examples. Gradients from successive tapes
     accumulate into the leaves' .grad slots in call order; training code
     does not open tapes itself but goes through accumulate_grads.
     """
@@ -476,39 +476,47 @@ def batch_norm(
     beta: Tensor,
     state: BatchNormState,
     mask: np.ndarray | None = None,
+    segments: list | None = None,
 ) -> Tensor:
-    """Normalize features, as one tape node; the mask decides the mode.
+    """Normalize features, as one tape node; segments decide the mode. A
+    0/1 mask, (S, n, 1) for a stacked (S, n, k) input, multiplies the
+    output, so rows that are no nodes leave as zeros.
 
-    Without a mask (evaluation mode) the running buffers normalize input
-    of any leading shape: ((x - mean) / sd) * gamma + beta, whose
+    Without segments (evaluation mode) the running buffers normalize
+    input of any leading shape: ((x - mean) / sd) * gamma + beta, whose
     backward replays the add, mul, div and sub steps of that expression,
     so its x gradient is (g * gamma) * (1 / sd).
 
-    A stacked (S, n, k) input with a (S, n, 1) 0/1 mask is training
-    mode: one mean/var pair over every unmasked row U of the whole stack
-    normalizes it, so normalization stays an affine map and the column
-    sums over a slice keep carrying graph structure; the output is
-    multiplied by the mask, so masked rows leave as zeros, and the batch
-    statistics fold into the running buffers once per call. The forward
-    runs the numpy calls of the op-by-op expression in its order. The
-    backward is the closed-form gradient: with g' = g * mask and xhat =
-    (x - mean) / sd, the x gradient is (gamma / sd) * (g' - (mean_U(g')
-    + xhat * mean_U(g' * xhat)) * mask).
+    Segments (training mode) are slices of the leading axis, one per
+    graph: one mean/var pair over a segment's unmasked rows U normalizes
+    it, so normalization stays an affine map per graph and the column
+    sums over a slice keep carrying graph structure. The pairs fold into
+    the running buffers in segment order; rows in no segment leave as
+    zeros. The forward runs the numpy calls of the op-by-op expression
+    in its order. The backward is the closed-form gradient, per segment:
+    with g' = g * mask and xhat = (x - mean) / sd, the x gradient is
+    (gamma / sd) * (g' - (mean_U(g') + xhat * mean_U(g' * xhat)) * mask).
     """
-    if mask is None:
+    if segments is None:
         sd = np.sqrt(state.running_var + BN_EPS)
         xhat = (x.data - state.running_mean) / sd
         out = xhat * gamma.data + beta.data
+        if mask is not None:
+            out = out * mask
     else:
-        inv_total = 1.0 / mask.sum()
-        mean = (x.data * mask).sum(axis=(0, 1), keepdims=True) * inv_total
-        centered = x.data - mean
-        var = (centered * centered * mask).sum(axis=(0, 1), keepdims=True) * inv_total
-        state.update(mean.reshape(-1), var.reshape(-1))
-        sd = np.sqrt(var + BN_EPS)
-        scale = gamma.data / sd
-        out = (centered * scale + beta.data) * mask
-        xhat = centered / sd
+        out, xhat, stats = np.zeros_like(x.data), np.zeros_like(x.data), []
+        for seg in segments:
+            rows = mask[seg]
+            inv_total = 1.0 / rows.sum()
+            mean = (x.data[seg] * rows).sum(axis=(0, 1), keepdims=True) * inv_total
+            centered = x.data[seg] - mean
+            var = (centered * centered * rows).sum(axis=(0, 1), keepdims=True) * inv_total
+            state.update(mean.reshape(-1), var.reshape(-1))
+            sd = np.sqrt(var + BN_EPS)
+            scale = gamma.data / sd
+            out[seg] = (centered * scale + beta.data) * rows
+            xhat[seg] = centered / sd
+            stats.append((seg, scale, inv_total))
 
     def back(g):
         if mask is not None:
@@ -518,12 +526,15 @@ def batch_norm(
             gbeta = unbroadcast(g, beta.data.shape)
         if gamma.requires_grad:
             ggamma = unbroadcast(g * xhat, gamma.data.shape)
-        if x.requires_grad and mask is None:
+        if x.requires_grad and segments is None:
             gx = unbroadcast((g * gamma.data) * (1.0 / sd), x.data.shape)
         elif x.requires_grad:
-            mean_g = g.sum(axis=(0, 1), keepdims=True) * inv_total
-            mean_gxhat = (g * xhat).sum(axis=(0, 1), keepdims=True) * inv_total
-            gx = scale * (g - (mean_g + xhat * mean_gxhat) * mask)
+            gx = np.zeros_like(g)
+            for seg, scale, inv_total in stats:
+                gs, xs = g[seg], xhat[seg]
+                mean_g = gs.sum(axis=(0, 1), keepdims=True) * inv_total
+                mean_gxhat = (gs * xs).sum(axis=(0, 1), keepdims=True) * inv_total
+                gx[seg] = scale * (gs - (mean_g + xs * mean_gxhat) * mask[seg])
         return (gx, ggamma, gbeta)
 
     return custom_op(out, (x, gamma, beta), back)

@@ -48,6 +48,7 @@ from .graph import (
 
 LOG_ALPHA_MIN = -7.0
 LOG_ALPHA_MAX = 7.0
+TRAIN_CHUNK = 4  # training graphs per tape: one pack, one encoder call
 
 
 @dataclass
@@ -311,10 +312,6 @@ def _stacked_conditionals(pack: rgcn.StepPack, params: FlowParams):
     return mu_x, alpha_x, mu_a, alpha_a
 
 
-def _stack_za(z: DequantizedGraph, edge_steps) -> np.ndarray:
-    return np.stack([z.za[(i, j)] for _, i, j in edge_steps])
-
-
 def _sequential_conditionals(g: MolecularGraph, params: FlowParams, plan: StepPlan):
     """_stacked_conditionals' four tables, laid out the same way, from
     one step_conditional call per step: each step's encoder pass sees
@@ -339,44 +336,64 @@ def _ordered_noise(g: MolecularGraph, spec: ModelSpec, z, rng) -> DequantizedGra
     return z
 
 
-def _log_likelihood(z: DequantizedGraph, plan: StepPlan, conditionals) -> LogLik:
-    """Gaussian log-density of z under the (mu, alpha) tables of every
-    step of plan, as _stacked_conditionals lays them out."""
+def _negated_total(parts) -> Tensor:
+    """-(the sum of each (table, rows) part's rows): one graph's NLL from
+    its own rows of the log-density tables, as one tape node."""
+    total = sum(table.data[rows].sum() for table, rows in parts)
+
+    def back(g):
+        grads = tuple(np.zeros_like(table.data) for table, _ in parts)
+        for grad, (_, rows) in zip(grads, parts):
+            grad[rows] = -g
+        return grads
+
+    return ad.custom_op(-total, [table for table, _ in parts], back)
+
+
+def _log_likelihoods(zs: list, plans: list, conditionals) -> list:
+    """One LogLik per graph: the Gaussian log-density of each z under the
+    (mu, alpha) tables of every step of its plan, as _stacked_conditionals
+    lays them out for the graphs' steps end to end."""
     mu_x, alpha_x, mu_a, alpha_a = conditionals
-    ll_x = ad.gaussian_logpdf(Tensor(z.zx), mu_x, alpha_x)
-    total = ll_x.sum()
-    node_terms = ll_x.data.sum(axis=1)
-    edge_terms = []
+    edges = [plan.edge_steps for plan in plans]
+    ll_x = ad.gaussian_logpdf(Tensor(np.concatenate([z.zx for z in zs])), mu_x, alpha_x)
+    tables = [(ll_x, np.cumsum([0] + [len(z.zx) for z in zs]))]
     if mu_a is not None:
-        ll_a = ad.gaussian_logpdf(Tensor(_stack_za(z, plan.edge_steps)), mu_a, alpha_a)
-        total = total + ll_a.sum()
-        rows = ll_a.data.sum(axis=1)
-        edge_terms = [(i, j, float(v)) for (_, i, j), v in zip(plan.edge_steps, rows)]
-    return LogLik(float(total.data), node_terms, edge_terms, nll=-1.0 * total)
+        za = np.array([z.za[step[1:]] for z, steps in zip(zs, edges) for step in steps])
+        ll_a = ad.gaussian_logpdf(Tensor(za), mu_a, alpha_a)
+        tables.append((ll_a, np.cumsum([0] + [len(steps) for steps in edges])))
+    out = []
+    for k, steps in enumerate(edges):
+        parts = [(t, slice(*ends[k : k + 2])) for t, ends in tables if ends[k + 1] > ends[k]]
+        nll = _negated_total(parts)
+        node_terms, *edge_rows = [table.data[rows].sum(axis=1) for table, rows in parts]
+        edge_terms = [(i, j, float(v)) for (_, i, j), v in zip(steps, *edge_rows)]
+        out.append(LogLik(-float(nll.data), node_terms, edge_terms, nll=nll))
+    return out
 
 
 def log_likelihood_parallel(
-    g: MolecularGraph,
-    params: FlowParams,
-    spec: ModelSpec,
-    rng=None,
-    z: DequantizedGraph | None = None,
-    training: bool = False,
-) -> LogLik:
-    """Exact log-likelihood of a dequantized graph, all steps batched.
-
-    Either pass z (shared noise) or an rng to draw fresh dequantization
-    noise. The result's nll is the scalar negative log-likelihood tensor,
-    recorded on the active tape if there is one. With training=True the
-    encoder normalizes with this stack's batch statistics (the function
-    optimized by train()); the default reads the frozen running buffers,
-    which makes the value a per-graph density independent of how calls
-    are batched.
+    g, params: FlowParams, spec: ModelSpec, rng=None, z=None, training: bool = False
+):
+    """Exact log-likelihood of a dequantized graph, all steps batched: a
+    LogLik for one MolecularGraph g, a list of them, from one stacked
+    pass, for a sequence. Pass z (shared noise, one per graph for a
+    sequence) or an rng to draw fresh dequantization noise. Each nll is
+    that graph's scalar NLL tensor, recorded on the active tape if there
+    is one. With training=True the encoder normalizes each graph with
+    its own batch statistics (the function optimized by train()); the
+    default reads the frozen running buffers, which makes the value a
+    per-graph density independent of how calls are batched.
     """
-    z = _ordered_noise(g, spec, z, rng)
-    plan = build_plan(g.n, spec.window)
-    pack = rgcn.pack_step_batch(g, plan.steps, params.rgcn, training)
-    return _log_likelihood(z, plan, _stacked_conditionals(pack, params))
+    many = not isinstance(g, MolecularGraph)
+    graphs = list(g) if many else [g]
+    noise = list(z) if many and z is not None else [z] * len(graphs)
+    zs = [_ordered_noise(h, spec, zh, rng) for h, zh in zip(graphs, noise)]
+    plans = [build_plan(h.n, spec.window) for h in graphs]
+    owners, steps = zip(*[(h, step) for h, plan in zip(graphs, plans) for step in plan.steps])
+    pack = rgcn.pack_step_batch(owners, steps, params.rgcn, training)
+    lls = _log_likelihoods(zs, plans, _stacked_conditionals(pack, params))
+    return lls if many else lls[0]
 
 
 def log_likelihood_sequential(
@@ -393,7 +410,7 @@ def log_likelihood_sequential(
     a time."""
     z = _ordered_noise(g, spec, z, None)
     plan = build_plan(g.n, spec.window)
-    return _log_likelihood(z, plan, _sequential_conditionals(g, params, plan))
+    return _log_likelihoods([z], [plan], _sequential_conditionals(g, params, plan))[0]
 
 
 @dataclass
@@ -426,7 +443,8 @@ def graph_to_latent(
     eps_x = inverse_transform(z.zx, mu_x.data, alpha_x.data)
     eps_a = {}
     if mu_a is not None:
-        rows = inverse_transform(_stack_za(z, plan.edge_steps), mu_a.data, alpha_a.data)
+        za = np.stack([z.za[step[1:]] for step in plan.edge_steps])
+        rows = inverse_transform(za, mu_a.data, alpha_a.data)
         eps_a = {step[1:]: row for step, row in zip(plan.edge_steps, rows)}
     return LatentSeq(eps_x=eps_x, eps_a=eps_a)
 
@@ -476,12 +494,13 @@ def train(
     """Minimize mean per-graph negative log-likelihood with Adam.
 
     Each epoch reshuffles the dataset, re-draws a BFS order per graph and
-    fresh dequantization noise, accumulates per-example gradients over a
-    batch in a fixed order and applies one Adam step per batch. Returns
-    the per-epoch mean NLL trace. Raises ValueError on an empty dataset
-    and GraphError, before any update, if a graph is larger than
-    spec.max_size (the sampler could never produce it), and
-    FloatingPointError on a non-finite loss.
+    fresh dequantization noise, accumulates gradients over a batch in a
+    fixed order, TRAIN_CHUNK graphs per tape (each graph keeps its own
+    batch statistics, so chunking moves only summation order), and
+    applies one Adam step per batch. Returns the per-epoch mean NLL
+    trace. Raises ValueError on an empty dataset and GraphError, before
+    any update, if a graph is larger than spec.max_size (the sampler
+    could never produce it), and FloatingPointError on a non-finite loss.
     """
     if not dataset:
         raise ValueError("training needs at least one graph")
@@ -497,18 +516,23 @@ def train(
         order = rng.permutation(len(dataset))
         epoch_nll = []
 
-        def graph_loss(g, scale):
-            g = _reorder_for_window(g, spec.window, rng)
-            ll = log_likelihood_parallel(g, params, spec, rng=rng, training=True)
-            nll = -ll.total
-            if not np.isfinite(nll):
+        def chunk_loss(chunk, scale):
+            drawn, noise = [], []
+            for g in chunk:  # the BFS re-draw, then the noise, graph by graph
+                g = _reorder_for_window(g, spec.window, rng)
+                drawn.append(g)
+                noise.append(dequantize(g, spec.vocab, spec.bonds, rng, window=spec.window))
+            lls = log_likelihood_parallel(drawn, params, spec, z=noise, training=True)
+            nll = [-ll.total for ll in lls]
+            if not np.isfinite(nll).all():
                 raise FloatingPointError(f"training diverged: non-finite loss at epoch {epoch}")
-            epoch_nll.append(nll)
-            return ll.nll * scale
+            epoch_nll.extend(nll)
+            return sum((ll.nll for ll in lls[1:]), lls[0].nll) * scale
 
         for lo in range(0, len(order), cfg.batch_size):
-            batch = order[lo : lo + cfg.batch_size]
-            losses = [partial(graph_loss, dataset[gi], 1.0 / len(batch)) for gi in batch]
+            batch = [dataset[gi] for gi in order[lo : lo + cfg.batch_size]]
+            chunks = [batch[c : c + TRAIN_CHUNK] for c in range(0, len(batch), TRAIN_CHUNK)]
+            losses = [partial(chunk_loss, chunk, 1.0 / len(batch)) for chunk in chunks]
             grads, _ = ad.accumulate_grads(named, losses)
             ad.adam_step(named, grads, state, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
         trace.append(float(np.mean(epoch_nll)))

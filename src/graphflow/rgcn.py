@@ -16,21 +16,23 @@ autodiff.custom_op): both products, the ReLU, the relation sum and the
 gradient steps in order, so values and gradients are bitwise those of
 the composite while a layer costs one Tensor and one tape node.
 
-One core, _propagate(), runs this on one state or a stack of states,
-all relations of a layer in one batched product. encode() runs it on
-a single (sub)graph, one generation step at a time. encode_step_batch()
-is the one entry point for a set of generation-step states, of one
-graph or of many, in either mode, and it runs in two halves.
-pack_step_batch() does everything that reads no weight into a
-StepPack: the step masks, the groups of states that share a pass with
-their adjacency blocks and feature rows, the inverse permutation, and
-the rows the flow's heads read. The passes over a pack, one _propagate
-per group, are the weight-dependent rest, so a caller that encodes one
-set of states under moving weights (the PPO update) packs them once.
-In evaluation mode each group is one node-count block, and the empty
-prefix ("node", 0) is a size-0 block whose embedding is exactly zero.
-In training mode the one group is one graph's masked stack sharing
-batch statistics, and the empty prefix is an all-masked slice. Both
+One core, _propagate(), runs the layers on one state or a stack of
+states, all relations of a layer in one batched product, and batch
+norm and the column sum follow it. encode() runs this on a single
+(sub)graph, one generation step at a time. encode_step_batch() is the
+one entry point for a set of generation-step states, of one graph or of
+many, in either mode, and it runs in two halves. pack_step_batch() does
+everything that reads no weight into a StepPack: the step masks, the
+groups of states that share a pass, the node mask, the per-graph
+segments and the rows the flow's heads read. The passes over a pack,
+one _propagate per group, one node placing their outputs in step order
+and one batch-norm node, are the weight-dependent rest, so a caller that
+encodes one set of states under moving weights (the PPO update) packs
+them once. In evaluation mode each group is one node-count block. In
+training mode each group holds the masked stacks of the graphs with one
+node count, and batch norm keeps one pair of statistics per graph, so a
+graph's rows are bitwise those of a pass over its states alone. The
+empty prefix ("node", 0) joins no group; its rows are exactly zero. Both
 modes compute the same function; the stacked path may differ from the
 single one by reduction order only (empirically below 1e-12).
 """
@@ -205,17 +207,19 @@ def _relation_layer(adj: np.ndarray, h: Tensor, w: Tensor, scale: float) -> Tens
     replays the composite's steps (the scale, the broadcast over
     relations, the Q > 0 mask; then P^T @ g summed over the leading axes
     for w, and adj^T @ (g @ w^T) summed over relations for h), so values
-    and gradients are bitwise those of the op-by-op expression. Only P
-    and Q are kept for the backward.
+    and gradients are bitwise those of the op-by-op expression. Only the
+    Q > 0 mask is kept for the backward, which recomputes P with the
+    forward's own call.
     """
     stacked = h.data.shape[:-2] + (1,) + h.data.shape[-2:]
-    p = np.matmul(adj, h.data.reshape(stacked))
-    q = np.matmul(p, w.data)
+    q = np.matmul(np.matmul(adj, h.data.reshape(stacked)), w.data)
+    active = q > 0.0
 
     def back(g):
-        gq = np.expand_dims(g * scale, -3) * (q > 0.0)
+        gq = np.expand_dims(g * scale, -3) * active
         gh = gw = None
         if w.requires_grad:
+            p = np.matmul(adj, h.data.reshape(stacked))
             gw = ad.unbroadcast(np.matmul(np.swapaxes(p, -1, -2), gq), w.data.shape)
         if h.requires_grad:
             gp = np.matmul(gq, np.swapaxes(w.data, -1, -2))
@@ -226,31 +230,19 @@ def _relation_layer(adj: np.ndarray, h: Tensor, w: Tensor, scale: float) -> Tens
     return ad.custom_op(np.maximum(q, 0.0).sum(axis=-3) * scale, (h, w), back)
 
 
-def _propagate(
-    x: np.ndarray,
-    adj: np.ndarray,
-    params: RgcnParams,
-    mask: np.ndarray | None = None,
-) -> NodeEmbeddings:
-    """Embeddings of one-hot rows x under normalized relation slices adj.
+def _propagate(x: np.ndarray, adj: np.ndarray, params: RgcnParams) -> Tensor:
+    """Node states of one-hot rows x under normalized relation slices
+    adj after the last layer, before batch norm.
 
-    x is (n, F) and adj (R, n, n) for one state, or (S, n, F) (or one
-    (n, F) shared by every slice) and (S, R, n, n) for a stack. Without
-    a mask, batch norm reads the running buffers (evaluation mode). A
-    masked stack, with its (S, n, 1) node mask, is a training-mode
-    stack: masked rows enter as zero features and leave as zero states,
-    and one pair of batch statistics over the unmasked rows normalizes
-    it and moves the running buffers. Each layer runs every relation at
-    once: the relation axis is summed in relation order after the ReLU.
+    x is (n, F) and adj (R, n, n) for one state, or (S, n, F) and (S, R,
+    n, n) for a stack. Each layer runs every relation at once: the
+    relation axis is summed in relation order after the ReLU.
     """
-    if mask is not None:
-        x = x * mask
     h = Tensor(x) @ params.embed
     scale = 1.0 / params.num_relations
     for w in params.layers:
         h = _relation_layer(adj, h, w, scale)
-    h = ad.batch_norm(h, params.bn_gamma, params.bn_beta, params.bn_state, mask)
-    return NodeEmbeddings(H=h, graph_embedding=h.sum(axis=-2))
+    return h
 
 
 def encode(
@@ -262,7 +254,9 @@ def encode(
     as not yet generated, excluding them from every relation.
     """
     one_hot = _one_hot_adjacency(g_prefix, undecided_row=undecided_row)
-    return _propagate(_features(g_prefix, params), _normalized_adjacency(one_hot), params)
+    h = _propagate(_features(g_prefix, params), _normalized_adjacency(one_hot), params)
+    h = ad.batch_norm(h, params.bn_gamma, params.bn_beta, params.bn_state)
+    return NodeEmbeddings(H=h, graph_embedding=h.sum(axis=-2))
 
 
 def build_step_masks(g: MolecularGraph, steps) -> tuple:
@@ -311,24 +305,25 @@ class StepPack:
     Built by pack_step_batch; every pass over the same steps in the same
     mode may reuse it while the weights move.
 
-    groups holds one (x, adj, mask) per _propagate call. In evaluation
-    mode each distinct state size m has one unmasked group: the (s, m, F)
-    one-hot rows and (s, R, m, m) normalized adjacency blocks of its s
-    states, and inverse puts the concatenated group outputs back in step
-    order. In training mode the one group is the graph's masked stack,
-    already in step order: its (n, F) rows, (S, R, n, n) blocks and (S,
-    n, 1) node mask, which only batch norm reads, and inverse is None.
+    groups holds one (x, adj, rows) per _propagate call: the (s, m, F)
+    one-hot rows, the (s, R, m, m) normalized adjacency blocks and the
+    step indices of s states. In evaluation mode each distinct state
+    size m has one group. In training mode each distinct graph size n
+    has one: the masked stacks of the graphs with n nodes, end to end.
     Row r of a pass is steps[r]'s state, padded with zero rows to the
-    largest group's node count; node_rows holds the rows of the node
-    steps, and edge_rows, edge_i and edge_j the rows and endpoints of
-    the edge steps.
+    widest group; mask, (S, n, 1), is 1 on each state's own nodes, and
+    segments holds one slice of steps per graph with rows in training
+    mode (None in evaluation mode), which batch norm reads. node_rows
+    holds the rows of the node steps, and edge_rows, edge_i and edge_j
+    the rows and endpoints of the edge steps.
     """
 
     graphs: list  # each step's graph
     steps: list
     training: bool
-    groups: list  # [(x, adj, mask)]
-    inverse: np.ndarray | None
+    groups: list  # [(x, adj, rows)]
+    mask: np.ndarray
+    segments: list | None
     node_rows: np.ndarray
     edge_rows: np.ndarray
     edge_i: np.ndarray
@@ -340,12 +335,12 @@ def pack_step_batch(g, steps, params: RgcnParams, training: bool = False) -> Ste
     and training the same way. Of params only the dimensions are read.
 
     A state's own node count m is i for ("node", i) and i + 1 for
-    ("edge", i, j). Evaluation mode groups the states by m and cuts each
-    state's [:m, :m] block out of its graph's step masks, so the empty
-    prefix ("node", 0) lands in a size-0 group. Training mode keeps the
-    states of one graph as one masked stack, with the empty prefix as an
-    all-masked slice; a stack of empty prefixes alone has no row to take
-    batch statistics over, and is grouped as in evaluation mode.
+    ("edge", i, j); the empty prefix, m = 0, joins no group and its rows
+    stay zero. Evaluation mode groups the states by m and cuts each
+    state's [:m, :m] block out of its graph's step masks. Training mode
+    groups graphs by node count, each with its whole masked stack of
+    build_step_masks; a graph's states must be consecutive steps, and an
+    equal copy of a graph is another graph.
     """
     steps = list(steps)
     if not steps:
@@ -353,34 +348,30 @@ def pack_step_batch(g, steps, params: RgcnParams, training: bool = False) -> Ste
     graphs = [g] * len(steps) if isinstance(g, MolecularGraph) else list(g)
     if len(graphs) != len(steps):
         raise ValueError(f"{len(graphs)} graphs for {len(steps)} steps")
-    if training and any(other is not graphs[0] for other in graphs):
-        raise ValueError("training mode encodes the states of one graph only")
     sizes = np.array([step[1] + (step[0] == "edge") for step in steps], dtype=np.int64)
-    if training and sizes.any():
-        norm_adj, node_mask = build_step_masks(graphs[0], steps)
-        groups, inverse = [(_features(graphs[0], params), norm_adj, node_mask)], None
-    else:
-        owned: dict = {}  # id(graph) -> (graph, indices of its states)
-        for s, owner in enumerate(graphs):
-            owned.setdefault(id(owner), (owner, []))[1].append(s)
-        parts: dict = {}  # m -> [(state indices, (s, R, m, m) blocks, (m, F) rows)]
-        for owner, idx in owned.values():
-            x = _features(owner, params)
-            norm_adj, _ = build_step_masks(owner, [steps[s] for s in idx])
-            idx = np.array(idx, dtype=np.int64)
-            for m in np.unique(sizes[idx]):
-                sel = np.flatnonzero(sizes[idx] == m)
-                parts.setdefault(int(m), []).append((idx[sel], norm_adj[sel, :, :m, :m], x[:m]))
-        groups, order = [], []
-        for group in parts.values():
-            adj = np.concatenate([blocks for _, blocks, _ in group])
-            x = np.concatenate(
-                [np.broadcast_to(rows, (len(sel),) + rows.shape) for sel, _, rows in group]
-            )
-            groups.append((x, adj, None))
-            order.extend(sel for sel, _, _ in group)
-        inverse = np.empty(len(steps), dtype=np.int64)
-        inverse[np.concatenate(order)] = np.arange(len(steps))
+    owned: dict = {}  # id(graph) -> (graph, indices of its states)
+    for s, owner in enumerate(graphs):
+        owned.setdefault(id(owner), (owner, []))[1].append(s)
+    parts: dict = {}  # group width -> [((s, m, F) rows, (s, R, m, m) blocks, state indices)]
+    segments = [] if training else None
+    for owner, idx in owned.values():
+        x = _features(owner, params)
+        idx = np.array(idx, dtype=np.int64)
+        if not sizes[idx].any():
+            continue
+        norm_adj, node_mask = build_step_masks(owner, [steps[s] for s in idx])
+        if training:
+            if idx[-1] - idx[0] + 1 != len(idx):
+                raise ValueError("training mode needs each graph's states as consecutive steps")
+            segments.append(slice(int(idx[0]), int(idx[-1]) + 1))
+            parts.setdefault(owner.n, []).append((x * node_mask, norm_adj, idx))
+            continue
+        for m in np.setdiff1d(sizes[idx], [0]):
+            sel = np.flatnonzero(sizes[idx] == m)
+            rows = np.broadcast_to(x[:m], (len(sel), m, x.shape[1]))
+            parts.setdefault(int(m), []).append((rows, norm_adj[sel, :, :m, :m], idx[sel]))
+    groups = [tuple(np.concatenate(column) for column in zip(*group)) for group in parts.values()]
+    width = max(parts, default=0)
     node = [s for s, step in enumerate(steps) if step[0] == "node"]
     edge = [s for s, step in enumerate(steps) if step[0] == "edge"]
     return StepPack(
@@ -388,12 +379,27 @@ def pack_step_batch(g, steps, params: RgcnParams, training: bool = False) -> Ste
         steps=steps,
         training=training,
         groups=groups,
-        inverse=inverse,
+        mask=(np.arange(width) < sizes[:, None]).astype(np.float64)[:, :, None],
+        segments=segments,
         node_rows=np.array(node, dtype=np.int64),
         edge_rows=np.array(edge, dtype=np.int64),
         edge_i=np.array([steps[s][1] for s in edge], dtype=np.int64),
         edge_j=np.array([steps[s][2] for s in edge], dtype=np.int64),
     )
+
+
+def _place(parts: list, rows: list, shape: tuple) -> Tensor:
+    """The group outputs as one (S, n, k) stack in step order, as one
+    tape node: parts[g], (s, m, k), fills the first m node rows of steps
+    rows[g], and every other entry is zero."""
+    out = np.zeros(shape)
+    for part, r in zip(parts, rows):
+        out[r, : part.data.shape[-2]] = part.data
+
+    def back(g):
+        return tuple(g[r, : part.data.shape[-2]] for part, r in zip(parts, rows))
+
+    return ad.custom_op(out, parts, back)
 
 
 def encode_step_batch(
@@ -415,28 +421,19 @@ def encode_step_batch(
     len(args[1]).
 
     Both modes run one _propagate per group of the StepPack that
-    pack_step_batch builds: evaluation mode one unpadded pass per
-    distinct node count, training mode one masked stack of one graph's
-    states that shares one pair of batch statistics. A pack built
-    beforehand for the same steps in the same mode may be passed in, so
-    repeated passes skip the weight-independent work.
+    pack_step_batch builds, one node placing the outputs in step order
+    and one batch-norm node, which in training mode takes one pair of
+    statistics per graph. A pack built beforehand for the same steps in
+    the same mode may be passed in, so repeated passes skip the
+    weight-independent work.
     """
     if pack is None:
         pack = pack_step_batch(g, steps, params, training)
     elif pack.training != training or list(steps) != pack.steps:
         raise ValueError("the step pack was built for other steps or the other mode")
-    n = max(x.shape[-2] for x, _, _ in pack.groups)
-    h_parts, emb_parts = [], []
-    for x, adj, mask in pack.groups:
-        out = _propagate(x, adj, params, mask)
-        h, m = out.H, x.shape[-2]
-        if m < n:
-            h = ad.concat([h, Tensor(np.zeros((len(adj), n - m, params.width)))], axis=1)
-        h_parts.append(h)
-        emb_parts.append(out.graph_embedding)
-    if pack.inverse is None:  # the one group is already in step order
-        (h,), (emb,) = h_parts, emb_parts
-    else:
-        h = ad.take(ad.concat(h_parts, axis=0), (pack.inverse,))
-        emb = ad.take(ad.concat(emb_parts, axis=0), (pack.inverse,))
-    return NodeEmbeddings(H=h, graph_embedding=emb)
+    parts = [_propagate(x, adj, params) for x, adj, _ in pack.groups]
+    h = _place(parts, [rows for _, _, rows in pack.groups], pack.mask.shape[:2] + (params.width,))
+    h = ad.batch_norm(
+        h, params.bn_gamma, params.bn_beta, params.bn_state, pack.mask, pack.segments
+    )
+    return NodeEmbeddings(H=h, graph_embedding=h.sum(axis=-2))

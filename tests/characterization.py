@@ -15,11 +15,16 @@ Regenerate the pins with
 
     PYTHONPATH=src python tests/characterization.py
 
-A change that regenerates the file changes test data and says why.
+A change that regenerates the file changes test data and says why. To
+see how far the model has moved from the pins without writing anything,
+run it with --diff: it prints each pinned float array's largest
+deviation relative to the array's largest entry, and the exact entries
+that differ.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 
@@ -153,7 +158,32 @@ def observe() -> tuple:
     return exact, close
 
 
-def main() -> None:
+def diff() -> None:
+    """Print how far the observations are from the pins; writes nothing."""
+    pins = json.loads(PINS.read_text())
+    exact, close = observe()
+    for key, value in sorted(close.items()):
+        if key not in pins["close"]:
+            print(f"{'unpinned':>10}  {key}")
+            continue
+        pinned = np.asarray(pins["close"][key], dtype=np.float64)
+        if value.shape != pinned.shape:
+            print(f"{'shape':>10}  {key}: {value.shape} != {pinned.shape}")
+            continue
+        largest, off = np.abs(pinned).max(), np.abs(value - pinned).max()
+        print(f"{off / largest if largest else off:10.3g}  {key}")
+    wrong = [k for k, v in exact.items() if json.loads(json.dumps(v)) != pins["exact"].get(k)]
+    print(f"exact entries that differ: {len(wrong)} of {len(exact)}", *wrong, sep="\n")
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--diff", action="store_true", help="print the deviations from the pins, write nothing"
+    )
+    if parser.parse_args(argv).diff:
+        diff()
+        return
     exact, close = observe()
     pins = {"exact": exact, "close": {k: v.tolist() for k, v in close.items()}}
     PINS.write_text(json.dumps(pins, indent=None, separators=(",", ":")) + "\n")

@@ -261,9 +261,10 @@ def test_batch_norm_train_normalizes_rows(n, k):
     rng = np.random.default_rng(n * 31 + k)
     x = Tensor(rng.normal(size=(n, k)) * 3 + 1)
     state = BatchNormState.fresh(k)
-    # the (n, k) rows as a one-slice stack with every row unmasked
+    # the (n, k) rows as a one-slice stack with every row unmasked, one segment
     stacked = ad.batch_norm(
-        x.reshape(1, n, k), Tensor(np.ones(k)), Tensor(np.zeros(k)), state, np.ones((1, n, 1))
+        x.reshape(1, n, k), Tensor(np.ones(k)), Tensor(np.zeros(k)), state, np.ones((1, n, 1)),
+        [slice(None)],
     )
     out = stacked.reshape(n, k)
     assert np.allclose(out.data.mean(axis=0), 0.0, atol=1e-12)
@@ -282,7 +283,7 @@ def test_batch_norm_masked_stats_match_hand_loop():
     x_data = x_data * mask
     gamma, beta = np.array([1.3, 0.8]), np.array([0.2, -0.5])
     state = BatchNormState.fresh(2)
-    out = ad.batch_norm(Tensor(x_data), Tensor(gamma), Tensor(beta), state, mask)
+    out = ad.batch_norm(Tensor(x_data), Tensor(gamma), Tensor(beta), state, mask, [slice(None)])
     rows = x_data[mask[:, :, 0] > 0]  # every unmasked row across the stack
     mean = rows.mean(axis=0)
     var = rows.var(axis=0)
@@ -318,7 +319,7 @@ def test_batch_norm_train_gradients():
         state = BatchNormState.fresh(3)
         out = ad.batch_norm(
             params["x"].reshape(1, 5, 3), params["gamma"], params["beta"], state,
-            np.ones((1, 5, 1)),
+            np.ones((1, 5, 1)), [slice(None)],
         ).reshape(5, 3)
         diff = out - target
         return (diff * diff).sum()
@@ -330,7 +331,7 @@ def test_batch_norm_train_gradients():
     weights = np.random.default_rng(9).normal(size=x.shape)
 
     def g():
-        out = ad.batch_norm(x, gamma, beta, BatchNormState.fresh(x.shape[-1]), mask)
+        out = ad.batch_norm(x, gamma, beta, BatchNormState.fresh(x.shape[-1]), mask, [slice(None)])
         return (out * Tensor(weights)).sum()
 
     assert ad.grad_check(g, {"x": x, "gamma": gamma, "beta": beta}, h=1e-6) < 1e-6
@@ -447,6 +448,37 @@ def _masked_stack(seed):
     return x, gamma, beta, state, mask
 
 
+def test_batch_norm_segments_are_separate_graphs():
+    # a stack cut into segments, with one slice in none: each segment's
+    # output and x gradient are bitwise those of a call on that segment
+    # alone, the buffers fold once per segment in segment order, and the
+    # slice outside every segment leaves as zeros with a zero gradient
+    rng = np.random.default_rng(11)
+    x_data = rng.normal(size=(7, 4, 3)) * 2.0 + 0.5
+    mask = (rng.uniform(size=(7, 4, 1)) < 0.6).astype(np.float64)
+    mask[:, 0] = 1.0
+    gamma, beta = leaf(1.0 + 0.3 * rng.normal(size=3)), leaf(0.3 * rng.normal(size=3))
+    target = rng.normal(size=x_data.shape)
+    segments = [slice(0, 2), slice(2, 3), slice(4, 7)]
+    state = BatchNormState(rng.normal(size=3), rng.uniform(0.5, 2.0, size=3))
+    ref_state = BatchNormState(state.running_mean.copy(), state.running_var.copy())
+    x = leaf(x_data)
+    with Tape() as tape:
+        out = ad.batch_norm(x, gamma, beta, state, mask, segments)
+        tape.backward((out * Tensor(target)).sum())
+    assert len(tape.nodes) == 3
+    assert not out.data[3].any() and not x.grad[3].any()
+    for seg in segments:
+        part = leaf(x_data[seg])
+        with Tape() as tape:
+            ref = ad.batch_norm(part, gamma, beta, ref_state, mask[seg], [slice(None)])
+            tape.backward((ref * Tensor(target[seg])).sum())
+        assert np.array_equal(out.data[seg], ref.data)
+        assert np.array_equal(x.grad[seg], part.grad)
+    assert np.array_equal(state.running_mean, ref_state.running_mean)
+    assert np.array_equal(state.running_var, ref_state.running_var)
+
+
 def test_batch_norm_train_matches_composite():
     # forward values and running buffers bitwise, gradients to 1e-10 of
     # their largest entry: the closed form sums in another order
@@ -456,7 +488,7 @@ def test_batch_norm_train_matches_composite():
         target = np.random.default_rng(seed + 100).normal(size=x.shape)
         leaves = [x, gamma, beta]
         value, nodes, grads = _value_and_grads(
-            lambda: ad.batch_norm(x, gamma, beta, state, mask), leaves, target
+            lambda: ad.batch_norm(x, gamma, beta, state, mask, [slice(None)]), leaves, target
         )
         ref_value, _, ref_grads = _value_and_grads(
             lambda: _batch_norm_composite(x, gamma, beta, ref_state, mask), leaves, target

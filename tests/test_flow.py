@@ -382,15 +382,47 @@ def test_nll_gradients_match_finite_differences():
 
 def test_training_graph_tape_length():
     # one 10-atom graph at the benchmark's training shape (width 16, two
-    # layers, window 12): five encoder nodes (embedding product, two
-    # layers, batch norm, column sum), the rest in the heads' inputs and
-    # the likelihood tail
+    # layers, window 12): six encoder nodes (embedding product, two
+    # layers, the placement in step order, batch norm, column sum), one
+    # node for the graph's NLL, the rest in the heads' inputs and the
+    # log-density tables. Four graphs of 4, 6, 8 and 10 atoms on one tape
+    # add three nodes per further graph size and one NLL node per graph.
     spec = small_spec(width=16, layers=2, window=12, max_size=12)
     params = flow.init_flow_params(spec, np.random.default_rng(0))
-    g = next(m for m in molecules(3, 64, max_atoms=10) if m.n == 10)
-    with ad.Tape() as tape:
-        flow.log_likelihood_parallel(g, params, spec, rng=np.random.default_rng(4), training=True)
-    assert len(tape.nodes) == 38
+    mols = molecules(3, 64, max_atoms=10)
+    graphs = [next(m for m in mols if m.n == n) for n in (4, 6, 8, 10)]
+    for chunk, nodes in ((graphs[-1], 36), (graphs, 48)):
+        with ad.Tape() as tape:
+            flow.log_likelihood_parallel(
+                chunk, params, spec, rng=np.random.default_rng(4), training=True
+            )
+        assert len(tape.nodes) == nodes
+
+
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
+def test_packed_likelihoods_match_one_graph_calls(training):
+    # one stacked pass over several graphs, an equal copy and a
+    # single-atom graph among them, gives each graph's LogLik of a call
+    # on that graph alone: the encoder rows are bitwise, and the heads'
+    # products span more rows, which moves their last bits
+    spec = small_spec()
+    mols = molecules(8, 12, window=spec.window)
+    single = MolecularGraph(mols[0].node_types[:1], mols[0].categories[:1, :1], NO_EDGE)
+    graphs = mols[:4] + [single, mols[1].copy()]
+    rng = np.random.default_rng(9)
+    noise = [G.dequantize(g, VOCAB, BONDS, rng, window=spec.window) for g in graphs]
+    params = flow.init_flow_params(spec, np.random.default_rng(10), zero_init_heads=False)
+    packed = flow.log_likelihood_parallel(graphs, params, spec, z=noise, training=training)
+    ref_params = flow.init_flow_params(spec, np.random.default_rng(10), zero_init_heads=False)
+    assert len(packed) == len(graphs)
+    for g, z, ll in zip(graphs, noise, packed):
+        ref = flow.log_likelihood_parallel(g, ref_params, spec, z=z, training=training)
+        assert abs(ll.total - ref.total) <= 1e-15 * abs(ref.total)
+        assert float(ll.nll.data) == -ll.total
+        assert np.allclose(ll.node_terms, ref.node_terms, rtol=1e-13, atol=0.0)
+        assert [e[:2] for e in ll.edge_terms] == [e[:2] for e in ref.edge_terms]
+    for name, buf in params.named_buffers().items():
+        assert np.array_equal(buf, ref_params.named_buffers()[name])
 
 
 # -------------------------------------------------------------- training
@@ -421,8 +453,35 @@ def test_train_rejects_nonfinite_loss():
     data = molecules(33, 4, max_atoms=5)
     params = flow.init_flow_params(spec, np.random.default_rng(34))
     params.node_mu.b2.data[:] = np.nan
+    before = {name: t.data.copy() for name, t in params.named_tensors().items()}
     with pytest.raises(FloatingPointError):
         flow.train(data, params, spec, flow.TrainConfig(epochs=1, batch_size=4), np.random.default_rng(35))
+    for name, t in params.named_tensors().items():
+        assert np.array_equal(t.data, before[name], equal_nan=True), name
+
+
+def test_train_chunking_is_invisible(monkeypatch):
+    # one graph per tape or TRAIN_CHUNK graphs per tape: each graph keeps
+    # its own batch statistics, so only summation order differs
+    spec = small_spec()
+    data = molecules(36, 22, max_atoms=7)
+    cfg = flow.TrainConfig(epochs=2, batch_size=10, lr=2e-3)
+
+    def run():
+        params = flow.init_flow_params(spec, np.random.default_rng(37))
+        return params, flow.train(data, params, spec, cfg, np.random.default_rng(38))
+
+    assert flow.TRAIN_CHUNK > 1
+    packed, packed_trace = run()
+    monkeypatch.setattr(flow, "TRAIN_CHUNK", 1)
+    single, single_trace = run()
+    assert np.allclose(packed_trace, single_trace, rtol=1e-12, atol=0.0)
+    arrays = {name: t.data for name, t in packed.named_tensors().items()}
+    arrays.update(packed.named_buffers())
+    refs = {name: t.data for name, t in single.named_tensors().items()}
+    refs.update(single.named_buffers())
+    for name, value in arrays.items():
+        assert np.abs(value - refs[name]).max() <= 1e-12 * np.abs(refs[name]).max(), name
 
 
 @pytest.mark.parametrize(

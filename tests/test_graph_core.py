@@ -152,6 +152,23 @@ def test_max_dependency_distance_hand_case():
     assert G.max_dependency_distance(g) == 3  # the bond (0, 3)
 
 
+def _max_dependency_distance_loop(g):
+    # the bond-by-bond loop the vectorized expression replaced: its oracle
+    best = 0
+    for i, j, _ in g.bonds():
+        best = max(best, abs(i - j))
+    return best
+
+
+@given(connected_graphs(max_nodes=12), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_max_dependency_distance_matches_bond_loop(g, seed):
+    # in the drawn order and in a random relabelling of it
+    h = G.relabel(g, np.random.default_rng(seed).permutation(g.n))
+    for graph in (g, h):
+        assert G.max_dependency_distance(graph) == _max_dependency_distance_loop(graph)
+
+
 def test_relabel_round_trip():
     g = chain([0, 1, 2], [(0, 1, 0), (1, 2, 1)])
     perm = np.array([2, 0, 1])

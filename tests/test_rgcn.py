@@ -215,8 +215,9 @@ def test_eval_encode_matches_per_relation_loop_bitwise():
 def test_each_layer_records_one_node_per_op():
     # a layer's relation weights are one leaf and the layer is one fused
     # node: under a tape each layer adds exactly one node, and nothing to
-    # assemble its weights; training-mode batch norm, which also zeroes
-    # the masked rows, is one node, and the column sum follows it
+    # assemble its weights; the placement of the group outputs in step
+    # order is one node, training-mode batch norm, which also zeroes the
+    # masked rows, is one node, and the column sum follows it
     g = molecule(4, max_atoms=6)[0]
     steps = [("node", i) for i in range(1, g.n + 1)]
     nodes = []
@@ -226,7 +227,9 @@ def test_each_layer_records_one_node_per_op():
             rgcn.encode_step_batch(g, steps, params, training=True)
         nodes.append(len(tape.nodes))
         ops = [back.__qualname__.split(".")[0] for _, _, back in tape.nodes]
-        assert ops == ["matmul"] + ["_relation_layer"] * layers + ["batch_norm", "tensor_sum"]
+        assert ops == (
+            ["matmul"] + ["_relation_layer"] * layers + ["_place", "batch_norm", "tensor_sum"]
+        )
     assert np.diff(nodes).tolist() == [1, 1]
 
 
@@ -358,15 +361,78 @@ def test_one_graph_training_stack_is_unchanged():
         assert np.array_equal(params.bn_state.running_var, fresh.running_var)
 
 
-def test_training_mode_rejects_states_of_several_graphs():
+def _training_pack_cases():
+    # two graphs of equal size, a single-atom graph whose only state is the
+    # empty prefix, and an equal copy of the first graph, each with its
+    # steps as one consecutive run
+    mols = molecule(13, count=40, max_atoms=7)
+    a = next(g for g in mols if g.n >= 4)
+    b = next(g for g in mols if g.n == a.n and g is not a)
+    single = MolecularGraph(a.node_types[:1], a.categories[:1, :1], NO_EDGE)
+    graphs = [a, b, single, a.copy()]
+    runs = [[("node", 0)] + _all_steps(g) if g.n > 1 else [("node", 0)] for g in graphs]
+    owners = [g for g, run in zip(graphs, runs) for _ in run]
+    return graphs, runs, owners, [step for run in runs for step in run]
+
+
+def test_training_pack_of_several_graphs_matches_one_graph_stacks():
+    # every graph, the equal copy too, is normalized with its own batch
+    # statistics: its H rows and embeddings are bitwise those of its
+    # one-graph stack, and the running buffers fold once per graph, in
+    # graph order
+    graphs, runs, owners, steps = _training_pack_cases()
+    params = make_params(width=8, layers=2, seed=5)
+    pack = rgcn.pack_step_batch(owners, steps, params, training=True)
+    assert len(pack.groups) == 1  # the single-atom graph adds no rows
+    assert len(pack.segments) == 3
+    out = rgcn.encode_step_batch(owners, steps, params, training=True, pack=pack)
+    ref_params = make_params(width=8, layers=2, seed=5)
+    lo = 0
+    for g, run in zip(graphs, runs):
+        ref = rgcn.encode_step_batch(g, run, ref_params, training=True)
+        rows, m = slice(lo, lo + len(run)), ref.H.data.shape[1]
+        lo += len(run)
+        assert np.array_equal(out.H.data[rows, :m], ref.H.data)
+        assert not out.H.data[rows, m:].any()
+        assert np.array_equal(out.graph_embedding.data[rows], ref.graph_embedding.data)
+    assert np.array_equal(params.bn_state.running_mean, ref_params.bn_state.running_mean)
+    assert np.array_equal(params.bn_state.running_var, ref_params.bn_state.running_var)
+
+
+def test_training_pack_gradients_are_the_sum_of_one_graph_tapes():
+    # the per-graph closed-form batch-norm backward: one tape over the
+    # pack gives the gradients of one tape per graph, summed
+    graphs, runs, owners, steps = _training_pack_cases()
+    params = make_params(width=8, layers=2, seed=5)
+    named = params.named_tensors()
+    target = np.random.default_rng(0).normal(size=(len(steps), params.width))
+
+    def packed():
+        out = rgcn.encode_step_batch(owners, steps, params, training=True)
+        return (out.graph_embedding * ad.Tensor(target)).sum()
+
+    def per_graph(g, run, rows):
+        def loss():
+            out = rgcn.encode_step_batch(g, run, params, training=True)
+            return (out.graph_embedding * ad.Tensor(target[rows])).sum()
+        return loss
+
+    bounds = np.cumsum([0] + [len(run) for run in runs])
+    losses = [per_graph(g, run, slice(lo, hi)) for g, run, lo, hi in zip(graphs, runs, bounds, bounds[1:])]
+    ref, _ = ad.accumulate_grads(named, losses)
+    grads, _ = ad.accumulate_grads(named, [packed])
+    for name, g in grads.items():
+        assert np.abs(g - ref[name]).max() <= 1e-12 * np.abs(ref[name]).max(), name
+
+
+def test_training_mode_needs_each_graphs_states_together():
     params = make_params()
     a, b = molecule(13, count=2, max_atoms=6)
     before = params.bn_state.running_mean.copy()
-    with pytest.raises(ValueError):
-        rgcn.encode_step_batch([a, b], [("node", a.n), ("node", b.n)], params, training=True)
-    # an equal copy is still another graph
-    with pytest.raises(ValueError):
-        rgcn.encode_step_batch([a, a.copy()], [("node", 1), ("node", a.n)], params, training=True)
+    with pytest.raises(ValueError, match="consecutive"):
+        rgcn.encode_step_batch(
+            [a, b, a], [("node", 1), ("node", b.n), ("node", a.n)], params, training=True
+        )
     assert np.array_equal(params.bn_state.running_mean, before)
 
 
