@@ -25,15 +25,21 @@ constant such as -0.5), so no work goes into a gradient the tape would
 drop.
 
 Fused nodes: custom_op records a composite expression as one node with
-a hand-written backward. The encoder layer (rgcn), the head MLP (flow)
-and batch_norm in both modes are built this way; each runs the numpy
-calls of its op-by-op expression in the same order, so values stay
-bitwise equal to it while the tape holds one node and one output
-Tensor instead of four to fourteen. The encoder layer, the head MLP and
-evaluation-mode batch norm replay the expression's backward steps too,
-so their gradients are bitwise those of the composite; training-mode
-batch norm has a closed-form backward instead, which sums in another
-order.
+a hand-written backward. The encoder layer (rgcn), the head MLP and
+the heads' input gathers (flow), the Gaussian log-density and
+batch_norm in both modes are built this way; each runs the numpy calls
+of its op-by-op expression in the same order, so values stay bitwise
+equal to it while the tape holds one node and one output Tensor
+instead of four to fourteen. The encoder layer, the head MLP, the
+Gaussian log-density and evaluation-mode batch norm replay the
+expression's backward steps too, so their gradients are bitwise those
+of the composite; training-mode batch norm has a closed-form backward
+instead, which sums in another order.
+
+The op set is what the model records: add, sub, mul, matmul, exp, clip,
+minimum, tensor_sum and concat, plus the fused nodes. The composites the
+fused nodes replaced live on in the tests as oracles, built from
+test-side copies of the ops the model no longer records.
 """
 
 from __future__ import annotations
@@ -64,18 +70,11 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def item(self) -> float:
         return float(self.data)
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape) -> "Tensor":
-        return reshape(self, shape if len(shape) != 1 else shape[0])
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
@@ -98,12 +97,6 @@ class Tensor:
 
     def __rmul__(self, other):
         return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
 
     def __neg__(self):
         return mul(self, _NEG_ONE)
@@ -260,24 +253,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    if not b.data.all():  # some entry is zero (nan is not)
-        raise ValueError("div: denominator contains zero")
-    out = Tensor(_broadcast_op(a, b, np.divide, "div"), a.requires_grad or b.requires_grad)
-    if _ACTIVE_TAPE is None or not out.requires_grad:
-        return out
-    inv = 1.0 / b.data
-
-    def back(g):
-        return (
-            unbroadcast(g * inv, a.data.shape) if a.requires_grad else None,
-            unbroadcast(-g * out.data * inv, b.data.shape) if b.requires_grad else None,
-        )
-
-    _record(out, (a, b), back)
-    return out
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError(
@@ -313,20 +288,6 @@ def exp(a: Tensor) -> Tensor:
 
     def back(g):
         return (g * out.data,)
-
-    _record(out, (a,), back)
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    if (a.data <= 0.0).any():
-        raise ValueError("log: input must be strictly positive")
-    out = Tensor(np.log(a.data), a.requires_grad)
-    if _ACTIVE_TAPE is None or not out.requires_grad:
-        return out
-
-    def back(g):
-        return (g / a.data,)
 
     _record(out, (a,), back)
     return out
@@ -381,18 +342,6 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return out
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.data.reshape(shape), a.requires_grad)
-    if _ACTIVE_TAPE is None or not out.requires_grad:
-        return out
-
-    def back(g):
-        return (g.reshape(a.data.shape),)
-
-    _record(out, (a,), back)
-    return out
-
-
 def concat(tensors, axis: int = -1) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
     out = Tensor(
@@ -410,45 +359,34 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return out
 
 
-def take(a: Tensor, indices) -> Tensor:
-    """Advanced integer indexing a[indices]; indices is a tuple of int arrays."""
-    out = Tensor(a.data[indices], a.requires_grad)
-    if _ACTIVE_TAPE is None or not out.requires_grad:
-        return out
-
-    def back(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, indices, g)
-        return (ga,)
-
-    _record(out, (a,), back)
-    return out
-
-
-def logsumexp(a: Tensor, axis: int) -> Tensor:
-    """log(sum(exp(a))) along one axis, computed with the max-shift trick."""
-    m = a.data.max(axis=axis, keepdims=True)
-    shifted = np.exp(a.data - m)
-    total = shifted.sum(axis=axis, keepdims=True)
-    out = Tensor(np.squeeze(m + np.log(total), axis=axis), a.requires_grad)
-    if _ACTIVE_TAPE is None or not out.requires_grad:
-        return out
-    softmax = shifted / total
-
-    def back(g):
-        return (np.expand_dims(g, axis) * softmax,)
-
-    _record(out, (a,), back)
-    return out
-
-
 def gaussian_logpdf(x, mu, alpha) -> Tensor:
-    """Elementwise log N(x; mu, alpha^2) with scale parameter alpha > 0."""
+    """Elementwise log N(x; mu, alpha^2) with scale parameter alpha > 0,
+    as one tape node. With z = (x - mu) / alpha, the forward runs the
+    numpy calls of the composite (c + -1 * log(alpha)) + (-0.5 * z) * z
+    in their order, and the backward replays the composite's backward
+    steps, so values and gradients are bitwise those of the op-by-op
+    expression."""
     x, mu, alpha = _wrap(x), _wrap(mu), _wrap(alpha)
     if np.any(alpha.data <= 0.0):
         raise ValueError("gaussian_logpdf: alpha must be strictly positive")
-    z = (x - mu) / alpha
-    return (-0.5 * LOG_TWO_PI) + (-1.0 * log(alpha)) + (-0.5) * z * z
+    diff = x.data - mu.data
+    z = diff / alpha.data
+    half = -0.5 * z
+    out = (-0.5 * LOG_TWO_PI + -1.0 * np.log(alpha.data)) + half * z
+
+    def back(g):
+        gz = g * half + (g * z) * -0.5
+        inv = 1.0 / alpha.data
+        gdiff = unbroadcast(gz * inv, diff.shape)
+        gx = unbroadcast(gdiff, x.data.shape) if x.requires_grad else None
+        gmu = unbroadcast(-gdiff, mu.data.shape) if mu.requires_grad else None
+        galpha = None
+        if alpha.requires_grad:
+            glog = (unbroadcast(g, alpha.data.shape) * -1.0) / alpha.data
+            galpha = glog + unbroadcast(((-gz) * z) * inv, alpha.data.shape)
+        return (gx, gmu, galpha)
+
+    return custom_op(out, (x, mu, alpha), back)
 
 
 @dataclass
@@ -598,20 +536,23 @@ def accumulate_grads(params: dict, losses):
     their gradients add up in the leaves in that order. Returns (grads,
     values): grads maps every name in params to its summed gradient
     (zeros where no loss reached it), values lists the loss values in
-    call order. Every leaf's .grad is None again afterwards.
+    call order. Every leaf's .grad is None again afterwards, also when a
+    loss raises.
     """
     zero_grads(params)
     values = []
-    for build in losses:
-        with Tape() as tape:
-            loss = build()
-            tape.backward(loss)
-        values.append(float(loss.data))
-    grads = {
-        name: np.zeros_like(p.data) if p.grad is None else p.grad
-        for name, p in params.items()
-    }
-    zero_grads(params)
+    try:
+        for build in losses:
+            with Tape() as tape:
+                loss = build()
+                tape.backward(loss)
+            values.append(float(loss.data))
+        grads = {
+            name: np.zeros_like(p.data) if p.grad is None else p.grad
+            for name, p in params.items()
+        }
+    finally:  # a loss that raises leaves no partial sum behind
+        zero_grads(params)
     return grads, values
 
 

@@ -181,9 +181,9 @@ def node_conditional(params: FlowParams, h_tilde: Tensor):
     return mu, alpha
 
 
-def edge_conditional(params: FlowParams, h_tilde: Tensor, h_i: Tensor, h_j: Tensor):
-    """(mu, alpha) rows for bond steps from pooled plus endpoint embeddings."""
-    x = ad.concat([h_tilde, h_i, h_j], axis=-1)
+def edge_conditional(params: FlowParams, x: Tensor):
+    """(mu, alpha) rows for bond steps from (E, 3k) input rows, each the
+    pooled graph embedding and the two endpoint embeddings side by side."""
     mu = mlp_apply(params.edge_mu, x)
     alpha = ad.exp(ad.clip(mlp_apply(params.edge_scale, x), LOG_ALPHA_MIN, LOG_ALPHA_MAX))
     return mu, alpha
@@ -255,37 +255,56 @@ class LogLik:
         return len(self.node_terms) + len(self.edge_terms)
 
 
-def step_embedding(params: FlowParams, g: MolecularGraph, step):
-    """Evaluation-mode encoder inputs for one generation step of g.
+def step_embedding(params: FlowParams, g: MolecularGraph, step) -> Tensor:
+    """Evaluation-mode head input for one generation step of g: one
+    constant row (no tape runs while sampling) in its heads' layout.
 
-    A ("node", i) step sees g's first i nodes and gives (h,), a zero row
-    when i == 0. An ("edge", i, j) step sees nodes 0..i with node i's
-    slots at column j and beyond still undecided, and gives (h, h_i,
-    h_j). Nothing of g past the step is read, so g may be a graph that
-    is still being filled in.
+    A ("node", i) step sees g's first i nodes and gives their (1, k)
+    graph embedding, a zero row when i == 0. An ("edge", i, j) step sees
+    nodes 0..i with node i's slots at column j and beyond still
+    undecided, and gives the (1, 3k) row [h, h_i, h_j]. Nothing of g
+    past the step is read, so g may be a graph still being filled in.
     """
     k = params.rgcn.width
     kind, i = step[0], step[1]
     if kind == "node":
         if i == 0:
-            return (Tensor(np.zeros((1, k))),)
-        return (rgcn.encode(g.prefix(i), params.rgcn).graph_embedding.reshape(1, k),)
+            return Tensor(np.zeros((1, k)))
+        return Tensor(rgcn.encode(g.prefix(i), params.rgcn).graph_embedding.data.reshape(1, k))
     if kind == "edge":
         j = step[2]
         emb = rgcn.encode(g.prefix(i + 1), params.rgcn, undecided_row=(i, j))
-        return (
-            emb.graph_embedding.reshape(1, k),
-            Tensor(emb.H.data[i : i + 1]),
-            Tensor(emb.H.data[j : j + 1]),
-        )
+        h = emb.H.data
+        pooled = emb.graph_embedding.data.reshape(1, k)
+        return Tensor(np.concatenate([pooled, h[i : i + 1], h[j : j + 1]], axis=-1))
     raise ValueError(f"unknown step kind {kind!r}")
 
 
 def step_conditional(params: FlowParams, g: MolecularGraph, step):
     """Evaluation-mode (mu, alpha) arrays for one generation step of g."""
     head = node_conditional if step[0] == "node" else edge_conditional
-    mu, alpha = head(params, *step_embedding(params, g, step))
+    mu, alpha = head(params, step_embedding(params, g, step))
     return mu.data[0], alpha.data[0]
+
+
+def _head_inputs(stacked: rgcn.NodeEmbeddings, rows, *ends) -> Tensor:
+    """The head input rows of one step kind, as one tape node: row r is
+    the graph embedding of state rows[r], followed side by side by the
+    node rows ends[0][r], ends[1][r], ... of that state, which is
+    step_embedding's layout. A pack's rows are unique and an edge step's
+    endpoints differ, so the backward writes each gradient slot once."""
+    pooled, h = stacked.graph_embedding, stacked.H
+    k = pooled.data.shape[-1]
+    parts = [pooled.data[rows]] + [h.data[rows, end] for end in ends]
+
+    def back(g):
+        g_pooled, g_h = np.zeros_like(pooled.data), np.zeros_like(h.data) if ends else None
+        g_pooled[rows] = g[:, :k]
+        for n, end in enumerate(ends, 1):
+            g_h[rows, end] = g[:, n * k : (n + 1) * k]
+        return (g_pooled, g_h)
+
+    return ad.custom_op(np.concatenate(parts, axis=-1), (pooled, h), back)
 
 
 def _stacked_conditionals(pack: rgcn.StepPack, params: FlowParams):
@@ -295,20 +314,18 @@ def _stacked_conditionals(pack: rgcn.StepPack, params: FlowParams):
     Returns (mu_x, alpha_x) with one row per node step and (mu_a,
     alpha_a) with one row per edge step, each in the order the pack's
     steps are given; a kind with no steps gets None. All states go
-    through one encoder call and each kind through one head call.
+    through one encoder call, and each kind through one gather node
+    (_head_inputs, in step_embedding's layout) and one head call.
     """
     stacked = rgcn.encode_step_batch(
         pack.graphs, pack.steps, params.rgcn, training=pack.training, pack=pack
     )
     mu_x = alpha_x = mu_a = alpha_a = None
     if len(pack.node_rows):
-        h_node = ad.take(stacked.graph_embedding, (pack.node_rows,))
-        mu_x, alpha_x = node_conditional(params, h_node)
+        mu_x, alpha_x = node_conditional(params, _head_inputs(stacked, pack.node_rows))
     if len(pack.edge_rows):
-        h_edge = ad.take(stacked.graph_embedding, (pack.edge_rows,))
-        h_i = ad.take(stacked.H, (pack.edge_rows, pack.edge_i))
-        h_j = ad.take(stacked.H, (pack.edge_rows, pack.edge_j))
-        mu_a, alpha_a = edge_conditional(params, h_edge, h_i, h_j)
+        x = _head_inputs(stacked, pack.edge_rows, pack.edge_i, pack.edge_j)
+        mu_a, alpha_a = edge_conditional(params, x)
     return mu_x, alpha_x, mu_a, alpha_a
 
 

@@ -30,16 +30,16 @@ prefix included, go through one encoder pass and one head call per
 step kind, and each step kind gets one grid build from the stacked trace
 and one quadrature. Each chunk is packed once per batch: its grids, and
 one rgcn.StepPack of its states (the encoder's grouped step masks and
-the head index arrays). Its acting log-probabilities come from one pass
-over that pack at the acting weights, before any update pass runs, so
-the first re-evaluation reproduces them bit for bit, ratios start at
-exactly one, and finite differences agree with the tape gradient. Each
-chunk's share of the batch loss is one callable holding everything it
-reads that the weights do not change (the frozen grids, the step pack,
-acting log-probs, advantages), so an update pass does only
-weight-dependent work; every update pass sums
-their gradients with autodiff.accumulate_grads, the same loop
-maximum-likelihood training runs, one tape per chunk.
+the head index arrays). Each chunk's share of the batch loss is one
+callable holding everything it reads that the weights do not change
+(the frozen grids, the step pack, advantages), so an update pass does
+only weight-dependent work; every update pass sums their gradients with
+autodiff.accumulate_grads, the same loop maximum-likelihood training
+runs, one tape per chunk. There is no separate acting pass: a chunk's
+acting log-probabilities are the values of its first call, which the
+first update pass makes at the collection weights, and the callable
+holds them as constants from then on. So ratios start at exactly one,
+and finite differences agree with the tape gradient.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.special import log_ndtr, logsumexp
 
 from . import autodiff as ad
 from . import rgcn
@@ -206,7 +206,7 @@ def action_logprobs(
     mu, alpha, actions = np.tile(mu, (d, 1)), np.tile(alpha, (d, 1)), np.arange(d)
     u, logw = argmax_region_grid(mu, alpha, actions, fine=True)
     raw = _stacked_action_logprobs(Tensor(mu), Tensor(alpha), u, logw, actions)
-    return raw.data - ad.logsumexp(raw, axis=0).data
+    return raw.data - logsumexp(raw.data)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +220,7 @@ class Trajectory:
     and alpha and its valency rejections), the generated graph (gen_graph
     includes a trailing node that termination discarded, so states can
     be rebuilt), and per-step discounted returns in trace order. Acting
-    log-probs are not stored here: _ppo_losses computes them per chunk."""
+    log-probs are not stored here: each chunk loss holds its chunk's."""
 
     gen_graph: MolecularGraph
     final_graph: MolecularGraph
@@ -463,12 +463,17 @@ def _chunk_logprobs(params: FlowParams, chunk: _PackedChunk) -> Tensor:
     return ad.concat(parts, axis=0) if len(parts) > 1 else parts[0]
 
 
-def _chunk_loss(params, chunk: _PackedChunk, lp_old, adv, weight, clip_ratio, scale):
+def _chunk_loss(params, chunk: _PackedChunk, acting: list, adv, weight, clip_ratio, scale):
     """scale times the sum over a chunk's trajectories of each one's mean
     clipped-ratio objective min(ratio * A, clip(ratio) * A): one
     vectorised pass with every step weighted by 1 / its trajectory's
-    length. lp_old, adv and weight are constant tensors in chunk.order."""
-    ratios = ad.exp(_chunk_logprobs(params, chunk) - lp_old)
+    length. adv, weight and acting[0], the acting log-probs, are constant
+    tensors in chunk.order; the first call appends acting[0] from its own
+    log-probs, so its ratios are exactly one."""
+    logprobs = _chunk_logprobs(params, chunk)
+    if not acting:
+        acting.append(Tensor(logprobs.data))
+    ratios = ad.exp(logprobs - acting[0])
     unclipped = ratios * adv
     clipped = ad.clip(ratios, 1.0 - clip_ratio, 1.0 + clip_ratio) * adv
     return (ad.minimum(unclipped, clipped) * weight).sum() * scale
@@ -481,12 +486,15 @@ def _ppo_losses(params: FlowParams, trajectories, advantages, cfg: PpoConfig, te
     single tape holds the whole batch, and the chunk losses sum to the
     batch loss. Advantages are fixed per trajectory by the caller.
 
-    This is the only code that chunks a batch. Each chunk is packed once,
-    and its acting log-probs are one pass over that pack at params, which
-    must be the weights the trajectories were collected with. Everything
-    a chunk's loss reads besides the weights (pack, acting log-probs,
-    advantages, 1 / len weights) is built here, once, so the callables
-    serve every update pass over the batch."""
+    This is the only code that chunks a batch. Each chunk is packed once.
+    Everything a chunk's loss reads besides the weights (pack, advantages,
+    1 / len weights) is built here, once, so the callables serve every
+    update pass over the batch. A chunk's acting log-probs are the values
+    of its loss's first call, held as constants for every later call, so
+    that first call must run at the weights the trajectories were
+    collected with: finetune makes it in the first update pass, before
+    any Adam step. No op's value depends on whether a tape records, so
+    they are the values a separate acting pass would give."""
     if not trajectories:
         raise ValueError("the PPO loss needs at least one trajectory")
     scale = Tensor(np.array(-1.0 / len(trajectories)))
@@ -495,14 +503,13 @@ def _ppo_losses(params: FlowParams, trajectories, advantages, cfg: PpoConfig, te
         trajs = trajectories[lo : lo + PPO_CHUNK]
         chunk = _pack_chunk(params, trajs, temperature)
         order = chunk.order
-        lp_old = _chunk_logprobs(params, chunk).data
         adv = np.concatenate(advantages[lo : lo + PPO_CHUNK])[order]
         weight = np.concatenate(
             [np.full(traj.num_steps, 1.0 / traj.num_steps) for traj in trajs]
         )[order]
         losses.append(
             partial(
-                _chunk_loss, params, chunk, Tensor(lp_old), Tensor(adv), Tensor(weight),
+                _chunk_loss, params, chunk, [], Tensor(adv), Tensor(weight),
                 cfg.clip_ratio, scale,
             )
         )

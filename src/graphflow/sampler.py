@@ -87,7 +87,7 @@ def _walk(params: FlowParams, spec: ModelSpec, cfg: SamplerConfig, g: MolecularG
     types, cats, no_edge = g.node_types, g.categories, g.no_edge
     trace = SampleTrace(termination="max-size")
     for i in range(start, g.n):
-        mu, alpha = node_conditional(params, *step_embedding(params, g, ("node", i)))
+        mu, alpha = node_conditional(params, step_embedding(params, g, ("node", i)))
         t = decode_category(draw(spec.node_dim), mu.data[0], alpha.data[0])
         types[i] = t
         trace.steps.append(
@@ -95,7 +95,7 @@ def _walk(params: FlowParams, spec: ModelSpec, cfg: SamplerConfig, g: MolecularG
         )
         got_bond = False
         for j in range(max(0, i - spec.window), i):
-            mu, alpha = edge_conditional(params, *step_embedding(params, g, ("edge", i, j)))
+            mu, alpha = edge_conditional(params, step_embedding(params, g, ("edge", i, j)))
             rejections = 0
             while True:
                 cat = decode_category(draw(spec.edge_dim), mu.data[0], alpha.data[0])

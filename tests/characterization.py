@@ -17,9 +17,11 @@ Regenerate the pins with
 
 A change that regenerates the file changes test data and says why. To
 see how far the model has moved from the pins without writing anything,
-run it with --diff: it prints each pinned float array's largest
-deviation relative to the array's largest entry, and the exact entries
-that differ.
+run it with --diff: it prints the largest deviation of each pinned
+float array that moved, relative to the array's largest entry, then
+every violation of the pins, and exits 1 if there is one. compare()
+holds the rule, for --diff and for the test alike: exact entries
+equal, every float array within RELATIVE (1e-12) of its largest entry.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ MAX_SIZE = 10
 TEMPERATURE = 0.7
 SAMPLES = 8
 MOLECULES = 6
+# tighter than every oracle bound, yet admits last-bit changes in
+# summation order
+RELATIVE = 1e-12
 
 
 def _spec(width: int, layers: int) -> flow.ModelSpec:
@@ -158,37 +163,63 @@ def observe() -> tuple:
     return exact, close
 
 
-def diff() -> None:
-    """Print how far the observations are from the pins; writes nothing."""
-    pins = json.loads(PINS.read_text())
-    exact, close = observe()
+def compare(pins: dict, exact: dict, close: dict) -> tuple:
+    """(moved, violations) of the observations against the pins. moved
+    maps every pinned float array that differs at all to its largest
+    deviation relative to its largest entry. violations lists what
+    breaks the rule the test holds, one line each: a key missing on
+    either side, an exact entry that differs, and a float array of
+    another shape or off by more than RELATIVE of its largest entry."""
+    violations = [
+        f"{key}: {'not pinned' if key in table else 'not observed'}"
+        for table, pinned in ((exact, pins["exact"]), (close, pins["close"]))
+        for key in sorted(set(table) ^ set(pinned))
+    ]
+    # json keeps lists, not tuples: compare through one round trip
+    violations += [
+        f"{key}: exact entry differs"
+        for key, value in sorted(exact.items())
+        if key in pins["exact"] and json.loads(json.dumps(value)) != pins["exact"][key]
+    ]
+    moved = {}
     for key, value in sorted(close.items()):
         if key not in pins["close"]:
-            print(f"{'unpinned':>10}  {key}")
             continue
         pinned = np.asarray(pins["close"][key], dtype=np.float64)
         if value.shape != pinned.shape:
-            print(f"{'shape':>10}  {key}: {value.shape} != {pinned.shape}")
+            violations.append(f"{key}: shape {value.shape} != {pinned.shape}")
             continue
-        largest, off = np.abs(pinned).max(), np.abs(value - pinned).max()
-        print(f"{off / largest if largest else off:10.3g}  {key}")
-    wrong = [k for k, v in exact.items() if json.loads(json.dumps(v)) != pins["exact"].get(k)]
-    print(f"exact entries that differ: {len(wrong)} of {len(exact)}", *wrong, sep="\n")
+        off, largest = np.abs(value - pinned).max(), np.abs(pinned).max()
+        if off > 0.0:
+            moved[key] = off / largest if largest else np.inf
+        if off > RELATIVE * largest:
+            violations.append(f"{key}: off by {moved[key]:.3g} of its largest entry")
+    return moved, violations
 
 
-def main(argv=None) -> None:
+def diff() -> int:
+    """Print the pinned float arrays that moved and every violation of
+    the pins; writes nothing. Returns 1 if there is a violation."""
+    moved, violations = compare(json.loads(PINS.read_text()), *observe())
+    for key, rel in moved.items():
+        print(f"{rel:10.3g}  {key}")
+    print(f"{len(moved)} arrays moved, {len(violations)} violations", *violations, sep="\n")
+    return 1 if violations else 0
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
         "--diff", action="store_true", help="print the deviations from the pins, write nothing"
     )
     if parser.parse_args(argv).diff:
-        diff()
-        return
+        return diff()
     exact, close = observe()
     pins = {"exact": exact, "close": {k: v.tolist() for k, v in close.items()}}
     PINS.write_text(json.dumps(pins, indent=None, separators=(",", ":")) + "\n")
     print(f"wrote {PINS}: {len(exact)} exact and {len(close)} close entries")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -10,32 +10,17 @@ from scipy import special, stats
 from graphflow import autodiff as ad
 from graphflow import flow, rgcn
 from graphflow.autodiff import AdamState, BatchNormState, Tape, Tensor
+from oracle_ops import div, log, logsumexp, relu, reshape, sqrt, take, tanh
 
 
 def leaf(data, name=""):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True, name=name)
 
 
-def _tanh(a):
-    # the oracle's own elementwise ops, one tape node each; the program
-    # has them only inside its fused encoder-layer and head-MLP nodes
-    out = np.tanh(a.data)
-    return ad.custom_op(out, (a,), lambda g: (g * (1.0 - out * out),))
-
-
-def _relu(a):
-    return ad.custom_op(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0.0),))
-
-
-def _sqrt(a):
-    out = np.sqrt(a.data)
-    return ad.custom_op(out, (a,), lambda g: (g * (0.5 / out),))
-
-
 def test_scalar_chain_matches_hand_derivative():
     x = leaf(0.7)
     with Tape() as tape:
-        y = ad.exp(x) * _tanh(x) + x * x
+        y = ad.exp(x) * tanh(x) + x * x
         tape.backward(y)
     v = 0.7
     expected = np.exp(v) * np.tanh(v) + np.exp(v) / np.cosh(v) ** 2 + 2 * v
@@ -47,12 +32,14 @@ def _every_op(x):
     k = Tensor(np.full((2, 3), 3.5))
     m = Tensor(np.eye(3))
     return [
-        ad.add(x, k), ad.sub(x, k), ad.mul(x, k), ad.div(x, k), ad.matmul(x, m),
-        ad.exp(x), ad.log(x), ad.clip(x, 3.2, 3.8),
-        ad.minimum(x, k), ad.tensor_sum(x, axis=0), ad.reshape(x, (3, 2)),
-        ad.concat([x, k], axis=0), ad.take(x, (np.array([1, 0]),)),
-        ad.logsumexp(x, axis=1),
+        ad.add(x, k), ad.sub(x, k), ad.mul(x, k), ad.matmul(x, m),
+        ad.exp(x), ad.clip(x, 3.2, 3.8),
+        ad.minimum(x, k), ad.tensor_sum(x, axis=0), ad.concat([x, k], axis=0),
+        ad.gaussian_logpdf(x, k, k),
         ad.custom_op(2.0 * x.data, (x,), lambda g: (2.0 * g,)),
+        # the test-side copies
+        div(x, k), log(x), reshape(x, (3, 2)), take(x, (np.array([1, 0]),)),
+        logsumexp(x, axis=1),
     ]
 
 
@@ -84,7 +71,7 @@ def test_grad_check_composite_expression():
     }
 
     def f():
-        h = _tanh(params["a"] @ params["b"]) + params["c"]
+        h = tanh(params["a"] @ params["b"]) + params["c"]
         return (ad.exp(h * 0.3) + h * h).sum()
 
     assert ad.grad_check(f, params, h=1e-6) < 1e-7
@@ -105,7 +92,7 @@ def test_div_and_sqrt_gradients():
     params = {"x": leaf([0.5, 1.5, 2.5]), "y": leaf([2.0, 3.0, 0.7])}
 
     def f():
-        return (params["x"] / _sqrt(params["y"])).sum()
+        return div(params["x"], sqrt(params["y"])).sum()
 
     assert ad.grad_check(f, params, h=1e-6) < 1e-8
 
@@ -123,7 +110,7 @@ def test_matmul_three_dim_batch():
 def test_relu_gradient_zero_below_kink():
     x = leaf([-1.0, 2.0])
     with Tape() as tape:
-        tape.backward(_relu(x).sum())
+        tape.backward(relu(x).sum())
     assert np.array_equal(x.grad, [0.0, 1.0])
 
 
@@ -148,7 +135,7 @@ def test_take_accumulates_duplicate_indices():
     x = leaf(np.arange(5.0))
     idx = np.array([1, 1, 4])
     with Tape() as tape:
-        tape.backward(ad.take(x, (idx,)).sum())
+        tape.backward(take(x, (idx,)).sum())
     assert np.array_equal(x.grad, [0.0, 2.0, 0.0, 0.0, 1.0])
 
 
@@ -167,7 +154,7 @@ def test_logsumexp_matches_scipy_and_gradient():
     data = rng.normal(size=(4, 6)) * 3
     x = leaf(data)
     with Tape() as tape:
-        out = ad.logsumexp(x, axis=1)
+        out = logsumexp(x, axis=1)
         tape.backward(out.sum())
     assert np.allclose(out.data, special.logsumexp(data, axis=1), atol=1e-12)
     # gradient of logsumexp is the softmax
@@ -178,7 +165,7 @@ def test_logsumexp_matches_scipy_and_gradient():
 def test_logsumexp_extreme_values_stay_finite():
     x = leaf([[-1000.0, -1001.0], [1000.0, 999.0]])
     with Tape() as tape:
-        out = ad.logsumexp(x, axis=1)
+        out = logsumexp(x, axis=1)
         tape.backward(out.sum())
     assert np.all(np.isfinite(out.data))
     assert np.all(np.isfinite(x.grad))
@@ -206,6 +193,11 @@ def test_gaussian_logpdf_gradients():
         return ad.gaussian_logpdf(x, params["mu"], params["alpha"]).sum()
 
     assert ad.grad_check(f, params, h=1e-6) < 1e-7
+
+
+def test_gaussian_logpdf_rejects_non_positive_scale():
+    with pytest.raises(ValueError):
+        ad.gaussian_logpdf(Tensor([0.5, 0.5]), Tensor([0.0, 0.0]), Tensor([1.0, 0.0]))
 
 
 def test_backward_requires_scalar():
@@ -247,6 +239,19 @@ def test_accumulate_grads_sums_losses_in_order_and_clears_slots():
     assert all(p.grad is None for p in params.values())
 
 
+def test_accumulate_grads_clears_slots_when_a_loss_raises():
+    # the first loss's gradient is already in the leaf when the second
+    # raises; it must not outlive the call
+    w = leaf(np.ones(3))
+
+    def bad():
+        raise FloatingPointError("non-finite loss")
+
+    with pytest.raises(FloatingPointError):
+        ad.accumulate_grads({"w": w}, [lambda: (w * 2.0).sum(), bad])
+    assert w.grad is None
+
+
 def test_zero_grads_clears_slots():
     x = leaf(1.0)
     with Tape() as tape:
@@ -263,10 +268,10 @@ def test_batch_norm_train_normalizes_rows(n, k):
     state = BatchNormState.fresh(k)
     # the (n, k) rows as a one-slice stack with every row unmasked, one segment
     stacked = ad.batch_norm(
-        x.reshape(1, n, k), Tensor(np.ones(k)), Tensor(np.zeros(k)), state, np.ones((1, n, 1)),
-        [slice(None)],
+        reshape(x, (1, n, k)), Tensor(np.ones(k)), Tensor(np.zeros(k)), state,
+        np.ones((1, n, 1)), [slice(None)],
     )
-    out = stacked.reshape(n, k)
+    out = reshape(stacked, (n, k))
     assert np.allclose(out.data.mean(axis=0), 0.0, atol=1e-12)
     if n > 1:
         var = out.data.var(axis=0)
@@ -318,9 +323,10 @@ def test_batch_norm_train_gradients():
     def f():
         state = BatchNormState.fresh(3)
         out = ad.batch_norm(
-            params["x"].reshape(1, 5, 3), params["gamma"], params["beta"], state,
+            reshape(params["x"], (1, 5, 3)), params["gamma"], params["beta"], state,
             np.ones((1, 5, 1)), [slice(None)],
-        ).reshape(5, 3)
+        )
+        out = reshape(out, (5, 3))
         diff = out - target
         return (diff * diff).sum()
 
@@ -381,8 +387,8 @@ def test_relation_layer_matches_composite(h_shape, adj_shape):
     scale = 1.0 / adj_shape[-3]
 
     def composite():
-        per_relation = h.reshape(h.shape[:-2] + (1,) + h.shape[-2:])
-        return _relu(Tensor(adj) @ per_relation @ w).sum(axis=-3) * scale
+        per_relation = reshape(h, h.shape[:-2] + (1,) + h.shape[-2:])
+        return relu(Tensor(adj) @ per_relation @ w).sum(axis=-3) * scale
 
     _check_fused(lambda: rgcn._relation_layer(adj, h, w, scale), composite, [h, w], 1)
 
@@ -397,10 +403,26 @@ def test_mlp_matches_composite(x_shape):
     )
 
     def composite():
-        return _tanh(x @ p.w1 + p.b1) @ p.w2 + p.b2
+        return tanh(x @ p.w1 + p.b1) @ p.w2 + p.b2
 
     leaves = [x, p.w1, p.b1, p.w2, p.b2]
     _check_fused(lambda: flow.mlp_apply(p, x), composite, leaves, 2)
+
+
+def test_head_input_gather_matches_composite():
+    # the edge steps' gather node against three takes and a concat: rows
+    # in any order, each once, and two different endpoints per row
+    rng = np.random.default_rng(6)
+    pooled, h = leaf(rng.normal(size=(6, 3))), leaf(rng.normal(size=(6, 4, 3)))
+    emb = rgcn.NodeEmbeddings(H=h, graph_embedding=pooled)
+    rows, i, j = np.array([4, 1, 5, 2]), np.array([3, 2, 1, 3]), np.array([0, 1, 0, 2])
+
+    def composite():
+        parts = [take(pooled, (rows,)), take(h, (rows, i)), take(h, (rows, j))]
+        return ad.concat(parts, axis=-1)
+
+    leaves = [pooled, h]
+    _check_fused(lambda: flow._head_inputs(emb, rows, i, j), composite, leaves, 4)
 
 
 @pytest.mark.parametrize("x_shape", [(5, 3), (2, 4, 3)], ids=["rows", "stacked"])
@@ -414,11 +436,39 @@ def test_batch_norm_eval_matches_composite(x_shape):
         return ad.batch_norm(x, gamma, beta, state)
 
     def composite():
-        normalized = (x - state.running_mean) / np.sqrt(state.running_var + 1e-5)
+        normalized = div(x - state.running_mean, np.sqrt(state.running_var + 1e-5))
         return normalized * gamma + beta
 
     _check_fused(fused, composite, [x, gamma, beta], 3)
 
+
+
+def _gaussian_composite(x, mu, alpha):
+    # the log-density op by op, as autodiff spelled it before it fused
+    z = div(x - mu, alpha)
+    return (-0.5 * ad.LOG_TWO_PI) + (-1.0 * log(alpha)) + (-0.5) * z * z
+
+
+@pytest.mark.parametrize(
+    "mu_shape, alpha_shape",
+    [((4, 3), (4, 3)), ((1, 3), (4, 3)), ((4, 3), (3,))],
+    ids=["rows", "broadcast_mu", "broadcast_alpha"],
+)
+def test_gaussian_logpdf_matches_composite(mu_shape, alpha_shape):
+    rng = np.random.default_rng(len(mu_shape) + len(alpha_shape))
+    x = leaf(rng.normal(size=(4, 3)))
+    mu = leaf(rng.normal(size=mu_shape))
+    alpha = leaf(rng.uniform(0.8, 1.5, size=alpha_shape))
+
+    def fused():
+        return ad.gaussian_logpdf(x, mu, alpha)
+
+    _check_fused(fused, lambda: _gaussian_composite(x, mu, alpha), [x, mu, alpha], 5)
+    # a constant data point, as the likelihood passes it: no x gradient
+    with Tape() as tape:
+        tape.backward(ad.gaussian_logpdf(Tensor(x.data), mu, alpha).sum())
+    assert tape.nodes[0][2](np.ones((4, 3)))[0] is None
+    ad.zero_grads([mu, alpha])
 
 
 def _batch_norm_composite(x, gamma, beta, state, mask):
@@ -429,7 +479,7 @@ def _batch_norm_composite(x, gamma, beta, state, mask):
     centered = x - mean
     var = (centered * centered * mask).sum(axis=(0, 1), keepdims=True) * inv_total
     state.update(mean.data.reshape(-1), var.data.reshape(-1))
-    scale = gamma / _sqrt(var + 1e-5)
+    scale = div(gamma, sqrt(var + 1e-5))
     return (centered * scale + beta) * Tensor(mask)
 
 
@@ -505,7 +555,7 @@ def test_batch_norm_train_matches_composite():
 def test_elementwise_backward_skips_constant_operands():
     x = leaf([[1.0, 2.0], [3.0, 4.0]])
     c = Tensor([0.5, 2.0])
-    for op in (ad.add, ad.sub, ad.mul, ad.div):
+    for op in (ad.add, ad.sub, ad.mul, div):
         for a, b in ((x, c), (c, x)):
             with Tape() as tape:
                 out = op(a, b)

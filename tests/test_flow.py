@@ -2,6 +2,8 @@
 triangular structure of the data-to-latent map, likelihood gradients,
 decoding round trips, and training."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,6 +187,28 @@ def test_parallel_matches_sequential():
         assert par.num_steps == g.n + len(par.edge_terms)
         checked += 1
     assert checked >= 3
+
+
+def test_step_embedding_rows_equal_gathered_head_inputs():
+    # the sampler's one-row head input of every step, node and edge, is
+    # bitwise the row the stacked pass's gather node gives that step
+    spec = small_spec()
+    k = spec.width
+    params = flow.init_flow_params(spec, np.random.default_rng(12), zero_init_heads=False)
+    graphs = [m for m in molecules(13, 12, window=spec.window) if m.n >= 5][:2]
+    assert len(graphs) == 2
+    for g in graphs:
+        steps = flow.build_plan(g.n, spec.window).steps
+        pack = rgcn.pack_step_batch(g, steps, params.rgcn)
+        stacked = rgcn.encode_step_batch(g, steps, params.rgcn, pack=pack)
+        node = flow._head_inputs(stacked, pack.node_rows)
+        edge = flow._head_inputs(stacked, pack.edge_rows, pack.edge_i, pack.edge_j)
+        gathered = dict(zip(pack.node_rows, node.data))
+        gathered.update(zip(pack.edge_rows, edge.data))
+        for s, step in enumerate(steps):
+            row = flow.step_embedding(params, g, step).data
+            assert row.shape == (1, k if step[0] == "node" else 3 * k)
+            assert np.array_equal(row[0], gathered[s])
 
 
 def test_scale_head_output_is_clipped():
@@ -380,22 +404,36 @@ def test_nll_gradients_match_finite_differences():
     assert ad.grad_check(loss_eval, named, h=1e-5) < 1e-4
 
 
+def _op_histogram(tape) -> dict:
+    # each node's op, by the function its backward closure was made in
+    return dict(Counter(back.__qualname__.split(".")[0] for _, _, back in tape.nodes))
+
+
 def test_training_graph_tape_length():
     # one 10-atom graph at the benchmark's training shape (width 16, two
     # layers, window 12): six encoder nodes (embedding product, two
     # layers, the placement in step order, batch norm, column sum), one
-    # node for the graph's NLL, the rest in the heads' inputs and the
-    # log-density tables. Four graphs of 4, 6, 8 and 10 atoms on one tape
-    # add three nodes per further graph size and one NLL node per graph.
+    # gather of head inputs, four head nodes (two MLPs, clip, exp) and
+    # one log-density node per step kind, and one NLL node per graph.
+    # Four graphs of 4, 6, 8 and 10 atoms on one tape add an embedding
+    # product and two layers per further graph size, and an NLL node
+    # per further graph.
     spec = small_spec(width=16, layers=2, window=12, max_size=12)
     params = flow.init_flow_params(spec, np.random.default_rng(0))
     mols = molecules(3, 64, max_atoms=10)
     graphs = [next(m for m in mols if m.n == n) for n in (4, 6, 8, 10)]
-    for chunk, nodes in ((graphs[-1], 36), (graphs, 48)):
+    per_kind = {"_head_inputs": 2, "mlp_apply": 4, "clip": 2, "exp": 2, "gaussian_logpdf": 2}
+    encoder = {"_place": 1, "batch_norm": 1, "tensor_sum": 1}
+    for chunk, count, nodes in ((graphs[-1], 1, 19), (graphs, 4, 31)):
+        # count graphs, each of its own size
         with ad.Tape() as tape:
             flow.log_likelihood_parallel(
                 chunk, params, spec, rng=np.random.default_rng(4), training=True
             )
+        assert _op_histogram(tape) == {
+            **per_kind, **encoder, "matmul": count, "_relation_layer": 2 * count,
+            "_negated_total": count,
+        }
         assert len(tape.nodes) == nodes
 
 

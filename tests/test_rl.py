@@ -24,6 +24,8 @@ from graphflow import rl
 from graphflow.autodiff import Tensor
 from graphflow.graph import MolecularGraph, empty_categories
 from graphflow.sampler import SampleTrace, SamplerConfig, TraceStep, sample_molecule
+from oracle_ops import div, logsumexp, reshape, take
+from oracle_ops import log_ndtr as oracle_log_ndtr
 
 VOCAB = G.default_atom_vocab()
 BONDS = G.default_bond_vocab()
@@ -153,21 +155,9 @@ def test_compute_action_logprob_end_to_end():
 # ------------------------------- fused quadrature against its oracles
 
 
-def _log_ndtr(a):
-    # log of the standard normal CDF as one tape node of the composed
-    # oracle; its gradient is the hazard exp(log pdf - log cdf)
-    out = log_ndtr(a.data)
-
-    def back(g):
-        log_pdf = -0.5 * a.data * a.data - 0.5 * rl.LOG_TWO_PI
-        return (g * np.exp(log_pdf - out),)
-
-    return ad.custom_op(out, (a,), back)
-
-
 def test_log_ndtr_matches_scipy_over_wide_range():
     data = np.linspace(-30.0, 8.0, 200)
-    out = _log_ndtr(Tensor(data))
+    out = oracle_log_ndtr(Tensor(data))
     assert np.allclose(out.data, log_ndtr(data), rtol=1e-12, atol=1e-300)
 
 
@@ -175,7 +165,7 @@ def test_log_ndtr_gradient_is_exp_ratio():
     params = {"x": Tensor(np.array([-8.0, -2.0, 0.0, 1.5]), requires_grad=True)}
 
     def f():
-        return _log_ndtr(params["x"]).sum()
+        return oracle_log_ndtr(params["x"]).sum()
 
     assert ad.grad_check(f, params, h=1e-6) < 1e-7
 
@@ -189,19 +179,19 @@ def _composed_logprobs(mu, alpha, grid_u, grid_logw, actions):
     s_count, d = mu.data.shape
     q = grid_u.shape[1]
     rows = np.arange(s_count)
-    mu_c = ad.take(mu, (rows, actions)).reshape(s_count, 1)
-    alpha_c = ad.take(alpha, (rows, actions)).reshape(s_count, 1)
+    mu_c = reshape(take(mu, (rows, actions)), (s_count, 1))
+    alpha_c = reshape(take(alpha, (rows, actions)), (s_count, 1))
     z_top = mu_c + alpha_c * Tensor(grid_u)
     by_category = (rows[None, :], np.arange(d)[:, None])  # (D, S) transpose
-    mu_t = ad.take(mu, by_category).reshape(d, s_count, 1)
-    alpha_t = ad.take(alpha, by_category).reshape(d, s_count, 1)
-    y = (z_top.reshape(1, s_count, q) - mu_t) / alpha_t
-    log_cdf = _log_ndtr(y)
+    mu_t = reshape(take(mu, by_category), (d, s_count, 1))
+    alpha_t = reshape(take(alpha, by_category), (d, s_count, 1))
+    y = div(reshape(z_top, (1, s_count, q)) - mu_t, alpha_t)
+    log_cdf = oracle_log_ndtr(y)
     keep = np.ones((d, s_count, 1))
     keep[actions, rows, 0] = 0.0
     tail = (log_cdf * Tensor(keep)).sum(axis=0)
     const = grid_logw + (-0.5 * grid_u * grid_u - 0.5 * rl.LOG_TWO_PI)
-    return ad.logsumexp(tail + Tensor(const), axis=1)
+    return logsumexp(tail + Tensor(const), axis=1)
 
 
 def _hard_stack(rng, s_count, d, temperature=1.0):
@@ -510,20 +500,32 @@ def chunk_logprobs(params, trajs, temperature=1.0):
     return rl._chunk_logprobs(params, chunk), chunk.order
 
 
+def acting_logprobs(loss):
+    """The acting log-probs a chunk loss of _ppo_losses holds, in
+    chunk.order. Its first call fixes them; if none has run yet, it runs
+    here, on a tape as in the first update pass, at the weights the loss
+    was built with."""
+    acting = loss.args[2]
+    if not acting:
+        with ad.Tape():
+            loss()
+    return acting[0].data
+
+
 def held_acting(params, trajs, temperature=1.0):
     """(chunk, acting log-probs in chunk.order) for each chunk loss that
     _ppo_losses builds over trajs at params."""
     advantages = [t.returns for t in trajs]
     losses = rl._ppo_losses(params, trajs, advantages, rl.PpoConfig(), temperature)
-    return [(f.args[1], f.args[2].data) for f in losses]
+    return [(f.args[1], acting_logprobs(f)) for f in losses]
 
 
 def with_acting(loss, trajs, shift):
     """A chunk loss of _ppo_losses over trajs with its acting log-probs
     moved by shift(traj), an array in trace order."""
-    params, chunk, lp_old, *rest = loss.args
-    moved = lp_old.data + np.concatenate([shift(t) for t in trajs])[chunk.order]
-    return partial(rl._chunk_loss, params, chunk, Tensor(moved), *rest)
+    params, chunk, _, *rest = loss.args
+    moved = acting_logprobs(loss) + np.concatenate([shift(t) for t in trajs])[chunk.order]
+    return partial(rl._chunk_loss, params, chunk, [Tensor(moved)], *rest)
 
 
 def test_collected_logprobs_reproduce_bitwise():
@@ -899,40 +901,42 @@ def test_finetune_builds_grids_once_per_batch(monkeypatch):
 def test_finetune_builds_step_masks_once_per_pack(monkeypatch):
     # the encoder's step masks are packed with the grids: one build per
     # graph of a chunk when the losses are built, however many update
-    # passes reuse them; collection alone runs no stacked encoder pass
+    # passes reuse them; each update pass encodes each chunk once, and
+    # no pass runs before the first, whose values are the acting
+    # log-probs; collection alone runs no stacked encoder pass
     spec = small_spec()
     scorer = rl.make_scorer("toy:atom-count", spec.vocab, spec.bonds)
-    build = rgcn.build_step_masks
-    calls = []
+    build, encode = rgcn.build_step_masks, rgcn.encode_step_batch
+    calls, encodes = [], []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return build(*args, **kwargs)
 
+    def counting_encode(*args, **kwargs):
+        encodes.append(args)
+        return encode(*args, **kwargs)
+
     monkeypatch.setattr(rgcn, "build_step_masks", counting)
+    monkeypatch.setattr(rgcn, "encode_step_batch", counting_encode)
     batch = rl.PPO_CHUNK + 4
     counts = []
     for updates in (1, 4):
         calls.clear()
+        encodes.clear()
         rl.finetune(
             random_params(5), spec, scorer, rl.RewardConfig(),
             rl.PpoConfig(updates=updates, batch_size=batch),
             SamplerConfig(), iterations=1, rng=np.random.default_rng(6),
         )
         counts.append(len(calls))
+        assert len(encodes) == 2 * updates  # two chunks
     assert counts[0] == counts[1]
     # every episode's graph, once for the update
     assert 0 < counts[1] <= batch
 
-    encode = rgcn.encode_step_batch
-    encodes = []
-
-    def counting_encode(*args, **kwargs):
-        encodes.append(args)
-        return encode(*args, **kwargs)
-
-    monkeypatch.setattr(rgcn, "encode_step_batch", counting_encode)
     calls.clear()
+    encodes.clear()
     trajs, _ = collect_small(random_params(5), spec, count=batch, seed=6)
     assert len(trajs) == batch
     assert encodes == [] and calls == []

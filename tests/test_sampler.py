@@ -225,7 +225,7 @@ def test_trace_matches_graph_and_conditionals():
                     h = Tensor(np.zeros((1, k)))
                 else:
                     sub = MolecularGraph(g.node_types[: s.i], g.categories[: s.i, : s.i], NO_EDGE)
-                    h = rgcn.encode(sub, params.rgcn).graph_embedding.reshape(1, k)
+                    h = Tensor(rgcn.encode(sub, params.rgcn).graph_embedding.data.reshape(1, k))
                     node_checked += 1
                 mu, alpha = flow.node_conditional(params, h)
             else:
@@ -234,10 +234,11 @@ def test_trace_matches_graph_and_conditionals():
                     g.node_types[: s.i + 1], g.categories[: s.i + 1, : s.i + 1], NO_EDGE
                 )
                 emb = rgcn.encode(sub, params.rgcn, undecided_row=(s.i, s.j))
-                h = emb.graph_embedding.reshape(1, k)
-                hi = Tensor(emb.H.data[s.i : s.i + 1])
-                hj = Tensor(emb.H.data[s.j : s.j + 1])
-                mu, alpha = flow.edge_conditional(params, h, hi, hj)
+                h = emb.graph_embedding.data.reshape(1, k)
+                hi = emb.H.data[s.i : s.i + 1]
+                hj = emb.H.data[s.j : s.j + 1]
+                x = Tensor(np.concatenate([h, hi, hj], axis=-1))
+                mu, alpha = flow.edge_conditional(params, x)
                 edge_checked += 1
             assert np.array_equal(s.mu, mu.data[0])
             assert np.array_equal(s.alpha, alpha.data[0])
