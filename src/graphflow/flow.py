@@ -65,6 +65,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.max_size < 1:
             raise ValueError("max_size must be at least 1")
+        if self.window < 1:
+            raise ValueError(f"window must be at least 1, got {self.window}")
         # a window can never need to reach further back than max_size - 1
         self.window = min(self.window, max(1, self.max_size - 1))
 
@@ -404,6 +406,8 @@ def log_likelihood_parallel(
     """
     many = not isinstance(g, MolecularGraph)
     graphs = list(g) if many else [g]
+    if not graphs:
+        raise ValueError("log_likelihood_parallel: no graphs given")
     noise = list(z) if many and z is not None else [z] * len(graphs)
     zs = [_ordered_noise(h, spec, zh, rng) for h, zh in zip(graphs, noise)]
     plans = [build_plan(h.n, spec.window) for h in graphs]

@@ -10,6 +10,7 @@ diagonal is fixed to no-edge and self loops are never representable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -133,11 +134,7 @@ class MolecularGraph:
         take one per step without re-scanning what it already holds."""
         if not 1 <= m <= self.n:
             raise GraphError(f"prefix of {m} nodes from a {self.n}-node graph")
-        sub = MolecularGraph.__new__(MolecularGraph)
-        sub.node_types = self.node_types[:m]
-        sub.categories = self.categories[:m, :m]
-        sub.no_edge = self.no_edge
-        return sub
+        return _unchecked(self.node_types[:m], self.categories[:m, :m], self.no_edge)
 
     def copy(self) -> "MolecularGraph":
         return MolecularGraph(self.node_types.copy(), self.categories.copy(), self.no_edge)
@@ -163,6 +160,13 @@ class MolecularGraph:
         return f"MolecularGraph(n={self.n}, bonds={len(self.bonds())})"
 
 
+def _unchecked(node_types, categories, no_edge: int) -> MolecularGraph:
+    """A MolecularGraph from int64 arrays known to pass its checks."""
+    g = MolecularGraph.__new__(MolecularGraph)
+    g.node_types, g.categories, g.no_edge = node_types, categories, no_edge
+    return g
+
+
 def empty_categories(n: int, no_edge: int) -> np.ndarray:
     return np.full((n, n), no_edge, dtype=np.int64)
 
@@ -176,11 +180,12 @@ class BfsOrder:
 
 
 def relabel(g: MolecularGraph, permutation: np.ndarray) -> MolecularGraph:
-    """Rebuild g so that new node i is old node permutation[i]."""
+    """Rebuild g so that new node i is old node permutation[i], unchecked:
+    any node selection from a valid graph keeps its edge matrix valid."""
     perm = np.asarray(permutation)
-    node_types = g.node_types[perm]
-    categories = g.categories[np.ix_(perm, perm)]
-    return MolecularGraph(node_types, categories, g.no_edge)
+    if perm.size == 0:
+        raise GraphError("a graph needs at least one node")
+    return _unchecked(g.node_types[perm], g.categories[np.ix_(perm, perm)], g.no_edge)
 
 
 def bfs_reorder(g: MolecularGraph, start: int = 0, rng=None):
@@ -192,31 +197,25 @@ def bfs_reorder(g: MolecularGraph, start: int = 0, rng=None):
     """
     if not 0 <= start < g.n:
         raise GraphError(f"start node {start} out of range")
-    visited = np.zeros(g.n, dtype=bool)
+    neighbors = [[] for _ in range(g.n)]
+    for u, v in zip(*(ends.tolist() for ends in np.nonzero(g.categories != g.no_edge))):
+        neighbors[u].append(v)
+    visited = [False] * g.n
     visited[start] = True
-    order = [start]
-    depths = [0]
-    frontier = [start]
-    depth = 0
+    order, depths, frontier = [start], [0], [start]
     while frontier:
-        nxt = set()
-        for u in frontier:
-            for v in g.neighbors(u):
-                if not visited[int(v)]:
-                    nxt.add(int(v))
-        if not nxt:
+        layer = sorted({v for u in frontier for v in neighbors[u] if not visited[v]})
+        if not layer:
             break
-        layer = np.array(sorted(nxt))
         if rng is not None:
-            layer = layer[rng.permutation(layer.size)]
-        depth += 1
+            layer = [layer[p] for p in rng.permutation(len(layer)).tolist()]
         for v in layer:
             visited[v] = True
-            order.append(int(v))
-            depths.append(depth)
-        frontier = list(layer)
+        depths += [depths[-1] + 1] * len(layer)
+        order += layer
+        frontier = layer
     if len(order) != g.n:
-        missing = int(np.nonzero(~visited)[0][0])
+        missing = visited.index(False)
         raise GraphError(f"graph is disconnected: node {missing} unreachable from {start}")
     perm = np.array(order, dtype=np.int64)
     return relabel(g, perm), BfsOrder(permutation=perm, depths=np.array(depths, dtype=np.int64))
@@ -235,17 +234,15 @@ def is_bfs_ordered(g: MolecularGraph) -> bool:
 
     Checks that every non-first node has an earlier neighbor and that the
     depths d[i] = 1 + min(d[j] : j < i, j bonded to i) are non-decreasing.
+    While they are, the lowest-index earlier neighbor has the least depth.
     """
-    if g.n == 1:
-        return True
-    depths = np.zeros(g.n, dtype=np.int64)
-    for i in range(1, g.n):
-        earlier = [j for j in range(i) if g.categories[i, j] != g.no_edge]
-        if not earlier:
+    bonded = g.categories != g.no_edge
+    bonded.flat[:: g.n + 1] = True  # a node with no earlier neighbor finds itself first
+    depths = [0]
+    for i, j in enumerate(bonded.argmax(axis=1).tolist()[1:], 1):
+        if j == i or depths[j] + 1 < depths[-1]:
             return False
-        depths[i] = 1 + min(depths[j] for j in earlier)
-        if depths[i] < depths[i - 1]:
-            return False
+        depths.append(depths[j] + 1)
     return True
 
 
@@ -263,6 +260,16 @@ class DequantizedGraph:
     @property
     def n(self) -> int:
         return self.zx.shape[0]
+
+
+@lru_cache(maxsize=64)
+def _edge_slots(n: int, window: int | None) -> tuple:
+    """The edge slots (i, j), i > j, of an n-node graph under window, in
+    generation order, with read-only arrays of their i and j."""
+    slots = [(i, j) for i in range(1, n) for j in range(i) if window is None or i - j <= window]
+    ends = np.array(slots, dtype=np.int64).reshape(-1, 2).T
+    ends.flags.writeable = False
+    return slots, ends[0], ends[1]
 
 
 def dequantize(
@@ -283,15 +290,10 @@ def dequantize(
     zx = np.zeros((n, d))
     zx[np.arange(n), g.node_types] = 1.0
     zx += rng.random((n, d))
-    za = {}
-    for i in range(1, n):
-        lo = 0 if window is None else max(0, i - window)
-        for j in range(lo, i):
-            row = np.zeros(k)
-            row[g.categories[i, j]] = 1.0
-            row += rng.random(k)
-            za[(i, j)] = row
-    return DequantizedGraph(zx=zx, za=za)
+    slots, ii, jj = _edge_slots(n, window)
+    rows = rng.random((len(slots), k))  # filled in C order: one row per slot, as drawn one by one
+    rows[np.arange(len(slots)), g.categories[ii, jj]] += 1.0
+    return DequantizedGraph(zx=zx, za=dict(zip(slots, rows)))
 
 
 def quantize(z: DequantizedGraph, no_edge: int) -> MolecularGraph:

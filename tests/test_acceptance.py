@@ -232,6 +232,7 @@ def test_criterion_06_gradients_match_finite_differences():
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_training_reduces_nll(molecules500, trained):
     _, trace1, dt1 = trained
     params2 = flow.init_flow_params(MOL_SPEC, np.random.default_rng(42))
@@ -261,6 +262,7 @@ def test_criterion_08_validity_with_valency_check(trained):
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_training_helps_unconstrained_validity(trained):
     params, _, _ = trained
     cfg = sampler.SamplerConfig(valency_check=False)
@@ -280,6 +282,7 @@ def test_criterion_09_training_helps_unconstrained_validity(trained):
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_ppo_improves_reward(molecules500):
     # surrogate gradient check at the collection parameters, where the
     # clipped and unclipped objectives coincide
@@ -344,6 +347,7 @@ def test_criterion_11_constrained_optimization(molecules500, trained):
     )
 
 
+@pytest.mark.slow
 def test_criterion_12_community_distribution_distance():
     t0 = time.perf_counter()
     cvocab, cbonds = G.community_vocab(6)

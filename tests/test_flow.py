@@ -91,6 +91,14 @@ def test_spec_clamps_window_to_max_size():
         flow.ModelSpec(max_size=0)
 
 
+@pytest.mark.parametrize("window", [0, -3])
+def test_spec_rejects_window_below_one(window):
+    # a window below one leaves no edge step: every sample would be one atom
+    with pytest.raises(ValueError, match="window"):
+        flow.ModelSpec(width=4, layers=1, window=window, max_size=8)
+    assert flow.ModelSpec(width=4, layers=1, window=1, max_size=8).window == 1
+
+
 def test_dequantize_slots_match_plan():
     spec = small_spec()
     g = molecules(0, 1, window=spec.window)[0]
@@ -231,6 +239,13 @@ def test_likelihood_requires_noise_source():
     g = molecules(0, 1, window=spec.window)[0]
     with pytest.raises(ValueError):
         flow.log_likelihood_parallel(g, params, spec)
+
+
+def test_likelihood_rejects_an_empty_graph_list():
+    spec = small_spec()
+    params = flow.init_flow_params(spec, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="log_likelihood_parallel"):
+        flow.log_likelihood_parallel([], params, spec, rng=np.random.default_rng(0))
 
 
 # ---------------------------------------------------- latent round trips

@@ -175,6 +175,104 @@ def test_relabel_round_trip():
     h = G.relabel(g, perm)
     inverse = np.argsort(perm)
     assert G.relabel(h, inverse) == g
+    with pytest.raises(GraphError):
+        G.relabel(g, np.array([], dtype=np.int64))
+
+
+def _bfs_reorder_loop(g, start, rng):
+    # the node-by-node search bfs_reorder replaced, relabelling through the
+    # checked constructor: its oracle
+    visited = np.zeros(g.n, dtype=bool)
+    visited[start] = True
+    order, depths, frontier, depth = [start], [0], [start], 0
+    while frontier:
+        nxt = set()
+        for u in frontier:
+            for v in g.neighbors(u):
+                if not visited[int(v)]:
+                    nxt.add(int(v))
+        if not nxt:
+            break
+        layer = np.array(sorted(nxt))
+        if rng is not None:
+            layer = layer[rng.permutation(layer.size)]
+        depth += 1
+        for v in layer:
+            visited[v] = True
+            order.append(int(v))
+            depths.append(depth)
+        frontier = list(layer)
+    if len(order) != g.n:
+        missing = int(np.nonzero(~visited)[0][0])
+        raise GraphError(f"graph is disconnected: node {missing} unreachable from {start}")
+    perm = np.array(order, dtype=np.int64)
+    h = MolecularGraph(g.node_types[perm], g.categories[np.ix_(perm, perm)], g.no_edge)
+    return h, perm, np.array(depths, dtype=np.int64)
+
+
+def _outcome(fn, g, start, seed):
+    rng = None if seed is None else np.random.default_rng(seed)
+    try:
+        out = fn(g, start, rng)
+    except GraphError as err:
+        out = str(err)
+    return out, None if rng is None else rng.bit_generator.state
+
+
+@given(
+    connected_graphs(max_nodes=12),
+    st.data(),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=2**32 - 1)),
+    st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_bfs_reorder_matches_node_loop(g, data, seed, disconnect):
+    if disconnect:  # one isolated node at a drawn position
+        cats = empty_categories(g.n + 1, NO_EDGE)
+        cats[: g.n, : g.n] = g.categories
+        g = G.relabel(
+            MolecularGraph(np.append(g.node_types, 0), cats, NO_EDGE),
+            np.random.default_rng(data.draw(st.integers(0, 99))).permutation(g.n + 1),
+        )
+    start = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+
+    def fast(g, start, rng):
+        h, order = G.bfs_reorder(g, start, rng)
+        assert h.node_types.dtype == h.categories.dtype == np.int64
+        return h, order.permutation, order.depths
+
+    (got, got_state), (want, want_state) = (
+        _outcome(fn, g, start, seed) for fn in (fast, _bfs_reorder_loop)
+    )
+    assert got_state == want_state
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _is_bfs_ordered_loop(g):
+    # the depth-by-depth check is_bfs_ordered replaced: its oracle
+    depths = np.zeros(g.n, dtype=np.int64)
+    for i in range(1, g.n):
+        earlier = [j for j in range(i) if g.categories[i, j] != g.no_edge]
+        if not earlier:
+            return False
+        depths[i] = 1 + min(depths[j] for j in earlier)
+        if depths[i] < depths[i - 1]:
+            return False
+    return True
+
+
+@given(connected_graphs(max_nodes=12), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_is_bfs_ordered_matches_depth_loop(g, seed):
+    rng = np.random.default_rng(seed)
+    # the drawn order, a random relabelling and a random BFS order
+    for h in (g, G.relabel(g, rng.permutation(g.n)), G.bfs_reorder(g, 0, rng)[0]):
+        assert G.is_bfs_ordered(h) == _is_bfs_ordered_loop(h)
 
 
 # ---------------------------------------------------------- dequantization
@@ -186,6 +284,38 @@ def test_dequantize_quantize_round_trip(g, seed):
     z = G.dequantize(g, VOCAB, BONDS, np.random.default_rng(seed))
     back = G.quantize(z, NO_EDGE)
     assert back == g
+
+
+def _dequantize_loop(g, rng, window):
+    # the slot-by-slot draw dequantize replaced: its oracle
+    zx = np.zeros((g.n, VOCAB.size))
+    zx[np.arange(g.n), g.node_types] = 1.0
+    zx += rng.random((g.n, VOCAB.size))
+    za = {}
+    for i in range(1, g.n):
+        lo = 0 if window is None else max(0, i - window)
+        for j in range(lo, i):
+            row = np.zeros(BONDS.categories)
+            row[g.categories[i, j]] = 1.0
+            row += rng.random(BONDS.categories)
+            za[(i, j)] = row
+    return zx, za
+
+
+@given(
+    connected_graphs(max_nodes=12),
+    st.sampled_from([None, 1, 3, 12]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_dequantize_matches_slot_loop(g, window, seed):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    z = G.dequantize(g, VOCAB, BONDS, rng, window=window)
+    zx, za = _dequantize_loop(g, oracle_rng, window)
+    assert np.array_equal(z.zx, zx)
+    assert list(z.za) == list(za)
+    assert all(np.array_equal(z.za[slot], za[slot]) for slot in za)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_dequantize_values_in_expected_boxes():

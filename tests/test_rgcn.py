@@ -295,6 +295,50 @@ def _all_steps(g, window=11):
     return steps
 
 
+def _step_masks_loop(g, steps):
+    # the step-by-step mask build that build_step_masks caches: its oracle
+    n, s_count = g.n, len(steps)
+    prefix = np.empty(s_count, dtype=np.int64)
+    row = np.full(s_count, -1, dtype=np.int64)
+    lim = np.zeros(s_count, dtype=np.int64)
+    total = np.empty(s_count, dtype=np.int64)
+    for s, step in enumerate(steps):
+        if step[0] == "node":
+            prefix[s] = total[s] = step[1]
+        else:
+            _, i, j = step
+            prefix[s], row[s], lim[s], total[s] = i, i, j, i + 1
+    idx = np.arange(n)
+    in_prefix = idx[None, :] < prefix[:, None]
+    keep = in_prefix[:, :, None] & in_prefix[:, None, :]
+    row_hit = idx[None, :] == row[:, None]
+    below = idx[None, :] < lim[:, None]
+    keep |= row_hit[:, :, None] & below[:, None, :]
+    keep |= row_hit[:, None, :] & below[:, :, None]
+    masked = rgcn._one_hot_adjacency(g)[None, :, :, :] * keep[:, None, :, :]
+    node_mask = (idx[None, :] < total[:, None]).astype(np.float64)
+    return rgcn._normalized_adjacency(masked), node_mask[:, :, None]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_step_masks_match_step_loop_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    graphs = molecule(20 + seed, count=6, max_atoms=9)
+    by_size = {}
+    for g in graphs:  # graphs of one size share cached layouts
+        by_size.setdefault(g.n, []).append(g)
+    for g in graphs + [g for same in by_size.values() for g in same[1:]]:
+        full = _all_steps(g, window=int(rng.integers(1, 12)))
+        picked = np.sort(rng.choice(len(full), size=int(rng.integers(1, len(full) + 1)), replace=False))
+        cases = [[full[p] for p in picked], [("node", 0)], *([step] for step in full)]
+        for steps in cases:
+            for _ in range(2):  # a fresh layout, then the cached one
+                got = rgcn.build_step_masks(g, steps)
+                for a, b in zip(got, _step_masks_loop(g, steps)):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                    assert not a.flags.writeable
+
+
 def test_multi_graph_rows_match_single_graph_rows():
     # states of several graphs, interleaved, in one evaluation-mode call
     params = make_params(width=8, layers=3, seed=4)
