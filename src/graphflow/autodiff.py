@@ -1,45 +1,42 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float64 tensors with reverse-mode automatic differentiation,
+for the model's own operations only.
 
-A Tensor wraps a numpy array. While a Tape is active, every operation
-whose output requires gradients appends a node (output, parents,
-backward closure) to the tape; Tape.backward walks the nodes in reverse
-creation order, which is a valid topological order because every op
-creates a fresh output tensor. Leaf gradients accumulate into
-Tensor.grad, so several tapes run in sequence implement gradient
-accumulation over a batch.
+A Tensor holds a numpy array and a gradient slot; it has no arithmetic.
+Every differentiable operation of the model is one named node built by
+custom_op: the encoder's embedding product, relation layers, placement
+and readout (rgcn), the heads' input gathers, the head MLP, the scale
+head, the per-graph NLL and a training chunk's sum of those (flow), the
+Gaussian log-density and batch norm (here), and the quadrature
+log-probabilities and clipped-ratio surrogate (rl). While a Tape is
+active, an operation whose output requires gradients appends a node
+(output, parents, backward closure) to it; Tape.backward walks the
+nodes in reverse creation order, which is a valid topological order
+because every op creates a fresh output tensor.
+Leaf gradients accumulate into Tensor.grad, so several tapes run in
+sequence implement gradient accumulation over a batch.
 
-The no-record fast path: every op computes its output array, wraps it
-in a Tensor whose requires_grad is the OR of its inputs' flags, and
-returns right there unless a tape is active and that flag is set. Only
-a recording op builds its backward closure, precomputes what the
-closure reads, and appends its node. So inference (sampling, acting
-log-probs) pays for the numpy call plus one Tensor and one branch per
-op, and an expression evaluated under a tape records exactly the nodes
-it did before.
+No-record fast path: outside a tape, or when no parent requires
+gradients, custom_op wraps the computed array and returns without
+building a node, so inference (sampling, acting log-probs) pays for the
+numpy calls plus one Tensor per op. A backward closure returns None for
+a parent that needs no gradient, so no work goes into a gradient the
+tape would drop; unbroadcast sums a gradient over the axes numpy
+broadcasting added, so a weight shared across a stacked batch dimension
+accumulates contributions from every slice.
 
-Elementwise ops follow numpy broadcasting; the backward pass sums
-gradients over broadcast axes, so a weight shared across a stacked
-batch dimension accumulates contributions from every slice. A backward
-closure returns None for a parent that needs no gradient (a mask, a
-constant such as -0.5), so no work goes into a gradient the tape would
-drop.
+Each fused node runs the numpy calls of the op-by-op expression it
+replaced in the same order, so values stay bitwise equal to it while the
+tape holds one node and one output Tensor instead of two to fourteen.
+All but training-mode batch norm also replay that expression's backward
+steps, so their gradients are bitwise those of the composite;
+training-mode batch norm has a closed-form backward, which sums in
+another order.
 
-Fused nodes: custom_op records a composite expression as one node with
-a hand-written backward. The encoder layer (rgcn), the head MLP and
-the heads' input gathers (flow), the Gaussian log-density and
-batch_norm in both modes are built this way; each runs the numpy calls
-of its op-by-op expression in the same order, so values stay bitwise
-equal to it while the tape holds one node and one output Tensor
-instead of four to fourteen. The encoder layer, the head MLP, the
-Gaussian log-density and evaluation-mode batch norm replay the
-expression's backward steps too, so their gradients are bitwise those
-of the composite; training-mode batch norm has a closed-form backward
-instead, which sums in another order.
-
-The op set is what the model records: add, sub, mul, matmul, exp, clip,
-minimum, tensor_sum and concat, plus the fused nodes. The composites the
-fused nodes replaced live on in the tests as oracles, built from
-test-side copies of the ops the model no longer records.
+The op set is the model's: nothing here is a generic elementwise op.
+The broadcasting ops the composites are spelled with (add, mul, matmul,
+exp, clip, minimum, sums, concat, ...) live in the tests as oracle_ops,
+and the tests pin every fused node against its composite built from
+them.
 """
 
 from __future__ import annotations
@@ -73,40 +70,9 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag})"
-
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __neg__(self):
-        return mul(self, _NEG_ONE)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 class Tape:
@@ -166,9 +132,9 @@ def _record(out: Tensor, parents, back) -> None:
 def custom_op(data, parents, back) -> Tensor:
     """Wrap an array computed from the parents' values as one tape node.
 
-    For fused operations with a hand-written gradient: back(g) returns
-    one gradient array (or None) per parent, like the built-in ops, and
-    unbroadcast sums a gradient back to a broadcast parent's shape.
+    back(g) returns one gradient array (or None) per parent, and
+    unbroadcast sums a gradient back to a broadcast parent's shape. A
+    node's op is the function its backward closure is defined in.
     """
     parents = tuple(parents)
     requires_grad = False
@@ -195,178 +161,13 @@ def unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _broadcast_op(a: Tensor, b: Tensor, fn, name: str):
-    try:
-        data = fn(a.data, b.data)
-    except ValueError:
-        raise ValueError(
-            f"{name}: shapes {a.data.shape} and {b.data.shape} do not broadcast"
-        ) from None
-    return data
-
-
-_NEG_ONE = None  # placeholder, assigned after Tensor exists
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(_broadcast_op(a, b, np.add, "add"), a.requires_grad or b.requires_grad)
-    if _ACTIVE_TAPE is None or not out.requires_grad:
-        return out
-
-    def back(g):
-        return (
-            unbroadcast(g, a.data.shape) if a.requires_grad else None,
-            unbroadcast(g, b.data.shape) if b.requires_grad else None,
-        )
-
-    _record(out, (a, b), back)
-    return out
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(_broadcast_op(a, b, np.subtract, "sub"), a.requires_grad or b.requires_grad)
-    if _ACTIVE_TAPE is None or not out.requires_grad:
-        return out
-
-    def back(g):
-        return (
-            unbroadcast(g, a.data.shape) if a.requires_grad else None,
-            unbroadcast(-g, b.data.shape) if b.requires_grad else None,
-        )
-
-    _record(out, (a, b), back)
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(_broadcast_op(a, b, np.multiply, "mul"), a.requires_grad or b.requires_grad)
-    if _ACTIVE_TAPE is None or not out.requires_grad:
-        return out
-
-    def back(g):
-        return (
-            unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-            unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
-        )
-
-    _record(out, (a, b), back)
-    return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ValueError(
-            f"matmul needs rank >= 2 operands, got {a.data.shape} @ {b.data.shape}"
-        )
-    try:
-        data = np.matmul(a.data, b.data)
-    except ValueError:
-        raise ValueError(
-            f"matmul: shapes {a.data.shape} and {b.data.shape} are incompatible"
-        ) from None
-    out = Tensor(data, a.requires_grad or b.requires_grad)
-    if _ACTIVE_TAPE is None or not out.requires_grad:
-        return out
-
-    def back(g):
-        # constant operands (adjacency, one-hot rows) get no gradient product
-        ga = gb = None
-        if a.requires_grad:
-            ga = unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
-        if b.requires_grad:
-            gb = unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
-        return (ga, gb)
-
-    _record(out, (a, b), back)
-    return out
-
-
-def exp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.data), a.requires_grad)
-    if _ACTIVE_TAPE is None or not out.requires_grad:
-        return out
-
-    def back(g):
-        return (g * out.data,)
-
-    _record(out, (a,), back)
-    return out
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values to [lo, hi]; gradient is zero where clamping engaged."""
-    out = Tensor(np.clip(a.data, lo, hi), a.requires_grad)
-    if _ACTIVE_TAPE is None or not out.requires_grad:
-        return out
-    inside = (a.data > lo) & (a.data < hi)
-
-    def back(g):
-        return (g * inside,)
-
-    _record(out, (a,), back)
-    return out
-
-
-def minimum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise min; ties route the gradient to the first argument."""
-    out = Tensor(
-        _broadcast_op(a, b, np.minimum, "minimum"), a.requires_grad or b.requires_grad
-    )
-    if _ACTIVE_TAPE is None or not out.requires_grad:
-        return out
-    take_a = a.data <= b.data
-
-    def back(g):
-        return (
-            unbroadcast(g * take_a, a.data.shape),
-            unbroadcast(g * ~take_a, b.data.shape),
-        )
-
-    _record(out, (a, b), back)
-    return out
-
-
-def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), a.requires_grad)
-    if _ACTIVE_TAPE is None or not out.requires_grad:
-        return out
-
-    def back(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape),)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape),)
-
-    _record(out, (a,), back)
-    return out
-
-
-def concat(tensors, axis: int = -1) -> Tensor:
-    tensors = [_wrap(t) for t in tensors]
-    out = Tensor(
-        np.concatenate([t.data for t in tensors], axis=axis),
-        any(t.requires_grad for t in tensors),
-    )
-    if _ACTIVE_TAPE is None or not out.requires_grad:
-        return out
-    offsets = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-
-    def back(g):
-        return tuple(np.split(g, offsets, axis=axis))
-
-    _record(out, tuple(tensors), back)
-    return out
-
-
-def gaussian_logpdf(x, mu, alpha) -> Tensor:
+def gaussian_logpdf(x: Tensor, mu: Tensor, alpha: Tensor) -> Tensor:
     """Elementwise log N(x; mu, alpha^2) with scale parameter alpha > 0,
     as one tape node. With z = (x - mu) / alpha, the forward runs the
     numpy calls of the composite (c + -1 * log(alpha)) + (-0.5 * z) * z
     in their order, and the backward replays the composite's backward
     steps, so values and gradients are bitwise those of the op-by-op
     expression."""
-    x, mu, alpha = _wrap(x), _wrap(mu), _wrap(alpha)
     if np.any(alpha.data <= 0.0):
         raise ValueError("gaussian_logpdf: alpha must be strictly positive")
     diff = x.data - mu.data
@@ -583,5 +384,3 @@ def grad_check(f, params: dict, h: float = 1e-5) -> float:
                 worst = err
     return worst
 
-
-_NEG_ONE = Tensor(-1.0)

@@ -97,30 +97,53 @@ class MlpParams:
         }
 
 
-def mlp_apply(p: MlpParams, x: Tensor) -> Tensor:
-    """tanh(x @ w1 + b1) @ w2 + b2 as one tape node. The backward
-    replays the composite's add, matmul, tanh, add and matmul steps in
-    order, so values and gradients are bitwise those of the op-by-op
-    expression."""
+def _mlp_forward(p: MlpParams, x: Tensor) -> tuple:
+    """The head MLP's hidden layer t = tanh(x @ w1 + b1) and its output
+    t @ w2 + b2."""
+    t = np.tanh(np.matmul(x.data, p.w1.data) + p.b1.data)
+    return t, np.matmul(t, p.w2.data) + p.b2.data
+
+
+def _mlp_grads(p: MlpParams, x: Tensor, t: np.ndarray, g: np.ndarray) -> tuple:
+    """Gradients for (x, w1, b1, w2, b2) of the head MLP with hidden layer
+    t and output gradient g: the composite's add, matmul, tanh, add and
+    matmul backward steps in order."""
     w1, b1, w2, b2 = p.w1, p.b1, p.w2, p.b2
-    t = np.tanh(np.matmul(x.data, w1.data) + b1.data)
+    gu = np.matmul(g, np.swapaxes(w2.data, -1, -2)) * (1.0 - t * t)
+    gx = gw1 = gb1 = gw2 = gb2 = None
+    if x.requires_grad:
+        gx = ad.unbroadcast(np.matmul(gu, np.swapaxes(w1.data, -1, -2)), x.data.shape)
+    if w1.requires_grad:
+        gw1 = ad.unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), gu), w1.data.shape)
+    if b1.requires_grad:
+        gb1 = ad.unbroadcast(gu, b1.data.shape)
+    if w2.requires_grad:
+        gw2 = ad.unbroadcast(np.matmul(np.swapaxes(t, -1, -2), g), w2.data.shape)
+    if b2.requires_grad:
+        gb2 = ad.unbroadcast(g, b2.data.shape)
+    return (gx, gw1, gb1, gw2, gb2)
+
+
+def mlp_apply(p: MlpParams, x: Tensor) -> Tensor:
+    """tanh(x @ w1 + b1) @ w2 + b2 as one tape node, with values and
+    gradients bitwise those of the op-by-op expression."""
+    t, out = _mlp_forward(p, x)
+    return ad.custom_op(out, (x, p.w1, p.b1, p.w2, p.b2), lambda g: _mlp_grads(p, x, t, g))
+
+
+def _scale_head(p: MlpParams, x: Tensor) -> Tensor:
+    """alpha = exp(clip(mlp(x), LOG_ALPHA_MIN, LOG_ALPHA_MAX)) as one tape
+    node. The backward replays the composite's: g * alpha for the exp,
+    times the strict interior of the clip, then the MLP's, so values and
+    gradients are bitwise those of the three-node expression."""
+    t, raw = _mlp_forward(p, x)
+    alpha = np.exp(np.clip(raw, LOG_ALPHA_MIN, LOG_ALPHA_MAX))
 
     def back(g):
-        gu = np.matmul(g, np.swapaxes(w2.data, -1, -2)) * (1.0 - t * t)
-        gx = gw1 = gb1 = gw2 = gb2 = None
-        if x.requires_grad:
-            gx = ad.unbroadcast(np.matmul(gu, np.swapaxes(w1.data, -1, -2)), x.data.shape)
-        if w1.requires_grad:
-            gw1 = ad.unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), gu), w1.data.shape)
-        if b1.requires_grad:
-            gb1 = ad.unbroadcast(gu, b1.data.shape)
-        if w2.requires_grad:
-            gw2 = ad.unbroadcast(np.matmul(np.swapaxes(t, -1, -2), g), w2.data.shape)
-        if b2.requires_grad:
-            gb2 = ad.unbroadcast(g, b2.data.shape)
-        return (gx, gw1, gb1, gw2, gb2)
+        inside = (raw > LOG_ALPHA_MIN) & (raw < LOG_ALPHA_MAX)
+        return _mlp_grads(p, x, t, (g * alpha) * inside)
 
-    return ad.custom_op(np.matmul(t, w2.data) + b2.data, (x, w1, b1, w2, b2), back)
+    return ad.custom_op(alpha, (x, p.w1, p.b1, p.w2, p.b2), back)
 
 
 def _init_mlp(dim_in: int, hidden: int, dim_out: int, rng, prefix: str, zero_last: bool) -> MlpParams:
@@ -178,17 +201,13 @@ def init_flow_params(spec: ModelSpec, rng, zero_init_heads: bool = True) -> Flow
 
 def node_conditional(params: FlowParams, h_tilde: Tensor):
     """(mu, alpha) rows for node-type steps from pooled graph embeddings."""
-    mu = mlp_apply(params.node_mu, h_tilde)
-    alpha = ad.exp(ad.clip(mlp_apply(params.node_scale, h_tilde), LOG_ALPHA_MIN, LOG_ALPHA_MAX))
-    return mu, alpha
+    return mlp_apply(params.node_mu, h_tilde), _scale_head(params.node_scale, h_tilde)
 
 
 def edge_conditional(params: FlowParams, x: Tensor):
     """(mu, alpha) rows for bond steps from (E, 3k) input rows, each the
     pooled graph embedding and the two endpoint embeddings side by side."""
-    mu = mlp_apply(params.edge_mu, x)
-    alpha = ad.exp(ad.clip(mlp_apply(params.edge_scale, x), LOG_ALPHA_MIN, LOG_ALPHA_MAX))
-    return mu, alpha
+    return mlp_apply(params.edge_mu, x), _scale_head(params.edge_scale, x)
 
 
 def forward_transform(eps: np.ndarray, mu: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -367,6 +386,15 @@ def _negated_total(parts) -> Tensor:
         return grads
 
     return ad.custom_op(-total, [table for table, _ in parts], back)
+
+
+def _scaled_sum(terms: list, scale: float) -> Tensor:
+    """scale times the sum of scalar tensors, added in order, as one tape
+    node: a training chunk's share of its batch loss."""
+    total = terms[0].data
+    for term in terms[1:]:
+        total = total + term.data
+    return ad.custom_op(total * scale, terms, lambda g: (g * scale,) * len(terms))
 
 
 def _log_likelihoods(zs: list, plans: list, conditionals) -> list:
@@ -548,7 +576,7 @@ def train(
             if not np.isfinite(nll).all():
                 raise FloatingPointError(f"training diverged: non-finite loss at epoch {epoch}")
             epoch_nll.extend(nll)
-            return sum((ll.nll for ll in lls[1:]), lls[0].nll) * scale
+            return _scaled_sum([ll.nll for ll in lls], scale)
 
         for lo in range(0, len(order), cfg.batch_size):
             batch = [dataset[gi] for gi in order[lo : lo + cfg.batch_size]]

@@ -224,9 +224,8 @@ def bfs_reorder(g: MolecularGraph, start: int = 0, rng=None):
 def max_dependency_distance(g: MolecularGraph) -> int:
     """Largest index gap i - j over bonds (i, j), i > j, in g's own node
     order (the generation order)."""
-    idx = np.arange(g.n)
-    gaps = np.abs(idx[:, None] - idx[None, :]) * (g.categories != g.no_edge)
-    return int(gaps.max(initial=0))
+    ii, jj = np.nonzero(g.categories != g.no_edge)
+    return int((ii - jj).max(initial=0))
 
 
 def is_bfs_ordered(g: MolecularGraph) -> bool:

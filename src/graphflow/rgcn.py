@@ -15,7 +15,8 @@ autodiff.custom_op): both products, the ReLU, the relation sum and the
 1/R scale, with a backward that replays the op-by-op expression's
 gradient steps in order, so values and gradients are those of the
 composite (bitwise, up to BLAS's order in the product by W^T) while a
-layer costs one Tensor and one tape node.
+layer costs one Tensor and one tape node. The embedding product
+(_embed) and the readout (_readout) are one node each too.
 
 One core, _propagate(), runs the layers on one state or a stack of
 states, all relations of a layer in one batched product, and batch
@@ -234,6 +235,27 @@ def _relation_layer(adj: np.ndarray, h: Tensor, w: Tensor, scale: float) -> Tens
     return ad.custom_op(np.maximum(q, 0.0).sum(axis=-3) * scale, (h, w), back)
 
 
+def _embed(x: np.ndarray, embed: Tensor) -> Tensor:
+    """The embedding product x @ embed of constant one-hot rows x, (..., n,
+    F), as one tape node; its backward, x^T @ g summed over the leading
+    axes, is the composite matmul's, so the embed gradient is bitwise its."""
+
+    def back(g):
+        return (ad.unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), embed.data.shape),)
+
+    return ad.custom_op(np.matmul(x, embed.data), (embed,), back)
+
+
+def _readout(h: Tensor) -> Tensor:
+    """The graph embedding, the column sum of node states h over the node
+    axis, as one tape node."""
+
+    def back(g):
+        return (np.broadcast_to(np.expand_dims(g, -2), h.data.shape),)
+
+    return ad.custom_op(h.data.sum(axis=-2), (h,), back)
+
+
 def _propagate(x: np.ndarray, adj: np.ndarray, params: RgcnParams) -> Tensor:
     """Node states of one-hot rows x under normalized relation slices
     adj after the last layer, before batch norm.
@@ -242,7 +264,7 @@ def _propagate(x: np.ndarray, adj: np.ndarray, params: RgcnParams) -> Tensor:
     n, n) for a stack. Each layer runs every relation at once: the
     relation axis is summed in relation order after the ReLU.
     """
-    h = Tensor(x) @ params.embed
+    h = _embed(x, params.embed)
     scale = 1.0 / params.num_relations
     for w in params.layers:
         h = _relation_layer(adj, h, w, scale)
@@ -260,7 +282,7 @@ def encode(
     one_hot = _one_hot_adjacency(g_prefix, undecided_row=undecided_row)
     h = _propagate(_features(g_prefix, params), _normalized_adjacency(one_hot), params)
     h = ad.batch_norm(h, params.bn_gamma, params.bn_beta, params.bn_state)
-    return NodeEmbeddings(H=h, graph_embedding=h.sum(axis=-2))
+    return NodeEmbeddings(H=h, graph_embedding=_readout(h))
 
 
 @lru_cache(maxsize=128)
@@ -449,4 +471,4 @@ def encode_step_batch(
     h = ad.batch_norm(
         h, params.bn_gamma, params.bn_beta, params.bn_state, pack.mask, pack.segments
     )
-    return NodeEmbeddings(H=h, graph_embedding=h.sum(axis=-2))
+    return NodeEmbeddings(H=h, graph_embedding=_readout(h))

@@ -35,10 +35,11 @@ callable holding everything it reads that the weights do not change
 (the frozen grids, the step pack, advantages), so an update pass does
 only weight-dependent work; every update pass sums their gradients with
 autodiff.accumulate_grads, the same loop maximum-likelihood training
-runs, one tape per chunk. There is no separate acting pass: a chunk's
-acting log-probabilities are the values of its first call, which the
-first update pass makes at the collection weights, and the callable
-holds them as constants from then on. So ratios start at exactly one,
+runs, one tape per chunk, on which the chunk's clipped-ratio surrogate
+is one node over its per-kind log-probs. There is no separate acting
+pass: a chunk's acting log-probabilities are the values of its first
+call, which the first update pass makes at the collection weights, and
+the callable holds them as constants from then on. So ratios start at exactly one,
 and finite differences agree with the tape gradient.
 """
 
@@ -142,12 +143,16 @@ def _stacked_action_logprobs(
     grid_u: np.ndarray,
     grid_logw: np.ndarray,
     actions: np.ndarray,
+    temperature: float = 1.0,
 ) -> Tensor:
-    """Log-probability of each row's action under its frozen grid.
+    """Log-probability of each row's action under its frozen grid, with
+    the scales alpha * temperature.
 
     mu and alpha are (S, D) tensors (or constants wrapped as tensors);
     grid_u and grid_logw are (S, Q) with unused slots padded by -inf
-    log-weight. Returns an (S,) tensor recorded as one tape node.
+    log-weight. Returns an (S,) tensor recorded as one tape node. The
+    temperature multiplies alpha before, and the alpha gradient after,
+    the quadrature, as a separate product node would.
 
     Row s with action c is logsumexp_q(logw_q + log phi(u_q) + sum_{k != c}
     log Phi(y_qk)), y_qk = (mu_c + alpha_c u_q - mu_k) / alpha_k, so the
@@ -157,11 +162,12 @@ def _stacked_action_logprobs(
     s_count, d = mu.data.shape
     rows = np.arange(s_count)
     others = _competitors(actions, d)
+    scaled = alpha.data * temperature
     # competitor-major: axis 0 runs over the D-1 competitors, so every
     # elementwise loop below runs over a whole (S, Q) slab
     mu_k = np.take_along_axis(mu.data, others, 1).T[:, :, None]  # (D-1, S, 1)
-    alpha_k = np.take_along_axis(alpha.data, others, 1).T[:, :, None]
-    z_top = mu.data[rows, actions][:, None] + alpha.data[rows, actions][:, None] * grid_u
+    alpha_k = np.take_along_axis(scaled, others, 1).T[:, :, None]
+    z_top = mu.data[rows, actions][:, None] + scaled[rows, actions][:, None] * grid_u
     y = (z_top - mu_k) / alpha_k  # (D-1, S, Q)
     log_cdf = log_ndtr(y)
     # competitors summed in ascending order, one add at a time; the own
@@ -187,7 +193,7 @@ def _stacked_action_logprobs(
         np.put_along_axis(grad_alpha, others, -(dy * y).sum(axis=2).T, 1)
         grad_mu[rows, actions] = dy_k.sum(axis=0)
         grad_alpha[rows, actions] = (dy.sum(axis=0) * grid_u).sum(axis=1)
-        return grad_mu, grad_alpha
+        return grad_mu, grad_alpha * temperature
 
     return ad.custom_op(np.squeeze(top + np.log(total), axis=1), (mu, alpha), back)
 
@@ -448,19 +454,44 @@ def _pack_chunk(params: FlowParams, trajectories, temperature: float = 1.0) -> _
     return _PackedChunk(pack=pack, kinds=kinds, temperature=temperature)
 
 
-def _chunk_logprobs(params: FlowParams, chunk: _PackedChunk) -> Tensor:
+def _chunk_logprobs(params: FlowParams, chunk: _PackedChunk) -> list:
     """Current-policy log-probs of every step of a packed chunk over its
-    frozen grids, as an (S,) tensor in chunk.order: one encoder call,
+    frozen grids, one (S_kind,) tensor per step kind in chunk.kinds
+    order, which laid end to end are in chunk.order: one encoder call,
     one head call and one quadrature per step kind."""
     mu_x, alpha_x, mu_a, alpha_a = _stacked_conditionals(chunk.pack, params)
     heads = {"node": (mu_x, alpha_x), "edge": (mu_a, alpha_a)}
-    parts = []
-    for kind, actions, u, logw in chunk.kinds:
-        mu, alpha = heads[kind]
-        if chunk.temperature != 1.0:
-            alpha = alpha * Tensor(np.array(chunk.temperature))
-        parts.append(_stacked_action_logprobs(mu, alpha, u, logw, actions))
-    return ad.concat(parts, axis=0) if len(parts) > 1 else parts[0]
+    return [
+        _stacked_action_logprobs(*heads[kind], u, logw, actions, chunk.temperature)
+        for kind, actions, u, logw in chunk.kinds
+    ]
+
+
+def _clipped_surrogate(logprobs: list, acting, adv, weight, clip_ratio: float, scale: float):
+    """scale * sum(weight * min(ratio * adv, clip(ratio) * adv)), ratio =
+    exp(lp - acting), as one tape node. lp is the logprobs tensors laid
+    end to end; acting, adv and weight are constant arrays in that order.
+
+    The forward runs the numpy calls of the op-by-op expression in its
+    order, and the backward replays its backward steps: the scale, the
+    broadcast of the sum, the weight, the min with a tie sent to the
+    unclipped term, the advantage, the clip's strict interior, the exp.
+    So values and gradients are bitwise those of the composite."""
+    lo, hi = 1.0 - clip_ratio, 1.0 + clip_ratio
+    ratios = np.exp(np.concatenate([lp.data for lp in logprobs]) - acting)
+    unclipped = ratios * adv
+    clipped = np.clip(ratios, lo, hi) * adv
+    value = (np.minimum(unclipped, clipped) * weight).sum() * scale
+
+    def back(g):
+        g_min = np.broadcast_to(g * scale, ratios.shape) * weight
+        take = unclipped <= clipped
+        inside = (ratios > lo) & (ratios < hi)
+        g_ratios = ((g_min * ~take) * adv) * inside + (g_min * take) * adv
+        ends = np.cumsum([len(lp.data) for lp in logprobs])[:-1]
+        return tuple(np.split(g_ratios * ratios, ends))
+
+    return ad.custom_op(value, logprobs, back)
 
 
 def _chunk_loss(params, chunk: _PackedChunk, acting: list, adv, weight, clip_ratio, scale):
@@ -468,15 +499,12 @@ def _chunk_loss(params, chunk: _PackedChunk, acting: list, adv, weight, clip_rat
     clipped-ratio objective min(ratio * A, clip(ratio) * A): one
     vectorised pass with every step weighted by 1 / its trajectory's
     length. adv, weight and acting[0], the acting log-probs, are constant
-    tensors in chunk.order; the first call appends acting[0] from its own
+    arrays in chunk.order; the first call appends acting[0] from its own
     log-probs, so its ratios are exactly one."""
     logprobs = _chunk_logprobs(params, chunk)
     if not acting:
-        acting.append(Tensor(logprobs.data))
-    ratios = ad.exp(logprobs - acting[0])
-    unclipped = ratios * adv
-    clipped = ad.clip(ratios, 1.0 - clip_ratio, 1.0 + clip_ratio) * adv
-    return (ad.minimum(unclipped, clipped) * weight).sum() * scale
+        acting.append(np.concatenate([lp.data for lp in logprobs]))
+    return _clipped_surrogate(logprobs, acting[0], adv, weight, clip_ratio, scale)
 
 
 def _ppo_losses(params: FlowParams, trajectories, advantages, cfg: PpoConfig, temperature):
@@ -497,7 +525,7 @@ def _ppo_losses(params: FlowParams, trajectories, advantages, cfg: PpoConfig, te
     they are the values a separate acting pass would give."""
     if not trajectories:
         raise ValueError("the PPO loss needs at least one trajectory")
-    scale = Tensor(np.array(-1.0 / len(trajectories)))
+    scale = -1.0 / len(trajectories)
     losses = []
     for lo in range(0, len(trajectories), PPO_CHUNK):
         trajs = trajectories[lo : lo + PPO_CHUNK]
@@ -509,8 +537,7 @@ def _ppo_losses(params: FlowParams, trajectories, advantages, cfg: PpoConfig, te
         )[order]
         losses.append(
             partial(
-                _chunk_loss, params, chunk, [], Tensor(adv), Tensor(weight),
-                cfg.clip_ratio, scale,
+                _chunk_loss, params, chunk, [], adv, weight, cfg.clip_ratio, scale
             )
         )
     return losses

@@ -1,13 +1,17 @@
 """Tape ops that only the tests' composite oracles record.
 
-The model records each of these inside a fused node (an encoder layer,
-a head MLP, a batch norm, a Gaussian log-density, a quadrature stack, a
-gather of head inputs), never on its own, so autodiff does not carry
-them. The oracles that pin the fused nodes spell the composites out
-op by op with these copies: each is one autodiff.custom_op node, and
-its forward and backward are the numpy calls the op had in autodiff,
-so a composite built from them computes what it did there.
+The model records each of these inside a fused node (an embedding
+product, an encoder layer, a head MLP, a scale head, a batch norm, a
+Gaussian log-density, a quadrature stack, a gather of head inputs, a
+readout, a clipped-ratio surrogate), never on its own, so autodiff does
+not carry them. The oracles that pin the fused nodes spell the
+composites out op by op with these copies: each is one
+autodiff.custom_op node, and its forward and backward are the numpy
+calls the op had in autodiff, so a composite built from them computes
+what it did there.
 """
+
+from functools import reduce
 
 import numpy as np
 from scipy.special import log_ndtr as _scipy_log_ndtr
@@ -18,6 +22,110 @@ from graphflow.autodiff import Tensor
 
 def _tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def add(a, b) -> Tensor:
+    a, b = _tensor(a), _tensor(b)
+
+    def back(g):
+        return (
+            ad.unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            ad.unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        )
+
+    return ad.custom_op(np.add(a.data, b.data), (a, b), back)
+
+
+def sub(a, b) -> Tensor:
+    a, b = _tensor(a), _tensor(b)
+
+    def back(g):
+        return (
+            ad.unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            ad.unbroadcast(-g, b.data.shape) if b.requires_grad else None,
+        )
+
+    return ad.custom_op(np.subtract(a.data, b.data), (a, b), back)
+
+
+def mul(a, b) -> Tensor:
+    a, b = _tensor(a), _tensor(b)
+
+    def back(g):
+        return (
+            ad.unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            ad.unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
+        )
+
+    return ad.custom_op(np.multiply(a.data, b.data), (a, b), back)
+
+
+def matmul(a, b) -> Tensor:
+    """a @ b for rank >= 2 operands; a constant operand gets no gradient
+    product."""
+    a, b = _tensor(a), _tensor(b)
+
+    def back(g):
+        ga = gb = None
+        if a.requires_grad:
+            ga = ad.unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
+        if b.requires_grad:
+            gb = ad.unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+        return (ga, gb)
+
+    return ad.custom_op(np.matmul(a.data, b.data), (a, b), back)
+
+
+def exp(a: Tensor) -> Tensor:
+    out = np.exp(a.data)
+    return ad.custom_op(out, (a,), lambda g: (g * out,))
+
+
+def clip(a: Tensor, lo: float, hi: float) -> Tensor:
+    """Clamp values to [lo, hi]; the gradient is zero where clamping
+    engaged, at the bounds too."""
+    inside = (a.data > lo) & (a.data < hi)
+    return ad.custom_op(np.clip(a.data, lo, hi), (a,), lambda g: (g * inside,))
+
+
+def minimum(a, b) -> Tensor:
+    """Elementwise min; ties route the gradient to the first argument."""
+    a, b = _tensor(a), _tensor(b)
+    take_a = a.data <= b.data
+
+    def back(g):
+        return (
+            ad.unbroadcast(g * take_a, a.data.shape),
+            ad.unbroadcast(g * ~take_a, b.data.shape),
+        )
+
+    return ad.custom_op(np.minimum(a.data, b.data), (a, b), back)
+
+
+def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    def back(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.data.shape),)
+
+    return ad.custom_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), back)
+
+
+def concat(tensors, axis: int = -1) -> Tensor:
+    tensors = [_tensor(t) for t in tensors]
+    offsets = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+    out = np.concatenate([t.data for t in tensors], axis=axis)
+    return ad.custom_op(out, tensors, lambda g: tuple(np.split(g, offsets, axis=axis)))
+
+
+def weighted_sum(t: Tensor, target) -> Tensor:
+    """sum(t * target) for a constant target: the tests' scalar loss."""
+    return tensor_sum(mul(t, Tensor(target)))
+
+
+def sum_of(tensors) -> Tensor:
+    """The tensors added left to right."""
+    return reduce(add, tensors)
 
 
 def div(a, b) -> Tensor:

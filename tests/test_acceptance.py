@@ -22,6 +22,7 @@ from graphflow import autodiff as ad
 from graphflow import flow
 from graphflow import graph as G
 from graphflow import metrics, rgcn, rl, sampler
+from oracle_ops import sum_of
 
 VOCAB = G.default_atom_vocab()
 BONDS = G.default_bond_vocab()
@@ -301,7 +302,7 @@ def test_criterion_10_ppo_improves_reward(molecules500):
     losses = rl._ppo_losses(sparams, trajs, advantages, cfg, 1.0)
 
     def loss():
-        return sum(f() for f in losses)
+        return sum_of([f() for f in losses])
 
     rel = ad.grad_check(loss, sparams.named_tensors(), h=1e-5)
 

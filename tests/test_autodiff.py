@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from graphflow import autodiff as ad
-from graphflow import flow, rgcn
+from graphflow import flow, graph, rgcn, rl
 from graphflow.autodiff import AdamState, BatchNormState, Tape, Tensor
-from oracle_ops import div, log, logsumexp, relu, reshape, sqrt, take, tanh
+from graphflow.sampler import SamplerConfig
+from oracle_ops import (
+    add, clip, concat, div, exp, log, logsumexp, matmul, minimum, mul, relu, reshape, sqrt,
+    sub, take, tanh, tensor_sum, weighted_sum,
+)
 
 
 def leaf(data, name=""):
@@ -20,7 +24,7 @@ def leaf(data, name=""):
 def test_scalar_chain_matches_hand_derivative():
     x = leaf(0.7)
     with Tape() as tape:
-        y = ad.exp(x) * tanh(x) + x * x
+        y = add(mul(exp(x), tanh(x)), mul(x, x))
         tape.backward(y)
     v = 0.7
     expected = np.exp(v) * np.tanh(v) + np.exp(v) / np.cosh(v) ** 2 + 2 * v
@@ -32,12 +36,12 @@ def _every_op(x):
     k = Tensor(np.full((2, 3), 3.5))
     m = Tensor(np.eye(3))
     return [
-        ad.add(x, k), ad.sub(x, k), ad.mul(x, k), ad.matmul(x, m),
-        ad.exp(x), ad.clip(x, 3.2, 3.8),
-        ad.minimum(x, k), ad.tensor_sum(x, axis=0), ad.concat([x, k], axis=0),
         ad.gaussian_logpdf(x, k, k),
         ad.custom_op(2.0 * x.data, (x,), lambda g: (2.0 * g,)),
+        rgcn._embed(np.eye(2), x), rgcn._readout(x),
         # the test-side copies
+        add(x, k), sub(x, k), mul(x, k), matmul(x, m), exp(x), clip(x, 3.2, 3.8),
+        minimum(x, k), tensor_sum(x, axis=0), concat([x, k], axis=0),
         div(x, k), log(x), reshape(x, (3, 2)), take(x, (np.array([1, 0]),)),
         logsumexp(x, axis=1),
     ]
@@ -71,8 +75,8 @@ def test_grad_check_composite_expression():
     }
 
     def f():
-        h = tanh(params["a"] @ params["b"]) + params["c"]
-        return (ad.exp(h * 0.3) + h * h).sum()
+        h = add(tanh(matmul(params["a"], params["b"])), params["c"])
+        return tensor_sum(add(exp(mul(h, 0.3)), mul(h, h)))
 
     assert ad.grad_check(f, params, h=1e-6) < 1e-7
 
@@ -81,7 +85,7 @@ def test_broadcast_backward_reduces_correctly():
     a = leaf(np.ones((2, 3)))
     b = leaf(np.arange(3.0))
     with Tape() as tape:
-        out = (a * b).sum()
+        out = tensor_sum(mul(a, b))
         tape.backward(out)
     # d/d b[j] = sum over the broadcast rows
     assert np.array_equal(b.grad, np.full(3, 2.0))
@@ -92,7 +96,7 @@ def test_div_and_sqrt_gradients():
     params = {"x": leaf([0.5, 1.5, 2.5]), "y": leaf([2.0, 3.0, 0.7])}
 
     def f():
-        return div(params["x"], sqrt(params["y"])).sum()
+        return tensor_sum(div(params["x"], sqrt(params["y"])))
 
     assert ad.grad_check(f, params, h=1e-6) < 1e-8
 
@@ -102,7 +106,7 @@ def test_matmul_three_dim_batch():
     params = {"a": leaf(rng.normal(size=(4, 3, 2))), "w": leaf(rng.normal(size=(2, 5)))}
 
     def f():
-        return (params["a"] @ params["w"]).sum()
+        return tensor_sum(matmul(params["a"], params["w"]))
 
     assert ad.grad_check(f, params, h=1e-6) < 1e-8
 
@@ -110,14 +114,14 @@ def test_matmul_three_dim_batch():
 def test_relu_gradient_zero_below_kink():
     x = leaf([-1.0, 2.0])
     with Tape() as tape:
-        tape.backward(relu(x).sum())
+        tape.backward(tensor_sum(relu(x)))
     assert np.array_equal(x.grad, [0.0, 1.0])
 
 
 def test_clip_gradient_zero_outside_band():
     x = leaf([-2.0, 0.3, 5.0])
     with Tape() as tape:
-        tape.backward(ad.clip(x, -1.0, 1.0).sum())
+        tape.backward(tensor_sum(clip(x, -1.0, 1.0)))
     assert np.array_equal(x.grad, [0.0, 1.0, 0.0])
 
 
@@ -125,7 +129,7 @@ def test_minimum_routes_ties_to_first_argument():
     a = leaf([1.0, 3.0, 2.0])
     b = leaf([1.0, 2.0, 4.0])
     with Tape() as tape:
-        tape.backward(ad.minimum(a, b).sum())
+        tape.backward(tensor_sum(minimum(a, b)))
     # equal entries send gradient to a, not b
     assert np.array_equal(a.grad, [1.0, 0.0, 1.0])
     assert np.array_equal(b.grad, [0.0, 1.0, 0.0])
@@ -135,7 +139,7 @@ def test_take_accumulates_duplicate_indices():
     x = leaf(np.arange(5.0))
     idx = np.array([1, 1, 4])
     with Tape() as tape:
-        tape.backward(take(x, (idx,)).sum())
+        tape.backward(tensor_sum(take(x, (idx,))))
     assert np.array_equal(x.grad, [0.0, 2.0, 0.0, 0.0, 1.0])
 
 
@@ -143,8 +147,8 @@ def test_concat_splits_gradient():
     a = leaf(np.ones((2, 2)))
     b = leaf(np.ones((2, 3)))
     with Tape() as tape:
-        out = ad.concat([a, b], axis=1) * np.arange(5.0)
-        tape.backward(out.sum())
+        out = mul(concat([a, b], axis=1), np.arange(5.0))
+        tape.backward(tensor_sum(out))
     assert np.array_equal(a.grad, [[0.0, 1.0], [0.0, 1.0]])
     assert np.array_equal(b.grad, [[2.0, 3.0, 4.0], [2.0, 3.0, 4.0]])
 
@@ -155,7 +159,7 @@ def test_logsumexp_matches_scipy_and_gradient():
     x = leaf(data)
     with Tape() as tape:
         out = logsumexp(x, axis=1)
-        tape.backward(out.sum())
+        tape.backward(tensor_sum(out))
     assert np.allclose(out.data, special.logsumexp(data, axis=1), atol=1e-12)
     # gradient of logsumexp is the softmax
     soft = np.exp(data - special.logsumexp(data, axis=1, keepdims=True))
@@ -166,7 +170,7 @@ def test_logsumexp_extreme_values_stay_finite():
     x = leaf([[-1000.0, -1001.0], [1000.0, 999.0]])
     with Tape() as tape:
         out = logsumexp(x, axis=1)
-        tape.backward(out.sum())
+        tape.backward(tensor_sum(out))
     assert np.all(np.isfinite(out.data))
     assert np.all(np.isfinite(x.grad))
 
@@ -190,7 +194,7 @@ def test_gaussian_logpdf_gradients():
     x = Tensor(rng.normal(size=(3, 2)))
 
     def f():
-        return ad.gaussian_logpdf(x, params["mu"], params["alpha"]).sum()
+        return tensor_sum(ad.gaussian_logpdf(x, params["mu"], params["alpha"]))
 
     assert ad.grad_check(f, params, h=1e-6) < 1e-7
 
@@ -203,7 +207,7 @@ def test_gaussian_logpdf_rejects_non_positive_scale():
 def test_backward_requires_scalar():
     x = leaf(np.ones(3))
     with Tape() as tape:
-        y = x * 2.0
+        y = mul(x, 2.0)
         with pytest.raises(ValueError):
             tape.backward(y)
 
@@ -219,7 +223,7 @@ def test_grads_accumulate_across_tapes():
     x = leaf(2.0)
     for _ in range(3):
         with Tape() as tape:
-            tape.backward(x * x)
+            tape.backward(mul(x, x))
     assert abs(x.grad - 12.0) < 1e-12  # 3 tapes, d(x^2)/dx = 4 each
 
 
@@ -230,7 +234,7 @@ def test_accumulate_grads_sums_losses_in_order_and_clears_slots():
     params = {"x": x, "y": y, "untouched": untouched}
     x.grad = np.full(2, 7.0)  # a stale gradient does not leak in
     grads, values = ad.accumulate_grads(
-        params, [lambda: (x * x).sum(), lambda: (x * y).sum() * 2.0]
+        params, [lambda: tensor_sum(mul(x, x)), lambda: mul(tensor_sum(mul(x, y)), 2.0)]
     )
     assert values == [5.0, 18.0]
     assert np.array_equal(grads["x"], [8.0, 10.0])  # 2x + 2y
@@ -248,14 +252,14 @@ def test_accumulate_grads_clears_slots_when_a_loss_raises():
         raise FloatingPointError("non-finite loss")
 
     with pytest.raises(FloatingPointError):
-        ad.accumulate_grads({"w": w}, [lambda: (w * 2.0).sum(), bad])
+        ad.accumulate_grads({"w": w}, [lambda: tensor_sum(mul(w, 2.0)), bad])
     assert w.grad is None
 
 
 def test_zero_grads_clears_slots():
     x = leaf(1.0)
     with Tape() as tape:
-        tape.backward(x * 3.0)
+        tape.backward(mul(x, 3.0))
     ad.zero_grads({"x": x})
     assert x.grad is None
 
@@ -327,8 +331,8 @@ def test_batch_norm_train_gradients():
             np.ones((1, 5, 1)), [slice(None)],
         )
         out = reshape(out, (5, 3))
-        diff = out - target
-        return (diff * diff).sum()
+        diff = sub(out, target)
+        return tensor_sum(mul(diff, diff))
 
     assert ad.grad_check(f, params, h=1e-6) < 1e-6
     # a stack with an all-masked slice
@@ -338,7 +342,7 @@ def test_batch_norm_train_gradients():
 
     def g():
         out = ad.batch_norm(x, gamma, beta, BatchNormState.fresh(x.shape[-1]), mask, [slice(None)])
-        return (out * Tensor(weights)).sum()
+        return weighted_sum(out, weights)
 
     assert ad.grad_check(g, {"x": x, "gamma": gamma, "beta": beta}, h=1e-6) < 1e-6
 
@@ -350,25 +354,33 @@ def _value_and_grads(build, leaves, target):
     # output, tape length and every leaf's gradient of sum(build() * target)
     with Tape() as tape:
         out = build()
-        tape.backward((out * Tensor(target)).sum())
+        tape.backward(weighted_sum(out, target))
     grads = [p.grad for p in leaves]
     ad.zero_grads(leaves)
     return out.data, len(tape.nodes), grads
 
 
-def _check_fused(fused, composite, leaves, seed):
+def _check_bitwise(fused, composite, leaves, seed, one_op=False):
     # one node, bitwise equal to the op-by-op expression in value and in
-    # every parent's gradient, and right by finite differences
+    # every parent's gradient; a node that stands for a single generic op
+    # (one_op) replaces a one-node composite. Returns the loss weights.
     target = np.random.default_rng(seed).normal(size=fused().shape)
     value, nodes, grads = _value_and_grads(fused, leaves, target)
     ref_value, ref_nodes, ref_grads = _value_and_grads(composite, leaves, target)
     assert nodes == 3  # the fused node plus the loss's mul and sum
-    assert ref_nodes > nodes
+    assert ref_nodes == nodes if one_op else ref_nodes > nodes
     assert np.array_equal(value, ref_value)
     for g, ref in zip(grads, ref_grads):
         assert g is not None and np.array_equal(g, ref)
+    return target
+
+
+def _check_fused(fused, composite, leaves, seed, one_op=False):
+    # _check_bitwise, and right by finite differences
+    target = _check_bitwise(fused, composite, leaves, seed, one_op)
+
     def loss():
-        return (fused() * Tensor(target)).sum()
+        return weighted_sum(fused(), target)
 
     params = {str(i): p for i, p in enumerate(leaves)}
     assert ad.grad_check(loss, params, h=1e-6) < 1e-7
@@ -388,7 +400,7 @@ def test_relation_layer_matches_composite(h_shape, adj_shape):
 
     def composite():
         per_relation = reshape(h, h.shape[:-2] + (1,) + h.shape[-2:])
-        return relu(Tensor(adj) @ per_relation @ w).sum(axis=-3) * scale
+        return mul(tensor_sum(relu(matmul(matmul(adj, per_relation), w)), axis=-3), scale)
 
     _check_fused(lambda: rgcn._relation_layer(adj, h, w, scale), composite, [h, w], 1)
 
@@ -403,7 +415,7 @@ def test_mlp_matches_composite(x_shape):
     )
 
     def composite():
-        return tanh(x @ p.w1 + p.b1) @ p.w2 + p.b2
+        return add(matmul(tanh(add(matmul(x, p.w1), p.b1)), p.w2), p.b2)
 
     leaves = [x, p.w1, p.b1, p.w2, p.b2]
     _check_fused(lambda: flow.mlp_apply(p, x), composite, leaves, 2)
@@ -419,10 +431,113 @@ def test_head_input_gather_matches_composite():
 
     def composite():
         parts = [take(pooled, (rows,)), take(h, (rows, i)), take(h, (rows, j))]
-        return ad.concat(parts, axis=-1)
+        return concat(parts, axis=-1)
 
     leaves = [pooled, h]
     _check_fused(lambda: flow._head_inputs(emb, rows, i, j), composite, leaves, 4)
+
+
+@pytest.mark.parametrize("x_shape", [(5, 4), (3, 5, 4)], ids=["rows", "stacked"])
+def test_embed_matches_composite(x_shape):
+    # one-hot rows whose last two are masked to zero, as in a padded
+    # training stack, against the matmul the node replaced: the values,
+    # and the embed gradient are bitwise its, and so are the signs of the
+    # masked rows' zeros (a row gather times the mask would give -0.0
+    # under a negative embed entry)
+    rng = np.random.default_rng(len(x_shape) + 10)
+    x = np.eye(4)[rng.integers(0, 4, size=x_shape[:-1])]
+    x[..., -2:, :] = 0.0
+    embed = leaf(rng.normal(size=(4, 3)))
+
+    def fused():
+        return rgcn._embed(x, embed)
+
+    def composite():
+        return matmul(x, embed)
+
+    _check_fused(fused, composite, [embed], 7, one_op=True)
+    out, ref = fused().data, composite().data
+    assert not out[..., -2:, :].any()
+    assert np.array_equal(np.signbit(out), np.signbit(ref))
+
+
+@pytest.mark.parametrize("h_shape", [(4, 3), (2, 4, 3)], ids=["one", "stacked"])
+def test_readout_matches_composite(h_shape):
+    h = leaf(np.random.default_rng(len(h_shape) + 20).normal(size=h_shape))
+    _check_fused(lambda: rgcn._readout(h), lambda: tensor_sum(h, axis=-2), [h], 8, one_op=True)
+
+
+@pytest.mark.parametrize("x_shape", [(6, 4), (3, 2, 4)], ids=["rows", "stacked"])
+def test_scale_head_matches_composite(x_shape):
+    # raw scales inside the clip band and below it, where the gradient
+    # stops, against the head MLP, clip and exp nodes it replaced
+    rng = np.random.default_rng(len(x_shape) + 30)
+    x = leaf(rng.normal(size=x_shape))
+    p = flow.MlpParams(
+        leaf(rng.normal(size=(4, 3))), leaf(rng.normal(size=3)),
+        leaf(2.0 * rng.normal(size=(3, 2))), leaf(np.array([-8.0, -1.0])),
+    )
+    raw = flow.mlp_apply(p, x).data
+    assert (raw < flow.LOG_ALPHA_MIN).any() and (raw > flow.LOG_ALPHA_MIN).any()
+
+    def composite():
+        return exp(clip(flow.mlp_apply(p, x), flow.LOG_ALPHA_MIN, flow.LOG_ALPHA_MAX))
+
+    leaves = [x, p.w1, p.b1, p.w2, p.b2]
+    _check_fused(lambda: flow._scale_head(p, x), composite, leaves, 9)
+    # above the band too, checked bitwise: exp(7) swamps finite differences
+    p.b2.data = np.array([8.0, 1.0])
+    assert (flow.mlp_apply(p, x).data > flow.LOG_ALPHA_MAX).any()
+    _check_bitwise(lambda: flow._scale_head(p, x), composite, leaves, 9)
+
+
+def _surrogate_composite(logprobs, acting, adv, weight, clip_ratio, scale):
+    # the clipped-ratio surrogate op by op, as rl spelled it before it fused
+    ratios = exp(sub(concat(logprobs, axis=0), acting))
+    unclipped = mul(ratios, adv)
+    clipped = mul(clip(ratios, 1.0 - clip_ratio, 1.0 + clip_ratio), adv)
+    return mul(tensor_sum(mul(minimum(unclipped, clipped), weight)), scale)
+
+
+def _exact_log(ratio):
+    # some d with np.exp(d) == ratio exactly
+    d = np.log(ratio)
+    while np.exp(d) != ratio:
+        d = np.nextafter(d, np.inf if np.exp(d) < ratio else -np.inf)
+    return d
+
+
+@pytest.mark.parametrize("smooth", [True, False], ids=["smooth", "kinks"])
+def test_clipped_surrogate_matches_composite(smooth):
+    # two per-kind log-prob tensors, with ratios exactly at one (where the
+    # two terms tie) and exactly on both clip edges. smooth meets each
+    # edge from the side where the objective has no kink (the lower edge
+    # with a positive advantage, the upper with a negative one), so
+    # finite differences hold there; the other side is a kink, where the
+    # tie rule and the strict clip interior decide the gradient, checked
+    # bitwise only
+    rng = np.random.default_rng(40)
+    clip_ratio = 0.2
+    lo, hi = 1.0 - clip_ratio, 1.0 + clip_ratio
+    lp = rng.normal(-1.0, 0.5, size=12)
+    acting = lp + rng.normal(0.0, 0.3, size=12)
+    adv = rng.normal(size=12)
+    acting[:3] = lp[:3]
+    lp[3:5], lp[5:7], acting[3:7] = _exact_log(lo), _exact_log(hi), 0.0
+    sign = 1.0 if smooth else -1.0
+    adv[3:5], adv[5:7] = sign * np.abs(adv[3:5]), -sign * np.abs(adv[5:7])
+    ratios = np.exp(lp - acting)
+    assert (ratios[:3] == 1.0).all() and (ratios[3:5] == lo).all() and (ratios[5:7] == hi).all()
+    parts = [leaf(lp[:5]), leaf(lp[5:])]
+    args = (acting, adv, rng.uniform(0.1, 1.0, size=12), clip_ratio, -1.0 / 3.0)
+
+    def fused():
+        return rl._clipped_surrogate(parts, *args)
+
+    def composite():
+        return _surrogate_composite(parts, *args)
+
+    (_check_fused if smooth else _check_bitwise)(fused, composite, parts, 10)
 
 
 @pytest.mark.parametrize("x_shape", [(5, 3), (2, 4, 3)], ids=["rows", "stacked"])
@@ -436,8 +551,8 @@ def test_batch_norm_eval_matches_composite(x_shape):
         return ad.batch_norm(x, gamma, beta, state)
 
     def composite():
-        normalized = div(x - state.running_mean, np.sqrt(state.running_var + 1e-5))
-        return normalized * gamma + beta
+        normalized = div(sub(x, state.running_mean), np.sqrt(state.running_var + 1e-5))
+        return add(mul(normalized, gamma), beta)
 
     _check_fused(fused, composite, [x, gamma, beta], 3)
 
@@ -445,8 +560,8 @@ def test_batch_norm_eval_matches_composite(x_shape):
 
 def _gaussian_composite(x, mu, alpha):
     # the log-density op by op, as autodiff spelled it before it fused
-    z = div(x - mu, alpha)
-    return (-0.5 * ad.LOG_TWO_PI) + (-1.0 * log(alpha)) + (-0.5) * z * z
+    z = div(sub(x, mu), alpha)
+    return add(add(-0.5 * ad.LOG_TWO_PI, mul(-1.0, log(alpha))), mul(mul(-0.5, z), z))
 
 
 @pytest.mark.parametrize(
@@ -466,7 +581,7 @@ def test_gaussian_logpdf_matches_composite(mu_shape, alpha_shape):
     _check_fused(fused, lambda: _gaussian_composite(x, mu, alpha), [x, mu, alpha], 5)
     # a constant data point, as the likelihood passes it: no x gradient
     with Tape() as tape:
-        tape.backward(ad.gaussian_logpdf(Tensor(x.data), mu, alpha).sum())
+        tape.backward(tensor_sum(ad.gaussian_logpdf(Tensor(x.data), mu, alpha)))
     assert tape.nodes[0][2](np.ones((4, 3)))[0] is None
     ad.zero_grads([mu, alpha])
 
@@ -475,12 +590,12 @@ def _batch_norm_composite(x, gamma, beta, state, mask):
     # training-mode batch norm op by op, then the mask multiply that zeroes
     # masked rows: the oracle of the fused training-mode node
     inv_total = 1.0 / mask.sum()
-    mean = (x * mask).sum(axis=(0, 1), keepdims=True) * inv_total
-    centered = x - mean
-    var = (centered * centered * mask).sum(axis=(0, 1), keepdims=True) * inv_total
+    mean = mul(tensor_sum(mul(x, mask), axis=(0, 1), keepdims=True), inv_total)
+    centered = sub(x, mean)
+    var = mul(tensor_sum(mul(mul(centered, centered), mask), axis=(0, 1), keepdims=True), inv_total)
     state.update(mean.data.reshape(-1), var.data.reshape(-1))
-    scale = div(gamma, sqrt(var + 1e-5))
-    return (centered * scale + beta) * Tensor(mask)
+    scale = div(gamma, sqrt(add(var, 1e-5)))
+    return mul(add(mul(centered, scale), beta), mask)
 
 
 def _masked_stack(seed):
@@ -515,14 +630,14 @@ def test_batch_norm_segments_are_separate_graphs():
     x = leaf(x_data)
     with Tape() as tape:
         out = ad.batch_norm(x, gamma, beta, state, mask, segments)
-        tape.backward((out * Tensor(target)).sum())
+        tape.backward(weighted_sum(out, target))
     assert len(tape.nodes) == 3
     assert not out.data[3].any() and not x.grad[3].any()
     for seg in segments:
         part = leaf(x_data[seg])
         with Tape() as tape:
             ref = ad.batch_norm(part, gamma, beta, ref_state, mask[seg], [slice(None)])
-            tape.backward((ref * Tensor(target[seg])).sum())
+            tape.backward(weighted_sum(ref, target[seg]))
         assert np.array_equal(out.data[seg], ref.data)
         assert np.array_equal(x.grad[seg], part.grad)
     assert np.array_equal(state.running_mean, ref_state.running_mean)
@@ -555,13 +670,58 @@ def test_batch_norm_train_matches_composite():
 def test_elementwise_backward_skips_constant_operands():
     x = leaf([[1.0, 2.0], [3.0, 4.0]])
     c = Tensor([0.5, 2.0])
-    for op in (ad.add, ad.sub, ad.mul, div):
+    for op in (add, sub, mul, div):
         for a, b in ((x, c), (c, x)):
             with Tape() as tape:
                 out = op(a, b)
             _, parents, back = tape.nodes[-1]
             grads = back(np.ones_like(out.data))
             assert [g is None for g in grads] == [p is c for p in parents]
+
+
+GENERIC_OPS = (
+    "add", "sub", "mul", "div", "matmul", "exp", "log", "clip", "minimum", "tensor_sum",
+    "concat", "reshape", "take", "_broadcast_op", "_wrap",
+)
+TENSOR_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__",
+    "__matmul__", "sum",
+)
+MODEL_OPS = {
+    "_embed", "_relation_layer", "_place", "batch_norm", "_readout", "_head_inputs",
+    "mlp_apply", "_scale_head", "gaussian_logpdf", "_negated_total", "_scaled_sum",
+    "_stacked_action_logprobs", "_clipped_surrogate",
+}
+
+
+def test_tapes_hold_named_model_ops_only(monkeypatch):
+    # autodiff carries no generic op and a Tensor no arithmetic, and every
+    # node on the tapes that training and fine-tuning differentiate is
+    # one of the model's named ops, defined in graphflow; between them
+    # the two runs record each of those ops
+    assert [name for name in GENERIC_OPS if hasattr(ad, name)] == []
+    assert [name for name in TENSOR_ARITHMETIC if hasattr(Tensor, name)] == []
+    seen = set()
+    backward = Tape.backward
+
+    def recording(tape, loss):
+        seen.update((back.__module__, back.__qualname__.split(".")[0]) for _, _, back in tape.nodes)
+        return backward(tape, loss)
+
+    monkeypatch.setattr(Tape, "backward", recording)
+    spec = flow.ModelSpec(width=6, layers=1, window=3, max_size=6)
+    mols = graph.gen_synthetic_molecules(
+        8, 5, spec.vocab, spec.bonds, np.random.default_rng(0)
+    )
+    params = flow.init_flow_params(spec, np.random.default_rng(1), zero_init_heads=False)
+    flow.train(mols, params, spec, flow.TrainConfig(epochs=1, batch_size=8),
+               np.random.default_rng(2))
+    scorer = rl.make_scorer("toy:atom-count", spec.vocab, spec.bonds)
+    rl.finetune(params, spec, scorer, rl.RewardConfig(), rl.PpoConfig(batch_size=4),
+                SamplerConfig(temperature=0.8), iterations=1, rng=np.random.default_rng(3))
+    assert {module for module, _ in seen} <= {"graphflow.rgcn", "graphflow.flow",
+                                              "graphflow.autodiff", "graphflow.rl"}
+    assert {op for _, op in seen} == MODEL_OPS
 
 
 def test_adam_first_step_matches_hand_computation():
@@ -600,6 +760,6 @@ def test_grad_check_flags_missing_dependency():
     x = leaf(1.5)
 
     def f():
-        return x * x + float(x.data) * 3.0
+        return add(mul(x, x), float(x.data) * 3.0)
 
     assert ad.grad_check(f, {"x": x}, h=1e-6) > 1e-2

@@ -427,9 +427,9 @@ def _op_histogram(tape) -> dict:
 def test_training_graph_tape_length():
     # one 10-atom graph at the benchmark's training shape (width 16, two
     # layers, window 12): six encoder nodes (embedding product, two
-    # layers, the placement in step order, batch norm, column sum), one
-    # gather of head inputs, four head nodes (two MLPs, clip, exp) and
-    # one log-density node per step kind, and one NLL node per graph.
+    # layers, the placement in step order, batch norm, readout), and per
+    # step kind one gather of head inputs, one mean head, one scale head
+    # and one log-density node, and one NLL node per graph: 15 nodes.
     # Four graphs of 4, 6, 8 and 10 atoms on one tape add an embedding
     # product and two layers per further graph size, and an NLL node
     # per further graph.
@@ -437,16 +437,16 @@ def test_training_graph_tape_length():
     params = flow.init_flow_params(spec, np.random.default_rng(0))
     mols = molecules(3, 64, max_atoms=10)
     graphs = [next(m for m in mols if m.n == n) for n in (4, 6, 8, 10)]
-    per_kind = {"_head_inputs": 2, "mlp_apply": 4, "clip": 2, "exp": 2, "gaussian_logpdf": 2}
-    encoder = {"_place": 1, "batch_norm": 1, "tensor_sum": 1}
-    for chunk, count, nodes in ((graphs[-1], 1, 19), (graphs, 4, 31)):
+    per_kind = {"_head_inputs": 2, "mlp_apply": 2, "_scale_head": 2, "gaussian_logpdf": 2}
+    encoder = {"_place": 1, "batch_norm": 1, "_readout": 1}
+    for chunk, count, nodes in ((graphs[-1], 1, 15), (graphs, 4, 27)):
         # count graphs, each of its own size
         with ad.Tape() as tape:
             flow.log_likelihood_parallel(
                 chunk, params, spec, rng=np.random.default_rng(4), training=True
             )
         assert _op_histogram(tape) == {
-            **per_kind, **encoder, "matmul": count, "_relation_layer": 2 * count,
+            **per_kind, **encoder, "_embed": count, "_relation_layer": 2 * count,
             "_negated_total": count,
         }
         assert len(tape.nodes) == nodes

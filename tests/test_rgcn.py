@@ -9,6 +9,7 @@ from graphflow import graph as G
 from graphflow import rgcn
 from graphflow.autodiff import BatchNormState
 from graphflow.graph import GraphError, MolecularGraph, empty_categories
+from oracle_ops import mul, sub, tensor_sum, weighted_sum
 
 VOCAB = G.default_atom_vocab()
 BONDS = G.default_bond_vocab()
@@ -217,7 +218,7 @@ def test_each_layer_records_one_node_per_op():
     # node: under a tape each layer adds exactly one node, and nothing to
     # assemble its weights; the placement of the group outputs in step
     # order is one node, training-mode batch norm, which also zeroes the
-    # masked rows, is one node, and the column sum follows it
+    # masked rows, is one node, and the readout follows it
     g = molecule(4, max_atoms=6)[0]
     steps = [("node", i) for i in range(1, g.n + 1)]
     nodes = []
@@ -228,7 +229,7 @@ def test_each_layer_records_one_node_per_op():
         nodes.append(len(tape.nodes))
         ops = [back.__qualname__.split(".")[0] for _, _, back in tape.nodes]
         assert ops == (
-            ["matmul"] + ["_relation_layer"] * layers + ["_place", "batch_norm", "tensor_sum"]
+            ["_embed"] + ["_relation_layer"] * layers + ["_place", "batch_norm", "_readout"]
         )
     assert np.diff(nodes).tolist() == [1, 1]
 
@@ -242,8 +243,8 @@ def test_gradient_through_stacked_encoder():
 
     def f():
         out = rgcn.encode_step_batch(g, steps, params, training=True)
-        diff = out.graph_embedding - target
-        return (diff * diff).sum()
+        diff = sub(out.graph_embedding, target)
+        return tensor_sum(mul(diff, diff))
 
     assert ad.grad_check(f, named, h=1e-5) < 1e-5
 
@@ -453,12 +454,12 @@ def test_training_pack_gradients_are_the_sum_of_one_graph_tapes():
 
     def packed():
         out = rgcn.encode_step_batch(owners, steps, params, training=True)
-        return (out.graph_embedding * ad.Tensor(target)).sum()
+        return weighted_sum(out.graph_embedding, target)
 
     def per_graph(g, run, rows):
         def loss():
             out = rgcn.encode_step_batch(g, run, params, training=True)
-            return (out.graph_embedding * ad.Tensor(target[rows])).sum()
+            return weighted_sum(out.graph_embedding, target[rows])
         return loss
 
     bounds = np.cumsum([0] + [len(run) for run in runs])

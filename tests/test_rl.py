@@ -5,6 +5,7 @@ checks, scorers, and constrained generation."""
 
 import copy
 import re
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from graphflow import rl
 from graphflow.autodiff import Tensor
 from graphflow.graph import MolecularGraph, empty_categories
 from graphflow.sampler import SampleTrace, SamplerConfig, TraceStep, sample_molecule
-from oracle_ops import div, logsumexp, reshape, take
+from oracle_ops import add, div, logsumexp, mul, reshape, sub, sum_of, take, tensor_sum, weighted_sum
 from oracle_ops import log_ndtr as oracle_log_ndtr
 
 VOCAB = G.default_atom_vocab()
@@ -165,33 +166,36 @@ def test_log_ndtr_gradient_is_exp_ratio():
     params = {"x": Tensor(np.array([-8.0, -2.0, 0.0, 1.5]), requires_grad=True)}
 
     def f():
-        return oracle_log_ndtr(params["x"]).sum()
+        return tensor_sum(oracle_log_ndtr(params["x"]))
 
     assert ad.grad_check(f, params, h=1e-6) < 1e-7
 
 
-def _composed_logprobs(mu, alpha, grid_u, grid_logw, actions):
-    # the quadrature as a chain of elementwise tape ops over all D
-    # columns, the own category masked to zero: the oracle for the
-    # fused node's values and gradients. The categories lie on the
-    # leading axis, which numpy sums one term at a time in category
-    # order; over a trailing axis it sums 8 or more terms pairwise.
+def _composed_logprobs(mu, alpha, grid_u, grid_logw, actions, temperature=1.0):
+    # the temperature product, then the quadrature as a chain of
+    # elementwise tape ops over all D columns, the own category masked
+    # to zero: the oracle for the fused node's values and gradients. The
+    # categories lie on the leading axis, which numpy sums one term at a
+    # time in category order; over a trailing axis it sums 8 or more
+    # terms pairwise.
+    if temperature != 1.0:
+        alpha = mul(alpha, np.array(temperature))
     s_count, d = mu.data.shape
     q = grid_u.shape[1]
     rows = np.arange(s_count)
     mu_c = reshape(take(mu, (rows, actions)), (s_count, 1))
     alpha_c = reshape(take(alpha, (rows, actions)), (s_count, 1))
-    z_top = mu_c + alpha_c * Tensor(grid_u)
+    z_top = add(mu_c, mul(alpha_c, grid_u))
     by_category = (rows[None, :], np.arange(d)[:, None])  # (D, S) transpose
     mu_t = reshape(take(mu, by_category), (d, s_count, 1))
     alpha_t = reshape(take(alpha, by_category), (d, s_count, 1))
-    y = div(reshape(z_top, (1, s_count, q)) - mu_t, alpha_t)
+    y = div(sub(reshape(z_top, (1, s_count, q)), mu_t), alpha_t)
     log_cdf = oracle_log_ndtr(y)
     keep = np.ones((d, s_count, 1))
     keep[actions, rows, 0] = 0.0
-    tail = (log_cdf * Tensor(keep)).sum(axis=0)
+    tail = tensor_sum(mul(log_cdf, keep), axis=0)
     const = grid_logw + (-0.5 * grid_u * grid_u - 0.5 * rl.LOG_TWO_PI)
-    return logsumexp(tail + Tensor(const), axis=1)
+    return logsumexp(add(tail, const), axis=1)
 
 
 def _hard_stack(rng, s_count, d, temperature=1.0):
@@ -214,9 +218,8 @@ def _logprobs_and_grads(fn, mu, alpha, temperature, u, logw, actions, weights):
     mu_t = Tensor(mu, requires_grad=True)
     alpha_t = Tensor(alpha, requires_grad=True)
     with ad.Tape() as tape:
-        scaled = alpha_t * Tensor(np.array(temperature)) if temperature != 1.0 else alpha_t
-        lp = fn(mu_t, scaled, u, logw, actions)
-        tape.backward((lp * Tensor(weights)).sum())
+        lp = fn(mu_t, alpha_t, u, logw, actions, temperature)
+        tape.backward(weighted_sum(lp, weights))
     return lp.data, mu_t.grad, alpha_t.grad
 
 
@@ -291,12 +294,12 @@ def test_fused_gradient_matches_finite_differences():
         alpha = np.exp(rng.uniform(-0.5, 0.5, size=(5, d)))
         actions = rng.integers(0, d, size=5)
         u, logw = rl.argmax_region_grid(mu, alpha, actions)
-        weights = Tensor(rng.normal(size=5))
+        weights = rng.normal(size=5)
         named = {"mu": Tensor(mu, requires_grad=True), "alpha": Tensor(alpha, requires_grad=True)}
 
         def loss():
             lp = rl._stacked_action_logprobs(named["mu"], named["alpha"], u, logw, actions)
-            return (lp * weights).sum()
+            return weighted_sum(lp, weights)
 
         assert ad.grad_check(loss, named, h=1e-5) < 1e-5
 
@@ -495,9 +498,9 @@ def collect_small(params, spec, count=3, seed=9, reward_cfg=None, sampler_cfg=No
 
 
 def chunk_logprobs(params, trajs, temperature=1.0):
-    """(lp, order) of one packed chunk pass over trajs."""
+    """(lp, order) of one packed chunk pass over trajs, lp as one array."""
     chunk = rl._pack_chunk(params, trajs, temperature)
-    return rl._chunk_logprobs(params, chunk), chunk.order
+    return np.concatenate([lp.data for lp in rl._chunk_logprobs(params, chunk)]), chunk.order
 
 
 def acting_logprobs(loss):
@@ -509,7 +512,7 @@ def acting_logprobs(loss):
     if not acting:
         with ad.Tape():
             loss()
-    return acting[0].data
+    return acting[0]
 
 
 def held_acting(params, trajs, temperature=1.0):
@@ -525,7 +528,7 @@ def with_acting(loss, trajs, shift):
     moved by shift(traj), an array in trace order."""
     params, chunk, _, *rest = loss.args
     moved = acting_logprobs(loss) + np.concatenate([shift(t) for t in trajs])[chunk.order]
-    return partial(rl._chunk_loss, params, chunk, [Tensor(moved)], *rest)
+    return partial(rl._chunk_loss, params, chunk, [moved], *rest)
 
 
 def test_collected_logprobs_reproduce_bitwise():
@@ -540,7 +543,7 @@ def test_collected_logprobs_reproduce_bitwise():
     lp, order = chunk_logprobs(params, trajs)
     [(chunk, stored)] = held_acting(params, trajs)
     assert np.array_equal(chunk.order, order)
-    assert np.array_equal(lp.data, stored)
+    assert np.array_equal(lp, stored)
 
 
 def _reference_logprobs(params, traj, temperature):
@@ -565,13 +568,13 @@ def _assert_chunk_matches_reference(params, trajs, temperature, acting_params=No
     lp, order = chunk_logprobs(params, trajs, temperature)
     ref = np.concatenate([_reference_logprobs(params, t, temperature) for t in trajs])
     assert sorted(order) == list(range(len(ref)))
-    assert np.abs(lp.data - ref[order]).max() < 1e-12
+    assert np.abs(lp - ref[order]).max() < 1e-12
     [(chunk, stored)] = held_acting(acting_params or params, trajs, temperature)
     assert np.array_equal(chunk.order, order)
     if acting_params is None:
-        assert np.abs(lp.data - stored).max() < 1e-12
+        assert np.abs(lp - stored).max() < 1e-12
     else:
-        assert np.abs(lp.data - stored).max() > 1e-6
+        assert np.abs(lp - stored).max() > 1e-6
 
 
 def test_chunk_logprobs_match_per_step_reference():
@@ -628,7 +631,7 @@ def test_acting_logprobs_reproduce_bitwise_across_chunks():
     for lo, (chunk, stored) in zip(starts, held):
         lp, order = chunk_logprobs(params, trajs[lo : lo + rl.PPO_CHUNK], 1.3)
         assert np.array_equal(chunk.order, order)
-        assert np.array_equal(lp.data, stored)
+        assert np.array_equal(lp, stored)
 
 
 def test_chunk_pack_matches_fresh_encoder_pass_bitwise():
@@ -651,13 +654,41 @@ def test_chunk_pack_matches_fresh_encoder_pass_bitwise():
         rgcn.encode_step_batch(pack.graphs[1:], pack.steps[1:], params.rgcn, pack=pack)
 
 
+@pytest.mark.parametrize("temperature", [1.0, 0.8])
+def test_ppo_chunk_tape_length(temperature):
+    # one chunk of 16 trajectories at the benchmark's shape (width 16, two
+    # layers, window 12): per group of equal-size states an embedding
+    # product and two layers, then the placement, batch norm, readout,
+    # and per step kind a gather, a mean head, a scale head and one
+    # quadrature node (the temperature folded in), and one surrogate
+    # node: 3 * 11 + 12 = 45 nodes at either temperature for this draw
+    spec = flow.ModelSpec(width=16, layers=2, window=12, max_size=12)
+    params = flow.init_flow_params(spec, np.random.default_rng(0), zero_init_heads=False)
+    scorer = rl.make_scorer("toy:atom-count", spec.vocab, spec.bonds)
+    trajs, _ = rl.collect_trajectories(
+        params, spec, SamplerConfig(temperature=temperature), rl.RewardConfig(), scorer,
+        rl.PPO_CHUNK, np.random.default_rng(1),
+    )
+    assert len(trajs) == rl.PPO_CHUNK
+    [loss] = rl._ppo_losses(params, trajs, [t.returns for t in trajs], rl.PpoConfig(), temperature)
+    with ad.Tape() as tape:
+        loss()
+    ops = Counter(back.__qualname__.split(".")[0] for _, _, back in tape.nodes)
+    per_kind = {"_head_inputs": 2, "mlp_apply": 2, "_scale_head": 2, "_stacked_action_logprobs": 2}
+    assert dict(ops) == {
+        "_embed": 11, "_relation_layer": 22, "_place": 1, "batch_norm": 1, "_readout": 1,
+        **per_kind, "_clipped_surrogate": 1,
+    }
+    assert len(tape.nodes) == 45
+
+
 def batch_loss(params, trajs, baselines, cfg):
     """The batch surrogate loss as a zero-argument callable: the sum of
     the update's chunk losses, with acting log-probs read at params now,
     built on whatever tape is active when it is called."""
     advantages = [baselines.advantages(t) for t in trajs]
     losses = rl._ppo_losses(params, trajs, advantages, cfg, 1.0)
-    return lambda: sum(f() for f in losses)
+    return lambda: sum_of([f() for f in losses])
 
 
 def test_ppo_loss_at_acting_params_is_mean_advantage():
@@ -721,7 +752,7 @@ def test_chunked_ppo_gradient_matches_finite_differences_at_temperature():
     named = params.named_tensors()
 
     def loss():
-        return sum(f() for f in losses)
+        return sum_of([f() for f in losses])
 
     assert ad.grad_check(loss, named, h=1e-5) < 1e-4
 
@@ -751,7 +782,7 @@ def test_chunked_update_gradient_matches_one_tape_gradient():
     named = params.named_tensors()
     grads, values = ad.accumulate_grads(named, losses)
     with ad.Tape() as tape:
-        total = sum(f() for f in losses)
+        total = sum_of([f() for f in losses])
         tape.backward(total)
     assert abs(sum(values) - float(total.data)) < 1e-12
     # every trajectory counted once: the mean of one-trajectory objectives
