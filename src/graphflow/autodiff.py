@@ -37,10 +37,18 @@ The broadcasting ops the composites are spelled with (add, mul, matmul,
 exp, clip, minimum, sums, concat, ...) live in the tests as oracle_ops,
 and the tests pin every fused node against its composite built from
 them.
+
+Workspace: on a tape, the quadrature's and relation layers' large temporaries
+are views of Tape.block, one float64 array, taken by scratch() as a stack and
+written through out= by the same ufuncs in order. A buffer a backward reads
+(keep=True) is held until tape exit, any other until its op or backward
+returns; the block grows at exit to the largest live set. No op output or
+gradient lives in it. With no tape, scratch() returns None: numpy allocates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +58,18 @@ BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
 
 _ACTIVE_TAPE = None
+
+
+def scratch(shape, keep: bool = False) -> np.ndarray | None:
+    """A workspace array on an active tape (held to its exit if keep), else None."""
+    if (tape := _ACTIVE_TAPE) is None:
+        return None
+    start, tape.top = tape.top, tape.top + math.prod(shape)
+    tape.need = max(tape.need, tape.top)
+    tape.kept = tape.top if keep else tape.kept
+    if tape.top > Tape.block.size:  # too small until it grows at tape exit
+        return np.empty(shape)
+    return Tape.block[start : tape.top].reshape(shape)
 
 
 class Tensor:
@@ -84,8 +104,11 @@ class Tape:
     does not open tapes itself but goes through accumulate_grads.
     """
 
+    block = np.empty(0)  # the workspace, shared by every tape
+
     def __init__(self):
         self.nodes = []
+        self.top = self.kept = self.need = 0  # workspace elements taken, held, most taken
 
     def __enter__(self):
         global _ACTIVE_TAPE
@@ -97,10 +120,14 @@ class Tape:
     def __exit__(self, *exc):
         global _ACTIVE_TAPE
         _ACTIVE_TAPE = None
+        if self.need > Tape.block.size:
+            Tape.block = np.empty(self.need)
         return False
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(leaf) into .grad for every leaf tensor."""
+        if _ACTIVE_TAPE is not self:
+            raise RuntimeError("backward needs its tape active, inside its with block")
         if loss.data.ndim != 0:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         pending = {id(loss): np.ones((), dtype=np.float64)}
@@ -119,6 +146,7 @@ class Tape:
                 else:
                     pending[key] = pg
                     holders[key] = parent
+            self.top = self.kept  # the closure's temporaries go back
         # whatever was never popped is a leaf of this tape
         for key, g in pending.items():
             leaf = holders[key]
@@ -143,8 +171,10 @@ def custom_op(data, parents, back) -> Tensor:
             requires_grad = True
             break
     out = Tensor(data, requires_grad)
-    if _ACTIVE_TAPE is not None and requires_grad:
-        _record(out, parents, back)
+    if _ACTIVE_TAPE is not None:
+        _ACTIVE_TAPE.top = _ACTIVE_TAPE.kept  # the op's temporaries go back
+        if requires_grad:
+            _record(out, parents, back)
     return out
 
 

@@ -164,7 +164,7 @@ def _off_diagonal(n: int) -> np.ndarray:
 
 
 def _one_hot_adjacency(g: MolecularGraph, undecided_row=None) -> np.ndarray:
-    """(R, n, n) one-hot slices of the off-diagonal categories, R = no_edge + 1.
+    """(R, n, n) boolean one-hot slices of the off-diagonal categories, R = no_edge + 1.
 
     undecided_row = (i, lim) drops slots (i, j) for j >= lim from every
     slice: those pairs are not yet decided during generation, which is
@@ -172,7 +172,7 @@ def _one_hot_adjacency(g: MolecularGraph, undecided_row=None) -> np.ndarray:
     later and are not affected.
     """
     hit = g.categories[None, :, :] == np.arange(g.no_edge + 1)[:, None, None]
-    a = (hit & _off_diagonal(g.n)).astype(np.float64)
+    a = hit & _off_diagonal(g.n)
     if undecided_row is not None:
         i, lim = undecided_row
         a[:, i, lim:] = 0.0
@@ -181,10 +181,9 @@ def _one_hot_adjacency(g: MolecularGraph, undecided_row=None) -> np.ndarray:
 
 
 def _normalized_adjacency(slices: np.ndarray) -> np.ndarray:
-    """Symmetric degree normalization of each slice after adding self loops."""
+    """Symmetric degree normalization of each boolean slice after adding self loops."""
     tilde = slices + _identity(slices.shape[-1])
-    deg = tilde.sum(axis=-1)
-    inv_sqrt = 1.0 / np.sqrt(deg)
+    inv_sqrt = 1.0 / np.sqrt(tilde @ np.ones(tilde.shape[-1]))  # exact degrees: entries are 0 or 1
     return tilde * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
 
 
@@ -212,27 +211,32 @@ def _relation_layer(adj: np.ndarray, h: Tensor, w: Tensor, scale: float) -> Tens
     and gradients are bitwise those of the op-by-op expression, except
     that g @ w^T reads a contiguous copy of w^T (a transposed view took
     2.7x as long on a (110, R, 10, 16) stack, numpy 2.4 and OpenBLAS
-    0.3.31 on one Xeon core), which BLAS may sum in another order. Only
-    the Q > 0 mask is kept for the backward, which recomputes P with the
-    forward's own call.
+    0.3.31 on one Xeon core), which BLAS may sum in another order. The
+    backward keeps only the Q > 0 mask and recomputes P; on a tape, P,
+    Q and the backward's temporaries are workspace buffers.
     """
     stacked = h.data.shape[:-2] + (1,) + h.data.shape[-2:]
-    q = np.matmul(np.matmul(adj, h.data.reshape(stacked)), w.data)
+    if ad._ACTIVE_TAPE is None:  # as in sampling: no workspace, no backward
+        q = np.matmul(np.matmul(adj, h.data.reshape(stacked)), w.data)
+        return ad.custom_op(np.maximum(q, 0.0).sum(axis=-3) * scale, (h, w), None)
+    p = np.matmul(adj, h.data.reshape(stacked), out=ad.scratch(adj.shape[:-1] + w.data.shape[-1:]))
+    q = np.matmul(p, w.data, out=ad.scratch(p.shape))  # (..., R, n, k), as are P and active
     active = q > 0.0
 
     def back(g):
-        gq = np.expand_dims(g * scale, -3) * active
-        gh = gw = None
+        gq = np.multiply(np.expand_dims(g * scale, -3), active, out=ad.scratch(active.shape))
+        p, gp, gh, gw = ad.scratch(active.shape), ad.scratch(active.shape), None, None
         if w.requires_grad:
-            p = np.matmul(adj, h.data.reshape(stacked))
-            gw = ad.unbroadcast(np.matmul(np.swapaxes(p, -1, -2), gq), w.data.shape)
+            p = np.matmul(adj, h.data.reshape(stacked), out=p)
+            stack = ad.scratch(gq.shape[:-2] + w.data.shape[1:])  # its sum is a fresh array
+            gw = np.matmul(p.swapaxes(-1, -2), gq, out=stack).sum(axis=tuple(range(adj.ndim - 3)))
         if h.requires_grad:
-            gp = np.matmul(gq, np.ascontiguousarray(np.swapaxes(w.data, -1, -2)))
-            gh = ad.unbroadcast(np.matmul(np.swapaxes(adj, -1, -2), gp), stacked)
-            gh = gh.reshape(h.data.shape)
+            gp = np.matmul(gq, np.ascontiguousarray(w.data.swapaxes(-1, -2)), out=gp)
+            gh = ad.unbroadcast(np.matmul(np.swapaxes(adj, -1, -2), gp, out=p), stacked)
+            gh = gh.reshape(h.data.shape)  # a fresh array: a vocabulary has R >= 2 relations
         return (gh, gw)
 
-    return ad.custom_op(np.maximum(q, 0.0).sum(axis=-3) * scale, (h, w), back)
+    return ad.custom_op(np.maximum(q, 0.0, out=q).sum(axis=-3) * scale, (h, w), back)
 
 
 def _embed(x: np.ndarray, embed: Tensor) -> Tensor:
@@ -327,8 +331,7 @@ def build_step_masks(g: MolecularGraph, steps) -> tuple:
     """
     keep, node_mask = _step_layout(g.n, tuple(steps))
     one_hot = _one_hot_adjacency(g)  # (R, n, n)
-    masked = one_hot[None, :, :, :] * keep[:, None, :, :]
-    norm_adj = _normalized_adjacency(masked)
+    norm_adj = _normalized_adjacency(one_hot[None, :, :, :] & keep[:, None, :, :])
     norm_adj.flags.writeable = False
     return norm_adj, node_mask
 

@@ -141,7 +141,7 @@ def _stacked_action_logprobs(
     mu: Tensor,
     alpha: Tensor,
     grid_u: np.ndarray,
-    grid_logw: np.ndarray,
+    grid_base: np.ndarray,
     actions: np.ndarray,
     temperature: float = 1.0,
 ) -> Tensor:
@@ -149,10 +149,10 @@ def _stacked_action_logprobs(
     the scales alpha * temperature.
 
     mu and alpha are (S, D) tensors (or constants wrapped as tensors);
-    grid_u and grid_logw are (S, Q) with unused slots padded by -inf
-    log-weight. Returns an (S,) tensor recorded as one tape node. The
-    temperature multiplies alpha before, and the alpha gradient after,
-    the quadrature, as a separate product node would.
+    grid_u and grid_base, the weight-free terms logw + log phi(u), are
+    (S, Q) with unused slots padded by -inf. Returns an (S,) tensor
+    recorded as one tape node. The temperature multiplies alpha before,
+    and the alpha gradient after, the quadrature, as a product node would.
 
     Row s with action c is logsumexp_q(logw_q + log phi(u_q) + sum_{k != c}
     log Phi(y_qk)), y_qk = (mu_c + alpha_c u_q - mu_k) / alpha_k, so the
@@ -168,31 +168,36 @@ def _stacked_action_logprobs(
     mu_k = np.take_along_axis(mu.data, others, 1).T[:, :, None]  # (D-1, S, 1)
     alpha_k = np.take_along_axis(scaled, others, 1).T[:, :, None]
     z_top = mu.data[rows, actions][:, None] + scaled[rows, actions][:, None] * grid_u
-    y = (z_top - mu_k) / alpha_k  # (D-1, S, Q)
-    log_cdf = log_ndtr(y)
+    y = np.subtract(z_top, mu_k, out=ad.scratch((d - 1,) + grid_u.shape, keep=True))
+    np.divide(y, alpha_k, out=y)  # (D-1, S, Q)
+    log_cdf = log_ndtr(y, out=ad.scratch(y.shape, keep=True))
+    terms = ad.scratch(grid_u.shape, keep=True)
     # competitors summed in ascending order, one add at a time; the own
     # category is left out rather than masked, as its masked term would
     # be -0.0 and add nothing
     tail = log_cdf[0]
     for part in log_cdf[1:]:
-        tail = tail + part
-    # padded slots carry -inf log-weight and drop out of the logsumexp
-    terms = tail + (grid_logw + (-0.5 * grid_u * grid_u - 0.5 * LOG_TWO_PI))
+        tail = np.add(tail, part, out=terms)
+    # padded slots carry -inf and drop out of the logsumexp
+    terms = np.add(tail, grid_base, out=terms)
     top = terms.max(axis=1, keepdims=True)
-    shifted = np.exp(terms - top)
+    shifted = np.exp(np.subtract(terms, top, out=terms), out=terms)
     total = shifted.sum(axis=1, keepdims=True)
 
     def back(g):
-        hazard = np.exp(-0.5 * y * y - 0.5 * LOG_TWO_PI - log_cdf)
+        hazard = np.multiply(-0.5, y, out=ad.scratch(y.shape))
+        np.subtract(np.multiply(hazard, y, out=hazard), 0.5 * LOG_TWO_PI, out=hazard)
+        np.exp(np.subtract(hazard, log_cdf, out=hazard), out=hazard)
         # d lp / d y_kq times d y_kq / d mu_c; padded slots have weight zero
-        dy = (g[:, None] * (shifted / total)) * hazard / alpha_k  # (D-1, S, Q)
+        dy = np.multiply(g[:, None] * (shifted / total), hazard, out=hazard)
+        np.divide(dy, alpha_k, out=dy)  # (D-1, S, Q)
         dy_k = dy.sum(axis=2)  # (D-1, S)
         grad_mu = np.zeros((s_count, d))
         grad_alpha = np.zeros((s_count, d))
         np.put_along_axis(grad_mu, others, -dy_k.T, 1)
-        np.put_along_axis(grad_alpha, others, -(dy * y).sum(axis=2).T, 1)
         grad_mu[rows, actions] = dy_k.sum(axis=0)
         grad_alpha[rows, actions] = (dy.sum(axis=0) * grid_u).sum(axis=1)
+        np.put_along_axis(grad_alpha, others, -np.multiply(dy, y, out=dy).sum(axis=2).T, 1)
         return grad_mu, grad_alpha * temperature
 
     return ad.custom_op(np.squeeze(top + np.log(total), axis=1), (mu, alpha), back)
@@ -211,7 +216,8 @@ def action_logprobs(
     d = mu.shape[0]
     mu, alpha, actions = np.tile(mu, (d, 1)), np.tile(alpha, (d, 1)), np.arange(d)
     u, logw = argmax_region_grid(mu, alpha, actions, fine=True)
-    raw = _stacked_action_logprobs(Tensor(mu), Tensor(alpha), u, logw, actions)
+    base = logw + (-0.5 * u * u - 0.5 * LOG_TWO_PI)
+    raw = _stacked_action_logprobs(Tensor(mu), Tensor(alpha), u, base, actions)
     return raw.data - logsumexp(raw.data)
 
 
@@ -424,7 +430,7 @@ class _PackedChunk:
     """
 
     pack: rgcn.StepPack
-    kinds: list  # (kind, actions, grid u, grid log-weights), node before edge
+    kinds: list  # (kind, actions, grid u, grid logw + log phi(u)), node before edge
     temperature: float
 
     @property
@@ -450,7 +456,7 @@ def _pack_chunk(params: FlowParams, trajectories, temperature: float = 1.0) -> _
             np.stack([steps[f].alpha for f in rows]) * temperature,
             actions,
         )
-        kinds.append((kind, actions, u, logw))
+        kinds.append((kind, actions, u, logw + (-0.5 * u * u - 0.5 * LOG_TWO_PI)))
     return _PackedChunk(pack=pack, kinds=kinds, temperature=temperature)
 
 
@@ -462,8 +468,8 @@ def _chunk_logprobs(params: FlowParams, chunk: _PackedChunk) -> list:
     mu_x, alpha_x, mu_a, alpha_a = _stacked_conditionals(chunk.pack, params)
     heads = {"node": (mu_x, alpha_x), "edge": (mu_a, alpha_a)}
     return [
-        _stacked_action_logprobs(*heads[kind], u, logw, actions, chunk.temperature)
-        for kind, actions, u, logw in chunk.kinds
+        _stacked_action_logprobs(*heads[kind], u, base, actions, chunk.temperature)
+        for kind, actions, u, base in chunk.kinds
     ]
 
 

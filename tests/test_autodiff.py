@@ -66,6 +66,94 @@ def test_ops_record_only_under_a_tape(monkeypatch):
         assert np.array_equal(a.data, b.data)
 
 
+def test_backward_runs_only_inside_its_tape():
+    # the workspace buffers a backward closure reads are held only until
+    # its tape exits, so backward refuses to run on any other tape
+    x = leaf([1.0, 2.0])
+    with Tape() as tape:
+        loss = weighted_sum(x, np.ones(2))
+    with pytest.raises(RuntimeError):
+        tape.backward(loss)
+    with Tape():
+        with pytest.raises(RuntimeError):
+            tape.backward(loss)
+    assert x.grad is None
+    with pytest.raises(RuntimeError):
+        Tape().backward(loss)
+
+
+def test_workspace_keeps_backward_buffers_to_tape_exit(monkeypatch):
+    # the quadrature keeps y, log Phi(y) and its terms until the tape
+    # exits; the relation layer's temporaries and every backward's go
+    # back when the op or closure returns; the block grows at exit to the
+    # most taken at once; no tape, no workspace
+    monkeypatch.setattr(Tape, "block", np.empty(0))
+    rng = np.random.default_rng(5)
+    s_count, d = 6, 4
+    mu, alpha = leaf(rng.normal(size=(s_count, d))), leaf(np.exp(rng.normal(size=(s_count, d))))
+    actions = rng.integers(0, d, size=s_count)
+    u, logw = rl.argmax_region_grid(mu.data, alpha.data, actions)
+    base = logw + (-0.5 * u * u - 0.5 * rl.LOG_TWO_PI)
+    adj = rng.uniform(size=(3, 2, 5, 5))
+    h, w = leaf(rng.normal(size=(3, 5, 4))), leaf(rng.normal(size=(2, 4, 4)))
+    kept = (2 * (d - 1) + 1) * u.size
+    slab, stack = 3 * 2 * 5 * 4, 3 * 2 * 4 * 4
+    with Tape() as tape:
+        lp = rl._stacked_action_logprobs(mu, alpha, u, base, actions)
+        assert tape.top == tape.kept == tape.need == kept
+        out = rgcn._relation_layer(adj, h, w, 0.5)
+        assert (tape.top, tape.kept, tape.need) == (kept, kept, kept + 2 * slab)
+        loss = add(weighted_sum(lp, rng.normal(size=s_count)), weighted_sum(out, np.ones(out.shape)))
+        tape.backward(loss)
+        assert (tape.top, tape.kept) == (kept, kept)
+        assert tape.need == kept + max(3 * slab + stack, (d - 1) * u.size)
+    assert Tape.block.size == tape.need
+    assert ad.scratch((3, 2)) is None
+
+
+def test_poisoned_workspace_changes_no_bit(monkeypatch):
+    # NaN over the whole workspace at every tape exit leaves training and
+    # fine-tuning bitwise as they were: no op output, gradient or acting
+    # log-prob lives in the workspace, and no op reads a buffer before
+    # writing it
+    def run(poison):
+        needs = []
+        if poison:
+            exit_ = Tape.__exit__
+
+            def poisoned(tape, *exc):
+                needs.append((tape.need, Tape.block.size))
+                out = exit_(tape, *exc)
+                Tape.block.fill(np.nan)
+                return out
+
+            monkeypatch.setattr(Tape, "__exit__", poisoned)
+        spec = flow.ModelSpec(width=6, layers=2, window=3, max_size=6)
+        mols = graph.gen_synthetic_molecules(
+            12, 5, spec.vocab, spec.bonds, np.random.default_rng(0)
+        )
+        params = flow.init_flow_params(spec, np.random.default_rng(1), zero_init_heads=False)
+        nll = flow.train(mols, params, spec, flow.TrainConfig(epochs=2, batch_size=8),
+                         np.random.default_rng(2))
+        scorer = rl.make_scorer("toy:atom-count", spec.vocab, spec.bonds)
+        losses = []
+        rewards = rl.finetune(
+            params, spec, scorer, rl.RewardConfig(), rl.PpoConfig(batch_size=20, updates=2),
+            SamplerConfig(temperature=0.8), iterations=1, rng=np.random.default_rng(3),
+            log=lambda it, reward, loss: losses.append(loss),
+        )
+        monkeypatch.undo()
+        arrays = [t.data for t in params.named_tensors().values()]
+        arrays += list(params.named_buffers().values())
+        return [np.asarray(a).tobytes() for a in arrays + [nll, losses, rewards]], needs
+
+    plain, _ = run(poison=False)
+    poisoned, needs = run(poison=True)
+    assert poisoned == plain
+    # most tapes ran wholly inside the (poisoned) block
+    assert sum(need <= size for need, size in needs) > len(needs) // 2
+
+
 def test_grad_check_composite_expression():
     rng = np.random.default_rng(0)
     params = {

@@ -78,6 +78,13 @@ def test_far_tail_two_category_logprob_matches_closed_form():
     assert abs(got_lp - true_lp) <= 1e-9 * abs(true_lp)
 
 
+def _fused(mu, alpha, grid_u, grid_logw, actions, temperature=1.0):
+    # the quadrature node over a grid from argmax_region_grid, with its
+    # weight-free term logw + log phi(u) built as _pack_chunk builds it
+    base = grid_logw + (-0.5 * grid_u * grid_u - 0.5 * rl.LOG_TWO_PI)
+    return rl._stacked_action_logprobs(mu, alpha, grid_u, base, actions, temperature)
+
+
 def test_stacked_logprobs_match_closed_form():
     # the batched tape path used by the ratio objective, over its own
     # frozen coarse grids
@@ -91,7 +98,7 @@ def test_stacked_logprobs_match_closed_form():
         if true_lp <= -30.0:
             continue
         u, logw = rl.argmax_region_grid(mu[None, :], alpha[None, :], [c])
-        got = rl._stacked_action_logprobs(
+        got = _fused(
             Tensor(mu[None, :]), Tensor(alpha[None, :]), u, logw, np.array([c]),
         )
         assert abs(float(got.data[0]) - true_lp) < 1e-6
@@ -233,7 +240,7 @@ def test_fused_logprobs_match_composed_oracle():
             assert np.any(np.isinf(logw))  # rows of unequal length: padded stack
             weights = rng.normal(size=len(actions))
             args = (mu, alpha, temperature, u, logw, actions, weights)
-            lp, g_mu, g_alpha = _logprobs_and_grads(rl._stacked_action_logprobs, *args)
+            lp, g_mu, g_alpha = _logprobs_and_grads(_fused, *args)
             ref, r_mu, r_alpha = _logprobs_and_grads(_composed_logprobs, *args)
             assert np.array_equal(lp, ref)
             deepest = min(deepest, lp.min())
@@ -253,7 +260,7 @@ def test_fused_logprobs_record_one_tape_node():
     mu_t = Tensor(mu, requires_grad=True)
     alpha_t = Tensor(alpha, requires_grad=True)
     with ad.Tape() as tape:
-        rl._stacked_action_logprobs(mu_t, alpha_t, u, logw, actions)
+        _fused(mu_t, alpha_t, u, logw, actions)
     assert len(tape.nodes) == 1
     assert tape.nodes[0][1] == (mu_t, alpha_t)
 
@@ -269,9 +276,8 @@ def test_fused_padded_slots_contribute_nothing():
     moved = u.copy()
     moved[pad] = 7.0
     weights = rng.normal(size=len(actions))
-    fused = rl._stacked_action_logprobs
-    base = _logprobs_and_grads(fused, mu, alpha, 1.0, u, logw, actions, weights)
-    other = _logprobs_and_grads(fused, mu, alpha, 1.0, moved, logw, actions, weights)
+    base = _logprobs_and_grads(_fused, mu, alpha, 1.0, u, logw, actions, weights)
+    other = _logprobs_and_grads(_fused, mu, alpha, 1.0, moved, logw, actions, weights)
     for a, b in zip(base, other):
         assert np.all(np.isfinite(a))
         assert np.array_equal(a, b)
@@ -279,7 +285,7 @@ def test_fused_padded_slots_contribute_nothing():
     for r in range(len(actions)):
         q = np.count_nonzero(~pad[r])
         one = _logprobs_and_grads(
-            fused, mu[r : r + 1], alpha[r : r + 1], 1.0,
+            _fused, mu[r : r + 1], alpha[r : r + 1], 1.0,
             u[r : r + 1, :q], logw[r : r + 1, :q], actions[r : r + 1], weights[r : r + 1],
         )
         assert abs(one[0][0] - lp[r]) <= 1e-12 * abs(lp[r])
@@ -298,7 +304,7 @@ def test_fused_gradient_matches_finite_differences():
         named = {"mu": Tensor(mu, requires_grad=True), "alpha": Tensor(alpha, requires_grad=True)}
 
         def loss():
-            lp = rl._stacked_action_logprobs(named["mu"], named["alpha"], u, logw, actions)
+            lp = _fused(named["mu"], named["alpha"], u, logw, actions)
             return weighted_sum(lp, weights)
 
         assert ad.grad_check(loss, named, h=1e-5) < 1e-5
@@ -554,7 +560,7 @@ def _reference_logprobs(params, traj, temperature):
         step = ("node", s.i) if s.kind == "node" else ("edge", s.i, s.j)
         mu, alpha = flow.step_conditional(params, traj.gen_graph, step)
         u, logw = rl.argmax_region_grid(s.mu[None], s.alpha[None] * temperature, [s.action])
-        lp = rl._stacked_action_logprobs(
+        lp = _fused(
             Tensor(mu[None, :]), Tensor(alpha[None, :] * temperature),
             u, logw, np.array([s.action]),
         )
@@ -680,6 +686,43 @@ def test_ppo_chunk_tape_length(temperature):
         **per_kind, "_clipped_surrogate": 1,
     }
     assert len(tape.nodes) == 45
+
+
+def test_workspace_stays_within_the_largest_tape_need(monkeypatch):
+    # a 3-iteration fine-tuning run whose chunks differ in state count:
+    # after every tape the workspace holds exactly the most elements one
+    # tape had taken at once so far, which is less than that tape's
+    # requests summed; a pool keyed by shape would grow with every new S
+    monkeypatch.setattr(ad.Tape, "block", np.empty(0))
+    requested, tapes = [0], []
+    scratch = ad.scratch
+
+    def counting(shape, keep=False):
+        requested[0] += int(np.prod(shape))
+        return scratch(shape, keep)
+
+    exit_ = ad.Tape.__exit__
+
+    def recording(tape, *exc):
+        out = exit_(tape, *exc)
+        tapes.append((tape.need, requested[0], ad.Tape.block.size))
+        requested[0] = 0
+        return out
+
+    monkeypatch.setattr(ad, "scratch", counting)
+    monkeypatch.setattr(ad.Tape, "__exit__", recording)
+    spec = flow.ModelSpec(width=8, layers=2, window=4, max_size=8)
+    params = flow.init_flow_params(spec, np.random.default_rng(0), zero_init_heads=False)
+    scorer = rl.make_scorer("toy:atom-count", spec.vocab, spec.bonds)
+    rl.finetune(
+        params, spec, scorer, rl.RewardConfig(), rl.PpoConfig(batch_size=20, updates=2),
+        SamplerConfig(), iterations=3, rng=np.random.default_rng(1),
+    )
+    needs = [need for need, _, _ in tapes]
+    assert len(tapes) == 3 * 2 * 2 and len(set(needs)) > 4
+    for t, (need, total, size) in enumerate(tapes):
+        assert size == max(needs[: t + 1])
+        assert need < total
 
 
 def batch_loss(params, trajs, baselines, cfg):
