@@ -38,9 +38,9 @@ exp, clip, minimum, sums, concat, ...) live in the tests as oracle_ops,
 and the tests pin every fused node against its composite built from
 them.
 
-Workspace: on a tape, the quadrature's and relation layers' large temporaries
-are views of Tape.block, one float64 array, taken by scratch() as a stack and
-written through out= by the same ufuncs in order. A buffer a backward reads
+Workspace: on a tape, the quadrature's large temporaries are views of
+Tape.block, one float64 array, taken by scratch() as a stack and written
+through out= by the same ufuncs in order. A buffer a backward reads
 (keep=True) is held until tape exit, any other until its op or backward
 returns; the block grows at exit to the largest live set. No op output or
 gradient lives in it. With no tape, scratch() returns None: numpy allocates.

@@ -211,32 +211,27 @@ def _relation_layer(adj: np.ndarray, h: Tensor, w: Tensor, scale: float) -> Tens
     and gradients are bitwise those of the op-by-op expression, except
     that g @ w^T reads a contiguous copy of w^T (a transposed view took
     2.7x as long on a (110, R, 10, 16) stack, numpy 2.4 and OpenBLAS
-    0.3.31 on one Xeon core), which BLAS may sum in another order. The
-    backward keeps only the Q > 0 mask and recomputes P; on a tape, P,
-    Q and the backward's temporaries are workspace buffers.
+    0.3.31 on one Xeon core), which BLAS may sum in another order. Only
+    the Q > 0 mask is kept for the backward, which recomputes P with the
+    forward's own call.
     """
     stacked = h.data.shape[:-2] + (1,) + h.data.shape[-2:]
-    if ad._ACTIVE_TAPE is None:  # as in sampling: no workspace, no backward
-        q = np.matmul(np.matmul(adj, h.data.reshape(stacked)), w.data)
-        return ad.custom_op(np.maximum(q, 0.0).sum(axis=-3) * scale, (h, w), None)
-    p = np.matmul(adj, h.data.reshape(stacked), out=ad.scratch(adj.shape[:-1] + w.data.shape[-1:]))
-    q = np.matmul(p, w.data, out=ad.scratch(p.shape))  # (..., R, n, k), as are P and active
+    q = np.matmul(np.matmul(adj, h.data.reshape(stacked)), w.data)
     active = q > 0.0
 
     def back(g):
-        gq = np.multiply(np.expand_dims(g * scale, -3), active, out=ad.scratch(active.shape))
-        p, gp, gh, gw = ad.scratch(active.shape), ad.scratch(active.shape), None, None
+        gq = np.expand_dims(g * scale, -3) * active
+        gh = gw = None
         if w.requires_grad:
-            p = np.matmul(adj, h.data.reshape(stacked), out=p)
-            stack = ad.scratch(gq.shape[:-2] + w.data.shape[1:])  # its sum is a fresh array
-            gw = np.matmul(p.swapaxes(-1, -2), gq, out=stack).sum(axis=tuple(range(adj.ndim - 3)))
+            p = np.matmul(adj, h.data.reshape(stacked))
+            gw = ad.unbroadcast(np.matmul(np.swapaxes(p, -1, -2), gq), w.data.shape)
         if h.requires_grad:
-            gp = np.matmul(gq, np.ascontiguousarray(w.data.swapaxes(-1, -2)), out=gp)
-            gh = ad.unbroadcast(np.matmul(np.swapaxes(adj, -1, -2), gp, out=p), stacked)
-            gh = gh.reshape(h.data.shape)  # a fresh array: a vocabulary has R >= 2 relations
+            gp = np.matmul(gq, np.ascontiguousarray(np.swapaxes(w.data, -1, -2)))
+            gh = ad.unbroadcast(np.matmul(np.swapaxes(adj, -1, -2), gp), stacked)
+            gh = gh.reshape(h.data.shape)
         return (gh, gw)
 
-    return ad.custom_op(np.maximum(q, 0.0, out=q).sum(axis=-3) * scale, (h, w), back)
+    return ad.custom_op(np.maximum(q, 0.0).sum(axis=-3) * scale, (h, w), back)
 
 
 def _embed(x: np.ndarray, embed: Tensor) -> Tensor:

@@ -137,6 +137,11 @@ def argmax_region_grid(mu, alpha, actions, fine: bool = False):
     return u.reshape(s_count, -1), logw.reshape(s_count, -1)
 
 
+def weight_free_term(u: np.ndarray, logw: np.ndarray) -> np.ndarray:
+    """The weight-free quadrature term logw + log phi(u) of a grid."""
+    return logw + (-0.5 * u * u - 0.5 * LOG_TWO_PI)
+
+
 def _stacked_action_logprobs(
     mu: Tensor,
     alpha: Tensor,
@@ -216,8 +221,7 @@ def action_logprobs(
     d = mu.shape[0]
     mu, alpha, actions = np.tile(mu, (d, 1)), np.tile(alpha, (d, 1)), np.arange(d)
     u, logw = argmax_region_grid(mu, alpha, actions, fine=True)
-    base = logw + (-0.5 * u * u - 0.5 * LOG_TWO_PI)
-    raw = _stacked_action_logprobs(Tensor(mu), Tensor(alpha), u, base, actions)
+    raw = _stacked_action_logprobs(Tensor(mu), Tensor(alpha), u, weight_free_term(u, logw), actions)
     return raw.data - logsumexp(raw.data)
 
 
@@ -456,7 +460,7 @@ def _pack_chunk(params: FlowParams, trajectories, temperature: float = 1.0) -> _
             np.stack([steps[f].alpha for f in rows]) * temperature,
             actions,
         )
-        kinds.append((kind, actions, u, logw + (-0.5 * u * u - 0.5 * LOG_TWO_PI)))
+        kinds.append((kind, actions, u, weight_free_term(u, logw)))
     return _PackedChunk(pack=pack, kinds=kinds, temperature=temperature)
 
 

@@ -80,8 +80,8 @@ def test_far_tail_two_category_logprob_matches_closed_form():
 
 def _fused(mu, alpha, grid_u, grid_logw, actions, temperature=1.0):
     # the quadrature node over a grid from argmax_region_grid, with its
-    # weight-free term logw + log phi(u) built as _pack_chunk builds it
-    base = grid_logw + (-0.5 * grid_u * grid_u - 0.5 * rl.LOG_TWO_PI)
+    # weight-free term built as _pack_chunk builds it
+    base = rl.weight_free_term(grid_u, grid_logw)
     return rl._stacked_action_logprobs(mu, alpha, grid_u, base, actions, temperature)
 
 
