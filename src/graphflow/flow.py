@@ -276,28 +276,46 @@ class LogLik:
         return len(self.node_terms) + len(self.edge_terms)
 
 
+def row_embeddings(params: FlowParams, g: MolecularGraph, i: int, lims):
+    """Evaluation-mode head inputs of the states on node i's row, from one
+    rgcn.encode call on g's first i + 1 nodes.
+
+    Limit lim, of the ascending lims, is the state with row i's slots
+    at column lim and beyond undecided: for lim < i that of step ("edge",
+    i, lim), whose row [h, h_i, h_lim] of the (s, 1, 3k) first result is
+    its edge head input; lim == i, the row fully decided, is the state of
+    step ("node", i + 1), whose (1, k) graph embedding is the second
+    result. A kind that lims does not hold gives None. Each row is
+    bitwise that of a call with its limit alone, and nothing of g past
+    the states is read, so g may be a graph still being filled in.
+    """
+    lims = np.asarray(lims)
+    emb = rgcn.encode(g.prefix(i + 1), params.rgcn, undecided_row=(i, lims))
+    pooled, h = emb.graph_embedding.data[:, None, :], emb.H.data
+    node = Tensor(pooled[-1]) if lims[-1] == i else None
+    s = np.flatnonzero(lims < i)
+    if not len(s):
+        return None, node
+    ends = [h[s, i, None], h[s, lims[s], None]]
+    return Tensor(np.concatenate([pooled[s]] + ends, axis=-1)), node
+
+
 def step_embedding(params: FlowParams, g: MolecularGraph, step) -> Tensor:
     """Evaluation-mode head input for one generation step of g: one
-    constant row (no tape runs while sampling) in its heads' layout.
+    constant row in its heads' layout, row_embeddings with one limit.
 
     A ("node", i) step sees g's first i nodes and gives their (1, k)
     graph embedding, a zero row when i == 0. An ("edge", i, j) step sees
     nodes 0..i with node i's slots at column j and beyond still
-    undecided, and gives the (1, 3k) row [h, h_i, h_j]. Nothing of g
-    past the step is read, so g may be a graph still being filled in.
+    undecided, and gives the (1, 3k) row [h, h_i, h_j].
     """
-    k = params.rgcn.width
     kind, i = step[0], step[1]
     if kind == "node":
         if i == 0:
-            return Tensor(np.zeros((1, k)))
-        return Tensor(rgcn.encode(g.prefix(i), params.rgcn).graph_embedding.data.reshape(1, k))
+            return Tensor(np.zeros((1, params.rgcn.width)))
+        return row_embeddings(params, g, i - 1, [i - 1])[1]
     if kind == "edge":
-        j = step[2]
-        emb = rgcn.encode(g.prefix(i + 1), params.rgcn, undecided_row=(i, j))
-        h = emb.H.data
-        pooled = emb.graph_embedding.data.reshape(1, k)
-        return Tensor(np.concatenate([pooled, h[i : i + 1], h[j : j + 1]], axis=-1))
+        return Tensor(row_embeddings(params, g, i, [step[2]])[0].data[0])
     raise ValueError(f"unknown step kind {kind!r}")
 
 

@@ -21,7 +21,9 @@ layer costs one Tensor and one tape node. The embedding product
 One core, _propagate(), runs the layers on one state or a stack of
 states, all relations of a layer in one batched product, and batch
 norm and the column sum follow it. encode() runs this on a single
-(sub)graph, one generation step at a time. encode_step_batch() is the
+(sub)graph: one state, or, for the sampler, the states of one node's
+row that differ only in how much of the row is decided, as one stack
+whose rows are bitwise the one-state calls. encode_step_batch() is the
 one entry point for a set of generation-step states, of one graph or of
 many, in either mode, and it runs in two halves. pack_step_batch() does
 everything that reads no weight into a StepPack: the step masks, the
@@ -169,14 +171,19 @@ def _one_hot_adjacency(g: MolecularGraph, undecided_row=None) -> np.ndarray:
     undecided_row = (i, lim) drops slots (i, j) for j >= lim from every
     slice: those pairs are not yet decided during generation, which is
     different from having been decided as no-edge. Self loops are added
-    later and are not affected.
+    later and are not affected. An array of s limits gives an (s, R, n,
+    n) stack, one set of slices per limit.
     """
     hit = g.categories[None, :, :] == np.arange(g.no_edge + 1)[:, None, None]
     a = hit & _off_diagonal(g.n)
     if undecided_row is not None:
         i, lim = undecided_row
-        a[:, i, lim:] = 0.0
-        a[:, lim:, i] = 0.0
+        decided = np.arange(g.n) < np.reshape(lim, (-1, 1, 1))  # (s, 1, n)
+        a = np.repeat(a[None], decided.shape[0], axis=0)
+        a[:, :, i, :] &= decided
+        a[:, :, :, i] &= decided
+        if not np.ndim(lim):
+            a = a[0]
     return a
 
 
@@ -276,7 +283,14 @@ def encode(
     """Encode one non-empty (sub)graph in evaluation mode.
 
     undecided_row = (i, lim) marks row i's slots at column lim and beyond
-    as not yet generated, excluding them from every relation.
+    as not yet generated, excluding them from every relation. lim may be
+    an array of s limits: then the s states of g_prefix that differ only
+    in how much of row i is decided run as one stack, and H is (s, n, k)
+    and graph_embedding (s, k). Every product, ufunc and axis sum runs
+    per state in the one-state order, so row t is bitwise the call with
+    lim[t] alone. g_prefix and params stay the leading positional
+    parameters, because the benchmark's tracer (bench/tracing.py) reads
+    args[0].n.
     """
     one_hot = _one_hot_adjacency(g_prefix, undecided_row=undecided_row)
     h = _propagate(_features(g_prefix, params), _normalized_adjacency(one_hot), params)
@@ -381,18 +395,21 @@ def pack_step_batch(g, steps, params: RgcnParams, training: bool = False) -> Ste
     graphs = [g] * len(steps) if isinstance(g, MolecularGraph) else list(g)
     if len(graphs) != len(steps):
         raise ValueError(f"{len(graphs)} graphs for {len(steps)} steps")
-    sizes = np.array([step[1] + (step[0] == "edge") for step in steps], dtype=np.int64)
-    owned: dict = {}  # id(graph) -> (graph, indices of its states)
-    for s, owner in enumerate(graphs):
-        owned.setdefault(id(owner), (owner, []))[1].append(s)
+    # one pass over the steps, as (is edge, i, last field) rows
+    code = np.array([(step[0] == "edge", step[1], step[-1]) for step in steps], dtype=np.int64)
+    sizes = code[:, 1] + code[:, 0]
+    ids = np.fromiter(map(id, graphs), dtype=np.uintp, count=len(graphs))
+    _, first, owner_of = np.unique(ids, return_index=True, return_inverse=True)
+    step_items = np.fromiter(steps, dtype=object, count=len(steps))
     parts: dict = {}  # group width -> [((s, m, F) rows, (s, R, m, m) blocks, state indices)]
     segments = [] if training else None
-    for owner, idx in owned.values():
+    for k in np.argsort(first):  # graphs in order of first appearance
+        idx = np.flatnonzero(owner_of == k)
+        owner = graphs[idx[0]]
         x = _features(owner, params)
-        idx = np.array(idx, dtype=np.int64)
         if not sizes[idx].any():
             continue
-        norm_adj, node_mask = build_step_masks(owner, [steps[s] for s in idx])
+        norm_adj, node_mask = build_step_masks(owner, step_items[idx])
         if training:
             if idx[-1] - idx[0] + 1 != len(idx):
                 raise ValueError("training mode needs each graph's states as consecutive steps")
@@ -405,8 +422,7 @@ def pack_step_batch(g, steps, params: RgcnParams, training: bool = False) -> Ste
             parts.setdefault(int(m), []).append((rows, norm_adj[sel, :, :m, :m], idx[sel]))
     groups = [tuple(np.concatenate(column) for column in zip(*group)) for group in parts.values()]
     width = max(parts, default=0)
-    node = [s for s, step in enumerate(steps) if step[0] == "node"]
-    edge = [s for s, step in enumerate(steps) if step[0] == "edge"]
+    edge = np.flatnonzero(code[:, 0])
     return StepPack(
         graphs=graphs,
         steps=steps,
@@ -414,10 +430,10 @@ def pack_step_batch(g, steps, params: RgcnParams, training: bool = False) -> Ste
         groups=groups,
         mask=(np.arange(width) < sizes[:, None]).astype(np.float64)[:, :, None],
         segments=segments,
-        node_rows=np.array(node, dtype=np.int64),
-        edge_rows=np.array(edge, dtype=np.int64),
-        edge_i=np.array([steps[s][1] for s in edge], dtype=np.int64),
-        edge_j=np.array([steps[s][2] for s in edge], dtype=np.int64),
+        node_rows=np.flatnonzero(code[:, 0] == 0),
+        edge_rows=edge,
+        edge_i=code[edge, 1],
+        edge_j=code[edge, 2],
     )
 
 

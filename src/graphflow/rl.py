@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import log_ndtr, logsumexp
+from scipy.special import log_ndtr
 
 from . import autodiff as ad
 from . import rgcn
@@ -73,7 +73,7 @@ VALIDITY_PENALTY = -1.0  # reward per valency rejection, at its own step
 
 GRID_SPAN = 9.0  # +-9 standard deviations; truncated tail mass ~ 2e-19
 # Gauss-Legendre nodes and weights per panel: coarse grids (the ratio
-# objective) and fine grids (normalized action probabilities)
+# objective) and fine grids (the tests' normalized action probabilities)
 _GL_COARSE = np.polynomial.legendre.leggauss(8)
 _GL_FINE = np.polynomial.legendre.leggauss(16)
 
@@ -206,23 +206,6 @@ def _stacked_action_logprobs(
         return grad_mu, grad_alpha * temperature
 
     return ad.custom_op(np.squeeze(top + np.log(total), axis=1), (mu, alpha), back)
-
-
-def action_logprobs(
-    mu: np.ndarray, alpha: np.ndarray, temperature: float = 1.0
-) -> np.ndarray:
-    """Normalized log-probabilities of every category for one step.
-
-    Uses the fine quadrature grid; the exact probabilities sum to one,
-    so normalization only removes residual quadrature error.
-    """
-    mu = np.asarray(mu, dtype=np.float64).reshape(-1)
-    alpha = np.asarray(alpha, dtype=np.float64).reshape(-1) * temperature
-    d = mu.shape[0]
-    mu, alpha, actions = np.tile(mu, (d, 1)), np.tile(alpha, (d, 1)), np.arange(d)
-    u, logw = argmax_region_grid(mu, alpha, actions, fine=True)
-    raw = _stacked_action_logprobs(Tensor(mu), Tensor(alpha), u, weight_free_term(u, logw), actions)
-    return raw.data - logsumexp(raw.data)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,14 @@ which case that node is discarded.
 Every kept decision is recorded in a trace together with the mu/alpha
 rows that produced it, which is exactly what the reinforcement-learning
 code needs to compute acting log-probabilities without re-encoding.
+
+Decisions are made one step at a time but states are encoded per node,
+the way speculative decoding drafts and then verifies: once node i's
+type is set, one encoder call drafts every state pending on row i, as
+if the slots before it end no-edge, plus node i + 1's state. A decided
+no-edge is its own relation and an undecided slot is in none, so the
+drafts are exact until a bond is kept; only the drafts after a kept
+bond are encoded again. Each stacked row is bitwise the one-state call.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from .flow import (
     edge_conditional,
     graph_to_latent,
     node_conditional,
+    row_embeddings,
     step_embedding,
     validate_ordered,
 )
@@ -83,22 +92,35 @@ class SampleTrace:
 def _walk(params: FlowParams, spec: ModelSpec, cfg: SamplerConfig, g: MolecularGraph, start, draw):
     """Fill g, whose nodes before start are decided, in place from node
     start on; draw(dim) gives each proposal's base normal value. Returns
-    (the kept prefix of g, trace)."""
+    (the kept prefix of g, trace).
+
+    first is the slot where the current row_embeddings stack starts, and
+    None once a kept bond has made it stale; the stack is encoded again
+    from the next slot on, or, after the row's last slot, node i + 1's
+    state alone (node_x None)."""
     types, cats, no_edge = g.node_types, g.categories, g.no_edge
     trace = SampleTrace(termination="max-size")
+    node_x = None
     for i in range(start, g.n):
-        mu, alpha = node_conditional(params, step_embedding(params, g, ("node", i)))
+        if node_x is None:
+            node_x = step_embedding(params, g, ("node", i))
+        mu, alpha = node_conditional(params, node_x)
         t = decode_category(draw(spec.node_dim), mu.data[0], alpha.data[0])
         types[i] = t
         trace.steps.append(
             TraceStep("node", i, -1, t, 0, mu.data[0].copy(), alpha.data[0].copy())
         )
-        got_bond = False
+        got_bond, node_x, first = False, None, None
         for j in range(max(0, i - spec.window), i):
-            mu, alpha = edge_conditional(params, step_embedding(params, g, ("edge", i, j)))
+            if first is None:  # row i's slots from j on, then node i + 1's state if any
+                lims = np.arange(j, min(i + 1, g.n - 1))
+                edge_x, node_x = row_embeddings(params, g, i, lims)
+                mu, alpha = edge_conditional(params, edge_x)
+                first = j
+            mu_j, alpha_j = mu.data[j - first, 0], alpha.data[j - first, 0]
             rejections = 0
             while True:
-                cat = decode_category(draw(spec.edge_dim), mu.data[0], alpha.data[0])
+                cat = decode_category(draw(spec.edge_dim), mu_j, alpha_j)
                 if (
                     cfg.valency_check
                     and cat != no_edge
@@ -114,9 +136,9 @@ def _walk(params: FlowParams, spec: ModelSpec, cfg: SamplerConfig, g: MolecularG
             if cat != no_edge:
                 cats[i, j] = cat
                 cats[j, i] = cat
-                got_bond = True
+                got_bond, node_x, first = True, None, None
             trace.steps.append(
-                TraceStep("edge", i, j, cat, rejections, mu.data[0].copy(), alpha.data[0].copy())
+                TraceStep("edge", i, j, cat, rejections, mu_j.copy(), alpha_j.copy())
             )
         if i > 0 and not got_bond:
             # the new node would be disconnected: drop it and stop

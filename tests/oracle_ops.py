@@ -9,14 +9,21 @@ composites out op by op with these copies: each is one
 autodiff.custom_op node, and its forward and backward are the numpy
 calls the op had in autodiff, so a composite built from them computes
 what it did there.
+
+action_logprobs, the normalized log-probabilities of every category of
+one step on the fine quadrature grid, is the oracle the sampler's
+Monte Carlo and exact-probability checks read; the model itself only
+ever needs the log-probability of the action it took.
 """
 
 from functools import reduce
 
 import numpy as np
 from scipy.special import log_ndtr as _scipy_log_ndtr
+from scipy.special import logsumexp as _scipy_logsumexp
 
 from graphflow import autodiff as ad
+from graphflow import rl
 from graphflow.autodiff import Tensor
 
 
@@ -201,3 +208,21 @@ def log_ndtr(a: Tensor) -> Tensor:
         return (g * np.exp(log_pdf - out),)
 
     return ad.custom_op(out, (a,), back)
+
+
+def action_logprobs(
+    mu: np.ndarray, alpha: np.ndarray, temperature: float = 1.0
+) -> np.ndarray:
+    """Normalized log-probabilities of every category for one step.
+
+    Uses the fine quadrature grid; the exact probabilities sum to one,
+    so normalization only removes residual quadrature error.
+    """
+    mu = np.asarray(mu, dtype=np.float64).reshape(-1)
+    alpha = np.asarray(alpha, dtype=np.float64).reshape(-1) * temperature
+    d = mu.shape[0]
+    mu, alpha, actions = np.tile(mu, (d, 1)), np.tile(alpha, (d, 1)), np.arange(d)
+    u, logw = rl.argmax_region_grid(mu, alpha, actions, fine=True)
+    grid_base = rl.weight_free_term(u, logw)
+    raw = rl._stacked_action_logprobs(Tensor(mu), Tensor(alpha), u, grid_base, actions)
+    return raw.data - _scipy_logsumexp(raw.data)

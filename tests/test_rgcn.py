@@ -116,6 +116,29 @@ def test_undecided_slots_absent_from_every_relation():
     assert gap > 1e-8
 
 
+def test_limits_array_rows_equal_single_limit_calls_bitwise():
+    # the sampler's per-node stack: one call over every limit of a row,
+    # each row bitwise the call with that limit alone, at widths where
+    # BLAS blocks the products differently
+    for width, layers in ((8, 2), (32, 3)):
+        params = make_params(width=width, layers=layers, seed=width)
+        rng = np.random.default_rng(width)
+        params.bn_state.running_mean = rng.normal(size=width)
+        params.bn_state.running_var = rng.uniform(0.5, 2.0, size=width)
+        for g in molecule(width, count=4, max_atoms=12):
+            for i in range(g.n):
+                lims = np.arange(max(0, i - 5), i + 1)
+                stacked = rgcn.encode(g.prefix(i + 1), params, undecided_row=(i, lims))
+                assert stacked.H.data.shape == (len(lims), i + 1, width)
+                for row, lim in enumerate(lims):
+                    one = rgcn.encode(g.prefix(i + 1), params, undecided_row=(i, int(lim)))
+                    assert np.array_equal(stacked.H.data[row], one.H.data)
+                    assert np.array_equal(stacked.graph_embedding.data[row], one.graph_embedding.data)
+            whole = rgcn.encode(g, params)  # the fully decided row is the plain call
+            last = rgcn.encode(g, params, undecided_row=(g.n - 1, [g.n - 1]))
+            assert np.array_equal(last.H.data[0], whole.H.data)
+
+
 def test_train_mode_embeddings_distinguish_same_size_states():
     # regression: per-slice statistics once collapsed every pooled slice
     # embedding onto count * beta, so same-count steps of one stack were

@@ -1,6 +1,9 @@
 """Sampling behavior: valency enforcement, resample fallback, termination
 reasons, determinism across seeds and thread counts, seeded continuation,
-and reconstruction."""
+reconstruction, and the per-node walk against the per-step walk it
+replaced."""
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -261,3 +264,182 @@ def test_reconstruct_is_exact():
         assert sampler.reconstruct(g, params, spec, rng) == g
         checked += 1
     assert checked >= 6
+
+
+def _walk_per_step(params, spec, cfg, g, start, draw):
+    # the walk with one step_embedding encode per generation step that the
+    # per-node walk replaced: its oracle
+    types, cats, no_edge = g.node_types, g.categories, g.no_edge
+    trace = sampler.SampleTrace(termination="max-size")
+    for i in range(start, g.n):
+        mu, alpha = flow.node_conditional(params, flow.step_embedding(params, g, ("node", i)))
+        t = flow.decode_category(draw(spec.node_dim), mu.data[0], alpha.data[0])
+        types[i] = t
+        trace.steps.append(
+            sampler.TraceStep("node", i, -1, t, 0, mu.data[0].copy(), alpha.data[0].copy())
+        )
+        got_bond = False
+        for j in range(max(0, i - spec.window), i):
+            step_x = flow.step_embedding(params, g, ("edge", i, j))
+            mu, alpha = flow.edge_conditional(params, step_x)
+            rejections = 0
+            while True:
+                cat = flow.decode_category(draw(spec.edge_dim), mu.data[0], alpha.data[0])
+                if (
+                    cfg.valency_check
+                    and cat != no_edge
+                    and not G.check_valency(g, spec.vocab, spec.bonds, i, j, cat)
+                ):
+                    rejections += 1
+                    if rejections >= cfg.max_resample:
+                        cat = no_edge
+                        break
+                    continue
+                break
+            trace.rejections += rejections
+            if cat != no_edge:
+                cats[i, j] = cat
+                cats[j, i] = cat
+                got_bond = True
+            trace.steps.append(
+                sampler.TraceStep(
+                    "edge", i, j, cat, rejections, mu.data[0].copy(), alpha.data[0].copy()
+                )
+            )
+        if i > 0 and not got_bond:
+            trace.termination = "no-bonds"
+            return g.prefix(i), trace
+    return g, trace
+
+
+def _assert_same_run(got, want):
+    (g, trace), (g_ref, trace_ref) = got, want
+    assert np.array_equal(g.node_types, g_ref.node_types)
+    assert np.array_equal(g.categories, g_ref.categories)
+    assert trace.termination == trace_ref.termination
+    assert trace.rejections == trace_ref.rejections
+    assert len(trace.steps) == len(trace_ref.steps)
+    for s, r in zip(trace.steps, trace_ref.steps):
+        assert (s.kind, s.i, s.j, s.action, s.rejections) == (r.kind, r.i, r.j, r.action, r.rejections)
+        assert np.array_equal(s.mu, r.mu) and np.array_equal(s.alpha, r.alpha)
+
+
+def _per_step(monkeypatch, fn, *args, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(sampler, "_walk", _walk_per_step)
+        return fn(*args, **kwargs)
+
+
+def _random_params(spec, seed):
+    # random weights with heads scaled up and single bonds favoured, so
+    # node types, rows with several bonds, rejections and both
+    # terminations all occur
+    params = flow.init_flow_params(spec, np.random.default_rng(seed), zero_init_heads=False)
+    for head in (params.node_mu, params.edge_mu):
+        head.w2.data *= 3.0
+    params.edge_mu.b2.data[BONDS.category_of(1)] += 1.0
+    return params
+
+
+@pytest.mark.parametrize("window", [1, 3, None])
+@pytest.mark.parametrize("temperature", [1.0, 0.8, 0.0])
+@pytest.mark.parametrize("valency_check", [True, False])
+def test_per_node_walk_matches_per_step_walk(monkeypatch, window, temperature, valency_check):
+    spec = small_spec(**({} if window is None else {"window": window}))
+    params = _random_params(spec, 30)
+    cfg = sampler.SamplerConfig(valency_check=valency_check, temperature=temperature)
+    got = sampler.sample_batch(params, spec, cfg, count=12, seed=31)
+    want = _per_step(monkeypatch, sampler.sample_batch, params, spec, cfg, count=12, seed=31)
+    for pair in zip(zip(*got), zip(*want)):
+        _assert_same_run(*pair)
+    if temperature > 0:
+        assert {t.termination for t in got[1]} == {"max-size", "no-bonds"}
+    if window != 1:  # a bond kept before its row's last slot re-encodes the rest
+        edges = [s for t in got[1] for s in t.steps if s.kind == "edge"]
+        assert any(s.action != NO_EDGE and s.j < s.i - 1 for s in edges)
+
+
+def test_per_node_walk_matches_per_step_walk_with_forced_fallbacks(monkeypatch):
+    # max_resample = 1 turns every rejected proposal into a forced no-edge
+    spec = small_spec(max_size=10)
+    params = _random_params(spec, 32)
+    params.edge_mu.b2.data[BONDS.category_of(3)] += 2.0
+    cfg = sampler.SamplerConfig(max_resample=1)
+    got = sampler.sample_batch(params, spec, cfg, count=12, seed=33)
+    want = _per_step(monkeypatch, sampler.sample_batch, params, spec, cfg, count=12, seed=33)
+    for pair in zip(zip(*got), zip(*want)):
+        _assert_same_run(*pair)
+    assert sum(s.rejections >= cfg.max_resample for t in got[1] for s in t.steps) >= 5
+
+
+def test_per_node_walk_matches_per_step_walk_from_seed_graphs(monkeypatch):
+    spec = small_spec()
+    params = _random_params(spec, 34)
+    mols = G.gen_synthetic_molecules(3, 6, VOCAB, BONDS, np.random.default_rng(35))
+    seeds = [G.bfs_reorder(m, 0)[0].prefix(n).copy() for m in mols for n in range(1, m.n + 1)]
+    assert len({g.n for g in seeds}) >= 4
+    cfg = sampler.SamplerConfig()
+    for k, seed_graph in enumerate(seeds):
+        run = partial(sampler.sample_molecule, params, spec, cfg, seed_graph=seed_graph)
+        got = run(np.random.default_rng(k))
+        want = _per_step(monkeypatch, run, np.random.default_rng(k))
+        _assert_same_run(got, want)
+
+
+def test_per_node_walk_matches_per_step_walk_on_latents(monkeypatch):
+    spec = small_spec()
+    params = _random_params(spec, 36)
+    mols = G.gen_synthetic_molecules(10, 8, VOCAB, BONDS, np.random.default_rng(37))
+    graphs = [g for g in (G.bfs_reorder(m, 0)[0] for m in mols)
+              if G.max_dependency_distance(g) <= spec.window]
+    assert len(graphs) >= 6
+    for k, g in enumerate(graphs):
+        latent = flow.graph_to_latent(g, params, spec, rng=np.random.default_rng(k))
+        noisy = flow.LatentSeq(latent.eps_x + 0.7, {s: e - 0.7 for s, e in latent.eps_a.items()})
+        for seq in (latent, noisy):
+            got = sampler.latent_to_graph(seq, params, spec)
+            assert got == _per_step(monkeypatch, sampler.latent_to_graph, seq, params, spec)
+        rec = sampler.reconstruct(g, params, spec, np.random.default_rng(k))
+        assert rec == g
+        assert rec == _per_step(
+            monkeypatch, sampler.reconstruct, g, params, spec, np.random.default_rng(k)
+        )
+
+
+def _expected_encodes(trace, start):
+    # one call per node with edge steps, one more per bond kept before its
+    # row's last slot, and a node-state call for the seed prefix, after a
+    # row with no edge steps, and after a bond kept at a row's last slot
+    calls = 1 if start > 0 and trace.steps else 0
+    rows = {}
+    for s in trace.steps:
+        rows.setdefault(s.i, []).append(s)
+    for i, row in rows.items():
+        edges = row[1:]
+        calls += bool(edges) + sum(e.action != NO_EDGE for e in edges[:-1])
+        ends_open = not edges or edges[-1].action != NO_EDGE
+        if ends_open and i + 1 in rows:
+            calls += 1
+    return calls
+
+
+def test_sampler_makes_one_encode_per_node_plus_one_per_kept_bond(monkeypatch):
+    spec = small_spec(max_size=8)
+    params = _random_params(spec, 38)
+    calls = []
+    encode = rgcn.encode
+    monkeypatch.setattr(rgcn, "encode", lambda *a, **kw: calls.append(a[0].n) or encode(*a, **kw))
+    mols = G.gen_synthetic_molecules(6, 4, VOCAB, BONDS, np.random.default_rng(39))
+    seeds = [None] + [G.bfs_reorder(m, 0)[0] for m in mols[:3]]
+    total_steps = total_calls = 0
+    for k, seed_graph in enumerate(seeds * 5):
+        start = 0 if seed_graph is None else seed_graph.n
+        calls.clear()
+        g, trace = sampler.sample_molecule(
+            params, spec, sampler.SamplerConfig(), np.random.default_rng(k), seed_graph=seed_graph
+        )
+        assert len(calls) == _expected_encodes(trace, start)
+        total_steps += trace.num_steps
+        total_calls += len(calls)
+    # the per-step walk made one call per step but the empty prefix's
+    assert total_calls * 2 < total_steps
