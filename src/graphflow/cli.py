@@ -104,6 +104,13 @@ def _config_from_args(args) -> RunConfig:
     return load_run_config(args.config, overrides)
 
 
+def _molecules(path, vocab, bonds) -> list:
+    """The molecules of a MOLT file; a file that holds none is a data
+    error, as a command would turn it into output from no input."""
+    graphs = molt.parse_molt(Path(path).read_text(), vocab, bonds)
+    if not graphs:
+        raise GraphError(f"{path} holds no molecules")
+    return graphs
 
 
 def _load_dataset(cfg: RunConfig, path_override=None):
@@ -111,8 +118,7 @@ def _load_dataset(cfg: RunConfig, path_override=None):
     vocab, bonds = vocab_from_config(cfg)
     source = path_override if path_override is not None else cfg.dataset
     if source not in ("molecules", "community"):
-        text = Path(source).read_text()
-        return molt.parse_molt(text, vocab, bonds), vocab, bonds
+        return _molecules(source, vocab, bonds), vocab, bonds
     rng = substream(cfg.seed, "data")
     if cfg.dataset == "community":
         graphs = graph.gen_community_graphs(
@@ -295,7 +301,7 @@ def cmd_optimize_constrained(args) -> int:
     vocab, bonds = vocab_from_config(cfg)
     spec = _model_spec(cfg, vocab, bonds)
     params = load_checkpoint(args.checkpoint, spec)
-    molecules = molt.parse_molt(Path(args.molecules).read_text(), vocab, bonds)
+    molecules = _molecules(args.molecules, vocab, bonds)
     scorer = _scorer(cfg, vocab, bonds)
     try:
         results = rl.optimize_constrained(
@@ -317,7 +323,7 @@ def cmd_optimize_constrained(args) -> int:
     outputs = [_write(out, "constrained.csv", csv)]
     write_manifest(out, cfg, outputs)
     successes = sum(r.success for r in results)
-    mean_imp = np.mean([r.improvement for r in results]) if results else 0.0
+    mean_imp = np.mean([r.improvement for r in results])
     print(
         f"optimized {len(results)} molecules: success {successes}/{len(results)}, "
         f"mean improvement {mean_imp:.4f}"

@@ -276,47 +276,47 @@ class LogLik:
         return len(self.node_terms) + len(self.edge_terms)
 
 
-def row_embeddings(params: FlowParams, g: MolecularGraph, i: int, lims):
-    """Evaluation-mode head inputs of the states on node i's row, from one
-    rgcn.encode call on g's first i + 1 nodes.
+def step_embeddings(params: FlowParams, g: MolecularGraph, steps):
+    """Evaluation-mode head inputs of generation steps of g whose states
+    share one node count m, from one rgcn.encode call on g's first m
+    nodes; returns (edge rows, node row).
 
-    Limit lim, of the ascending lims, is the state with row i's slots
-    at column lim and beyond undecided: for lim < i that of step ("edge",
-    i, lim), whose row [h, h_i, h_lim] of the (s, 1, 3k) first result is
-    its edge head input; lim == i, the row fully decided, is the state of
-    step ("node", i + 1), whose (1, k) graph embedding is the second
-    result. A kind that lims does not hold gives None. Each row is
-    bitwise that of a call with its limit alone, and nothing of g past
-    the states is read, so g may be a graph still being filled in.
+    The edge steps, ("edge", m - 1, j), give their rows [h, h_i, h_j]
+    stacked in step order as one (E, 1, 3k) constant; the node step
+    ("node", m) gives its (1, k) graph embedding, a zero row when m == 0.
+    A kind that steps do not hold gives None. Each row is bitwise that of
+    a call with its step alone, and nothing of g past the m nodes is
+    read, so g may be a graph still being filled in.
     """
-    lims = np.asarray(lims)
-    emb = rgcn.encode(g.prefix(i + 1), params.rgcn, undecided_row=(i, lims))
+    kind, i = steps[0][0], steps[0][1]
+    m = i + (kind == "edge")
+    if m == 0:
+        return None, Tensor(np.zeros((1, params.rgcn.width)))
+    emb = rgcn.encode(g.prefix(m), steps, params.rgcn)
     pooled, h = emb.graph_embedding.data[:, None, :], emb.H.data
-    node = Tensor(pooled[-1]) if lims[-1] == i else None
-    s = np.flatnonzero(lims < i)
-    if not len(s):
+    nodes = [s for s, step in enumerate(steps) if step[0] == "node"]
+    node = Tensor(pooled[nodes[0]]) if nodes else None
+    edges = [(s, step[2]) for s, step in enumerate(steps) if step[0] == "edge"]
+    if not edges:
         return None, node
-    ends = [h[s, i, None], h[s, lims[s], None]]
+    s, j = np.array(edges).T
+    ends = [h[s, m - 1, None], h[s, j, None]]
     return Tensor(np.concatenate([pooled[s]] + ends, axis=-1)), node
 
 
 def step_embedding(params: FlowParams, g: MolecularGraph, step) -> Tensor:
     """Evaluation-mode head input for one generation step of g: one
-    constant row in its heads' layout, row_embeddings with one limit.
+    constant row in its heads' layout, step_embeddings with one step.
 
     A ("node", i) step sees g's first i nodes and gives their (1, k)
     graph embedding, a zero row when i == 0. An ("edge", i, j) step sees
     nodes 0..i with node i's slots at column j and beyond still
     undecided, and gives the (1, 3k) row [h, h_i, h_j].
     """
-    kind, i = step[0], step[1]
-    if kind == "node":
-        if i == 0:
-            return Tensor(np.zeros((1, params.rgcn.width)))
-        return row_embeddings(params, g, i - 1, [i - 1])[1]
-    if kind == "edge":
-        return Tensor(row_embeddings(params, g, i, [step[2]])[0].data[0])
-    raise ValueError(f"unknown step kind {kind!r}")
+    if step[0] not in ("node", "edge"):
+        raise ValueError(f"unknown step kind {step[0]!r}")
+    edge, node = step_embeddings(params, g, [step])
+    return node if step[0] == "node" else Tensor(edge.data[0])
 
 
 def step_conditional(params: FlowParams, g: MolecularGraph, step):

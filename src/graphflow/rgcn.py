@@ -18,14 +18,16 @@ composite (bitwise, up to BLAS's order in the product by W^T) while a
 layer costs one Tensor and one tape node. The embedding product
 (_embed) and the readout (_readout) are one node each too.
 
-One core, _propagate(), runs the layers on one state or a stack of
-states, all relations of a layer in one batched product, and batch
-norm and the column sum follow it. encode() runs this on a single
-(sub)graph: one state, or, for the sampler, the states of one node's
-row that differ only in how much of the row is decided, as one stack
-whose rows are bitwise the one-state calls. encode_step_batch() is the
-one entry point for a set of generation-step states, of one graph or of
-many, in either mode, and it runs in two halves. pack_step_batch() does
+One core, _propagate(), runs the layers on a stack of states, all
+relations of a layer in one batched product, and batch norm and the
+column sum follow it. A state is always a generation step of the plan,
+("node", i) or ("edge", i, j), and one cached layout, _step_layout(),
+decides which nodes and bond slots it sees. encode() runs the sampler's
+case: steps whose states hold all of one (sub)graph's nodes and differ
+only in how much of its last row is decided, in evaluation mode, as one
+stack whose rows are bitwise the one-step calls. encode_step_batch() is
+the one entry point for a set of generation-step states, of one graph or
+of many, in either mode, and it runs in two halves. pack_step_batch() does
 everything that reads no weight into a StepPack: the step masks, the
 groups of states that share a pass, the node mask, the per-graph
 segments and the rows the flow's heads read. The passes over a pack,
@@ -143,9 +145,8 @@ def init_rgcn_params(
 
 @dataclass
 class NodeEmbeddings:
-    """Node states after batch norm, (n, k) for one state or (S, n, k) for a
-    stack with rows past each state's own nodes zeroed, and their column
-    sums."""
+    """Node states after batch norm, an (S, n, k) stack of states with rows
+    past each state's own nodes zeroed, and their (S, k) column sums."""
 
     H: Tensor
     graph_embedding: Tensor
@@ -165,26 +166,10 @@ def _off_diagonal(n: int) -> np.ndarray:
     return off
 
 
-def _one_hot_adjacency(g: MolecularGraph, undecided_row=None) -> np.ndarray:
-    """(R, n, n) boolean one-hot slices of the off-diagonal categories, R = no_edge + 1.
-
-    undecided_row = (i, lim) drops slots (i, j) for j >= lim from every
-    slice: those pairs are not yet decided during generation, which is
-    different from having been decided as no-edge. Self loops are added
-    later and are not affected. An array of s limits gives an (s, R, n,
-    n) stack, one set of slices per limit.
-    """
+def _one_hot_adjacency(g: MolecularGraph) -> np.ndarray:
+    """(R, n, n) boolean one-hot slices of the off-diagonal categories, R = no_edge + 1."""
     hit = g.categories[None, :, :] == np.arange(g.no_edge + 1)[:, None, None]
-    a = hit & _off_diagonal(g.n)
-    if undecided_row is not None:
-        i, lim = undecided_row
-        decided = np.arange(g.n) < np.reshape(lim, (-1, 1, 1))  # (s, 1, n)
-        a = np.repeat(a[None], decided.shape[0], axis=0)
-        a[:, :, i, :] &= decided
-        a[:, :, :, i] &= decided
-        if not np.ndim(lim):
-            a = a[0]
-    return a
+    return hit & _off_diagonal(g.n)
 
 
 def _normalized_adjacency(slices: np.ndarray) -> np.ndarray:
@@ -266,9 +251,9 @@ def _propagate(x: np.ndarray, adj: np.ndarray, params: RgcnParams) -> Tensor:
     """Node states of one-hot rows x under normalized relation slices
     adj after the last layer, before batch norm.
 
-    x is (n, F) and adj (R, n, n) for one state, or (S, n, F) and (S, R,
-    n, n) for a stack. Each layer runs every relation at once: the
-    relation axis is summed in relation order after the ReLU.
+    adj is an (S, R, n, n) stack and x is (S, n, F), or (n, F) when every
+    state has one graph's rows. Each layer runs every relation at once:
+    the relation axis is summed in relation order after the ReLU.
     """
     h = _embed(x, params.embed)
     scale = 1.0 / params.num_relations
@@ -277,31 +262,14 @@ def _propagate(x: np.ndarray, adj: np.ndarray, params: RgcnParams) -> Tensor:
     return h
 
 
-def encode(
-    g_prefix: MolecularGraph, params: RgcnParams, undecided_row=None
-) -> NodeEmbeddings:
-    """Encode one non-empty (sub)graph in evaluation mode.
-
-    undecided_row = (i, lim) marks row i's slots at column lim and beyond
-    as not yet generated, excluding them from every relation. lim may be
-    an array of s limits: then the s states of g_prefix that differ only
-    in how much of row i is decided run as one stack, and H is (s, n, k)
-    and graph_embedding (s, k). Every product, ufunc and axis sum runs
-    per state in the one-state order, so row t is bitwise the call with
-    lim[t] alone. g_prefix and params stay the leading positional
-    parameters, because the benchmark's tracer (bench/tracing.py) reads
-    args[0].n.
-    """
-    one_hot = _one_hot_adjacency(g_prefix, undecided_row=undecided_row)
-    h = _propagate(_features(g_prefix, params), _normalized_adjacency(one_hot), params)
-    h = ad.batch_norm(h, params.bn_gamma, params.bn_beta, params.bn_state)
-    return NodeEmbeddings(H=h, graph_embedding=_readout(h))
-
-
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=1024)
 def _step_layout(n: int, steps: tuple) -> tuple:
     """Read-only (S, n, n) decided slots and (S, n, 1) nodes of each state
-    for n-node graphs; cached, as every graph of one size has one full plan."""
+    for n-node graphs: the one rule for what a state sees. Cached, as
+    every graph of one size has one full plan and the sampler's drafts
+    recur from molecule to molecule; those drafts alone are about
+    max_size * window keys (129 at max_size 16, window 12, where 128
+    slots thrashed), so the bound leaves room for them."""
     s_count = len(steps)
     prefix = np.empty(s_count, dtype=np.int64)  # nodes fully inside the prefix
     row = np.full(s_count, -1, dtype=np.int64)  # partially decided node, if any
@@ -343,6 +311,29 @@ def build_step_masks(g: MolecularGraph, steps) -> tuple:
     norm_adj = _normalized_adjacency(one_hot[None, :, :, :] & keep[:, None, :, :])
     norm_adj.flags.writeable = False
     return norm_adj, node_mask
+
+
+def encode(g_prefix: MolecularGraph, steps, params: RgcnParams) -> NodeEmbeddings:
+    """Encode generation-step states of one (sub)graph in evaluation mode,
+    as one stack.
+
+    Each step's state must hold exactly g_prefix's n nodes: ("node", n),
+    or ("edge", n - 1, j), whose row n - 1 is decided only before column
+    j; any other step is a ValueError. The decided slots come from the
+    layout build_step_masks reads. H is (S, n, k) and graph_embedding (S,
+    k), row s for steps[s]. Every product, ufunc and axis sum runs per
+    state in the one-step order, so row s is bitwise the call with
+    steps[s] alone. g_prefix stays the first positional parameter,
+    because the benchmark's tracer (bench/tracing.py) reads args[0].n.
+    """
+    n = g_prefix.n
+    keep, node_mask = _step_layout(n, tuple(steps))
+    if not node_mask.all() or any(step[1] >= n + (step[0] == "node") for step in steps):
+        raise ValueError(f"encode: every state must hold exactly the prefix's {n} nodes")
+    one_hot = _one_hot_adjacency(g_prefix)[None] & keep[:, None]
+    h = _propagate(_features(g_prefix, params), _normalized_adjacency(one_hot), params)
+    h = ad.batch_norm(h, params.bn_gamma, params.bn_beta, params.bn_state)
+    return NodeEmbeddings(H=h, graph_embedding=_readout(h))
 
 
 @dataclass

@@ -20,27 +20,28 @@ three competitors, and the competitors' log-CDFs are summed in
 ascending order one add at a time.
 
 An episode is kept as the sampler's trace, which records every decision
-with the acting (mu, alpha) behind it. For the ratio objective each
-step's integration grid comes from that acting (mu, alpha) alone, so it
-stays frozen while the weights move, and the surrogate is a smooth
-function of the weights. Collection only samples, scores and builds
-returns; _ppo_losses is the one place that splits a batch into packed
-chunks of PPO_CHUNK trajectories. All states of a chunk, the empty
-prefix included, go through one encoder pass and one head call per
-step kind, and each step kind gets one grid build from the stacked trace
-and one quadrature. Each chunk is packed once per batch: its grids, and
-one rgcn.StepPack of its states (the encoder's grouped step masks and
-the head index arrays). Each chunk's share of the batch loss is one
-callable holding everything it reads that the weights do not change
-(the frozen grids, the step pack, advantages), so an update pass does
-only weight-dependent work; every update pass sums their gradients with
-autodiff.accumulate_grads, the same loop maximum-likelihood training
-runs, one tape per chunk, on which the chunk's clipped-ratio surrogate
-is one node over its per-kind log-probs. There is no separate acting
-pass: a chunk's acting log-probabilities are the values of its first
-call, which the first update pass makes at the collection weights, and
-the callable holds them as constants from then on. So ratios start at exactly one,
-and finite differences agree with the tape gradient.
+with the acting (mu, alpha) behind it and the graph the decisions
+filled. For the ratio objective each step's integration grid comes from
+that acting (mu, alpha) alone, so it stays frozen while the weights
+move, and the surrogate is a smooth function of the weights. Collection
+only samples, scores and builds returns; _ppo_losses is the one place
+that splits a batch into packed chunks of PPO_CHUNK trajectories. All
+states of a chunk, the empty prefix included, go through one encoder
+pass and one head call per step kind, and each step kind gets one grid
+build from the stacked trace and one quadrature. Each chunk is packed
+once per batch: its grids, and one rgcn.StepPack of its states (the
+encoder's grouped step masks and the head index arrays). Each chunk's
+share of the batch loss is one callable holding everything it reads that
+the weights do not change (the frozen grids, the step pack, advantages),
+so an update pass does only weight-dependent work; every update pass
+sums their gradients with autodiff.accumulate_grads, the same loop
+maximum-likelihood training runs, one tape per chunk, on which the
+chunk's clipped-ratio surrogate is one node over its per-kind log-probs.
+There is no separate acting pass: a chunk's acting log-probabilities are
+the values of its first call, which the first update pass makes at the
+collection weights, and the callable holds them as constants from then
+on. So ratios start at exactly one, and finite differences agree with
+the tape gradient.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from . import autodiff as ad
 from . import rgcn
 from .autodiff import AdamState, Tensor, adam_step
 from .flow import FlowParams, ModelSpec, _reorder_for_window, _stacked_conditionals
-from .graph import GraphError, MolecularGraph, bfs_reorder, empty_categories
+from .graph import GraphError, MolecularGraph, bfs_reorder
 from .molt import write_molt
 from .sampler import SampleTrace, SamplerConfig, sample_molecule
 
@@ -72,14 +73,10 @@ PPO_CHUNK = 16  # trajectories per packed pass: one tape, one encoder call
 VALIDITY_PENALTY = -1.0  # reward per valency rejection, at its own step
 
 GRID_SPAN = 9.0  # +-9 standard deviations; truncated tail mass ~ 2e-19
-# Gauss-Legendre nodes and weights per panel: coarse grids (the ratio
-# objective) and fine grids (the tests' normalized action probabilities)
-_GL_COARSE = np.polynomial.legendre.leggauss(8)
-_GL_FINE = np.polynomial.legendre.leggauss(16)
+_GL_COARSE = np.polynomial.legendre.leggauss(8)  # Gauss-Legendre nodes and weights per panel
 
 # fractions of the crossover halfwidth where extra panel edges go
 _REFINE_FRACTIONS = np.array([-1.0, -0.25, 0.0, 0.25, 1.0])
-_REFINE_FRACTIONS_FINE = np.array([-1.0, -0.5, -0.125, 0.0, 0.125, 0.5, 1.0])
 
 
 def _competitors(actions: np.ndarray, d: int) -> np.ndarray:
@@ -88,7 +85,7 @@ def _competitors(actions: np.ndarray, d: int) -> np.ndarray:
     return others + (others >= actions[:, None])
 
 
-def argmax_region_grid(mu, alpha, actions, fine: bool = False):
+def argmax_region_grid(mu, alpha, actions):
     """Quadrature nodes and log-weights for a stack of argmax-region
     integrals, one per row of the (S, D) arrays mu and alpha.
 
@@ -111,11 +108,10 @@ def argmax_region_grid(mu, alpha, actions, fine: bool = False):
     alpha_c = alpha[rows, actions][:, None]
     center = (np.take_along_axis(mu, others, 1) - mu_c) / alpha_c  # (S, D-1)
     halfwidth = 6.0 * np.maximum(np.take_along_axis(alpha, others, 1) / alpha_c, 1e-8)
-    fractions = _REFINE_FRACTIONS_FINE if fine else _REFINE_FRACTIONS
     extra = np.clip(
-        center[:, :, None] + halfwidth[:, :, None] * fractions, -GRID_SPAN, GRID_SPAN
+        center[:, :, None] + halfwidth[:, :, None] * _REFINE_FRACTIONS, -GRID_SPAN, GRID_SPAN
     ).reshape(s_count, -1)
-    base = np.linspace(-GRID_SPAN, GRID_SPAN, 19 if fine else 13)
+    base = np.linspace(-GRID_SPAN, GRID_SPAN, 13)
     edges = np.sort(np.concatenate([np.tile(base, (s_count, 1)), extra], axis=1), axis=1)
     keep = np.ones(edges.shape, dtype=bool)
     keep[:, 1:] = np.diff(edges, axis=1) > 1e-12
@@ -129,7 +125,7 @@ def argmax_region_grid(mu, alpha, actions, fine: bool = False):
     right = packed[:, 1 : p_max + 1][live]
     half = 0.5 * (right - left)
     mid = 0.5 * (right + left)
-    nodes, weights = _GL_FINE if fine else _GL_COARSE
+    nodes, weights = _GL_COARSE
     u = np.zeros((s_count, p_max, nodes.size))
     logw = np.full((s_count, p_max, nodes.size), -np.inf)
     u[live] = mid[:, None] + half[:, None] * nodes[None, :]
@@ -216,16 +212,19 @@ def _stacked_action_logprobs(
 class Trajectory:
     """One complete generation episode with everything a ratio-objective
     update needs: the sampler's trace (each decision with its acting mu
-    and alpha and its valency rejections), the generated graph (gen_graph
-    includes a trailing node that termination discarded, so states can
-    be rebuilt), and per-step discounted returns in trace order. Acting
+    and alpha and its valency rejections, and the graph those decisions
+    filled) and per-step discounted returns in trace order. Acting
     log-probs are not stored here: each chunk loss holds its chunk's."""
 
-    gen_graph: MolecularGraph
-    final_graph: MolecularGraph
     trace: SampleTrace
     final_reward: float
     returns: np.ndarray
+
+    @property
+    def gen_graph(self) -> MolecularGraph:
+        """The graph every step's state is read from: the trace's, which
+        keeps a trailing node that termination discarded."""
+        return self.trace.graph
 
     @property
     def num_steps(self) -> int:
@@ -274,26 +273,12 @@ class ScorerError(Exception):
     pass
 
 
-def build_trajectory(
-    g: MolecularGraph,
-    trace: SampleTrace,
-    reward_cfg: RewardConfig,
-    score: float,
-) -> Trajectory:
-    """Assemble a trajectory from a sampling trace and a property score.
+def build_trajectory(trace: SampleTrace, reward_cfg: RewardConfig, score: float) -> Trajectory:
+    """Assemble a trajectory from a sampling trace and the property score
+    of its molecule.
 
     Returns are discounted backward over the per-step rewards."""
-    if trace.termination == "no-bonds":
-        last_node = [s for s in trace.steps if s.kind == "node"][-1]
-        types = np.concatenate([g.node_types, [last_node.action]])
-        cats = empty_categories(g.n + 1, g.no_edge)
-        cats[: g.n, : g.n] = g.categories
-        gen_graph = MolecularGraph(types, cats, g.no_edge)
-    else:
-        gen_graph = g
     traj = Trajectory(
-        gen_graph=gen_graph,
-        final_graph=g,
         trace=trace,
         final_reward=reward_cfg.shape(score),
         returns=np.zeros(trace.num_steps),
@@ -337,7 +322,7 @@ def collect_trajectories(
         except ScorerError:
             failures += 1
             continue
-        out.append(build_trajectory(g, trace, reward_cfg, score))
+        out.append(build_trajectory(trace, reward_cfg, score))
     return out, failures
 
 

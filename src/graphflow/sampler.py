@@ -12,16 +12,18 @@ newly added node (other than the first) picks up no bond at all, in
 which case that node is discarded.
 
 Every kept decision is recorded in a trace together with the mu/alpha
-rows that produced it, which is exactly what the reinforcement-learning
-code needs to compute acting log-probabilities without re-encoding.
+rows that produced it, and the trace keeps the graph the walk filled,
+a discarded last node included: exactly what the reinforcement-learning
+code needs to rebuild every step's state and score its action.
 
 Decisions are made one step at a time but states are encoded per node,
 the way speculative decoding drafts and then verifies: once node i's
 type is set, one encoder call drafts every state pending on row i, as
-if the slots before it end no-edge, plus node i + 1's state. A decided
-no-edge is its own relation and an undecided slot is in none, so the
-drafts are exact until a bond is kept; only the drafts after a kept
-bond are encoded again. Each stacked row is bitwise the one-state call.
+if the slots before it end no-edge, plus node i + 1's state. The drafts
+are plan steps, as in the stacked training pass. A decided no-edge is
+its own relation and an undecided slot is in none, so the drafts are
+exact until a bond is kept; only the drafts after a kept bond are
+encoded again. Each stacked row is bitwise the one-step call.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from .flow import (
     edge_conditional,
     graph_to_latent,
     node_conditional,
-    row_embeddings,
     step_embedding,
+    step_embeddings,
     validate_ordered,
 )
 from .graph import (
@@ -80,9 +82,15 @@ class TraceStep:
 
 @dataclass
 class SampleTrace:
+    """The kept decisions of one walk and how it ended. graph is the graph
+    the walk filled, the decided nodes of every step: on "no-bonds" it
+    still holds the dropped last node, which the returned molecule
+    leaves out."""
+
     steps: list = field(default_factory=list)
     termination: str = ""
     rejections: int = 0
+    graph: MolecularGraph | None = None
 
     @property
     def num_steps(self) -> int:
@@ -94,12 +102,12 @@ def _walk(params: FlowParams, spec: ModelSpec, cfg: SamplerConfig, g: MolecularG
     start on; draw(dim) gives each proposal's base normal value. Returns
     (the kept prefix of g, trace).
 
-    first is the slot where the current row_embeddings stack starts, and
+    first is the slot where the current step_embeddings stack starts, and
     None once a kept bond has made it stale; the stack is encoded again
     from the next slot on, or, after the row's last slot, node i + 1's
     state alone (node_x None)."""
     types, cats, no_edge = g.node_types, g.categories, g.no_edge
-    trace = SampleTrace(termination="max-size")
+    trace = SampleTrace(termination="max-size", graph=g)
     node_x = None
     for i in range(start, g.n):
         if node_x is None:
@@ -113,8 +121,10 @@ def _walk(params: FlowParams, spec: ModelSpec, cfg: SamplerConfig, g: MolecularG
         got_bond, node_x, first = False, None, None
         for j in range(max(0, i - spec.window), i):
             if first is None:  # row i's slots from j on, then node i + 1's state if any
-                lims = np.arange(j, min(i + 1, g.n - 1))
-                edge_x, node_x = row_embeddings(params, g, i, lims)
+                drafts = [("edge", i, l) for l in range(j, i)]
+                if i + 1 < g.n:
+                    drafts.append(("node", i + 1))
+                edge_x, node_x = step_embeddings(params, g, drafts)
                 mu, alpha = edge_conditional(params, edge_x)
                 first = j
             mu_j, alpha_j = mu.data[j - first, 0], alpha.data[j - first, 0]
@@ -142,7 +152,7 @@ def _walk(params: FlowParams, spec: ModelSpec, cfg: SamplerConfig, g: MolecularG
             )
         if i > 0 and not got_bond:
             # the new node would be disconnected: drop it and stop
-            trace.termination = "no-bonds"
+            trace.termination, trace.graph = "no-bonds", g.prefix(i + 1)
             return g.prefix(i), trace
     return g, trace
 

@@ -13,7 +13,9 @@ what it did there.
 action_logprobs, the normalized log-probabilities of every category of
 one step on the fine quadrature grid, is the oracle the sampler's
 Monte Carlo and exact-probability checks read; the model itself only
-ever needs the log-probability of the action it took.
+ever needs the log-probability of the action it took, on the coarse grid
+of rl.argmax_region_grid. one_row_grid builds either grid for one row,
+edge by edge, and is pinned bitwise to rl.argmax_region_grid's rows.
 """
 
 from functools import reduce
@@ -210,6 +212,48 @@ def log_ndtr(a: Tensor) -> Tensor:
     return ad.custom_op(out, (a,), back)
 
 
+# the fine grid: more Gauss-Legendre nodes per panel, more base edges
+# and more refinements around each crossover than rl's coarse grid
+_GL_FINE = np.polynomial.legendre.leggauss(16)
+_REFINE_FRACTIONS_FINE = np.array([-1.0, -0.5, -0.125, 0.0, 0.125, 0.5, 1.0])
+
+
+def one_row_grid(mu, alpha, c, fine=False):
+    """Quadrature nodes u and log-weights logw of one argmax-region
+    integral, the category c of the (D,) arrays mu and alpha: the panel
+    edges by np.unique plus the 1e-12 filter, on the coarse grid of
+    rl.argmax_region_grid or, with fine, on the fine one."""
+    base = np.linspace(-rl.GRID_SPAN, rl.GRID_SPAN, 19 if fine else 13)
+    fractions = _REFINE_FRACTIONS_FINE if fine else rl._REFINE_FRACTIONS
+    extra = []
+    for k in range(mu.shape[0]):
+        if k != c:
+            center = (mu[k] - mu[c]) / alpha[c]
+            halfwidth = 6.0 * max(alpha[k] / alpha[c], 1e-8)
+            extra.append(np.clip(center + halfwidth * fractions, -rl.GRID_SPAN, rl.GRID_SPAN))
+    edges = np.unique(np.concatenate([base] + extra))
+    edges = edges[np.concatenate([[True], np.diff(edges) > 1e-12])]
+    nodes, weights = _GL_FINE if fine else rl._GL_COARSE
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    u = (mid[:, None] + half[:, None] * nodes[None, :]).reshape(-1)
+    logw = (np.log(half[:, None]) + np.log(weights[None, :])).reshape(-1)
+    return u, logw
+
+
+def fine_grid(mu, alpha, actions):
+    """The fine grid of a stack of rows in rl.argmax_region_grid's layout:
+    one one_row_grid per row, padded with u = 0 and logw = -inf to the
+    longest."""
+    rows = [one_row_grid(m, a, c, fine=True) for m, a, c in zip(mu, alpha, actions)]
+    q = max(len(u) for u, _ in rows)
+    u = np.zeros((len(rows), q))
+    logw = np.full((len(rows), q), -np.inf)
+    for r, (row_u, row_w) in enumerate(rows):
+        u[r, : len(row_u)], logw[r, : len(row_w)] = row_u, row_w
+    return u, logw
+
+
 def action_logprobs(
     mu: np.ndarray, alpha: np.ndarray, temperature: float = 1.0
 ) -> np.ndarray:
@@ -222,7 +266,7 @@ def action_logprobs(
     alpha = np.asarray(alpha, dtype=np.float64).reshape(-1) * temperature
     d = mu.shape[0]
     mu, alpha, actions = np.tile(mu, (d, 1)), np.tile(alpha, (d, 1)), np.arange(d)
-    u, logw = rl.argmax_region_grid(mu, alpha, actions, fine=True)
+    u, logw = fine_grid(mu, alpha, actions)
     grid_base = rl.weight_free_term(u, logw)
     raw = rl._stacked_action_logprobs(Tensor(mu), Tensor(alpha), u, grid_base, actions)
     return raw.data - _scipy_logsumexp(raw.data)

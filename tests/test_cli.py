@@ -314,6 +314,35 @@ def test_evaluate_empty_samples_exits_2(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_on_empty_data_exits_2(workspace, tmp_path, capsys):
+    # a dataset file with no molecules is a data error before anything is
+    # written, not a traceback from the training loop
+    empty = tmp_path / "empty.molt"
+    empty.write_text("")
+    out = tmp_path / "out"
+    rc = cli.main(["train", "--config", str(workspace["cfg"]), "--data", str(empty),
+                   "--output", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "no molecules" in err
+    assert not out.exists()
+
+
+def test_optimize_constrained_on_empty_molecules_exits_2(workspace, tmp_path, capsys):
+    # no seed molecules would report "success 0/0" and a manifest: output
+    # from no input
+    empty = tmp_path / "empty.molt"
+    empty.write_text("")
+    out = tmp_path / "out"
+    rc = cli.main(["optimize-constrained", "--config", str(workspace["cfg"]),
+                   "--checkpoint", str(workspace["checkpoint"]), "--molecules", str(empty),
+                   "--output", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "no molecules" in err
+    assert not out.exists()
+
+
 def test_sample_missing_checkpoint_leaves_no_output_directory(workspace, tmp_path, capsys):
     # the output directory is made only once the first output is ready,
     # so a data error found while loading the inputs leaves none behind

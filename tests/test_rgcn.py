@@ -31,7 +31,7 @@ def test_rejects_category_mismatch():
     params = rgcn.init_rgcn_params(VOCAB.size, 8, 2, 3, np.random.default_rng(0))
     g = molecule(1)[0]
     with pytest.raises(GraphError):
-        rgcn.encode(g, params)
+        rgcn.encode(g, [("node", g.n)], params)
 
 
 def test_stacked_matches_sequential_eval_mode():
@@ -52,7 +52,7 @@ def test_stacked_matches_sequential_eval_mode():
                     g.categories[: step[1], : step[1]],
                     NO_EDGE,
                 )
-                single = rgcn.encode(sub, params)
+                single = rgcn.encode(sub, [step], params)
             else:
                 _, i, j = step
                 cats = g.categories[: i + 1, : i + 1].copy()
@@ -61,7 +61,7 @@ def test_stacked_matches_sequential_eval_mode():
                 cats[i, :j] = g.categories[i, :j]
                 cats[:j, i] = g.categories[i, :j]
                 sub = MolecularGraph(g.node_types[: i + 1], cats, NO_EDGE)
-                single = rgcn.encode(sub, params, undecided_row=(i, j))
+                single = rgcn.encode(sub, [step], params)
             got = stacked.graph_embedding.data[s]
             assert np.allclose(got, single.graph_embedding.data, atol=1e-11)
 
@@ -83,7 +83,7 @@ def test_future_nodes_cannot_influence_prefix_embedding():
     full = rgcn.encode_step_batch(g, [("node", m)], params, training=False)
     # chop the graph to the prefix and encode that directly
     sub = MolecularGraph(g.node_types[:m], g.categories[:m, :m], NO_EDGE)
-    alone = rgcn.encode(sub, params)
+    alone = rgcn.encode(sub, [("node", m)], params)
     assert np.allclose(full.graph_embedding.data[0], alone.graph_embedding.data, atol=1e-11)
     # changing a future node's type must not move the prefix embedding
     mutated = g.copy()
@@ -101,25 +101,26 @@ def test_undecided_slots_absent_from_every_relation():
     cats[0, 1] = cats[1, 0] = 0
     cats[0, 2] = cats[2, 0] = 1
     g = MolecularGraph(np.array([0, 1, 2]), cats, NO_EDGE)
-    masked = rgcn._one_hot_adjacency(g, undecided_row=(2, 0))
+    keep = rgcn._step_layout(3, (("edge", 2, 0),))[0][0]
+    masked = rgcn._one_hot_adjacency(g) & keep
     assert np.array_equal(masked[:, 2, :], np.zeros((BONDS.categories, 3)))
     assert np.array_equal(masked[:, :, 2], np.zeros((BONDS.categories, 3)))
-    undecided = rgcn.encode(g, params, undecided_row=(2, 0))
+    undecided = rgcn.encode(g, [("edge", 2, 0)], params)
     cleared = empty_categories(3, NO_EDGE)
     cleared[0, 1] = cleared[1, 0] = 0
-    decided = rgcn.encode(MolecularGraph(g.node_types, cleared, NO_EDGE), params)
+    decided = rgcn.encode(MolecularGraph(g.node_types, cleared, NO_EDGE), [("node", 3)], params)
     gap = np.abs(undecided.graph_embedding.data - decided.graph_embedding.data).max()
     assert gap > 1e-8
     # once slot (2, 0) is inside the decided range the states must differ
-    after = rgcn.encode(g, params, undecided_row=(2, 1))
+    after = rgcn.encode(g, [("edge", 2, 1)], params)
     gap = np.abs(after.graph_embedding.data - undecided.graph_embedding.data).max()
     assert gap > 1e-8
 
 
-def test_limits_array_rows_equal_single_limit_calls_bitwise():
-    # the sampler's per-node stack: one call over every limit of a row,
-    # each row bitwise the call with that limit alone, at widths where
-    # BLAS blocks the products differently
+def test_stacked_steps_equal_one_step_calls_bitwise():
+    # the sampler's per-node stack: one call over the states of a row's
+    # slots and the next node's, each row bitwise the call with that step
+    # alone, at widths where BLAS blocks the products differently
     for width, layers in ((8, 2), (32, 3)):
         params = make_params(width=width, layers=layers, seed=width)
         rng = np.random.default_rng(width)
@@ -127,16 +128,34 @@ def test_limits_array_rows_equal_single_limit_calls_bitwise():
         params.bn_state.running_var = rng.uniform(0.5, 2.0, size=width)
         for g in molecule(width, count=4, max_atoms=12):
             for i in range(g.n):
-                lims = np.arange(max(0, i - 5), i + 1)
-                stacked = rgcn.encode(g.prefix(i + 1), params, undecided_row=(i, lims))
-                assert stacked.H.data.shape == (len(lims), i + 1, width)
-                for row, lim in enumerate(lims):
-                    one = rgcn.encode(g.prefix(i + 1), params, undecided_row=(i, int(lim)))
-                    assert np.array_equal(stacked.H.data[row], one.H.data)
-                    assert np.array_equal(stacked.graph_embedding.data[row], one.graph_embedding.data)
-            whole = rgcn.encode(g, params)  # the fully decided row is the plain call
-            last = rgcn.encode(g, params, undecided_row=(g.n - 1, [g.n - 1]))
-            assert np.array_equal(last.H.data[0], whole.H.data)
+                steps = [("edge", i, j) for j in range(max(0, i - 5), i)] + [("node", i + 1)]
+                stacked = rgcn.encode(g.prefix(i + 1), steps, params)
+                assert stacked.H.data.shape == (len(steps), i + 1, width)
+                for row, step in enumerate(steps):
+                    one = rgcn.encode(g.prefix(i + 1), [step], params)
+                    assert np.array_equal(stacked.H.data[row], one.H.data[0])
+                    pooled = one.graph_embedding.data[0]
+                    assert np.array_equal(stacked.graph_embedding.data[row], pooled)
+            whole = rgcn.encode(g, [("node", g.n)], params)  # the fully decided row alone
+            last = rgcn.encode(g, [("edge", g.n - 1, 0), ("node", g.n)], params)
+            assert np.array_equal(last.H.data[-1], whole.H.data[0])
+
+
+def test_encode_rejects_states_of_another_size():
+    # every state of one encode call holds exactly the given prefix's nodes
+    params = make_params()
+    g = molecule(3, max_atoms=7)[0]
+    assert g.n >= 3
+    n = g.n
+    for steps in (
+        [("node", n - 1)],
+        [("edge", n - 2, 0)],
+        [("edge", n - 1, 0), ("node", n - 1)],
+        [("node", n + 1)],
+        [("edge", n, 0)],
+    ):
+        with pytest.raises(ValueError, match="exactly"):
+            rgcn.encode(g, steps, params)
 
 
 def test_train_mode_embeddings_distinguish_same_size_states():
@@ -183,7 +202,7 @@ def test_running_buffers_update_in_train_and_freeze_in_eval():
     params = make_params()
     g = molecule(6)[0]
     before_mean = params.bn_state.running_mean.copy()
-    rgcn.encode(g, params)
+    rgcn.encode(g, [("node", g.n)], params)
     assert np.array_equal(params.bn_state.running_mean, before_mean)
     rgcn.encode_step_batch(g, [("node", g.n)], params, training=True)
     assert not np.array_equal(params.bn_state.running_mean, before_mean)
@@ -229,11 +248,14 @@ def test_eval_encode_matches_per_relation_loop_bitwise():
     params.bn_gamma.data = rng.normal(size=8)
     params.bn_beta.data = rng.normal(size=8)
     for g in molecule(9, count=4, max_atoms=8):
-        for undecided in (None, (g.n - 1, g.n // 2)):
-            out = rgcn.encode(g, params, undecided_row=undecided)
+        for step, undecided in (
+            (("node", g.n), None),
+            (("edge", g.n - 1, g.n // 2), (g.n - 1, g.n // 2)),
+        ):
+            out = rgcn.encode(g, [step], params)
             expected = _reference_eval_encode(g, params, undecided)
-            assert np.array_equal(out.H.data, expected)
-            assert np.array_equal(out.graph_embedding.data, expected.sum(axis=-2))
+            assert np.array_equal(out.H.data[0], expected)
+            assert np.array_equal(out.graph_embedding.data[0], expected.sum(axis=-2))
 
 
 def test_each_layer_records_one_node_per_op():
@@ -279,7 +301,7 @@ def test_prefix_batch_matches_single_encodes():
     batch = rgcn.encode_step_batch(g, [("node", m) for m in sizes], params, training=False)
     for s, m in enumerate(sizes):
         sub = MolecularGraph(g.node_types[:m], g.categories[:m, :m], NO_EDGE)
-        single = rgcn.encode(sub, params)
+        single = rgcn.encode(sub, [("node", m)], params)
         assert np.allclose(
             batch.graph_embedding.data[s], single.graph_embedding.data, atol=1e-11
         )

@@ -25,7 +25,7 @@ from graphflow import rl
 from graphflow.autodiff import Tensor
 from graphflow.graph import MolecularGraph, empty_categories
 from graphflow.sampler import SampleTrace, SamplerConfig, TraceStep, sample_molecule
-from oracle_ops import action_logprobs, add, div, logsumexp, mul, reshape, sub, sum_of, take, tensor_sum, weighted_sum
+from oracle_ops import action_logprobs, add, div, logsumexp, mul, one_row_grid, reshape, sub, sum_of, take, tensor_sum, weighted_sum
 from oracle_ops import log_ndtr as oracle_log_ndtr
 
 VOCAB = G.default_atom_vocab()
@@ -310,26 +310,6 @@ def test_fused_gradient_matches_finite_differences():
         assert ad.grad_check(loss, named, h=1e-5) < 1e-5
 
 
-def _one_row_unique_grid(mu, alpha, c, fine):
-    # per-row grid construction by np.unique plus the 1e-12 filter
-    base = np.linspace(-rl.GRID_SPAN, rl.GRID_SPAN, 19 if fine else 13)
-    fractions = rl._REFINE_FRACTIONS_FINE if fine else rl._REFINE_FRACTIONS
-    extra = []
-    for k in range(mu.shape[0]):
-        if k != c:
-            center = (mu[k] - mu[c]) / alpha[c]
-            halfwidth = 6.0 * max(alpha[k] / alpha[c], 1e-8)
-            extra.append(np.clip(center + halfwidth * fractions, -rl.GRID_SPAN, rl.GRID_SPAN))
-    edges = np.unique(np.concatenate([base] + extra))
-    edges = edges[np.concatenate([[True], np.diff(edges) > 1e-12])]
-    nodes, weights = rl._GL_FINE if fine else rl._GL_COARSE
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    u = (mid[:, None] + half[:, None] * nodes[None, :]).reshape(-1)
-    logw = (np.log(half[:, None]) + np.log(weights[None, :])).reshape(-1)
-    return u, logw
-
-
 def test_stacked_grids_match_one_row_calls_bitwise():
     rng = np.random.default_rng(25)
     for trial in range(60):
@@ -348,19 +328,18 @@ def test_stacked_grids_match_one_row_calls_bitwise():
         mu[6, 1] = mu[6, 0] + (3.0 + 3e-13) * alpha[6, 0]
         mu[4] = mu[5]  # duplicate rows with different actions
         alpha[4] = alpha[5]
-        for fine in (False, True):
-            u, logw = rl.argmax_region_grid(mu, alpha, actions, fine=fine)
-            lengths = np.count_nonzero(logw > -np.inf, axis=1)
-            assert u.shape[1] == lengths.max()
-            for r in range(7):
-                q = lengths[r]
-                assert np.all(u[r, q:] == 0.0) and np.all(logw[r, q:] == -np.inf)
-                one_u, one_w = rl.argmax_region_grid(
-                    mu[r : r + 1], alpha[r : r + 1], actions[r : r + 1], fine=fine
-                )
-                assert np.array_equal(one_u[0], u[r, :q]) and np.array_equal(one_w[0], logw[r, :q])
-                ref_u, ref_w = _one_row_unique_grid(mu[r], alpha[r], actions[r], fine)
-                assert np.array_equal(ref_u, u[r, :q]) and np.array_equal(ref_w, logw[r, :q])
+        u, logw = rl.argmax_region_grid(mu, alpha, actions)
+        lengths = np.count_nonzero(logw > -np.inf, axis=1)
+        assert u.shape[1] == lengths.max()
+        for r in range(7):
+            q = lengths[r]
+            assert np.all(u[r, q:] == 0.0) and np.all(logw[r, q:] == -np.inf)
+            one_u, one_w = rl.argmax_region_grid(
+                mu[r : r + 1], alpha[r : r + 1], actions[r : r + 1]
+            )
+            assert np.array_equal(one_u[0], u[r, :q]) and np.array_equal(one_w[0], logw[r, :q])
+            ref_u, ref_w = one_row_grid(mu[r], alpha[r], actions[r])
+            assert np.array_equal(ref_u, u[r, :q]) and np.array_equal(ref_w, logw[r, :q])
 
 
 # ------------------------------------------------- returns and baselines
@@ -376,7 +355,7 @@ def _fake_trace(rejections):
 def _returns(rejections, final_reward, gamma):
     # linear shaping with t1 = 1: the shaped reward is the score itself
     rcfg = rl.RewardConfig(gamma=gamma, shaping="linear", t1=1.0)
-    return rl.build_trajectory(None, _fake_trace(rejections), rcfg, final_reward).returns
+    return rl.build_trajectory(_fake_trace(rejections), rcfg, final_reward).returns
 
 
 def test_returns_recursion_hand_case():
@@ -407,8 +386,7 @@ def test_baseline_updates():
 
     def traj_with_returns(rets):
         return rl.Trajectory(
-            gen_graph=None, final_graph=None, trace=_fake_trace([0] * len(rets)),
-            final_reward=0.0, returns=np.array(rets),
+            trace=_fake_trace([0] * len(rets)), final_reward=0.0, returns=np.array(rets),
         )
 
     batch = [traj_with_returns([2.0, 4.0]), traj_with_returns([6.0])]
@@ -619,7 +597,8 @@ def test_chunk_logprobs_match_per_step_reference():
         nb_params, nb_spec, SamplerConfig(valency_check=True, max_resample=7),
         rl.RewardConfig(), scorer, 2, np.random.default_rng(1),
     )
-    assert trajs and all(t.gen_graph.n == t.final_graph.n + 1 for t in trajs)
+    assert trajs and all(t.trace.termination == "no-bonds" for t in trajs)
+    assert all(t.gen_graph.n == sum(s.kind == "node" for s in t.trace.steps) for t in trajs)
     _assert_chunk_matches_reference(nb_params, trajs, 1.0)
 
 
@@ -853,8 +832,8 @@ def test_no_bond_termination_keeps_dropped_node_in_gen_graph():
     g, trace = sample_molecule(params, spec, scfg, np.random.default_rng(1))
     assert trace.termination == "no-bonds"
     rcfg = rl.RewardConfig(gamma=0.5, shaping="linear", t1=1.0)
-    traj = rl.build_trajectory(g, trace, rcfg, score=float(g.n))
-    assert traj.final_graph == g
+    traj = rl.build_trajectory(trace, rcfg, score=float(g.n))
+    assert traj.gen_graph.prefix(g.n) == g
     assert traj.gen_graph.n == g.n + 1
     assert traj.gen_graph.node_types[-1] == VOCAB.index("O")
     assert len(traj.gen_graph.bonds()) == len(g.bonds())
@@ -902,7 +881,7 @@ def test_collect_with_seed_graphs():
     )
     for traj in trajs:
         assert all(s.i >= 2 for s in traj.trace.steps)
-        assert np.array_equal(traj.final_graph.node_types[:2], seed_graph.node_types)
+        assert np.array_equal(traj.gen_graph.node_types[:2], seed_graph.node_types)
 
 
 def test_finetune_runs_and_is_deterministic():

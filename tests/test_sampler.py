@@ -93,6 +93,10 @@ def test_resample_cap_falls_back_to_no_edge():
     assert len(edge_steps) == 1
     assert edge_steps[0].action == NO_EDGE
     assert edge_steps[0].rejections == 7
+    # the trace keeps the graph the walk filled, dropped node included
+    assert trace.graph.n == 2 and trace.graph.prefix(1) == g
+    assert trace.graph.node_types[1] == VOCAB.index("O")
+    assert trace.graph.bonds() == []
 
 
 def test_growth_to_max_size():
@@ -104,6 +108,7 @@ def test_growth_to_max_size():
     g, trace = sampler.sample_molecule(params, spec, cfg, np.random.default_rng(4))
     assert trace.termination == "max-size"
     assert g.n == 5
+    assert trace.graph is g
     assert all(t == VOCAB.index("C") for t in g.node_types)
     assert G.valency_violations(g, spec.vocab, spec.bonds) == []
 
@@ -228,7 +233,8 @@ def test_trace_matches_graph_and_conditionals():
                     h = Tensor(np.zeros((1, k)))
                 else:
                     sub = MolecularGraph(g.node_types[: s.i], g.categories[: s.i, : s.i], NO_EDGE)
-                    h = Tensor(rgcn.encode(sub, params.rgcn).graph_embedding.data.reshape(1, k))
+                    emb = rgcn.encode(sub, [("node", s.i)], params.rgcn)
+                    h = Tensor(emb.graph_embedding.data.reshape(1, k))
                     node_checked += 1
                 mu, alpha = flow.node_conditional(params, h)
             else:
@@ -236,10 +242,10 @@ def test_trace_matches_graph_and_conditionals():
                 sub = MolecularGraph(
                     g.node_types[: s.i + 1], g.categories[: s.i + 1, : s.i + 1], NO_EDGE
                 )
-                emb = rgcn.encode(sub, params.rgcn, undecided_row=(s.i, s.j))
+                emb = rgcn.encode(sub, [("edge", s.i, s.j)], params.rgcn)
                 h = emb.graph_embedding.data.reshape(1, k)
-                hi = emb.H.data[s.i : s.i + 1]
-                hj = emb.H.data[s.j : s.j + 1]
+                hi = emb.H.data[0, s.i : s.i + 1]
+                hj = emb.H.data[0, s.j : s.j + 1]
                 x = Tensor(np.concatenate([h, hi, hj], axis=-1))
                 mu, alpha = flow.edge_conditional(params, x)
                 edge_checked += 1
@@ -270,7 +276,7 @@ def _walk_per_step(params, spec, cfg, g, start, draw):
     # the walk with one step_embedding encode per generation step that the
     # per-node walk replaced: its oracle
     types, cats, no_edge = g.node_types, g.categories, g.no_edge
-    trace = sampler.SampleTrace(termination="max-size")
+    trace = sampler.SampleTrace(termination="max-size", graph=g)
     for i in range(start, g.n):
         mu, alpha = flow.node_conditional(params, flow.step_embedding(params, g, ("node", i)))
         t = flow.decode_category(draw(spec.node_dim), mu.data[0], alpha.data[0])
@@ -307,7 +313,7 @@ def _walk_per_step(params, spec, cfg, g, start, draw):
                 )
             )
         if i > 0 and not got_bond:
-            trace.termination = "no-bonds"
+            trace.termination, trace.graph = "no-bonds", g.prefix(i + 1)
             return g.prefix(i), trace
     return g, trace
 
@@ -317,6 +323,7 @@ def _assert_same_run(got, want):
     assert np.array_equal(g.node_types, g_ref.node_types)
     assert np.array_equal(g.categories, g_ref.categories)
     assert trace.termination == trace_ref.termination
+    assert trace.graph == trace_ref.graph
     assert trace.rejections == trace_ref.rejections
     assert len(trace.steps) == len(trace_ref.steps)
     for s, r in zip(trace.steps, trace_ref.steps):
