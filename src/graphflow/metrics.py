@@ -5,11 +5,18 @@ Duplicate detection runs in two stages. A Weisfeiler-Lehman color
 refinement produces a fast canonical digest; digest collisions are then
 confirmed (or split) by an exact backtracking isomorphism test, so a WL
 hash collision can never merge two genuinely different molecules.
+Each graph's WL labels are computed once and serve both stages.
+
+Every result is bitwise that of the per-element loops the tests keep as
+oracles. Histograms are one bincount per set; the MMD kernel is
+evaluated for distinct rows only and expanded to the full matrix before
+any sum. Nothing is cached across calls.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,63 +37,61 @@ def wl_labels(g: MolecularGraph, rounds: int = WL_ROUNDS) -> list:
     multiset of (bond category, neighbor label) pairs. Labels are
     16-byte digests, identical across any node relabeling.
     """
-    labels = [_digest(b"t%d" % int(t)) for t in g.node_types]
+    labels = [_digest(b"t%d" % t) for t in g.node_types.tolist()]
+    neighbors = [
+        [(b"%d:" % c, j) for j, c in enumerate(row) if j != i and c != g.no_edge]
+        for i, row in enumerate(g.categories.tolist())
+    ]
     for _ in range(rounds):
-        nxt = []
-        for i in range(g.n):
-            pairs = sorted(
-                (b"%d:" % int(g.categories[i, j])) + labels[j]
-                for j in range(g.n)
-                if j != i and g.categories[i, j] != g.no_edge
-            )
-            nxt.append(_digest(labels[i] + b"|" + b"".join(pairs)))
-        labels = nxt
+        labels = [
+            _digest(labels[i] + b"|" + b"".join(sorted(tag + labels[j] for tag, j in nbrs)))
+            for i, nbrs in enumerate(neighbors)
+        ]
     return labels
 
 
-def canonical_hash(g: MolecularGraph) -> bytes:
+def canonical_hash(g: MolecularGraph, labels_out: list | None = None) -> bytes:
     """Permutation-invariant digest of a graph; equal digests are
-    candidates for isomorphism, not proof of it."""
+    candidates for isomorphism, not proof of it. A labels_out list
+    receives the graph's wl_labels, for graphs_isomorphic to reuse."""
     labels = wl_labels(g)
+    if labels_out is not None:
+        labels_out[:] = labels
     return _digest(b"n%d|" % g.n + b"".join(sorted(labels)))
 
 
-def graphs_isomorphic(a: MolecularGraph, b: MolecularGraph) -> bool:
+def graphs_isomorphic(a: MolecularGraph, b: MolecularGraph, la=None, lb=None) -> bool:
     """Exact isomorphism respecting atom types and bond categories.
 
     Backtracking over candidate node maps, ordered and pruned by WL
-    labels; intended for the small molecules this package generates.
+    labels (la and lb, when the caller already has them); intended for
+    the small molecules this package generates.
     """
     if a.n != b.n or a.no_edge != b.no_edge:
         return False
-    if sorted(a.node_types.tolist()) != sorted(b.node_types.tolist()):
+    types_a, types_b = a.node_types.tolist(), b.node_types.tolist()
+    if sorted(types_a) != sorted(types_b):
         return False
-    la = wl_labels(a)
-    lb = wl_labels(b)
+    la = wl_labels(a) if la is None else la
+    lb = wl_labels(b) if lb is None else lb
     if sorted(la) != sorted(lb):
         return False
+    cats_a, cats_b = a.categories.tolist(), b.categories.tolist()
     # match highest-constraint nodes first: rarest label, then most bonds
-    freq = {}
-    for lab in la:
-        freq[lab] = freq.get(lab, 0) + 1
-    deg_a = [(a.categories[i] != a.no_edge).sum() for i in range(a.n)]
+    freq = Counter(la)
+    deg_a = [sum(c != a.no_edge for c in row) for row in cats_a]
     order = sorted(range(a.n), key=lambda i: (freq[la[i]], -deg_a[i]))
-    mapping = np.full(a.n, -1, dtype=np.int64)
-    used = np.zeros(b.n, dtype=bool)
+    mapping = [-1] * a.n
+    used = [False] * b.n
 
     def extend(pos: int) -> bool:
         if pos == a.n:
             return True
         i = order[pos]
         for j in range(b.n):
-            if used[j] or la[i] != lb[j] or a.node_types[i] != b.node_types[j]:
+            if used[j] or la[i] != lb[j] or types_a[i] != types_b[j]:
                 continue
-            ok = True
-            for prev in order[:pos]:
-                if a.categories[i, prev] != b.categories[j, mapping[prev]]:
-                    ok = False
-                    break
-            if not ok:
+            if any(cats_a[i][prev] != cats_b[j][mapping[prev]] for prev in order[:pos]):
                 continue
             mapping[i] = j
             used[j] = True
@@ -102,7 +107,7 @@ def graphs_isomorphic(a: MolecularGraph, b: MolecularGraph) -> bool:
 class IsoClasses:
     """Isomorphism classes built from WL digests plus exact confirmation.
 
-    Each digest bucket holds a list of representative graphs; a new
+    Each digest bucket holds representative graphs with their WL labels; a new
     graph joins the first representative it is exactly isomorphic to,
     otherwise it starts a new class inside the bucket.
     """
@@ -114,16 +119,17 @@ class IsoClasses:
     def class_of(self, g: MolecularGraph, insert: bool = True) -> tuple:
         """(digest, index-within-bucket) identity, or None when absent
         and insert is False."""
-        key = canonical_hash(g)
+        labels: list = []
+        key = canonical_hash(g, labels)
         bucket = self._buckets.setdefault(key, [])
-        for idx, rep in enumerate(bucket):
-            if graphs_isomorphic(g, rep):
+        for idx, (rep, rep_labels) in enumerate(bucket):
+            if graphs_isomorphic(g, rep, labels, rep_labels):
                 return (key, idx)
         if not insert:
             if not bucket:
                 del self._buckets[key]
             return None
-        bucket.append(g)
+        bucket.append((g, labels))
         self.num_classes += 1
         return (key, len(bucket) - 1)
 
@@ -136,7 +142,7 @@ class SampleQuality:
     num_samples: int
     num_valid: int
     num_unique: int
-    num_novel: int
+    num_novel: int | None  # None when no training set was compared
 
     @property
     def validity(self) -> float:
@@ -147,7 +153,9 @@ class SampleQuality:
         return self.num_unique / self.num_valid if self.num_valid else 0.0
 
     @property
-    def novelty(self) -> float:
+    def novelty(self) -> float | None:
+        if self.num_novel is None:
+            return None
         return self.num_novel / self.num_unique if self.num_unique else 0.0
 
 
@@ -155,29 +163,19 @@ def evaluate_set(samples, vocab, bonds, train_graphs=None) -> SampleQuality:
     """Validity, uniqueness over valid samples, novelty over unique ones.
 
     Novelty compares isomorphism classes against the training set, so a
-    relabeled copy of a training molecule is not novel.
+    relabeled copy of a training molecule is not novel. Without a
+    training set novelty is not measured: num_novel is None.
     """
     valid = [g for g in samples if valency_ok(g, vocab, bonds)]
+    # one class table for both sets, so each graph is hashed once
     classes = IsoClasses()
-    uniques = []
-    for g in valid:
-        before = classes.num_classes
-        classes.class_of(g)
-        if classes.num_classes > before:
-            uniques.append(g)
-    num_novel = 0
-    if train_graphs is not None:
-        train_classes = IsoClasses()
-        for g in train_graphs:
-            train_classes.class_of(g)
-        for g in uniques:
-            if g not in train_classes:
-                num_novel += 1
+    trained = {classes.class_of(g) for g in train_graphs or ()}
+    found = {classes.class_of(g) for g in valid}
     return SampleQuality(
         num_samples=len(samples),
         num_valid=len(valid),
-        num_unique=len(uniques),
-        num_novel=num_novel,
+        num_unique=len(found),
+        num_novel=None if train_graphs is None else len(found - trained),
     )
 
 
@@ -199,12 +197,13 @@ def clustering_coefficients(g: MolecularGraph) -> np.ndarray:
     return out
 
 
-def _normalized_hist(values: np.ndarray, bins: int, lo: float, hi: float) -> np.ndarray:
-    hist, _ = np.histogram(values, bins=bins, range=(lo, hi))
-    total = hist.sum()
-    if total == 0:
-        return np.full(bins, 1.0 / bins)
-    return hist / total
+def _row_counts(per_row: list, width: int, to_bin) -> np.ndarray:
+    """Per-row counts over width bins, one bincount for the whole set;
+    to_bin maps every entry to its bin, or to -1 to drop it."""
+    rows = np.repeat(np.arange(len(per_row)), [len(a) for a in per_row])
+    bins = to_bin(np.concatenate(per_row) if per_row else np.zeros(0, dtype=np.int64))
+    flat = np.bincount((rows * width + bins)[bins >= 0], minlength=len(per_row) * width)
+    return flat.reshape(-1, width)
 
 
 def degree_histograms(graphs, max_degree: int | None = None) -> np.ndarray:
@@ -217,21 +216,35 @@ def degree_histograms(graphs, max_degree: int | None = None) -> np.ndarray:
 
 
 def _degree_rows(seqs, max_degree: int) -> np.ndarray:
-    out = np.zeros((len(seqs), max_degree + 1))
-    for row, s in enumerate(seqs):
-        for d in s:
-            out[row, min(int(d), max_degree)] += 1.0
-        out[row] /= out[row].sum()
-    return out
+    # degrees above the cap count in the top bin
+    counts = _row_counts(seqs, max_degree + 1, lambda d: np.minimum(d, max_degree))
+    return counts / counts.sum(axis=1, keepdims=True)
 
 
 def clustering_histograms(graphs, bins: int = 100) -> np.ndarray:
-    return np.stack(
-        [_normalized_hist(clustering_coefficients(g), bins, 0.0, 1.0) for g in graphs]
-    )
+    """One normalized histogram per graph of its clustering coefficients,
+    in np.histogram's bins over [0, 1]; a row with no counts is uniform."""
+    edges = np.linspace(0.0, 1.0, bins + 1)
+
+    def to_bin(v):
+        # edges[i] <= v < edges[i + 1], the last bin closed; values outside are dropped
+        idx = np.minimum(np.searchsorted(edges, v, side="right") - 1, bins - 1)
+        return np.where((v >= 0.0) & (v <= 1.0), idx, -1)
+
+    counts = _row_counts([clustering_coefficients(g) for g in graphs], bins, to_bin)
+    total = counts.sum(axis=1, keepdims=True)
+    return np.where(total > 0, counts / np.maximum(total, 1), 1.0 / bins)
 
 
-def _tv_kernel_matrix(x: np.ndarray, y: np.ndarray, sigma: float) -> np.ndarray:
+def _distinct_rows(h: np.ndarray) -> tuple:
+    """Distinct rows of h in first-seen order, and each row's index among
+    them; rows match by bytes (np.unique(axis=0) sorts, which costs more)."""
+    slot: dict = {}
+    ix = np.array([slot.setdefault(row.tobytes(), len(slot)) for row in h], dtype=np.intp)
+    return h[np.unique(ix, return_index=True)[1]], ix
+
+
+def _tv_kernel(x: np.ndarray, y: np.ndarray, sigma: float) -> np.ndarray:
     # total variation distance between normalized histograms, then Gaussian
     # one row of x at a time, so memory stays O(n * bins), not O(m * n * bins)
     tv = np.stack([0.5 * np.abs(row - y).sum(axis=1) for row in x])
@@ -246,9 +259,13 @@ def mmd_squared(x: np.ndarray, y: np.ndarray, sigma: float = 1.0) -> float:
     n = y.shape[0]
     if m < 2 or n < 2:
         raise ValueError("mmd needs at least two samples on each side")
-    kxx = _tv_kernel_matrix(x, x, sigma)
-    kyy = _tv_kernel_matrix(y, y, sigma)
-    kxy = _tv_kernel_matrix(x, y, sigma)
+    ux, ix = _distinct_rows(x)
+    uy, iy = _distinct_rows(y)
+    # np.ix_ expands to a C-ordered matrix, so each sum rounds as it does
+    # over the kernel of every row pair
+    kxx = _tv_kernel(ux, ux, sigma)[np.ix_(ix, ix)]
+    kyy = _tv_kernel(uy, uy, sigma)[np.ix_(iy, iy)]
+    kxy = _tv_kernel(ux, uy, sigma)[np.ix_(ix, iy)]
     sx = (kxx.sum() - np.trace(kxx)) / (m * (m - 1))
     sy = (kyy.sum() - np.trace(kyy)) / (n * (n - 1))
     return float(max(0.0, sx + sy - 2.0 * kxy.mean()))
@@ -280,8 +297,9 @@ class GenerationReport:
             ("num_valid", self.quality.num_valid),
             ("validity", f"{self.quality.validity:.6f}"),
             ("uniqueness", f"{self.quality.uniqueness:.6f}"),
-            ("novelty", f"{self.quality.novelty:.6f}"),
         ]
+        if self.quality.num_novel is not None:
+            rows.append(("novelty", f"{self.quality.novelty:.6f}"))
         for name, value in sorted(self.mmd.items()):
             rows.append((f"mmd_{name}", f"{value:.6g}"))
         return rows

@@ -16,8 +16,15 @@ Monte Carlo and exact-probability checks read; the model itself only
 ever needs the log-probability of the action it took, on the coarse grid
 of rl.argmax_region_grid. one_row_grid builds either grid for one row,
 edge by edge, and is pinned bitwise to rl.argmax_region_grid's rows.
+
+The metric oracles at the end are metrics' per-element loops: WL labels
+from numpy scalars one node pair at a time, one np.histogram or one
+Python loop per graph, and the TV kernel over every row pair. metrics
+computes the same values in vectorised passes and must match them bit
+for bit.
 """
 
+import hashlib
 from functools import reduce
 
 import numpy as np
@@ -25,7 +32,7 @@ from scipy.special import log_ndtr as _scipy_log_ndtr
 from scipy.special import logsumexp as _scipy_logsumexp
 
 from graphflow import autodiff as ad
-from graphflow import rl
+from graphflow import metrics, rl
 from graphflow.autodiff import Tensor
 
 
@@ -270,3 +277,84 @@ def action_logprobs(
     grid_base = rl.weight_free_term(u, logw)
     raw = rl._stacked_action_logprobs(Tensor(mu), Tensor(alpha), u, grid_base, actions)
     return raw.data - _scipy_logsumexp(raw.data)
+
+
+# -------------------------------------------------------------- metrics
+
+
+def _digest(payload: bytes) -> bytes:
+    return hashlib.blake2b(payload, digest_size=16).digest()
+
+
+def wl_labels(g, rounds: int = metrics.WL_ROUNDS) -> list:
+    """metrics.wl_labels, indexing the numpy arrays once per node pair."""
+    labels = [_digest(b"t%d" % int(t)) for t in g.node_types]
+    for _ in range(rounds):
+        nxt = []
+        for i in range(g.n):
+            pairs = sorted(
+                (b"%d:" % int(g.categories[i, j])) + labels[j]
+                for j in range(g.n)
+                if j != i and g.categories[i, j] != g.no_edge
+            )
+            nxt.append(_digest(labels[i] + b"|" + b"".join(pairs)))
+        labels = nxt
+    return labels
+
+
+def canonical_hash(g) -> bytes:
+    return _digest(b"n%d|" % g.n + b"".join(sorted(wl_labels(g))))
+
+
+def degree_rows(seqs, max_degree: int) -> np.ndarray:
+    """Normalized degree histograms, one count at a time."""
+    out = np.zeros((len(seqs), max_degree + 1))
+    for row, s in enumerate(seqs):
+        for d in s:
+            out[row, min(int(d), max_degree)] += 1.0
+        out[row] /= out[row].sum()
+    return out
+
+
+def _normalized_hist(values: np.ndarray, bins: int, lo: float, hi: float) -> np.ndarray:
+    hist, _ = np.histogram(values, bins=bins, range=(lo, hi))
+    total = hist.sum()
+    if total == 0:
+        return np.full(bins, 1.0 / bins)
+    return hist / total
+
+
+def clustering_histograms(graphs, bins: int = 100) -> np.ndarray:
+    """One np.histogram per graph."""
+    return np.stack(
+        [_normalized_hist(metrics.clustering_coefficients(g), bins, 0.0, 1.0) for g in graphs]
+    )
+
+
+def tv_kernel_matrix(x: np.ndarray, y: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian kernel on TV distance, evaluated for every row pair."""
+    tv = np.stack([0.5 * np.abs(row - y).sum(axis=1) for row in x])
+    return np.exp(-(tv * tv) / (2.0 * sigma * sigma))
+
+
+def mmd_squared(x: np.ndarray, y: np.ndarray, sigma: float = 1.0) -> float:
+    m, n = x.shape[0], y.shape[0]
+    kxx = tv_kernel_matrix(x, x, sigma)
+    kyy = tv_kernel_matrix(y, y, sigma)
+    kxy = tv_kernel_matrix(x, y, sigma)
+    sx = (kxx.sum() - np.trace(kxx)) / (m * (m - 1))
+    sy = (kyy.sum() - np.trace(kyy)) / (n * (n - 1))
+    return float(max(0.0, sx + sy - 2.0 * kxy.mean()))
+
+
+def mmd_degree(samples, reference, sigma: float = 1.0) -> float:
+    xs = [metrics.degree_sequence(g) for g in samples]
+    ys = [metrics.degree_sequence(g) for g in reference]
+    cap = max(int(s.max()) for s in xs + ys)
+    return mmd_squared(degree_rows(xs, cap), degree_rows(ys, cap), sigma)
+
+
+def mmd_clustering(samples, reference, sigma: float = 1.0, bins: int = 100) -> float:
+    return mmd_squared(
+        clustering_histograms(samples, bins), clustering_histograms(reference, bins), sigma
+    )

@@ -120,7 +120,7 @@ def test_sample_evaluate_finetune_optimize(workspace, capsys):
     )
     assert rc == 0
     out = capsys.readouterr().out
-    assert "validity = " in out
+    assert "validity = " in out and "novelty = " in out
     report = (eval_dir / "report.txt").read_text()
     assert "mmd_degree" in report
     assert (eval_dir / "report.csv").read_text().count("\n") == 2
@@ -312,6 +312,20 @@ def test_evaluate_empty_samples_exits_2(workspace, tmp_path, capsys):
     assert err.startswith("data error: ") and "no molecules" in err
     assert not (out / "report.txt").exists()
     assert not out.exists()
+
+
+def test_evaluate_without_train_data_reports_no_novelty(workspace, tmp_path, capsys):
+    # novelty compares samples with a training set; without one it was not
+    # measured, and a printed 0 would read as "no novel molecules"
+    out = tmp_path / "out"
+    rc = cli.main(["evaluate", "--config", str(workspace["cfg"]), "--samples",
+                   str(workspace["data"]), "--output", str(out), "--csv"])
+    assert rc == 0
+    printed = capsys.readouterr().out
+    assert "uniqueness = " in printed and "novelty" not in printed
+    assert (out / "report.txt").read_text() == printed
+    head, body = (out / "report.csv").read_text().splitlines()
+    assert "novelty" not in head and len(head.split(",")) == len(body.split(","))
 
 
 def test_train_on_empty_data_exits_2(workspace, tmp_path, capsys):

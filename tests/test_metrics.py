@@ -1,15 +1,18 @@
 """Metric oracles: exact isomorphism against brute-force permutation
 search, counting rules for validity/uniqueness/novelty, hand-computed
-graph statistics, and distribution-distance properties."""
+graph statistics, distribution-distance properties, and bitwise equality
+with the per-element loops kept in oracle_ops."""
 
 import itertools
 import tracemalloc
+from collections import Counter
 
 import numpy as np
+import oracle_ops
 import pytest
 
+from graphflow import flow, metrics, sampler
 from graphflow import graph as G
-from graphflow import metrics
 from graphflow.graph import MolecularGraph, empty_categories, relabel
 
 VOCAB = G.default_atom_vocab()
@@ -167,11 +170,52 @@ def test_evaluate_set_counts_by_hand():
 
 def test_evaluate_set_edge_cases():
     q = metrics.evaluate_set([], VOCAB, BONDS)
-    assert (q.validity, q.uniqueness, q.novelty) == (0.0, 0.0, 0.0)
+    assert (q.validity, q.uniqueness) == (0.0, 0.0)
+    assert q.num_novel is None and q.novelty is None  # nothing to compare with
+    q = metrics.evaluate_set([], VOCAB, BONDS, train_graphs=[])
+    assert (q.num_novel, q.novelty) == (0, 0.0)
     c = VOCAB.index("C")
     mol = _chain([c, c], [1])
     q = metrics.evaluate_set([mol], VOCAB, BONDS)  # no training set given
-    assert q.num_unique == 1 and q.num_novel == 0
+    assert q.num_unique == 1 and q.num_novel is None
+
+
+def test_evaluation_reaches_traced_names_and_hashes_each_graph_once(monkeypatch):
+    # the benchmark's generate workload traces these four names as metrics
+    # calls them; evaluate_set computes each graph's WL labels and digest
+    # once and passes them on, but every exact confirmation still goes
+    # through graphs_isomorphic
+    calls = Counter()
+    hashed = Counter()
+
+    def counting(name):
+        original = getattr(metrics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "canonical_hash":
+                hashed[id(args[0])] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, name, wrapper)
+
+    for name in ("canonical_hash", "graphs_isomorphic", "mmd_squared", "valency_ok"):
+        counting(name)
+    rng = np.random.default_rng(6)
+    train = G.gen_synthetic_molecules(20, 7, VOCAB, BONDS, rng)
+    fresh = G.gen_synthetic_molecules(10, 7, VOCAB, BONDS, rng)
+    relabeled = [relabel(g, rng.permutation(g.n)) for g in train[:5] + fresh[:5]]
+    samples = fresh + relabeled + [relabel(g, rng.permutation(g.n)) for g in fresh[:3]]
+    q = metrics.evaluate_set(samples, VOCAB, BONDS, train_graphs=train)
+    metrics.mmd_degree(samples, train)
+    metrics.mmd_clustering(samples, train)
+    assert q.num_valid == len(samples) and q.num_unique < q.num_valid
+    assert q.num_novel < q.num_unique
+    assert calls["valency_ok"] == len(samples)
+    assert calls["mmd_squared"] == 2
+    assert calls["graphs_isomorphic"] >= len(samples) - q.num_unique
+    assert calls["canonical_hash"] == len(samples) + len(train)
+    assert sorted(hashed) == sorted(map(id, samples + train))
 
 
 # ------------------------------------------------------ graph statistics
@@ -271,6 +315,118 @@ def test_mmd_clustering_memory_stays_per_row():
     assert peak < 8 * 2**20
 
 
+def test_mmd_memory_stays_per_row_when_every_row_is_distinct():
+    # every histogram row distinct: the distinct-row kernel is the full one
+    rng = np.random.default_rng(7)
+    x = rng.random((100, 100))
+    y = rng.random((200, 100))
+    x /= x.sum(axis=1, keepdims=True)
+    y /= y.sum(axis=1, keepdims=True)
+    assert len({row.tobytes() for row in np.concatenate([x, y])}) == 300
+    tracemalloc.start()
+    try:
+        value = metrics.mmd_squared(x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value)
+    assert peak < 8 * 2**20
+
+
+# ------------------------------------------------- bitwise against oracles
+
+
+@pytest.fixture(scope="module")
+def graph_sets():
+    """Sampled molecules, plus community and Erdos-Renyi sets whose
+    dense communities put clustering coefficients of exactly 1.0 in the
+    closed last bin."""
+    spec = flow.ModelSpec(width=8, layers=2, window=6, max_size=10)
+    params = flow.init_flow_params(spec, np.random.default_rng(0), zero_init_heads=False)
+    cfg = sampler.SamplerConfig(valency_check=True)
+    sampled, _ = sampler.sample_batch(params, spec, cfg, count=40, seed=3)
+    rng = np.random.default_rng(8)
+    return {
+        "sampled": sampled,
+        "community": G.gen_community_graphs(30, 4, 0.9, 0.1, rng),
+        "erdos_renyi": G.gen_erdos_renyi(30, 8, 0.4, rng),
+        "complete": G.gen_erdos_renyi(3, 5, 1.0, rng),
+    }
+
+
+def test_wl_digests_match_oracle_bitwise(graph_sets):
+    for graphs in graph_sets.values():
+        for g in graphs:
+            assert metrics.wl_labels(g) == oracle_ops.wl_labels(g)
+            # the depth rl.graph_similarity uses
+            assert metrics.wl_labels(g, rounds=2) == oracle_ops.wl_labels(g, rounds=2)
+            assert metrics.canonical_hash(g) == oracle_ops.canonical_hash(g)
+
+
+def test_histogram_rows_match_oracle_bitwise(graph_sets):
+    ones = 0
+    for graphs in graph_sets.values():
+        seqs = [metrics.degree_sequence(g) for g in graphs]
+        cap = max(int(s.max()) for s in seqs)
+        for c in (cap, max(cap - 2, 0)):  # the second cap folds degrees into the top bin
+            got = metrics.degree_histograms(graphs, max_degree=c)
+            assert got.tobytes() == oracle_ops.degree_rows(seqs, c).tobytes()
+        for bins in (100, 7):
+            got = metrics.clustering_histograms(graphs, bins)
+            assert got.tobytes() == oracle_ops.clustering_histograms(graphs, bins).tobytes()
+        ones += sum(int((metrics.clustering_coefficients(g) == 1.0).sum()) for g in graphs)
+    assert ones > 0
+
+
+def test_clustering_bins_follow_np_histogram(monkeypatch):
+    # values on every edge, just either side of one, 1.0 in the closed last
+    # bin, and values outside [0, 1] that np.histogram drops; a row left
+    # with no counts is uniform
+    edges = np.linspace(0.0, 1.0, 8)
+    values = [
+        edges,
+        np.nextafter(edges, 2.0),
+        np.nextafter(edges, -1.0),
+        np.array([1.0, 1.0, 0.0]),
+        np.array([-0.5, 0.25, 1.5]),
+        np.array([-0.5, 1.5]),
+    ]
+    graphs = [cycle_graph(3) for _ in values]
+    lookup = {id(g): v for g, v in zip(graphs, values)}
+    monkeypatch.setattr(metrics, "clustering_coefficients", lambda g: lookup[id(g)])
+    got = metrics.clustering_histograms(graphs, bins=7)
+    assert got.tobytes() == oracle_ops.clustering_histograms(graphs, bins=7).tobytes()
+    assert got[-1].tolist() == [1.0 / 7] * 7
+
+
+def test_mmd_matches_oracle_bitwise(graph_sets):
+    sets = list(graph_sets.values())
+    positive = 0
+    for a, b in itertools.permutations(sets, 2):
+        for name in ("mmd_degree", "mmd_clustering"):
+            got = getattr(metrics, name)(a, b)
+            assert got == getattr(oracle_ops, name)(a, b)
+            positive += got > 0.0
+    assert positive >= 10
+
+
+def test_mmd_squared_matches_oracle_on_identical_and_distinct_rows():
+    rng = np.random.default_rng(9)
+    distinct = rng.random((30, 12))
+    distinct /= distinct.sum(axis=1, keepdims=True)
+    other = rng.random((20, 12)) ** 4  # a different distribution: the MMD stays positive
+    other /= other.sum(axis=1, keepdims=True)
+    same_x = np.tile(distinct[0], (25, 1))
+    same_y = np.tile(other[0], (15, 1))
+    mixed = np.concatenate([distinct[:5], same_x[:10], other[:5]])
+    for x, y in [(distinct, other), (same_x, same_y), (same_x, distinct), (mixed, other),
+                 (mixed, same_y)]:
+        for sigma in (1.0, 0.3):
+            got = metrics.mmd_squared(x, y, sigma)
+            assert got > 0.0
+            assert got == oracle_ops.mmd_squared(x, y, sigma)
+
+
 def test_report_formats():
     q = metrics.SampleQuality(num_samples=4, num_valid=3, num_unique=2, num_novel=1)
     rep = metrics.GenerationReport(quality=q, mmd={"degree": 0.25})
@@ -283,3 +439,9 @@ def test_report_formats():
     assert head.split(",")[0] == "num_samples"
     assert body.split(",")[0] == "4"
     assert len(head.split(",")) == len(body.split(","))
+    assert "novelty = 0.500000" in text and "novelty" in head.split(",")
+    # novelty not measured: no line and no column, rather than a zero
+    q.num_novel = None
+    rep = metrics.GenerationReport(quality=q)
+    assert "novelty" not in rep.as_text()
+    assert "novelty" not in rep.as_csv()
