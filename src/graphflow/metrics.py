@@ -185,16 +185,20 @@ def degree_sequence(g: MolecularGraph) -> np.ndarray:
     return (g.categories != g.no_edge).sum(axis=1)
 
 
-def clustering_coefficients(g: MolecularGraph) -> np.ndarray:
-    """Local clustering coefficient per node on the bond skeleton."""
-    adj = (g.categories != g.no_edge).astype(np.float64)
-    np.fill_diagonal(adj, 0.0)
-    deg = adj.sum(axis=1)
-    triangles = np.diag(adj @ adj @ adj) / 2.0
-    out = np.zeros(g.n)
-    mask = deg >= 2
-    out[mask] = 2.0 * triangles[mask] / (deg[mask] * (deg[mask] - 1.0))
-    return out
+def clustering_coefficients(graphs) -> list:
+    """Local clustering coefficient per node on the bond skeleton, one array
+    per graph. Graphs of one size share one product: for a symmetric A with
+    an empty diagonal, the row sums of (A @ A) * A are diag(A^3)."""
+    out, by_size = {}, {}
+    for i, g in enumerate(graphs):
+        by_size.setdefault(g.n, []).append(i)
+    for idx in by_size.values():
+        adj = np.stack([graphs[i].categories != graphs[i].no_edge for i in idx]).astype(np.float64)
+        deg = adj.sum(axis=2)
+        triangles = ((adj @ adj) * adj).sum(axis=2) / 2.0
+        coeff = np.where(deg >= 2, 2.0 * triangles / np.maximum(deg * (deg - 1.0), 1.0), 0.0)
+        out.update(zip(idx, coeff))
+    return [out[i] for i in range(len(graphs))]
 
 
 def _row_counts(per_row: list, width: int, to_bin) -> np.ndarray:
@@ -231,7 +235,7 @@ def clustering_histograms(graphs, bins: int = 100) -> np.ndarray:
         idx = np.minimum(np.searchsorted(edges, v, side="right") - 1, bins - 1)
         return np.where((v >= 0.0) & (v <= 1.0), idx, -1)
 
-    counts = _row_counts([clustering_coefficients(g) for g in graphs], bins, to_bin)
+    counts = _row_counts(clustering_coefficients(graphs), bins, to_bin)
     total = counts.sum(axis=1, keepdims=True)
     return np.where(total > 0, counts / np.maximum(total, 1), 1.0 / bins)
 

@@ -9,15 +9,15 @@ probability of a discrete action is the exact probability that the
 step's Gaussian, pushed through the affine transform, lands in that
 category's argmax region. That integral has no closed form beyond two
 categories, so it is evaluated by composite Gauss-Legendre quadrature
-with panels refined around each category crossover point. A stack of
-such integrals is one fused tape node: its forward pass evaluates the
-normal CDF only on each row's competing categories, and its backward
-pass is the closed-form gradient (softmax weight of each quadrature
-node times the hazard phi / Phi times dy / d(mu, alpha)). Its arrays
-are laid out competitor-major, (D-1, S, Q), so each elementwise loop
-runs over a whole (S, Q) slab rather than a trailing axis of two or
-three competitors, and the competitors' log-CDFs are summed in
-ascending order one add at a time.
+on panels centred on the integrand's mass and refined at sharp
+crossovers. A stack of such integrals is one fused tape node: its
+forward pass evaluates the normal CDF only on each row's competing
+categories, and its backward pass is the closed-form gradient (softmax
+weight of each quadrature node times the hazard phi / Phi times dy /
+d(mu, alpha)). Its arrays are laid out competitor-major, (D-1, S, Q),
+so each elementwise loop runs over a whole (S, Q) slab rather than a
+trailing axis of two or three competitors, and the competitors'
+log-CDFs are summed in ascending order one add at a time.
 
 An episode is kept as the sampler's trace, which records every decision
 with the acting (mu, alpha) behind it and the graph the decisions
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.special import erfcx, log_ndtr
 
 from . import autodiff as ad
 from . import rgcn
@@ -72,17 +72,51 @@ PPO_CHUNK = 16  # trajectories per packed pass: one tape, one encoder call
 
 VALIDITY_PENALTY = -1.0  # reward per valency rejection, at its own step
 
-GRID_SPAN = 9.0  # +-9 standard deviations; truncated tail mass ~ 2e-19
-_GL_COARSE = np.polynomial.legendre.leggauss(8)  # Gauss-Legendre nodes and weights per panel
-
-# fractions of the crossover halfwidth where extra panel edges go
-_REFINE_FRACTIONS = np.array([-1.0, -0.25, 0.0, 0.25, 1.0])
+GRID_DROP = 30.0  # nats below its maximum where a row's grid ends
+GRID_PANELS = 10  # equal panels across that bracket
+SHARP_RATIO = 0.5  # alpha_k / alpha_c below which a crossover gets refinement edges
+_GL_NODES = np.polynomial.legendre.leggauss(8)  # Gauss-Legendre nodes and weights per panel
+_REFINE_FRACTIONS = np.array([-1.0, -0.4, 0.0, 0.4, 1.0])  # a sharp crossover's edges, in halfwidths
 
 
 def _competitors(actions: np.ndarray, d: int) -> np.ndarray:
     """(S, D-1) indices of every category except each row's action, ascending."""
     others = np.arange(d - 1)[None, :]
     return others + (others >= actions[:, None])
+
+
+def _mass_bracket(cross, slope):
+    """(lo, hi), each (S,): where the log-integrand f(u) = log phi(u) + sum_k
+    log Phi(slope_k (u - cross_k)) of each (D-1, S) column falls GRID_DROP
+    nats below its maximum. f' is convex and decreasing with f'(0) > 0, so
+    Newton steps from 0 climb to the mode; f'' <= -1 puts each end within 8
+    of it, reached by Newton steps from the quadratic model's drop point.
+    A row stops once it settles, so the stack does not affect it."""
+
+    def f_and_slopes(u, cross, slope):  # erfcx: the hazard phi / Phi without cancelling
+        y = slope * (u - cross)
+        push = slope * math.sqrt(2.0 / math.pi) / erfcx(-math.sqrt(0.5) * y)  # slope * hazard
+        d2f = np.minimum(-1.0 - sum(push * (slope * y + push)), -1.0)
+        return sum(log_ndtr(y), -0.5 * u * u), sum(push, -u), d2f
+
+    u, open_ = np.zeros(cross.shape[1]), np.ones(cross.shape[1], dtype=bool)
+    for _ in range(60):
+        peak, df, d2f = f_and_slopes(u, cross, slope)
+        open_ &= np.abs(df / d2f) > 1e-9 * (1.0 + u)  # a settled row keeps u, f and f''
+        if not open_.any():
+            break
+        u = np.where(open_, u - df / d2f, u)
+    reach = np.minimum(np.sqrt(2.0 * GRID_DROP / -d2f), 8.0)
+    mode, peak, cross, slope = (np.tile(a, 2) for a in (u, peak, cross, slope))  # left ends, then right
+    v, open_ = np.concatenate([u - reach, u + reach]), np.ones(mode.shape, dtype=bool)
+    for _ in range(60):
+        f, df, _ = f_and_slopes(v, cross, slope)
+        gap = f - peak + GRID_DROP  # positive inside the bracket
+        open_ &= (gap > 0.0) | (gap < -1.0)  # settled 30 to 31 nats down
+        if not open_.any():
+            break
+        v = np.where(open_, np.clip(v - gap / df, mode - 8.0, mode + 8.0), v)
+    return v[: len(u)], v[len(u) :]
 
 
 def argmax_region_grid(mu, alpha, actions):
@@ -92,9 +126,10 @@ def argmax_region_grid(mu, alpha, actions):
     Row s integrates phi(u) * prod_k Phi((mu_c + alpha_c u - mu_k) /
     alpha_k) with c = actions[s]. Each k != c contributes a sigmoid-like
     factor switching at u = (mu_k - mu_c) / alpha_c over a width set by
-    alpha_k / alpha_c; panel edges are packed around those switch points
-    so sharp factors (tiny alpha ratios) stay resolved. Each row's edges
-    are sorted, and an edge within 1e-12 of the one before it is dropped.
+    alpha_k / alpha_c. GRID_PANELS equal panels span _mass_bracket, and a
+    switch sharper than SHARP_RATIO within 6 alpha_k / alpha_c of it adds
+    edges around it, clipped to it. Each row's edges are sorted, and an
+    edge within 1e-12 of the one before it is dropped.
     Returns (u, logw), both (S, Q): rows shorter than the longest are
     padded with u = 0 and logw = -inf.
     """
@@ -103,16 +138,17 @@ def argmax_region_grid(mu, alpha, actions):
     actions = np.asarray(actions, dtype=np.int64)
     s_count, d = mu.shape
     rows = np.arange(s_count)
-    others = _competitors(actions, d)
-    mu_c = mu[rows, actions][:, None]
-    alpha_c = alpha[rows, actions][:, None]
-    center = (np.take_along_axis(mu, others, 1) - mu_c) / alpha_c  # (S, D-1)
-    halfwidth = 6.0 * np.maximum(np.take_along_axis(alpha, others, 1) / alpha_c, 1e-8)
-    extra = np.clip(
-        center[:, :, None] + halfwidth[:, :, None] * _REFINE_FRACTIONS, -GRID_SPAN, GRID_SPAN
-    ).reshape(s_count, -1)
-    base = np.linspace(-GRID_SPAN, GRID_SPAN, 13)
-    edges = np.sort(np.concatenate([np.tile(base, (s_count, 1)), extra], axis=1), axis=1)
+    others = _competitors(actions, d).T  # (D-1, S)
+    mu_c, alpha_c = mu[rows, actions], alpha[rows, actions]
+    cross, ratio = (mu[rows, others] - mu_c) / alpha_c, alpha[rows, others] / alpha_c
+    lo, hi = _mass_bracket(cross, 1.0 / ratio)
+    halfwidth = 6.0 * np.maximum(ratio, 1e-8)
+    # a blunt competitor, or one far from the bracket, adds no edge: its edges clip to lo
+    near = (ratio < SHARP_RATIO) & (cross + halfwidth >= lo) & (cross - halfwidth <= hi)
+    extra = np.where(near, cross, -np.inf)[:, :, None] + halfwidth[:, :, None] * _REFINE_FRACTIONS
+    extra = np.clip(extra.transpose(1, 0, 2).reshape(s_count, -1), lo[:, None], hi[:, None])
+    base = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, GRID_PANELS + 1)
+    edges = np.sort(np.concatenate([base, extra], axis=1), axis=1)
     keep = np.ones(edges.shape, dtype=bool)
     keep[:, 1:] = np.diff(edges, axis=1) > 1e-12
     # kept edges move to the front of their row in order; panel p of row s
@@ -125,7 +161,7 @@ def argmax_region_grid(mu, alpha, actions):
     right = packed[:, 1 : p_max + 1][live]
     half = 0.5 * (right - left)
     mid = 0.5 * (right + left)
-    nodes, weights = _GL_COARSE
+    nodes, weights = _GL_NODES
     u = np.zeros((s_count, p_max, nodes.size))
     logw = np.full((s_count, p_max, nodes.size), -np.inf)
     u[live] = mid[:, None] + half[:, None] * nodes[None, :]

@@ -11,15 +11,17 @@ calls the op had in autodiff, so a composite built from them computes
 what it did there.
 
 action_logprobs, the normalized log-probabilities of every category of
-one step on the fine quadrature grid, is the oracle the sampler's
-Monte Carlo and exact-probability checks read; the model itself only
-ever needs the log-probability of the action it took, on the coarse grid
-of rl.argmax_region_grid. one_row_grid builds either grid for one row,
-edge by edge, and is pinned bitwise to rl.argmax_region_grid's rows.
+one step, is the oracle the sampler's Monte Carlo and exact-probability
+checks read; the model itself only ever needs the log-probability of
+the action it took. Both integrate over the grid of
+rl.argmax_region_grid, centred on each row's mass. one_row_grid builds
+that grid for one row, competitor by competitor, and is pinned bitwise
+to rl.argmax_region_grid's rows.
 
 The metric oracles at the end are metrics' per-element loops: WL labels
-from numpy scalars one node pair at a time, one np.histogram or one
-Python loop per graph, and the TV kernel over every row pair. metrics
+from numpy scalars one node pair at a time, clustering coefficients by
+two matrix products per graph, one np.histogram or one Python loop per
+graph, and the TV kernel over every row pair. metrics
 computes the same values in vectorised passes and must match them bit
 for bit.
 """
@@ -219,45 +221,28 @@ def log_ndtr(a: Tensor) -> Tensor:
     return ad.custom_op(out, (a,), back)
 
 
-# the fine grid: more Gauss-Legendre nodes per panel, more base edges
-# and more refinements around each crossover than rl's coarse grid
-_GL_FINE = np.polynomial.legendre.leggauss(16)
-_REFINE_FRACTIONS_FINE = np.array([-1.0, -0.5, -0.125, 0.0, 0.125, 0.5, 1.0])
-
-
-def one_row_grid(mu, alpha, c, fine=False):
+def one_row_grid(mu, alpha, c):
     """Quadrature nodes u and log-weights logw of one argmax-region
-    integral, the category c of the (D,) arrays mu and alpha: the panel
-    edges by np.unique plus the 1e-12 filter, on the coarse grid of
-    rl.argmax_region_grid or, with fine, on the fine one."""
-    base = np.linspace(-rl.GRID_SPAN, rl.GRID_SPAN, 19 if fine else 13)
-    fractions = _REFINE_FRACTIONS_FINE if fine else rl._REFINE_FRACTIONS
+    integral, the category c of the (D,) arrays mu and alpha, built one
+    competitor at a time: rl._mass_bracket of the row alone, the panel
+    edges by np.unique plus the 1e-12 filter."""
+    others = [k for k in range(mu.shape[0]) if k != c]
+    cross = np.array([(mu[k] - mu[c]) / alpha[c] for k in others])
+    ratio = np.array([alpha[k] / alpha[c] for k in others])
+    (lo,), (hi,) = rl._mass_bracket(cross[:, None], 1.0 / ratio[:, None])
     extra = []
-    for k in range(mu.shape[0]):
-        if k != c:
-            center = (mu[k] - mu[c]) / alpha[c]
-            halfwidth = 6.0 * max(alpha[k] / alpha[c], 1e-8)
-            extra.append(np.clip(center + halfwidth * fractions, -rl.GRID_SPAN, rl.GRID_SPAN))
+    for centre, width in zip(cross, ratio):
+        halfwidth = 6.0 * max(width, 1e-8)
+        if width < rl.SHARP_RATIO and centre + halfwidth >= lo and centre - halfwidth <= hi:
+            extra.append(np.clip(centre + halfwidth * rl._REFINE_FRACTIONS, lo, hi))
+    base = lo + (hi - lo) * np.linspace(0.0, 1.0, rl.GRID_PANELS + 1)
     edges = np.unique(np.concatenate([base] + extra))
     edges = edges[np.concatenate([[True], np.diff(edges) > 1e-12])]
-    nodes, weights = _GL_FINE if fine else rl._GL_COARSE
+    nodes, weights = rl._GL_NODES
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     u = (mid[:, None] + half[:, None] * nodes[None, :]).reshape(-1)
     logw = (np.log(half[:, None]) + np.log(weights[None, :])).reshape(-1)
-    return u, logw
-
-
-def fine_grid(mu, alpha, actions):
-    """The fine grid of a stack of rows in rl.argmax_region_grid's layout:
-    one one_row_grid per row, padded with u = 0 and logw = -inf to the
-    longest."""
-    rows = [one_row_grid(m, a, c, fine=True) for m, a, c in zip(mu, alpha, actions)]
-    q = max(len(u) for u, _ in rows)
-    u = np.zeros((len(rows), q))
-    logw = np.full((len(rows), q), -np.inf)
-    for r, (row_u, row_w) in enumerate(rows):
-        u[r, : len(row_u)], logw[r, : len(row_w)] = row_u, row_w
     return u, logw
 
 
@@ -266,14 +251,15 @@ def action_logprobs(
 ) -> np.ndarray:
     """Normalized log-probabilities of every category for one step.
 
-    Uses the fine quadrature grid; the exact probabilities sum to one,
-    so normalization only removes residual quadrature error.
+    Uses rl.argmax_region_grid, whose rows one_row_grid pins; the exact
+    probabilities sum to one, so normalization only removes residual
+    quadrature error.
     """
     mu = np.asarray(mu, dtype=np.float64).reshape(-1)
     alpha = np.asarray(alpha, dtype=np.float64).reshape(-1) * temperature
     d = mu.shape[0]
     mu, alpha, actions = np.tile(mu, (d, 1)), np.tile(alpha, (d, 1)), np.arange(d)
-    u, logw = fine_grid(mu, alpha, actions)
+    u, logw = rl.argmax_region_grid(mu, alpha, actions)
     grid_base = rl.weight_free_term(u, logw)
     raw = rl._stacked_action_logprobs(Tensor(mu), Tensor(alpha), u, grid_base, actions)
     return raw.data - _scipy_logsumexp(raw.data)
@@ -324,10 +310,23 @@ def _normalized_hist(values: np.ndarray, bins: int, lo: float, hi: float) -> np.
     return hist / total
 
 
+def clustering_coefficients(g) -> np.ndarray:
+    """metrics.clustering_coefficients of one graph, by its own two
+    matrix products."""
+    adj = (g.categories != g.no_edge).astype(np.float64)
+    np.fill_diagonal(adj, 0.0)
+    deg = adj.sum(axis=1)
+    triangles = np.diag(adj @ adj @ adj) / 2.0
+    out = np.zeros(g.n)
+    mask = deg >= 2
+    out[mask] = 2.0 * triangles[mask] / (deg[mask] * (deg[mask] - 1.0))
+    return out
+
+
 def clustering_histograms(graphs, bins: int = 100) -> np.ndarray:
     """One np.histogram per graph."""
     return np.stack(
-        [_normalized_hist(metrics.clustering_coefficients(g), bins, 0.0, 1.0) for g in graphs]
+        [_normalized_hist(clustering_coefficients(g), bins, 0.0, 1.0) for g in graphs]
     )
 
 

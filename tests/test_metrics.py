@@ -229,15 +229,15 @@ def test_degree_ignores_bond_multiplicity():
 
 def test_clustering_hand_values():
     tri = cycle_graph(3)
-    assert np.allclose(metrics.clustering_coefficients(tri), [1.0, 1.0, 1.0])
+    assert np.allclose(metrics.clustering_coefficients([tri])[0], [1.0, 1.0, 1.0])
     path = _chain([0, 0, 0], [1, 1])
-    assert np.allclose(metrics.clustering_coefficients(path), [0.0, 0.0, 0.0])
+    assert np.allclose(metrics.clustering_coefficients([path])[0], [0.0, 0.0, 0.0])
     # K4 minus one edge: the two saturated nodes close 2 of 3 pairs
     cats = empty_categories(4, NO_EDGE)
     for a, b in [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
         cats[a, b] = cats[b, a] = 0
     g = MolecularGraph(np.zeros(4, dtype=np.int64), cats, NO_EDGE)
-    assert np.allclose(metrics.clustering_coefficients(g), [1.0, 1.0, 2 / 3, 2 / 3])
+    assert np.allclose(metrics.clustering_coefficients([g])[0], [1.0, 1.0, 2 / 3, 2 / 3])
 
 
 def test_degree_histograms_hand_case():
@@ -374,7 +374,10 @@ def test_histogram_rows_match_oracle_bitwise(graph_sets):
         for bins in (100, 7):
             got = metrics.clustering_histograms(graphs, bins)
             assert got.tobytes() == oracle_ops.clustering_histograms(graphs, bins).tobytes()
-        ones += sum(int((metrics.clustering_coefficients(g) == 1.0).sum()) for g in graphs)
+        coeffs = metrics.clustering_coefficients(graphs)
+        for g, c in zip(graphs, coeffs):
+            assert c.tobytes() == oracle_ops.clustering_coefficients(g).tobytes()
+        ones += sum(int((c == 1.0).sum()) for c in coeffs)
     assert ones > 0
 
 
@@ -393,7 +396,8 @@ def test_clustering_bins_follow_np_histogram(monkeypatch):
     ]
     graphs = [cycle_graph(3) for _ in values]
     lookup = {id(g): v for g, v in zip(graphs, values)}
-    monkeypatch.setattr(metrics, "clustering_coefficients", lambda g: lookup[id(g)])
+    monkeypatch.setattr(metrics, "clustering_coefficients", lambda gs: [lookup[id(g)] for g in gs])
+    monkeypatch.setattr(oracle_ops, "clustering_coefficients", lambda g: lookup[id(g)])
     got = metrics.clustering_histograms(graphs, bins=7)
     assert got.tobytes() == oracle_ops.clustering_histograms(graphs, bins=7).tobytes()
     assert got[-1].tolist() == [1.0 / 7] * 7

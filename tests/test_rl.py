@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, optimize
 from scipy.special import log_ndtr
 from scipy.stats import norm
 
@@ -48,9 +49,12 @@ def random_params(seed=2, **kw):
 
 def test_two_category_probability_matches_closed_form():
     # with two categories the argmax probability is Phi applied to the
-    # standardized mean gap; quadrature must reproduce it wherever the
-    # probability is representable
+    # standardized mean gap; quadrature must reproduce its log at every
+    # magnitude, to 1e-9 relative. Where |log p| < 1 the bound is 1e-9 in
+    # log p, which is 1e-9 relative in p: a log-prob of -1e-30 is 0.0 in
+    # float64 once normalized
     rng = np.random.default_rng(0)
+    deepest = 0.0
     for _ in range(300):
         mu = rng.normal(0.0, 3.0, size=2)
         alpha = np.exp(rng.uniform(-3.0, 3.0, size=2))
@@ -59,18 +63,15 @@ def test_two_category_probability_matches_closed_form():
         true_lp = norm.logcdf((mu[c] - mu[k]) / np.hypot(alpha[c], alpha[k]))
         got_lp = action_logprobs(mu, alpha)[c]
         assert abs(np.exp(got_lp) - np.exp(true_lp)) < 1e-11
-        if true_lp > -30.0:
-            assert abs(got_lp - true_lp) < 1e-6
+        assert abs(got_lp - true_lp) <= 1e-9 * max(1.0, abs(true_lp))
+        deepest = min(deepest, true_lp)
+    assert deepest < -250.0  # far below the -30 where the comparison once stopped
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="open defect (ROADMAP item 5): the +-9 sd grid around u = 0 misses "
-    "a far-tail row's integrand, so its log-probability comes out near -1.67e7",
-)
 def test_far_tail_two_category_logprob_matches_closed_form():
     # a sharp competitor two standard deviations of the sum away from the
-    # action: the exact log-probability is about -112.8
+    # action: the exact log-probability is about -112.8, and the action
+    # wins only beyond u = 14.7
     mu = np.array([0.0, 2.0])
     alpha = np.array([np.exp(-2.0), 1e-3 * np.exp(-2.0)])
     true_lp = log_ndtr(-2.0 / np.hypot(alpha[0], alpha[1]))
@@ -85,9 +86,87 @@ def _fused(mu, alpha, grid_u, grid_logw, actions, temperature=1.0):
     return rl._stacked_action_logprobs(mu, alpha, grid_u, base, actions, temperature)
 
 
+def _model_logprobs(mu, alpha, actions):
+    # the model path: one grid build over the stack, then the fused node
+    u, logw = rl.argmax_region_grid(mu, alpha, actions)
+    return _fused(Tensor(mu), Tensor(alpha), u, logw, np.asarray(actions)).data
+
+
+def _quad_logprob(mu, alpha, c):
+    # the argmax-region integral of category c by scipy.integrate.quad,
+    # scaled by its maximum so that far-tail rows do not underflow. The
+    # mode is found by a bounded scalar search; log phi has curvature -1
+    # and each log Phi adds more, so 12 either side of the mode leaves out
+    # less than e^-72 of the mass. Breakpoints at each crossover and at 2
+    # and 8 of its widths either side: told only the crossover, quad
+    # misses a factor that switches over 1e-3 of the interval
+    k = np.array([j for j in range(len(mu)) if j != c])
+    cross = (mu[k] - mu[c]) / alpha[c]
+    width = alpha[k] / alpha[c]
+
+    def log_f(u):
+        return -0.5 * u * u + log_ndtr((mu[c] + alpha[c] * u - mu[k]) / alpha[k]).sum()
+
+    top = max(0.0, cross.max()) + (alpha[c] / alpha[k]).sum()
+    mode = optimize.minimize_scalar(
+        lambda u: -log_f(u), bounds=(0.0, top), method="bounded", options={"xatol": 1e-10}
+    ).x
+    peak = log_f(mode)
+    lo, hi = mode - 12.0, mode + 12.0
+    points = (cross[:, None] + width[:, None] * np.array([-8.0, -2.0, 0.0, 2.0, 8.0])).ravel()
+    value, _ = integrate.quad(
+        lambda u: np.exp(log_f(u) - peak), lo, hi, points=points[(points > lo) & (points < hi)],
+        epsabs=0.0, epsrel=1e-13, limit=500,
+    )
+    return peak - 0.5 * rl.LOG_TWO_PI + np.log(value)
+
+
+def _assert_logprobs_close(got, want):
+    # 1e-9 relative; where |log p| < 1, 1e-9 in log p, which is 1e-9
+    # relative in p
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+
+def test_two_category_logprobs_match_closed_form_down_to_minus_1e4():
+    # standardized gaps whose log Phi runs through every decade from
+    # -1e-3 to -1e4, with the competitor from sharp (alpha ratio 1e-3) to
+    # blunt (10) on either side of SHARP_RATIO, at three scales of the
+    # action, each row once as category 0 and once as category 1: one
+    # stack through the model path
+    gaps = np.array([3.1, 2.33, 1.29, 0.0, -3.9, -13.3, -44.3, -141.3])
+    ratios = np.array([1e-3, 0.05, 0.3, 0.49, 0.51, 1.0, 3.0, 10.0])
+    x, ratio, scale = (a.ravel() for a in np.meshgrid(gaps, ratios, [0.05, 1.0, 20.0]))
+    alpha = np.stack([scale, ratio * scale], axis=1)
+    mu = np.stack([np.zeros_like(x), -x * np.hypot(scale, ratio * scale)], axis=1)
+    mu, alpha = np.concatenate([mu, mu[:, ::-1]]), np.concatenate([alpha, alpha[:, ::-1]])
+    actions = np.repeat([0, 1], len(x))
+    true_lp = log_ndtr(np.concatenate([x, x]))
+    assert true_lp.max() > -1.1e-3 and true_lp.min() < -0.99e4
+    got = _model_logprobs(mu, alpha, actions)
+    assert np.all(np.abs(got - true_lp) <= 1e-9 * np.abs(true_lp))
+
+
+def test_logprobs_match_quad_for_three_to_five_categories():
+    # rows with sharp and blunt competitors, plus rows whose action trails
+    # the field by 5 to 40 of its scales (log-probs down to about -900)
+    rng = np.random.default_rng(26)
+    for d in (3, 4, 5):
+        mu = rng.normal(0.0, 2.0, size=(14, d))
+        alpha = np.exp(rng.uniform(-2.5, 1.5, size=(14, d)))
+        actions = rng.integers(0, d, size=14)
+        trail = np.arange(10, 14)
+        behind = np.array([5.0, 12.0, 25.0, 40.0]) * alpha[trail, actions[trail]]
+        mu[trail, actions[trail]] = mu[trail].max(axis=1) - behind
+        got = _model_logprobs(mu, alpha, actions)
+        want = [_quad_logprob(m, a, c) for m, a, c in zip(mu, alpha, actions)]
+        assert min(want) < -100.0
+        _assert_logprobs_close(got, want)
+
+
 def test_stacked_logprobs_match_closed_form():
     # the batched tape path used by the ratio objective, over its own
-    # frozen coarse grids
+    # frozen one-row grids
     rng = np.random.default_rng(1)
     for _ in range(100):
         mu = rng.normal(0.0, 3.0, size=2)
@@ -317,20 +396,28 @@ def test_stacked_grids_match_one_row_calls_bitwise():
         mu = rng.normal(0.0, 3.0, size=(7, d))
         alpha = np.exp(rng.uniform(-4.0, 3.0, size=(7, d)))
         mu[0, 1] = mu[0, 0]  # tie
-        mu[1, -1] = mu[1, 0] + 300.0  # centres clipped at +GRID_SPAN
-        mu[2, -1] = mu[2, 0] - 300.0  # and at -GRID_SPAN
+        mu[1, -1] = mu[1, 0] + 300.0  # far crossovers: the mass lies far out
+        mu[2, -1] = mu[2, 0] - 300.0  # on either side of u = 0
         alpha[3, 0] = 1e-3 * alpha[3, 1]
         actions = rng.integers(0, d, size=7)
-        # a crossover 5e-11 and one 3e-13 past the base edge at u = 3:
-        # the first edge stays, the second is dropped
-        actions[5:] = 0
-        mu[5, 1] = mu[5, 0] + (3.0 + 5e-11) * alpha[5, 0]
-        mu[6, 1] = mu[6, 0] + (3.0 + 3e-13) * alpha[6, 0]
+        if d > 2:
+            # two sharp competitors whose crossovers lie 5e-11 apart (row 5:
+            # the second one's edges inside the bracket stay) and 3e-13
+            # apart (row 6: they are dropped against the first one's)
+            actions[5:] = 0
+            alpha[5, 1:3] = 1e-3 * alpha[5, 0]
+            mu[5, 1] = mu[5, 0] + 0.5 * alpha[5, 0]
+            mu[5, 2] = mu[5, 1] + 5e-11 * alpha[5, 0]
+            mu[5, 3:] = mu[5, 0] - 50.0 * alpha[5, 3:]  # never in contention
+            mu[6], alpha[6] = mu[5], alpha[5]
+            mu[6, 2] = mu[6, 1] + 3e-13 * alpha[6, 0]
         mu[4] = mu[5]  # duplicate rows with different actions
         alpha[4] = alpha[5]
         u, logw = rl.argmax_region_grid(mu, alpha, actions)
         lengths = np.count_nonzero(logw > -np.inf, axis=1)
         assert u.shape[1] == lengths.max()
+        if d > 2:
+            assert lengths[5] > lengths[6]
         for r in range(7):
             q = lengths[r]
             assert np.all(u[r, q:] == 0.0) and np.all(logw[r, q:] == -np.inf)
@@ -340,6 +427,41 @@ def test_stacked_grids_match_one_row_calls_bitwise():
             assert np.array_equal(one_u[0], u[r, :q]) and np.array_equal(one_w[0], logw[r, :q])
             ref_u, ref_w = one_row_grid(mu[r], alpha[r], actions[r])
             assert np.array_equal(ref_u, u[r, :q]) and np.array_equal(ref_w, logw[r, :q])
+
+
+def test_grid_size_guard_on_seeded_stack():
+    # the _hard_stack rows and one PPO chunk from the w16l2 model at the
+    # benchmark's shape, per step kind (D = 3 and 4). A row's grid is
+    # GRID_PANELS panels of 8 nodes plus at most five refinement panels
+    # per sharp competitor, so rows without one have 80 nodes; the
+    # chunk's longest row stays within 144 (the fixed grid had 176 and
+    # 216), and every row's log-prob matches quad
+    spec = flow.ModelSpec(width=16, layers=2, window=12, max_size=12)
+    params = flow.init_flow_params(spec, np.random.default_rng(0), zero_init_heads=False)
+    scorer = rl.make_scorer("toy:atom-count", spec.vocab, spec.bonds)
+    trajs, _ = rl.collect_trajectories(
+        params, spec, SamplerConfig(), rl.RewardConfig(), scorer, rl.PPO_CHUNK,
+        np.random.default_rng(1),
+    )
+    steps = [s for t in trajs for s in t.trace.steps]
+    rng = np.random.default_rng(27)
+    for kind, d in (("node", VOCAB.size), ("edge", BONDS.categories)):
+        assert d <= 4
+        chunk = [s for s in steps if s.kind == kind]
+        hard_mu, hard_alpha, hard_actions = _hard_stack(rng, 9, d)
+        mu = np.concatenate([hard_mu, [s.mu for s in chunk]])
+        alpha = np.concatenate([hard_alpha, [s.alpha for s in chunk]])
+        actions = np.concatenate([hard_actions, [s.action for s in chunk]])
+        u, logw = rl.argmax_region_grid(mu, alpha, actions)
+        nodes = np.count_nonzero(logw > -np.inf, axis=1)
+        rows = np.arange(len(actions))
+        ratio = np.delete(alpha, actions + d * rows).reshape(-1, d - 1) / alpha[rows, actions][:, None]
+        sharp = np.count_nonzero(ratio < rl.SHARP_RATIO, axis=1)
+        assert np.all(nodes <= 8 * (rl.GRID_PANELS + 5 * sharp))
+        assert np.all(nodes[sharp == 0] == 8 * rl.GRID_PANELS)
+        assert nodes[9:].max() <= 144
+        want = [_quad_logprob(m, a, c) for m, a, c in zip(mu, alpha, actions)]
+        _assert_logprobs_close(_model_logprobs(mu, alpha, actions), want)
 
 
 # ------------------------------------------------- returns and baselines
