@@ -276,10 +276,17 @@ class LogLik:
         return len(self.node_terms) + len(self.edge_terms)
 
 
+def state_nodes(step) -> int:
+    """The node count m of a generation step's state: ("node", i) sees
+    nodes 0..i-1 and ("edge", i, j) nodes 0..i. The encoder reads nothing
+    of the graph past these m nodes."""
+    return step[1] + (step[0] == "edge")
+
+
 def step_embeddings(params: FlowParams, g: MolecularGraph, steps):
     """Evaluation-mode head inputs of generation steps of g whose states
-    share one node count m, from one rgcn.encode call on g's first m
-    nodes; returns (edge rows, node row).
+    share one node count m (state_nodes), from one rgcn.encode call on
+    g's first m nodes; returns (edge rows, node row).
 
     The edge steps, ("edge", m - 1, j), give their rows [h, h_i, h_j]
     stacked in step order as one (E, 1, 3k) constant; the node step
@@ -288,8 +295,7 @@ def step_embeddings(params: FlowParams, g: MolecularGraph, steps):
     a call with its step alone, and nothing of g past the m nodes is
     read, so g may be a graph still being filled in.
     """
-    kind, i = steps[0][0], steps[0][1]
-    m = i + (kind == "edge")
+    m = state_nodes(steps[0])
     if m == 0:
         return None, Tensor(np.zeros((1, params.rgcn.width)))
     emb = rgcn.encode(g.prefix(m), steps, params.rgcn)

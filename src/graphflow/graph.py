@@ -10,7 +10,7 @@ diagonal is fixed to no-edge and self loops are never representable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -73,6 +73,11 @@ class BondVocab:
     def categories(self) -> int:
         """Bond categories plus the no-edge category."""
         return len(self.orders) + 1
+
+    @cached_property
+    def order_table(self) -> tuple:
+        """The bond order of each category as ints, 0 for no edge."""
+        return tuple(int(o) for o in self.orders) + (0,)
 
     def order_of(self, category: int) -> int:
         if not 0 <= category < self.no_edge:
@@ -311,10 +316,7 @@ def quantize(z: DequantizedGraph, no_edge: int) -> MolecularGraph:
 
 def bond_order_sums(g: MolecularGraph, bonds: BondVocab) -> np.ndarray:
     """Total bond order incident to each node."""
-    orders = np.zeros(bonds.categories, dtype=np.int64)
-    for c in range(bonds.num_bond_types):
-        orders[c] = bonds.orders[c]
-    return orders[g.categories].sum(axis=1)
+    return np.array(bonds.order_table, dtype=np.int64)[g.categories].sum(axis=1)
 
 
 def check_valency(
@@ -333,14 +335,15 @@ def check_valency(
     if category == bonds.no_edge:
         return True
     order = bonds.order_of(category)
-    sums = bond_order_sums(g, bonds)
-    existing = g.categories[i, j]
-    already = bonds.order_of(existing) if existing != bonds.no_edge else 0
+    table, cats = bonds.order_table, g.categories
+    sum_i = sum(map(table.__getitem__, cats[i].tolist()))
+    sum_j = sum(map(table.__getitem__, cats[j].tolist()))
+    already = table[cats[i, j]]
     cap_i = vocab.valences[g.node_types[i]]
     cap_j = vocab.valences[g.node_types[j]]
     return bool(
-        sums[i] - already + order <= cap_i
-        and sums[j] - already + order <= cap_j
+        sum_i - already + order <= cap_i
+        and sum_j - already + order <= cap_j
     )
 
 

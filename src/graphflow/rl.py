@@ -65,7 +65,7 @@ from .autodiff import AdamState, Tensor, adam_step
 from .flow import FlowParams, ModelSpec, _reorder_for_window, _stacked_conditionals
 from .graph import GraphError, MolecularGraph, bfs_reorder
 from .molt import write_molt
-from .sampler import SampleTrace, SamplerConfig, sample_molecule
+from .sampler import SampleTrace, SamplerConfig, StateCache, sample_molecule
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 PPO_CHUNK = 16  # trajectories per packed pass: one tape, one encoder call
@@ -341,15 +341,17 @@ def collect_trajectories(
 
     Episodes use independent spawned random streams. A scorer failure
     drops that episode and bumps the failure counter. Nothing here packs
-    states or builds grids: _ppo_losses does, once per batch.
+    states or builds grids: _ppo_losses does, once per batch. The
+    episodes share one StateCache, as the weights stay fixed.
     """
     streams = rng.spawn(count)
+    cache = StateCache(spec)
     out = []
     failures = 0
     for e in range(count):
         seed_graph = seeds[e % len(seeds)] if seeds else None
         g, trace = sample_molecule(
-            params, spec, sampler_cfg, streams[e], seed_graph=seed_graph
+            params, spec, sampler_cfg, streams[e], seed_graph=seed_graph, cache=cache
         )
         if not trace.steps:
             continue  # seed already filled the graph; nothing to learn from

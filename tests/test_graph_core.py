@@ -382,6 +382,46 @@ def test_check_valency_replaces_existing_bond():
     assert G.check_valency(g, VOCAB, BONDS, 0, 1, 2) is False  # triple > 2
 
 
+def _check_valency_full_rows(g, vocab, bonds, i, j, category):
+    # check_valency's formula for a bond category, with every row summed
+    # and the order table rebuilt per call; returns (verdict, row sums)
+    orders = np.zeros(bonds.categories, dtype=np.int64)
+    for c in range(bonds.num_bond_types):
+        orders[c] = bonds.orders[c]
+    sums = orders[g.categories].sum(axis=1)
+    existing = g.categories[i, j]
+    already = bonds.order_of(existing) if existing != bonds.no_edge else 0
+    order = bonds.order_of(category)
+    return bool(
+        sums[i] - already + order <= vocab.valences[g.node_types[i]]
+        and sums[j] - already + order <= vocab.valences[g.node_types[j]]
+    ), sums
+
+
+@pytest.mark.parametrize("orders", [(1, 2, 3), (3, 1), (2,)])
+def test_check_valency_matches_full_row_sums(orders):
+    bonds = BondVocab(orders)
+    rng = np.random.default_rng(len(orders))
+    checked = set()
+    for _ in range(30):
+        n = int(rng.integers(2, 9))
+        cats = np.tril(rng.integers(0, bonds.categories, (n, n)), -1)
+        cats = cats + cats.T
+        np.fill_diagonal(cats, bonds.no_edge)
+        g = MolecularGraph(rng.integers(0, VOCAB.size, n), cats, bonds.no_edge)
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                for c in range(bonds.no_edge):
+                    ok, sums = _check_valency_full_rows(g, VOCAB, bonds, i, j, c)
+                    assert G.check_valency(g, VOCAB, bonds, i, j, c) is ok
+                    checked.add(ok)
+                assert G.check_valency(g, VOCAB, bonds, i, j, bonds.no_edge) is True
+        assert np.array_equal(G.bond_order_sums(g, bonds), sums)
+    assert checked == {True, False}
+
+
 def test_valency_violations_lists_offenders():
     cats = empty_categories(3, NO_EDGE)
     cats[0, 1] = cats[1, 0] = 2  # triple

@@ -1,7 +1,7 @@
 """Sampling behavior: valency enforcement, resample fallback, termination
 reasons, determinism across seeds and thread counts, seeded continuation,
-reconstruction, and the per-node walk against the per-step walk it
-replaced."""
+reconstruction, the per-node walk against the per-step walk it
+replaced, and the batch state cache against walks without it."""
 
 from functools import partial
 
@@ -210,6 +210,15 @@ def test_seed_graph_rejections():
         sampler.sample_molecule(
             params, spec, sampler.SamplerConfig(), np.random.default_rng(16), seed_graph=alien
         )
+    # a type outside the vocabulary; -1 would otherwise encode as the last type
+    for bad in (-1, VOCAB.size):
+        cats = empty_categories(2, NO_EDGE)
+        cats[0, 1] = cats[1, 0] = 0
+        odd = MolecularGraph(np.array([0, bad]), cats, NO_EDGE)
+        with pytest.raises(GraphError, match="vocabulary"):
+            sampler.sample_molecule(
+                params, spec, sampler.SamplerConfig(), np.random.default_rng(16), seed_graph=odd
+            )
 
 
 def test_trace_matches_graph_and_conditionals():
@@ -272,7 +281,7 @@ def test_reconstruct_is_exact():
     assert checked >= 6
 
 
-def _walk_per_step(params, spec, cfg, g, start, draw):
+def _walk_per_step(params, spec, cfg, g, start, draw, cache=None):
     # the walk with one step_embedding encode per generation step that the
     # per-node walk replaced: its oracle
     types, cats, no_edge = g.node_types, g.categories, g.no_edge
@@ -359,6 +368,10 @@ def test_per_node_walk_matches_per_step_walk(monkeypatch, window, temperature, v
     want = _per_step(monkeypatch, sampler.sample_batch, params, spec, cfg, count=12, seed=31)
     for pair in zip(zip(*got), zip(*want)):
         _assert_same_run(*pair)
+    # the batch shares one state cache; each molecule alone has none
+    children = np.random.SeedSequence(31).spawn(12)
+    for run, alone in zip(zip(*got), _children_runs(params, spec, cfg, children)):
+        _assert_same_run(run, alone)
     if temperature > 0:
         assert {t.termination for t in got[1]} == {"max-size", "no-bonds"}
     if window != 1:  # a bond kept before its row's last slot re-encodes the rest
@@ -386,11 +399,14 @@ def test_per_node_walk_matches_per_step_walk_from_seed_graphs(monkeypatch):
     seeds = [G.bfs_reorder(m, 0)[0].prefix(n).copy() for m in mols for n in range(1, m.n + 1)]
     assert len({g.n for g in seeds}) >= 4
     cfg = sampler.SamplerConfig()
+    cache = sampler.StateCache(spec)
     for k, seed_graph in enumerate(seeds):
         run = partial(sampler.sample_molecule, params, spec, cfg, seed_graph=seed_graph)
         got = run(np.random.default_rng(k))
         want = _per_step(monkeypatch, run, np.random.default_rng(k))
         _assert_same_run(got, want)
+        _assert_same_run(run(np.random.default_rng(k), cache=cache), want)
+    assert cache.rows
 
 
 def test_per_node_walk_matches_per_step_walk_on_latents(monkeypatch):
@@ -450,3 +466,70 @@ def test_sampler_makes_one_encode_per_node_plus_one_per_kept_bond(monkeypatch):
         total_calls += len(calls)
     # the per-step walk made one call per step but the empty prefix's
     assert total_calls * 2 < total_steps
+
+
+def _encoded_states(monkeypatch):
+    # every state rgcn.encode is given, as the bytes it reads: undecided
+    # slots are still no-edge, so equal states give equal entries
+    states = []
+    encode = rgcn.encode
+
+    def record(g_prefix, steps, params):
+        payload = g_prefix.node_types.tobytes() + g_prefix.categories.tobytes()
+        states.extend((step, payload) for step in steps)
+        return encode(g_prefix, steps, params)
+
+    monkeypatch.setattr(rgcn, "encode", record)
+    return states
+
+
+def _children_runs(params, spec, cfg, children, cache=None):
+    return [
+        sampler.sample_molecule(params, spec, cfg, np.random.default_rng(c), cache=cache)
+        for c in children
+    ]
+
+
+def test_state_cache_encodes_each_distinct_state_once_per_batch(monkeypatch):
+    spec = small_spec()
+    params = _random_params(spec, 40)
+    cfg = sampler.SamplerConfig()
+    states = _encoded_states(monkeypatch)
+    sampler.sample_batch(params, spec, cfg, count=40, seed=41)
+    assert len(states) == len(set(states))
+    cached = len(states)
+    states.clear()
+    _children_runs(params, spec, cfg, np.random.SeedSequence(41).spawn(40))
+    # without the cache the batch encodes some states again
+    assert len(set(states)) == cached < len(states)
+
+
+def test_state_cache_reused_in_reverse_order_gives_the_same_runs(monkeypatch):
+    spec = small_spec(window=3)
+    params = _random_params(spec, 42)
+    cfg = sampler.SamplerConfig(temperature=0.8)
+    children = np.random.SeedSequence(43).spawn(16)
+    want = _children_runs(params, spec, cfg, children)
+    cache = sampler.StateCache(spec)
+    for got, run in zip(_children_runs(params, spec, cfg, children, cache), want):
+        _assert_same_run(got, run)
+    filled = len(cache.rows)
+    states = _encoded_states(monkeypatch)
+    for got, run in zip(_children_runs(params, spec, cfg, children[::-1], cache), want[::-1]):
+        _assert_same_run(got, run)
+    assert states == [] and len(cache.rows) == filled  # every state was a hit
+
+
+def test_state_cache_past_its_bound_gives_the_same_runs(monkeypatch):
+    spec = small_spec()
+    params = _random_params(spec, 44)
+    cfg = sampler.SamplerConfig()
+    children = np.random.SeedSequence(45).spawn(24)
+    want = _children_runs(params, spec, cfg, children)
+    monkeypatch.setattr(sampler, "STATE_CACHE_ROWS", 10)
+    cache = sampler.StateCache(spec)
+    states = _encoded_states(monkeypatch)
+    for got, run in zip(_children_runs(params, spec, cfg, children, cache), want):
+        _assert_same_run(got, run)
+    assert len(cache.rows) == 10
+    assert len(states) > len(set(states))  # states past the bound are encoded again
