@@ -198,9 +198,8 @@ def _trace_text(traces) -> str:
     for idx, trace in enumerate(traces):
         lines.append(f"sample {idx} steps {trace.num_steps} "
                      f"termination {trace.termination} rejections {trace.rejections}")
-        for st in trace.steps:
-            lines.append(f"  {st.kind} i {st.i} j {st.j} action {st.action} "
-                         f"rejections {st.rejections}")
+        for kind, i, j, action, rejections in trace.steps.tolist():
+            lines.append(f"  {kind} i {i} j {j} action {action} rejections {rejections}")
     return "\n".join(lines) + "\n"
 
 

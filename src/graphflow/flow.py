@@ -289,25 +289,25 @@ def step_embeddings(params: FlowParams, g: MolecularGraph, steps):
     g's first m nodes; returns (edge rows, node row).
 
     The edge steps, ("edge", m - 1, j), give their rows [h, h_i, h_j]
-    stacked in step order as one (E, 1, 3k) constant; the node step
-    ("node", m) gives its (1, k) graph embedding, a zero row when m == 0.
-    A kind that steps do not hold gives None. Each row is bitwise that of
-    a call with its step alone, and nothing of g past the m nodes is
-    read, so g may be a graph still being filled in.
+    stacked in step order as one (E, 1, 3k) array, so that each head row
+    is a one-row call; the node step ("node", m) gives its (1, k) graph
+    embedding, a zero row when m == 0. Both are _head_inputs rows, the
+    stacked pass's layout. A kind that steps do not hold gives None.
+    Each row is bitwise that of a call with its step alone, and nothing
+    of g past the m nodes is read, so g may be a graph still being
+    filled in.
     """
     m = state_nodes(steps[0])
     if m == 0:
         return None, Tensor(np.zeros((1, params.rgcn.width)))
     emb = rgcn.encode(g.prefix(m), steps, params.rgcn)
-    pooled, h = emb.graph_embedding.data[:, None, :], emb.H.data
     nodes = [s for s, step in enumerate(steps) if step[0] == "node"]
-    node = Tensor(pooled[nodes[0]]) if nodes else None
+    node = _head_inputs(emb, nodes) if nodes else None
     edges = [(s, step[2]) for s, step in enumerate(steps) if step[0] == "edge"]
     if not edges:
         return None, node
     s, j = np.array(edges).T
-    ends = [h[s, m - 1, None], h[s, j, None]]
-    return Tensor(np.concatenate([pooled[s]] + ends, axis=-1)), node
+    return Tensor(_head_inputs(emb, s, np.full(len(s), m - 1), j).data[:, None]), node
 
 
 def step_embedding(params: FlowParams, g: MolecularGraph, step) -> Tensor:

@@ -116,25 +116,18 @@ class IsoClasses:
         self._buckets: dict = {}
         self.num_classes = 0
 
-    def class_of(self, g: MolecularGraph, insert: bool = True) -> tuple:
-        """(digest, index-within-bucket) identity, or None when absent
-        and insert is False."""
+    def class_of(self, g: MolecularGraph) -> tuple:
+        """(digest, index-within-bucket) identity of g's class, which g
+        starts if no earlier graph is isomorphic to it."""
         labels: list = []
         key = canonical_hash(g, labels)
         bucket = self._buckets.setdefault(key, [])
         for idx, (rep, rep_labels) in enumerate(bucket):
             if graphs_isomorphic(g, rep, labels, rep_labels):
                 return (key, idx)
-        if not insert:
-            if not bucket:
-                del self._buckets[key]
-            return None
         bucket.append((g, labels))
         self.num_classes += 1
         return (key, len(bucket) - 1)
-
-    def __contains__(self, g: MolecularGraph) -> bool:
-        return self.class_of(g, insert=False) is not None
 
 
 @dataclass

@@ -135,6 +135,8 @@ def parse_molt(
         if len(bonds_line) != 2 or bonds_line[0] != "bonds":
             raise MoltError(cur.lineno, "expected 'bonds <count>'")
         m = _parse_int(cur, bonds_line[1], "bond count")
+        if m < 0:
+            raise MoltError(cur.lineno, "bond count must be non-negative")
         cats = empty_categories(n, bonds.no_edge)
         for _ in range(m):
             parts = cur.next_line().split()

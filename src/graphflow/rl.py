@@ -19,29 +19,29 @@ so each elementwise loop runs over a whole (S, Q) slab rather than a
 trailing axis of two or three competitors, and the competitors'
 log-CDFs are summed in ascending order one add at a time.
 
-An episode is kept as the sampler's trace, which records every decision
-with the acting (mu, alpha) behind it and the graph the decisions
-filled. For the ratio objective each step's integration grid comes from
-that acting (mu, alpha) alone, so it stays frozen while the weights
-move, and the surrogate is a smooth function of the weights. Collection
-only samples, scores and builds returns; _ppo_losses is the one place
-that splits a batch into packed chunks of PPO_CHUNK trajectories. All
-states of a chunk, the empty prefix included, go through one encoder
-pass and one head call per step kind, and each step kind gets one grid
-build from the stacked trace and one quadrature. Each chunk is packed
-once per batch: its grids, and one rgcn.StepPack of its states (the
-encoder's grouped step masks and the head index arrays). Each chunk's
-share of the batch loss is one callable holding everything it reads that
-the weights do not change (the frozen grids, the step pack, advantages),
-so an update pass does only weight-dependent work; every update pass
-sums their gradients with autodiff.accumulate_grads, the same loop
-maximum-likelihood training runs, one tape per chunk, on which the
-chunk's clipped-ratio surrogate is one node over its per-kind log-probs.
-There is no separate acting pass: a chunk's acting log-probabilities are
-the values of its first call, which the first update pass makes at the
-collection weights, and the callable holds them as constants from then
-on. So ratios start at exactly one, and finite differences agree with
-the tape gradient.
+An episode is kept as the sampler's trace, which holds every decision as
+columns, each step kind's acting (mu, alpha) rows as one block, and the
+graph the decisions filled. For the ratio objective each step's
+integration grid comes from that acting (mu, alpha) alone, so it stays
+frozen while the weights move, and the surrogate is a smooth function of
+the weights. Collection only samples, scores and builds returns;
+_ppo_losses is the one place that splits a batch into packed chunks of
+PPO_CHUNK trajectories. All states of a chunk, the empty prefix
+included, go through one encoder pass and one head call per step kind,
+and each step kind gets one grid build from the stacked trace and one
+quadrature. Each chunk is packed once per batch: its grids, and one
+rgcn.StepPack of its states (the encoder's grouped step masks and the
+head index arrays). Each chunk's share of the batch loss is one callable
+holding everything it reads that the weights do not change (the frozen
+grids, the step pack, advantages), so an update pass does only
+weight-dependent work; every update pass sums their gradients with
+autodiff.accumulate_grads, the same loop maximum-likelihood training
+runs, one tape per chunk, on which the chunk's clipped-ratio surrogate
+is one node over its per-kind log-probs. There is no separate acting
+pass: a chunk's acting log-probabilities are the values of its first
+call, which the first update pass makes at the collection weights, and
+the callable holds them as constants from then on. So ratios start at
+exactly one, and finite differences agree with the tape gradient.
 """
 
 from __future__ import annotations
@@ -247,10 +247,11 @@ def _stacked_action_logprobs(
 @dataclass
 class Trajectory:
     """One complete generation episode with everything a ratio-objective
-    update needs: the sampler's trace (each decision with its acting mu
-    and alpha and its valency rejections, and the graph those decisions
-    filled) and per-step discounted returns in trace order. Acting
-    log-probs are not stored here: each chunk loss holds its chunk's."""
+    update needs: the sampler's trace (the decisions and their valency
+    rejections as columns, each kind's acting mu and alpha rows as one
+    block, and the graph those decisions filled) and per-step discounted
+    returns in trace order. Acting log-probs are not stored here: each
+    chunk loss holds its chunk's."""
 
     trace: SampleTrace
     final_reward: float
@@ -269,7 +270,7 @@ class Trajectory:
     def rewards(self) -> np.ndarray:
         """Per-step rewards: penalties at their own step, property reward
         at the last step."""
-        r = np.array([VALIDITY_PENALTY * s.rejections for s in self.trace.steps])
+        r = VALIDITY_PENALTY * self.trace.steps.rejections
         r[-1] += self.final_reward
         return r
 
@@ -353,7 +354,7 @@ def collect_trajectories(
         g, trace = sample_molecule(
             params, spec, sampler_cfg, streams[e], seed_graph=seed_graph, cache=cache
         )
-        if not trace.steps:
+        if not trace.num_steps:
             continue  # seed already filled the graph; nothing to learn from
         try:
             score = scorer.score(g)
@@ -451,21 +452,20 @@ class _PackedChunk:
 def _pack_chunk(params: FlowParams, trajectories, temperature: float = 1.0) -> _PackedChunk:
     """One step pack over the chunk's states, then one grid build per
     step kind over the pack's rows of that kind; of params only the
-    dimensions are read."""
-    steps = [s for traj in trajectories for s in traj.trace.steps]
-    graphs = [traj.gen_graph for traj in trajectories for _ in traj.trace.steps]
-    states = [("node", s.i) if s.kind == "node" else ("edge", s.i, s.j) for s in steps]
+    dimensions are read. A kind's pack rows are its steps in chunk
+    order, the order of its trace blocks laid end to end."""
+    traces = [traj.trace for traj in trajectories]
+    steps = np.concatenate([t.steps for t in traces])
+    graphs = [t.graph for t in traces for _ in range(t.num_steps)]
+    states = [(k, i) if k == "node" else (k, i, j) for k, i, j, _, _ in steps.tolist()]
     pack = rgcn.pack_step_batch(graphs, states, params.rgcn)
     kinds = []
     for kind, rows in (("node", pack.node_rows), ("edge", pack.edge_rows)):
         if not len(rows):
             continue
-        actions = np.array([steps[f].action for f in rows], dtype=np.int64)
-        u, logw = argmax_region_grid(
-            np.stack([steps[f].mu for f in rows]),
-            np.stack([steps[f].alpha for f in rows]) * temperature,
-            actions,
-        )
+        block = np.concatenate([t.rows[kind] for t in traces])
+        actions = steps["action"][rows]
+        u, logw = argmax_region_grid(block[:, 0], block[:, 1] * temperature, actions)
         kinds.append((kind, actions, u, weight_free_term(u, logw)))
     return _PackedChunk(pack=pack, kinds=kinds, temperature=temperature)
 

@@ -11,10 +11,10 @@ mutates the graph. Generation stops at the size limit, or as soon as a
 newly added node (other than the first) picks up no bond at all, in
 which case that node is discarded.
 
-Every kept decision is recorded in a trace together with the mu/alpha
-rows that produced it, and the trace keeps the graph the walk filled,
-a discarded last node included: exactly what the reinforcement-learning
-code needs to rebuild every step's state and score its action.
+A walk's trace holds its kept decisions as columns, and per step kind
+the mu/alpha rows that produced them as one block; it keeps the graph
+the walk filled, a discarded last node included: exactly what the
+reinforcement-learning code needs to rebuild and score every step.
 
 Decisions are made one step at a time but states are encoded per node,
 the way speculative decoding drafts and then verifies: once node i's
@@ -42,7 +42,7 @@ the hits save. STATE_CACHE_ROWS bounds its memory to about 3.5 MB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -82,30 +82,35 @@ class SamplerConfig:
             raise ValueError(f"max_resample must be >= 0, got {self.max_resample}")
 
 
-@dataclass
-class TraceStep:
-    """One kept decision: which slot, what was chosen, and under what transform."""
-
-    kind: str  # "node" or "edge"
-    i: int
-    j: int  # -1 for node steps
-    action: int
-    rejections: int
-    mu: np.ndarray
-    alpha: np.ndarray
+# one kept decision of a trace; j is -1 for node steps
+STEP_DTYPE = np.dtype([("kind", "U4")] + [(f, "i8") for f in ("i", "j", "action", "rejections")])
 
 
 @dataclass
 class SampleTrace:
-    """The kept decisions of one walk and how it ended. graph is the graph
-    the walk filled, the decided nodes of every step: on "no-bonds" it
-    still holds the dropped last node, which the returned molecule
-    leaves out."""
+    """The kept decisions of one walk and how it ended. steps is a
+    STEP_DTYPE record array in decision order, and rows maps each step
+    kind to the (K, 2, dim) [mu, alpha] rows of its K steps, in the same
+    order. graph is the graph the walk filled, the decided nodes of
+    every step: on "no-bonds" it still holds the dropped last node,
+    which the returned molecule leaves out."""
 
-    steps: list = field(default_factory=list)
-    termination: str = ""
-    rejections: int = 0
-    graph: MolecularGraph | None = None
+    steps: np.recarray
+    rows: dict
+    termination: str
+    graph: MolecularGraph
+
+    @classmethod
+    def build(cls, spec: ModelSpec, records: list, rows: dict, termination: str, graph):
+        """The trace of records, (kind, i, j, action, rejections) tuples,
+        and rows, each kind's list of (2, dim) [mu, alpha] rows."""
+        dims = {"node": spec.node_dim, "edge": spec.edge_dim}
+        blocks = {kind: np.array(rows[kind]).reshape(-1, 2, dim) for kind, dim in dims.items()}
+        return cls(np.array(records, STEP_DTYPE).view(np.recarray), blocks, termination, graph)
+
+    @property
+    def rejections(self) -> int:
+        return int(self.steps.rejections.sum())
 
     @property
     def num_steps(self) -> int:
@@ -122,24 +127,25 @@ class StateCache:
     A state's key is its plan step plus the bytes the encoder reads of
     it, node_types[:m] and categories[:m, :m] of its m nodes, m being
     flow.state_nodes of the step, the rule by which step_embeddings
-    decides what it reads. categories
-    is symmetric with no-edge on its diagonal, so its strict lower
-    triangle stands for it; both are stored in the smallest unsigned
-    type that holds every node type and bond category (one byte for
-    molecule vocabularies; sample_molecule rejects a seed graph whose
-    types fall outside the vocabulary). A walk's undecided slots are still
-    no-edge, so equal states have equal keys whichever walk drafted
-    them. Each row is bitwise what the encoder and heads give the state
-    alone, so a cached row is the row a fresh call would give.
+    decides what it reads. categories is symmetric with no-edge on its
+    diagonal, so its strict lower triangle stands for it; both are
+    stored in the smallest unsigned type that holds every node type and
+    bond category (one byte for molecule vocabularies; sample_molecule
+    rejects a seed graph whose types fall outside the vocabulary). A
+    walk's undecided slots are still no-edge, so equal states have equal
+    keys whichever walk drafted them. Each row is bitwise what the
+    encoder and heads give the state alone, so a cached row is the row a
+    fresh call would give.
 
     The cache is not a setting: sample_batch and rl's trajectory
-    collection make one per call and drop it at the end. It keeps at most STATE_CACHE_ROWS rows and then stops
-    adding, so the shallow states, which recur most and come first, stay
-    in it. A row costs about 420 bytes with its key, so the bound is
-    about 3.5 MB. A 100-molecule batch from the benchmark's generate
-    checkpoint adds 1700-2200 rows; a 2000-molecule batch would add
-    28k, and with the bound it still finds 93% of the repeats it would
-    find without one (41.4% of its states against 44.6%).
+    collection make one per call and drop it at the end. It keeps at
+    most STATE_CACHE_ROWS rows and then stops adding, so the shallow
+    states, which recur most and come first, stay in it. A row costs
+    about 420 bytes with its key, so the bound is about 3.5 MB. A
+    100-molecule batch from the benchmark's generate checkpoint adds
+    1700-2200 rows; a 2000-molecule batch would add 28k, and with the
+    bound it still finds 93% of the repeats it would find without one
+    (41.4% of its states against 44.6%).
     """
 
     def __init__(self, spec: ModelSpec):
@@ -222,15 +228,15 @@ def _walk(
     node i + 1's state alone (node_row None). cache, a StateCache or
     None, serves the states it holds."""
     types, cats, no_edge = g.node_types, g.categories, g.no_edge
-    trace = SampleTrace(termination="max-size", graph=g)
+    records, kept = [], {"node": [], "edge": []}
     node_row = None
     for i in range(start, g.n):
         if node_row is None:
             (node_row,) = _step_rows(params, g, [("node", i)], cache)
-        mu, alpha = node_row
-        t = decode_category(draw(spec.node_dim), mu, alpha)
+        t = decode_category(draw(spec.node_dim), *node_row)
         types[i] = t
-        trace.steps.append(TraceStep("node", i, -1, t, 0, mu.copy(), alpha.copy()))
+        records.append(("node", i, -1, t, 0))
+        kept["node"].append(node_row)
         got_bond, node_row, first = False, None, None
         for j in range(max(0, i - spec.window), i):
             if first is None:  # row i's slots from j on, then node i + 1's state if any
@@ -240,10 +246,10 @@ def _walk(
                 rows = _step_rows(params, g, drafts, cache)
                 node_row = rows[-1] if i + 1 < g.n else None
                 first = j
-            mu_j, alpha_j = rows[j - first]
+            row = rows[j - first]
             rejections = 0
             while True:
-                cat = decode_category(draw(spec.edge_dim), mu_j, alpha_j)
+                cat = decode_category(draw(spec.edge_dim), *row)
                 if (
                     cfg.valency_check
                     and cat != no_edge
@@ -255,19 +261,16 @@ def _walk(
                         break
                     continue
                 break
-            trace.rejections += rejections
             if cat != no_edge:
                 cats[i, j] = cat
                 cats[j, i] = cat
                 got_bond, node_row, first = True, None, None
-            trace.steps.append(
-                TraceStep("edge", i, j, cat, rejections, mu_j.copy(), alpha_j.copy())
-            )
+            records.append(("edge", i, j, cat, rejections))
+            kept["edge"].append(row)
         if i > 0 and not got_bond:
             # the new node would be disconnected: drop it and stop
-            trace.termination, trace.graph = "no-bonds", g.prefix(i + 1)
-            return g.prefix(i), trace
-    return g, trace
+            return g.prefix(i), SampleTrace.build(spec, records, kept, "no-bonds", g.prefix(i + 1))
+    return g, SampleTrace.build(spec, records, kept, "max-size", g)
 
 
 def sample_molecule(

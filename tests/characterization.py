@@ -87,15 +87,12 @@ def _sampling(exact: dict, close: dict, name: str, spec, params) -> None:
         graphs, traces = sampler.sample_batch(params, spec, cfg, SAMPLES, seed=3)
         exact[f"{key}.molt"] = molt.write_molt(graphs, VOCAB, BONDS)
         for t, trace in enumerate(traces):
-            exact[f"{key}.{t}.steps"] = [
-                [s.kind, s.i, s.j, s.action, s.rejections] for s in trace.steps
-            ]
+            exact[f"{key}.{t}.steps"] = trace.steps.tolist()
             exact[f"{key}.{t}.termination"] = trace.termination
-            for kind in ("node", "edge"):
-                rows = [s for s in trace.steps if s.kind == kind]
-                if rows:
-                    close[f"{key}.{t}.{kind}.mu"] = np.stack([s.mu for s in rows])
-                    close[f"{key}.{t}.{kind}.alpha"] = np.stack([s.alpha for s in rows])
+            for kind, rows in trace.rows.items():
+                if len(rows):
+                    close[f"{key}.{t}.{kind}.mu"] = rows[:, 0]
+                    close[f"{key}.{t}.{kind}.alpha"] = rows[:, 1]
 
 
 def _likelihoods(close: dict, name: str, spec, params, mols) -> None:

@@ -532,6 +532,13 @@ def test_molt_rejects_unknown_bond_order():
         molt.parse_molt(text, VOCAB, BONDS)
 
 
+def test_molt_rejects_negative_bond_count():
+    text = "#MOLT v1\natoms 2\n0 C\n1 C\nbonds -3\n"
+    with pytest.raises(molt.MoltError, match="bond count") as err:
+        molt.parse_molt(text, VOCAB, BONDS)
+    assert err.value.line == 5
+
+
 def test_molt_rejects_missing_atom_index():
     text = "#MOLT v1\natoms 2\n0 C\n0 C\nbonds 0\n"
     with pytest.raises(molt.MoltError):

@@ -113,12 +113,16 @@ def test_wl_collision_never_merges_distinct_graphs():
     assert metrics.canonical_hash(hexagon) == metrics.canonical_hash(triangles)
     assert not metrics.graphs_isomorphic(hexagon, triangles)
     classes = metrics.IsoClasses()
-    classes.class_of(hexagon)
-    classes.class_of(triangles)
+    hexagon_class = classes.class_of(hexagon)
+    triangles_class = classes.class_of(triangles)
+    assert hexagon_class != triangles_class
     assert classes.num_classes == 2
-    assert hexagon in classes and triangles in classes
-    assert cycle_graph(6) in classes
-    assert cycle_graph(5) not in classes
+    # both join their own class again; a pentagon starts a third
+    assert classes.class_of(triangles) == triangles_class
+    assert classes.class_of(cycle_graph(6)) == hexagon_class
+    assert classes.num_classes == 2
+    assert classes.class_of(cycle_graph(5)) not in (hexagon_class, triangles_class)
+    assert classes.num_classes == 3
 
 
 def test_iso_classes_identity_is_stable():

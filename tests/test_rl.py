@@ -25,7 +25,7 @@ from graphflow import rgcn
 from graphflow import rl
 from graphflow.autodiff import Tensor
 from graphflow.graph import MolecularGraph, empty_categories
-from graphflow.sampler import SampleTrace, SamplerConfig, TraceStep, sample_molecule
+from graphflow.sampler import STEP_DTYPE, SampleTrace, SamplerConfig, sample_molecule
 from oracle_ops import action_logprobs, add, div, logsumexp, mul, one_row_grid, reshape, sub, sum_of, take, tensor_sum, weighted_sum
 from oracle_ops import log_ndtr as oracle_log_ndtr
 
@@ -443,15 +443,15 @@ def test_grid_size_guard_on_seeded_stack():
         params, spec, SamplerConfig(), rl.RewardConfig(), scorer, rl.PPO_CHUNK,
         np.random.default_rng(1),
     )
-    steps = [s for t in trajs for s in t.trace.steps]
+    steps = np.concatenate([t.trace.steps for t in trajs])
     rng = np.random.default_rng(27)
     for kind, d in (("node", VOCAB.size), ("edge", BONDS.categories)):
         assert d <= 4
-        chunk = [s for s in steps if s.kind == kind]
+        chunk = np.concatenate([t.trace.rows[kind] for t in trajs])
         hard_mu, hard_alpha, hard_actions = _hard_stack(rng, 9, d)
-        mu = np.concatenate([hard_mu, [s.mu for s in chunk]])
-        alpha = np.concatenate([hard_alpha, [s.alpha for s in chunk]])
-        actions = np.concatenate([hard_actions, [s.action for s in chunk]])
+        mu = np.concatenate([hard_mu, chunk[:, 0]])
+        alpha = np.concatenate([hard_alpha, chunk[:, 1]])
+        actions = np.concatenate([hard_actions, steps["action"][steps["kind"] == kind]])
         u, logw = rl.argmax_region_grid(mu, alpha, actions)
         nodes = np.count_nonzero(logw > -np.inf, axis=1)
         rows = np.arange(len(actions))
@@ -468,10 +468,9 @@ def test_grid_size_guard_on_seeded_stack():
 
 
 def _fake_trace(rejections):
-    return SampleTrace(steps=[
-        TraceStep("node", t, -1, 0, r, np.zeros(2), np.ones(2))
-        for t, r in enumerate(rejections)
-    ])
+    # node steps only: rewards read nothing but the rejections column
+    steps = np.array([("node", t, -1, 0, r) for t, r in enumerate(rejections)], STEP_DTYPE)
+    return SampleTrace(steps.view(np.recarray), rows={}, termination="max-size", graph=None)
 
 
 def _returns(rejections, final_reward, gamma):
@@ -656,10 +655,14 @@ def _reference_logprobs(params, traj, temperature):
     # one trajectory, one step at a time: the step's own encoder call and
     # a one-row quadrature over a one-row grid from the acting mu and alpha
     out = []
+    rows = {kind: iter(block) for kind, block in traj.trace.rows.items()}
     for s in traj.trace.steps:
         step = ("node", s.i) if s.kind == "node" else ("edge", s.i, s.j)
         mu, alpha = flow.step_conditional(params, traj.gen_graph, step)
-        u, logw = rl.argmax_region_grid(s.mu[None], s.alpha[None] * temperature, [s.action])
+        acting_mu, acting_alpha = next(rows[s.kind])
+        u, logw = rl.argmax_region_grid(
+            acting_mu[None], acting_alpha[None] * temperature, [s.action]
+        )
         lp = _fused(
             Tensor(mu[None, :]), Tensor(alpha[None, :] * temperature),
             u, logw, np.array([s.action]),

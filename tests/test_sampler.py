@@ -11,6 +11,7 @@ import pytest
 from graphflow import flow
 from graphflow import graph as G
 from graphflow import rgcn
+from graphflow import rl
 from graphflow import sampler
 from graphflow.autodiff import Tensor
 from graphflow.graph import GraphError, MolecularGraph, empty_categories
@@ -122,10 +123,7 @@ def test_batch_is_deterministic_per_seed():
     for a, b in zip(g1, g2):
         assert a == b
     for a, b in zip(t1, t2):
-        assert [s.action for s in a.steps] == [s.action for s in b.steps]
-        for sa, sb in zip(a.steps, b.steps):
-            assert np.array_equal(sa.mu, sb.mu)
-            assert np.array_equal(sa.alpha, sb.alpha)
+        _assert_same_trace(a, b)
     other, _ = sampler.sample_batch(params, spec, cfg, count=20, seed=12)
     assert any(a != b for a, b in zip(g1, other))
 
@@ -185,7 +183,7 @@ def test_seed_graph_at_max_size_returns_it_unchanged():
         params, spec, sampler.SamplerConfig(), np.random.default_rng(12), seed_graph=seed_graph
     )
     assert g == seed_graph
-    assert trace.steps == []
+    assert trace.num_steps == 0
 
 
 def test_seed_graph_rejections():
@@ -233,7 +231,9 @@ def test_trace_matches_graph_and_conditionals():
     node_checked = edge_checked = 0
     for seed in (18, 22, 25):
         g, trace = sampler.sample_molecule(params, spec, cfg, np.random.default_rng(seed))
+        rows = {kind: iter(block) for kind, block in trace.rows.items()}
         for s in trace.steps:
+            want_mu, want_alpha = next(rows[s.kind])
             if s.i >= g.n:
                 continue  # steps for a dropped trailing node
             if s.kind == "node":
@@ -258,8 +258,8 @@ def test_trace_matches_graph_and_conditionals():
                 x = Tensor(np.concatenate([h, hi, hj], axis=-1))
                 mu, alpha = flow.edge_conditional(params, x)
                 edge_checked += 1
-            assert np.array_equal(s.mu, mu.data[0])
-            assert np.array_equal(s.alpha, alpha.data[0])
+            assert np.array_equal(want_mu, mu.data[0])
+            assert np.array_equal(want_alpha, alpha.data[0])
     assert node_checked >= 3
     assert edge_checked >= 10
 
@@ -285,14 +285,13 @@ def _walk_per_step(params, spec, cfg, g, start, draw, cache=None):
     # the walk with one step_embedding encode per generation step that the
     # per-node walk replaced: its oracle
     types, cats, no_edge = g.node_types, g.categories, g.no_edge
-    trace = sampler.SampleTrace(termination="max-size", graph=g)
+    records, rows = [], {"node": [], "edge": []}
     for i in range(start, g.n):
         mu, alpha = flow.node_conditional(params, flow.step_embedding(params, g, ("node", i)))
         t = flow.decode_category(draw(spec.node_dim), mu.data[0], alpha.data[0])
         types[i] = t
-        trace.steps.append(
-            sampler.TraceStep("node", i, -1, t, 0, mu.data[0].copy(), alpha.data[0].copy())
-        )
+        records.append(("node", i, -1, t, 0))
+        rows["node"].append((mu.data[0], alpha.data[0]))
         got_bond = False
         for j in range(max(0, i - spec.window), i):
             step_x = flow.step_embedding(params, g, ("edge", i, j))
@@ -311,33 +310,37 @@ def _walk_per_step(params, spec, cfg, g, start, draw, cache=None):
                         break
                     continue
                 break
-            trace.rejections += rejections
             if cat != no_edge:
                 cats[i, j] = cat
                 cats[j, i] = cat
                 got_bond = True
-            trace.steps.append(
-                sampler.TraceStep(
-                    "edge", i, j, cat, rejections, mu.data[0].copy(), alpha.data[0].copy()
-                )
-            )
+            records.append(("edge", i, j, cat, rejections))
+            rows["edge"].append((mu.data[0], alpha.data[0]))
         if i > 0 and not got_bond:
-            trace.termination, trace.graph = "no-bonds", g.prefix(i + 1)
-            return g.prefix(i), trace
-    return g, trace
+            return g.prefix(i), sampler.SampleTrace.build(
+                spec, records, rows, "no-bonds", g.prefix(i + 1)
+            )
+    return g, sampler.SampleTrace.build(spec, records, rows, "max-size", g)
+
+
+def _assert_same_trace(trace, want):
+    # column by column: a dataclass holding arrays has no usable ==
+    assert trace.termination == want.termination
+    assert trace.graph == want.graph
+    assert trace.rejections == want.rejections
+    assert trace.steps.dtype == want.steps.dtype
+    assert np.array_equal(trace.steps, want.steps)
+    assert trace.rows.keys() == want.rows.keys()
+    for kind, block in trace.rows.items():
+        assert block.shape == want.rows[kind].shape
+        assert np.array_equal(block, want.rows[kind])
 
 
 def _assert_same_run(got, want):
     (g, trace), (g_ref, trace_ref) = got, want
     assert np.array_equal(g.node_types, g_ref.node_types)
     assert np.array_equal(g.categories, g_ref.categories)
-    assert trace.termination == trace_ref.termination
-    assert trace.graph == trace_ref.graph
-    assert trace.rejections == trace_ref.rejections
-    assert len(trace.steps) == len(trace_ref.steps)
-    for s, r in zip(trace.steps, trace_ref.steps):
-        assert (s.kind, s.i, s.j, s.action, s.rejections) == (r.kind, r.i, r.j, r.action, r.rejections)
-        assert np.array_equal(s.mu, r.mu) and np.array_equal(s.alpha, r.alpha)
+    _assert_same_trace(trace, trace_ref)
 
 
 def _per_step(monkeypatch, fn, *args, **kwargs):
@@ -392,6 +395,36 @@ def test_per_node_walk_matches_per_step_walk_with_forced_fallbacks(monkeypatch):
     assert sum(s.rejections >= cfg.max_resample for t in got[1] for s in t.steps) >= 5
 
 
+def test_trace_reads_the_way_the_benchmark_counts_it():
+    # bench/tracing.py::_count_sample counts each sampled trace this way:
+    # it iterates trace.steps for .kind and .rejections and calls
+    # len(trace.steps), and adds trace.rejections to counters written as
+    # JSON. The benchmark's own tests are not in this suite, so this
+    # holds the trace to that reading; the counts must match the columns
+    spec = small_spec(max_size=10)
+    params = _random_params(spec, 32)
+    params.edge_mu.b2.data[BONDS.category_of(3)] += 2.0
+    cfg = sampler.SamplerConfig(valency_check=True, max_resample=3)
+    _, traces = sampler.sample_batch(params, spec, cfg, count=12, seed=33)
+    total_rejections = total_fallbacks = 0
+    for trace in traces:
+        node_steps = sum(1 for s in trace.steps if s.kind == "node")
+        edge_steps = len(trace.steps) - node_steps
+        fallbacks = sum(
+            1 for s in trace.steps if s.kind == "edge" and s.rejections >= cfg.max_resample
+        )
+        assert node_steps == np.count_nonzero(trace.steps.kind == "node") == len(trace.rows["node"])
+        assert edge_steps == np.count_nonzero(trace.steps.kind == "edge") == len(trace.rows["edge"])
+        assert fallbacks == np.count_nonzero(trace.steps.rejections >= cfg.max_resample)
+        assert isinstance(trace.rejections, int)
+        assert trace.rejections == sum(s.rejections for s in trace.steps)
+        traj = rl.build_trajectory(trace, rl.RewardConfig(), score=0.0)
+        assert len(trace.steps) == trace.num_steps == traj.num_steps == len(traj.returns)
+        total_rejections += trace.rejections
+        total_fallbacks += fallbacks
+    assert total_rejections > 0 and total_fallbacks > 0
+
+
 def test_per_node_walk_matches_per_step_walk_from_seed_graphs(monkeypatch):
     spec = small_spec()
     params = _random_params(spec, 34)
@@ -433,7 +466,7 @@ def _expected_encodes(trace, start):
     # one call per node with edge steps, one more per bond kept before its
     # row's last slot, and a node-state call for the seed prefix, after a
     # row with no edge steps, and after a bond kept at a row's last slot
-    calls = 1 if start > 0 and trace.steps else 0
+    calls = 1 if start > 0 and trace.num_steps else 0
     rows = {}
     for s in trace.steps:
         rows.setdefault(s.i, []).append(s)
