@@ -307,7 +307,7 @@ def step_embeddings(params: FlowParams, g: MolecularGraph, steps):
     if not edges:
         return None, node
     s, j = np.array(edges).T
-    return Tensor(_head_inputs(emb, s, np.full(len(s), m - 1), j).data[:, None]), node
+    return Tensor(_head_inputs(emb, s, m - 1, j).data[:, None]), node
 
 
 def step_embedding(params: FlowParams, g: MolecularGraph, step) -> Tensor:
@@ -335,9 +335,10 @@ def step_conditional(params: FlowParams, g: MolecularGraph, step):
 def _head_inputs(stacked: rgcn.NodeEmbeddings, rows, *ends) -> Tensor:
     """The head input rows of one step kind, as one tape node: row r is
     the graph embedding of state rows[r], followed side by side by the
-    node rows ends[0][r], ends[1][r], ... of that state, which is
-    step_embedding's layout. A pack's rows are unique and an edge step's
-    endpoints differ, so the backward writes each gradient slot once."""
+    node rows ends[0][r], ends[1][r], ... of that state (an int end is
+    node `end` of every state), which is step_embedding's layout. A
+    pack's rows are unique and an edge step's endpoints differ, so the
+    backward writes each gradient slot once."""
     pooled, h = stacked.graph_embedding, stacked.H
     k = pooled.data.shape[-1]
     parts = [pooled.data[rows]] + [h.data[rows, end] for end in ends]

@@ -407,7 +407,7 @@ def pack_step_batch(g, steps, params: RgcnParams, training: bool = False) -> Ste
             segments.append(slice(int(idx[0]), int(idx[-1]) + 1))
             parts.setdefault(owner.n, []).append((x * node_mask, norm_adj, idx))
             continue
-        for m in np.setdiff1d(sizes[idx], [0]):
+        for m in sorted(set(sizes[idx].tolist()) - {0}):
             sel = np.flatnonzero(sizes[idx] == m)
             rows = np.broadcast_to(x[:m], (len(sel), m, x.shape[1]))
             parts.setdefault(int(m), []).append((rows, norm_adj[sel, :, :m, :m], idx[sel]))

@@ -25,16 +25,19 @@ graph the decisions filled. For the ratio objective each step's
 integration grid comes from that acting (mu, alpha) alone, so it stays
 frozen while the weights move, and the surrogate is a smooth function of
 the weights. Collection only samples, scores and builds returns;
-_ppo_losses is the one place that splits a batch into packed chunks of
-PPO_CHUNK trajectories. All states of a chunk, the empty prefix
-included, go through one encoder pass and one head call per step kind,
-and each step kind gets one grid build from the stacked trace and one
-quadrature. Each chunk is packed once per batch: its grids, and one
-rgcn.StepPack of its states (the encoder's grouped step masks and the
-head index arrays). Each chunk's share of the batch loss is one callable
-holding everything it reads that the weights do not change (the frozen
-grids, the step pack, advantages), so an update pass does only
-weight-dependent work; every update pass sums their gradients with
+_ppo_losses is the one place that splits a batch into chunks. The
+update scores each distinct (state, action) once, in size-major chunks
+of rows: steps with equal plan step, action and decided prefix share a
+row, and the rows, sorted by state node count, are cut into chunks of
+at most PPO_CHUNK_ROWS. All rows of a chunk, the empty prefix included,
+go through one encoder pass and one head call per step kind, and each
+step kind gets one grid build and one quadrature. Each chunk is packed
+once per batch: its grids, and one rgcn.StepPack of its rows' states
+(the encoder's grouped step masks and the head index arrays), whose
+log-probs each step gathers. Each chunk's share of the batch loss is
+one callable holding everything it reads that the weights do not change
+(the frozen grids, the step pack, advantages), so an update pass does
+only weight-dependent work; every update pass sums their gradients with
 autodiff.accumulate_grads, the same loop maximum-likelihood training
 runs, one tape per chunk, on which the chunk's clipped-ratio surrogate
 is one node over its per-kind log-probs. There is no separate acting
@@ -62,13 +65,14 @@ from scipy.special import erfcx, log_ndtr
 from . import autodiff as ad
 from . import rgcn
 from .autodiff import AdamState, Tensor, adam_step
-from .flow import FlowParams, ModelSpec, _reorder_for_window, _stacked_conditionals
+from .flow import FlowParams, ModelSpec, _reorder_for_window, _stacked_conditionals, state_nodes
 from .graph import GraphError, MolecularGraph, bfs_reorder
 from .molt import write_molt
-from .sampler import SampleTrace, SamplerConfig, StateCache, sample_molecule
+from .sampler import SampleTrace, SamplerConfig, StateCache, sample_molecule, state_bytes
+from .sampler import state_dtype
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
-PPO_CHUNK = 16  # trajectories per packed pass: one tape, one encoder call
+PPO_CHUNK_ROWS = 256  # most distinct (state, action) rows per packed pass: one tape, one StepPack
 
 VALIDITY_PENALTY = -1.0  # reward per valency rejection, at its own step
 
@@ -342,8 +346,9 @@ def collect_trajectories(
 
     Episodes use independent spawned random streams. A scorer failure
     drops that episode and bumps the failure counter. Nothing here packs
-    states or builds grids: _ppo_losses does, once per batch. The
-    episodes share one StateCache, as the weights stay fixed.
+    states or builds grids: _ppo_losses does, once per batch, one row per
+    distinct (state, action). The episodes share one StateCache, as the
+    weights stay fixed.
     """
     streams = rng.spawn(count)
     cache = StateCache(spec)
@@ -427,53 +432,46 @@ class PpoConfig:
 @dataclass
 class _PackedChunk:
     """What a chunk's packed pass needs that the weights do not change,
-    built once per chunk: the rgcn.StepPack of every step's graph and
-    state (the encoder's grouped step masks and the head index arrays),
-    and per step kind the actions and the frozen grids. Row r of the
-    pass is step order[r] of the chunk's trace steps laid end to end in
-    trajectory order; node steps come first.
+    built once per batch: the rgcn.StepPack of its rows (distinct
+    (state, action) pairs of a few node counts, node rows first), per
+    step kind their actions and frozen grids, and the batch steps they
+    score: steps indexes the batch's trace steps laid end to end, and
+    gather[s] is the row of steps[s].
 
-    Each grid is built from the trace's acting mu and alpha, never from
-    the current weights. Rows of a batched product can depend on the
-    batch they sit in at the last bit, so acting and re-evaluated
-    log-probs must come from the same chunk: _ppo_losses builds one
-    _PackedChunk per chunk and runs both through it.
-    """
+    Each grid comes from a row's acting mu and alpha, never from the
+    current weights. Rows of a batched product can depend on the batch
+    they sit in at the last bit, so acting and re-evaluated log-probs
+    come from the same chunk."""
 
     pack: rgcn.StepPack
     kinds: list  # (kind, actions, grid u, grid logw + log phi(u)), node before edge
     temperature: float
-
-    @property
-    def order(self) -> np.ndarray:
-        return np.concatenate([self.pack.node_rows, self.pack.edge_rows])
+    steps: np.ndarray
+    gather: np.ndarray
 
 
-def _pack_chunk(params: FlowParams, trajectories, temperature: float = 1.0) -> _PackedChunk:
-    """One step pack over the chunk's states, then one grid build per
-    step kind over the pack's rows of that kind; of params only the
-    dimensions are read. A kind's pack rows are its steps in chunk
-    order, the order of its trace blocks laid end to end."""
-    traces = [traj.trace for traj in trajectories]
-    steps = np.concatenate([t.steps for t in traces])
-    graphs = [t.graph for t in traces for _ in range(t.num_steps)]
-    states = [(k, i) if k == "node" else (k, i, j) for k, i, j, _, _ in steps.tolist()]
+def _pack_chunk(params: FlowParams, heads, temperature, steps, gather) -> _PackedChunk:
+    """The chunk of rows heads, (graph, plan state, action, acting
+    [mu, alpha]) each with node rows first, that scores the batch steps
+    `steps`, step s at row gather[s]: one step pack over the rows, then
+    one grid build per step kind. Of params only the dimensions are
+    read."""
+    graphs, states, actions, acting = zip(*heads)
     pack = rgcn.pack_step_batch(graphs, states, params.rgcn)
+    actions = np.array(actions)
     kinds = []
     for kind, rows in (("node", pack.node_rows), ("edge", pack.edge_rows)):
-        if not len(rows):
-            continue
-        block = np.concatenate([t.rows[kind] for t in traces])
-        actions = steps["action"][rows]
-        u, logw = argmax_region_grid(block[:, 0], block[:, 1] * temperature, actions)
-        kinds.append((kind, actions, u, weight_free_term(u, logw)))
-    return _PackedChunk(pack=pack, kinds=kinds, temperature=temperature)
+        if len(rows):
+            block = np.array([acting[r] for r in rows])
+            u, logw = argmax_region_grid(block[:, 0], block[:, 1] * temperature, actions[rows])
+            kinds.append((kind, actions[rows], u, weight_free_term(u, logw)))
+    return _PackedChunk(pack, kinds, temperature, steps, gather[steps])
 
 
 def _chunk_logprobs(params: FlowParams, chunk: _PackedChunk) -> list:
-    """Current-policy log-probs of every step of a packed chunk over its
-    frozen grids, one (S_kind,) tensor per step kind in chunk.kinds
-    order, which laid end to end are in chunk.order: one encoder call,
+    """Current-policy log-probs of every row of a packed chunk over its
+    frozen grids, one (R_kind,) tensor per step kind in chunk.kinds
+    order, which laid end to end are in row order: one encoder call,
     one head call and one quadrature per step kind."""
     mu_x, alpha_x, mu_a, alpha_a = _stacked_conditionals(chunk.pack, params)
     heads = {"node": (mu_x, alpha_x), "edge": (mu_a, alpha_a)}
@@ -483,18 +481,22 @@ def _chunk_logprobs(params: FlowParams, chunk: _PackedChunk) -> list:
     ]
 
 
-def _clipped_surrogate(logprobs: list, acting, adv, weight, clip_ratio: float, scale: float):
+def _clipped_surrogate(logprobs: list, gather, acting, adv, weight, clip_ratio, scale: float):
     """scale * sum(weight * min(ratio * adv, clip(ratio) * adv)), ratio =
-    exp(lp - acting), as one tape node. lp is the logprobs tensors laid
-    end to end; acting, adv and weight are constant arrays in that order.
+    exp(lp[gather] - acting), as one tape node. lp is the logprobs laid
+    end to end, one entry per row; gather (each step's row), acting, adv
+    and weight are constant arrays with one entry per step.
 
     The forward runs the numpy calls of the op-by-op expression in its
     order, and the backward replays its backward steps: the scale, the
     broadcast of the sum, the weight, the min with a tie sent to the
-    unclipped term, the advantage, the clip's strict interior, the exp.
-    So values and gradients are bitwise those of the composite."""
+    unclipped term, the advantage, the clip's strict interior, the exp,
+    and the gather's, which adds each step's gradient onto its row in
+    step order. So values and gradients are bitwise those of the
+    composite."""
     lo, hi = 1.0 - clip_ratio, 1.0 + clip_ratio
-    ratios = np.exp(np.concatenate([lp.data for lp in logprobs]) - acting)
+    rows = np.concatenate([lp.data for lp in logprobs])
+    ratios = np.exp(rows[gather] - acting)
     unclipped = ratios * adv
     clipped = np.clip(ratios, lo, hi) * adv
     value = (np.minimum(unclipped, clipped) * weight).sum() * scale
@@ -504,59 +506,81 @@ def _clipped_surrogate(logprobs: list, acting, adv, weight, clip_ratio: float, s
         take = unclipped <= clipped
         inside = (ratios > lo) & (ratios < hi)
         g_ratios = ((g_min * ~take) * adv) * inside + (g_min * take) * adv
-        ends = np.cumsum([len(lp.data) for lp in logprobs])[:-1]
-        return tuple(np.split(g_ratios * ratios, ends))
+        g_rows = np.bincount(gather, weights=g_ratios * ratios, minlength=len(rows))
+        return tuple(np.split(g_rows, np.cumsum([len(lp.data) for lp in logprobs])[:-1]))
 
     return ad.custom_op(value, logprobs, back)
 
 
 def _chunk_loss(params, chunk: _PackedChunk, acting: list, adv, weight, clip_ratio, scale):
-    """scale times the sum over a chunk's trajectories of each one's mean
-    clipped-ratio objective min(ratio * A, clip(ratio) * A): one
-    vectorised pass with every step weighted by 1 / its trajectory's
-    length. adv, weight and acting[0], the acting log-probs, are constant
-    arrays in chunk.order; the first call appends acting[0] from its own
+    """scale times the sum, over the steps a chunk's rows score, of each
+    step's clipped-ratio objective min(ratio * A, clip(ratio) * A)
+    weighted by 1 / its trajectory's length: one vectorised pass. adv,
+    weight and acting[0], the acting log-probs, are constant arrays in
+    chunk.steps order; the first call appends acting[0] from its own
     log-probs, so its ratios are exactly one."""
     logprobs = _chunk_logprobs(params, chunk)
     if not acting:
-        acting.append(np.concatenate([lp.data for lp in logprobs]))
-    return _clipped_surrogate(logprobs, acting[0], adv, weight, clip_ratio, scale)
+        acting.append(np.concatenate([lp.data for lp in logprobs])[chunk.gather])
+    return _clipped_surrogate(logprobs, chunk.gather, acting[0], adv, weight, clip_ratio, scale)
 
 
 def _ppo_losses(params: FlowParams, trajectories, advantages, cfg: PpoConfig, temperature):
     """The batch surrogate loss (the negative mean over trajectories of
     each one's mean clipped-ratio objective) as one zero-argument
-    callable per PPO_CHUNK of trajectories, for accumulate_grads: no
-    single tape holds the whole batch, and the chunk losses sum to the
-    batch loss. Advantages are fixed per trajectory by the caller.
+    callable per chunk, for accumulate_grads: the chunk losses sum to
+    the batch loss. Advantages are fixed per trajectory by the caller.
 
-    This is the only code that chunks a batch. Each chunk is packed once.
-    Everything a chunk's loss reads besides the weights (pack, advantages,
-    1 / len weights) is built here, once, so the callables serve every
-    update pass over the batch. A chunk's acting log-probs are the values
-    of its loss's first call, held as constants for every later call, so
-    that first call must run at the weights the trajectories were
-    collected with: finetune makes it in the first update pass, before
-    any Adam step. No op's value depends on whether a tape records, so
-    they are the values a separate acting pass would give."""
+    The update scores each distinct (state, action) once: steps with one
+    key (_distinct_rows) share a row. Sorted by node count (stable), the
+    rows are cut into as few chunks of at most PPO_CHUNK_ROWS rows as
+    hold them, of equal sizes give or take one. A chunk's loss covers its
+    rows' steps with per-step advantages and 1 / len weights; all it
+    reads besides the weights is built here, once per batch. Its acting
+    log-probs are its first call's values, held per step, so that call
+    must run at the collection weights: finetune makes it in the first
+    update pass, before any Adam step. No op's value depends on whether
+    a tape records, so they are what a separate acting pass would give."""
     if not trajectories:
         raise ValueError("the PPO loss needs at least one trajectory")
-    scale = -1.0 / len(trajectories)
+    traces = [traj.trace for traj in trajectories]
+    row_of, heads = _distinct_rows(params, traces)
+    adv = np.concatenate(advantages)
+    weight = np.concatenate([np.full(t.num_steps, 1.0 / t.num_steps) for t in traces])
+    by_size = np.argsort([state_nodes(state) for _, state, _, _ in heads], kind="stable")
+    local = np.empty(len(heads), dtype=np.int64)  # a row's place in its chunk
     losses = []
-    for lo in range(0, len(trajectories), PPO_CHUNK):
-        trajs = trajectories[lo : lo + PPO_CHUNK]
-        chunk = _pack_chunk(params, trajs, temperature)
-        order = chunk.order
-        adv = np.concatenate(advantages[lo : lo + PPO_CHUNK])[order]
-        weight = np.concatenate(
-            [np.full(traj.num_steps, 1.0 / traj.num_steps) for traj in trajs]
-        )[order]
-        losses.append(
-            partial(
-                _chunk_loss, params, chunk, [], adv, weight, cfg.clip_ratio, scale
-            )
-        )
+    for cut in np.array_split(by_size, math.ceil(len(heads) / PPO_CHUNK_ROWS)):
+        rows = sorted(cut, key=lambda r: heads[r][1][0] == "edge")  # node rows first
+        local[rows] = np.arange(len(rows))
+        steps = np.flatnonzero(np.isin(row_of, cut))
+        chunk = _pack_chunk(params, [heads[r] for r in rows], temperature, steps, local[row_of])
+        args = (adv[steps], weight[steps], cfg.clip_ratio, -1.0 / len(trajectories))
+        losses.append(partial(_chunk_loss, params, chunk, [], *args))
     return losses
+
+
+def _distinct_rows(params: FlowParams, traces) -> tuple:
+    """(each step's row, and per row the (graph, plan state, action,
+    acting [mu, alpha]) of its first step) over the steps of traces laid
+    end to end. A step's key is its plan step, its action and the prefix
+    its state sees in the trace graph (sampler.state_bytes in
+    sampler.StateCache's dtype); each distinct key is one row, in order
+    of first appearance."""
+    dtype = state_dtype(params.rgcn.feature_dim, params.rgcn.num_relations)
+    keys, row_of, heads = {}, [], []
+    for trace in traces:
+        prefix = state_bytes(trace.graph, dtype)
+        acting = {kind: iter(block) for kind, block in trace.rows.items()}
+        for kind, i, j, action, _ in trace.steps.tolist():
+            state = (kind, i) if kind == "node" else (kind, i, j)
+            slots = i * (i - 1) // 2 + (j if kind == "edge" else 0)  # decided before the step
+            key = (state, action, prefix(state_nodes(state), slots))
+            row_of.append(keys.setdefault(key, len(keys)))
+            row = next(acting[kind])
+            if len(keys) > len(heads):
+                heads.append((trace.graph, state, action, row))
+    return np.array(row_of, dtype=np.int64), heads
 
 
 def finetune(

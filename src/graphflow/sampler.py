@@ -150,20 +150,31 @@ class StateCache:
 
     def __init__(self, spec: ModelSpec):
         self.rows = {}
-        self._dtype = np.min_scalar_type(max(spec.vocab.size - 1, spec.bonds.no_edge))
+        self._dtype = state_dtype(spec.node_dim, spec.edge_dim)
 
     def keys(self, g: MolecularGraph, steps) -> list:
         """The keys of steps, whose states share one node count."""
         m = state_nodes(steps[0])
-        lower = g.categories.take(_strict_lower(g.n)[: m * (m - 1) // 2])
-        payload = (
-            g.node_types[:m].astype(self._dtype).tobytes() + lower.astype(self._dtype).tobytes()
-        )
+        payload = state_bytes(g, self._dtype)(m, m * (m - 1) // 2)
         return [(step, payload) for step in steps]
 
     def add(self, key, row: np.ndarray) -> None:
         if len(self.rows) < STATE_CACHE_ROWS:
             self.rows[key] = row
+
+
+def state_dtype(types: int, categories: int) -> np.dtype:
+    """The smallest unsigned type that holds every node type and bond category."""
+    return np.min_scalar_type(max(types, categories) - 1)
+
+
+def state_bytes(g: MolecularGraph, dtype):
+    """(m, slots) -> the bytes the encoder reads of a state of g: node_types[:m]
+    and the first `slots` entries of g's strict lower triangle in row order, as dtype."""
+    size = np.dtype(dtype).itemsize
+    types = g.node_types.astype(dtype).tobytes()
+    lower = g.categories.take(_strict_lower(g.n)).astype(dtype).tobytes()
+    return lambda m, slots: types[: m * size] + lower[: slots * size]
 
 
 @lru_cache(maxsize=64)

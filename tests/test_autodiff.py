@@ -572,9 +572,9 @@ def test_scale_head_matches_composite(x_shape):
     _check_bitwise(lambda: flow._scale_head(p, x), composite, leaves, 9)
 
 
-def _surrogate_composite(logprobs, acting, adv, weight, clip_ratio, scale):
+def _surrogate_composite(logprobs, gather, acting, adv, weight, clip_ratio, scale):
     # the clipped-ratio surrogate op by op, as rl spelled it before it fused
-    ratios = exp(sub(concat(logprobs, axis=0), acting))
+    ratios = exp(sub(take(concat(logprobs, axis=0), (gather,)), acting))
     unclipped = mul(ratios, adv)
     clipped = mul(clip(ratios, 1.0 - clip_ratio, 1.0 + clip_ratio), adv)
     return mul(tensor_sum(mul(minimum(unclipped, clipped), weight)), scale)
@@ -590,7 +590,8 @@ def _exact_log(ratio):
 
 @pytest.mark.parametrize("smooth", [True, False], ids=["smooth", "kinks"])
 def test_clipped_surrogate_matches_composite(smooth):
-    # two per-kind log-prob tensors, with ratios exactly at one (where the
+    # two per-kind log-prob tensors over 12 rows, gathered by 16 steps
+    # (rows 0, 4, 6 and 11 twice), with ratios exactly at one (where the
     # two terms tie) and exactly on both clip edges. smooth meets each
     # edge from the side where the objective has no kink (the lower edge
     # with a positive advantage, the upper with a negative one), so
@@ -607,10 +608,13 @@ def test_clipped_surrogate_matches_composite(smooth):
     lp[3:5], lp[5:7], acting[3:7] = _exact_log(lo), _exact_log(hi), 0.0
     sign = 1.0 if smooth else -1.0
     adv[3:5], adv[5:7] = sign * np.abs(adv[3:5]), -sign * np.abs(adv[5:7])
-    ratios = np.exp(lp - acting)
+    gather = np.concatenate([np.arange(12), [0, 4, 6, 11]])
+    acting = np.concatenate([acting, lp[gather[12:]] + rng.normal(0.0, 0.3, size=4)])
+    adv = np.concatenate([adv, rng.normal(size=4)])
+    ratios = np.exp(lp[gather] - acting)
     assert (ratios[:3] == 1.0).all() and (ratios[3:5] == lo).all() and (ratios[5:7] == hi).all()
     parts = [leaf(lp[:5]), leaf(lp[5:])]
-    args = (acting, adv, rng.uniform(0.1, 1.0, size=12), clip_ratio, -1.0 / 3.0)
+    args = (gather, acting, adv, rng.uniform(0.1, 1.0, size=16), clip_ratio, -1.0 / 3.0)
 
     def fused():
         return rl._clipped_surrogate(parts, *args)

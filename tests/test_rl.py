@@ -26,7 +26,7 @@ from graphflow import rl
 from graphflow.autodiff import Tensor
 from graphflow.graph import MolecularGraph, empty_categories
 from graphflow.sampler import STEP_DTYPE, SampleTrace, SamplerConfig, sample_molecule
-from oracle_ops import action_logprobs, add, div, logsumexp, mul, one_row_grid, reshape, sub, sum_of, take, tensor_sum, weighted_sum
+from oracle_ops import action_logprobs, add, clip, concat, div, exp, logsumexp, minimum, mul, one_row_grid, reshape, sub, sum_of, take, tensor_sum, weighted_sum
 from oracle_ops import log_ndtr as oracle_log_ndtr
 
 VOCAB = G.default_atom_vocab()
@@ -430,17 +430,17 @@ def test_stacked_grids_match_one_row_calls_bitwise():
 
 
 def test_grid_size_guard_on_seeded_stack():
-    # the _hard_stack rows and one PPO chunk from the w16l2 model at the
+    # the _hard_stack rows and 16 episodes from the w16l2 model at the
     # benchmark's shape, per step kind (D = 3 and 4). A row's grid is
     # GRID_PANELS panels of 8 nodes plus at most five refinement panels
     # per sharp competitor, so rows without one have 80 nodes; the
-    # chunk's longest row stays within 144 (the fixed grid had 176 and
+    # episodes' longest row stays within 144 (the fixed grid had 176 and
     # 216), and every row's log-prob matches quad
     spec = flow.ModelSpec(width=16, layers=2, window=12, max_size=12)
     params = flow.init_flow_params(spec, np.random.default_rng(0), zero_init_heads=False)
     scorer = rl.make_scorer("toy:atom-count", spec.vocab, spec.bonds)
     trajs, _ = rl.collect_trajectories(
-        params, spec, SamplerConfig(), rl.RewardConfig(), scorer, rl.PPO_CHUNK,
+        params, spec, SamplerConfig(), rl.RewardConfig(), scorer, 16,
         np.random.default_rng(1),
     )
     steps = np.concatenate([t.trace.steps for t in trajs])
@@ -603,16 +603,26 @@ def collect_small(params, spec, count=3, seed=9, reward_cfg=None, sampler_cfg=No
 
 
 def chunk_logprobs(params, trajs, temperature=1.0):
-    """(lp, order) of one packed chunk pass over trajs, lp as one array."""
-    chunk = rl._pack_chunk(params, trajs, temperature)
-    return np.concatenate([lp.data for lp in rl._chunk_logprobs(params, chunk)]), chunk.order
+    """Each step's log-prob from one pass of every chunk that _ppo_losses
+    builds over trajs, in trace order with the trajectories end to end:
+    its row gathered from its chunk's log-probs. Every step is scored by
+    exactly one chunk."""
+    losses = rl._ppo_losses(params, trajs, [t.returns for t in trajs], rl.PpoConfig(), temperature)
+    lp = np.full(sum(t.num_steps for t in trajs), np.nan)
+    for f in losses:
+        chunk = f.args[1]
+        rows = np.concatenate([x.data for x in rl._chunk_logprobs(params, chunk)])
+        assert np.isnan(lp[chunk.steps]).all()
+        lp[chunk.steps] = rows[chunk.gather]
+    assert not np.isnan(lp).any()
+    return lp
 
 
 def acting_logprobs(loss):
-    """The acting log-probs a chunk loss of _ppo_losses holds, in
-    chunk.order. Its first call fixes them; if none has run yet, it runs
-    here, on a tape as in the first update pass, at the weights the loss
-    was built with."""
+    """The acting log-probs a chunk loss of _ppo_losses holds, one per
+    step in chunk.steps order. Its first call fixes them; if none has
+    run yet, it runs here, on a tape as in the first update pass, at the
+    weights the loss was built with."""
     acting = loss.args[2]
     if not acting:
         with ad.Tape():
@@ -621,19 +631,49 @@ def acting_logprobs(loss):
 
 
 def held_acting(params, trajs, temperature=1.0):
-    """(chunk, acting log-probs in chunk.order) for each chunk loss that
-    _ppo_losses builds over trajs at params."""
+    """The acting log-probs the chunk losses that _ppo_losses builds over
+    trajs at params hold, in trace order with the trajectories end to
+    end."""
     advantages = [t.returns for t in trajs]
     losses = rl._ppo_losses(params, trajs, advantages, rl.PpoConfig(), temperature)
-    return [(f.args[1], acting_logprobs(f)) for f in losses]
+    held = np.full(sum(t.num_steps for t in trajs), np.nan)
+    for f in losses:
+        held[f.args[1].steps] = acting_logprobs(f)
+    assert not np.isnan(held).any()
+    return held
 
 
 def with_acting(loss, trajs, shift):
-    """A chunk loss of _ppo_losses over trajs with its acting log-probs
-    moved by shift(traj), an array in trace order."""
+    """A chunk loss of _ppo_losses over the batch trajs with its acting
+    log-probs moved by shift(traj), an array in trace order."""
     params, chunk, _, *rest = loss.args
-    moved = acting_logprobs(loss) + np.concatenate([shift(t) for t in trajs])[chunk.order]
+    moved = acting_logprobs(loss) + np.concatenate([shift(t) for t in trajs])[chunk.steps]
     return partial(rl._chunk_loss, params, chunk, [moved], *rest)
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Chunks of at most 48 rows, so that small batches span several."""
+    monkeypatch.setattr(rl, "PPO_CHUNK_ROWS", 48)
+
+
+@pytest.fixture
+def chunk_counts(monkeypatch):
+    """The chunk count of each batch _ppo_losses packs, as it packs it,
+    each checked to be the fewest chunks of PPO_CHUNK_ROWS rows that
+    hold the batch's distinct rows."""
+    counts = []
+    losses = rl._ppo_losses
+
+    def recording(*args):
+        out = losses(*args)
+        rows = sum(len(f.args[1].pack.steps) for f in out)
+        assert len(out) == -(-rows // rl.PPO_CHUNK_ROWS)
+        counts.append(len(out))
+        return out
+
+    monkeypatch.setattr(rl, "_ppo_losses", recording)
+    return counts
 
 
 def test_collected_logprobs_reproduce_bitwise():
@@ -645,41 +685,42 @@ def test_collected_logprobs_reproduce_bitwise():
     trajs, failures = collect_small(params, spec)
     assert failures == 0
     assert len(trajs) == 3
-    lp, order = chunk_logprobs(params, trajs)
-    [(chunk, stored)] = held_acting(params, trajs)
-    assert np.array_equal(chunk.order, order)
-    assert np.array_equal(lp, stored)
+    assert np.array_equal(chunk_logprobs(params, trajs), held_acting(params, trajs))
 
 
 def _reference_logprobs(params, traj, temperature):
     # one trajectory, one step at a time: the step's own encoder call and
-    # a one-row quadrature over a one-row grid from the acting mu and alpha
+    # heads, on the active tape if there is one, and a one-row quadrature
+    # over a one-row grid from the acting mu and alpha; one (1,) tensor
+    # per step
     out = []
     rows = {kind: iter(block) for kind, block in traj.trace.rows.items()}
     for s in traj.trace.steps:
         step = ("node", s.i) if s.kind == "node" else ("edge", s.i, s.j)
-        mu, alpha = flow.step_conditional(params, traj.gen_graph, step)
+        m = flow.state_nodes(step)
+        if m == 0:
+            x = Tensor(np.zeros((1, params.rgcn.width)))
+        else:
+            emb = rgcn.encode(traj.gen_graph.prefix(m), [step], params.rgcn)
+            ends = ([m - 1], [s.j]) if s.kind == "edge" else ()
+            x = flow._head_inputs(emb, [0], *ends)
+        head = flow.node_conditional if s.kind == "node" else flow.edge_conditional
+        mu, alpha = head(params, x)
         acting_mu, acting_alpha = next(rows[s.kind])
         u, logw = rl.argmax_region_grid(
             acting_mu[None], acting_alpha[None] * temperature, [s.action]
         )
-        lp = _fused(
-            Tensor(mu[None, :]), Tensor(alpha[None, :] * temperature),
-            u, logw, np.array([s.action]),
-        )
-        out.append(float(lp.data[0]))
-    return np.array(out)
+        out.append(_fused(mu, alpha, u, logw, np.array([s.action]), temperature))
+    return out
 
 
 def _assert_chunk_matches_reference(params, trajs, temperature, acting_params=None):
     # acting_params: the weights the trajectories were collected with,
     # when params are not those weights
-    lp, order = chunk_logprobs(params, trajs, temperature)
-    ref = np.concatenate([_reference_logprobs(params, t, temperature) for t in trajs])
-    assert sorted(order) == list(range(len(ref)))
-    assert np.abs(lp - ref[order]).max() < 1e-12
-    [(chunk, stored)] = held_acting(acting_params or params, trajs, temperature)
-    assert np.array_equal(chunk.order, order)
+    lp = chunk_logprobs(params, trajs, temperature)
+    ref = np.concatenate([x.data for t in trajs for x in _reference_logprobs(params, t, temperature)])
+    assert np.abs(lp - ref).max() < 1e-12
+    stored = held_acting(acting_params or params, trajs, temperature)
     if acting_params is None:
         assert np.abs(lp - stored).max() < 1e-12
     else:
@@ -727,21 +768,16 @@ def test_chunk_logprobs_match_per_step_reference():
     _assert_chunk_matches_reference(nb_params, trajs, 1.0)
 
 
-def test_acting_logprobs_reproduce_bitwise_across_chunks():
-    # more trajectories than one chunk: every chunk re-evaluated at the
-    # acting parameters gives back the acting values the loss holds exactly
+def test_acting_logprobs_reproduce_bitwise_across_chunks(small_chunks):
+    # more rows than one chunk: every chunk re-evaluated at the acting
+    # parameters gives back the acting values the loss holds exactly
     spec = small_spec()
     params = random_params(4)
-    trajs, _ = collect_small(params, spec, count=rl.PPO_CHUNK + 4, seed=10,
+    trajs, _ = collect_small(params, spec, count=20, seed=10,
                              sampler_cfg=SamplerConfig(temperature=1.3))
-    assert len(trajs) > rl.PPO_CHUNK
-    held = held_acting(params, trajs, 1.3)
-    starts = range(0, len(trajs), rl.PPO_CHUNK)
-    assert len(held) == len(starts) == 2
-    for lo, (chunk, stored) in zip(starts, held):
-        lp, order = chunk_logprobs(params, trajs[lo : lo + rl.PPO_CHUNK], 1.3)
-        assert np.array_equal(chunk.order, order)
-        assert np.array_equal(lp, stored)
+    advantages = [t.returns for t in trajs]
+    assert len(rl._ppo_losses(params, trajs, advantages, rl.PpoConfig(), 1.3)) >= 2
+    assert np.array_equal(chunk_logprobs(params, trajs, 1.3), held_acting(params, trajs, 1.3))
 
 
 def test_chunk_pack_matches_fresh_encoder_pass_bitwise():
@@ -751,8 +787,9 @@ def test_chunk_pack_matches_fresh_encoder_pass_bitwise():
     spec = small_spec()
     params = random_params(6)
     trajs, _ = collect_small(params, spec, count=6, seed=11)
-    pack = rl._pack_chunk(params, trajs).pack
-    assert len({id(g) for g in pack.graphs}) == len(trajs)
+    [loss] = rl._ppo_losses(params, trajs, [t.returns for t in trajs], rl.PpoConfig(), 1.0)
+    pack = loss.args[1].pack
+    assert len({id(g) for g in pack.graphs}) > 1
     assert len(pack.groups) > 1
     for shift in (0.0, 0.2):
         params.rgcn.layers[0].data += shift
@@ -766,33 +803,47 @@ def test_chunk_pack_matches_fresh_encoder_pass_bitwise():
 
 @pytest.mark.parametrize("temperature", [1.0, 0.8])
 def test_ppo_chunk_tape_length(temperature):
-    # one chunk of 16 trajectories at the benchmark's shape (width 16, two
-    # layers, window 12): per group of equal-size states an embedding
-    # product and two layers, then the placement, batch norm, readout,
-    # and per step kind a gather, a mean head, a scale head and one
-    # quadrature node (the temperature folded in), and one surrogate
-    # node: 3 * 11 + 12 = 45 nodes at either temperature for this draw
+    # a 64-episode batch at the benchmark's shape (width 16, two layers,
+    # window 12). Each chunk's tape holds, per node count of its states
+    # (the empty prefix has none), an embedding product and two layers,
+    # then the placement, batch norm, readout, per step kind a gather, a
+    # mean head, a scale head and one quadrature node (the temperature
+    # folded in), and one surrogate node. The rows are sorted by node
+    # count before they are cut, so a pass over the batch encodes at
+    # most one group per node count plus one per cut between chunks
     spec = flow.ModelSpec(width=16, layers=2, window=12, max_size=12)
     params = flow.init_flow_params(spec, np.random.default_rng(0), zero_init_heads=False)
     scorer = rl.make_scorer("toy:atom-count", spec.vocab, spec.bonds)
     trajs, _ = rl.collect_trajectories(
         params, spec, SamplerConfig(temperature=temperature), rl.RewardConfig(), scorer,
-        rl.PPO_CHUNK, np.random.default_rng(1),
+        64, np.random.default_rng(1),
     )
-    assert len(trajs) == rl.PPO_CHUNK
-    [loss] = rl._ppo_losses(params, trajs, [t.returns for t in trajs], rl.PpoConfig(), temperature)
-    with ad.Tape() as tape:
-        loss()
-    ops = Counter(back.__qualname__.split(".")[0] for _, _, back in tape.nodes)
-    per_kind = {"_head_inputs": 2, "mlp_apply": 2, "_scale_head": 2, "_stacked_action_logprobs": 2}
-    assert dict(ops) == {
-        "_embed": 11, "_relation_layer": 22, "_place": 1, "batch_norm": 1, "_readout": 1,
-        **per_kind, "_clipped_surrogate": 1,
-    }
-    assert len(tape.nodes) == 45
+    assert len(trajs) == 64
+    losses = rl._ppo_losses(params, trajs, [t.returns for t in trajs], rl.PpoConfig(), temperature)
+    rows = sum(len(f.args[1].pack.steps) for f in losses)
+    assert len(losses) == -(-rows // rl.PPO_CHUNK_ROWS) >= 3
+    embeds, counts = 0, set()
+    for loss in losses:
+        chunk = loss.args[1]
+        sizes = {flow.state_nodes(step) for step in chunk.pack.steps} - {0}
+        assert [kind for kind, *_ in chunk.kinds] == ["node", "edge"]
+        with ad.Tape() as tape:
+            loss()
+        ops = Counter(back.__qualname__.split(".")[0] for _, _, back in tape.nodes)
+        per_kind = {"_head_inputs": 2, "mlp_apply": 2, "_scale_head": 2, "_stacked_action_logprobs": 2}
+        assert dict(ops) == {
+            "_embed": len(sizes), "_relation_layer": 2 * len(sizes), "_place": 1,
+            "batch_norm": 1, "_readout": 1, **per_kind, "_clipped_surrogate": 1,
+        }
+        embeds += ops["_embed"]
+        counts |= sizes
+    steps = np.concatenate([t.trace.steps for t in trajs])
+    assert counts == set((steps["i"] + (steps["kind"] == "edge")).tolist()) - {0}
+    assert len(counts) >= 11
+    assert embeds <= len(counts) + len(losses) - 1
 
 
-def test_workspace_stays_within_the_largest_tape_need(monkeypatch):
+def test_workspace_stays_within_the_largest_tape_need(monkeypatch, chunk_counts):
     # a 3-iteration fine-tuning run whose chunks differ in state count:
     # after every tape the workspace holds exactly the most elements one
     # tape had taken at once so far, which is less than that tape's
@@ -819,11 +870,13 @@ def test_workspace_stays_within_the_largest_tape_need(monkeypatch):
     params = flow.init_flow_params(spec, np.random.default_rng(0), zero_init_heads=False)
     scorer = rl.make_scorer("toy:atom-count", spec.vocab, spec.bonds)
     rl.finetune(
-        params, spec, scorer, rl.RewardConfig(), rl.PpoConfig(batch_size=20, updates=2),
+        params, spec, scorer, rl.RewardConfig(), rl.PpoConfig(batch_size=48, updates=2),
         SamplerConfig(), iterations=3, rng=np.random.default_rng(1),
     )
     needs = [need for need, _, _ in tapes]
-    assert len(tapes) == 3 * 2 * 2 and len(set(needs)) > 4
+    # one tape per chunk and update pass
+    assert len(chunk_counts) == 3 and min(chunk_counts) >= 2
+    assert len(tapes) == 2 * sum(chunk_counts) and len(set(needs)) > 4
     for t, (need, total, size) in enumerate(tapes):
         assert size == max(needs[: t + 1])
         assert need < total
@@ -883,14 +936,14 @@ def test_ppo_loss_gradients_match_finite_differences():
     assert ad.grad_check(batch_loss(params, trajs, baselines, cfg), named, h=1e-5) < 1e-4
 
 
-def test_chunked_ppo_gradient_matches_finite_differences_at_temperature():
+def test_chunked_ppo_gradient_matches_finite_differences_at_temperature(small_chunks):
     # the production update's gradient, through the fused quadrature
     # backward, over two chunks at a temperature other than one
     spec = small_spec()
     params = random_params(6)
-    trajs, _ = collect_small(params, spec, count=rl.PPO_CHUNK + 4, seed=13,
+    trajs, _ = collect_small(params, spec, count=20, seed=13,
                              sampler_cfg=SamplerConfig(temperature=1.3))
-    assert len(trajs) > rl.PPO_CHUNK
+    assert len(trajs) == 20
     baselines = rl.StepBaselines()
     baselines.update_from_batch(trajs[:6])
     advantages = [baselines.advantages(t) for t in trajs]
@@ -904,12 +957,12 @@ def test_chunked_ppo_gradient_matches_finite_differences_at_temperature():
     assert ad.grad_check(loss, named, h=1e-5) < 1e-4
 
 
-def test_chunked_update_gradient_matches_one_tape_gradient():
+def test_chunked_update_gradient_matches_one_tape_gradient(small_chunks):
     # the gradient finetune applies (one tape per chunk, summed in the
     # leaves) equals the gradient of the summed chunk losses on one tape
     spec = small_spec()
     params = random_params(5)
-    trajs, _ = collect_small(params, spec, count=rl.PPO_CHUNK + 8, seed=11,
+    trajs, _ = collect_small(params, spec, count=24, seed=11,
                              sampler_cfg=SamplerConfig(temperature=1.3))
     assert len(trajs) >= 20
     baselines = rl.StepBaselines()
@@ -920,11 +973,7 @@ def test_chunked_update_gradient_matches_one_tape_gradient():
     def shift(traj):  # ratios away from one, so some steps clip
         return np.where(np.arange(traj.num_steps) % 2, 0.4, -0.4)
 
-    losses = [
-        with_acting(f, trajs[lo : lo + rl.PPO_CHUNK], shift)
-        for lo, f in zip(range(0, len(trajs), rl.PPO_CHUNK),
-                         rl._ppo_losses(params, trajs, advantages, cfg, 1.3))
-    ]
+    losses = [with_acting(f, trajs, shift) for f in rl._ppo_losses(params, trajs, advantages, cfg, 1.3)]
     assert len(losses) >= 2
     named = params.named_tensors()
     grads, values = ad.accumulate_grads(named, losses)
@@ -943,6 +992,62 @@ def test_chunked_update_gradient_matches_one_tape_gradient():
         ref = np.zeros_like(p.data) if p.grad is None else p.grad
         assert np.abs(grads[name] - ref).max() < 1e-12, name
     ad.zero_grads(named)
+
+
+def test_deduplicated_update_is_the_per_step_update():
+    # steps that repeat a (state, action) share a row, whose acting mu
+    # and alpha they carry bitwise; the first call's ratios are exactly
+    # one; and the batch loss and every gradient are those of one loss per
+    # trajectory, the clipped-ratio composite op by op over the per-step
+    # reference log-probs, with each step weighted by 1 / its length
+    spec = small_spec()
+    params = random_params(7)
+    trajs, _ = collect_small(params, spec, count=12, seed=14)
+    baselines = rl.StepBaselines()
+    baselines.update_from_batch(trajs[:4])
+    advantages = [baselines.advantages(t) for t in trajs]
+    cfg = rl.PpoConfig()
+    losses = rl._ppo_losses(params, trajs, advantages, cfg, 1.0)
+    steps = np.concatenate([t.trace.steps for t in trajs])
+    assert sum(len(f.args[1].pack.steps) for f in losses) < len(steps)
+    acting_rows = []  # each step's acting [mu, alpha], in trace order
+    for t in trajs:
+        blocks = {kind: iter(block) for kind, block in t.trace.rows.items()}
+        acting_rows += [next(blocks[kind]) for kind in t.trace.steps.kind]
+    shared = 0
+    for f in losses:
+        chunk = f.args[1]
+        for row in np.unique(chunk.gather):
+            first, *rest = chunk.steps[chunk.gather == row]
+            shared += len(rest)
+            for s in rest:
+                assert steps[s].tolist()[:4] == steps[first].tolist()[:4]
+                assert np.array_equal(acting_rows[s], acting_rows[first])
+    assert shared > 0
+
+    named = params.named_tensors()
+    grads, values = ad.accumulate_grads(named, losses)  # the first calls
+    for f, value in zip(losses, values):
+        _, chunk, [acting], adv, weight, _, scale = f.args
+        rows = np.concatenate([x.data for x in rl._chunk_logprobs(params, chunk)])
+        assert np.all(np.exp(rows[chunk.gather] - acting) == 1.0)
+        assert value == float((adv * weight).sum() * scale)
+
+    def reference(traj, adv):
+        lp = concat(_reference_logprobs(params, traj, 1.0), axis=0)
+        ratios = exp(sub(lp, lp.data))
+        unclipped = mul(ratios, adv)
+        clipped = mul(clip(ratios, 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio), adv)
+        weight = np.full(traj.num_steps, 1.0 / traj.num_steps)
+        return mul(tensor_sum(mul(minimum(unclipped, clipped), weight)), -1.0 / len(trajs))
+
+    ref_grads, ref_values = ad.accumulate_grads(
+        named, [partial(reference, t, a) for t, a in zip(trajs, advantages)]
+    )
+    assert abs(sum(values) - sum(ref_values)) < 1e-12
+    assert any(np.any(g != 0.0) for g in grads.values())
+    for name in named:
+        assert np.abs(grads[name] - ref_grads[name]).max() < 1e-12, name
 
 
 def test_no_bond_termination_keeps_dropped_node_in_gen_graph():
@@ -1048,7 +1153,7 @@ def test_finetune_rejects_zero_temperature():
         )
 
 
-def test_finetune_builds_grids_once_per_batch(monkeypatch):
+def test_finetune_builds_grids_once_per_batch(monkeypatch, small_chunks, chunk_counts):
     # the grids are frozen per batch: one build per chunk and step kind
     # when the losses are built, none at collection, however many update
     # passes run over the batch
@@ -1067,16 +1172,18 @@ def test_finetune_builds_grids_once_per_batch(monkeypatch):
         calls.clear()
         rl.finetune(
             random_params(5), spec, scorer, rl.RewardConfig(),
-            rl.PpoConfig(updates=updates, batch_size=rl.PPO_CHUNK + 4),
+            rl.PpoConfig(updates=updates, batch_size=20),
             SamplerConfig(), iterations=1, rng=np.random.default_rng(6),
         )
         counts.append(len(calls))
     assert counts[0] == counts[1]
-    # two chunks, at most two step kinds each, built once
-    assert 2 <= counts[1] <= 4
+    # every chunk, at most two step kinds each, built once
+    chunks = chunk_counts[-1]
+    assert chunk_counts == [chunks, chunks] and chunks >= 2
+    assert chunks <= counts[1] <= 2 * chunks
 
 
-def test_finetune_builds_step_masks_once_per_pack(monkeypatch):
+def test_finetune_builds_step_masks_once_per_pack(monkeypatch, small_chunks, chunk_counts):
     # the encoder's step masks are packed with the grids: one build per
     # graph of a chunk when the losses are built, however many update
     # passes reuse them; each update pass encodes each chunk once, and
@@ -1097,7 +1204,7 @@ def test_finetune_builds_step_masks_once_per_pack(monkeypatch):
 
     monkeypatch.setattr(rgcn, "build_step_masks", counting)
     monkeypatch.setattr(rgcn, "encode_step_batch", counting_encode)
-    batch = rl.PPO_CHUNK + 4
+    batch = 20
     counts = []
     for updates in (1, 4):
         calls.clear()
@@ -1108,10 +1215,11 @@ def test_finetune_builds_step_masks_once_per_pack(monkeypatch):
             SamplerConfig(), iterations=1, rng=np.random.default_rng(6),
         )
         counts.append(len(calls))
-        assert len(encodes) == 2 * updates  # two chunks
+        assert len(encodes) == chunk_counts[-1] * updates
     assert counts[0] == counts[1]
-    # every episode's graph, once for the update
-    assert 0 < counts[1] <= batch
+    # every episode's graph, at most once per chunk, for the update
+    assert chunk_counts[-1] >= 2
+    assert 0 < counts[1] <= batch * chunk_counts[-1]
 
     calls.clear()
     encodes.clear()
