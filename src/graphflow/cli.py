@@ -114,11 +114,13 @@ def _molecules(path, vocab, bonds) -> list:
 
 
 def _load_dataset(cfg: RunConfig, path_override=None):
-    """(graphs, vocab, bonds) from a MOLT path or the configured generator."""
+    """(graphs, vocab, bonds) from a MOLT path, path_override whatever its
+    name, else cfg.dataset, or the generator cfg.dataset names."""
     vocab, bonds = vocab_from_config(cfg)
-    source = path_override if path_override is not None else cfg.dataset
-    if source not in ("molecules", "community"):
-        return _molecules(source, vocab, bonds), vocab, bonds
+    if path_override is not None:
+        return _molecules(path_override, vocab, bonds), vocab, bonds
+    if cfg.dataset not in ("molecules", "community"):
+        return _molecules(cfg.dataset, vocab, bonds), vocab, bonds
     rng = substream(cfg.seed, "data")
     if cfg.dataset == "community":
         graphs = graph.gen_community_graphs(

@@ -45,6 +45,7 @@ from .graph import (
     is_bfs_ordered,
     max_dependency_distance,
 )
+from .rgcn import state_nodes
 
 LOG_ALPHA_MIN = -7.0
 LOG_ALPHA_MAX = 7.0
@@ -274,13 +275,6 @@ class LogLik:
     @property
     def num_steps(self) -> int:
         return len(self.node_terms) + len(self.edge_terms)
-
-
-def state_nodes(step) -> int:
-    """The node count m of a generation step's state: ("node", i) sees
-    nodes 0..i-1 and ("edge", i, j) nodes 0..i. The encoder reads nothing
-    of the graph past these m nodes."""
-    return step[1] + (step[0] == "edge")
 
 
 def step_embeddings(params: FlowParams, g: MolecularGraph, steps):

@@ -62,10 +62,6 @@ class BondVocab:
             raise GraphError("bond orders must be positive integers")
 
     @property
-    def num_bond_types(self) -> int:
-        return len(self.orders)
-
-    @property
     def no_edge(self) -> int:
         return len(self.orders)
 

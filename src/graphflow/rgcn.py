@@ -41,6 +41,8 @@ graph's rows are bitwise those of a pass over its states alone. The
 empty prefix ("node", 0) joins no group; its rows are exactly zero. Both
 modes compute the same function; the stacked path may differ from the
 single one by reduction order only (empirically below 1e-12).
+state_nodes() gives how many nodes a state sees, to the layout and to
+flow and rl alike.
 """
 
 from __future__ import annotations
@@ -262,6 +264,13 @@ def _propagate(x: np.ndarray, adj: np.ndarray, params: RgcnParams) -> Tensor:
     return h
 
 
+def state_nodes(step) -> int:
+    """The node count m of a generation step's state: ("node", i) sees
+    nodes 0..i-1 and ("edge", i, j) nodes 0..i. The encoder reads nothing
+    of the graph past these m nodes."""
+    return step[1] + (step[0] == "edge")
+
+
 @lru_cache(maxsize=1024)
 def _step_layout(n: int, steps: tuple) -> tuple:
     """Read-only (S, n, n) decided slots and (S, n, 1) nodes of each state
@@ -276,14 +285,9 @@ def _step_layout(n: int, steps: tuple) -> tuple:
     lim = np.zeros(s_count, dtype=np.int64)  # decided row slots bound
     total = np.empty(s_count, dtype=np.int64)
     for s, step in enumerate(steps):
-        if step[0] == "node":
-            prefix[s] = total[s] = step[1]
-        else:
-            _, i, j = step
-            prefix[s] = i
-            row[s] = i
-            lim[s] = j
-            total[s] = i + 1
+        prefix[s], total[s] = step[1], state_nodes(step)
+        if step[0] == "edge":
+            row[s], lim[s] = step[1], step[2]
     idx = np.arange(n)
     in_prefix = idx[None, :] < prefix[:, None]  # (S, n)
     keep = in_prefix[:, :, None] & in_prefix[:, None, :]
@@ -327,9 +331,9 @@ def encode(g_prefix: MolecularGraph, steps, params: RgcnParams) -> NodeEmbedding
     because the benchmark's tracer (bench/tracing.py) reads args[0].n.
     """
     n = g_prefix.n
-    keep, node_mask = _step_layout(n, tuple(steps))
-    if not node_mask.all() or any(step[1] >= n + (step[0] == "node") for step in steps):
+    if any(state_nodes(step) != n for step in steps):
         raise ValueError(f"encode: every state must hold exactly the prefix's {n} nodes")
+    keep, _ = _step_layout(n, tuple(steps))
     one_hot = _one_hot_adjacency(g_prefix)[None] & keep[:, None]
     h = _propagate(_features(g_prefix, params), _normalized_adjacency(one_hot), params)
     h = ad.batch_norm(h, params.bn_gamma, params.bn_beta, params.bn_state)

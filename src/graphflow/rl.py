@@ -27,7 +27,8 @@ frozen while the weights move, and the surrogate is a smooth function of
 the weights. Collection only samples, scores and builds returns;
 _ppo_losses is the one place that splits a batch into chunks. The
 update scores each distinct (state, action) once, in size-major chunks
-of rows: steps with equal plan step, action and decided prefix share a
+of rows: steps with equal plan step, action and history (the decisions
+before the step, as the sampler's StateCache keys states) share a
 row, and the rows, sorted by state node count, are cut into chunks of
 at most PPO_CHUNK_ROWS. All rows of a chunk, the empty prefix included,
 go through one encoder pass and one head call per step kind, and each
@@ -65,11 +66,10 @@ from scipy.special import erfcx, log_ndtr
 from . import autodiff as ad
 from . import rgcn
 from .autodiff import AdamState, Tensor, adam_step
-from .flow import FlowParams, ModelSpec, _reorder_for_window, _stacked_conditionals, state_nodes
+from .flow import FlowParams, ModelSpec, _reorder_for_window, _stacked_conditionals
 from .graph import GraphError, MolecularGraph, bfs_reorder
 from .molt import write_molt
-from .sampler import SampleTrace, SamplerConfig, StateCache, sample_molecule, state_bytes
-from .sampler import state_dtype
+from .sampler import SampleTrace, SamplerConfig, StateCache, sample_molecule, state_dtype
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 PPO_CHUNK_ROWS = 256  # most distinct (state, action) rows per packed pass: one tape, one StepPack
@@ -260,12 +260,6 @@ class Trajectory:
     trace: SampleTrace
     final_reward: float
     returns: np.ndarray
-
-    @property
-    def gen_graph(self) -> MolecularGraph:
-        """The graph every step's state is read from: the trace's, which
-        keeps a trailing node that termination discarded."""
-        return self.trace.graph
 
     @property
     def num_steps(self) -> int:
@@ -547,7 +541,7 @@ def _ppo_losses(params: FlowParams, trajectories, advantages, cfg: PpoConfig, te
     row_of, heads = _distinct_rows(params, traces)
     adv = np.concatenate(advantages)
     weight = np.concatenate([np.full(t.num_steps, 1.0 / t.num_steps) for t in traces])
-    by_size = np.argsort([state_nodes(state) for _, state, _, _ in heads], kind="stable")
+    by_size = np.argsort([rgcn.state_nodes(state) for _, state, _, _ in heads], kind="stable")
     local = np.empty(len(heads), dtype=np.int64)  # a row's place in its chunk
     losses = []
     for cut in np.array_split(by_size, math.ceil(len(heads) / PPO_CHUNK_ROWS)):
@@ -563,19 +557,17 @@ def _ppo_losses(params: FlowParams, trajectories, advantages, cfg: PpoConfig, te
 def _distinct_rows(params: FlowParams, traces) -> tuple:
     """(each step's row, and per row the (graph, plan state, action,
     acting [mu, alpha]) of its first step) over the steps of traces laid
-    end to end. A step's key is its plan step, its action and the prefix
-    its state sees in the trace graph (sampler.state_bytes in
-    sampler.StateCache's dtype); each distinct key is one row, in order
-    of first appearance."""
+    end to end. A step's key is its plan step, its action and its
+    sampler.StateCache history: the trace's seed plus its actions before
+    the step; each distinct key is one row, in order of first appearance."""
     dtype = state_dtype(params.rgcn.feature_dim, params.rgcn.num_relations)
     keys, row_of, heads = {}, [], []
     for trace in traces:
-        prefix = state_bytes(trace.graph, dtype)
+        actions = trace.steps.action.astype(dtype).tobytes()
         acting = {kind: iter(block) for kind, block in trace.rows.items()}
-        for kind, i, j, action, _ in trace.steps.tolist():
+        for t, (kind, i, j, action, _) in enumerate(trace.steps.tolist()):
             state = (kind, i) if kind == "node" else (kind, i, j)
-            slots = i * (i - 1) // 2 + (j if kind == "edge" else 0)  # decided before the step
-            key = (state, action, prefix(state_nodes(state), slots))
+            key = (state, action, trace.seed + actions[: t * dtype.itemsize])
             row_of.append(keys.setdefault(key, len(keys)))
             row = next(acting[kind])
             if len(keys) > len(heads):

@@ -28,22 +28,22 @@ encoded again. Each stacked row is bitwise the one-step call.
 The walks of one batch share a StateCache, a prefix cache: a state is
 sent to the encoder and heads only if no earlier walk of the batch has
 encoded it, and every other state's (mu, alpha) row is read from the
-cache. The key is the plan step plus the bytes of the prefix the
-encoder reads; as each row is bitwise the one-step call, a cached row is
-the row a fresh call would give, so graphs and traces do not depend on
-the cache or on the order in which walks fill it. sample_batch keeps
-one per call, as does rl's trajectory collection, whose weights are
-fixed within the call; latent_to_graph and reconstruct decode one graph
-and take none. rl's constrained optimization takes none either: its
-walks grow from different seed subgraphs, so few of its states repeat
-(under 6% in the acceptance run) and building the keys costs more than
-the hits save. STATE_CACHE_ROWS bounds its memory to about 3.5 MB.
+cache. A state's key is its plan step plus its history, the decisions
+before it: each step conditions only on the sub-graph decided before
+it, so, as a serving cache keys by the token prefix, the decisions name
+the state and the key reads nothing of the graph. As each row is
+bitwise the one-step call, a cached row is the row a fresh call would
+give, so graphs and traces do not depend on the cache or on the order
+in which walks fill it. sample_batch keeps one per call, as does rl's
+trajectory collection, whose weights are fixed within the call; any
+other walk (latent_to_graph, reconstruct, rl's constrained
+optimization) gets one of its own. STATE_CACHE_ROWS bounds its memory
+to about 3.8 MB.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -56,7 +56,6 @@ from .flow import (
     edge_conditional,
     graph_to_latent,
     node_conditional,
-    state_nodes,
     step_embeddings,
     validate_ordered,
 )
@@ -93,12 +92,15 @@ class SampleTrace:
     kind to the (K, 2, dim) [mu, alpha] rows of its K steps, in the same
     order. graph is the graph the walk filled, the decided nodes of
     every step: on "no-bonds" it still holds the dropped last node,
-    which the returned molecule leaves out."""
+    which the returned molecule leaves out. seed is the seed_history of
+    graph's nodes before the first step, so the StateCache history of
+    step t is seed plus the first t actions in state_dtype."""
 
     steps: np.recarray
     rows: dict
     termination: str
     graph: MolecularGraph
+    seed: bytes
 
     @classmethod
     def build(cls, spec: ModelSpec, records: list, rows: dict, termination: str, graph):
@@ -106,7 +108,9 @@ class SampleTrace:
         and rows, each kind's list of (2, dim) [mu, alpha] rows."""
         dims = {"node": spec.node_dim, "edge": spec.edge_dim}
         blocks = {kind: np.array(rows[kind]).reshape(-1, 2, dim) for kind, dim in dims.items()}
-        return cls(np.array(records, STEP_DTYPE).view(np.recarray), blocks, termination, graph)
+        seed = seed_history(spec, graph, records[0][1] if records else graph.n)
+        steps = np.array(records, STEP_DTYPE).view(np.recarray)
+        return cls(steps, blocks, termination, graph, seed)
 
     @property
     def rejections(self) -> int:
@@ -117,50 +121,52 @@ class SampleTrace:
         return len(self.steps)
 
 
-STATE_CACHE_ROWS = 1 << 13  # states a StateCache keeps, about 3.5 MB; see StateCache
+STATE_CACHE_ROWS = 1 << 13  # states a StateCache keeps, about 3.8 MB; see StateCache
 
 
 class StateCache:
     """The (mu, alpha) rows of the generation states one batch has
     encoded, under fixed weights: a prefix cache, as in LLM serving.
 
-    A state's key is its plan step plus the bytes the encoder reads of
-    it, node_types[:m] and categories[:m, :m] of its m nodes, m being
-    flow.state_nodes of the step, the rule by which step_embeddings
-    decides what it reads. categories is symmetric with no-edge on its
-    diagonal, so its strict lower triangle stands for it; both are
-    stored in the smallest unsigned type that holds every node type and
-    bond category (one byte for molecule vocabularies; sample_molecule
-    rejects a seed graph whose types fall outside the vocabulary). A
-    walk's undecided slots are still no-edge, so equal states have equal
-    keys whichever walk drafted them. Each row is bitwise what the
-    encoder and heads give the state alone, so a cached row is the row a
-    fresh call would give.
+    Generation is autoregressive, so a state is named by the decisions
+    before it, as a serving cache names one by its token prefix. A
+    state's key is its plan step plus its history: the node type or bond
+    category of every plan step before it, those that built the seed
+    graph (seed_history) and then the walk's, one code each in
+    state_dtype. A seed is in generation order under the window, so its
+    decisions read it back, and equal keys are equal states whichever
+    walk or seed reached them. Each row is bitwise what the encoder and
+    heads give the state alone, so a cached row is the row a fresh call
+    would give.
 
     The cache is not a setting: sample_batch and rl's trajectory
-    collection make one per call and drop it at the end. It keeps at
-    most STATE_CACHE_ROWS rows and then stops adding, so the shallow
-    states, which recur most and come first, stay in it. A row costs
-    about 420 bytes with its key, so the bound is about 3.5 MB. A
-    100-molecule batch from the benchmark's generate checkpoint adds
-    1700-2200 rows; a 2000-molecule batch would add 28k, and with the
-    bound it still finds 93% of the repeats it would find without one
-    (41.4% of its states against 44.6%).
+    collection make one per call and drop it at the end, and any other
+    walk has its own. It keeps at most STATE_CACHE_ROWS rows and then
+    stops adding, so the shallow states, which recur most and come
+    first, stay in it. A row costs about 460 bytes with its key, so the
+    bound is about 3.8 MB. A 100-molecule batch from the benchmark's
+    generate checkpoint adds 1700-2200 rows; a 2000-molecule batch would
+    add 28k, and with the bound it still finds 93% of the repeats it
+    would find without one (41.4% of its states against 44.6%).
     """
 
     def __init__(self, spec: ModelSpec):
         self.rows = {}
-        self._dtype = state_dtype(spec.node_dim, spec.edge_dim)
+        values = np.arange(max(spec.node_dim, spec.edge_dim))  # every node type and bond category
+        self.codes = [v.tobytes() for v in values.astype(state_dtype(spec.node_dim, spec.edge_dim))]
 
-    def keys(self, g: MolecularGraph, steps) -> list:
-        """The keys of steps, whose states share one node count."""
-        m = state_nodes(steps[0])
-        payload = state_bytes(g, self._dtype)(m, m * (m - 1) // 2)
-        return [(step, payload) for step in steps]
-
-    def add(self, key, row: np.ndarray) -> None:
-        if len(self.rows) < STATE_CACHE_ROWS:
-            self.rows[key] = row
+    def lookup(self, params: FlowParams, g: MolecularGraph, keys) -> dict:
+        """key -> row for keys whose states are of g, share one node count
+        and hold any node step last. One _encode_rows call encodes the
+        states the cache lacks, which it then keeps while under its bound."""
+        rows = {key: self.rows.get(key) for key in keys}
+        missing = [key for key, row in rows.items() if row is None]
+        if missing:
+            for key, row in zip(missing, _encode_rows(params, g, [step for step, _ in missing])):
+                rows[key] = row
+                if len(self.rows) < STATE_CACHE_ROWS:
+                    self.rows[key] = row
+        return rows
 
 
 def state_dtype(types: int, categories: int) -> np.dtype:
@@ -168,23 +174,15 @@ def state_dtype(types: int, categories: int) -> np.dtype:
     return np.min_scalar_type(max(types, categories) - 1)
 
 
-def state_bytes(g: MolecularGraph, dtype):
-    """(m, slots) -> the bytes the encoder reads of a state of g: node_types[:m]
-    and the first `slots` entries of g's strict lower triangle in row order, as dtype."""
-    size = np.dtype(dtype).itemsize
-    types = g.node_types.astype(dtype).tobytes()
-    lower = g.categories.take(_strict_lower(g.n)).astype(dtype).tobytes()
-    return lambda m, slots: types[: m * size] + lower[: slots * size]
-
-
-@lru_cache(maxsize=64)
-def _strict_lower(n: int) -> np.ndarray:
-    """Read-only flat indices of an (n, n) array's strict lower triangle in
-    row order; the first m (m - 1) / 2 are those of its first m rows."""
-    rows, cols = np.tril_indices(n, -1)
-    flat = rows * n + cols
-    flat.flags.writeable = False
-    return flat
+def seed_history(spec: ModelSpec, g: MolecularGraph, start: int) -> bytes:
+    """The history of g's first start nodes: the node type or bond
+    category of each of their plan steps, in plan order, in state_dtype;
+    empty if start is 0. For a graph in generation order under
+    spec.window, whose bonds all lie inside the window, it reads the
+    graph back."""
+    steps = build_plan(start, spec.window).steps
+    decided = [g.node_types[s[1]] if s[0] == "node" else g.categories[s[1:]] for s in steps]
+    return np.array(decided, state_dtype(spec.node_dim, spec.edge_dim)).tobytes()
 
 
 def _encode_rows(params: FlowParams, g: MolecularGraph, steps) -> list:
@@ -209,55 +207,46 @@ def _encode_rows(params: FlowParams, g: MolecularGraph, steps) -> list:
     return rows
 
 
-def _step_rows(params: FlowParams, g: MolecularGraph, steps, cache) -> list:
-    """_encode_rows of steps, with only the states missing from cache,
-    if one is given, sent to the encoder and then added to it."""
-    if cache is None:
-        return _encode_rows(params, g, steps)
-    keys = cache.keys(g, steps)
-    rows = [cache.rows.get(key) for key in keys]
-    missing = [s for s, row in enumerate(rows) if row is None]
-    if missing:
-        fresh = _encode_rows(params, g, [steps[s] for s in missing])
-        for s, row in zip(missing, fresh):
-            rows[s] = row
-            cache.add(keys[s], row)
-    return rows
-
-
 def _walk(
     params: FlowParams, spec: ModelSpec, cfg: SamplerConfig, g: MolecularGraph, start, draw,
-    cache=None,
+    cache: StateCache,
 ):
     """Fill g, whose nodes before start are decided, in place from node
     start on; draw(dim) gives each proposal's base normal value. Returns
     (the kept prefix of g, trace).
 
-    rows holds the [mu, alpha] rows of row i's drafts from slot first on,
-    and first is None once a kept bond has made them stale; they are
-    drafted again from the next slot on, or, after the row's last slot,
-    node i + 1's state alone (node_row None). cache, a StateCache or
-    None, serves the states it holds."""
+    history is the walk's StateCache history, one code per decision. A
+    step's row comes from last, the rows of the walk's last lookup, when
+    it holds the step's key. Otherwise one cache lookup drafts the step
+    and the states after it up to node i + 1's, each keyed as if the
+    slots between end no-edge; so a kept bond makes the rest of its row
+    miss, and a row that ends no-edge hands node i + 1 its row."""
     types, cats, no_edge = g.node_types, g.categories, g.no_edge
+    codes = cache.codes
+    history = bytearray(seed_history(spec, g, start))
+    last = {}
     records, kept = [], {"node": [], "edge": []}
-    node_row = None
+
+    def row_of(drafts):
+        nonlocal last
+        key = (drafts[0], bytes(history))
+        if key not in last:
+            keys = [(step, key[1] + codes[no_edge] * k) for k, step in enumerate(drafts)]
+            last = cache.lookup(params, g, keys)
+        return last[key]
+
     for i in range(start, g.n):
-        if node_row is None:
-            (node_row,) = _step_rows(params, g, [("node", i)], cache)
+        node_row = row_of([("node", i)])
         t = decode_category(draw(spec.node_dim), *node_row)
         types[i] = t
+        history += codes[t]
         records.append(("node", i, -1, t, 0))
         kept["node"].append(node_row)
-        got_bond, node_row, first = False, None, None
-        for j in range(max(0, i - spec.window), i):
-            if first is None:  # row i's slots from j on, then node i + 1's state if any
-                drafts = [("edge", i, l) for l in range(j, i)]
-                if i + 1 < g.n:
-                    drafts.append(("node", i + 1))
-                rows = _step_rows(params, g, drafts, cache)
-                node_row = rows[-1] if i + 1 < g.n else None
-                first = j
-            row = rows[j - first]
+        edges = [("edge", i, j) for j in range(max(0, i - spec.window), i)]
+        drafts = edges + ([("node", i + 1)] if i + 1 < g.n else [])
+        got_bond = False
+        for k, (_, _, j) in enumerate(edges):
+            row = row_of(drafts[k:])
             rejections = 0
             while True:
                 cat = decode_category(draw(spec.edge_dim), *row)
@@ -275,7 +264,8 @@ def _walk(
             if cat != no_edge:
                 cats[i, j] = cat
                 cats[j, i] = cat
-                got_bond, node_row, first = True, None, None
+                got_bond = True
+            history += codes[cat]
             records.append(("edge", i, j, cat, rejections))
             kept["edge"].append(row)
         if i > 0 and not got_bond:
@@ -299,8 +289,9 @@ def sample_molecule(
     must be in generation order) and sampling continues from there.
     cache, a StateCache built for spec and filled under the same params,
     serves the states it holds and takes the ones the walk encodes; the
-    graph and trace are bitwise those of a walk without it. It is
-    keyword-only, so a seed graph stays the fifth positional argument.
+    graph and trace are bitwise those of a walk with a fresh one, which
+    a walk without it gets. It is keyword-only, so a seed graph stays
+    the fifth positional argument.
     """
     no_edge = spec.bonds.no_edge
     max_size = spec.max_size
@@ -320,7 +311,8 @@ def sample_molecule(
         cats[:start, :start] = seed_graph.categories
     return _walk(
         params, spec, cfg, MolecularGraph(types, cats, no_edge), start,
-        lambda dim: rng.standard_normal(dim) * cfg.temperature, cache,
+        lambda dim: rng.standard_normal(dim) * cfg.temperature,
+        StateCache(spec) if cache is None else cache,
     )
 
 
@@ -357,7 +349,8 @@ def latent_to_graph(
     steps = build_plan(n, spec.window).steps
     eps = iter(latent.eps_x[s[1]] if s[0] == "node" else latent.eps_a[s[1:]] for s in steps)
     g = MolecularGraph(np.zeros(n, dtype=np.int64), empty_categories(n, no_edge), no_edge)
-    return _walk(params, spec, SamplerConfig(valency_check=False), g, 0, lambda _: next(eps))[0]
+    cfg = SamplerConfig(valency_check=False)
+    return _walk(params, spec, cfg, g, 0, lambda _: next(eps), StateCache(spec))[0]
 
 
 def reconstruct(

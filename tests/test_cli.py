@@ -342,6 +342,20 @@ def test_train_on_empty_data_exits_2(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["community", "molecules"])
+def test_train_data_named_like_a_generator_is_a_molt_file(workspace, tmp_path, monkeypatch, name):
+    # --data names a file even when the name is also a dataset generator's
+    vocab, bonds = vocab_from_config(load_run_config(workspace["cfg"]))
+    one = molt.parse_molt(workspace["data"].read_text(), vocab, bonds)[:1]
+    (tmp_path / name).write_text(molt.write_molt(one, vocab, bonds))
+    monkeypatch.chdir(tmp_path)
+    sizes, train = [], flow.train
+    monkeypatch.setattr(flow, "train", lambda data, *a: sizes.append(len(data)) or train(data, *a))
+    rc = cli.main(["train", "--config", str(workspace["cfg"]), "--data", name,
+                   "--output", str(tmp_path / "out")])
+    assert rc == 0 and sizes == [1]
+
+
 def test_optimize_constrained_on_empty_molecules_exits_2(workspace, tmp_path, capsys):
     # no seed molecules would report "success 0/0" and a manifest: output
     # from no input

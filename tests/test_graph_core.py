@@ -386,7 +386,7 @@ def _check_valency_full_rows(g, vocab, bonds, i, j, category):
     # check_valency's formula for a bond category, with every row summed
     # and the order table rebuilt per call; returns (verdict, row sums)
     orders = np.zeros(bonds.categories, dtype=np.int64)
-    for c in range(bonds.num_bond_types):
+    for c in range(len(bonds.orders)):
         orders[c] = bonds.orders[c]
     sums = orders[g.categories].sum(axis=1)
     existing = g.categories[i, j]

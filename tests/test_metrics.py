@@ -38,7 +38,7 @@ def random_graph(rng, n):
     for i in range(1, n):
         for j in range(i):
             if rng.random() < 0.45:
-                c = int(rng.integers(0, BONDS.num_bond_types))
+                c = int(rng.integers(0, len(BONDS.orders)))
                 cats[i, j] = c
                 cats[j, i] = c
     return MolecularGraph(types, cats, NO_EDGE)

@@ -470,7 +470,9 @@ def test_grid_size_guard_on_seeded_stack():
 def _fake_trace(rejections):
     # node steps only: rewards read nothing but the rejections column
     steps = np.array([("node", t, -1, 0, r) for t, r in enumerate(rejections)], STEP_DTYPE)
-    return SampleTrace(steps.view(np.recarray), rows={}, termination="max-size", graph=None)
+    return SampleTrace(
+        steps.view(np.recarray), rows={}, termination="max-size", graph=None, seed=b""
+    )
 
 
 def _returns(rejections, final_reward, gamma):
@@ -697,11 +699,11 @@ def _reference_logprobs(params, traj, temperature):
     rows = {kind: iter(block) for kind, block in traj.trace.rows.items()}
     for s in traj.trace.steps:
         step = ("node", s.i) if s.kind == "node" else ("edge", s.i, s.j)
-        m = flow.state_nodes(step)
+        m = rgcn.state_nodes(step)
         if m == 0:
             x = Tensor(np.zeros((1, params.rgcn.width)))
         else:
-            emb = rgcn.encode(traj.gen_graph.prefix(m), [step], params.rgcn)
+            emb = rgcn.encode(traj.trace.graph.prefix(m), [step], params.rgcn)
             ends = ([m - 1], [s.j]) if s.kind == "edge" else ()
             x = flow._head_inputs(emb, [0], *ends)
         head = flow.node_conditional if s.kind == "node" else flow.edge_conditional
@@ -754,7 +756,7 @@ def test_chunk_logprobs_match_per_step_reference():
     moved.edge_scale.b2.data -= 0.2
     _assert_chunk_matches_reference(moved, seeded + plain, 0.8, acting_params=params)
 
-    # a no-bonds episode: the dropped node's steps are scored on gen_graph
+    # a no-bonds episode: the dropped node's steps are scored on the trace graph
     nb_spec = small_spec(max_size=3)
     nb_params = flow.init_flow_params(nb_spec, np.random.default_rng(0))
     nb_params.node_mu.b2.data[VOCAB.index("O")] = 50.0
@@ -764,7 +766,7 @@ def test_chunk_logprobs_match_per_step_reference():
         rl.RewardConfig(), scorer, 2, np.random.default_rng(1),
     )
     assert trajs and all(t.trace.termination == "no-bonds" for t in trajs)
-    assert all(t.gen_graph.n == sum(s.kind == "node" for s in t.trace.steps) for t in trajs)
+    assert all(t.trace.graph.n == sum(s.kind == "node" for s in t.trace.steps) for t in trajs)
     _assert_chunk_matches_reference(nb_params, trajs, 1.0)
 
 
@@ -825,7 +827,7 @@ def test_ppo_chunk_tape_length(temperature):
     embeds, counts = 0, set()
     for loss in losses:
         chunk = loss.args[1]
-        sizes = {flow.state_nodes(step) for step in chunk.pack.steps} - {0}
+        sizes = {rgcn.state_nodes(step) for step in chunk.pack.steps} - {0}
         assert [kind for kind, *_ in chunk.kinds] == ["node", "edge"]
         with ad.Tape() as tape:
             loss()
@@ -994,6 +996,46 @@ def test_chunked_update_gradient_matches_one_tape_gradient(small_chunks):
     ad.zero_grads(named)
 
 
+def _graph_byte_key(trace, s):
+    # the rule the update's rows were keyed by before they were keyed by
+    # history: plan step, action, and the bytes the state sees of the
+    # trace graph, node_types[:m] plus the decided entries of the strict
+    # lower triangle (rows before i, then row i before j) in row order
+    step = ("node", s.i) if s.kind == "node" else ("edge", s.i, s.j)
+    rows, cols = np.tril_indices(trace.graph.n, -1)
+    decided = (rows < s.i) | ((rows == s.i) & (cols < max(s.j, 0)))
+    seen = trace.graph.categories[rows[decided], cols[decided]]
+    types = trace.graph.node_types[: rgcn.state_nodes(step)]
+    return step, s.action, types.tobytes() + seen.tobytes()
+
+
+def test_distinct_rows_are_the_graph_byte_rows():
+    # two steps share a row exactly when their plan steps, actions and
+    # graph-byte keys are equal, over plain and seeded episodes in one
+    # batch under a window that binds (3 < max_size - 1); seeds of several
+    # sizes and unseeded walks reach some states in common
+    spec = small_spec(max_size=7)
+    params = random_params(7, max_size=7)
+    mols = G.gen_synthetic_molecules(4, 6, VOCAB, BONDS, np.random.default_rng(15))
+    seeds = [G.bfs_reorder(m, 0)[0].prefix(n).copy() for m in mols for n in (1, 2, 3) if n <= m.n]
+    seeds = [g for g in seeds if G.max_dependency_distance(g) <= spec.window]
+    scorer = rl.make_scorer("toy:atom-count", spec.vocab, spec.bonds)
+    seeded, _ = rl.collect_trajectories(
+        params, spec, SamplerConfig(), rl.RewardConfig(), scorer, 24,
+        np.random.default_rng(16), seeds=seeds,
+    )
+    plain, _ = collect_small(params, spec, count=24, seed=17)
+    traces = [t.trace for t in seeded + plain]
+    row_of, heads = rl._distinct_rows(params, traces)
+    keys = [_graph_byte_key(trace, s) for trace in traces for s in trace.steps]
+    assert len(set(zip(row_of.tolist(), keys))) == len(set(keys)) == len(heads) < len(keys)
+    starts = [trace.steps.i[0] for trace in traces for _ in trace.steps]
+    shared = {}
+    for row, start in zip(row_of.tolist(), starts):
+        shared.setdefault(row, set()).add(start)
+    assert any(len(s) > 1 for s in shared.values())
+
+
 def test_deduplicated_update_is_the_per_step_update():
     # steps that repeat a (state, action) share a row, whose acting mu
     # and alpha they carry bitwise; the first call's ratios are exactly
@@ -1063,10 +1105,10 @@ def test_no_bond_termination_keeps_dropped_node_in_gen_graph():
     assert trace.termination == "no-bonds"
     rcfg = rl.RewardConfig(gamma=0.5, shaping="linear", t1=1.0)
     traj = rl.build_trajectory(trace, rcfg, score=float(g.n))
-    assert traj.gen_graph.prefix(g.n) == g
-    assert traj.gen_graph.n == g.n + 1
-    assert traj.gen_graph.node_types[-1] == VOCAB.index("O")
-    assert len(traj.gen_graph.bonds()) == len(g.bonds())
+    assert traj.trace.graph.prefix(g.n) == g
+    assert traj.trace.graph.n == g.n + 1
+    assert traj.trace.graph.node_types[-1] == VOCAB.index("O")
+    assert len(traj.trace.graph.bonds()) == len(g.bonds())
     # rejection penalties land on the edge step that caused them
     # (here the last step, the only edge step)
     assert [s.kind for s in trace.steps] == ["node", "node", "edge"]
@@ -1111,7 +1153,7 @@ def test_collect_with_seed_graphs():
     )
     for traj in trajs:
         assert all(s.i >= 2 for s in traj.trace.steps)
-        assert np.array_equal(traj.gen_graph.node_types[:2], seed_graph.node_types)
+        assert np.array_equal(traj.trace.graph.node_types[:2], seed_graph.node_types)
 
 
 def test_finetune_runs_and_is_deterministic():

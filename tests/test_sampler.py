@@ -426,20 +426,33 @@ def test_trace_reads_the_way_the_benchmark_counts_it():
 
 
 def test_per_node_walk_matches_per_step_walk_from_seed_graphs(monkeypatch):
-    spec = small_spec()
-    params = _random_params(spec, 34)
+    # with the default window and one that binds harder (2 < max_size - 1);
+    # distinct seeds of every size share one cache, which encodes each
+    # distinct state once, so walks from one seed find the states that
+    # walks from another seed encoded
     mols = G.gen_synthetic_molecules(3, 6, VOCAB, BONDS, np.random.default_rng(35))
-    seeds = [G.bfs_reorder(m, 0)[0].prefix(n).copy() for m in mols for n in range(1, m.n + 1)]
-    assert len({g.n for g in seeds}) >= 4
-    cfg = sampler.SamplerConfig()
-    cache = sampler.StateCache(spec)
-    for k, seed_graph in enumerate(seeds):
-        run = partial(sampler.sample_molecule, params, spec, cfg, seed_graph=seed_graph)
-        got = run(np.random.default_rng(k))
-        want = _per_step(monkeypatch, run, np.random.default_rng(k))
-        _assert_same_run(got, want)
-        _assert_same_run(run(np.random.default_rng(k), cache=cache), want)
-    assert cache.rows
+    prefixes = [G.bfs_reorder(m, 0)[0].prefix(n).copy() for m in mols for n in range(1, m.n + 1)]
+    distinct = {(g.node_types.tobytes(), g.categories.tobytes()): g for g in prefixes}
+    for window in (4, 2):
+        spec = small_spec(window=window)
+        params = _random_params(spec, 34)
+        seeds = [g for g in distinct.values() if G.max_dependency_distance(g) <= window]
+        assert len({g.n for g in seeds}) >= 4
+        cfg = sampler.SamplerConfig()
+        cache = sampler.StateCache(spec)
+        runs = [partial(sampler.sample_molecule, params, spec, cfg, seed_graph=g) for g in seeds]
+        for k, run in enumerate(runs):
+            want = _per_step(monkeypatch, run, np.random.default_rng(k))
+            _assert_same_run(run(np.random.default_rng(k)), want)
+        with monkeypatch.context() as m:
+            states = _encoded_states(m)
+            alone = [run(np.random.default_rng(k)) for k, run in enumerate(runs)]
+            repeated = len(states) - len(set(states))
+            states.clear()
+            for k, (run, want) in enumerate(zip(runs, alone)):
+                _assert_same_run(run(np.random.default_rng(k), cache=cache), want)
+        assert cache.rows and len(states) == len(set(states))
+        assert repeated > 0
 
 
 def test_per_node_walk_matches_per_step_walk_on_latents(monkeypatch):
