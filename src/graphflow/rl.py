@@ -46,6 +46,11 @@ pass: a chunk's acting log-probabilities are the values of its first
 call, which the first update pass makes at the collection weights, and
 the callable holds them as constants from then on. So ratios start at
 exactly one, and finite differences agree with the tape gradient.
+
+The quadrature is the only reader of scipy (log_ndtr and erfcx), and it
+imports scipy.special at its first call: only fine-tuning's update loads
+scipy, and a process that trains, samples, evaluates or runs constrained
+optimization never does.
 """
 
 from __future__ import annotations
@@ -61,7 +66,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr
 
 from . import autodiff as ad
 from . import rgcn
@@ -96,6 +100,7 @@ def _mass_bracket(cross, slope):
     Newton steps from 0 climb to the mode; f'' <= -1 puts each end within 8
     of it, reached by Newton steps from the quadratic model's drop point.
     A row stops once it settles, so the stack does not affect it."""
+    from scipy.special import erfcx, log_ndtr
 
     def f_and_slopes(u, cross, slope):  # erfcx: the hazard phi / Phi without cancelling
         y = slope * (u - cross)
@@ -200,6 +205,8 @@ def _stacked_action_logprobs(
     gradient is closed-form: the softmax weight of each node times the
     hazard phi(y) / Phi(y), times dy / d(mu, alpha).
     """
+    from scipy.special import log_ndtr
+
     s_count, d = mu.data.shape
     rows = np.arange(s_count)
     others = _competitors(actions, d)

@@ -35,10 +35,11 @@ the state and the key reads nothing of the graph. As each row is
 bitwise the one-step call, a cached row is the row a fresh call would
 give, so graphs and traces do not depend on the cache or on the order
 in which walks fill it. sample_batch keeps one per call, as does rl's
-trajectory collection, whose weights are fixed within the call; any
+trajectory collection, whose weights are fixed within the call. Any
 other walk (latent_to_graph, reconstruct, rl's constrained
-optimization) gets one of its own. STATE_CACHE_ROWS bounds its memory
-to about 3.8 MB.
+optimization) runs without one: no other walk could hit its states, so
+it keeps no history and builds no keys. STATE_CACHE_ROWS bounds a
+cache's memory to about 3.8 MB.
 """
 
 from __future__ import annotations
@@ -141,8 +142,8 @@ class StateCache:
 
     The cache is not a setting: sample_batch and rl's trajectory
     collection make one per call and drop it at the end, and any other
-    walk has its own. It keeps at most STATE_CACHE_ROWS rows and then
-    stops adding, so the shallow states, which recur most and come
+    walk runs without one. It keeps at most STATE_CACHE_ROWS rows and
+    then stops adding, so the shallow states, which recur most and come
     first, stay in it. A row costs about 460 bytes with its key, so the
     bound is about 3.8 MB. A 100-molecule batch from the benchmark's
     generate checkpoint adds 1700-2200 rows; a 2000-molecule batch would
@@ -154,18 +155,22 @@ class StateCache:
         self.rows = {}
         values = np.arange(max(spec.node_dim, spec.edge_dim))  # every node type and bond category
         self.codes = [v.tobytes() for v in values.astype(state_dtype(spec.node_dim, spec.edge_dim))]
+        self.no_edge_code = self.codes[spec.bonds.no_edge]
 
-    def lookup(self, params: FlowParams, g: MolecularGraph, keys) -> dict:
-        """key -> row for keys whose states are of g, share one node count
-        and hold any node step last. One _encode_rows call encodes the
-        states the cache lacks, which it then keeps while under its bound."""
-        rows = {key: self.rows.get(key) for key in keys}
-        missing = [key for key, row in rows.items() if row is None]
+    def lookup(self, params: FlowParams, g: MolecularGraph, history: bytes, drafts) -> list:
+        """The rows of drafts, states of g that share one node count and
+        hold any node step last. Draft k is keyed by its plan step and
+        history plus k no-edge codes: the steps before it end no-edge.
+        One _encode_rows call encodes the states the cache lacks, which it
+        then keeps while under its bound."""
+        keys = [(step, history + self.no_edge_code * k) for k, step in enumerate(drafts)]
+        rows = [self.rows.get(key) for key in keys]
+        missing = [k for k, row in enumerate(rows) if row is None]
         if missing:
-            for key, row in zip(missing, _encode_rows(params, g, [step for step, _ in missing])):
-                rows[key] = row
+            for k, row in zip(missing, _encode_rows(params, g, [drafts[k] for k in missing])):
+                rows[k] = row
                 if len(self.rows) < STATE_CACHE_ROWS:
-                    self.rows[key] = row
+                    self.rows[keys[k]] = row
         return rows
 
 
@@ -209,37 +214,42 @@ def _encode_rows(params: FlowParams, g: MolecularGraph, steps) -> list:
 
 def _walk(
     params: FlowParams, spec: ModelSpec, cfg: SamplerConfig, g: MolecularGraph, start, draw,
-    cache: StateCache,
+    cache: StateCache | None,
 ):
     """Fill g, whose nodes before start are decided, in place from node
     start on; draw(dim) gives each proposal's base normal value. Returns
     (the kept prefix of g, trace).
 
-    history is the walk's StateCache history, one code per decision. A
-    step's row comes from last, the rows of the walk's last lookup, when
-    it holds the step's key. Otherwise one cache lookup drafts the step
-    and the states after it up to node i + 1's, each keyed as if the
-    slots between end no-edge; so a kept bond makes the rest of its row
-    miss, and a row that ends no-edge hands node i + 1 its row."""
+    A step's row comes from last, the rows of the walk's last drafts by
+    plan step, when it holds the step. Otherwise one encode drafts the
+    step and the states after it up to node i + 1's, as if the slots
+    between end no-edge, and a kept bond drops last; so the rest of its
+    row misses, and a row that ends no-edge hands node i + 1 its row.
+    With a shared cache the drafts are looked up in it, under history,
+    the walk's StateCache history, one code per decision; a walk without
+    one keeps no history."""
     types, cats, no_edge = g.node_types, g.categories, g.no_edge
-    codes = cache.codes
-    history = bytearray(seed_history(spec, g, start))
+    if cache is not None:
+        codes, history = cache.codes, bytearray(seed_history(spec, g, start))
     last = {}
     records, kept = [], {"node": [], "edge": []}
 
     def row_of(drafts):
         nonlocal last
-        key = (drafts[0], bytes(history))
-        if key not in last:
-            keys = [(step, key[1] + codes[no_edge] * k) for k, step in enumerate(drafts)]
-            last = cache.lookup(params, g, keys)
-        return last[key]
+        if drafts[0] not in last:
+            if cache is None:
+                rows = _encode_rows(params, g, drafts)
+            else:
+                rows = cache.lookup(params, g, bytes(history), drafts)
+            last = dict(zip(drafts, rows))
+        return last[drafts[0]]
 
     for i in range(start, g.n):
         node_row = row_of([("node", i)])
         t = decode_category(draw(spec.node_dim), *node_row)
         types[i] = t
-        history += codes[t]
+        if cache is not None:
+            history += codes[t]
         records.append(("node", i, -1, t, 0))
         kept["node"].append(node_row)
         edges = [("edge", i, j) for j in range(max(0, i - spec.window), i)]
@@ -265,7 +275,9 @@ def _walk(
                 cats[i, j] = cat
                 cats[j, i] = cat
                 got_bond = True
-            history += codes[cat]
+                last = {}  # the drafts after it assumed no-edge here
+            if cache is not None:
+                history += codes[cat]
             records.append(("edge", i, j, cat, rejections))
             kept["edge"].append(row)
         if i > 0 and not got_bond:
@@ -289,9 +301,8 @@ def sample_molecule(
     must be in generation order) and sampling continues from there.
     cache, a StateCache built for spec and filled under the same params,
     serves the states it holds and takes the ones the walk encodes; the
-    graph and trace are bitwise those of a walk with a fresh one, which
-    a walk without it gets. It is keyword-only, so a seed graph stays
-    the fifth positional argument.
+    graph and trace are bitwise those of a walk without one. It is
+    keyword-only, so a seed graph stays the fifth positional argument.
     """
     no_edge = spec.bonds.no_edge
     max_size = spec.max_size
@@ -312,7 +323,7 @@ def sample_molecule(
     return _walk(
         params, spec, cfg, MolecularGraph(types, cats, no_edge), start,
         lambda dim: rng.standard_normal(dim) * cfg.temperature,
-        StateCache(spec) if cache is None else cache,
+        cache,
     )
 
 
@@ -350,7 +361,7 @@ def latent_to_graph(
     eps = iter(latent.eps_x[s[1]] if s[0] == "node" else latent.eps_a[s[1:]] for s in steps)
     g = MolecularGraph(np.zeros(n, dtype=np.int64), empty_categories(n, no_edge), no_edge)
     cfg = SamplerConfig(valency_check=False)
-    return _walk(params, spec, cfg, g, 0, lambda _: next(eps), StateCache(spec))[0]
+    return _walk(params, spec, cfg, g, 0, lambda _: next(eps), None)[0]
 
 
 def reconstruct(

@@ -515,6 +515,14 @@ def test_selfcheck_passes(capsys):
         assert any(name in l for l in lines)
 
 
+def _child_env() -> dict:
+    # a child process imports the same graphflow package this suite imported
+    env = dict(os.environ)
+    package_root = str(Path(graphflow.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_script_is_wired():
     """The `graphflow` script declared in pyproject.toml, run as a process
     with no arguments, reports a usage error and exits 1. It is checked
@@ -530,10 +538,7 @@ def test_console_script_is_wired():
     ep = EntryPoint(name="graphflow", value=scripts["graphflow"], group="console_scripts")
     assert ep.load() is cli.main
 
-    # The child imports the same graphflow package this suite imported.
-    env = dict(os.environ)
-    package_root = str(Path(graphflow.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    env = _child_env()
     wrapper = f"import sys; from {ep.module} import {ep.attr}; sys.exit({ep.attr}())"
     commands = [[sys.executable, "-c", wrapper], [sys.executable, "-m", "graphflow"]]
     installed = shutil.which("graphflow")
@@ -543,3 +548,62 @@ def test_console_script_is_wired():
         proc = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 1, (command, proc.stderr)
         assert "usage error" in proc.stderr, (command, proc.stderr)
+
+
+# The action log-probs of fine-tuning's quadrature on fixed inputs, as hex
+# bytes: the grid of one argmax_region_grid call and one
+# _stacked_action_logprobs call over it.
+QUADRATURE_PROBE = """
+import numpy as np
+from graphflow import rl
+from graphflow.autodiff import Tensor
+
+rng = np.random.default_rng(5)
+mu, alpha = rng.normal(size=(6, 4)), rng.uniform(0.2, 2.0, size=(6, 4))
+actions = rng.integers(4, size=6)
+u, logw = rl.argmax_region_grid(mu, alpha, actions)
+lp = rl._stacked_action_logprobs(
+    Tensor(mu), Tensor(alpha), u, rl.weight_free_term(u, logw), actions, 0.8
+)
+probe = [a.tobytes().hex() for a in (u, logw, lp.data)]
+"""
+
+# Everything but fine-tuning, at toy sizes, then the quadrature probe.
+IMPORT_HYGIENE = """
+import sys
+import numpy as np
+import graphflow
+import graphflow.cli
+from graphflow import flow, graph as G, metrics, rl, sampler
+
+spec = flow.ModelSpec(width=4, layers=1, window=3, max_size=6)
+rng = np.random.default_rng(0)
+mols = [G.bfs_reorder(m, 0)[0]
+        for m in G.gen_synthetic_molecules(4, 5, spec.vocab, spec.bonds, rng)]
+params = flow.init_flow_params(spec, rng)
+flow.train(mols, params, spec, flow.TrainConfig(epochs=1, batch_size=4), rng)
+graphs, _ = sampler.sample_batch(params, spec, sampler.SamplerConfig(), 4, 1)
+metrics.evaluate_set(graphs, spec.vocab, spec.bonds, mols)
+scorer = rl.make_scorer("toy:atom-count", spec.vocab, spec.bonds)
+rl.optimize_constrained(params, spec, mols[:2], scorer, 0.0, 2, sampler.SamplerConfig(), rng)
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+""" + QUADRATURE_PROBE + """
+assert "scipy.special" in sys.modules
+print(" ".join(probe))
+"""
+
+
+def test_only_the_quadrature_imports_scipy():
+    """A fresh process imports graphflow and its CLI, trains, samples,
+    evaluates and runs constrained optimization without loading scipy;
+    fine-tuning's quadrature loads scipy.special at its first call and
+    gives bitwise the values this process computes."""
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_HYGIENE],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    here = {}
+    exec(QUADRATURE_PROBE, here)
+    assert proc.stdout.split() == here["probe"]

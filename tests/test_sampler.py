@@ -327,6 +327,7 @@ def _assert_same_trace(trace, want):
     # column by column: a dataclass holding arrays has no usable ==
     assert trace.termination == want.termination
     assert trace.graph == want.graph
+    assert trace.seed == want.seed
     assert trace.rejections == want.rejections
     assert trace.steps.dtype == want.steps.dtype
     assert np.array_equal(trace.steps, want.steps)
@@ -579,3 +580,59 @@ def test_state_cache_past_its_bound_gives_the_same_runs(monkeypatch):
         _assert_same_run(got, run)
     assert len(cache.rows) == 10
     assert len(states) > len(set(states))  # states past the bound are encoded again
+
+
+def _walks_with(cache):
+    # _walk as every caller runs it, but always with the given cache
+    walk = sampler._walk
+    return lambda params, spec, cfg, g, start, draw, _: walk(params, spec, cfg, g, start, draw, cache)
+
+
+@pytest.mark.parametrize("valency_check", [True, False])
+def test_cacheless_walks_match_walks_with_a_warm_shared_cache(monkeypatch, valency_check):
+    # unseeded walks, walks from constrained-optimization seeds and latent
+    # decodes: without a cache each is bitwise the per-step walk and the
+    # walk served entirely by a warm shared cache
+    spec = small_spec()
+    params = _random_params(spec, 46)
+    cfg = sampler.SamplerConfig(valency_check=valency_check)
+    mols = [G.bfs_reorder(m, 0)[0]
+            for m in G.gen_synthetic_molecules(8, 8, VOCAB, BONDS, np.random.default_rng(47))]
+    mols = [g for g in mols if G.max_dependency_distance(g) <= spec.window]
+    seeds = [None] + [
+        rl.subgraph_seed(g, np.random.default_rng(k), window=spec.window) for k, g in enumerate(mols)
+    ]
+    assert len({0 if s is None else s.n for s in seeds}) >= 4
+
+    def sample(k, seed_graph):
+        return sampler.sample_molecule(
+            params, spec, cfg, np.random.default_rng(k), seed_graph=seed_graph
+        )
+
+    def decode(k, g):
+        return sampler.reconstruct(g, params, spec, np.random.default_rng(k))
+
+    runs = [partial(sample, k, s) for k, s in enumerate(seeds * 3)]
+    latents = [flow.graph_to_latent(g, params, spec, rng=np.random.default_rng(k))
+               for k, g in enumerate(mols)]
+    decodes = [partial(sampler.latent_to_graph, seq, params, spec) for seq in latents]
+    decodes += [partial(decode, k, g) for k, g in enumerate(mols)]
+    cache = sampler.StateCache(spec)
+    with monkeypatch.context() as m:
+        m.setattr(sampler, "_walk", _walks_with(cache))
+        [run() for run in runs + decodes]  # warms the cache
+        states = _encoded_states(m)
+        warm = [run() for run in runs + decodes]
+        assert states == []  # every state was a hit
+    with monkeypatch.context() as m:
+        m.setattr(sampler.StateCache, "lookup", None)  # a walk without a cache keys nothing
+        alone = [run() for run in runs + decodes]
+    oracle = [_per_step(monkeypatch, run) for run in runs + decodes]
+    n = len(runs)
+    for got, hit, want in zip(alone[:n], warm[:n], oracle[:n]):
+        _assert_same_run(got, hit)
+        _assert_same_run(got, want)
+    for got, hit, want in zip(alone[n:], warm[n:], oracle[n:]):
+        assert got == hit == want
+    if valency_check:
+        assert any(t.rejections for _, t in alone[:n])
