@@ -285,23 +285,24 @@ def step_embeddings(params: FlowParams, g: MolecularGraph, steps):
     The edge steps, ("edge", m - 1, j), give their rows [h, h_i, h_j]
     stacked in step order as one (E, 1, 3k) array, so that each head row
     is a one-row call; the node step ("node", m) gives its (1, k) graph
-    embedding, a zero row when m == 0. Both are _head_inputs rows, the
-    stacked pass's layout. A kind that steps do not hold gives None.
-    Each row is bitwise that of a call with its step alone, and nothing
-    of g past the m nodes is read, so g may be a graph still being
-    filled in.
+    embedding, a zero row when m == 0. Both are constant rows in
+    _head_inputs' layout, the stacked pass's, gathered off the tape. A
+    kind that steps do not hold gives None. Each row is bitwise that of
+    a call with its step alone, and nothing of g past the m nodes is
+    read, so g may be a graph still being filled in.
     """
     m = state_nodes(steps[0])
     if m == 0:
         return None, Tensor(np.zeros((1, params.rgcn.width)))
     emb = rgcn.encode(g.prefix(m), steps, params.rgcn)
+    pooled, h = emb.graph_embedding.data, emb.H.data
     nodes = [s for s, step in enumerate(steps) if step[0] == "node"]
-    node = _head_inputs(emb, nodes) if nodes else None
+    node = Tensor(pooled[nodes]) if nodes else None
     edges = [(s, step[2]) for s, step in enumerate(steps) if step[0] == "edge"]
     if not edges:
         return None, node
     s, j = np.array(edges).T
-    return Tensor(_head_inputs(emb, s, m - 1, j).data[:, None]), node
+    return Tensor(np.concatenate([pooled[s], h[s, m - 1], h[s, j]], axis=-1)[:, None]), node
 
 
 def step_embedding(params: FlowParams, g: MolecularGraph, step) -> Tensor:
@@ -329,10 +330,9 @@ def step_conditional(params: FlowParams, g: MolecularGraph, step):
 def _head_inputs(stacked: rgcn.NodeEmbeddings, rows, *ends) -> Tensor:
     """The head input rows of one step kind, as one tape node: row r is
     the graph embedding of state rows[r], followed side by side by the
-    node rows ends[0][r], ends[1][r], ... of that state (an int end is
-    node `end` of every state), which is step_embedding's layout. A
-    pack's rows are unique and an edge step's endpoints differ, so the
-    backward writes each gradient slot once."""
+    node rows ends[0][r], ends[1][r], ... of that state, which is
+    step_embedding's layout. A pack's rows are unique and an edge step's
+    endpoints differ, so the backward writes each gradient slot once."""
     pooled, h = stacked.graph_embedding, stacked.H
     k = pooled.data.shape[-1]
     parts = [pooled.data[rows]] + [h.data[rows, end] for end in ends]
@@ -382,17 +382,6 @@ def _sequential_conditionals(g: MolecularGraph, params: FlowParams, plan: StepPl
     return tuple(tables)
 
 
-def _ordered_noise(g: MolecularGraph, spec: ModelSpec, z, rng) -> DequantizedGraph:
-    """Check g's step order, then return z, or fresh dequantization
-    noise drawn from rng when z is None."""
-    validate_ordered(g, spec.window)
-    if z is None:
-        if rng is None:
-            raise ValueError("need either z or an rng")
-        z = dequantize(g, spec.vocab, spec.bonds, rng, window=spec.window)
-    return z
-
-
 def _negated_total(parts) -> Tensor:
     """-(the sum of each (table, rows) part's rows): one graph's NLL from
     its own rows of the log-density tables, as one tape node."""
@@ -438,25 +427,25 @@ def _log_likelihoods(zs: list, plans: list, conditionals) -> list:
     return out
 
 
-def log_likelihood_parallel(
-    g, params: FlowParams, spec: ModelSpec, rng=None, z=None, training: bool = False
-):
+def log_likelihood_parallel(g, params: FlowParams, spec: ModelSpec, z, training: bool = False):
     """Exact log-likelihood of a dequantized graph, all steps batched: a
-    LogLik for one MolecularGraph g, a list of them, from one stacked
-    pass, for a sequence. Pass z (shared noise, one per graph for a
-    sequence) or an rng to draw fresh dequantization noise. Each nll is
-    that graph's scalar NLL tensor, recorded on the active tape if there
-    is one. With training=True the encoder normalizes each graph with
-    its own batch statistics (the function optimized by train()); the
-    default reads the frozen running buffers, which makes the value a
-    per-graph density independent of how calls are batched.
+    LogLik for one MolecularGraph g and its dequantized values z, a list
+    of them, from one stacked pass, for a sequence of graphs and one of
+    their z. Each nll is that graph's scalar NLL tensor, recorded on the
+    active tape if there is one. With training=True the encoder
+    normalizes each graph with its own batch statistics (the function
+    optimized by train()); the default reads the frozen running buffers,
+    which makes the value a per-graph density independent of how calls
+    are batched.
     """
     many = not isinstance(g, MolecularGraph)
-    graphs = list(g) if many else [g]
+    graphs, zs = (list(g), list(z)) if many else ([g], [z])
     if not graphs:
         raise ValueError("log_likelihood_parallel: no graphs given")
-    noise = list(z) if many and z is not None else [z] * len(graphs)
-    zs = [_ordered_noise(h, spec, zh, rng) for h, zh in zip(graphs, noise)]
+    if len(zs) != len(graphs):
+        raise ValueError(f"{len(zs)} dequantized graphs for {len(graphs)} graphs")
+    for h in graphs:
+        validate_ordered(h, spec.window)
     plans = [build_plan(h.n, spec.window) for h in graphs]
     owners, steps = zip(*[(h, step) for h, plan in zip(graphs, plans) for step in plan.steps])
     pack = rgcn.pack_step_batch(owners, steps, params.rgcn, training)
@@ -476,7 +465,7 @@ def log_likelihood_sequential(
     Always runs the encoder against the running buffers; batch statistics
     would span a whole stacked pass and cannot be reproduced one step at
     a time."""
-    z = _ordered_noise(g, spec, z, None)
+    validate_ordered(g, spec.window)
     plan = build_plan(g.n, spec.window)
     return _log_likelihoods([z], [plan], _sequential_conditionals(g, params, plan))[0]
 
@@ -490,11 +479,7 @@ class LatentSeq:
 
 
 def graph_to_latent(
-    g: MolecularGraph,
-    params: FlowParams,
-    spec: ModelSpec,
-    z: DequantizedGraph | None = None,
-    rng=None,
+    g: MolecularGraph, params: FlowParams, spec: ModelSpec, z: DequantizedGraph
 ) -> LatentSeq:
     """Invert the flow on a dequantized graph: eps = (z - mu) / alpha at
     every step, with all steps' (mu, alpha) from one stacked pass.
@@ -504,7 +489,7 @@ def graph_to_latent(
     unchanged. Uses evaluation-mode batch norm, so no state is mutated.
     sampler.latent_to_graph runs the map the other way.
     """
-    z = _ordered_noise(g, spec, z, rng)
+    validate_ordered(g, spec.window)
     plan = build_plan(g.n, spec.window)
     pack = rgcn.pack_step_batch(g, plan.steps, params.rgcn)
     mu_x, alpha_x, mu_a, alpha_a = _stacked_conditionals(pack, params)

@@ -117,6 +117,8 @@ def parse_molt(
         n = _parse_int(cur, atoms_line[1], "atom count")
         if n < 1:
             raise MoltError(cur.lineno, "atom count must be at least 1")
+        if n > len(cur.lines) - cur.pos:  # checked before the count sizes any array
+            raise MoltError(cur.lineno, f"atom count {n} exceeds the lines left")
         node_types = np.full(n, -1, dtype=np.int64)
         for _ in range(n):
             parts = cur.next_line().split()

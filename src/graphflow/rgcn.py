@@ -34,7 +34,8 @@ segments and the rows the flow's heads read. The passes over a pack,
 one _propagate per group, one node placing their outputs in step order
 and one batch-norm node, are the weight-dependent rest, so a caller that
 encodes one set of states under moving weights (the PPO update) packs
-them once. In evaluation mode each group is one node-count block. In
+them once. In evaluation mode each group is one node-count block: the
+states of every graph that see m nodes, each in its own m-node frame. In
 training mode each group holds the masked stacks of the graphs with one
 node count, and batch norm keeps one pair of statistics per graph, so a
 graph's rows are bitwise those of a pass over its states alone. The
@@ -168,10 +169,10 @@ def _off_diagonal(n: int) -> np.ndarray:
     return off
 
 
-def _one_hot_adjacency(g: MolecularGraph) -> np.ndarray:
-    """(R, n, n) boolean one-hot slices of the off-diagonal categories, R = no_edge + 1."""
-    hit = g.categories[None, :, :] == np.arange(g.no_edge + 1)[:, None, None]
-    return hit & _off_diagonal(g.n)
+def _one_hot_adjacency(categories: np.ndarray, relations: int) -> np.ndarray:
+    """(..., R, n, n) boolean one-hot slices of off-diagonal (..., n, n) categories."""
+    hit = categories[..., None, :, :] == np.arange(relations)[:, None, None]
+    return hit & _off_diagonal(categories.shape[-1])
 
 
 def _normalized_adjacency(slices: np.ndarray) -> np.ndarray:
@@ -279,40 +280,36 @@ def _step_layout(n: int, steps: tuple) -> tuple:
     recur from molecule to molecule; those drafts alone are about
     max_size * window keys (129 at max_size 16, window 12, where 128
     slots thrashed), so the bound leaves room for them."""
-    s_count = len(steps)
-    prefix = np.empty(s_count, dtype=np.int64)  # nodes fully inside the prefix
-    row = np.full(s_count, -1, dtype=np.int64)  # partially decided node, if any
-    lim = np.zeros(s_count, dtype=np.int64)  # decided row slots bound
-    total = np.empty(s_count, dtype=np.int64)
-    for s, step in enumerate(steps):
-        prefix[s], total[s] = step[1], state_nodes(step)
-        if step[0] == "edge":
-            row[s], lim[s] = step[1], step[2]
+    code = np.array([(step[0] == "edge", step[1], step[-1]) for step in steps], dtype=np.int64)
+    edge, i, last = code.reshape(-1, 3).T
     idx = np.arange(n)
-    in_prefix = idx[None, :] < prefix[:, None]  # (S, n)
+    in_prefix = idx[None, :] < i[:, None]  # (S, n): nodes fully inside the prefix
     keep = in_prefix[:, :, None] & in_prefix[:, None, :]
-    row_hit = idx[None, :] == row[:, None]
-    below = idx[None, :] < lim[:, None]
+    row_hit = (idx[None, :] == i[:, None]) & (edge[:, None] == 1)  # the partially decided node
+    below = idx[None, :] < last[:, None]  # its decided slots
     keep |= row_hit[:, :, None] & below[:, None, :]
     keep |= row_hit[:, None, :] & below[:, :, None]
-    node_mask = (idx[None, :] < total[:, None]).astype(np.float64)[:, :, None]
+    node_mask = (idx[None, :] < (i + edge)[:, None]).astype(np.float64)[:, :, None]
     keep.flags.writeable = node_mask.flags.writeable = False
     return keep, node_mask
 
 
-def build_step_masks(g: MolecularGraph, steps) -> tuple:
+def build_step_masks(categories: np.ndarray, steps, relations: int) -> tuple:
     """Constant mask stacks for a list of generation steps.
 
     Steps are ("node", i) for the prefix of i nodes seen before choosing
     node i's type, or ("edge", i, j) for the state that already includes
     node i and its decided bond slots (i, j') for j' < j; ("node", 0),
-    the empty prefix, is an all-masked slice. Returns
-    (norm_adj, node_mask) as read-only numpy arrays, where norm_adj is
-    (S, R, n, n) and node_mask is (S, n, 1).
+    the empty prefix, is an all-masked slice. categories, 0 to relations
+    - 1 with no-edge last, is one graph's (n, n) matrix, or an (S, n, n)
+    stack with one matrix per step, such as each state's first n nodes.
+    Returns (norm_adj, node_mask) as read-only numpy arrays, where
+    norm_adj is (S, R, n, n) and node_mask is (S, n, 1).
     """
-    keep, node_mask = _step_layout(g.n, tuple(steps))
-    one_hot = _one_hot_adjacency(g)  # (R, n, n)
-    norm_adj = _normalized_adjacency(one_hot[None, :, :, :] & keep[:, None, :, :])
+    # a stack's steps are one group of one pack, which do not recur
+    layout = _step_layout.__wrapped__ if categories.ndim == 3 else _step_layout
+    keep, node_mask = layout(categories.shape[-1], tuple(steps))
+    norm_adj = _normalized_adjacency(_one_hot_adjacency(categories, relations) & keep[:, None])
     norm_adj.flags.writeable = False
     return norm_adj, node_mask
 
@@ -334,7 +331,7 @@ def encode(g_prefix: MolecularGraph, steps, params: RgcnParams) -> NodeEmbedding
     if any(state_nodes(step) != n for step in steps):
         raise ValueError(f"encode: every state must hold exactly the prefix's {n} nodes")
     keep, _ = _step_layout(n, tuple(steps))
-    one_hot = _one_hot_adjacency(g_prefix)[None] & keep[:, None]
+    one_hot = _one_hot_adjacency(g_prefix.categories, params.num_relations) & keep[:, None]
     h = _propagate(_features(g_prefix, params), _normalized_adjacency(one_hot), params)
     h = ad.batch_norm(h, params.bn_gamma, params.bn_beta, params.bn_state)
     return NodeEmbeddings(H=h, graph_embedding=_readout(h))
@@ -378,11 +375,12 @@ def pack_step_batch(g, steps, params: RgcnParams, training: bool = False) -> Ste
 
     A state's own node count m is i for ("node", i) and i + 1 for
     ("edge", i, j); the empty prefix, m = 0, joins no group and its rows
-    stay zero. Evaluation mode groups the states by m and cuts each
-    state's [:m, :m] block out of its graph's step masks. Training mode
-    groups graphs by node count, each with its whole masked stack of
-    build_step_masks; a graph's states must be consecutive steps, and an
-    equal copy of a graph is another graph.
+    stay zero. Evaluation mode groups the states of all graphs by m and
+    builds each group's blocks with one build_step_masks call on the
+    states' first m nodes, each state in its own m-node frame. Training
+    mode groups graphs by node count, each with its whole masked stack
+    of build_step_masks; a graph's states must be consecutive steps, and
+    an equal copy of a graph is another graph.
     """
     steps = list(steps)
     if not steps:
@@ -395,28 +393,37 @@ def pack_step_batch(g, steps, params: RgcnParams, training: bool = False) -> Ste
     sizes = code[:, 1] + code[:, 0]
     ids = np.fromiter(map(id, graphs), dtype=np.uintp, count=len(graphs))
     _, first, owner_of = np.unique(ids, return_index=True, return_inverse=True)
+    owners = [graphs[k] for k in first]
+    x = [_features(h, params) for h in owners]
     step_items = np.fromiter(steps, dtype=object, count=len(steps))
-    parts: dict = {}  # group width -> [((s, m, F) rows, (s, R, m, m) blocks, state indices)]
-    segments = [] if training else None
-    for k in np.argsort(first):  # graphs in order of first appearance
-        idx = np.flatnonzero(owner_of == k)
-        owner = graphs[idx[0]]
-        x = _features(owner, params)
-        if not sizes[idx].any():
-            continue
-        norm_adj, node_mask = build_step_masks(owner, step_items[idx])
-        if training:
+    relations = params.num_relations
+    if training:
+        parts, segments = {}, []  # graph size -> [((S, n, F) rows, (S, R, n, n) stack, steps)]
+        for k in np.argsort(first):  # graphs in order of first appearance
+            idx = np.flatnonzero(owner_of == k)
+            if not sizes[idx].any():
+                continue
             if idx[-1] - idx[0] + 1 != len(idx):
                 raise ValueError("training mode needs each graph's states as consecutive steps")
             segments.append(slice(int(idx[0]), int(idx[-1]) + 1))
-            parts.setdefault(owner.n, []).append((x * node_mask, norm_adj, idx))
-            continue
-        for m in sorted(set(sizes[idx].tolist()) - {0}):
-            sel = np.flatnonzero(sizes[idx] == m)
-            rows = np.broadcast_to(x[:m], (len(sel), m, x.shape[1]))
-            parts.setdefault(int(m), []).append((rows, norm_adj[sel, :, :m, :m], idx[sel]))
-    groups = [tuple(np.concatenate(column) for column in zip(*group)) for group in parts.values()]
-    width = max(parts, default=0)
+            norm_adj, node_mask = build_step_masks(owners[k].categories, step_items[idx], relations)
+            parts.setdefault(owners[k].n, []).append((x[k] * node_mask, norm_adj, idx))
+        groups = [tuple(np.concatenate(column) for column in zip(*group)) for group in parts.values()]
+        width = max(parts, default=0)
+    else:  # states gather their first m nodes from one padded copy of each graph
+        counts = np.array([h.n for h in owners])
+        if (sizes > counts[owner_of]).any():
+            raise ValueError("a state holds more nodes than its graph")
+        width, n = sizes.max(), counts.max()
+        rows = np.zeros((len(owners), n, params.feature_dim))
+        cats = np.zeros((len(owners), n, n), dtype=np.int64)
+        for k, h in enumerate(owners):
+            rows[k, : h.n], cats[k, : h.n, : h.n] = x[k], h.categories
+        groups, segments = [], None
+        for m in np.unique(sizes[sizes > 0]).tolist():
+            idx = np.flatnonzero(sizes == m)
+            norm_adj, _ = build_step_masks(cats[owner_of[idx], :m, :m], step_items[idx], relations)
+            groups.append((rows[owner_of[idx], :m], norm_adj, idx))
     edge = np.flatnonzero(code[:, 0])
     return StepPack(
         graphs=graphs,

@@ -73,7 +73,7 @@ from .autodiff import AdamState, Tensor, adam_step
 from .flow import FlowParams, ModelSpec, _reorder_for_window, _stacked_conditionals
 from .graph import GraphError, MolecularGraph, bfs_reorder
 from .molt import write_molt
-from .sampler import SampleTrace, SamplerConfig, StateCache, sample_molecule, state_dtype
+from .sampler import SampleTrace, SamplerConfig, StateCache, sample_molecule
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 PPO_CHUNK_ROWS = 256  # most distinct (state, action) rows per packed pass: one tape, one StepPack
@@ -545,7 +545,7 @@ def _ppo_losses(params: FlowParams, trajectories, advantages, cfg: PpoConfig, te
     if not trajectories:
         raise ValueError("the PPO loss needs at least one trajectory")
     traces = [traj.trace for traj in trajectories]
-    row_of, heads = _distinct_rows(params, traces)
+    row_of, heads = _distinct_rows(traces)
     adv = np.concatenate(advantages)
     weight = np.concatenate([np.full(t.num_steps, 1.0 / t.num_steps) for t in traces])
     by_size = np.argsort([rgcn.state_nodes(state) for _, state, _, _ in heads], kind="stable")
@@ -561,20 +561,18 @@ def _ppo_losses(params: FlowParams, trajectories, advantages, cfg: PpoConfig, te
     return losses
 
 
-def _distinct_rows(params: FlowParams, traces) -> tuple:
+def _distinct_rows(traces) -> tuple:
     """(each step's row, and per row the (graph, plan state, action,
     acting [mu, alpha]) of its first step) over the steps of traces laid
     end to end. A step's key is its plan step, its action and its
-    sampler.StateCache history: the trace's seed plus its actions before
-    the step; each distinct key is one row, in order of first appearance."""
-    dtype = state_dtype(params.rgcn.feature_dim, params.rgcn.num_relations)
+    sampler.StateCache history (SampleTrace.histories); each distinct key
+    is one row, in order of first appearance."""
     keys, row_of, heads = {}, [], []
     for trace in traces:
-        actions = trace.steps.action.astype(dtype).tobytes()
         acting = {kind: iter(block) for kind, block in trace.rows.items()}
-        for t, (kind, i, j, action, _) in enumerate(trace.steps.tolist()):
+        for (kind, i, j, action, _), history in zip(trace.steps.tolist(), trace.histories()):
             state = (kind, i) if kind == "node" else (kind, i, j)
-            key = (state, action, trace.seed + actions[: t * dtype.itemsize])
+            key = (state, action, history)
             row_of.append(keys.setdefault(key, len(keys)))
             row = next(acting[kind])
             if len(keys) > len(heads):

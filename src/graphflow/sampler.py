@@ -94,8 +94,7 @@ class SampleTrace:
     order. graph is the graph the walk filled, the decided nodes of
     every step: on "no-bonds" it still holds the dropped last node,
     which the returned molecule leaves out. seed is the seed_history of
-    graph's nodes before the first step, so the StateCache history of
-    step t is seed plus the first t actions in state_dtype."""
+    graph's nodes before the first step."""
 
     steps: np.recarray
     rows: dict
@@ -112,6 +111,12 @@ class SampleTrace:
         seed = seed_history(spec, graph, records[0][1] if records else graph.n)
         steps = np.array(records, STEP_DTYPE).view(np.recarray)
         return cls(steps, blocks, termination, graph, seed)
+
+    def histories(self) -> list:
+        """Each step's StateCache history: seed, then the actions before it in seed's dtype."""
+        dtype = state_dtype(self.rows["node"].shape[-1], self.rows["edge"].shape[-1])
+        codes = self.seed + self.steps.action.astype(dtype).tobytes()
+        return [codes[: len(self.seed) + t * dtype.itemsize] for t in range(len(self.steps))]
 
     @property
     def rejections(self) -> int:

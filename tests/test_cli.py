@@ -314,6 +314,19 @@ def test_evaluate_empty_samples_exits_2(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_evaluate_huge_atom_count_exits_2(workspace, tmp_path, capsys):
+    # an atom count far past the end of the file is malformed input
+    bad = tmp_path / "bad.molt"
+    bad.write_text("#MOLT v1\natoms 1000000000000\n0 C\n")
+    out = tmp_path / "out"
+    rc = cli.main(["evaluate", "--config", str(workspace["cfg"]), "--samples", str(bad),
+                   "--output", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "atom count" in err
+    assert not out.exists()
+
+
 def test_evaluate_without_train_data_reports_no_novelty(workspace, tmp_path, capsys):
     # novelty compares samples with a training set; without one it was not
     # measured, and a printed 0 would read as "no novel molecules"

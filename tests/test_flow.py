@@ -233,19 +233,15 @@ def test_scale_head_output_is_clipped():
     assert np.all(alpha_x.data >= np.exp(-7.0) - 1e-12)
 
 
-def test_likelihood_requires_noise_source():
-    spec = small_spec()
-    params = flow.init_flow_params(spec, np.random.default_rng(0))
-    g = molecules(0, 1, window=spec.window)[0]
-    with pytest.raises(ValueError):
-        flow.log_likelihood_parallel(g, params, spec)
-
-
 def test_likelihood_rejects_an_empty_graph_list():
     spec = small_spec()
     params = flow.init_flow_params(spec, np.random.default_rng(0))
     with pytest.raises(ValueError, match="log_likelihood_parallel"):
-        flow.log_likelihood_parallel([], params, spec, rng=np.random.default_rng(0))
+        flow.log_likelihood_parallel([], params, spec, z=[])
+    g = molecules(0, 1, window=spec.window)[0]
+    z = G.dequantize(g, VOCAB, BONDS, np.random.default_rng(0), window=spec.window)
+    with pytest.raises(ValueError, match="2 dequantized graphs for 1 graphs"):
+        flow.log_likelihood_parallel([g], params, spec, z=[z, z])
 
 
 # ---------------------------------------------------- latent round trips
@@ -310,7 +306,8 @@ def test_latent_round_trip_recovers_graph():
     rng = np.random.default_rng(15)
     count = 0
     for g in molecules(16, 12, window=spec.window):
-        lat = flow.graph_to_latent(g, params, spec, rng=rng)
+        z = G.dequantize(g, VOCAB, BONDS, rng, window=spec.window)
+        lat = flow.graph_to_latent(g, params, spec, z=z)
         back = sampler.latent_to_graph(lat, params, spec)
         assert back == g
         count += 1
@@ -441,9 +438,11 @@ def test_training_graph_tape_length():
     encoder = {"_place": 1, "batch_norm": 1, "_readout": 1}
     for chunk, count, nodes in ((graphs[-1], 1, 15), (graphs, 4, 27)):
         # count graphs, each of its own size
+        rng = np.random.default_rng(4)
+        noise = [G.dequantize(g, VOCAB, BONDS, rng, window=spec.window) for g in graphs[-count:]]
         with ad.Tape() as tape:
             flow.log_likelihood_parallel(
-                chunk, params, spec, rng=np.random.default_rng(4), training=True
+                chunk, params, spec, z=noise if count > 1 else noise[0], training=True
             )
         assert _op_histogram(tape) == {
             **per_kind, **encoder, "_embed": count, "_relation_layer": 2 * count,

@@ -539,6 +539,15 @@ def test_molt_rejects_negative_bond_count():
     assert err.value.line == 5
 
 
+@pytest.mark.parametrize("count", [10**12, 10**30])
+def test_molt_rejects_atom_count_past_end_of_text(count):
+    # a count no array could hold is a data error, not an allocation
+    text = f"#MOLT v1\natoms {count}\n0 C\nbonds 0\n"
+    with pytest.raises(molt.MoltError, match="atom count") as err:
+        molt.parse_molt(text, VOCAB, BONDS)
+    assert err.value.line == 2
+
+
 def test_molt_rejects_missing_atom_index():
     text = "#MOLT v1\natoms 2\n0 C\n0 C\nbonds 0\n"
     with pytest.raises(molt.MoltError):

@@ -102,7 +102,7 @@ def test_undecided_slots_absent_from_every_relation():
     cats[0, 2] = cats[2, 0] = 1
     g = MolecularGraph(np.array([0, 1, 2]), cats, NO_EDGE)
     keep = rgcn._step_layout(3, (("edge", 2, 0),))[0][0]
-    masked = rgcn._one_hot_adjacency(g) & keep
+    masked = rgcn._one_hot_adjacency(g.categories, g.no_edge + 1) & keep
     assert np.array_equal(masked[:, 2, :], np.zeros((BONDS.categories, 3)))
     assert np.array_equal(masked[:, :, 2], np.zeros((BONDS.categories, 3)))
     undecided = rgcn.encode(g, [("edge", 2, 0)], params)
@@ -187,7 +187,7 @@ def test_train_mode_stack_shares_one_statistics_pair():
         pytest.skip("drew a tiny molecule")
     steps = [("node", i) for i in range(1, g.n + 1)]
     out = rgcn.encode_step_batch(g, steps, params, training=True)
-    mask = rgcn.build_step_masks(g, steps)[1][:, :, 0] > 0
+    mask = rgcn.build_step_masks(g.categories, steps, g.no_edge + 1)[1][:, :, 0] > 0
     rows = out.H.data[mask]
     state = params.rgcn_state if hasattr(params, "rgcn_state") else params.bn_state
     # un-normalize: rows = (x - m)/s * gamma + beta over one shared (m, s)
@@ -312,7 +312,7 @@ def test_degree_normalization_row_sums():
     cats = empty_categories(3, NO_EDGE)
     cats[0, 1] = cats[1, 0] = 0
     g = MolecularGraph(np.array([0, 0, 0]), cats, NO_EDGE)
-    one_hot = rgcn._one_hot_adjacency(g)
+    one_hot = rgcn._one_hot_adjacency(g.categories, g.no_edge + 1)
     norm = rgcn._normalized_adjacency(one_hot)
     a = norm[0]
     # nodes 0 and 1 have degree 2 after the self loop, node 2 degree 1
@@ -328,7 +328,7 @@ def test_one_hot_adjacency_matches_per_category_loop():
     expect = np.zeros((NO_EDGE + 1, g.n, g.n))
     for c in range(NO_EDGE + 1):
         expect[c][(g.categories == c) & ~np.eye(g.n, dtype=bool)] = 1.0
-    assert np.array_equal(rgcn._one_hot_adjacency(g), expect)
+    assert np.array_equal(rgcn._one_hot_adjacency(g.categories, g.no_edge + 1), expect)
 
 
 def _all_steps(g, window=11):
@@ -361,7 +361,7 @@ def _step_masks_loop(g, steps):
     below = idx[None, :] < lim[:, None]
     keep |= row_hit[:, :, None] & below[:, None, :]
     keep |= row_hit[:, None, :] & below[:, :, None]
-    masked = rgcn._one_hot_adjacency(g)[None, :, :, :] * keep[:, None, :, :]
+    masked = rgcn._one_hot_adjacency(g.categories, g.no_edge + 1)[None, :, :, :] * keep[:, None, :, :]
     node_mask = (idx[None, :] < total[:, None]).astype(np.float64)
     return rgcn._normalized_adjacency(masked), node_mask[:, :, None]
 
@@ -379,10 +379,34 @@ def test_step_masks_match_step_loop_bitwise(seed):
         cases = [[full[p] for p in picked], [("node", 0)], *([step] for step in full)]
         for steps in cases:
             for _ in range(2):  # a fresh layout, then the cached one
-                got = rgcn.build_step_masks(g, steps)
+                got = rgcn.build_step_masks(g.categories, steps, g.no_edge + 1)
                 for a, b in zip(got, _step_masks_loop(g, steps)):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
                     assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("window", [2, 12])
+def test_stacked_prefixes_match_full_graph_blocks_bitwise(window):
+    # states in their own frame: an (S, m, m) stack of the first m nodes
+    # of several graphs, interleaved, gives bitwise the [:m, :m] blocks of
+    # one call per graph on its whole matrix, for every state of m nodes
+    # a plan holds, under a window that binds (2) and one that does not
+    graphs = [g for g in molecule(31, count=12, max_atoms=9) if g.n >= 6][:4]
+    assert len(graphs) >= 3
+    for m in range(1, min(g.n for g in graphs) + 1):
+        shapes = [("node", m)] + [("edge", m - 1, j) for j in range(max(0, m - 1 - window), m - 1)]
+        cases = [(g, step) for g in graphs for step in shapes]
+        order = np.random.default_rng(m).permutation(len(cases))
+        stack = np.stack([cases[c][0].categories[:m, :m] for c in order])
+        adj, mask = rgcn.build_step_masks(stack, [cases[c][1] for c in order], NO_EDGE + 1)
+        assert adj.shape == (len(cases), NO_EDGE + 1, m, m) and not adj.flags.writeable
+        for g in graphs:
+            full_adj, full_mask = rgcn.build_step_masks(g.categories, shapes, NO_EDGE + 1)
+            for s, c in enumerate(order):
+                if cases[c][0] is g:
+                    t = shapes.index(cases[c][1])
+                    assert np.array_equal(adj[s], full_adj[t, :, :m, :m])
+                    assert np.array_equal(mask[s], full_mask[t, :m])
 
 
 def test_multi_graph_rows_match_single_graph_rows():
@@ -411,12 +435,14 @@ def test_multi_graph_rows_match_single_graph_rows():
             assert not packed.H.data[s, g.n :].any()
     with pytest.raises(ValueError):
         rgcn.encode_step_batch(owners[:-1], steps, params)
+    with pytest.raises(ValueError, match="more nodes than its graph"):
+        rgcn.encode_step_batch(graphs[0], [("node", graphs[0].n + 1)], params)
 
 
 def _reference_training_stack(g, steps, params):
     # the per-relation layer loop and masked batch statistics, written
     # out in numpy in the order the encoder evaluates them
-    norm_adj, mask = rgcn.build_step_masks(g, steps)
+    norm_adj, mask = rgcn.build_step_masks(g.categories, steps, g.no_edge + 1)
     x = np.zeros((g.n, params.feature_dim))
     x[np.arange(g.n), g.node_types] = 1.0
     h = (x * mask) @ params.embed.data

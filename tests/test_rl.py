@@ -1026,7 +1026,7 @@ def test_distinct_rows_are_the_graph_byte_rows():
     )
     plain, _ = collect_small(params, spec, count=24, seed=17)
     traces = [t.trace for t in seeded + plain]
-    row_of, heads = rl._distinct_rows(params, traces)
+    row_of, heads = rl._distinct_rows(traces)
     keys = [_graph_byte_key(trace, s) for trace in traces for s in trace.steps]
     assert len(set(zip(row_of.tolist(), keys))) == len(set(keys)) == len(heads) < len(keys)
     starts = [trace.steps.i[0] for trace in traces for _ in trace.steps]
@@ -1227,7 +1227,7 @@ def test_finetune_builds_grids_once_per_batch(monkeypatch, small_chunks, chunk_c
 
 def test_finetune_builds_step_masks_once_per_pack(monkeypatch, small_chunks, chunk_counts):
     # the encoder's step masks are packed with the grids: one build per
-    # graph of a chunk when the losses are built, however many update
+    # node count of a chunk when the losses are built, however many update
     # passes reuse them; each update pass encodes each chunk once, and
     # no pass runs before the first, whose values are the acting
     # log-probs; collection alone runs no stacked encoder pass
@@ -1259,9 +1259,9 @@ def test_finetune_builds_step_masks_once_per_pack(monkeypatch, small_chunks, chu
         counts.append(len(calls))
         assert len(encodes) == chunk_counts[-1] * updates
     assert counts[0] == counts[1]
-    # every episode's graph, at most once per chunk, for the update
+    # each node count at most once per chunk, for the update
     assert chunk_counts[-1] >= 2
-    assert 0 < counts[1] <= batch * chunk_counts[-1]
+    assert 0 < counts[1] <= spec.max_size * chunk_counts[-1]
 
     calls.clear()
     encodes.clear()

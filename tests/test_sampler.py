@@ -464,7 +464,8 @@ def test_per_node_walk_matches_per_step_walk_on_latents(monkeypatch):
               if G.max_dependency_distance(g) <= spec.window]
     assert len(graphs) >= 6
     for k, g in enumerate(graphs):
-        latent = flow.graph_to_latent(g, params, spec, rng=np.random.default_rng(k))
+        z = G.dequantize(g, spec.vocab, spec.bonds, np.random.default_rng(k), window=spec.window)
+        latent = flow.graph_to_latent(g, params, spec, z=z)
         noisy = flow.LatentSeq(latent.eps_x + 0.7, {s: e - 0.7 for s, e in latent.eps_a.items()})
         for seq in (latent, noisy):
             got = sampler.latent_to_graph(seq, params, spec)
@@ -613,8 +614,9 @@ def test_cacheless_walks_match_walks_with_a_warm_shared_cache(monkeypatch, valen
         return sampler.reconstruct(g, params, spec, np.random.default_rng(k))
 
     runs = [partial(sample, k, s) for k, s in enumerate(seeds * 3)]
-    latents = [flow.graph_to_latent(g, params, spec, rng=np.random.default_rng(k))
-               for k, g in enumerate(mols)]
+    noise = [G.dequantize(g, spec.vocab, spec.bonds, np.random.default_rng(k), window=spec.window)
+             for k, g in enumerate(mols)]
+    latents = [flow.graph_to_latent(g, params, spec, z=z) for g, z in zip(mols, noise)]
     decodes = [partial(sampler.latent_to_graph, seq, params, spec) for seq in latents]
     decodes += [partial(decode, k, g) for k, g in enumerate(mols)]
     cache = sampler.StateCache(spec)
