@@ -72,6 +72,12 @@ def scratch(shape, keep: bool = False) -> np.ndarray | None:
     return Tape.block[start : tape.top].reshape(shape)
 
 
+def recording() -> bool:
+    """Whether a tape is active: an op needs to keep what its backward
+    reads only then."""
+    return _ACTIVE_TAPE is not None
+
+
 class Tensor:
     """A float64 array plus a gradient slot."""
 

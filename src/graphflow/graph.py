@@ -132,13 +132,18 @@ class MolecularGraph:
     def prefix(self, m: int) -> "MolecularGraph":
         """The first m nodes as views into this graph, not checked again:
         every prefix of a valid graph is valid, so generation code can
-        take one per step without re-scanning what it already holds."""
+        take one per step without re-scanning what it already holds. The
+        views keep this graph's whole arrays alive and see its later
+        writes, so a prefix is for short-lived use, such as one encoder
+        call; prefix(m).copy() is one that owns exact-size arrays."""
         if not 1 <= m <= self.n:
             raise GraphError(f"prefix of {m} nodes from a {self.n}-node graph")
         return _unchecked(self.node_types[:m], self.categories[:m, :m], self.no_edge)
 
     def copy(self) -> "MolecularGraph":
-        return MolecularGraph(self.node_types.copy(), self.categories.copy(), self.no_edge)
+        """A graph of its own contiguous copies of the arrays, not checked
+        again: a copy of a valid graph is valid."""
+        return _unchecked(self.node_types.copy(), self.categories.copy(), self.no_edge)
 
     def bonds(self):
         """All bonded pairs as (i, j, category) with i < j."""
@@ -170,6 +175,14 @@ def _unchecked(node_types, categories, no_edge: int) -> MolecularGraph:
 
 def empty_categories(n: int, no_edge: int) -> np.ndarray:
     return np.full((n, n), no_edge, dtype=np.int64)
+
+
+def empty_graph(n: int, no_edge: int) -> MolecularGraph:
+    """n nodes of type 0 and no bonds, valid by construction and so not
+    checked: the buffer a generation walk fills in place."""
+    if n < 1:
+        raise GraphError("a graph needs at least one node")
+    return _unchecked(np.zeros(n, dtype=np.int64), empty_categories(n, no_edge), no_edge)
 
 
 @dataclass

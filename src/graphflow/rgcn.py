@@ -208,11 +208,12 @@ def _relation_layer(adj: np.ndarray, h: Tensor, w: Tensor, scale: float) -> Tens
     2.7x as long on a (110, R, 10, 16) stack, numpy 2.4 and OpenBLAS
     0.3.31 on one Xeon core), which BLAS may sum in another order. Only
     the Q > 0 mask is kept for the backward, which recomputes P with the
-    forward's own call.
+    forward's own call; with no tape active there is no backward, and
+    no mask is made.
     """
     stacked = h.data.shape[:-2] + (1,) + h.data.shape[-2:]
     q = np.matmul(np.matmul(adj, h.data.reshape(stacked)), w.data)
-    active = q > 0.0
+    active = q > 0.0 if ad.recording() else None
 
     def back(g):
         gq = np.expand_dims(g * scale, -3) * active
@@ -226,7 +227,9 @@ def _relation_layer(adj: np.ndarray, h: Tensor, w: Tensor, scale: float) -> Tens
             gh = gh.reshape(h.data.shape)
         return (gh, gw)
 
-    return ad.custom_op(np.maximum(q, 0.0).sum(axis=-3) * scale, (h, w), back)
+    out = np.maximum(q, 0.0, out=q).sum(axis=-3)
+    out *= scale
+    return ad.custom_op(out, (h, w), back)
 
 
 def _embed(x: np.ndarray, embed: Tensor) -> Tensor:

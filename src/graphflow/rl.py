@@ -73,7 +73,7 @@ from .autodiff import AdamState, Tensor, adam_step
 from .flow import FlowParams, ModelSpec, _reorder_for_window, _stacked_conditionals
 from .graph import GraphError, MolecularGraph, bfs_reorder
 from .molt import write_molt
-from .sampler import SampleTrace, SamplerConfig, StateCache, sample_molecule
+from .sampler import STEP_DTYPE, SampleTrace, SamplerConfig, StateCache, sample_molecule
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 PPO_CHUNK_ROWS = 256  # most distinct (state, action) rows per packed pass: one tape, one StepPack
@@ -565,19 +565,55 @@ def _distinct_rows(traces) -> tuple:
     """(each step's row, and per row the (graph, plan state, action,
     acting [mu, alpha]) of its first step) over the steps of traces laid
     end to end. A step's key is its plan step, its action and its
-    sampler.StateCache history (SampleTrace.histories); each distinct key
-    is one row, in order of first appearance."""
-    keys, row_of, heads = {}, [], []
-    for trace in traces:
-        acting = {kind: iter(block) for kind, block in trace.rows.items()}
-        for (kind, i, j, action, _), history in zip(trace.steps.tolist(), trace.histories()):
-            state = (kind, i) if kind == "node" else (kind, i, j)
-            key = (state, action, history)
-            row_of.append(keys.setdefault(key, len(keys)))
-            row = next(acting[kind])
-            if len(keys) > len(heads):
-                heads.append((trace.graph, state, action, row))
-    return np.array(row_of, dtype=np.int64), heads
+    sampler.StateCache history. Plans are prefix-consistent, so the plan
+    step follows from the history's length, and the key is the history
+    followed by the action: its trace's seed codes, then the trace's
+    actions up to and including its own. One np.unique over the keys,
+    each code shifted up by one and zero-padded to one width, finds the
+    distinct ones; rows are numbered in order of first appearance."""
+    steps = np.frombuffer(b"".join(trace.steps.tobytes() for trace in traces), STEP_DTYPE)
+    seeds = np.frombuffer(b"".join(trace.seed for trace in traces), traces[0].code_dtype)
+    counts = np.array([trace.num_steps for trace in traces])
+    seed_lens = np.array([len(trace.seed) for trace in traces]) // seeds.itemsize
+    owner, t = _ragged_index(counts)  # each step's trace and index in it
+    seed_owner, seed_at = _ragged_index(seed_lens)
+    at = seed_lens[owner] + t  # each step's action's place in its trace's codes
+    top = int(max(steps["action"].max(), seeds.max(initial=0)))
+    codes = np.zeros((len(traces), at.max() + 1), np.min_scalar_type(top + 1))
+    codes[seed_owner, seed_at] = seeds + 1
+    codes[owner, at] = steps["action"] + 1
+    width = codes.shape[1]
+    keys = codes[owner] * (np.arange(width) <= np.arange(width)[:, None])[at]
+    keys = keys.view(np.dtype((np.void, keys.itemsize * width))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.argsort(order)  # each distinct key's row
+    # each row's first step, and its acting row: the batch's step blocks
+    # laid end to end hold it at its place among the steps of its kind
+    firsts = first[order]
+    is_node = steps["kind"] == "node"
+    nodes_before = (np.cumsum(is_node) - is_node)[firsts]
+    node_first = is_node[firsts]
+    acting = {
+        kind: iter(np.concatenate([trace.rows[kind] for trace in traces])[place])
+        for kind, place in (
+            ("node", nodes_before[node_first]),
+            ("edge", (firsts - nodes_before)[~node_first]),
+        )
+    }
+    columns = [owner[firsts], node_first] + [steps[f][firsts] for f in ("i", "j", "action")]
+    heads = []
+    for o, node, i, j, action in zip(*(c.tolist() for c in columns)):
+        state = ("node", i) if node else ("edge", i, j)
+        heads.append((traces[o].graph, state, action, next(acting[state[0]])))
+    return rank[inverse], heads
+
+
+def _ragged_index(counts: np.ndarray) -> tuple:
+    """For lists of the given lengths laid end to end, each item's list
+    and its index in that list."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
 
 
 def finetune(

@@ -16,6 +16,14 @@ the mu/alpha rows that produced them as one block; it keeps the graph
 the walk filled, a discarded last node included: exactly what the
 reinforcement-learning code needs to rebuild and score every step.
 
+A walk fills one max_size buffer in place and encodes views of its
+prefixes, which live for one encoder call. What it returns owns
+exact-size arrays, so callers that keep many samples do not keep the
+buffers: on a no-bond stop at node i, the molecule and the trace's
+graph are separate copies of the buffer's first i and i + 1 nodes; on
+a max-size stop the buffer is the molecule's size, and the trace's
+graph is the molecule.
+
 Decisions are made one step at a time but states are encoded per node,
 the way speculative decoding drafts and then verifies: once node i's
 type is set, one encoder call drafts every state pending on row i, as
@@ -65,7 +73,7 @@ from .graph import (
     MolecularGraph,
     check_valency,
     dequantize,
-    empty_categories,
+    empty_graph,
 )
 
 
@@ -92,8 +100,8 @@ class SampleTrace:
     STEP_DTYPE record array in decision order, and rows maps each step
     kind to the (K, 2, dim) [mu, alpha] rows of its K steps, in the same
     order. graph is the graph the walk filled, the decided nodes of
-    every step: on "no-bonds" it still holds the dropped last node,
-    which the returned molecule leaves out. seed is the seed_history of
+    every step, in arrays of its own size: on "no-bonds" it still holds
+    the dropped last node, which the returned molecule leaves out. seed is the seed_history of
     graph's nodes before the first step."""
 
     steps: np.recarray
@@ -112,11 +120,12 @@ class SampleTrace:
         steps = np.array(records, STEP_DTYPE).view(np.recarray)
         return cls(steps, blocks, termination, graph, seed)
 
-    def histories(self) -> list:
-        """Each step's StateCache history: seed, then the actions before it in seed's dtype."""
-        dtype = state_dtype(self.rows["node"].shape[-1], self.rows["edge"].shape[-1])
-        codes = self.seed + self.steps.action.astype(dtype).tobytes()
-        return [codes[: len(self.seed) + t * dtype.itemsize] for t in range(len(self.steps))]
+    @property
+    def code_dtype(self) -> np.dtype:
+        """seed's dtype, the state_dtype of the trace's row dims: step t's
+        StateCache history is seed, then the actions of the steps before
+        it, one code each in this dtype."""
+        return state_dtype(self.rows["node"].shape[-1], self.rows["edge"].shape[-1])
 
     @property
     def rejections(self) -> int:
@@ -223,7 +232,9 @@ def _walk(
 ):
     """Fill g, whose nodes before start are decided, in place from node
     start on; draw(dim) gives each proposal's base normal value. Returns
-    (the kept prefix of g, trace).
+    (the kept nodes of g, trace): on a no-bond stop the molecule and the
+    trace's graph are exact-size copies, so nothing returned is a view
+    of g; on a max-size stop both are g.
 
     A step's row comes from last, the rows of the walk's last drafts by
     plan step, when it holds the step. Otherwise one encode drafts the
@@ -287,7 +298,8 @@ def _walk(
             kept["edge"].append(row)
         if i > 0 and not got_bond:
             # the new node would be disconnected: drop it and stop
-            return g.prefix(i), SampleTrace.build(spec, records, kept, "no-bonds", g.prefix(i + 1))
+            trace = SampleTrace.build(spec, records, kept, "no-bonds", g.prefix(i + 1).copy())
+            return g.prefix(i).copy(), trace
     return g, SampleTrace.build(spec, records, kept, "max-size", g)
 
 
@@ -310,12 +322,10 @@ def sample_molecule(
     keyword-only, so a seed graph stays the fifth positional argument.
     """
     no_edge = spec.bonds.no_edge
-    max_size = spec.max_size
-    types = np.zeros(max_size, dtype=np.int64)
-    cats = empty_categories(max_size, no_edge)
+    g = empty_graph(spec.max_size, no_edge)
     start = 0
     if seed_graph is not None:
-        if seed_graph.n > max_size:
+        if seed_graph.n > spec.max_size:
             raise GraphError("seed graph larger than max_size")
         if seed_graph.no_edge != no_edge:
             raise GraphError("seed graph uses a different bond vocabulary")
@@ -323,10 +333,10 @@ def sample_molecule(
             raise GraphError("seed graph has a node type outside the vocabulary")
         validate_ordered(seed_graph, spec.window)
         start = seed_graph.n
-        types[:start] = seed_graph.node_types
-        cats[:start, :start] = seed_graph.categories
+        g.node_types[:start] = seed_graph.node_types
+        g.categories[:start, :start] = seed_graph.categories
     return _walk(
-        params, spec, cfg, MolecularGraph(types, cats, no_edge), start,
+        params, spec, cfg, g, start,
         lambda dim: rng.standard_normal(dim) * cfg.temperature,
         cache,
     )
@@ -361,10 +371,10 @@ def latent_to_graph(
     generation with the latents as its draws and no valency check. Like
     a sample, it ends at a node after the first that decodes no bond,
     which latents of a BFS-ordered graph never hold."""
-    n, no_edge = latent.eps_x.shape[0], spec.bonds.no_edge
+    n = latent.eps_x.shape[0]
     steps = build_plan(n, spec.window).steps
     eps = iter(latent.eps_x[s[1]] if s[0] == "node" else latent.eps_a[s[1:]] for s in steps)
-    g = MolecularGraph(np.zeros(n, dtype=np.int64), empty_categories(n, no_edge), no_edge)
+    g = empty_graph(n, spec.bonds.no_edge)
     cfg = SamplerConfig(valency_check=False)
     return _walk(params, spec, cfg, g, 0, lambda _: next(eps), None)[0]
 

@@ -1009,11 +1009,10 @@ def _graph_byte_key(trace, s):
     return step, s.action, types.tobytes() + seen.tobytes()
 
 
-def test_distinct_rows_are_the_graph_byte_rows():
-    # two steps share a row exactly when their plan steps, actions and
-    # graph-byte keys are equal, over plain and seeded episodes in one
-    # batch under a window that binds (3 < max_size - 1); seeds of several
-    # sizes and unseeded walks reach some states in common
+def _seeded_and_plain_traces(seed=16):
+    # plain and seeded episodes in one batch under a window that binds
+    # (3 < max_size - 1); seeds of several sizes and unseeded walks reach
+    # some states in common
     spec = small_spec(max_size=7)
     params = random_params(7, max_size=7)
     mols = G.gen_synthetic_molecules(4, 6, VOCAB, BONDS, np.random.default_rng(15))
@@ -1022,10 +1021,62 @@ def test_distinct_rows_are_the_graph_byte_rows():
     scorer = rl.make_scorer("toy:atom-count", spec.vocab, spec.bonds)
     seeded, _ = rl.collect_trajectories(
         params, spec, SamplerConfig(), rl.RewardConfig(), scorer, 24,
-        np.random.default_rng(16), seeds=seeds,
+        np.random.default_rng(seed), seeds=seeds,
     )
-    plain, _ = collect_small(params, spec, count=24, seed=17)
-    traces = [t.trace for t in seeded + plain]
+    plain, _ = collect_small(params, spec, count=24, seed=seed + 1)
+    return [t.trace for t in seeded + plain]
+
+
+def _distinct_rows_per_step(traces):
+    # the per-step loop the vectorised keys replaced, its oracle: each
+    # step keyed by its plan state, its action and its StateCache history
+    # (seed, then the actions before it in seed's dtype), rows in order of
+    # first appearance
+    keys, row_of, heads = {}, [], []
+    for trace in traces:
+        codes = trace.seed + trace.steps.action.astype(trace.code_dtype).tobytes()
+        size = trace.code_dtype.itemsize
+        acting = {kind: iter(block) for kind, block in trace.rows.items()}
+        for t, (kind, i, j, action, _) in enumerate(trace.steps.tolist()):
+            state = (kind, i) if kind == "node" else (kind, i, j)
+            key = (state, action, codes[: len(trace.seed) + t * size])
+            row_of.append(keys.setdefault(key, len(keys)))
+            row = next(acting[kind])
+            if len(keys) > len(heads):
+                heads.append((trace.graph, state, action, row))
+    return np.array(row_of, dtype=np.int64), heads
+
+
+@pytest.mark.parametrize("batch", ["plain", "seeded"])
+def test_distinct_rows_match_the_per_step_loop(batch):
+    # the one-np.unique keys give the loop's rows and heads: the same
+    # graph object, the plan state and action as the same Python values,
+    # and the acting row bitwise, on bench-like plain batches and on a
+    # batch mixing seeded and plain episodes
+    if batch == "plain":
+        spec = small_spec(max_size=9, window=4)
+        params = random_params(3, max_size=9, window=4)
+        batches = [[t.trace for t in collect_small(params, spec, count=32, seed=s)[0]] for s in (21, 22)]
+    else:
+        batches = [_seeded_and_plain_traces(seed) for seed in (16, 30)]
+    for traces in batches:
+        row_of, heads = rl._distinct_rows(traces)
+        want_rows, want_heads = _distinct_rows_per_step(traces)
+        assert row_of.dtype == want_rows.dtype
+        assert np.array_equal(row_of, want_rows)
+        assert len(heads) == len(want_heads) < len(row_of)
+        for (graph, state, action, row), want in zip(heads, want_heads):
+            assert graph is want[0]
+            assert state == want[1] and [type(v) for v in state] == [type(v) for v in want[1]]
+            assert action == want[2] and type(action) is type(want[2])
+            assert row.shape == want[3].shape and np.array_equal(row, want[3])
+
+
+def test_distinct_rows_are_the_graph_byte_rows():
+    # two steps share a row exactly when their plan steps, actions and
+    # graph-byte keys are equal, over plain and seeded episodes in one
+    # batch
+    traces = _seeded_and_plain_traces()
     row_of, heads = rl._distinct_rows(traces)
     keys = [_graph_byte_key(trace, s) for trace in traces for s in trace.steps]
     assert len(set(zip(row_of.tolist(), keys))) == len(set(keys)) == len(heads) < len(keys)

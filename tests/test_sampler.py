@@ -114,6 +114,54 @@ def test_growth_to_max_size():
     assert G.valency_violations(g, spec.vocab, spec.bonds) == []
 
 
+def _assert_exact_size(g):
+    # the graph owns arrays sized to it, not views of a walk's buffers
+    assert g.node_types.base is None and g.categories.base is None
+    assert g.node_types.shape == (g.n,) and g.categories.shape == (g.n, g.n)
+
+
+@pytest.mark.parametrize("valency_check", [True, False])
+def test_walk_outputs_own_exact_size_arrays(valency_check):
+    # on both stops the molecule and trace.graph hold only their nodes;
+    # on a no-bond stop trace.graph keeps the dropped node in its own copy
+    spec = small_spec(max_size=6)
+    params = _random_params(spec, 36)
+    cfg = sampler.SamplerConfig(valency_check=valency_check)
+    graphs, traces = sampler.sample_batch(params, spec, cfg, count=30, seed=37)
+    for g, trace in zip(graphs, traces):
+        _assert_exact_size(g)
+        _assert_exact_size(trace.graph)
+        if trace.termination == "no-bonds":
+            assert trace.graph.n == g.n + 1 and trace.graph.prefix(g.n) == g
+            assert not np.shares_memory(trace.graph.categories, g.categories)
+        else:
+            assert trace.graph is g
+    assert {t.termination for t in traces} == {"max-size", "no-bonds"}
+    scorer = rl.make_scorer("toy:atom-count", spec.vocab, spec.bonds)
+    trajs, _ = rl.collect_trajectories(
+        params, spec, cfg, rl.RewardConfig(), scorer, 12, np.random.default_rng(38)
+    )
+    for traj in trajs:
+        _assert_exact_size(traj.trace.graph)
+    assert "no-bonds" in {traj.trace.termination for traj in trajs}
+
+
+def test_latent_decode_owns_exact_size_arrays():
+    # random latents decode to graphs that stop early and at full size
+    spec = small_spec(max_size=6)
+    params = _random_params(spec, 39)
+    rng = np.random.default_rng(40)
+    sizes = []
+    for _ in range(20):
+        eps_x = rng.standard_normal((6, spec.node_dim))
+        edges = flow.build_plan(6, spec.window).edge_steps
+        eps_a = {step[1:]: rng.standard_normal(spec.edge_dim) for step in edges}
+        g = sampler.latent_to_graph(flow.LatentSeq(eps_x, eps_a), params, spec)
+        _assert_exact_size(g)
+        sizes.append(g.n)
+    assert min(sizes) < 6 and max(sizes) == 6
+
+
 def test_batch_is_deterministic_per_seed():
     spec = small_spec()
     params = flow.init_flow_params(spec, np.random.default_rng(5), zero_init_heads=False)
@@ -135,6 +183,38 @@ def test_zero_temperature_is_greedy():
     a, _ = sampler.sample_molecule(params, spec, cfg, np.random.default_rng(1))
     b, _ = sampler.sample_molecule(params, spec, cfg, np.random.default_rng(999))
     assert a == b
+
+
+def test_temperature_scales_every_draw():
+    # replay each molecule's draws from its own SeedSequence child: every
+    # proposal draws one standard_normal(dim), rejected ones included, and
+    # each kept action is argmax(0.5 * eps * alpha + mu) over its trace
+    # row [mu, alpha]; a rejected proposal decodes to a bond, and a forced
+    # fallback keeps no-edge after max_resample rejected draws
+    spec = small_spec()
+    params = _random_params(spec, 34)
+    params.edge_mu.b2.data[BONDS.category_of(3)] += 1.0
+    cfg = sampler.SamplerConfig(valency_check=True, temperature=0.5, max_resample=4)
+    _, traces = sampler.sample_batch(params, spec, cfg, count=30, seed=35)
+    unscaled_differs = 0
+    for child, trace in zip(np.random.SeedSequence(35).spawn(30), traces):
+        rng = np.random.default_rng(child)
+        rows = {kind: iter(block) for kind, block in trace.rows.items()}
+        for step in trace.steps:
+            mu, alpha = next(rows[step.kind])
+            fallback = step.rejections >= cfg.max_resample
+            draws = [rng.standard_normal(len(mu)) for _ in range(step.rejections + (not fallback))]
+            rejected = draws if fallback else draws[:-1]
+            for eps in rejected:
+                assert np.argmax(0.5 * eps * alpha + mu) != NO_EDGE
+            if fallback:
+                assert step.action == NO_EDGE
+                continue
+            assert step.action == np.argmax(0.5 * draws[-1] * alpha + mu)
+            unscaled_differs += step.action != np.argmax(draws[-1] * alpha + mu)
+    assert unscaled_differs > 0
+    assert sum(t.rejections for t in traces) > 0
+    assert any(s.rejections >= cfg.max_resample for t in traces for s in t.steps)
 
 
 @pytest.mark.parametrize(
