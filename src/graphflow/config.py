@@ -18,6 +18,7 @@ isolation and still see the stream it saw inside the full pipeline.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
@@ -213,7 +214,7 @@ def parse_config_text(text: str) -> dict:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        body = stripped.split(" #", 1)[0].strip()
+        body = re.split(r"\s#", stripped, maxsplit=1)[0].strip()  # any whitespace, then #
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected key = value, got {body!r}")
         key, _, raw = body.partition("=")

@@ -305,25 +305,17 @@ def step_embeddings(params: FlowParams, g: MolecularGraph, steps):
     return Tensor(np.concatenate([pooled[s], h[s, m - 1], h[s, j]], axis=-1)[:, None]), node
 
 
-def step_embedding(params: FlowParams, g: MolecularGraph, step) -> Tensor:
-    """Evaluation-mode head input for one generation step of g: one
-    constant row in its heads' layout, step_embeddings with one step.
-
-    A ("node", i) step sees g's first i nodes and gives their (1, k)
-    graph embedding, a zero row when i == 0. An ("edge", i, j) step sees
-    nodes 0..i with node i's slots at column j and beyond still
-    undecided, and gives the (1, 3k) row [h, h_i, h_j].
-    """
+def step_conditional(params: FlowParams, g: MolecularGraph, step):
+    """Evaluation-mode (mu, alpha) arrays for one generation step of g,
+    from step_embeddings with that step alone: a ("node", i) step reads
+    the (1, k) graph embedding of g's first i nodes, an ("edge", i, j)
+    step the (1, 3k) row [h, h_i, h_j] of nodes 0..i with node i's slots
+    at column j and beyond still undecided."""
     if step[0] not in ("node", "edge"):
         raise ValueError(f"unknown step kind {step[0]!r}")
     edge, node = step_embeddings(params, g, [step])
-    return node if step[0] == "node" else Tensor(edge.data[0])
-
-
-def step_conditional(params: FlowParams, g: MolecularGraph, step):
-    """Evaluation-mode (mu, alpha) arrays for one generation step of g."""
     head = node_conditional if step[0] == "node" else edge_conditional
-    mu, alpha = head(params, step_embedding(params, g, step))
+    mu, alpha = head(params, node if step[0] == "node" else Tensor(edge.data[0]))
     return mu.data[0], alpha.data[0]
 
 
@@ -331,7 +323,7 @@ def _head_inputs(stacked: rgcn.NodeEmbeddings, rows, *ends) -> Tensor:
     """The head input rows of one step kind, as one tape node: row r is
     the graph embedding of state rows[r], followed side by side by the
     node rows ends[0][r], ends[1][r], ... of that state, which is
-    step_embedding's layout. A pack's rows are unique and an edge step's
+    step_embeddings' layout. A pack's rows are unique and an edge step's
     endpoints differ, so the backward writes each gradient slot once."""
     pooled, h = stacked.graph_embedding, stacked.H
     k = pooled.data.shape[-1]
@@ -355,7 +347,7 @@ def _stacked_conditionals(pack: rgcn.StepPack, params: FlowParams):
     alpha_a) with one row per edge step, each in the order the pack's
     steps are given; a kind with no steps gets None. All states go
     through one encoder call, and each kind through one gather node
-    (_head_inputs, in step_embedding's layout) and one head call.
+    (_head_inputs, in step_embeddings' layout) and one head call.
     """
     stacked = rgcn.encode_step_batch(
         pack.graphs, pack.steps, params.rgcn, training=pack.training, pack=pack

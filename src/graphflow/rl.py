@@ -25,27 +25,31 @@ graph the decisions filled. For the ratio objective each step's
 integration grid comes from that acting (mu, alpha) alone, so it stays
 frozen while the weights move, and the surrogate is a smooth function of
 the weights. Collection only samples, scores and builds returns;
-_ppo_losses is the one place that splits a batch into chunks. The
-update scores each distinct (state, action) once, in size-major chunks
-of rows: steps with equal plan step, action and history (the decisions
-before the step, as the sampler's StateCache keys states) share a
-row, and the rows, sorted by state node count, are cut into chunks of
-at most PPO_CHUNK_ROWS. All rows of a chunk, the empty prefix included,
-go through one encoder pass and one head call per step kind, and each
-step kind gets one grid build and one quadrature. Each chunk is packed
-once per batch: its grids, and one rgcn.StepPack of its rows' states
-(the encoder's grouped step masks and the head index arrays), whose
-log-probs each step gathers. Each chunk's share of the batch loss is
-one callable holding everything it reads that the weights do not change
-(the frozen grids, the step pack, advantages), so an update pass does
-only weight-dependent work; every update pass sums their gradients with
-autodiff.accumulate_grads, the same loop maximum-likelihood training
-runs, one tape per chunk, on which the chunk's clipped-ratio surrogate
-is one node over its per-kind log-probs. There is no separate acting
-pass: a chunk's acting log-probabilities are the values of its first
-call, which the first update pass makes at the collection weights, and
-the callable holds them as constants from then on. So ratios start at
-exactly one, and finite differences agree with the tape gradient.
+_ppo_losses is the one place that splits a batch into chunks. The update
+scores each distinct (state, action) once, in size-major chunks of rows:
+steps with equal plan step, action and history (the decisions before the
+step, as the sampler's StateCache keys states) share a row, and the
+rows, sorted by state node count, are cut into chunks of at most
+PPO_CHUNK_ROWS. The batch stays columns throughout: a row is the index
+of its first step among the batch's steps laid end to end, whose record
+gives the row's plan state, action and trace, and whose place among the
+steps of its kind gives its acting (mu, alpha) row. All rows of a chunk,
+the empty prefix included, go through one encoder pass and one head call
+per step kind, and each step kind gets one grid build and one
+quadrature. Each chunk is packed once per batch: its grids, and one
+rgcn.StepPack of its rows' states (the encoder's grouped step masks and
+the head index arrays), whose log-probs each step gathers. Each chunk's
+share of the batch loss is one callable holding everything it reads that
+the weights do not change (the frozen grids, the step pack, advantages),
+so an update pass does only weight-dependent work; every update pass
+sums their gradients with autodiff.accumulate_grads, the same loop
+maximum-likelihood training runs, one tape per chunk, on which the
+chunk's clipped-ratio surrogate is one node over its per-kind log-probs.
+There is no separate acting pass: a chunk's acting log-probabilities are
+the values of its first call, which the first update pass makes at the
+collection weights, and the callable holds them as constants from then
+on. So ratios start at exactly one, and finite differences agree with
+the tape gradient.
 
 The quadrature is the only reader of scipy (log_ndtr and erfcx), and it
 imports scipy.special at its first call: only fine-tuning's update loads
@@ -71,7 +75,7 @@ from . import autodiff as ad
 from . import rgcn
 from .autodiff import AdamState, Tensor, adam_step
 from .flow import FlowParams, ModelSpec, _reorder_for_window, _stacked_conditionals
-from .graph import GraphError, MolecularGraph, bfs_reorder
+from .graph import GraphError, MolecularGraph
 from .molt import write_molt
 from .sampler import STEP_DTYPE, SampleTrace, SamplerConfig, StateCache, sample_molecule
 
@@ -378,6 +382,9 @@ def collect_trajectories(
 class StepBaselines:
     """Per-step-position moving averages of returns.
 
+    values[t] is position t's average. A batch that holds position t
+    holds every position before it, so the positions seen so far are
+    0..len(values) - 1, and a position not yet seen has baseline zero.
     A position's first batch mean initializes its value outright, so on
     constant-reward batches the very next advantage is exactly zero;
     afterwards the mean folds in with the decay rate DECAY.
@@ -386,27 +393,20 @@ class StepBaselines:
     DECAY = 0.9
 
     def __init__(self):
-        self.values: dict = {}
-
-    def get(self, position: int) -> float:
-        return self.values.get(position, 0.0)
+        self.values = np.zeros(0)
 
     def advantages(self, traj: Trajectory) -> np.ndarray:
-        return traj.returns - np.array([self.get(t) for t in range(traj.num_steps)])
+        seen = self.values[: traj.num_steps]
+        return traj.returns - np.concatenate([seen, np.zeros(traj.num_steps - len(seen))])
 
     def update_from_batch(self, trajectories) -> None:
-        sums: dict = {}
-        counts: dict = {}
-        for traj in trajectories:
-            for t, ret in enumerate(traj.returns.tolist()):
-                sums[t] = sums.get(t, 0.0) + ret
-                counts[t] = counts.get(t, 0) + 1
-        for t, total in sums.items():
-            mean = total / counts[t]
-            if t in self.values:
-                self.values[t] = self.DECAY * self.values[t] + (1.0 - self.DECAY) * mean
-            else:
-                self.values[t] = mean
+        returns = np.concatenate([traj.returns for traj in trajectories])
+        positions = np.concatenate([np.arange(traj.num_steps) for traj in trajectories])
+        # bincount adds each position's returns in trajectory order
+        means = np.bincount(positions, weights=returns) / np.bincount(positions)
+        seen = min(len(self.values), len(means))
+        means[:seen] = self.DECAY * self.values[:seen] + (1.0 - self.DECAY) * means[:seen]
+        self.values = np.concatenate([means, self.values[len(means) :]])
 
 
 @dataclass
@@ -451,21 +451,24 @@ class _PackedChunk:
     gather: np.ndarray
 
 
-def _pack_chunk(params: FlowParams, heads, temperature, steps, gather) -> _PackedChunk:
-    """The chunk of rows heads, (graph, plan state, action, acting
-    [mu, alpha]) each with node rows first, that scores the batch steps
-    `steps`, step s at row gather[s]: one step pack over the rows, then
-    one grid build per step kind. Of params only the dimensions are
-    read."""
-    graphs, states, actions, acting = zip(*heads)
+def _pack_chunk(
+    params: FlowParams, graphs, heads, acting: dict, temperature, steps, gather
+) -> _PackedChunk:
+    """The chunk of rows that scores the batch steps `steps`, step s at
+    row gather[s]. heads holds the rows' first steps, STEP_DTYPE records
+    with node rows first, graphs their traces' graphs, and acting[kind]
+    the acting [mu, alpha] rows of the chunk's rows of that kind, in row
+    order: one step pack over the rows, then one grid build per step
+    kind. Of params only the dimensions are read."""
+    columns = (heads[f].tolist() for f in ("kind", "i", "j"))
+    states = [("node", i) if kind == "node" else ("edge", i, j) for kind, i, j in zip(*columns)]
     pack = rgcn.pack_step_batch(graphs, states, params.rgcn)
-    actions = np.array(actions)
     kinds = []
     for kind, rows in (("node", pack.node_rows), ("edge", pack.edge_rows)):
         if len(rows):
-            block = np.array([acting[r] for r in rows])
-            u, logw = argmax_region_grid(block[:, 0], block[:, 1] * temperature, actions[rows])
-            kinds.append((kind, actions[rows], u, weight_free_term(u, logw)))
+            block, actions = acting[kind], heads["action"][rows]
+            u, logw = argmax_region_grid(block[:, 0], block[:, 1] * temperature, actions)
+            kinds.append((kind, actions, u, weight_free_term(u, logw)))
     return _PackedChunk(pack, kinds, temperature, steps, gather[steps])
 
 
@@ -533,9 +536,10 @@ def _ppo_losses(params: FlowParams, trajectories, advantages, cfg: PpoConfig, te
     the batch loss. Advantages are fixed per trajectory by the caller.
 
     The update scores each distinct (state, action) once: steps with one
-    key (_distinct_rows) share a row. Sorted by node count (stable), the
-    rows are cut into as few chunks of at most PPO_CHUNK_ROWS rows as
-    hold them, of equal sizes give or take one. A chunk's loss covers its
+    key (_distinct_rows) share a row, read from its first step's record
+    and acting row. Sorted by node count (stable), the rows are cut into
+    as few chunks of at most PPO_CHUNK_ROWS rows as hold them, of equal
+    sizes give or take one, node rows first. A chunk's loss covers its
     rows' steps with per-step advantages and 1 / len weights; all it
     reads besides the weights is built here, once per batch. Its acting
     log-probs are its first call's values, held per step, so that call
@@ -545,32 +549,43 @@ def _ppo_losses(params: FlowParams, trajectories, advantages, cfg: PpoConfig, te
     if not trajectories:
         raise ValueError("the PPO loss needs at least one trajectory")
     traces = [traj.trace for traj in trajectories]
-    row_of, heads = _distinct_rows(traces)
+    row_of, first = _distinct_rows(traces)
+    steps = np.concatenate([trace.steps for trace in traces])
+    owner, _ = _ragged_index(np.array([trace.num_steps for trace in traces]))
+    is_node = steps["kind"] == "node"
+    place = np.where(is_node, np.cumsum(is_node), np.cumsum(~is_node)) - 1  # in its kind's rows
+    blocks = {kind: np.concatenate([trace.rows[kind] for trace in traces]) for kind in traces[0].rows}
     adv = np.concatenate(advantages)
     weight = np.concatenate([np.full(t.num_steps, 1.0 / t.num_steps) for t in traces])
-    by_size = np.argsort([rgcn.state_nodes(state) for _, state, _, _ in heads], kind="stable")
-    local = np.empty(len(heads), dtype=np.int64)  # a row's place in its chunk
+    # state_nodes reads a state's kind and i, so it takes the rows' columns whole
+    by_size = np.argsort(rgcn.state_nodes((steps["kind"][first], steps["i"][first])), kind="stable")
+    local = np.empty(len(first), dtype=np.int64)  # a row's place in its chunk
     losses = []
-    for cut in np.array_split(by_size, math.ceil(len(heads) / PPO_CHUNK_ROWS)):
-        rows = sorted(cut, key=lambda r: heads[r][1][0] == "edge")  # node rows first
+    for cut in np.array_split(by_size, math.ceil(len(first) / PPO_CHUNK_ROWS)):
+        rows = cut[np.argsort(~is_node[first[cut]], kind="stable")]  # node rows first
         local[rows] = np.arange(len(rows))
-        steps = np.flatnonzero(np.isin(row_of, cut))
-        chunk = _pack_chunk(params, [heads[r] for r in rows], temperature, steps, local[row_of])
-        args = (adv[steps], weight[steps], cfg.clip_ratio, -1.0 / len(trajectories))
+        heads = first[rows]
+        acting = {kind: blocks[kind][place[heads[steps["kind"][heads] == kind]]] for kind in blocks}
+        graphs = [traces[o].graph for o in owner[heads].tolist()]
+        scored = np.flatnonzero(np.isin(row_of, cut))
+        chunk = _pack_chunk(
+            params, graphs, steps[heads], acting, temperature, scored, local[row_of]
+        )
+        args = (adv[scored], weight[scored], cfg.clip_ratio, -1.0 / len(trajectories))
         losses.append(partial(_chunk_loss, params, chunk, [], *args))
     return losses
 
 
 def _distinct_rows(traces) -> tuple:
-    """(each step's row, and per row the (graph, plan state, action,
-    acting [mu, alpha]) of its first step) over the steps of traces laid
-    end to end. A step's key is its plan step, its action and its
+    """(each step's row, each row's first step) over the steps of traces
+    laid end to end. A step's key is its plan step, its action and its
     sampler.StateCache history. Plans are prefix-consistent, so the plan
     step follows from the history's length, and the key is the history
     followed by the action: its trace's seed codes, then the trace's
     actions up to and including its own. One np.unique over the keys,
     each code shifted up by one and zero-padded to one width, finds the
-    distinct ones; rows are numbered in order of first appearance."""
+    distinct ones; rows are numbered in order of first appearance, so
+    first steps ascend."""
     steps = np.frombuffer(b"".join(trace.steps.tobytes() for trace in traces), STEP_DTYPE)
     seeds = np.frombuffer(b"".join(trace.seed for trace in traces), traces[0].code_dtype)
     counts = np.array([trace.num_steps for trace in traces])
@@ -587,26 +602,7 @@ def _distinct_rows(traces) -> tuple:
     keys = keys.view(np.dtype((np.void, keys.itemsize * width))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
-    rank = np.argsort(order)  # each distinct key's row
-    # each row's first step, and its acting row: the batch's step blocks
-    # laid end to end hold it at its place among the steps of its kind
-    firsts = first[order]
-    is_node = steps["kind"] == "node"
-    nodes_before = (np.cumsum(is_node) - is_node)[firsts]
-    node_first = is_node[firsts]
-    acting = {
-        kind: iter(np.concatenate([trace.rows[kind] for trace in traces])[place])
-        for kind, place in (
-            ("node", nodes_before[node_first]),
-            ("edge", (firsts - nodes_before)[~node_first]),
-        )
-    }
-    columns = [owner[firsts], node_first] + [steps[f][firsts] for f in ("i", "j", "action")]
-    heads = []
-    for o, node, i, j, action in zip(*(c.tolist() for c in columns)):
-        state = ("node", i) if node else ("edge", i, j)
-        heads.append((traces[o].graph, state, action, next(acting[state[0]])))
-    return rank[inverse], heads
+    return np.argsort(order)[inverse], first[order]
 
 
 def _ragged_index(counts: np.ndarray) -> tuple:
@@ -805,19 +801,12 @@ def make_scorer(text: str, vocab, bonds):
 
 
 def subgraph_seed(
-    g: MolecularGraph,
-    rng,
-    m_choices=(0, 1, 2, 3, 4, 5),
-    window: int | None = None,
+    g: MolecularGraph, rng, m_choices=(0, 1, 2, 3, 4, 5), *, window: int
 ) -> MolecularGraph:
-    """Random connected seed: relabel by a random breadth-first order and
-    drop the last m nodes (m drawn from m_choices, clamped to n-1). With
-    a window, the order is retried so remaining bond spans fit."""
-    if window is not None:
-        h = _reorder_for_window(g, window, rng)
-    else:
-        start = int(rng.integers(g.n))
-        h, _ = bfs_reorder(g, start=start, rng=rng)
+    """Random connected seed: relabel by a random breadth-first order
+    whose bond spans fit the window, and drop the last m nodes (m drawn
+    from m_choices, clamped to n-1)."""
+    h = _reorder_for_window(g, window, rng)
     m = min(int(rng.choice(np.asarray(m_choices))), g.n - 1)
     keep = g.n - m
     return MolecularGraph(h.node_types[:keep], h.categories[:keep, :keep], g.no_edge)

@@ -54,6 +54,13 @@ def test_file_comments_and_overrides(tmp_path):
     assert cfg.epochs == 2
 
 
+def test_trailing_comment_follows_any_whitespace():
+    # a tab before the # starts a comment as a space does; a # with no
+    # whitespace before it belongs to the value
+    raw = C.parse_config_text("output_dir = runs/x\t# note\nscorer = exec:cmd#1 # note\n")
+    assert raw == {"output_dir": "runs/x", "scorer": "exec:cmd#1"}
+
+
 def test_parse_errors_name_the_line():
     with pytest.raises(C.ConfigError, match="line 2.*unknown"):
         C.parse_config_text("seed = 1\nbogus_key = 2\n")

@@ -214,7 +214,8 @@ def test_step_embedding_rows_equal_gathered_head_inputs():
         gathered = dict(zip(pack.node_rows, node.data))
         gathered.update(zip(pack.edge_rows, edge.data))
         for s, step in enumerate(steps):
-            row = flow.step_embedding(params, g, step).data
+            edge, node = flow.step_embeddings(params, g, [step])
+            row = node.data if step[0] == "node" else edge.data[0]
             assert row.shape == (1, k if step[0] == "node" else 3 * k)
             assert np.array_equal(row[0], gathered[s])
 

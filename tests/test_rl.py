@@ -503,28 +503,65 @@ def test_returns_satisfy_recursion(rejections, reward, gamma):
         assert rets[t] == pytest.approx(pens[t] + gamma * rets[t + 1], abs=1e-9)
 
 
+def _traj_with_returns(rets):
+    return rl.Trajectory(trace=_fake_trace([0] * len(rets)), final_reward=0.0, returns=np.array(rets))
+
+
 def test_baseline_updates():
     b = rl.StepBaselines()
-    assert b.get(0) == 0.0
-
-    def traj_with_returns(rets):
-        return rl.Trajectory(
-            trace=_fake_trace([0] * len(rets)), final_reward=0.0, returns=np.array(rets),
-        )
-
-    batch = [traj_with_returns([2.0, 4.0]), traj_with_returns([6.0])]
+    assert len(b.values) == 0
+    batch = [_traj_with_returns([2.0, 4.0]), _traj_with_returns([6.0])]
     b.update_from_batch(batch)
     # first batch initializes positions to the batch means outright
-    assert b.get(0) == pytest.approx(4.0)
-    assert b.get(1) == pytest.approx(4.0)
-    b.update_from_batch([traj_with_returns([8.0])])
-    assert b.get(0) == pytest.approx(0.9 * 4.0 + 0.1 * 8.0)
-    assert b.get(1) == pytest.approx(4.0)  # untouched position keeps its value
+    assert b.values.tolist() == pytest.approx([4.0, 4.0])
+    b.update_from_batch([_traj_with_returns([8.0])])
+    assert b.values[0] == pytest.approx(0.9 * 4.0 + 0.1 * 8.0)
+    assert b.values[1] == pytest.approx(4.0)  # untouched position keeps its value
     # constant-reward batches zero the very next advantage
     b2 = rl.StepBaselines()
-    batch = [traj_with_returns([3.0]), traj_with_returns([3.0])]
+    batch = [_traj_with_returns([3.0]), _traj_with_returns([3.0])]
     b2.update_from_batch(batch)
     assert np.allclose(b2.advantages(batch[0]), [0.0])
+
+
+def _baselines_per_position(batches):
+    # the dict loop the per-position array replaced, its oracle: each
+    # position's returns summed in trajectory order, a first mean taken
+    # outright and later means folded in with DECAY
+    values = {}
+    for trajectories in batches:
+        sums, counts = {}, {}
+        for traj in trajectories:
+            for t, ret in enumerate(traj.returns.tolist()):
+                sums[t] = sums.get(t, 0.0) + ret
+                counts[t] = counts.get(t, 0) + 1
+        for t, total in sums.items():
+            mean = total / counts[t]
+            if t in values:
+                values[t] = rl.StepBaselines.DECAY * values[t] + (1.0 - rl.StepBaselines.DECAY) * mean
+            else:
+                values[t] = mean
+    return values
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_baselines_match_the_dict_loop(seed):
+    # on random ragged batches, some shorter than the ones before them,
+    # the baselines and every advantage are bitwise the dict loop's
+    rng = np.random.default_rng(seed)
+    b = rl.StepBaselines()
+    batches, shorter = [], False
+    for _ in range(6):
+        lengths = rng.integers(1, rng.integers(2, 14), size=rng.integers(1, 9))
+        shorter |= lengths.max() < len(b.values)
+        batches.append([_traj_with_returns(rng.normal(0.0, 10.0, n)) for n in lengths])
+        b.update_from_batch(batches[-1])
+        want = _baselines_per_position(batches)
+        assert np.array([want[t] for t in range(len(want))]).tobytes() == b.values.tobytes()
+        probe = _traj_with_returns(rng.normal(0.0, 10.0, 14))
+        expected = probe.returns - np.array([want.get(t, 0.0) for t in range(14)])
+        assert b.advantages(probe).tobytes() == expected.tobytes()
+    assert shorter  # some position kept its value through a batch
 
 
 def test_reward_config_shaping_and_validation():
@@ -1031,8 +1068,9 @@ def _distinct_rows_per_step(traces):
     # the per-step loop the vectorised keys replaced, its oracle: each
     # step keyed by its plan state, its action and its StateCache history
     # (seed, then the actions before it in seed's dtype), rows in order of
-    # first appearance
-    keys, row_of, heads = {}, [], []
+    # first appearance; per row its first step and that step's (graph,
+    # plan state, action, acting [mu, alpha])
+    keys, row_of, first, heads = {}, [], [], []
     for trace in traces:
         codes = trace.seed + trace.steps.action.astype(trace.code_dtype).tobytes()
         size = trace.code_dtype.itemsize
@@ -1043,32 +1081,71 @@ def _distinct_rows_per_step(traces):
             row_of.append(keys.setdefault(key, len(keys)))
             row = next(acting[kind])
             if len(keys) > len(heads):
+                first.append(len(row_of) - 1)
                 heads.append((trace.graph, state, action, row))
-    return np.array(row_of, dtype=np.int64), heads
+    return np.array(row_of, dtype=np.int64), np.array(first, dtype=np.int64), heads
+
+
+def _rows_handed_on(params, traces, monkeypatch):
+    # per row, what _ppo_losses hands on for it: the graph and plan state
+    # pack_step_batch takes, and the action and acting [mu, alpha] that
+    # the row's grid is built from (at temperature 1, alpha as acted)
+    handed = []
+    pack, grid = rgcn.pack_step_batch, rl.argmax_region_grid
+
+    def packing(graphs, states, *args):
+        handed.append((list(graphs), list(states), [], []))
+        return pack(graphs, states, *args)
+
+    def gridding(mu, alpha, actions):
+        handed[-1][2].extend(actions)
+        handed[-1][3].extend(np.stack([mu, alpha], axis=1))
+        return grid(mu, alpha, actions)
+
+    monkeypatch.setattr(rgcn, "pack_step_batch", packing)
+    monkeypatch.setattr(rl, "argmax_region_grid", gridding)
+    trajs = [rl.Trajectory(trace, 0.0, np.zeros(trace.num_steps)) for trace in traces]
+    losses = rl._ppo_losses(params, trajs, [t.returns for t in trajs], rl.PpoConfig(), 1.0)
+    monkeypatch.undo()
+    row_of, _ = rl._distinct_rows(traces)
+    rows = {}
+    for loss, columns in zip(losses, handed):
+        chunk = loss.args[1]
+        chunk_rows = np.empty(len(columns[0]), dtype=np.int64)  # each chunk row's batch row
+        chunk_rows[chunk.gather] = row_of[chunk.steps]
+        for r, head in zip(chunk_rows.tolist(), zip(*columns)):
+            assert r not in rows
+            rows[r] = head
+    return [rows[r] for r in range(len(rows))]
 
 
 @pytest.mark.parametrize("batch", ["plain", "seeded"])
-def test_distinct_rows_match_the_per_step_loop(batch):
-    # the one-np.unique keys give the loop's rows and heads: the same
-    # graph object, the plan state and action as the same Python values,
-    # and the acting row bitwise, on bench-like plain batches and on a
-    # batch mixing seeded and plain episodes
+def test_distinct_rows_match_the_per_step_loop(batch, monkeypatch):
+    # the one-np.unique keys give the loop's rows and first steps, and
+    # what the update reads for each row from its first step matches the
+    # loop's: the same graph object, the plan state and action as equal
+    # Python values, and the acting row bitwise; on bench-like plain
+    # batches and on a batch mixing seeded and plain episodes
     if batch == "plain":
         spec = small_spec(max_size=9, window=4)
         params = random_params(3, max_size=9, window=4)
         batches = [[t.trace for t in collect_small(params, spec, count=32, seed=s)[0]] for s in (21, 22)]
     else:
+        params = random_params(7, max_size=7)
         batches = [_seeded_and_plain_traces(seed) for seed in (16, 30)]
     for traces in batches:
-        row_of, heads = rl._distinct_rows(traces)
-        want_rows, want_heads = _distinct_rows_per_step(traces)
-        assert row_of.dtype == want_rows.dtype
+        row_of, first = rl._distinct_rows(traces)
+        want_rows, want_first, want_heads = _distinct_rows_per_step(traces)
+        assert row_of.dtype == want_rows.dtype and first.dtype == want_first.dtype
         assert np.array_equal(row_of, want_rows)
-        assert len(heads) == len(want_heads) < len(row_of)
+        assert np.array_equal(first, want_first)
+        assert len(first) == len(want_heads) < len(row_of)
+        heads = _rows_handed_on(params, traces, monkeypatch)
+        assert len(heads) == len(want_heads)
         for (graph, state, action, row), want in zip(heads, want_heads):
             assert graph is want[0]
             assert state == want[1] and [type(v) for v in state] == [type(v) for v in want[1]]
-            assert action == want[2] and type(action) is type(want[2])
+            assert action.item() == want[2] and action.dtype == np.int64
             assert row.shape == want[3].shape and np.array_equal(row, want[3])
 
 
@@ -1077,9 +1154,9 @@ def test_distinct_rows_are_the_graph_byte_rows():
     # graph-byte keys are equal, over plain and seeded episodes in one
     # batch
     traces = _seeded_and_plain_traces()
-    row_of, heads = rl._distinct_rows(traces)
+    row_of, first = rl._distinct_rows(traces)
     keys = [_graph_byte_key(trace, s) for trace in traces for s in trace.steps]
-    assert len(set(zip(row_of.tolist(), keys))) == len(set(keys)) == len(heads) < len(keys)
+    assert len(set(zip(row_of.tolist(), keys))) == len(set(keys)) == len(first) < len(keys)
     starts = [trace.steps.i[0] for trace in traces for _ in trace.steps]
     shared = {}
     for row, start in zip(row_of.tolist(), starts):

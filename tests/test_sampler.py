@@ -362,19 +362,21 @@ def test_reconstruct_is_exact():
 
 
 def _walk_per_step(params, spec, cfg, g, start, draw, cache=None):
-    # the walk with one step_embedding encode per generation step that the
+    # the walk with one step_embeddings encode per generation step that the
     # per-node walk replaced: its oracle
     types, cats, no_edge = g.node_types, g.categories, g.no_edge
     records, rows = [], {"node": [], "edge": []}
     for i in range(start, g.n):
-        mu, alpha = flow.node_conditional(params, flow.step_embedding(params, g, ("node", i)))
+        _, node_x = flow.step_embeddings(params, g, [("node", i)])
+        mu, alpha = flow.node_conditional(params, node_x)
         t = flow.decode_category(draw(spec.node_dim), mu.data[0], alpha.data[0])
         types[i] = t
         records.append(("node", i, -1, t, 0))
         rows["node"].append((mu.data[0], alpha.data[0]))
         got_bond = False
         for j in range(max(0, i - spec.window), i):
-            step_x = flow.step_embedding(params, g, ("edge", i, j))
+            edge_x, _ = flow.step_embeddings(params, g, [("edge", i, j)])
+            step_x = Tensor(edge_x.data[0])
             mu, alpha = flow.edge_conditional(params, step_x)
             rejections = 0
             while True:
