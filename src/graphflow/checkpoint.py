@@ -12,7 +12,9 @@ Every trainable tensor and every batch-norm running buffer is stored.
 the full schema (names, ranks, shapes) against the model the caller is
 restoring into, so a checkpoint from a differently-sized model fails
 loudly instead of silently misloading. A nan or inf value is rejected
-too: the sampler would otherwise decode it into plausible graphs.
+too: the sampler would otherwise decode it into plausible graphs. So is
+a negative running variance, which batch norm would turn into nan (below
+-1e-5) or read silently (in (-1e-5, 0)).
 """
 
 from __future__ import annotations
@@ -112,6 +114,8 @@ def loads(text: str, spec: ModelSpec) -> FlowParams:
         arr = np.array(values, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"tensor {name}: non-finite value")
+        if name == "rgcn.bn.running_var" and (arr < 0.0).any():
+            raise CheckpointError(f"tensor {name}: negative variance")
         targets[name][...] = arr.reshape(want)
     missing = sorted(set(targets) - seen)
     if missing:

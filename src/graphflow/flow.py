@@ -26,7 +26,7 @@ so that every bond lands inside the window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -134,11 +134,13 @@ def mlp_apply(p: MlpParams, x: Tensor) -> Tensor:
 
 def _scale_head(p: MlpParams, x: Tensor) -> Tensor:
     """alpha = exp(clip(mlp(x), LOG_ALPHA_MIN, LOG_ALPHA_MAX)) as one tape
-    node. The backward replays the composite's: g * alpha for the exp,
-    times the strict interior of the clip, then the MLP's, so values and
-    gradients are bitwise those of the three-node expression."""
+    node. The clip is np.minimum of np.maximum, the values np.clip gives
+    (NaN included) without its Python wrappers. The backward replays the
+    composite's: g * alpha for the exp, times the strict interior of the
+    clip, then the MLP's, so values and gradients are bitwise those of
+    the three-node expression."""
     t, raw = _mlp_forward(p, x)
-    alpha = np.exp(np.clip(raw, LOG_ALPHA_MIN, LOG_ALPHA_MAX))
+    alpha = np.exp(np.minimum(np.maximum(raw, LOG_ALPHA_MIN), LOG_ALPHA_MAX))
 
     def back(g):
         inside = (raw > LOG_ALPHA_MIN) & (raw < LOG_ALPHA_MAX)
@@ -227,7 +229,7 @@ def decode_category(eps: np.ndarray, mu: np.ndarray, alpha: np.ndarray) -> int:
     z = forward_transform(eps, mu, alpha)
     if not np.isfinite(z).all():
         raise FloatingPointError("non-finite step output: the model overflowed")
-    return int(np.argmax(z))
+    return int(z.argmax())
 
 
 @dataclass
@@ -277,6 +279,20 @@ class LogLik:
         return len(self.node_terms) + len(self.edge_terms)
 
 
+@lru_cache(maxsize=1024)
+def _gather_layout(steps: tuple) -> tuple:
+    """The rows step_embeddings gathers for steps: the positions of the
+    node steps, and the positions and second endpoints of the edge
+    steps, as index arrays. Cached, as the sampler's drafts recur from
+    molecule to molecule."""
+    edge = np.array([step[0] == "edge" for step in steps])
+    rows = np.arange(len(steps))
+    layout = rows[~edge], rows[edge], np.array([step[-1] for step in steps])[edge]
+    for part in layout:
+        part.flags.writeable = False
+    return layout
+
+
 def step_embeddings(params: FlowParams, g: MolecularGraph, steps):
     """Evaluation-mode head inputs of generation steps of g whose states
     share one node count m (state_nodes), from one rgcn.encode call on
@@ -291,18 +307,18 @@ def step_embeddings(params: FlowParams, g: MolecularGraph, steps):
     a call with its step alone, and nothing of g past the m nodes is
     read, so g may be a graph still being filled in.
     """
+    steps = tuple(steps)
     m = state_nodes(steps[0])
     if m == 0:
         return None, Tensor(np.zeros((1, params.rgcn.width)))
     emb = rgcn.encode(g.prefix(m), steps, params.rgcn)
     pooled, h = emb.graph_embedding.data, emb.H.data
-    nodes = [s for s, step in enumerate(steps) if step[0] == "node"]
-    node = Tensor(pooled[nodes]) if nodes else None
-    edges = [(s, step[2]) for s, step in enumerate(steps) if step[0] == "edge"]
-    if not edges:
+    nodes, edges, j = _gather_layout(steps)
+    node = Tensor(pooled[nodes]) if len(nodes) else None
+    if not len(edges):
         return None, node
-    s, j = np.array(edges).T
-    return Tensor(np.concatenate([pooled[s], h[s, m - 1], h[s, j]], axis=-1)[:, None]), node
+    x = np.concatenate([pooled[edges], h[edges, m - 1], h[edges, j]], axis=-1)
+    return Tensor(x[:, None]), node
 
 
 def step_conditional(params: FlowParams, g: MolecularGraph, step):

@@ -27,11 +27,13 @@ graph is the molecule.
 Decisions are made one step at a time but states are encoded per node,
 the way speculative decoding drafts and then verifies: once node i's
 type is set, one encoder call drafts every state pending on row i, as
-if the slots before it end no-edge, plus node i + 1's state. The drafts
-are plan steps, as in the stacked training pass. A decided no-edge is
-its own relation and an undecided slot is in none, so the drafts are
-exact until a bond is kept; only the drafts after a kept bond are
-encoded again. Each stacked row is bitwise the one-step call.
+if the slots before it end no-edge. The drafts are plan steps, as in
+the stacked training pass. A decided no-edge is its own relation and an
+undecided slot is in none, so the drafts are exact until a bond is
+kept; only the drafts after a kept bond are encoded again, and with
+them node i + 1's state. The first call leaves that state out: it would
+assume that row i keeps no bond, and then the walk stops before node
+i + 1. Each stacked row is bitwise the one-step call.
 
 The walks of one batch share a StateCache, a prefix cache: a state is
 sent to the encoder and heads only if no earlier walk of the batch has
@@ -160,9 +162,10 @@ class StateCache:
     then stops adding, so the shallow states, which recur most and come
     first, stay in it. A row costs about 460 bytes with its key, so the
     bound is about 3.8 MB. A 100-molecule batch from the benchmark's
-    generate checkpoint adds 1700-2200 rows; a 2000-molecule batch would
-    add 28k, and with the bound it still finds 93% of the repeats it
-    would find without one (41.4% of its states against 44.6%).
+    generate checkpoint adds 1800-1940 rows (seeds 100-104); a
+    2000-molecule batch (seed 7) would add 28k, and with the bound it
+    still finds 92% of the repeats it would find without one (36.2% of
+    its states against 39.1%).
     """
 
     def __init__(self, spec: ModelSpec):
@@ -211,16 +214,15 @@ def _encode_rows(params: FlowParams, g: MolecularGraph, steps) -> list:
     views of one (E, 2, dim) copy of its output, so a cache that keeps
     them holds nothing else of the call."""
     edge_x, node_x = step_embeddings(params, g, steps)
-    heads = []
+    rows = []
     if edge_x is not None:
         mu, alpha = edge_conditional(params, edge_x)
-        heads.append((mu.data[:, 0], alpha.data[:, 0]))
+        both = np.concatenate((mu.data, alpha.data), axis=1)  # (E, 1, dim) each
+        both.flags.writeable = False
+        rows.extend(both)
     if node_x is not None:
         mu, alpha = node_conditional(params, node_x)
-        heads.append((mu.data, alpha.data))
-    rows = []
-    for mu, alpha in heads:
-        both = np.concatenate((mu[:, None], alpha[:, None]), axis=1)
+        both = np.concatenate((mu.data[:, None], alpha.data[:, None]), axis=1)  # (1, dim) each
         both.flags.writeable = False
         rows.extend(both)
     return rows
@@ -236,43 +238,47 @@ def _walk(
     trace's graph are exact-size copies, so nothing returned is a view
     of g; on a max-size stop both are g.
 
-    A step's row comes from last, the rows of the walk's last drafts by
-    plan step, when it holds the step. Otherwise one encode drafts the
-    step and the states after it up to node i + 1's, as if the slots
-    between end no-edge, and a kept bond drops last; so the rest of its
-    row misses, and a row that ends no-edge hands node i + 1 its row.
-    With a shared cache the drafts are looked up in it, under history,
-    the walk's StateCache history, one code per decision; a walk without
-    one keeps no history."""
+    A step's row is drafted[pos], the next row of the walk's last draft
+    call, while that call's rows last; steps are decided in plan order,
+    so the rows are read in turn. Otherwise one call drafts the step: a
+    node step alone; row i's first edge step with the rest of its row,
+    as if the slots between end no-edge; an edge step after a kept bond
+    with the rest of its row and node i + 1's state. A kept bond drops
+    the drafts, as they assumed no-edge there. The first call drafts no
+    node state: a row that keeps no bond stops the walk, and one that
+    keeps a bond drops the drafts. With a shared cache the drafts are
+    looked up in it, under history, the walk's StateCache history, one
+    code per decision; a walk without one keeps no history."""
     types, cats, no_edge = g.node_types, g.categories, g.no_edge
     if cache is not None:
         codes, history = cache.codes, bytearray(seed_history(spec, g, start))
-    last = {}
     records, kept = [], {"node": [], "edge": []}
+    drafted, pos = (), 0
 
-    def row_of(drafts):
-        nonlocal last
-        if drafts[0] not in last:
-            if cache is None:
-                rows = _encode_rows(params, g, drafts)
-            else:
-                rows = cache.lookup(params, g, bytes(history), drafts)
-            last = dict(zip(drafts, rows))
-        return last[drafts[0]]
+    def encode(drafts: tuple) -> list:
+        if cache is None:
+            return _encode_rows(params, g, drafts)
+        return cache.lookup(params, g, bytes(history), drafts)
 
     for i in range(start, g.n):
-        node_row = row_of([("node", i)])
+        if pos == len(drafted):
+            drafted, pos = encode((("node", i),)), 0
+        node_row = drafted[pos]
+        pos += 1
         t = decode_category(draw(spec.node_dim), *node_row)
         types[i] = t
         if cache is not None:
             history += codes[t]
         records.append(("node", i, -1, t, 0))
         kept["node"].append(node_row)
-        edges = [("edge", i, j) for j in range(max(0, i - spec.window), i)]
-        drafts = edges + ([("node", i + 1)] if i + 1 < g.n else [])
+        edges = tuple([("edge", i, j) for j in range(max(0, i - spec.window), i)])
+        after = (("node", i + 1),) if i + 1 < g.n else ()
         got_bond = False
         for k, (_, _, j) in enumerate(edges):
-            row = row_of(drafts[k:])
+            if pos == len(drafted):
+                drafted, pos = encode(edges[k:] + after if k else edges), 0
+            row = drafted[pos]
+            pos += 1
             rejections = 0
             while True:
                 cat = decode_category(draw(spec.edge_dim), *row)
@@ -291,7 +297,7 @@ def _walk(
                 cats[i, j] = cat
                 cats[j, i] = cat
                 got_bond = True
-                last = {}  # the drafts after it assumed no-edge here
+                drafted, pos = (), 0  # the drafts after it assumed no-edge here
             if cache is not None:
                 history += codes[cat]
             records.append(("edge", i, j, cat, rejections))

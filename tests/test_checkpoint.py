@@ -17,6 +17,7 @@ def make_params(seed=0):
     rng = np.random.default_rng(seed + 100)
     for buf in params.named_buffers().values():
         buf[...] = rng.normal(size=buf.shape)
+    params.rgcn.bn_state.running_var[...] = np.abs(params.rgcn.bn_state.running_var)
     # exercise extreme magnitudes through the text format
     params.node_mu.b1.data[0] = 1e300
     params.node_mu.b1.data[1] = -1e-300
@@ -181,3 +182,23 @@ def test_blank_lines_are_tolerated():
     text = ckpt.dumps(params).replace("\ntensor head.edge_mu.w1", "\n\ntensor head.edge_mu.w1")
     restored = ckpt.loads(text, SPEC)
     assert np.array_equal(params.edge_mu.w1.data, restored.edge_mu.w1.data)
+
+
+def _with_running_var(value: float) -> str:
+    # the checkpoint text with running_var[0] set to value
+    params = make_params(4)
+    params.rgcn.bn_state.running_var[0] = value
+    return ckpt.dumps(params)
+
+
+@pytest.mark.parametrize("value", [-1.0, -1e-7])
+def test_rejects_negative_running_variance(value):
+    # below -BN_EPS batch norm's square root is nan; in (-BN_EPS, 0) it
+    # would read silently
+    with pytest.raises(ckpt.CheckpointError, match="negative variance"):
+        ckpt.loads(_with_running_var(value), SPEC)
+
+
+def test_accepts_zero_running_variance():
+    restored = ckpt.loads(_with_running_var(0.0), SPEC)
+    assert restored.rgcn.bn_state.running_var[0] == 0.0

@@ -620,3 +620,24 @@ def test_only_the_quadrature_imports_scipy():
     here = {}
     exec(QUADRATURE_PROBE, here)
     assert proc.stdout.split() == here["probe"]
+
+
+def test_negative_running_variance_checkpoint_is_a_data_error(workspace, tmp_path, capsys):
+    # batch norm takes the square root of running_var + 1e-5: a checkpoint
+    # with running_var[0] = -1 once loaded, and sampling then failed on nan
+    lines = workspace["checkpoint"].read_text().splitlines()
+    first = next(i for i, l in enumerate(lines) if l.startswith("tensor rgcn.bn.running_var "))
+    toks = lines[first + 1].split()
+    toks[0] = "-1"
+    lines[first + 1] = " ".join(toks)
+    poisoned = tmp_path / "negative_var.ckpt"
+    poisoned.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    rc = cli.main(
+        ["sample", "--config", str(workspace["cfg"]), "--checkpoint", str(poisoned),
+         "--output", str(out)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "negative variance" in err
+    assert not (out / "samples.molt").exists()

@@ -197,6 +197,17 @@ def test_parallel_matches_sequential():
     assert checked >= 3
 
 
+def _gathered_head_inputs(params, g, steps):
+    # each step's row of the stacked pass's gather nodes, by step index
+    pack = rgcn.pack_step_batch(g, steps, params.rgcn)
+    stacked = rgcn.encode_step_batch(g, steps, params.rgcn, pack=pack)
+    node = flow._head_inputs(stacked, pack.node_rows)
+    edge = flow._head_inputs(stacked, pack.edge_rows, pack.edge_i, pack.edge_j)
+    gathered = dict(zip(pack.node_rows, node.data))
+    gathered.update(zip(pack.edge_rows, edge.data))
+    return gathered
+
+
 def test_step_embedding_rows_equal_gathered_head_inputs():
     # the sampler's one-row head input of every step, node and edge, is
     # bitwise the row the stacked pass's gather node gives that step
@@ -207,17 +218,49 @@ def test_step_embedding_rows_equal_gathered_head_inputs():
     assert len(graphs) == 2
     for g in graphs:
         steps = flow.build_plan(g.n, spec.window).steps
-        pack = rgcn.pack_step_batch(g, steps, params.rgcn)
-        stacked = rgcn.encode_step_batch(g, steps, params.rgcn, pack=pack)
-        node = flow._head_inputs(stacked, pack.node_rows)
-        edge = flow._head_inputs(stacked, pack.edge_rows, pack.edge_i, pack.edge_j)
-        gathered = dict(zip(pack.node_rows, node.data))
-        gathered.update(zip(pack.edge_rows, edge.data))
+        gathered = _gathered_head_inputs(params, g, steps)
         for s, step in enumerate(steps):
             edge, node = flow.step_embeddings(params, g, [step])
             row = node.data if step[0] == "node" else edge.data[0]
             assert row.shape == (1, k if step[0] == "node" else 3 * k)
             assert np.array_equal(row[0], gathered[s])
+
+
+def test_step_embeddings_of_shuffled_mixed_steps_equal_gathered_head_inputs():
+    # the steps of one node count, shuffled so the node step may come
+    # anywhere, give each its stacked-pass row, on a miss of the cached
+    # gather layout and on a hit
+    spec = small_spec()
+    params = flow.init_flow_params(spec, np.random.default_rng(14), zero_init_heads=False)
+    rng = np.random.default_rng(15)
+    graphs = [m for m in molecules(16, 12, window=spec.window) if m.n >= 5][:2]
+    assert len(graphs) == 2
+    node_inside = 0
+    for g in graphs:
+        steps = flow.build_plan(g.n, spec.window).steps
+        gathered = _gathered_head_inputs(params, g, steps)
+        groups = {}
+        for s, step in enumerate(steps):
+            groups.setdefault(rgcn.state_nodes(step), []).append(s)
+        for m, group in groups.items():
+            if m < 2:
+                continue
+            order = rng.permutation(group).tolist()
+            shuffled = [steps[s] for s in order]
+            node_inside += shuffled[-1][0] == "edge" and any(st[0] == "node" for st in shuffled)
+            flow._gather_layout.cache_clear()
+            for _ in range(2):
+                edge, node = flow.step_embeddings(params, g, shuffled)
+                edges = [s for s in order if steps[s][0] == "edge"]
+                nodes = [s for s in order if steps[s][0] == "node"]
+                assert np.array_equal(edge.data[:, 0], np.array([gathered[s] for s in edges]))
+                if nodes:
+                    assert np.array_equal(node.data, np.array([gathered[s] for s in nodes]))
+                else:
+                    assert node is None
+            info = flow._gather_layout.cache_info()
+            assert (info.misses, info.hits) == (1, 1)
+    assert node_inside > 0
 
 
 def test_scale_head_output_is_clipped():

@@ -154,8 +154,14 @@ def test_encode_rejects_states_of_another_size():
         [("node", n + 1)],
         [("edge", n, 0)],
     ):
-        with pytest.raises(ValueError, match="exactly"):
-            rgcn.encode(g, steps, params)
+        for _ in range(2):  # and again, when a cached layout could serve the call
+            with pytest.raises(ValueError, match="exactly"):
+                rgcn.encode(g, steps, params)
+    # steps whose layout is cached for the prefix they fit still fail on g
+    steps = [("edge", n - 2, 0), ("node", n - 1)]
+    rgcn.encode(g.prefix(n - 1), steps, params)
+    with pytest.raises(ValueError, match="exactly"):
+        rgcn.encode(g, steps, params)
 
 
 def test_train_mode_embeddings_distinguish_same_size_states():

@@ -665,6 +665,34 @@ def test_state_cache_past_its_bound_gives_the_same_runs(monkeypatch):
     assert len(states) > len(set(states))  # states past the bound are encoded again
 
 
+@pytest.mark.parametrize("valency_check", [True, False])
+def test_a_rows_first_draft_holds_no_node_state(monkeypatch, valency_check):
+    # node i + 1's state drafted with row i's first edge slot would assume
+    # the row keeps no bond, and then the walk stops before node i + 1
+    spec = small_spec()
+    params = _random_params(spec, 48)
+    cfg = sampler.SamplerConfig(valency_check=valency_check)
+    calls = []
+    encode_rows = sampler._encode_rows
+    monkeypatch.setattr(
+        sampler, "_encode_rows", lambda p, g, steps: calls.append(steps) or encode_rows(p, g, steps)
+    )
+    sampler.sample_batch(params, spec, cfg, count=30, seed=49)  # one shared cache
+    shared = len(calls)
+    _children_runs(params, spec, cfg, np.random.SeedSequence(49).spawn(30))  # no cache
+    assert 0 < shared < len(calls)
+    first_slots = with_node = 0
+    for steps in calls:
+        for step in steps:
+            i = step[1]
+            if step[0] == "edge" and i > 0 and step[2] == max(0, i - spec.window):
+                first_slots += 1
+                assert ("node", i + 1) not in steps
+        with_node += steps[-1][0] == "node" and len(steps) > 1
+    # rows' first calls, and calls after a kept bond that draft the next node
+    assert first_slots > 0 and with_node > 0
+
+
 def _walks_with(cache):
     # _walk as every caller runs it, but always with the given cache
     walk = sampler._walk
